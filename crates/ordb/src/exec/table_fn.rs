@@ -11,21 +11,36 @@ use crate::expr::Expr;
 use crate::types::{Row, Value};
 
 /// Lateral `TABLE(unnest(xadt_expr, tag_expr))`: emits
-/// `child_row ++ [fragment]` for each unnested element.
+/// `child_row ++ [fragment]` for each unnested element, and after the
+/// fragment the child row's ordinal when `numbered`.
 pub struct UnnestScan {
     child: BoxOp,
     /// Evaluates to the XADT input.
     input: Expr,
     /// Evaluates to the tag name.
     tag: Expr,
+    /// Whether to append the ordinal of the child row: the plan above
+    /// memoizes on it the calls that read the child row alone (see
+    /// [`Expr::Memo`]), so they run once per child row.
+    numbered: bool,
     current: Option<Row>,
+    /// Child rows pulled so far.
+    ordinal: i64,
     pending: std::vec::IntoIter<Value>,
 }
 
 impl UnnestScan {
     /// Build the operator.
-    pub fn new(child: BoxOp, input: Expr, tag: Expr) -> UnnestScan {
-        UnnestScan { child, input, tag, current: None, pending: Vec::new().into_iter() }
+    pub fn new(child: BoxOp, input: Expr, tag: Expr, numbered: bool) -> UnnestScan {
+        UnnestScan {
+            child,
+            input,
+            tag,
+            numbered,
+            current: None,
+            ordinal: 0,
+            pending: Vec::new().into_iter(),
+        }
     }
 }
 
@@ -34,9 +49,12 @@ impl Operator for UnnestScan {
         loop {
             if let Some(frag) = self.pending.next() {
                 let outer = self.current.as_ref().expect("outer row set");
-                let mut row = Vec::with_capacity(outer.len() + 1);
+                let mut row = Vec::with_capacity(outer.len() + 1 + usize::from(self.numbered));
                 row.extend_from_slice(outer);
                 row.push(frag);
+                if self.numbered {
+                    row.push(Value::Int(self.ordinal));
+                }
                 return Ok(Some(row));
             }
             let Some(outer) = self.child.next()? else {
@@ -59,6 +77,7 @@ impl Operator for UnnestScan {
                 }
             };
             self.current = Some(outer);
+            self.ordinal += 1;
             self.pending = frags.into_iter();
         }
     }
@@ -81,7 +100,8 @@ mod tests {
             vec![Value::Xadt(XadtValue::plain("<speaker>s1</speaker><speaker>s2</speaker>"))],
             vec![Value::Xadt(XadtValue::plain("<speaker>s1</speaker>"))],
         ];
-        let op = UnnestScan::new(Box::new(Values::new(rows)), Expr::col(0), Expr::lit("speaker"));
+        let op =
+            UnnestScan::new(Box::new(Values::new(rows)), Expr::col(0), Expr::lit("speaker"), false);
         let out = collect(Box::new(op)).unwrap();
         // 3 unnested rows, each child ++ fragment.
         assert_eq!(out.len(), 3);
@@ -102,14 +122,15 @@ mod tests {
     #[test]
     fn empty_fragment_produces_no_rows() {
         let rows = vec![vec![Value::Xadt(XadtValue::plain(""))]];
-        let op = UnnestScan::new(Box::new(Values::new(rows)), Expr::col(0), Expr::lit("speaker"));
+        let op =
+            UnnestScan::new(Box::new(Values::new(rows)), Expr::col(0), Expr::lit("speaker"), false);
         assert!(collect(Box::new(op)).unwrap().is_empty());
     }
 
     #[test]
     fn null_input_produces_no_rows() {
         let rows = vec![vec![Value::Null]];
-        let op = UnnestScan::new(Box::new(Values::new(rows)), Expr::col(0), Expr::lit("x"));
+        let op = UnnestScan::new(Box::new(Values::new(rows)), Expr::col(0), Expr::lit("x"), false);
         assert!(collect(Box::new(op)).unwrap().is_empty());
     }
 
@@ -126,7 +147,7 @@ mod tests {
             def: get_elm,
             args: vec![Expr::col(0), Expr::lit("aTuple"), Expr::lit("title"), Expr::lit("Join")],
         };
-        let op = UnnestScan::new(Box::new(Values::new(rows)), narrowed, Expr::lit("author"));
+        let op = UnnestScan::new(Box::new(Values::new(rows)), narrowed, Expr::lit("author"), false);
         let out = collect(Box::new(op)).unwrap();
         assert_eq!(out.len(), 2); // only X and Y
     }

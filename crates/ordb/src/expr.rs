@@ -7,6 +7,8 @@
 use std::fmt;
 use std::sync::Arc;
 
+use parking_lot::Mutex;
+
 use crate::error::{DbError, Result};
 use crate::functions::FunctionDef;
 use crate::types::Value;
@@ -142,7 +144,24 @@ pub enum Expr {
         /// Right operand.
         rhs: Box<Expr>,
     },
+    /// `call`, evaluated once per run of consecutive rows that hold the
+    /// same integer in column `ordinal` and answered from `slot` for the
+    /// rest of the run. The planner wraps a call whose columns are all
+    /// bound below a lateral unnest this way, on the outer-row ordinal
+    /// that unnest emits: the call still runs where the plan reads it —
+    /// above every filter — but once per outer row, not per unnested row.
+    Memo {
+        /// Column holding the run's ordinal.
+        ordinal: usize,
+        /// The memoized expression.
+        call: Box<Expr>,
+        /// Last `(ordinal, value)`; shared by every spelling of the call.
+        slot: MemoSlot,
+    },
 }
+
+/// The one-entry cache behind [`Expr::Memo`].
+pub type MemoSlot = Arc<Mutex<Option<(i64, Value)>>>;
 
 /// Where an expression reads its column operands from: a contiguous row
 /// slice (the Volcano executor) or one row position across the column
@@ -271,6 +290,17 @@ impl Expr {
                 }
                 def.call(&vals)
             }
+            Expr::Memo { ordinal, call, slot } => {
+                let key = row.value(*ordinal).and_then(Value::as_int).ok_or_else(|| {
+                    DbError::Exec(format!("column {ordinal} holds no row ordinal"))
+                })?;
+                if let Some((_, v)) = slot.lock().as_ref().filter(|(k, _)| *k == key) {
+                    return Ok(v.clone());
+                }
+                let v = call.eval_src(row)?;
+                *slot.lock() = Some((key, v.clone()));
+                Ok(v)
+            }
             Expr::Arith { op, lhs, rhs } => {
                 let l = lhs.eval_src(row)?;
                 let r = rhs.eval_src(row)?;
@@ -325,6 +355,10 @@ impl Expr {
                     a.columns(out);
                 }
             }
+            Expr::Memo { ordinal, call, .. } => {
+                out.push(*ordinal);
+                call.columns(out);
+            }
             Expr::Arith { lhs, rhs, .. } => {
                 lhs.columns(out);
                 rhs.columns(out);
@@ -353,6 +387,10 @@ impl Expr {
                     a.remap_columns(map);
                 }
             }
+            Expr::Memo { ordinal, call, .. } => {
+                *ordinal = map(*ordinal);
+                call.remap_columns(map);
+            }
             Expr::Arith { lhs, rhs, .. } => {
                 lhs.remap_columns(map);
                 rhs.remap_columns(map);
@@ -377,6 +415,7 @@ impl fmt::Debug for Expr {
                 write!(f, "({expr:?} IS {}NULL)", if *negated { "NOT " } else { "" })
             }
             Expr::Arith { op, lhs, rhs } => write!(f, "({lhs:?} {op:?} {rhs:?})"),
+            Expr::Memo { ordinal, call, .. } => write!(f, "memo#{ordinal}({call:?})"),
             Expr::Func { def, args } => {
                 write!(f, "{}(", def.name)?;
                 for (i, a) in args.iter().enumerate() {

@@ -25,7 +25,7 @@ use xadt::XadtValue;
 
 use crate::error::{DbError, Result};
 use crate::metrics::UdfCounters;
-use crate::tuple::{decode_row, encode_row};
+use crate::tuple::{decode_row, encode_row, encode_value};
 use crate::types::Value;
 
 /// How a function call crosses from the executor into the function body.
@@ -83,29 +83,20 @@ impl FunctionDef {
                 // *locator* — a cheap handle, no payload copy — exactly
                 // as DB2 hands LOBs to NOT FENCED UDFs. FENCED mode runs
                 // a second buffer copy, modelling the IPC hop.
-                let mut scalars: Vec<Value> = Vec::with_capacity(args.len());
-                let mut locators: Vec<Option<Value>> = Vec::with_capacity(args.len());
+                let mut buf = Vec::new();
                 for a in args {
                     match a {
-                        Value::Xadt(_) => {
-                            scalars.push(Value::Null); // placeholder slot
-                            locators.push(Some(a.clone())); // Arc bump only
-                        }
-                        other => {
-                            scalars.push(other.clone());
-                            locators.push(None);
-                        }
+                        Value::Xadt(_) => encode_value(&Value::Null, &mut buf), // placeholder slot
+                        scalar => encode_value(scalar, &mut buf),
                     }
                 }
-                let mut buf = Vec::new();
-                encode_row(&scalars, &mut buf);
                 let copies = if fenced { 2 } else { 1 };
                 self.marshalled_bytes.fetch_add(copies * buf.len() as u64, Ordering::Relaxed);
                 let buf = if fenced { buf.clone() } else { buf };
-                let mut callee_args = decode_row(&buf, scalars.len())?;
-                for (slot, loc) in callee_args.iter_mut().zip(locators) {
-                    if let Some(v) = loc {
-                        *slot = v;
+                let mut callee_args = decode_row(&buf, args.len())?;
+                for (slot, a) in callee_args.iter_mut().zip(args) {
+                    if matches!(a, Value::Xadt(_)) {
+                        *slot = a.clone(); // Arc bump only
                     }
                 }
                 // The function body runs on its own copies / locators.
@@ -471,5 +462,37 @@ mod tests {
             .call(&[frag, Value::str("a"), Value::str(""), Value::str("")])
             .unwrap();
         assert_eq!(out.as_xadt().unwrap().to_plain(), "<a>x</a><a>y</a>");
+    }
+
+    /// The modelled UDF ABI, pinned per call: every scalar argument and
+    /// scalar result crosses the call buffer once (`tag + payload`, strings
+    /// with a 4-byte length), an XADT argument is a 1-byte placeholder and
+    /// an XADT result costs nothing (both travel by locator), FENCED pays
+    /// twice, built-ins pay nothing.
+    #[test]
+    fn marshalled_bytes_per_call_are_pinned() {
+        let r = reg();
+        let marshalled = |name: &str, args: &[Value]| {
+            let count = || {
+                let counters = r.counters();
+                let c = counters.iter().find(|c| c.name == name).expect("registered");
+                (c.calls, c.marshalled_bytes)
+            };
+            let before = count();
+            r.get(name).unwrap().call(args).unwrap();
+            let after = count();
+            assert_eq!(after.0 - before.0, 1, "{name}: one call counted");
+            after.1 - before.1
+        };
+        let line = Value::Xadt(XadtValue::plain("<LINE>my friend</LINE>"));
+        let title = [Value::str("HAMLET, Prince of Denmark")]; // 25 bytes
+        let get_elm_args =
+            [line.clone(), Value::str("LINE"), Value::str("LINE"), Value::str("friend")];
+        assert_eq!(marshalled("getElm", &get_elm_args), 1 + (5 + 4) + (5 + 4) + (5 + 6));
+        assert_eq!(marshalled("xtext", &[line]), 1 + (5 + 9));
+        assert_eq!(marshalled("udf_length", &title), (5 + 25) + 9);
+        assert_eq!(marshalled("fenced_length", &title), 2 * ((5 + 25) + 9));
+        assert_eq!(marshalled("length", &title), 0);
+        assert_eq!(marshalled("native_getElm", &get_elm_args), 0);
     }
 }

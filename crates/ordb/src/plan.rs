@@ -27,7 +27,7 @@ use crate::exec::{
     BoxBatchOp, BoxOp, Distinct, Filter, HashAggregate, HashJoin, IndexNestedLoopJoin, IndexScan,
     Limit, MergeJoin, NestedLoopJoin, Project, RowsToBatch, SeqScan, Sort, SortKey, UnnestScan,
 };
-use crate::expr::{CmpOp, Expr};
+use crate::expr::{CmpOp, Expr, MemoSlot};
 use crate::functions::FunctionRegistry;
 use crate::index::btree::BTree;
 use crate::index::key::encode_key;
@@ -206,13 +206,25 @@ fn filter_any(
     }
 }
 
-/// One visible column of the in-flight plan.
+/// One column of the in-flight plan.
 #[derive(Debug, Clone)]
 struct Binding {
     alias: String,
     column: String,
     #[allow(dead_code)]
     ty: DataType,
+    /// Set on the outer-row ordinal a lateral unnest appends (see
+    /// [`UnnestScan`]): the calls it carries, each with the slot all its
+    /// spellings share. Such a column has no name — `resolve` and `*`
+    /// pass over it — and [`compile`] memoizes those calls on it wherever
+    /// the plan above spells them.
+    carried: Option<Vec<(AstExpr, MemoSlot)>>,
+}
+
+impl Binding {
+    fn column(alias: &str, column: &str, ty: DataType) -> Binding {
+        Binding { alias: alias.to_string(), column: column.to_string(), ty, carried: None }
+    }
 }
 
 #[derive(Default)]
@@ -225,7 +237,8 @@ impl Schema {
             .iter()
             .enumerate()
             .filter(|(_, b)| {
-                b.column.eq_ignore_ascii_case(name)
+                b.carried.is_none()
+                    && b.column.eq_ignore_ascii_case(name)
                     && qualifier.is_none_or(|q| b.alias.eq_ignore_ascii_case(q))
             })
             .map(|(i, _)| i)
@@ -278,11 +291,8 @@ pub fn plan_select_profiled(
                     .table(name)
                     .ok_or_else(|| DbError::Plan(format!("unknown table {name:?}")))?;
                 let alias = alias.clone().unwrap_or_else(|| name.clone());
-                let columns: Vec<Binding> = def
-                    .columns
-                    .iter()
-                    .map(|c| Binding { alias: alias.clone(), column: c.name.clone(), ty: c.ty })
-                    .collect();
+                let columns: Vec<Binding> =
+                    def.columns.iter().map(|c| Binding::column(&alias, &c.name, c.ty)).collect();
                 bases.push(BaseRef {
                     alias,
                     table: name.to_ascii_lowercase(),
@@ -681,14 +691,39 @@ pub fn plan_select_profiled(
     for (alias, _func, args) in &fns {
         let input = compile(&args[0], &schema, ctx.functions)?;
         let tag = compile(&args[1], &schema, ctx.functions)?;
-        explain.push(format!("lateral unnest {alias}"));
+        // Scalar calls the plan above this unnest evaluates per unnested
+        // row although every column they read is bound below it: have
+        // the unnest number its outer rows and memoize each call on that
+        // ordinal, so it runs where the plan reads it — above every
+        // filter — but once per outer row.
+        let mut carried: Vec<AstExpr> = Vec::new();
+        let selected = q.items.iter().filter_map(|item| match item {
+            SelectItem::Expr { expr, .. } => Some(expr),
+            SelectItem::Wildcard => None,
+        });
+        for e in selected.chain(&q.group_by).chain(pending.iter().map(|(_, pred)| pred)) {
+            collect_carried(e, &schema, &global, &mut carried);
+        }
+        let mut line = format!("lateral unnest {alias}");
+        for (i, e) in carried.iter().enumerate() {
+            line.push_str(&format!("{} {e}", if i == 0 { " carrying" } else { "," }));
+        }
+        explain.push(line);
         let (op, id) = prof.wrap(
-            Box::new(UnnestScan::new(root.into_rows(), input, tag)),
+            Box::new(UnnestScan::new(root.into_rows(), input, tag, !carried.is_empty())),
             format!("UnnestScan {alias}"),
             vec![root_id],
         );
         (root, root_id) = (AnyOp::Row(op), id);
-        schema.0.push(Binding { alias: alias.clone(), column: "out".into(), ty: DataType::Xadt });
+        schema.0.push(Binding::column(alias, "out", DataType::Xadt));
+        if !carried.is_empty() {
+            schema.0.push(Binding {
+                alias: String::new(),
+                column: String::new(),
+                ty: DataType::Integer,
+                carried: Some(carried.into_iter().map(|e| (e, MemoSlot::default())).collect()),
+            });
+        }
         (root, root_id) =
             apply_ready_preds(root, root_id, &mut pending, &schema, ctx.functions, prof)?;
     }
@@ -789,8 +824,10 @@ pub fn plan_select_profiled(
             match item {
                 SelectItem::Wildcard => {
                     for (i, b) in schema.0.iter().enumerate() {
-                        out_exprs.push(Expr::col(i));
-                        columns.push(b.column.clone());
+                        if b.carried.is_none() {
+                            out_exprs.push(Expr::col(i));
+                            columns.push(b.column.clone());
+                        }
                     }
                 }
                 SelectItem::Expr { expr, alias } => {
@@ -862,13 +899,8 @@ pub fn compile_single_table(
     ast: &AstExpr,
     functions: &FunctionRegistry,
 ) -> Result<Expr> {
-    let schema = Schema(
-        table
-            .columns
-            .iter()
-            .map(|c| Binding { alias: table.name.clone(), column: c.name.clone(), ty: c.ty })
-            .collect(),
-    );
+    let schema =
+        Schema(table.columns.iter().map(|c| Binding::column(&table.name, &c.name, c.ty)).collect());
     compile(ast, &schema, functions)
 }
 
@@ -885,12 +917,8 @@ pub fn compile_expr(
     let schema = Schema(
         bindings
             .iter()
-            .map(|(alias, column)| Binding {
-                alias: alias.clone(),
-                column: column.clone(),
-                // Types are not used for resolution; Integer is a stand-in.
-                ty: DataType::Integer,
-            })
+            // Types are not used for resolution; Integer is a stand-in.
+            .map(|(alias, column)| Binding::column(alias, column, DataType::Integer))
             .collect(),
     );
     compile(ast, &schema, functions)
@@ -1128,6 +1156,58 @@ fn collect_aliases(e: &AstExpr, global: &[(String, String)], out: &mut Vec<Strin
     }
 }
 
+/// Gather from `e` the outermost scalar calls that read at least one
+/// column and only columns `schema` binds, and that `schema` does not
+/// carry yet. A call whose columns do not resolve is left for [`compile`]
+/// to report.
+fn collect_carried(
+    e: &AstExpr,
+    schema: &Schema,
+    global: &[(String, String)],
+    out: &mut Vec<AstExpr>,
+) {
+    let mut visit = |sub: &AstExpr| collect_carried(sub, schema, global, out);
+    match e {
+        AstExpr::Func { args, .. } => {
+            let mut aliases = Vec::new();
+            let bound = !e.has_aggregate()
+                && collect_aliases(e, global, &mut aliases).is_ok()
+                && !aliases.is_empty()
+                && aliases.iter().all(|a| schema_has_alias(schema, a));
+            if !bound {
+                args.iter().for_each(visit);
+            } else if !out.contains(e) && memo_of(schema, e).is_none() {
+                out.push(e.clone());
+            }
+        }
+        AstExpr::Column { .. } | AstExpr::Str(_) | AstExpr::Num(_) | AstExpr::Null => {}
+        AstExpr::Cmp { lhs, rhs, .. } | AstExpr::Arith { lhs, rhs, .. } => {
+            visit(lhs);
+            visit(rhs);
+        }
+        AstExpr::And(a, b) | AstExpr::Or(a, b) => {
+            visit(a);
+            visit(b);
+        }
+        AstExpr::Not(x) => visit(x),
+        AstExpr::Like { expr, .. } | AstExpr::IsNull { expr, .. } => visit(expr),
+        AstExpr::Agg { arg, .. } => {
+            if let Some(arg) = arg {
+                visit(arg);
+            }
+        }
+    }
+}
+
+/// The ordinal column and slot `schema` memoizes the call `e` on, if a
+/// lateral unnest below carries it.
+fn memo_of(schema: &Schema, e: &AstExpr) -> Option<(usize, MemoSlot)> {
+    schema.0.iter().enumerate().find_map(|(i, b)| {
+        let (_, slot) = b.carried.as_ref()?.iter().find(|(call, _)| call == e)?;
+        Some((i, slot.clone()))
+    })
+}
+
 /// Compile an AST expression against a schema.
 fn compile(e: &AstExpr, schema: &Schema, fns: &FunctionRegistry) -> Result<Expr> {
     match e {
@@ -1164,7 +1244,11 @@ fn compile(e: &AstExpr, schema: &Schema, fns: &FunctionRegistry) -> Result<Expr>
             for a in args {
                 compiled.push(compile(a, schema, fns)?);
             }
-            Ok(Expr::Func { def, args: compiled })
+            let call = Expr::Func { def, args: compiled };
+            Ok(match memo_of(schema, e) {
+                Some((ordinal, slot)) => Expr::Memo { ordinal, call: Box::new(call), slot },
+                None => call,
+            })
         }
         AstExpr::Agg { .. } => Err(DbError::Plan("aggregate not allowed in this context".into())),
         AstExpr::Arith { op, lhs, rhs } => Ok(Expr::Arith {

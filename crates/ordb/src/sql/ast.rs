@@ -184,6 +184,51 @@ pub enum AstExpr {
     },
 }
 
+/// SQL rendering, fully parenthesized (EXPLAIN names expressions with it).
+impl std::fmt::Display for AstExpr {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let quoted = |s: &str| format!("'{}'", s.replace('\'', "''"));
+        let not = |negated: &bool| if *negated { "NOT " } else { "" };
+        match self {
+            AstExpr::Column { qualifier: Some(q), name } => write!(f, "{q}.{name}"),
+            AstExpr::Column { qualifier: None, name } => write!(f, "{name}"),
+            AstExpr::Str(s) => f.write_str(&quoted(s)),
+            AstExpr::Num(n) => write!(f, "{n}"),
+            AstExpr::Null => f.write_str("NULL"),
+            AstExpr::Cmp { op, lhs, rhs } => write!(f, "({lhs} {op} {rhs})"),
+            AstExpr::And(a, b) => write!(f, "({a} AND {b})"),
+            AstExpr::Or(a, b) => write!(f, "({a} OR {b})"),
+            AstExpr::Not(e) => write!(f, "(NOT {e})"),
+            AstExpr::Like { expr, pattern, negated } => {
+                write!(f, "({expr} {}LIKE {})", not(negated), quoted(pattern))
+            }
+            AstExpr::IsNull { expr, negated } => write!(f, "({expr} IS {}NULL)", not(negated)),
+            AstExpr::Func { name, args } => {
+                write!(f, "{name}(")?;
+                for (i, arg) in args.iter().enumerate() {
+                    write!(f, "{}{arg}", if i == 0 { "" } else { ", " })?;
+                }
+                f.write_str(")")
+            }
+            AstExpr::Arith { op, lhs, rhs } => {
+                use crate::expr::ArithOp::*;
+                let symbol = match op {
+                    Add => '+',
+                    Sub => '-',
+                    Mul => '*',
+                    Div => '/',
+                    Mod => '%',
+                };
+                write!(f, "({lhs} {symbol} {rhs})")
+            }
+            AstExpr::Agg { func, arg: None, .. } => write!(f, "{func}(*)"),
+            AstExpr::Agg { func, arg: Some(arg), distinct } => {
+                write!(f, "{func}({}{arg})", if *distinct { "DISTINCT " } else { "" })
+            }
+        }
+    }
+}
+
 impl AstExpr {
     /// Split a conjunction into its conjuncts.
     pub fn conjuncts(self) -> Vec<AstExpr> {

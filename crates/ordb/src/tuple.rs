@@ -26,30 +26,35 @@ const TAG_XADT_COMP: u8 = 4;
 /// Serialize `row` into `out` (appending).
 pub fn encode_row(row: &[Value], out: &mut Vec<u8>) {
     for v in row {
-        match v {
-            Value::Null => out.push(TAG_NULL),
-            Value::Int(i) => {
-                out.push(TAG_INT);
-                out.extend_from_slice(&i.to_le_bytes());
-            }
-            Value::Str(s) => {
-                out.push(TAG_STR);
+        encode_value(v, out);
+    }
+}
+
+/// Serialize one field into `out` (appending).
+pub fn encode_value(v: &Value, out: &mut Vec<u8>) {
+    match v {
+        Value::Null => out.push(TAG_NULL),
+        Value::Int(i) => {
+            out.push(TAG_INT);
+            out.extend_from_slice(&i.to_le_bytes());
+        }
+        Value::Str(s) => {
+            out.push(TAG_STR);
+            out.extend_from_slice(&(s.len() as u32).to_le_bytes());
+            out.extend_from_slice(s.as_bytes());
+        }
+        Value::Xadt(x) => match x {
+            XadtValue::Plain(s) => {
+                out.push(TAG_XADT_PLAIN);
                 out.extend_from_slice(&(s.len() as u32).to_le_bytes());
                 out.extend_from_slice(s.as_bytes());
             }
-            Value::Xadt(x) => match x {
-                XadtValue::Plain(s) => {
-                    out.push(TAG_XADT_PLAIN);
-                    out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-                    out.extend_from_slice(s.as_bytes());
-                }
-                XadtValue::Compressed(b) => {
-                    out.push(TAG_XADT_COMP);
-                    out.extend_from_slice(&(b.len() as u32).to_le_bytes());
-                    out.extend_from_slice(b);
-                }
-            },
-        }
+            XadtValue::Compressed(b) => {
+                out.push(TAG_XADT_COMP);
+                out.extend_from_slice(&(b.len() as u32).to_le_bytes());
+                out.extend_from_slice(b);
+            }
+        },
     }
 }
 
@@ -104,7 +109,7 @@ pub fn decode_row(bytes: &[u8], arity: usize) -> Result<Row> {
                         row.push(Value::Xadt(XadtValue::plain(s)));
                     }
                     _ => {
-                        row.push(Value::Xadt(XadtValue::from_compressed_bytes(payload.to_vec())));
+                        row.push(Value::Xadt(XadtValue::from_compressed_bytes(payload)));
                     }
                 }
             }

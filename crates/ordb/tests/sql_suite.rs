@@ -226,6 +226,156 @@ fn lateral_unnest_chains() {
     assert_eq!(r.scalar(), Some(&Value::Int(1)));
 }
 
+/// Three sections, the last without any `w`: the lateral-carry fixture.
+fn setup_sections(d: &Database) {
+    d.execute("CREATE TABLE docs (id INTEGER, body XADT, e VARCHAR, k VARCHAR)").unwrap();
+    d.execute(
+        "INSERT INTO docs VALUES \
+         (1, '<s><n>one</n><w>a</w><w>b</w><w>c</w></s>', 'w', 'a'), \
+         (2, '<s><n>two</n><w>d</w></s>', 'w', 'zz'), \
+         (3, '<s><n>none</n></s>', '', '')",
+    )
+    .unwrap();
+}
+
+fn udf_calls(d: &Database, name: &str) -> u64 {
+    d.udf_counters().iter().find(|c| c.name == name).map_or(0, |c| c.calls)
+}
+
+/// QG2's shape: a select-list call over the outer lateral's output only
+/// runs once per outer row that has inner rows, not once per inner row.
+#[test]
+fn lateral_carry_runs_outer_only_calls_once_per_outer_row() {
+    let d = db("carry");
+    setup_sections(&d);
+    let sql = "SELECT id, xtext(w.out), getElm(s.out, 'n', '', '') \
+               FROM docs, TABLE(unnest(body, 's')) s, \
+                    TABLE(unnest(getElm(s.out, 'w', '', ''), 'w')) w";
+    let plan = d.explain(sql).unwrap();
+    assert!(
+        plan.iter().any(|l| l == "lateral unnest w carrying getElm(s.out, 'n', '', '')"),
+        "{plan:?}"
+    );
+    assert!(plan.iter().any(|l| l == "lateral unnest s"), "{plan:?}");
+
+    let (get_elm, xtext) = (udf_calls(&d, "getElm"), udf_calls(&d, "xtext"));
+    let carried = d.query(sql).unwrap();
+    // getElm: 3 unnest arguments (one per section) + 2 carried (sections
+    // 1 and 2; section 3 has no inner row). Uncarried it would be 3 + 4.
+    assert_eq!(udf_calls(&d, "getElm") - get_elm, 3 + 2);
+    assert_eq!(udf_calls(&d, "xtext") - xtext, 4);
+
+    // The same rows with every call evaluated right above its own unnest.
+    let names = d
+        .query("SELECT id, getElm(s.out, 'n', '', '') FROM docs, TABLE(unnest(body, 's')) s")
+        .unwrap();
+    let words = d.query("SELECT id, xtext(w.out) FROM docs, TABLE(unnest(body, 'w')) w").unwrap();
+    let mut want = Vec::new();
+    for name in &names.rows {
+        for word in words.rows.iter().filter(|word| word[0] == name[0]) {
+            want.push(vec![name[0].clone(), word[1].clone(), name[1].clone()]);
+        }
+    }
+    assert_eq!(carried.rows, want);
+    assert_eq!(carried.rows.len(), 4);
+    assert_eq!(carried.rows[3][2].as_xadt().unwrap().to_plain(), "<n>two</n>");
+}
+
+/// The carried call runs where the plan reads it: an outer row that
+/// unnests to nothing evaluates — and so raises — nothing.
+#[test]
+fn lateral_carry_skips_outer_rows_without_inner_rows() {
+    let d = db("carry-lazy");
+    setup_sections(&d);
+    // Row 3 passes two empty strings, which findKeyInElm rejects…
+    assert!(d.query("SELECT findKeyInElm(body, e, k) FROM docs").is_err());
+    // …but row 3 has no `w`, so the carried call never runs for it.
+    let sql = "SELECT xtext(w.out), findKeyInElm(body, e, k) \
+               FROM docs, TABLE(unnest(body, 'w')) w";
+    assert!(d.explain(sql).unwrap().iter().any(|l| l.contains("carrying findKeyInElm(")));
+    let before = udf_calls(&d, "findKeyInElm");
+    let r = d.query(sql).unwrap();
+    assert_eq!(udf_calls(&d, "findKeyInElm") - before, 2);
+    let flags: Vec<i64> = r.rows.iter().map(|row| row[1].as_int().unwrap()).collect();
+    assert_eq!(flags, [1, 1, 1, 0]);
+}
+
+/// Nor does an outer row whose inner rows a filter on the inner alias
+/// (or an empty later unnest) removes: the carried call runs above those,
+/// exactly where the uncarried plan ran it, never more often.
+#[test]
+fn lateral_carry_evaluates_above_inner_filters() {
+    let d = db("carry-filter");
+    d.execute("CREATE TABLE docs (id INTEGER, body XADT, e VARCHAR, k VARCHAR)").unwrap();
+    d.execute(
+        "INSERT INTO docs VALUES \
+         (1, '<s><w>a</w><w>b</w><w>a</w></s>', 'w', 'a'), \
+         (2, '<s><w>d</w></s>', 'w', 'zz'), \
+         (3, '<s><w>q</w></s>', '', '')",
+    )
+    .unwrap();
+    // Row 3's arguments make findKeyInElm raise, row 2 has no 'a'.
+    let sql = "SELECT xtext(w.out), findKeyInElm(body, e, k) \
+               FROM docs, TABLE(unnest(body, 'w')) w WHERE xtext(w.out) = 'a'";
+    assert!(d.explain(sql).unwrap().iter().any(|l| l.contains("carrying findKeyInElm(")));
+    let before = udf_calls(&d, "findKeyInElm");
+    let r = d.query(sql).unwrap();
+    // Two surviving rows of one outer row: one call (uncarried: two).
+    assert_eq!(udf_calls(&d, "findKeyInElm") - before, 1);
+    assert_eq!(r.rows, [[Value::str("a"), Value::Int(1)], [Value::str("a"), Value::Int(1)]]);
+
+    // The same with the filter reading the carried call itself…
+    let sql = "SELECT id FROM docs, TABLE(unnest(body, 'w')) w \
+               WHERE xtext(w.out) <> 'q' \
+                 AND (findKeyInElm(body, e, k) = 1 OR xtext(w.out) = 'd')";
+    let before = udf_calls(&d, "findKeyInElm");
+    assert_eq!(ints(&d.query(sql).unwrap()), [1, 1, 1, 2]);
+    assert_eq!(udf_calls(&d, "findKeyInElm") - before, 2);
+
+    // …and with the inner rows lost to a later unnest that finds nothing.
+    let sql = "SELECT findKeyInElm(body, e, k) FROM docs, \
+               TABLE(unnest(body, 's')) s, TABLE(unnest(s.out, 'b')) b";
+    assert!(d.explain(sql).unwrap().iter().any(|l| l.contains("unnest s carrying findKeyInElm(")));
+    let before = udf_calls(&d, "findKeyInElm");
+    assert!(d.query(sql).unwrap().rows.is_empty());
+    assert_eq!(udf_calls(&d, "findKeyInElm") - before, 0);
+}
+
+/// Carried calls serve GROUP BY keys and deferred predicates too, and
+/// the ordinal they are memoized on stays invisible to `*`.
+#[test]
+fn lateral_carry_in_group_by_predicates_and_wildcard() {
+    let d = db("carry-shapes");
+    setup_sections(&d);
+    let before = udf_calls(&d, "getElm");
+    let r = d
+        .query(
+            "SELECT xtext(getElm(s.out, 'n', '', '')), COUNT(*) \
+             FROM docs, TABLE(unnest(body, 's')) s, TABLE(unnest(s.out, 'w')) w \
+             GROUP BY xtext(getElm(s.out, 'n', '', '')) \
+             ORDER BY COUNT(*)",
+        )
+        .unwrap();
+    assert_eq!(
+        r.rows,
+        [vec![Value::str("two"), Value::Int(1)], vec![Value::str("one"), Value::Int(3)]]
+    );
+    assert_eq!(udf_calls(&d, "getElm") - before, 2);
+
+    let sql = "SELECT * FROM docs, TABLE(unnest(body, 's')) s, TABLE(unnest(s.out, 'w')) w \
+               WHERE xtext(w.out) = k AND xtext(getElm(s.out, 'n', '', '')) <> xtext(w.out)";
+    let plan = d.explain(sql).unwrap();
+    assert!(
+        plan.iter().any(|l| l == "lateral unnest w carrying xtext(getElm(s.out, 'n', '', ''))"),
+        "{plan:?}"
+    );
+    let r = d.query(sql).unwrap();
+    assert_eq!(r.columns, ["id", "body", "e", "k", "out", "out"]);
+    assert_eq!(r.rows.len(), 1);
+    assert_eq!(r.rows[0].len(), 6);
+    assert_eq!(r.rows[0][5].as_xadt().unwrap().to_plain(), "<w>a</w>");
+}
+
 #[test]
 fn get_attr_udf_in_sql() {
     let d = db("getattr");

@@ -18,8 +18,11 @@
 //!   0x03 text  : varint len, bytes (unescaped)
 //! ```
 
+use std::borrow::Cow;
 use std::collections::HashMap;
+use std::ops::Range;
 
+use crate::scan::{contains_bytes, push_escaped, Source, Tok, Wanted};
 use crate::token::{Event, FragmentError, PlainTokenizer};
 
 const VERSION: u8 = 1;
@@ -108,121 +111,286 @@ pub fn compress(fragment: &str) -> Result<Vec<u8>, FragmentError> {
     Ok(out)
 }
 
+/// Bounds-checked read position in a compressed fragment.
+struct Cursor<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+}
+
+impl<'a> Cursor<'a> {
+    fn varint(&mut self) -> Result<usize, FragmentError> {
+        // Codes, counts and most lengths fit one byte.
+        match self.bytes.get(self.pos) {
+            Some(&b) if b < 0x80 => {
+                self.pos += 1;
+                Ok(usize::from(b))
+            }
+            _ => usize::try_from(read_varint(self.bytes, &mut self.pos)?)
+                .map_err(|_| FragmentError("varint exceeds the address space".into())),
+        }
+    }
+
+    /// The next `len` bytes; `what` names them in the truncation error.
+    fn take(&mut self, len: usize, what: &str) -> Result<&'a [u8], FragmentError> {
+        let end = self.pos.checked_add(len).filter(|&end| end <= self.bytes.len());
+        let end = end.ok_or_else(|| FragmentError(format!("truncated {what}")))?;
+        let taken = &self.bytes[self.pos..end];
+        self.pos = end;
+        Ok(taken)
+    }
+}
+
+/// Span scanner over the compressed format: steps over opcodes, skipping
+/// attribute values and text by their stored length, and renders a span
+/// of opcodes to plain text only when a method emits it.
+/// [`CompressedReader`] is this scanner plus [`Event`] construction.
+pub(crate) struct CompressedScan<'a> {
+    cur: Cursor<'a>,
+    /// Code → name.
+    dict: Vec<&'a str>,
+    /// Offset of the first opcode.
+    body: usize,
+    /// First byte of the token just returned.
+    start: usize,
+    /// Name code of the `Start`/`End` token just returned.
+    code: usize,
+    /// Codes of the open elements.
+    open: Vec<usize>,
+    /// Where the attributes of the `Start` just returned begin, and how
+    /// many there are.
+    attrs: (usize, usize),
+    /// The content of the `Text` token just returned.
+    text: &'a [u8],
+}
+
+impl<'a> CompressedScan<'a> {
+    /// Open a compressed fragment. Fails on version or header corruption.
+    pub(crate) fn new(bytes: &'a [u8]) -> Result<Self, FragmentError> {
+        let version =
+            *bytes.first().ok_or_else(|| FragmentError("empty compressed fragment".into()))?;
+        if version != VERSION {
+            return Err(FragmentError(format!("unsupported version {version}")));
+        }
+        let mut cur = Cursor { bytes, pos: 1 };
+        let n = cur.varint()?;
+        // Every entry takes at least its length byte.
+        let mut dict = Vec::with_capacity(n.min(bytes.len()));
+        for _ in 0..n {
+            let len = cur.varint()?;
+            let name = std::str::from_utf8(cur.take(len, "dictionary")?)
+                .map_err(|_| FragmentError("dictionary entry is not utf-8".into()))?;
+            dict.push(name);
+        }
+        let body = cur.pos;
+        Ok(CompressedScan {
+            cur,
+            dict,
+            body,
+            start: body,
+            code: 0,
+            open: Vec::new(),
+            attrs: (body, 0),
+            text: &[],
+        })
+    }
+
+    fn name_of(&self, code: usize) -> Result<&'a str, FragmentError> {
+        self.dict
+            .get(code)
+            .copied()
+            .ok_or_else(|| FragmentError(format!("dictionary code {code} out of range")))
+    }
+
+    /// The attributes of the `Start` token just returned, as
+    /// `(name code, value)`.
+    fn attrs(&self) -> impl Iterator<Item = (usize, &'a [u8])> + '_ {
+        let mut cur = Cursor { bytes: self.cur.bytes, pos: self.attrs.0 };
+        (0..self.attrs.1).map(move |_| {
+            // `next` has already stepped over these bytes.
+            let code = cur.varint().expect("validated by next");
+            let len = cur.varint().expect("validated by next");
+            (code, cur.take(len, "attribute").expect("validated by next"))
+        })
+    }
+}
+
+impl Source for CompressedScan<'_> {
+    /// Every element name of the fragment is in its dictionary.
+    fn resolve<'n>(&self, name: &'n str) -> Option<Wanted<'n>> {
+        let code = self.dict.iter().position(|&entry| entry == name)?;
+        Some(Wanted { name, code })
+    }
+
+    fn next(&mut self) -> Result<Option<Tok>, FragmentError> {
+        self.start = self.cur.pos;
+        let Some(&op) = self.cur.bytes.get(self.cur.pos) else {
+            if !self.open.is_empty() {
+                return Err(FragmentError("compressed stream ends inside element".into()));
+            }
+            return Ok(None);
+        };
+        self.cur.pos += 1;
+        match op {
+            OP_START => {
+                self.code = self.cur.varint()?;
+                self.name_of(self.code)?;
+                let n_attrs = self.cur.varint()?;
+                self.attrs = (self.cur.pos, n_attrs);
+                for _ in 0..n_attrs {
+                    let code = self.cur.varint()?;
+                    self.name_of(code)?;
+                    let len = self.cur.varint()?;
+                    self.cur.take(len, "attribute")?;
+                }
+                self.open.push(self.code);
+                Ok(Some(Tok::Start))
+            }
+            OP_END => {
+                self.code = self
+                    .open
+                    .pop()
+                    .ok_or_else(|| FragmentError("end event with no open element".into()))?;
+                Ok(Some(Tok::End))
+            }
+            OP_TEXT => {
+                let len = self.cur.varint()?;
+                self.text = self.cur.take(len, "text")?;
+                Ok(Some(Tok::Text))
+            }
+            other => Err(FragmentError(format!("unknown opcode {other:#x}"))),
+        }
+    }
+
+    fn is(&self, name: Wanted<'_>) -> bool {
+        self.code == name.code
+    }
+
+    fn start(&self) -> usize {
+        self.start
+    }
+
+    fn end(&self) -> usize {
+        self.cur.pos
+    }
+
+    /// Text is stored entity-resolved.
+    fn text(&self) -> Cow<'_, [u8]> {
+        Cow::Borrowed(self.text)
+    }
+
+    /// Text runs are stored verbatim and contiguous.
+    fn may_contain_text(&self, key: &str) -> bool {
+        contains_bytes(&self.cur.bytes[self.body..], key.as_bytes())
+    }
+
+    fn attr(&self, attr: &str) -> Result<Option<String>, FragmentError> {
+        let Some(wanted) = self.resolve(attr) else { return Ok(None) };
+        let Some((_, value)) = self.attrs().find(|&(code, _)| code == wanted.code) else {
+            return Ok(None);
+        };
+        let value = std::str::from_utf8(value)
+            .map_err(|_| FragmentError("attribute value not utf-8".into()))?;
+        Ok(Some(value.to_string()))
+    }
+
+    fn render(&self, span: Range<usize>, out: &mut Vec<u8>) -> Result<(), FragmentError> {
+        let mut cur = Cursor { bytes: &self.cur.bytes[..span.end], pos: span.start };
+        let mut open: Vec<&str> = Vec::new();
+        // Codes grow back into names: the rendering is the longer side.
+        out.reserve(2 * span.len());
+        while let Some(&op) = cur.bytes.get(cur.pos) {
+            cur.pos += 1;
+            match op {
+                OP_START => {
+                    let name = self.name_of(cur.varint()?)?;
+                    out.push(b'<');
+                    out.extend_from_slice(name.as_bytes());
+                    for _ in 0..cur.varint()? {
+                        let attr = self.name_of(cur.varint()?)?;
+                        let len = cur.varint()?;
+                        out.push(b' ');
+                        out.extend_from_slice(attr.as_bytes());
+                        out.extend_from_slice(b"=\"");
+                        push_escaped(cur.take(len, "attribute")?, true, out);
+                        out.push(b'"');
+                    }
+                    out.push(b'>');
+                    open.push(name);
+                }
+                OP_END => {
+                    let name = open
+                        .pop()
+                        .ok_or_else(|| FragmentError("end event with no open element".into()))?;
+                    out.extend_from_slice(b"</");
+                    out.extend_from_slice(name.as_bytes());
+                    out.push(b'>');
+                }
+                OP_TEXT => {
+                    let len = cur.varint()?;
+                    push_escaped(cur.take(len, "text")?, false, out);
+                }
+                other => return Err(FragmentError(format!("unknown opcode {other:#x}"))),
+            }
+        }
+        if !open.is_empty() {
+            return Err(FragmentError("compressed stream ends inside element".into()));
+        }
+        Ok(())
+    }
+}
+
 /// Reader over a compressed fragment; yields the same [`Event`] stream as
 /// [`PlainTokenizer`] does over the plain form.
 pub struct CompressedReader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-    dict: Vec<&'a str>,
-    stack: Vec<u64>,
+    scan: CompressedScan<'a>,
 }
 
 impl<'a> CompressedReader<'a> {
     /// Open a compressed fragment. Fails on version or header corruption.
     pub fn new(bytes: &'a [u8]) -> Result<Self, FragmentError> {
-        let mut pos = 0;
-        let version =
-            *bytes.first().ok_or_else(|| FragmentError("empty compressed fragment".into()))?;
-        pos += 1;
-        if version != VERSION {
-            return Err(FragmentError(format!("unsupported version {version}")));
-        }
-        let n = read_varint(bytes, &mut pos)?;
-        let mut dict = Vec::with_capacity(n as usize);
-        for _ in 0..n {
-            let len = read_varint(bytes, &mut pos)? as usize;
-            let slice = bytes
-                .get(pos..pos + len)
-                .ok_or_else(|| FragmentError("truncated dictionary".into()))?;
-            let s = std::str::from_utf8(slice)
-                .map_err(|_| FragmentError("dictionary entry is not utf-8".into()))?;
-            dict.push(s);
-            pos += len;
-        }
-        Ok(CompressedReader { bytes, pos, dict, stack: Vec::new() })
+        Ok(CompressedReader { scan: CompressedScan::new(bytes)? })
     }
 
     /// Number of dictionary entries.
     pub fn dict_len(&self) -> usize {
-        self.dict.len()
+        self.scan.dict.len()
     }
 
     /// Current element nesting depth.
     pub fn depth(&self) -> usize {
-        self.stack.len()
-    }
-
-    fn name(&self, code: u64) -> Result<&'a str, FragmentError> {
-        self.dict
-            .get(code as usize)
-            .copied()
-            .ok_or_else(|| FragmentError(format!("dictionary code {code} out of range")))
+        self.scan.open.len()
     }
 
     /// Next event, `Ok(None)` at end of stream.
     #[allow(clippy::should_implement_trait)] // fallible iterator
     pub fn next(&mut self) -> Result<Option<Event<'a>>, FragmentError> {
-        if self.pos >= self.bytes.len() {
-            if !self.stack.is_empty() {
-                return Err(FragmentError("compressed stream ends inside element".into()));
-            }
-            return Ok(None);
-        }
-        let op = self.bytes[self.pos];
-        self.pos += 1;
-        match op {
-            OP_START => {
-                let code = read_varint(self.bytes, &mut self.pos)?;
-                let name = self.name(code)?;
-                let n_attrs = read_varint(self.bytes, &mut self.pos)?;
-                let mut attrs = Vec::with_capacity(n_attrs as usize);
-                for _ in 0..n_attrs {
-                    let ac = read_varint(self.bytes, &mut self.pos)?;
-                    let an = self.name(ac)?;
-                    let len = read_varint(self.bytes, &mut self.pos)? as usize;
-                    let v = self
-                        .bytes
-                        .get(self.pos..self.pos + len)
-                        .ok_or_else(|| FragmentError("truncated attribute".into()))?;
-                    self.pos += len;
-                    let v = std::str::from_utf8(v)
+        let scan = &mut self.scan;
+        let Some(tok) = scan.next()? else { return Ok(None) };
+        Ok(Some(match tok {
+            Tok::Start => {
+                let mut attrs = Vec::with_capacity(scan.attrs.1);
+                for (code, value) in scan.attrs() {
+                    let value = std::str::from_utf8(value)
                         .map_err(|_| FragmentError("attribute value not utf-8".into()))?;
-                    attrs.push((an, std::borrow::Cow::Borrowed(v)));
+                    attrs.push((scan.dict[code], Cow::Borrowed(value)));
                 }
-                self.stack.push(code);
-                Ok(Some(Event::Start { name, attrs }))
+                Event::Start { name: scan.dict[scan.code], attrs }
             }
-            OP_END => {
-                let code = self
-                    .stack
-                    .pop()
-                    .ok_or_else(|| FragmentError("end event with no open element".into()))?;
-                Ok(Some(Event::End { name: self.name(code)? }))
-            }
-            OP_TEXT => {
-                let len = read_varint(self.bytes, &mut self.pos)? as usize;
-                let t = self
-                    .bytes
-                    .get(self.pos..self.pos + len)
-                    .ok_or_else(|| FragmentError("truncated text".into()))?;
-                self.pos += len;
-                let t =
-                    std::str::from_utf8(t).map_err(|_| FragmentError("text not utf-8".into()))?;
-                Ok(Some(Event::Text(std::borrow::Cow::Borrowed(t))))
-            }
-            other => Err(FragmentError(format!("unknown opcode {other:#x}"))),
-        }
+            Tok::End => Event::End { name: scan.dict[scan.code] },
+            Tok::Text => Event::Text(Cow::Borrowed(
+                std::str::from_utf8(scan.text)
+                    .map_err(|_| FragmentError("text not utf-8".into()))?,
+            )),
+        }))
     }
 }
 
 /// Decompress back to the plain tagged-text form.
 pub fn decompress(bytes: &[u8]) -> Result<String, FragmentError> {
-    let mut r = CompressedReader::new(bytes)?;
-    let mut out = String::with_capacity(bytes.len() * 2);
-    while let Some(ev) = r.next()? {
-        write_event(&ev, &mut out);
-    }
-    Ok(out)
+    let scan = CompressedScan::new(bytes)?;
+    let mut out = Vec::new();
+    scan.render(scan.body..bytes.len(), &mut out)?;
+    String::from_utf8(out).map_err(|_| FragmentError("text not utf-8".into()))
 }
 
 /// Append the plain-text rendering of one event to `out`.
@@ -235,7 +403,7 @@ pub fn write_event(ev: &Event<'_>, out: &mut String) {
                 out.push(' ');
                 out.push_str(an);
                 out.push_str("=\"");
-                out.push_str(&xmlkit::serialize::escape_attr(av));
+                xmlkit::serialize::escape_attr_into(av, out);
                 out.push('"');
             }
             out.push('>');

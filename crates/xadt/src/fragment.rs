@@ -36,8 +36,8 @@ pub enum XadtValue {
 
 impl XadtValue {
     /// Wrap an already-serialized fragment without compressing.
-    pub fn plain(fragment: impl Into<String>) -> XadtValue {
-        XadtValue::Plain(std::sync::Arc::from(fragment.into()))
+    pub fn plain(fragment: impl Into<std::sync::Arc<str>>) -> XadtValue {
+        XadtValue::Plain(fragment.into())
     }
 
     /// Compress `fragment` and store the binary form.
@@ -46,8 +46,8 @@ impl XadtValue {
     }
 
     /// Wrap raw compressed bytes (as read back from storage).
-    pub fn from_compressed_bytes(bytes: Vec<u8>) -> XadtValue {
-        XadtValue::Compressed(std::sync::Arc::from(bytes))
+    pub fn from_compressed_bytes(bytes: impl Into<std::sync::Arc<[u8]>>) -> XadtValue {
+        XadtValue::Compressed(bytes.into())
     }
 
     /// Build a value in the requested format.

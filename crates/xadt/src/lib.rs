@@ -8,8 +8,8 @@
 //!   [`StorageFormat::Plain`] tagged text, or [`StorageFormat::Compressed`]
 //!   (XMill-inspired tag-dictionary coding, §3.4.1).
 //! * [`get_elm`] / [`find_key_in_elm`] / [`get_elm_index`] — the three
-//!   methods of §3.4.2, implemented as single-pass streaming scans over
-//!   either format.
+//!   methods of §3.4.2, implemented as single-pass scans over either
+//!   format that build no event stream and emit matches as byte ranges.
 //! * [`unnest()`](crate::unnest::unnest) — the table UDF of §3.5 (Figure 9) that flattens a
 //!   fragment into one row per element.
 //! * [`choose_format`] — the sampling heuristic of §4.1 that decides, per
@@ -21,6 +21,7 @@ pub mod choose;
 pub mod compress;
 pub mod fragment;
 pub mod methods;
+mod scan;
 pub mod token;
 pub mod unnest;
 

@@ -1,15 +1,15 @@
 //! The XADT methods of paper §3.4.2: `getElm`, `findKeyInElm`, and
 //! `getElmIndex`.
 //!
-//! All three are implemented as single-pass streaming scans over the stored
-//! fragment (plain or compressed) — no DOM is materialised. Matching
-//! subtrees are re-rendered into a plain-format output [`XadtValue`], which
-//! can feed another method call, exactly the composition the paper uses for
-//! complex path queries.
+//! All three are single-pass scans over the stored fragment (plain or
+//! compressed) with the crate's span scanner (`scan.rs`) — no DOM and no
+//! event stream is materialised. Matching subtrees come out as a
+//! plain-format [`XadtValue`], which can feed another method call, exactly
+//! the composition the paper uses for complex path queries.
 
-use crate::compress::write_event;
 use crate::fragment::XadtValue;
-use crate::token::{Event, FragmentError};
+use crate::scan::{contains_bytes, plain_value, selects, with_source, Emitter, Source, Tok};
+use crate::token::FragmentError;
 
 /// `getElm(inXML, rootElm, searchElm, searchKey, level)`.
 ///
@@ -30,97 +30,88 @@ pub fn get_elm(
     search_key: &str,
     level: Option<u32>,
 ) -> Result<XadtValue, FragmentError> {
-    let mut events = input.events()?;
-    let mut out = String::new();
+    with_source!(input, get_elm_in(root_elm, search_elm, search_key, level))
+}
 
-    // State while inside a candidate root element.
-    let mut capture: Option<Capture> = None;
-    let mut depth: usize = 0;
+fn get_elm_in(
+    mut src: impl Source,
+    root_elm: &str,
+    search_elm: &str,
+    search_key: &str,
+    level: Option<u32>,
+) -> Result<XadtValue, FragmentError> {
+    // Without a rootElm the top-level elements are the roots; without a
+    // searchElm every root qualifies.
+    let (Some(root), Some(search)) =
+        (src.resolve_optional(root_elm), src.resolve_optional(search_elm))
+    else {
+        return plain_value(&[]);
+    };
+    let key = search_key.as_bytes();
+    let mut out = Emitter::new();
+    let mut depth = 0usize;
+    // The root element being scanned — its depth and start offset — and
+    // whether it has qualified yet.
+    let mut candidate: Option<(usize, usize)> = None;
+    let mut qualified = false;
+    // The open searchElm scopes still waiting for the key, as (depth,
+    // where their text starts in `heard`): scopes nest, so one buffer
+    // holds the concatenated text of all of them.
+    let mut scopes: Vec<(usize, usize)> = Vec::new();
+    let mut heard: Vec<u8> = Vec::new();
 
-    while let Some(ev) = events.next()? {
-        match &ev {
-            Event::Start { name, .. } => {
-                if capture.is_none() && root_matches(root_elm, name, depth) {
-                    capture = Some(Capture::new(depth));
+    while let Some(tok) = src.next()? {
+        match tok {
+            Tok::Start => {
+                if candidate.is_none() && selects(&src, root, depth) {
+                    candidate = Some((depth, src.start()));
+                    qualified = search.is_none();
                 }
-                if let Some(cap) = &mut capture {
-                    // rel == 0 is the root itself: it participates as a
-                    // search scope when rootElm == searchElm (the paper's
-                    // QE1 calls getElm(line, 'LINE', 'LINE', key)).
-                    let rel = depth - cap.root_depth;
-                    if !cap.matched && *name == search_elm {
-                        let within_level = level.is_none_or(|l| rel as u32 <= l);
-                        if within_level {
-                            if search_key.is_empty() {
-                                cap.matched = true;
-                            } else {
-                                cap.key_scopes
-                                    .push(KeyScope { end_depth: depth, text: String::new() });
-                            }
+                if let (Some((root_depth, _)), false, Some(search)) = (candidate, qualified, search)
+                {
+                    // The root itself (zero levels down) is a search scope
+                    // when rootElm == searchElm: the paper's QE1 calls
+                    // getElm(line, 'LINE', 'LINE', key).
+                    let levels_down = depth - root_depth;
+                    let within_level =
+                        level.is_none_or(|l| u32::try_from(levels_down).is_ok_and(|d| d <= l));
+                    if within_level && src.is(search) {
+                        if key.is_empty() {
+                            qualified = true;
+                        } else {
+                            scopes.push((depth, heard.len()));
                         }
                     }
-                    write_event(&ev, &mut cap.buf);
                 }
                 depth += 1;
             }
-            Event::End { .. } => {
+            Tok::End => {
                 depth -= 1;
-                if let Some(cap) = &mut capture {
-                    write_event(&ev, &mut cap.buf);
-                    while cap.key_scopes.last().is_some_and(|s| s.end_depth == depth) {
-                        let scope = cap.key_scopes.pop().expect("checked non-empty");
-                        if scope.text.contains(search_key) {
-                            cap.matched = true;
-                        }
-                    }
-                    if depth == cap.root_depth {
-                        // Candidate complete.
-                        let cap = capture.take().expect("capture present");
-                        let accept = search_elm.is_empty() || cap.matched;
-                        if accept {
-                            out.push_str(&cap.buf);
-                        }
+                while let Some(&(_, from)) = scopes.last().filter(|s| s.0 == depth) {
+                    scopes.pop();
+                    if contains_bytes(&heard[from..], key) {
+                        qualified = true;
+                        scopes.clear();
                     }
                 }
-            }
-            Event::Text(t) => {
-                if let Some(cap) = &mut capture {
-                    for scope in &mut cap.key_scopes {
-                        scope.text.push_str(t);
+                if scopes.is_empty() {
+                    heard.clear();
+                }
+                if let Some((_, start)) = candidate.filter(|c| c.0 == depth) {
+                    if qualified {
+                        out.emit(&src, start..src.end())?;
                     }
-                    write_event(&ev, &mut cap.buf);
+                    candidate = None;
+                }
+            }
+            Tok::Text => {
+                if !scopes.is_empty() {
+                    heard.extend_from_slice(&src.text());
                 }
             }
         }
     }
-    Ok(XadtValue::plain(out))
-}
-
-fn root_matches(root_elm: &str, name: &str, depth: usize) -> bool {
-    if root_elm.is_empty() {
-        depth == 0
-    } else {
-        name == root_elm
-    }
-}
-
-struct Capture {
-    root_depth: usize,
-    buf: String,
-    matched: bool,
-    key_scopes: Vec<KeyScope>,
-}
-
-impl Capture {
-    fn new(root_depth: usize) -> Self {
-        Capture { root_depth, buf: String::new(), matched: false, key_scopes: Vec::new() }
-    }
-}
-
-struct KeyScope {
-    /// Depth at which the scope's end tag will close (== depth of its start).
-    end_depth: usize,
-    text: String,
+    out.finish(&src)
 }
 
 /// `findKeyInElm(inXML, searchElm, searchKey)` — returns `true` as soon as
@@ -141,31 +132,44 @@ pub fn find_key_in_elm(
             "findKeyInElm: searchElm and searchKey cannot both be empty".into(),
         ));
     }
-    let mut events = input.events()?;
+    with_source!(input, find_key_in(search_elm, search_key))
+}
+
+fn find_key_in(
+    mut src: impl Source,
+    search_elm: &str,
+    search_key: &str,
+) -> Result<bool, FragmentError> {
+    // Without a searchElm the whole fragment is in scope.
+    let Some(elm) = src.resolve_optional(search_elm) else { return Ok(false) };
+    if !search_key.is_empty() && !src.may_contain_text(search_key) {
+        return Ok(false);
+    }
+    let key = search_key.as_bytes();
     let mut depth = 0usize;
-    // Depths at which a currently-open searchElm started (nested matches
-    // possible with recursive DTDs).
-    let mut open_scopes: Vec<usize> = Vec::new();
-    while let Some(ev) = events.next()? {
-        match &ev {
-            Event::Start { name, .. } => {
-                if *name == search_elm {
-                    if search_key.is_empty() {
+    // Depth of the outermost open searchElm (recursive DTDs nest them;
+    // the inner ones add nothing to the scope).
+    let mut scope: Option<usize> = None;
+    while let Some(tok) = src.next()? {
+        match tok {
+            Tok::Start => {
+                if elm.is_some_and(|elm| src.is(elm)) {
+                    if key.is_empty() {
                         return Ok(true);
                     }
-                    open_scopes.push(depth);
+                    scope.get_or_insert(depth);
                 }
                 depth += 1;
             }
-            Event::End { .. } => {
+            Tok::End => {
                 depth -= 1;
-                if open_scopes.last() == Some(&depth) {
-                    open_scopes.pop();
+                if scope == Some(depth) {
+                    scope = None;
                 }
             }
-            Event::Text(t) => {
-                let in_scope = search_elm.is_empty() || !open_scopes.is_empty();
-                if in_scope && !search_key.is_empty() && t.contains(search_key) {
+            Tok::Text => {
+                let in_scope = elm.is_none() || scope.is_some();
+                if in_scope && !key.is_empty() && contains_bytes(&src.text(), key) {
                     return Ok(true);
                 }
             }
@@ -191,69 +195,72 @@ pub fn get_elm_index(
     if child_elm.is_empty() {
         return Err(FragmentError("getElmIndex: childElm cannot be empty".into()));
     }
-    let mut events = input.events()?;
-    let mut out = String::new();
+    with_source!(input, get_elm_index_in(parent_elm, child_elm, start_pos..=end_pos))
+}
+
+fn get_elm_index_in(
+    mut src: impl Source,
+    parent_elm: &str,
+    child_elm: &str,
+    positions: std::ops::RangeInclusive<u32>,
+) -> Result<XadtValue, FragmentError> {
+    let (Some(child), Some(parent)) = (src.resolve(child_elm), src.resolve_optional(parent_elm))
+    else {
+        return plain_value(&[]);
+    };
+    let mut out = Emitter::new();
     let mut depth = 0usize;
-
-    // Stack of currently-open parentElm scopes; each counts childElm
-    // occurrences among its direct children. With empty parent_elm a single
-    // implicit scope at depth 0 is used.
-    struct Scope {
-        child_depth: usize,
-        count: u32,
+    // The open parentElm scopes, as (depth of their children, childElm
+    // children seen so far). Without a parentElm the top level is the one
+    // scope.
+    let mut scopes: Vec<(usize, u32)> = Vec::new();
+    if parent.is_none() {
+        scopes.push((0, 0));
     }
-    let mut scopes: Vec<Scope> = Vec::new();
-    if parent_elm.is_empty() {
-        scopes.push(Scope { child_depth: 0, count: 0 });
-    }
-    // When capturing a matched child subtree: depth at which it closes.
-    let mut capture_until: Option<usize> = None;
+    // The matched child being copied: its depth and start offset.
+    let mut capture: Option<(usize, usize)> = None;
 
-    while let Some(ev) = events.next()? {
-        match &ev {
-            Event::Start { name, .. } => {
-                if capture_until.is_some() {
-                    write_event(&ev, &mut out);
-                } else {
-                    if *name == child_elm && scopes.last().is_some_and(|s| s.child_depth == depth) {
-                        let scope = scopes.last_mut().expect("checked non-empty");
-                        scope.count += 1;
-                        if scope.count >= start_pos && scope.count <= end_pos {
-                            capture_until = Some(depth);
-                            write_event(&ev, &mut out);
+    while let Some(tok) = src.next()? {
+        match tok {
+            Tok::Start => {
+                if capture.is_none() {
+                    if let Some(scope) = scopes.last_mut().filter(|s| s.0 == depth) {
+                        if src.is(child) {
+                            scope.1 += 1;
+                            if positions.contains(&scope.1) {
+                                capture = Some((depth, src.start()));
+                            }
                         }
                     }
-                    // A captured subtree is copied verbatim: elements inside
-                    // it are never counted, so a captured element must not
-                    // open a scope either (its End is consumed by the
-                    // capture branch and would leak the scope).
-                    if capture_until.is_none() && !parent_elm.is_empty() && *name == parent_elm {
-                        scopes.push(Scope { child_depth: depth + 1, count: 0 });
+                    // A captured subtree is copied verbatim: elements
+                    // inside it are never counted, so a captured element
+                    // opens no scope either.
+                    if capture.is_none() && parent.is_some_and(|parent| src.is(parent)) {
+                        scopes.push((depth + 1, 0));
                     }
                 }
                 depth += 1;
             }
-            Event::End { .. } => {
+            Tok::End => {
                 depth -= 1;
-                if let Some(until) = capture_until {
-                    write_event(&ev, &mut out);
-                    if depth == until {
-                        capture_until = None;
+                match capture {
+                    Some((at, start)) => {
+                        if depth == at {
+                            out.emit(&src, start..src.end())?;
+                            capture = None;
+                        }
                     }
-                } else if !parent_elm.is_empty()
-                    && scopes.last().is_some_and(|s| s.child_depth == depth + 1)
-                {
-                    scopes.pop();
+                    None => {
+                        if parent.is_some() && scopes.last().is_some_and(|s| s.0 == depth + 1) {
+                            scopes.pop();
+                        }
+                    }
                 }
             }
-            Event::Text(t) => {
-                if capture_until.is_some() {
-                    write_event(&Event::Text(t.clone()), &mut out);
-                }
-            }
+            Tok::Text => {}
         }
     }
-    Ok(XadtValue::plain(out))
+    out.finish(&src)
 }
 
 /// Count the elements named `elm` in the fragment (any depth; all
@@ -263,10 +270,14 @@ pub fn count_elm(input: &XadtValue, elm: &str) -> Result<i64, FragmentError> {
     if elm.is_empty() {
         return Err(FragmentError("countElm: elm cannot be empty".into()));
     }
-    let mut events = input.events()?;
+    with_source!(input, count_elm_in(elm))
+}
+
+fn count_elm_in(mut src: impl Source, elm: &str) -> Result<i64, FragmentError> {
+    let Some(elm) = src.resolve(elm) else { return Ok(0) };
     let mut n = 0;
-    while let Some(ev) = events.next()? {
-        if matches!(&ev, Event::Start { name, .. } if *name == elm) {
+    while let Some(tok) = src.next()? {
+        if tok == Tok::Start && src.is(elm) {
             n += 1;
         }
     }
@@ -280,13 +291,19 @@ pub fn get_attr(input: &XadtValue, elm: &str, attr: &str) -> Result<Option<Strin
     if elm.is_empty() || attr.is_empty() {
         return Err(FragmentError("getAttr: elm and attr must be non-empty".into()));
     }
-    let mut events = input.events()?;
-    while let Some(ev) = events.next()? {
-        if let Event::Start { name, attrs } = &ev {
-            if *name == elm {
-                if let Some((_, v)) = attrs.iter().find(|(a, _)| *a == attr) {
-                    return Ok(Some(v.to_string()));
-                }
+    with_source!(input, get_attr_in(elm, attr))
+}
+
+fn get_attr_in(
+    mut src: impl Source,
+    elm: &str,
+    attr: &str,
+) -> Result<Option<String>, FragmentError> {
+    let Some(elm) = src.resolve(elm) else { return Ok(None) };
+    while let Some(tok) = src.next()? {
+        if tok == Tok::Start && src.is(elm) {
+            if let Some(value) = src.attr(attr)? {
+                return Ok(Some(value));
             }
         }
     }
@@ -298,14 +315,17 @@ pub fn get_attr(input: &XadtValue, elm: &str, attr: &str) -> Result<Option<Strin
 /// the SIGMOD aggregation queries use it to group XADT fragments by their
 /// text (mirroring the Hybrid schema's `*_value` columns).
 pub fn text_content(input: &XadtValue) -> Result<String, FragmentError> {
-    let mut events = input.events()?;
-    let mut out = String::new();
-    while let Some(ev) = events.next()? {
-        if let Event::Text(t) = ev {
-            out.push_str(&t);
+    with_source!(input, text_content_in())
+}
+
+fn text_content_in(mut src: impl Source) -> Result<String, FragmentError> {
+    let mut out = Vec::new();
+    while let Some(tok) = src.next()? {
+        if tok == Tok::Text {
+            out.extend_from_slice(&src.text());
         }
     }
-    Ok(out)
+    String::from_utf8(out).map_err(|_| FragmentError("text not utf-8".into()))
 }
 
 #[cfg(test)]

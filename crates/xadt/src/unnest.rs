@@ -6,56 +6,42 @@
 //! (including the `tag` element itself), so the result can feed further
 //! XADT method calls — the lateral pattern the SIGMOD queries use.
 
-use crate::compress::write_event;
 use crate::fragment::XadtValue;
-use crate::token::{Event, FragmentError};
+use crate::scan::{selects, with_source, Source, Tok};
+use crate::token::FragmentError;
 
 /// Unnest `input`, producing one fragment per outermost `tag` element.
 ///
 /// An empty `tag` unnests the top-level elements of the fragment.
 pub fn unnest(input: &XadtValue, tag: &str) -> Result<Vec<XadtValue>, FragmentError> {
-    let mut events = input.events()?;
+    with_source!(input, unnest_in(tag))
+}
+
+fn unnest_in(mut src: impl Source, tag: &str) -> Result<Vec<XadtValue>, FragmentError> {
+    let Some(tag) = src.resolve_optional(tag) else { return Ok(Vec::new()) };
     let mut out = Vec::new();
     let mut depth = 0usize;
-    let mut capture: Option<(usize, String)> = None;
-
-    while let Some(ev) = events.next()? {
-        match &ev {
-            Event::Start { name, .. } => {
-                if capture.is_none() && tag_matches(tag, name, depth) {
-                    capture = Some((depth, String::new()));
-                }
-                if let Some((_, buf)) = &mut capture {
-                    write_event(&ev, buf);
+    // The element being copied: its depth and start offset.
+    let mut capture: Option<(usize, usize)> = None;
+    while let Some(tok) = src.next()? {
+        match tok {
+            Tok::Start => {
+                if capture.is_none() && selects(&src, tag, depth) {
+                    capture = Some((depth, src.start()));
                 }
                 depth += 1;
             }
-            Event::End { .. } => {
+            Tok::End => {
                 depth -= 1;
-                if let Some((start, buf)) = &mut capture {
-                    write_event(&ev, buf);
-                    if depth == *start {
-                        let (_, buf) = capture.take().expect("capture present");
-                        out.push(XadtValue::plain(buf));
-                    }
+                if let Some((_, start)) = capture.filter(|c| c.0 == depth) {
+                    out.push(src.value(start..src.end())?);
+                    capture = None;
                 }
             }
-            Event::Text(t) => {
-                if let Some((_, buf)) = &mut capture {
-                    write_event(&Event::Text(t.clone()), buf);
-                }
-            }
+            Tok::Text => {}
         }
     }
     Ok(out)
-}
-
-fn tag_matches(tag: &str, name: &str, depth: usize) -> bool {
-    if tag.is_empty() {
-        depth == 0
-    } else {
-        name == tag
-    }
 }
 
 #[cfg(test)]

@@ -5,11 +5,14 @@
 //!   fragment reproduces the fragment byte for byte;
 //! * `decompress ∘ compress = id` on canonical fragments;
 //! * the streaming methods (`getElm`, `findKeyInElm`, `getElmIndex`,
-//!   `countElm`, `textContent`) agree with a naive recursive DOM walk.
+//!   `unnest`, `countElm`, `getAttr`, `textContent`) agree with a naive
+//!   recursive DOM walk, over canonical and non-canonical spellings of
+//!   the same fragment, in both storage formats.
 //!
 //! "Canonical" means the form `write_event` produces: attributes escaped
 //! with `escape_attr`, text with `escape_text_into`, no adjacent text
-//! runs — exactly what the shredder stores.
+//! runs — exactly what the shredder stores, and what every method emits
+//! whatever the spelling of its input.
 
 use std::borrow::Cow;
 
@@ -20,8 +23,10 @@ use xadt::{compress, decompress, Event, PlainTokenizer, XadtValue};
 
 const NAMES: [&str; 4] = ["a", "b", "c", "p"];
 const ATTRS: [&str; 2] = ["k", "pos"];
-const TEXTS: [&str; 6] = ["love", "Rising key", "x", "a&b", "x<y", "  spaced  "];
-const KEYS: [&str; 5] = ["love", "key", "a", "x", "zz"];
+const TEXTS: [&str; 8] = ["love", "Rising key", "x", "a&b", "x<y", "  spaced  ", "it's", "a>\"b"];
+const VALUES: [&str; 6] = ["v1", "v2", "a&b", "it's", "x<y", "q\"q"];
+// "xx" and "xlove" only occur across an inline child's boundary.
+const KEYS: [&str; 8] = ["love", "key", "a", "x", "zz", "xx", "xlove", "'s"];
 
 // ---------------------------------------------------------------------
 // Naive DOM
@@ -42,17 +47,24 @@ struct Node {
 /// never two text runs adjacent).
 fn gen_fragment(rng: &mut SmallRng) -> Vec<Child> {
     let n = rng.gen_range(1..=4);
-    gen_children(rng, n, 0)
+    gen_children(rng, n, 0, None)
 }
 
-fn gen_children(rng: &mut SmallRng, n: usize, depth: usize) -> Vec<Child> {
+fn gen_children(
+    rng: &mut SmallRng,
+    n: usize,
+    depth: usize,
+    parent: Option<&'static str>,
+) -> Vec<Child> {
     let mut out = Vec::new();
     let mut last_was_text = false;
     for _ in 0..n {
         if depth < 4 && (last_was_text || rng.gen_bool(0.7)) {
-            out.push(Child::Elem(gen_node(rng, depth)));
+            out.push(Child::Elem(gen_node(rng, depth, parent)));
             last_was_text = false;
-        } else {
+        } else if !last_was_text {
+            // (At the depth limit a second text in a row is dropped: it
+            // would tokenize as one run with the first.)
             out.push(Child::Text(TEXTS[rng.gen_range(0..TEXTS.len())].to_string()));
             last_was_text = true;
         }
@@ -60,14 +72,20 @@ fn gen_children(rng: &mut SmallRng, n: usize, depth: usize) -> Vec<Child> {
     out
 }
 
-fn gen_node(rng: &mut SmallRng, depth: usize) -> Node {
-    let name = NAMES[rng.gen_range(0..NAMES.len())];
+fn gen_node(rng: &mut SmallRng, depth: usize, parent: Option<&'static str>) -> Node {
+    // Recursive DTDs nest an element in one of its own name.
+    let name = match parent {
+        Some(parent) if rng.gen_bool(0.2) => parent,
+        _ => NAMES[rng.gen_range(0..NAMES.len())],
+    };
     let mut attrs = Vec::new();
-    if rng.gen_bool(0.3) {
-        attrs.push((ATTRS[rng.gen_range(0..ATTRS.len())], format!("v{}", rng.gen_range(0..9))));
+    for attr in ATTRS {
+        if rng.gen_bool(0.2) {
+            attrs.push((attr, VALUES[rng.gen_range(0..VALUES.len())].to_string()));
+        }
     }
     let n = if depth >= 4 { 0 } else { rng.gen_range(0..=3) };
-    Node { name, attrs, children: gen_children(rng, n, depth + 1) }
+    Node { name, attrs, children: gen_children(rng, n, depth + 1, Some(name)) }
 }
 
 /// Canonical rendering through the same `write_event` the engine uses.
@@ -92,6 +110,72 @@ fn render_child(c: &Child, out: &mut String) {
             write_event(&Event::End { name: n.name }, out);
         }
     }
+}
+
+/// One of the spellings the tokenizer accepts for the same events:
+/// `<e/>` for an empty element, `'`-quoted and loosely spaced attributes,
+/// `&apos;`/`&quot;`/numeric references, a bare `>` in text, a space
+/// before the `>` of an end tag.
+fn render_rough(rng: &mut SmallRng, children: &[Child]) -> String {
+    let mut out = String::new();
+    for c in children {
+        rough_child(rng, c, &mut out);
+    }
+    out
+}
+
+fn rough_text(rng: &mut SmallRng, text: &str, quote: Option<char>, out: &mut String) {
+    for ch in text.chars() {
+        let spellings: &[&str] = match ch {
+            '<' => &["&lt;", "&#60;"],
+            '&' => &["&amp;", "&#x26;", "&#38;"],
+            '>' => &["&gt;", ">"],
+            '\'' if quote == Some('\'') => &["&apos;"],
+            '\'' => &["'", "&apos;"],
+            '"' if quote == Some('"') => &["&quot;"],
+            '"' => &["\"", "&quot;"],
+            _ => {
+                out.push(ch);
+                continue;
+            }
+        };
+        out.push_str(spellings[rng.gen_range(0..spellings.len())]);
+    }
+}
+
+fn rough_child(rng: &mut SmallRng, c: &Child, out: &mut String) {
+    let n = match c {
+        Child::Text(t) => return rough_text(rng, t, None, out),
+        Child::Elem(n) => n,
+    };
+    out.push('<');
+    out.push_str(n.name);
+    for (k, v) in &n.attrs {
+        out.push_str([" ", "  ", "\t", "\n"][rng.gen_range(0..4)]);
+        out.push_str(k);
+        out.push_str(["=", " = ", "= "][rng.gen_range(0..3)]);
+        let quote = if rng.gen_bool(0.5) { '"' } else { '\'' };
+        out.push(quote);
+        rough_text(rng, v, Some(quote), out);
+        out.push(quote);
+    }
+    if rng.gen_bool(0.2) {
+        out.push(' ');
+    }
+    if n.children.is_empty() && rng.gen_bool(0.6) {
+        out.push_str("/>");
+        return;
+    }
+    out.push('>');
+    for ch in &n.children {
+        rough_child(rng, ch, out);
+    }
+    out.push_str("</");
+    out.push_str(n.name);
+    if rng.gen_bool(0.2) {
+        out.push(' ');
+    }
+    out.push('>');
 }
 
 fn subtree_text(n: &Node, out: &mut String) {
@@ -119,6 +203,25 @@ fn tokenizer_round_trips_canonical_fragments() {
         }
         assert_eq!(back, frag, "tokenize→render must be the identity");
     }
+}
+
+#[test]
+fn rough_spellings_tokenize_to_the_canonical_form() {
+    let mut rng = SmallRng::seed_from_u64(0x0dd);
+    let mut differing = 0;
+    for _ in 0..300 {
+        let dom = gen_fragment(&mut rng);
+        let (frag, rough) = (render(&dom), render_rough(&mut rng, &dom));
+        differing += usize::from(rough != frag);
+        let mut t = PlainTokenizer::new(&rough);
+        let mut back = String::new();
+        while let Some(ev) = t.next().expect("rough fragments are well-formed") {
+            write_event(&ev, &mut back);
+        }
+        assert_eq!(back, frag, "tokenize→render of {rough:?}");
+        assert_eq!(decompress(&compress(&rough).unwrap()).unwrap(), frag);
+    }
+    assert!(differing > 200, "the rough renderer must usually differ: {differing}/300");
 }
 
 #[test]
@@ -252,6 +355,47 @@ fn get_elm_index_naive(
     }
 }
 
+/// `unnest`: the outermost `tag` elements anywhere in the fragment (its
+/// top-level elements when empty), one canonical rendering each.
+fn unnest_naive(children: &[Child], tag: &str, depth: usize, out: &mut Vec<String>) {
+    for c in children {
+        let Child::Elem(e) = c else { continue };
+        if if tag.is_empty() { depth == 0 } else { e.name == tag } {
+            let mut row = String::new();
+            render_child(c, &mut row);
+            out.push(row);
+        } else {
+            unnest_naive(&e.children, tag, depth + 1, out);
+        }
+    }
+}
+
+/// `getAttr`: `attr` of the first `elm` element, in document order, that
+/// has it.
+fn get_attr_naive(children: &[Child], elm: &str, attr: &str) -> Option<String> {
+    children.iter().find_map(|c| {
+        let Child::Elem(e) = c else { return None };
+        let own = e.attrs.iter().find(|(k, _)| *k == attr).filter(|_| e.name == elm);
+        own.map(|(_, v)| v.clone()).or_else(|| get_attr_naive(&e.children, elm, attr))
+    })
+}
+
+/// `getElm` concatenates the text of a `searchElm` subtree before looking
+/// for the key, `findKeyInElm` looks in one text run at a time: a key
+/// that spans an inline child matches the first and not the second.
+/// Aligning them can change seed answers, so the difference is pinned.
+#[test]
+fn key_spanning_an_inline_child_matches_get_elm_only() {
+    let frag = "<L>fare<B>well</B></L>";
+    for v in [XadtValue::plain(frag), XadtValue::compressed(frag).unwrap()] {
+        let got = xadt::get_elm(&v, "L", "L", "farewell", None).unwrap();
+        assert_eq!(got.to_plain(), frag);
+        assert!(!xadt::find_key_in_elm(&v, "L", "farewell").unwrap());
+        assert!(xadt::find_key_in_elm(&v, "L", "fare").unwrap());
+        assert!(xadt::find_key_in_elm(&v, "L", "well").unwrap());
+    }
+}
+
 /// Regression: when `parentElm == childElm`, a captured child used to
 /// leave a stale parent scope on the stack (its End event is consumed by
 /// the capture branch), silently dropping later siblings from the count.
@@ -265,9 +409,11 @@ fn get_elm_index_with_recursive_parent_child_name() {
 #[test]
 fn methods_agree_with_naive_dom_walk() {
     let mut rng = SmallRng::seed_from_u64(0x5eed);
-    for _ in 0..400 {
+    for _ in 0..800 {
         let dom = gen_fragment(&mut rng);
-        let frag = render(&dom);
+        // Canonical or rough spelling, plain or compressed storage: the
+        // answers below are the same for all four.
+        let frag = if rng.gen_bool(0.5) { render(&dom) } else { render_rough(&mut rng, &dom) };
         let value = if rng.gen_bool(0.5) {
             XadtValue::plain(frag.clone())
         } else {
@@ -324,6 +470,28 @@ fn methods_agree_with_naive_dom_walk() {
             "getElm({root:?}, {search:?}, {k:?}, {level:?}) on {frag}",
         );
 
+        // unnest
+        let tag = if rng.gen_bool(0.2) { "" } else { name(&mut rng) };
+        let got: Vec<String> = xadt::unnest(&value, tag)
+            .unwrap()
+            .iter()
+            .map(|row| {
+                assert!(matches!(row, XadtValue::Plain(_)), "unnest rows are plain-format");
+                row.to_plain().into_owned()
+            })
+            .collect();
+        let mut want = Vec::new();
+        unnest_naive(&dom, tag, 0, &mut want);
+        assert_eq!(got, want, "unnest({tag:?}) on {frag}");
+
+        // getAttr
+        let (elm, attr) = (name(&mut rng), ATTRS[rng.gen_range(0..ATTRS.len())]);
+        assert_eq!(
+            xadt::get_attr(&value, elm, attr).unwrap(),
+            get_attr_naive(&dom, elm, attr),
+            "getAttr({elm:?}, {attr:?}) on {frag}",
+        );
+
         // getElmIndex (childElm must be non-empty)
         let parent = if rng.gen_bool(0.3) { "" } else { name(&mut rng) };
         let child = name(&mut rng);
@@ -337,5 +505,35 @@ fn methods_agree_with_naive_dom_walk() {
             want,
             "getElmIndex({parent:?}, {child:?}, {start}, {end}) on {frag}",
         );
+    }
+}
+
+/// Plain input is unchecked (`XadtValue::plain`, a SQL literal), so every
+/// method walks it to its end and reports a malformed tail — also when the
+/// name or key asked for occurs nowhere, where a byte search could answer
+/// without looking. (`findKeyInElm` and `getAttr` stop at their first
+/// match, so they are only asked for what is absent.)
+#[test]
+fn malformed_plain_input_raises_whatever_is_asked_for() {
+    let mut rng = SmallRng::seed_from_u64(0xbad);
+    for _ in 0..200 {
+        let dom = gen_fragment(&mut rng);
+        let frag = if rng.gen_bool(0.5) { render(&dom) } else { render_rough(&mut rng, &dom) };
+        let tail = ["<zq>", "</a>", "<a", "<a k=v></a>", "<a></b>"][rng.gen_range(0..5)];
+        let bad = XadtValue::plain(format!("{frag}{tail}"));
+        assert!(XadtValue::compressed(&bad.to_plain()).is_err(), "{tail} is malformed");
+        for name in ["zz", NAMES[rng.gen_range(0..NAMES.len())]] {
+            assert!(xadt::get_elm(&bad, name, "", "", None).is_err(), "getElm({name}) on {bad:?}");
+            assert!(xadt::get_elm(&bad, "", name, "nokey", None).is_err(), "{name} on {bad:?}");
+            assert!(xadt::get_elm_index(&bad, "", name, 1, 1).is_err(), "{name} on {bad:?}");
+            assert!(xadt::get_elm_index(&bad, name, "zz", 1, 1).is_err(), "{name} on {bad:?}");
+            assert!(xadt::unnest(&bad, name).is_err(), "unnest({name}) on {bad:?}");
+            assert!(xadt::count_elm(&bad, name).is_err(), "countElm({name}) on {bad:?}");
+            assert!(xadt::find_key_in_elm(&bad, name, "nokey").is_err(), "{name} on {bad:?}");
+        }
+        assert!(xadt::find_key_in_elm(&bad, "zz", "").is_err(), "{bad:?}");
+        assert!(xadt::find_key_in_elm(&bad, "", "nokey").is_err(), "{bad:?}");
+        assert!(xadt::get_attr(&bad, "zz", "k").is_err(), "{bad:?}");
+        assert!(xadt::text_content(&bad).is_err(), "{bad:?}");
     }
 }

@@ -11,28 +11,44 @@ pub fn escape_text(s: &str) -> String {
 
 /// Escape character data into an existing buffer.
 pub fn escape_text_into(s: &str, out: &mut String) {
-    for ch in s.chars() {
-        match ch {
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            '&' => out.push_str("&amp;"),
-            _ => out.push(ch),
-        }
-    }
+    escape_into(s, out, |b| match b {
+        b'<' => Some("&lt;"),
+        b'>' => Some("&gt;"),
+        b'&' => Some("&amp;"),
+        _ => None,
+    });
 }
 
 /// Escape an attribute value quoted with `"`.
 pub fn escape_attr(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
-    for ch in s.chars() {
-        match ch {
-            '<' => out.push_str("&lt;"),
-            '&' => out.push_str("&amp;"),
-            '"' => out.push_str("&quot;"),
-            _ => out.push(ch),
+    escape_attr_into(s, &mut out);
+    out
+}
+
+/// Escape an attribute value quoted with `"` into an existing buffer.
+pub fn escape_attr_into(s: &str, out: &mut String) {
+    escape_into(s, out, |b| match b {
+        b'<' => Some("&lt;"),
+        b'&' => Some("&amp;"),
+        b'"' => Some("&quot;"),
+        _ => None,
+    });
+}
+
+/// Append `s`, copying each run of bytes `entity_of` leaves alone in one
+/// piece. Only ASCII bytes are ever replaced, so every run boundary is a
+/// character boundary.
+fn escape_into(s: &str, out: &mut String, entity_of: impl Fn(u8) -> Option<&'static str>) {
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if let Some(entity) = entity_of(b) {
+            out.push_str(&s[run..i]);
+            out.push_str(entity);
+            run = i + 1;
         }
     }
-    out
+    out.push_str(&s[run..]);
 }
 
 /// Serialize a whole document compactly (no added whitespace).
@@ -53,7 +69,7 @@ pub fn write_subtree(doc: &Document, id: NodeId, out: &mut String) {
                 out.push(' ');
                 out.push_str(&a.name);
                 out.push_str("=\"");
-                out.push_str(&escape_attr(&a.value));
+                escape_attr_into(&a.value, out);
                 out.push('"');
             }
             let children = doc.children(id);
@@ -106,7 +122,7 @@ fn write_pretty(doc: &Document, id: NodeId, depth: usize, out: &mut String) {
             out.push(' ');
             out.push_str(&a.name);
             out.push_str("=\"");
-            out.push_str(&escape_attr(&a.value));
+            escape_attr_into(&a.value, out);
             out.push('"');
         }
         out.push_str(">\n");

@@ -17,7 +17,11 @@ fn setup() -> Env {
     let simple = simplify(&parse_dtd(xorator::dtds::SHAKESPEARE_DTD).unwrap());
     let queries = shakespeare_queries();
     let workload: Vec<&str> = queries.iter().flat_map(|q| [q.hybrid, q.xorator]).collect();
-    let dir = std::env::temp_dir().join(format!("xorator-it-shak-{}", std::process::id()));
+    // Every test of this binary calls setup(), on parallel threads: one
+    // directory per call.
+    static CALLS: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+    let call = CALLS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    let dir = std::env::temp_dir().join(format!("xorator-it-shak-{}-{call}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
 
     let mut dbs = Vec::new();

@@ -35,7 +35,11 @@ fn setup() -> Env {
     let simple = simplify(&parse_dtd(xorator::dtds::PLAYS_DTD).unwrap());
     let hmap = map_hybrid(&simple);
     let xmap = map_xorator(&simple);
-    let dir = std::env::temp_dir().join(format!("xorator-it-xpath-{}", std::process::id()));
+    // Every test of this binary calls setup(), on parallel threads: one
+    // directory per call.
+    static CALLS: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+    let call = CALLS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    let dir = std::env::temp_dir().join(format!("xorator-it-xpath-{}-{call}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let hybrid = Database::open(dir.join("h")).unwrap();
     let xorator = Database::open(dir.join("x")).unwrap();
