@@ -1183,15 +1183,15 @@ fn txn_figure(args: &Args, mlog: &mut MetricsLog) {
 
     // First-updater-wins demonstration on the embedded handle.
     let (mut s1, mut s2) = (None, None);
-    db.execute_txn("BEGIN", &mut s1).expect("begin t1");
-    db.execute_txn("BEGIN", &mut s2).expect("begin t2");
-    db.execute_txn("DELETE FROM ledger WHERE k = 0", &mut s1).expect("t1 claims");
-    let conflict = db.execute_txn("DELETE FROM ledger WHERE k = 0", &mut s2);
+    db.execute_txn("BEGIN", None, &mut s1).expect("begin t1");
+    db.execute_txn("BEGIN", None, &mut s2).expect("begin t2");
+    db.execute_txn("DELETE FROM ledger WHERE k = 0", None, &mut s1).expect("t1 claims");
+    let conflict = db.execute_txn("DELETE FROM ledger WHERE k = 0", None, &mut s2);
     assert!(
         matches!(conflict, Err(ordb::DbError::TxnConflict(_))),
         "second updater must fail fast, got {conflict:?}"
     );
-    db.execute_txn("ROLLBACK", &mut s1).expect("t1 rollback");
+    db.execute_txn("ROLLBACK", None, &mut s1).expect("t1 rollback");
     let dc = db.metrics_snapshot().since(&before);
     println!(
         "conflict demo: {} write-write conflict(s), loser rolled back automatically",

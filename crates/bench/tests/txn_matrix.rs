@@ -77,30 +77,32 @@ fn txn_matrix_crash_points_never_leak_uncommitted_versions() {
         // 1. A durably committed batch through the explicit txn path.
         let base = 1_000 + round as i64 * BATCH;
         let mut committer = None;
-        db.execute_txn("BEGIN", &mut committer).expect("begin committer");
+        db.execute_txn("BEGIN", None, &mut committer).expect("begin committer");
         for i in 0..BATCH {
             db.execute_txn(
                 &format!("INSERT INTO tlog VALUES ({}, 'keep')", base + i),
+                None,
                 &mut committer,
             )
             .expect("committed insert");
         }
-        db.execute_txn("COMMIT", &mut committer).expect("durable commit");
+        db.execute_txn("COMMIT", None, &mut committer).expect("durable commit");
 
         // 2. An orphan transaction: inserts plus one delete claim on a
         //    committed row, never committed. Its id slot dies with the
         //    process below.
         let orphan_base = 9_000_000 + round as i64 * BATCH;
         let mut orphan = None;
-        db.execute_txn("BEGIN", &mut orphan).expect("begin orphan");
+        db.execute_txn("BEGIN", None, &mut orphan).expect("begin orphan");
         for i in 0..BATCH {
             db.execute_txn(
                 &format!("INSERT INTO tlog VALUES ({}, 'orphan')", orphan_base + i),
+                None,
                 &mut orphan,
             )
             .expect("orphan insert");
         }
-        db.execute_txn(&format!("DELETE FROM tlog WHERE id = {base}"), &mut orphan)
+        db.execute_txn(&format!("DELETE FROM tlog WHERE id = {base}"), None, &mut orphan)
             .expect("orphan delete claim");
 
         // 3. Crash somewhere inside the checkpoint's write storm.
@@ -201,19 +203,56 @@ fn txn_matrix_crash_points_never_leak_uncommitted_versions() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Rows per round of the vacuum crash matrix.
+const VACUUM_BATCH: i64 = 64;
+
+/// One round of the vacuum matrix's churn: durably insert batch `round`
+/// (ids and tags only ascend; every 4th row overflows into a chain so a
+/// crashing pass has chain pages in flight, not just slots), then durably
+/// delete its even half and what is left of the batch two rounds back.
+/// The wide `tag` index holds ~40 entries a leaf, so a batch that goes
+/// away whole empties leaves: the next vacuum pass reclaims B+Tree
+/// pages, not just entries.
+fn vacuum_matrix_churn(db: &Database, round: i64, oracle: &mut std::collections::BTreeSet<i64>) {
+    let base = round * VACUUM_BATCH;
+    let mut w = None;
+    db.execute_txn("BEGIN", None, &mut w).expect("begin insert");
+    for id in base..base + VACUUM_BATCH {
+        let body = if id % 4 == 0 { "y".repeat(6000) } else { format!("row-{id}") };
+        let tag = format!("{id:08}{}", "t".repeat(160));
+        db.execute_txn(&format!("INSERT INTO vlog VALUES ({id}, '{tag}', '{body}')"), None, &mut w)
+            .expect("insert");
+        oracle.insert(id);
+    }
+    db.execute_txn("COMMIT", None, &mut w).expect("durable insert commit");
+    db.execute_txn("BEGIN", None, &mut w).expect("begin delete");
+    let old = (round - 2) * VACUUM_BATCH;
+    let doomed = (base..base + VACUUM_BATCH)
+        .filter(|id| id % 2 == 0)
+        .chain((old..old + VACUUM_BATCH).filter(|id| *id >= 0 && id % 2 != 0));
+    for id in doomed {
+        db.execute_txn(&format!("DELETE FROM vlog WHERE id = {id}"), None, &mut w).expect("delete");
+        oracle.remove(&id);
+    }
+    db.execute_txn("COMMIT", None, &mut w).expect("durable delete commit");
+}
+
 /// The vacuum crash matrix: every round commits a batch durably,
-/// deletes half of it durably, then kills the process inside the vacuum
-/// pass's WAL storm — the whole reclamation reaches disk in one
+/// deletes half of it and the rest of an older one durably, then kills
+/// the process inside the vacuum pass's WAL storm — the whole
+/// reclamation, B+Tree leaves given back included, reaches disk in one
 /// buffered write, so `crash_after: 0` with a randomized mode (drop /
 /// tear / bit-flip, tear point seeded per round) replays an arbitrary
-/// prefix of the pass on reopen. The recovery contract: the heap, the
-/// index, and an oracle maintained outside the database agree exactly,
-/// and a clean pass afterwards converges whatever the crash left.
+/// prefix of the pass on reopen. The recovery contract: the heap, both
+/// indexes, and an oracle maintained outside the database agree exactly,
+/// and a clean pass afterwards converges whatever the crash left. After
+/// the matrix the same churn runs on without crashes, and the trees that
+/// came through all of them must hold their files flat.
 #[test]
 fn vacuum_crash_matrix_recovers_heap_index_equivalence() {
     let seed = env_u64("CRASH_SEED", 1);
     let default_points = if cfg!(debug_assertions) { 4 } else { 12 };
-    let rounds = env_u64("CRASH_POINTS", default_points);
+    let rounds = env_u64("CRASH_POINTS", default_points) as i64;
 
     let dir = scratch_dir(&format!("vacuum-matrix-{seed}"));
     let _ = std::fs::remove_dir_all(&dir);
@@ -223,39 +262,34 @@ fn vacuum_crash_matrix_recovers_heap_index_equivalence() {
     // garbage before the armed one gets to crash on it.
     let opts = DbOptions { fault: Some(inj.clone()), auto_vacuum: false, ..Default::default() };
     let mut db = Database::open_with(&dir, opts.clone()).expect("open vacuum-matrix db");
-    db.execute("CREATE TABLE vlog (id INTEGER, body VARCHAR)").expect("create");
+    db.execute("CREATE TABLE vlog (id INTEGER, tag VARCHAR, body VARCHAR)").expect("create");
     db.execute("CREATE INDEX vlog_id ON vlog (id)").expect("index");
+    db.execute("CREATE INDEX vlog_tag ON vlog (tag)").expect("index");
+
+    // The ids each access path finds: the heap, the id index, the tag index.
+    let canon = |db: &Database, predicate: &str, access: ForcedAccess| -> Vec<i64> {
+        let forcing = PlanForcing { access: Some(access), ..Default::default() };
+        let mut ids: Vec<i64> = db
+            .query_with_forcing(&format!("SELECT id FROM vlog WHERE {predicate}"), Some(forcing))
+            .expect("recovered query")
+            .rows
+            .iter()
+            .map(|r| r[0].as_int().expect("id"))
+            .collect();
+        ids.sort_unstable();
+        ids
+    };
+    let paths = [
+        ("seq", "id >= 0", ForcedAccess::SeqScan),
+        ("id index", "id >= 0", ForcedAccess::IndexScan),
+        ("tag index", "tag >= '0'", ForcedAccess::IndexScan),
+    ];
 
     let mut rng = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(seed);
     let mut oracle: std::collections::BTreeSet<i64> = std::collections::BTreeSet::new();
-    let mut crashes = 0u64;
+    let mut crashes = 0i64;
     for round in 0..rounds {
-        // Durably committed batch (explicit COMMIT = group-commit
-        // fsync); every 4th row overflows into a chain so the crashing
-        // pass has chain pages in flight, not just slots.
-        let base = round as i64 * BATCH;
-        let mut w = None;
-        db.execute_txn("BEGIN", &mut w).expect("begin insert");
-        for i in 0..BATCH {
-            let id = base + i;
-            let body = if i % 4 == 0 { "y".repeat(6000) } else { format!("row-{id}") };
-            db.execute_txn(&format!("INSERT INTO vlog VALUES ({id}, '{body}')"), &mut w)
-                .expect("insert");
-            oracle.insert(id);
-        }
-        db.execute_txn("COMMIT", &mut w).expect("durable insert commit");
-        // Durably delete the even half — the armed pass's victims.
-        db.execute_txn("BEGIN", &mut w).expect("begin delete");
-        for i in 0..BATCH {
-            if i % 2 == 0 {
-                let id = base + i;
-                db.execute_txn(&format!("DELETE FROM vlog WHERE id = {id}"), &mut w)
-                    .expect("delete");
-                oracle.remove(&id);
-            }
-        }
-        db.execute_txn("COMMIT", &mut w).expect("durable delete commit");
-
+        vacuum_matrix_churn(&db, round, &mut oracle);
         let plan = FaultPlan {
             crash_after: 0,
             mode: match xorshift(&mut rng) % 3 {
@@ -279,27 +313,13 @@ fn vacuum_crash_matrix_recovers_heap_index_equivalence() {
         let dump = ordb::storage::wal::dump(&dir.join("wal.log")).unwrap_or_default();
         db = Database::open_with(&dir, opts.clone()).expect("reopen after vacuum crash");
 
-        let canon = |db: &Database, access: ForcedAccess| -> Vec<i64> {
-            let forcing = PlanForcing { access: Some(access), ..Default::default() };
-            let mut ids: Vec<i64> = db
-                .query_with_forcing("SELECT id FROM vlog WHERE id >= 0", Some(forcing))
-                .expect("recovered query")
-                .rows
-                .iter()
-                .map(|r| r[0].as_int().expect("id"))
-                .collect();
-            ids.sort_unstable();
-            ids
-        };
         let want: Vec<i64> = oracle.iter().copied().collect();
-        for (label, got) in [
-            ("seq", canon(&db, ForcedAccess::SeqScan)),
-            ("index", canon(&db, ForcedAccess::IndexScan)),
-        ] {
+        for (label, predicate, access) in paths {
+            let got = canon(&db, predicate, access);
             if got != want {
                 fail_with_waldump(
                     seed,
-                    round,
+                    round as u64,
                     &ctx,
                     &dump,
                     format!(
@@ -313,11 +333,28 @@ fn vacuum_crash_matrix_recovers_heap_index_equivalence() {
         }
         // A clean pass converges the half-reclaimed state.
         db.vacuum().expect("post-recovery vacuum");
-        if canon(&db, ForcedAccess::SeqScan) != want {
-            fail_with_waldump(seed, round, &ctx, &dump, "post-recovery vacuum lost rows".into());
+        for (label, predicate, access) in paths {
+            if canon(&db, predicate, access) != want {
+                let msg = format!("post-recovery vacuum lost rows on the {label} path");
+                fail_with_waldump(seed, round as u64, &ctx, &dump, msg);
+            }
         }
     }
     assert_eq!(crashes, rounds, "crash_after=0 must kill every armed pass");
+
+    // No more crashes: the free lists that survived the matrix feed every
+    // split from here on.
+    let mut sizes = Vec::new();
+    for round in rounds..rounds + 6 {
+        vacuum_matrix_churn(&db, round, &mut oracle);
+        db.vacuum().expect("clean vacuum");
+        sizes.push(db.index_size_bytes().expect("index size"));
+    }
+    assert!(sizes[2..].iter().all(|s| *s == sizes[2]), "index files kept growing: {sizes:?}");
+    let want: Vec<i64> = oracle.iter().copied().collect();
+    for (label, predicate, access) in paths {
+        assert_eq!(canon(&db, predicate, access), want, "{label} path after the clean rounds");
+    }
 
     let _ = db.close();
     let _ = std::fs::remove_dir_all(&dir);
@@ -334,17 +371,183 @@ fn durable_commit_survives_instant_death() {
     db.execute("CREATE TABLE t (id INTEGER)").expect("create");
 
     let mut slot = None;
-    db.execute_txn("BEGIN", &mut slot).expect("begin");
-    db.execute_txn("INSERT INTO t VALUES (1), (2), (3)", &mut slot).expect("insert");
-    db.execute_txn("COMMIT", &mut slot).expect("commit");
+    db.execute_txn("BEGIN", None, &mut slot).expect("begin");
+    db.execute_txn("INSERT INTO t VALUES (1), (2), (3)", None, &mut slot).expect("insert");
+    db.execute_txn("COMMIT", None, &mut slot).expect("commit");
 
-    db.execute_txn("BEGIN", &mut slot).expect("begin 2");
-    db.execute_txn("INSERT INTO t VALUES (99)", &mut slot).expect("uncommitted insert");
+    db.execute_txn("BEGIN", None, &mut slot).expect("begin 2");
+    db.execute_txn("INSERT INTO t VALUES (99)", None, &mut slot).expect("uncommitted insert");
     db.abandon(); // process death: no flush, no checkpoint
 
     let db = Database::open(&dir).expect("recover");
     let count = db.query("SELECT COUNT(*), MIN(id), MAX(id) FROM t").expect("count");
     assert_eq!(count.rows, vec![vec![Value::Int(3), Value::Int(1), Value::Int(3)]]);
+    let _ = db.close();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Commits racing a checkpoint (ROADMAP 5e). A second thread commits
+/// small transactions flat out while this thread checkpoints, each
+/// checkpoint starting as soon as two more transactions have come back
+/// (so a heap page and an index leaf, at the least, are dirty again). In
+/// three rounds of four the last checkpoint runs with the injector armed
+/// and the process dies at the first or second data write of its page
+/// flush; in the fourth it survives, and the process is abandoned right
+/// after. Either way every commit the second thread saw acknowledged
+/// must be there on reopen, whole, on both access paths: a commit that
+/// logged and was acknowledged between a checkpoint's flush and its WAL
+/// truncation used to lose its records.
+#[test]
+fn commits_acknowledged_during_a_checkpoint_survive_the_crash() {
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+
+    const TXN_ROWS: i64 = 4;
+    let seed = env_u64("CRASH_SEED", 1);
+    let default_points = if cfg!(debug_assertions) { 4 } else { 16 };
+    let rounds = env_u64("CRASH_POINTS", default_points);
+
+    let dir = scratch_dir(&format!("ckpt-commit-matrix-{seed}"));
+    let _ = std::fs::remove_dir_all(&dir);
+    let inj = FaultInjector::new();
+    let mut db = open(&dir, &inj);
+    db.execute("CREATE TABLE clog (id INTEGER, txn INTEGER)").expect("create");
+    db.execute("CREATE INDEX clog_id ON clog (id)").expect("index");
+
+    let mut rng = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(seed);
+    let mut next_txn = 0i64;
+    let mut acked: Vec<i64> = Vec::new();
+    let (mut armed, mut crashes) = (0u64, 0u64);
+    for round in 0..rounds {
+        let checkpoints = 1 + xorshift(&mut rng) % 6;
+        let survives = round % 4 == 3;
+        let plan = FaultPlan {
+            crash_after: xorshift(&mut rng) % 2,
+            mode: match xorshift(&mut rng) % 3 {
+                0 => CrashMode::Drop,
+                1 => CrashMode::Tear,
+                _ => CrashMode::BitFlip,
+            },
+            scope: FaultScope::Data,
+            seed: xorshift(&mut rng),
+        };
+        let ctx = format!(
+            "seed={seed} round={round} checkpoints={checkpoints} survives={survives} plan={plan:?}"
+        );
+
+        let stop = AtomicBool::new(false);
+        let attempts = AtomicU64::new(0);
+        let first_txn = next_txn;
+        let (txn, newly) = std::thread::scope(|scope| {
+            let committer = scope.spawn(|| {
+                let (mut slot, mut txn, mut acked) = (None, first_txn, Vec::new());
+                while !stop.load(Ordering::SeqCst) {
+                    let rows: Vec<String> =
+                        (0..TXN_ROWS).map(|j| format!("({}, {txn})", txn * TXN_ROWS + j)).collect();
+                    let insert = format!("INSERT INTO clog VALUES {}", rows.join(", "));
+                    let committed = db.execute_txn("BEGIN", None, &mut slot).is_ok()
+                        && db.execute_txn(&insert, None, &mut slot).is_ok()
+                        && db.execute_txn("COMMIT", None, &mut slot).is_ok();
+                    if committed {
+                        acked.push(txn);
+                    } else if let Some(open) = slot.take() {
+                        let _ = db.rollback_txn(open);
+                    }
+                    txn += 1;
+                    attempts.fetch_add(1, Ordering::SeqCst);
+                }
+                (txn, acked)
+            });
+            // Every checkpoint has pages to flush — of two transactions
+            // come back since the last one returned, the second wrote all
+            // of its pages after it — and the committer is mid-stride
+            // when it starts.
+            let mut seen = 0;
+            for k in 0..checkpoints {
+                while attempts.load(Ordering::SeqCst) < seen + 2 {
+                    std::thread::yield_now();
+                }
+                if k + 1 == checkpoints && !survives {
+                    inj.arm(plan);
+                    armed += 1;
+                }
+                let result = db.checkpoint();
+                seen = attempts.load(Ordering::SeqCst);
+                if inj.crashed() {
+                    crashes += 1;
+                    assert!(result.is_err(), "checkpoint must report the crash [{ctx}]");
+                } else {
+                    result.unwrap_or_else(|e| panic!("checkpoint {k}: {e} [{ctx}]"));
+                }
+            }
+            stop.store(true, Ordering::SeqCst);
+            committer.join().expect("committer")
+        });
+        next_txn = txn;
+        acked.extend(newly);
+        db.abandon();
+        inj.disarm();
+
+        let dump = ordb::storage::wal::dump(&dir.join("wal.log")).unwrap_or_default();
+        db = open(&dir, &inj);
+        let rows_of = |access: ForcedAccess| -> Vec<(i64, i64)> {
+            let forcing = PlanForcing { access: Some(access), ..Default::default() };
+            let mut rows: Vec<(i64, i64)> = db
+                .query_with_forcing("SELECT id, txn FROM clog WHERE id >= 0", Some(forcing))
+                .expect("recovered query")
+                .rows
+                .iter()
+                .map(|r| (r[0].as_int().expect("id"), r[1].as_int().expect("txn")))
+                .collect();
+            rows.sort_unstable();
+            rows
+        };
+        let seq = rows_of(ForcedAccess::SeqScan);
+        let via_index = rows_of(ForcedAccess::IndexScan);
+        if seq != via_index {
+            let only = |a: &[(i64, i64)], b: &[(i64, i64)]| -> Vec<(i64, i64)> {
+                a.iter().filter(|r| !b.contains(r)).copied().collect()
+            };
+            fail_with_waldump(
+                seed,
+                round,
+                &ctx,
+                &dump,
+                format!(
+                    "heap and index disagree: only the heap has {:?}, only the index {:?}",
+                    only(&seq, &via_index),
+                    only(&via_index, &seq)
+                ),
+            );
+        }
+        let mut per_txn = std::collections::BTreeMap::<i64, i64>::new();
+        for (_, txn) in &seq {
+            *per_txn.entry(*txn).or_default() += 1;
+        }
+        if let Some((txn, n)) = per_txn.iter().find(|(_, n)| **n != TXN_ROWS) {
+            fail_with_waldump(
+                seed,
+                round,
+                &ctx,
+                &dump,
+                format!("transaction {txn} is there in part: {n} of {TXN_ROWS} rows"),
+            );
+        }
+        if let Some(lost) = acked.iter().find(|t| !per_txn.contains_key(t)) {
+            fail_with_waldump(
+                seed,
+                round,
+                &ctx,
+                &dump,
+                format!(
+                    "acknowledged transaction {lost} is gone ({} acknowledged, {} present)",
+                    acked.len(),
+                    per_txn.len()
+                ),
+            );
+        }
+    }
+    assert_eq!(crashes, armed, "every armed checkpoint has two data writes to die in");
+
     let _ = db.close();
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -16,19 +16,19 @@ use crate::exec::collect;
 use crate::index::btree::BTree;
 use crate::index::key::encode_key;
 use crate::metrics::{udf_delta, Profiler, QueryMetrics, ENGINE};
-use crate::plan::{plan_select, plan_select_profiled, PlanContext, PlanForcing};
+use crate::plan::{plan_delete, plan_select, plan_select_profiled, PlanContext, PlanForcing};
 use crate::recovery::RecoveryReport;
 use crate::sql::ast::{AstExpr, Statement};
 use crate::sql::parser::parse_statement;
 use crate::stats::{StatsBuilder, TableStats};
 use crate::storage::buffer::{BufferPool, PoolStats, DEFAULT_POOL_FRAMES};
 use crate::storage::fault::FaultInjector;
-use crate::storage::heap::{ClaimOutcome, HeapCursor, HeapFile};
+use crate::storage::heap::{ClaimOutcome, HeapCursor, HeapFile, Rid};
 use crate::storage::spill::{SpillConfig, SpillManager};
 use crate::storage::wal::{Wal, WalStats};
 use crate::trace::{TraceEvent, TraceSink};
 use crate::tuple::{encode_row, encoded_len};
-use crate::txn::{TxnId, TxnManager, TxnStats, UndoRecord};
+use crate::txn::{Snapshot, TxnId, TxnManager, TxnStats, UndoRecord};
 use crate::types::{DataType, Row, Value};
 
 /// Tuning knobs for [`Database::open_with`].
@@ -122,6 +122,16 @@ pub struct Database {
     reclaim_hint: AtomicU64,
     /// See [`DbOptions::auto_vacuum`].
     auto_vacuum: bool,
+    /// Held shared by everything that changes pages or makes them
+    /// durable through the log — a DML statement, a rollback, a commit,
+    /// a vacuum pass — and exclusively by a checkpoint from before its
+    /// page flush until the WAL is truncated. The checkpoint flushes the
+    /// frames it finds and then cuts the log: a commit acknowledged in
+    /// between, or a page born in between (a B+Tree split moving
+    /// committed entries onto it), would be in neither the data files nor
+    /// the log. Never taken twice by one call chain — a reader that
+    /// re-enters behind a waiting checkpoint would deadlock.
+    write_gate: RwLock<()>,
     /// Set by `close`/`abandon`; makes `Drop` a no-op.
     closed: AtomicBool,
 }
@@ -327,6 +337,7 @@ impl Database {
             vacuum_serial: parking_lot::Mutex::new(()),
             reclaim_hint: AtomicU64::new(0),
             auto_vacuum: opts.auto_vacuum,
+            write_gate: RwLock::new(()),
             closed: AtomicBool::new(false),
         })
     }
@@ -480,6 +491,7 @@ impl Database {
     /// with `txn`'s id as `xmin` and an undo record is kept so rollback
     /// can remove it (and its index entries) physically.
     pub fn insert_rows_in(&self, table: &str, rows: Vec<Row>, txn: TxnId) -> Result<u64> {
+        let _gate = self.write_gate.read();
         let (tdef, heap, idx_defs) = self.table_access(table)?;
         let mut buf = Vec::new();
         let mut n = 0u64;
@@ -510,7 +522,27 @@ impl Database {
         Ok(n)
     }
 
-    /// Run a SELECT (or EXPLAIN SELECT).
+    /// What the planner needs from this database for one statement.
+    /// `forcing` of `None` means the database-wide knobs.
+    fn plan_ctx<'a>(
+        &'a self,
+        inner: &'a DbInner,
+        forcing: Option<PlanForcing>,
+        snapshot: Snapshot,
+    ) -> PlanContext<'a> {
+        PlanContext {
+            catalog: &inner.catalog,
+            heaps: &inner.heaps,
+            indexes: &inner.indexes,
+            stats: &inner.stats,
+            functions: &self.functions,
+            spill: &self.spill,
+            forcing: forcing.unwrap_or_else(|| *self.forcing.read()),
+            snapshot,
+        }
+    }
+
+    /// Run a SELECT, or EXPLAIN a SELECT or a DELETE.
     pub fn query(&self, sql: &str) -> Result<QueryResult> {
         self.query_with_forcing(sql, None)
     }
@@ -538,7 +570,6 @@ impl Database {
         forcing: Option<PlanForcing>,
         txn: Option<TxnId>,
     ) -> Result<QueryResult> {
-        let forcing = forcing.unwrap_or_else(|| *self.forcing.read());
         let snapshot = match txn {
             Some(t) => self.txns.snapshot_of(t)?,
             None => self.txns.read_snapshot(),
@@ -553,39 +584,16 @@ impl Database {
         let parse_time = t.elapsed();
         self.emit(|| TraceEvent::Parsed { elapsed: parse_time });
         match stmt {
-            Statement::Explain(inner) => match *inner {
-                Statement::Select(q) => {
-                    let inner = self.inner.read();
-                    let ctx = PlanContext {
-                        catalog: &inner.catalog,
-                        heaps: &inner.heaps,
-                        indexes: &inner.indexes,
-                        stats: &inner.stats,
-                        functions: &self.functions,
-                        spill: &self.spill,
-                        forcing,
-                        snapshot: snapshot.clone(),
-                    };
-                    let plan = plan_select(&ctx, &q)?;
-                    Ok(QueryResult {
-                        columns: vec!["plan".to_string()],
-                        rows: plan.explain.into_iter().map(|l| vec![Value::Str(l)]).collect(),
-                    })
-                }
-                other => Err(DbError::Plan(format!("cannot EXPLAIN {other:?}"))),
-            },
+            Statement::Explain(inner) => {
+                let explain = self.explain_stmt(*inner, forcing, snapshot)?;
+                Ok(QueryResult {
+                    columns: vec!["plan".to_string()],
+                    rows: explain.into_iter().map(|l| vec![Value::Str(l)]).collect(),
+                })
+            }
             Statement::Select(q) => {
                 let inner = self.inner.read();
-                let ctx = PlanContext {
-                    catalog: &inner.catalog,
-                    heaps: &inner.heaps,
-                    indexes: &inner.indexes,
-                    stats: &inner.stats,
-                    functions: &self.functions,
-                    spill: &self.spill,
-                    forcing,
-                    snapshot,
-                };
+                let ctx = self.plan_ctx(&inner, forcing, snapshot);
                 // With span tracing on, plan with a recording profiler so
                 // the span tree gets one operator span per plan node (the
                 // wrapper cost is paid only in traced sessions; the
@@ -643,16 +651,7 @@ impl Database {
             return Err(DbError::Plan("explain_analyze() expects SELECT".into()));
         };
         let inner = self.inner.read();
-        let ctx = PlanContext {
-            catalog: &inner.catalog,
-            heaps: &inner.heaps,
-            indexes: &inner.indexes,
-            stats: &inner.stats,
-            functions: &self.functions,
-            spill: &self.spill,
-            forcing: *self.forcing.read(),
-            snapshot: self.txns.read_snapshot(),
-        };
+        let ctx = self.plan_ctx(&inner, None, self.txns.read_snapshot());
         let mut prof = Profiler::enabled();
         let t = Instant::now();
         let plan_span = crate::trace::span("plan");
@@ -692,7 +691,7 @@ impl Database {
         Ok(AnalyzeReport { result: QueryResult { columns: plan.columns, rows }, metrics })
     }
 
-    /// Planner decisions for a SELECT, without executing it.
+    /// Planner decisions for a SELECT or a DELETE, without executing it.
     pub fn explain(&self, sql: &str) -> Result<Vec<String>> {
         self.explain_with_forcing(sql, None)
     }
@@ -704,22 +703,23 @@ impl Database {
         sql: &str,
         forcing: Option<PlanForcing>,
     ) -> Result<Vec<String>> {
-        match parse_statement(sql)? {
-            Statement::Select(q) => {
-                let inner = self.inner.read();
-                let ctx = PlanContext {
-                    catalog: &inner.catalog,
-                    heaps: &inner.heaps,
-                    indexes: &inner.indexes,
-                    stats: &inner.stats,
-                    functions: &self.functions,
-                    spill: &self.spill,
-                    forcing: forcing.unwrap_or_else(|| *self.forcing.read()),
-                    snapshot: self.txns.read_snapshot(),
-                };
-                Ok(plan_select(&ctx, &q)?.explain)
+        self.explain_stmt(parse_statement(sql)?, forcing, self.txns.read_snapshot())
+    }
+
+    fn explain_stmt(
+        &self,
+        stmt: Statement,
+        forcing: Option<PlanForcing>,
+        snapshot: Snapshot,
+    ) -> Result<Vec<String>> {
+        let inner = self.inner.read();
+        let ctx = self.plan_ctx(&inner, forcing, snapshot);
+        match stmt {
+            Statement::Select(q) => Ok(plan_select(&ctx, &q)?.explain),
+            Statement::Delete { table, predicate } => {
+                Ok(plan_delete(&ctx, &table, predicate.as_ref())?.explain)
             }
-            other => Err(DbError::Plan(format!("explain() expects SELECT, got {other:?}"))),
+            other => Err(DbError::Plan(format!("cannot EXPLAIN {other:?}"))),
         }
     }
 
@@ -739,7 +739,14 @@ impl Database {
     /// when none is open). A failed DML statement inside an explicit
     /// transaction aborts the whole transaction (first-updater-wins
     /// conflicts never leave a half-applied statement behind).
-    pub fn execute_txn(&self, sql: &str, current: &mut Option<TxnId>) -> Result<u64> {
+    /// `forcing` overrides the database-wide knobs for the scan a
+    /// `DELETE` finds its victims with, as in [`Database::query_in`].
+    pub fn execute_txn(
+        &self,
+        sql: &str,
+        forcing: Option<PlanForcing>,
+        current: &mut Option<TxnId>,
+    ) -> Result<u64> {
         match parse_statement(sql)? {
             Statement::Begin => {
                 if current.is_some() {
@@ -767,7 +774,7 @@ impl Database {
                 self.dml_in(current, |t| self.insert_rows_in(&table, values, t))
             }
             Statement::Delete { table, predicate } => {
-                self.dml_in(current, |t| self.delete_rows_in(&table, predicate, t))
+                self.dml_in(current, |t| self.delete_rows_in(&table, predicate, forcing, t))
             }
             other => self.execute_stmt(other),
         }
@@ -863,7 +870,7 @@ impl Database {
     /// `DELETE FROM table [WHERE …]` as one autocommit transaction.
     fn delete_rows(&self, table: &str, predicate: Option<AstExpr>) -> Result<u64> {
         let txn = self.txns.begin();
-        match self.delete_rows_in(table, predicate, txn) {
+        match self.delete_rows_in(table, predicate, None, txn) {
             Ok(n) => {
                 self.commit_txn_inner(txn, false)?;
                 Ok(n)
@@ -875,48 +882,41 @@ impl Database {
         }
     }
 
-    /// MVCC delete inside `txn`: scan the versions visible to `txn`'s
-    /// snapshot, evaluate the predicate, and claim each match's `xmax`
-    /// (first-updater-wins — a live claim by another transaction fails
-    /// the statement with [`DbError::TxnConflict`] immediately, so
-    /// there is no lock waiting and no deadlock). Heap slots and index
-    /// entries stay in place: older snapshots must still see the row,
-    /// and readers filter on visibility.
+    /// MVCC delete inside `txn`: find the versions `txn`'s snapshot sees
+    /// and the predicate accepts through the access path the planner
+    /// picks ([`plan_delete`]: an index probe when a conjunct allows one,
+    /// a sequential scan otherwise, `forcing` honoured), and claim each
+    /// one's `xmax` (first-updater-wins — a live claim by another
+    /// transaction fails the statement with [`DbError::TxnConflict`]
+    /// immediately, so there is no lock waiting and no deadlock). Heap
+    /// slots and index entries stay in place: older snapshots must still
+    /// see the row, and readers filter on visibility.
     pub fn delete_rows_in(
         &self,
         table: &str,
         predicate: Option<AstExpr>,
+        forcing: Option<PlanForcing>,
         txn: TxnId,
     ) -> Result<u64> {
+        let _gate = self.write_gate.read();
         let snapshot = self.txns.snapshot_of(txn)?;
-        let (tdef, heap, _idx_defs) = self.table_access(table)?;
-
-        // Compile the predicate against the table's own schema.
-        let compiled = match predicate {
-            Some(ast) => Some(self.compile_table_predicate(&tdef, ast)?),
-            None => None,
+        let plan = {
+            let inner = self.inner.read();
+            plan_delete(&self.plan_ctx(&inner, forcing, snapshot), table, predicate.as_ref())?
         };
-        let mut cursor = HeapCursor::new(heap.clone());
-        let mut victims = Vec::new();
-        while let Some(v) = cursor.next()? {
-            if !snapshot.visible(v.xmin, v.xmax) {
-                continue;
-            }
-            let row = crate::tuple::decode_row(&v.body, tdef.columns.len())?;
-            let keep = match &compiled {
-                Some(p) => !p.eval(&row)?.is_true(),
-                None => false,
-            };
-            if !keep {
-                victims.push(v.rid);
-            }
+        // Drain the scan before the first claim: it must not meet its own
+        // statement's writes.
+        let mut scan = plan.root;
+        let mut victims: Vec<Rid> = Vec::new();
+        while let Some(row) = scan.next()? {
+            victims.push(crate::exec::trailing_rid(&row).expect("DML scans append the rid"));
         }
         let mut n = 0;
         for rid in victims {
-            match heap.try_claim_xmax(rid, txn.0)? {
+            match plan.heap.try_claim_xmax(rid, txn.0)? {
                 ClaimOutcome::Claimed => {
                     self.txns
-                        .record_undo(txn, UndoRecord::Delete { table: tdef.name.clone(), rid })?;
+                        .record_undo(txn, UndoRecord::Delete { table: plan.table.clone(), rid })?;
                     // Feed the auto-vacuum hook: if this claim commits,
                     // the version eventually becomes reclaimable.
                     self.reclaim_hint.fetch_add(1, Ordering::Relaxed);
@@ -927,7 +927,7 @@ impl Database {
                     self.txns.note_conflict();
                     return Err(DbError::TxnConflict(format!(
                         "row in {:?} already deleted by concurrent transaction {holder}",
-                        tdef.name
+                        plan.table
                     )));
                 }
             }
@@ -955,6 +955,9 @@ impl Database {
     /// `false` and only buffer the commit record, keeping the legacy
     /// contract that bulk loads become durable at [`Database::commit`].
     fn commit_txn_inner(&self, txn: TxnId, durable: bool) -> Result<()> {
+        // Through `finish_commit`: the checkpoint decides which commit
+        // records to carry over from what the manager knows as committed.
+        let _gate = self.write_gate.read();
         let wrote = self.txns.wrote(txn)?;
         if wrote {
             if let Some(wal) = self.pool.wal() {
@@ -975,6 +978,7 @@ impl Database {
     /// removed physically (heap slot and index entries), delete claims
     /// are cleared — then drop it from the active set.
     pub fn rollback_txn(&self, txn: TxnId) -> Result<()> {
+        let _gate = self.write_gate.read();
         let undo = self.txns.take_undo(txn)?;
         for rec in undo.into_iter().rev() {
             match rec {
@@ -1006,11 +1010,6 @@ impl Database {
     /// write-write conflicts).
     pub fn txn_stats(&self) -> TxnStats {
         self.txns.stats()
-    }
-
-    /// Compile a WHERE expression against one table's columns (for DELETE).
-    fn compile_table_predicate(&self, tdef: &TableDef, ast: AstExpr) -> Result<crate::expr::Expr> {
-        crate::plan::compile_single_table(tdef, &ast, &self.functions)
     }
 
     /// Recompute statistics for one table (the paper's `runstats`).
@@ -1129,6 +1128,12 @@ impl Database {
     /// After `commit` returns, a crash at *any* point loses nothing: the
     /// redo pass on the next open rebuilds every page from the log.
     pub fn commit(&self) -> Result<u64> {
+        let _gate = self.write_gate.read();
+        self.log_and_sync()
+    }
+
+    /// [`Database::commit`] for a caller that already holds the write gate.
+    fn log_and_sync(&self) -> Result<u64> {
         let _span = crate::trace::span("commit");
         let logged = self.pool.log_dirty_frames()?;
         if let Some(wal) = self.pool.wal() {
@@ -1149,10 +1154,12 @@ impl Database {
     ///
     /// Runs under the catalog read lock (concurrent queries and DML
     /// proceed; DDL waits) and a pass-serialization mutex. Finishes
-    /// with a [`Database::commit`] so the reclamation is durable.
+    /// by logging and fsyncing, as [`Database::commit`] does, so the
+    /// reclamation is durable.
     pub fn vacuum(&self) -> Result<VacuumReport> {
         let _span = crate::trace::span("vacuum");
         let _serial = self.vacuum_serial.lock();
+        let _gate = self.write_gate.read();
         // Reset the hint up front: deletes racing with this pass are
         // counted toward the *next* one.
         self.reclaim_hint.store(0, Ordering::Relaxed);
@@ -1211,7 +1218,7 @@ impl Database {
         ENGINE.vacuumed_versions.fetch_add(vacuumed, Ordering::Relaxed);
         // Durability point: log every page the pass touched and fsync,
         // so a crash from here on replays the whole reclamation.
-        self.commit()?;
+        self.log_and_sync()?;
         let freed = ENGINE.snapshot().since(&engine0).freed_pages;
         Ok(VacuumReport { watermark, vacuumed_versions: vacuumed, freed_pages: freed })
     }
@@ -1222,11 +1229,17 @@ impl Database {
     /// When [`DbOptions::auto_vacuum`] is on and deletes have
     /// accumulated since the last pass, a [`Database::vacuum`] runs
     /// first so the checkpointed state is also compact.
+    ///
+    /// Writers wait while the pages are flushed and the log is cut (see
+    /// `write_gate`): a DML statement, commit or rollback that arrives
+    /// meanwhile starts when the checkpoint is done; queries run on. The
+    /// vacuum pass runs before the gate is taken, as a writer of its own.
     pub fn checkpoint(&self) -> Result<()> {
         if self.auto_vacuum && self.reclaim_hint.load(Ordering::Relaxed) > 0 {
             self.vacuum()?;
         }
-        self.commit()?;
+        let _gate = self.write_gate.write();
+        self.log_and_sync()?;
         self.pool.flush_all()?;
         // Persist the transaction watermark *before* truncating: if we
         // crash in between, the old log (with its commit records) is
@@ -2301,10 +2314,11 @@ mod tests {
         let t = db.begin_txn();
         // Another connection inserts but never commits...
         let mut other = None;
-        db.execute_txn("BEGIN", &mut other).unwrap();
+        db.execute_txn("BEGIN", None, &mut other).unwrap();
         db.execute_txn(
             "INSERT INTO speech VALUES (13, 2, 'ACT', \
              '<SPEAKER>GHOST</SPEAKER>', '<LINE>mark me</LINE>')",
+            None,
             &mut other,
         )
         .unwrap();
@@ -2323,7 +2337,7 @@ mod tests {
         };
         check(Some(t), 3, "pinned snapshot hides uncommitted and post-BEGIN rows");
         check(None, 4, "fresh snapshot hides only the uncommitted insert");
-        db.execute_txn("ROLLBACK", &mut other).unwrap();
+        db.execute_txn("ROLLBACK", None, &mut other).unwrap();
         db.commit_txn(t).unwrap();
         check(None, 4, "rollback leaves the aborted insert invisible to both executors");
     }

@@ -24,7 +24,7 @@ pub use batch::{
 pub use filter::{Filter, Limit, Project, Values};
 pub use instrument::Instrumented;
 pub use join::{HashJoin, IndexNestedLoopJoin, MergeJoin, NestedLoopJoin};
-pub use scan::{IndexScan, SeqScan};
+pub use scan::{trailing_rid, IndexScan, SeqScan};
 pub use sort::{Sort, SortKey};
 pub use table_fn::UnnestScan;
 

@@ -5,6 +5,11 @@
 //! skipped, and index entries pointing at missing slots (left dangling
 //! by a rolled-back insert) are skipped rather than treated as
 //! corruption.
+//!
+//! Either scan can append the version's [`Rid`] to each row as a trailing
+//! integer column ([`SeqScan::with_rid`], [`IndexScan::with_rid`]): DML
+//! draws its victims from the same scans `SELECT` reads through, and
+//! needs to know where each one lives.
 
 use std::sync::Arc;
 
@@ -14,20 +19,41 @@ use crate::index::btree::BTree;
 use crate::storage::heap::{HeapCursor, HeapFile, Rid};
 use crate::tuple::decode_row;
 use crate::txn::Snapshot;
-use crate::types::Row;
+use crate::types::{Row, Value};
+
+/// Decode a visible version, appending its rid when the scan carries it.
+fn emit(body: &[u8], arity: usize, rid: Option<Rid>) -> Result<Row> {
+    let mut row = decode_row(body, arity)?;
+    if let Some(rid) = rid {
+        row.push(Value::Int(rid.to_u64() as i64));
+    }
+    Ok(row)
+}
+
+/// The rid a `with_rid` scan appended to `row`.
+pub fn trailing_rid(row: &Row) -> Option<Rid> {
+    row.last().and_then(Value::as_int).map(|v| Rid::from_u64(v as u64))
+}
 
 /// Full-file scan of a heap in physical order.
 pub struct SeqScan {
     cursor: HeapCursor,
     arity: usize,
     snapshot: Snapshot,
+    with_rid: bool,
 }
 
 impl SeqScan {
     /// Scan `heap`, decoding rows of `arity` columns visible to
     /// `snapshot`.
     pub fn new(heap: Arc<HeapFile>, arity: usize, snapshot: Snapshot) -> SeqScan {
-        SeqScan { cursor: HeapCursor::new(heap), arity, snapshot }
+        SeqScan { cursor: HeapCursor::new(heap), arity, snapshot, with_rid: false }
+    }
+
+    /// Append each row's rid as a trailing column (see [`trailing_rid`]).
+    pub fn with_rid(mut self) -> SeqScan {
+        self.with_rid = true;
+        self
     }
 }
 
@@ -37,7 +63,7 @@ impl Operator for SeqScan {
             if !self.snapshot.visible(v.xmin, v.xmax) {
                 continue;
             }
-            return Ok(Some(decode_row(&v.body, self.arity)?));
+            return emit(&v.body, self.arity, self.with_rid.then_some(v.rid)).map(Some);
         }
         Ok(None)
     }
@@ -59,6 +85,7 @@ pub struct IndexScan {
     /// Deferred probe; taken and resolved on first `next()`.
     probe: Option<IndexProbe>,
     rids: std::vec::IntoIter<Rid>,
+    with_rid: bool,
 }
 
 /// A deferred B+Tree probe.
@@ -81,8 +108,19 @@ impl IndexScan {
         arity: usize,
         snapshot: Snapshot,
     ) -> IndexScan {
-        let probe = IndexProbe { index, kind: ProbeKind::Prefix(prefix.to_vec()) };
-        IndexScan { heap, arity, snapshot, probe: Some(probe), rids: Vec::new().into_iter() }
+        let kind = ProbeKind::Prefix(prefix.to_vec());
+        IndexScan::new(heap, IndexProbe { index, kind }, arity, snapshot)
+    }
+
+    fn new(heap: Arc<HeapFile>, probe: IndexProbe, arity: usize, snapshot: Snapshot) -> IndexScan {
+        let rids = Vec::new().into_iter();
+        IndexScan { heap, arity, snapshot, probe: Some(probe), rids, with_rid: false }
+    }
+
+    /// Append each row's rid as a trailing column (see [`trailing_rid`]).
+    pub fn with_rid(mut self) -> IndexScan {
+        self.with_rid = true;
+        self
     }
 
     /// Scan `index` for keys in `[lo, hi]` (see [`BTree::scan_range`]).
@@ -100,13 +138,7 @@ impl IndexScan {
             hi: hi.map(<[u8]>::to_vec),
             hi_inclusive,
         };
-        IndexScan {
-            heap,
-            arity,
-            snapshot,
-            probe: Some(IndexProbe { index, kind }),
-            rids: Vec::new().into_iter(),
-        }
+        IndexScan::new(heap, IndexProbe { index, kind }, arity, snapshot)
     }
 }
 
@@ -130,7 +162,7 @@ impl Operator for IndexScan {
             if !self.snapshot.visible(v.xmin, v.xmax) {
                 continue;
             }
-            return Ok(Some(decode_row(&v.body, self.arity)?));
+            return emit(&v.body, self.arity, self.with_rid.then_some(rid)).map(Some);
         }
         Ok(None)
     }

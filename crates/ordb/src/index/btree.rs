@@ -3,7 +3,9 @@
 //! Design:
 //!
 //! * Page 0 of the index file is the **meta page**: `special1` holds the
-//!   root page id, `special2` the entry count.
+//!   root page id, `special2` the head of the free list (`NO_FREE` when
+//!   the list is empty). There is no stored entry count:
+//!   [`BTree::entry_count`] walks the leaves.
 //! * **Leaf pages** (`special0 == 1`) store entries sorted by key;
 //!   `special1` is the right-sibling page id (`NO_PAGE` at the right edge).
 //!   Entry record: `u16 key_len | key bytes`. The *stored key* is the
@@ -15,10 +17,48 @@
 //!   A lookup key `k` descends into the child of the rightmost separator
 //!   `s ≤ k`, or the leftmost child when every separator exceeds `k`.
 //!
+//! * **Free pages** (`special0 == 4`) are pages a delete emptied and
+//!   unlinked; `special1` is the next free page. Every page a split or a
+//!   new root needs comes from `BTree::alloc_page`, which pops this
+//!   list before it extends the file, so a tree under steady insert/delete
+//!   churn stops growing.
+//!
 //! Inserts split full nodes bottom-up (recursive); the root splits into a
-//! new root. Deletes remove leaf entries without rebalancing (the paper's
-//! workloads are load-then-query; space from deletions is reclaimed by
-//! page compaction only).
+//! new root. Deletes do not rebalance, but a leaf that loses its last
+//! entry is given back: it is detached from the lowest ancestor that
+//! keeps another child (the single-child internal nodes in between go
+//! with it), unlinked from the leaf chain, and pushed on the free list; a
+//! root left with one child hands the root to that child.
+//!
+//! Crash consistency. Pages reach the WAL as independent images, a
+//! commit logs each dirty page's *latest* image, and a torn log tail
+//! replays any prefix of the records. A reachable free page would send a
+//! descent or a chain walk into the free list, so a reclamation pins the
+//! order of its images with [`BufferPool::log_frame`]: the emptied leaf
+//! (still a leaf), then the ancestor without its pointer, then the left
+//! sibling relinked past it — and only after those are in the log do the
+//! pages turn into free pages and the meta page's list head move, whose
+//! images the next commit logs. Every prefix scans correctly and routes
+//! later inserts and deletes correctly: an empty leaf, an empty leaf only
+//! the chain reaches (scans skip it, nothing can be routed into it, and
+//! the reclamation of its right neighbour walks the chain past it and
+//! frees it too), an unreachable leaf, a leaked free page, or the
+//! finished reclamation. A root shrink logs the meta page with its new
+//! root before the old root is freed. A list head whose page is not (yet)
+//! a free page on disk is handled at allocation, which trusts the head
+//! only if that page really is free and otherwise drops the list and
+//! extends the file.
+//!
+//! Growth follows the same rule — a page is in the log before any page
+//! that points to it can be: a split logs the new right page before it
+//! rewrites the left one, a root split logs the new root before the meta
+//! page names it — whenever the pointing page has ever been logged, so
+//! that a bulk load into a fresh index adds nothing to the log. (What
+//! stays open is the pair left page / parent: a log
+//! cut between their two images leaves the right page reachable through
+//! the chain only, which scans and lookups survive and a later insert
+//! into that key range does not. Closing it needs records that replay
+//! several pages atomically.)
 //!
 //! Concurrency: a tree-level reader/writer latch. Scans and lookups share
 //! a read latch; structural mutation (`insert`, `delete`) takes the write
@@ -39,13 +79,21 @@ const NO_PAGE: u32 = u32::MAX;
 const KIND_LEAF: u32 = 1;
 const KIND_INTERNAL: u32 = 2;
 const KIND_META: u32 = 3;
+const KIND_FREE: u32 = 4;
+/// Free-list terminator. Page 0 is the meta page and can never be free.
+const NO_FREE: u32 = 0;
 
 /// Longest permissible logical key. Four entries must fit a page.
 pub const MAX_KEY_LEN: usize = 1500;
 
-/// Result of inserting into a subtree: optional (separator, new right
-/// sibling) to push into the parent, plus whether a new entry was added.
-type InsertOutcome = (Option<(Vec<u8>, u32)>, bool);
+/// Result of inserting into a subtree: the (separator, new right
+/// sibling) to push into the parent when the subtree's root split.
+type Split = Option<(Vec<u8>, u32)>;
+
+/// One step of a root-to-leaf descent: an internal page and the child
+/// pointer taken there (`None`: the leftmost child in `special2`;
+/// `Some(i)`: separator `i`'s child).
+type Step = (u32, Option<usize>);
 
 /// A B+Tree index handle.
 pub struct BTree {
@@ -72,7 +120,7 @@ impl BTree {
             let mut p = meta.page.lock();
             p.set_special0(KIND_META);
             p.set_special1(root_pid);
-            p.set_special2(0);
+            p.set_special2(NO_FREE);
             meta.mark_dirty();
         }
         Ok(tree)
@@ -99,23 +147,9 @@ impl BTree {
         self.pool.file_size(self.file)
     }
 
-    /// Number of live entries.
-    pub fn len(&self) -> Result<u64> {
-        let _r = self.latch.read();
-        let meta = self.pool.fetch(self.file, 0)?;
-        let n = meta.page.lock().special2();
-        Ok(u64::from(n))
-    }
-
-    /// True if the tree holds no entries.
-    pub fn is_empty(&self) -> Result<bool> {
-        Ok(self.len()? == 0)
-    }
-
-    /// Physical entry count: walks every leaf and counts slots instead
-    /// of trusting the cached metadata counter behind [`BTree::len`].
-    /// Vacuum's equivalence checks use this as ground truth that the
-    /// index shrank in step with the heap.
+    /// Physical entry count: walks every leaf and counts slots. Vacuum's
+    /// equivalence checks use this as ground truth that the index shrank
+    /// in step with the heap.
     pub fn entry_count(&self) -> Result<u64> {
         let mut n = 0u64;
         self.scan_from(&[], |_, _| {
@@ -131,18 +165,68 @@ impl BTree {
         Ok(pid)
     }
 
-    fn set_root(&self, pid: u32) -> Result<()> {
+    /// Point the meta page at a new root. `fresh` is that root when it
+    /// was only just built: if the meta page has ever been logged, the new
+    /// root goes into the log before the meta page can name it.
+    fn set_root(&self, pid: u32, fresh: Option<&FrameRef>) -> Result<()> {
         let meta = self.pool.fetch(self.file, 0)?;
-        meta.page.lock().set_special1(pid);
+        let mut m = meta.page.lock();
+        if let (Some(root), true) = (fresh, m.lsn() != 0) {
+            self.pool.log_frame(root);
+        }
+        m.set_special1(pid);
         meta.mark_dirty();
         Ok(())
     }
 
-    fn bump_len(&self, delta: i64) -> Result<()> {
+    /// The tree's one allocation entry point: a page off the free list,
+    /// or a fresh one at the end of the file. Returns an empty slotted
+    /// page with zeroed special words.
+    fn alloc_page(&self) -> Result<(u32, FrameRef)> {
         let meta = self.pool.fetch(self.file, 0)?;
-        let mut p = meta.page.lock();
-        let n = p.special2() as i64 + delta;
-        p.set_special2(n.max(0) as u32);
+        let head = meta.page.lock().special2();
+        if head == NO_FREE {
+            return self.pool.allocate(self.file);
+        }
+        // The head is trusted only if it names a free page (see the
+        // module docs): anything else drops the list.
+        let mut reuse = None;
+        if head < self.pool.page_count(self.file)? {
+            let frame = self.pool.fetch(self.file, head)?;
+            let next = {
+                let p = frame.page.lock();
+                (p.special0() == KIND_FREE).then(|| p.special1())
+            };
+            reuse = next.map(|next| (next, frame));
+        }
+        {
+            let mut m = meta.page.lock();
+            m.set_special2(reuse.as_ref().map_or(NO_FREE, |(next, _)| *next));
+            meta.mark_dirty();
+        }
+        match reuse {
+            Some((_, frame)) => {
+                frame.page.lock().reinit();
+                Ok((head, frame))
+            }
+            None => self.pool.allocate(self.file),
+        }
+    }
+
+    /// Turn `pid` — already unreachable from the root and the leaf chain
+    /// — into a free page and make it the head of the free list.
+    fn free_page(&self, pid: u32) -> Result<()> {
+        let meta = self.pool.fetch(self.file, 0)?;
+        let head = meta.page.lock().special2();
+        let frame = self.pool.fetch(self.file, pid)?;
+        {
+            let mut p = frame.page.lock();
+            p.reinit();
+            p.set_special0(KIND_FREE);
+            p.set_special1(head);
+            frame.mark_dirty();
+        }
+        meta.page.lock().set_special2(pid);
         meta.mark_dirty();
         Ok(())
     }
@@ -159,10 +243,9 @@ impl BTree {
         let stored = stored_key(key, rid);
         let _w = self.latch.write();
         let root = self.root()?;
-        let (split, inserted) = self.insert_rec(root, &stored)?;
-        if let Some((sep, new_pid)) = split {
+        if let Some((sep, new_pid)) = self.insert_rec(root, &stored)? {
             // Root split: build a new root above.
-            let (new_root_pid, frame) = self.pool.allocate(self.file)?;
+            let (new_root_pid, frame) = self.alloc_page()?;
             {
                 let mut p = frame.page.lock();
                 p.set_special0(KIND_INTERNAL);
@@ -172,48 +255,42 @@ impl BTree {
                 p.insert(&rec).expect("two entries fit an empty internal page");
                 frame.mark_dirty();
             }
-            self.set_root(new_root_pid)?;
-        }
-        if inserted {
-            self.bump_len(1)?;
+            self.set_root(new_root_pid, Some(&frame))?;
         }
         Ok(())
     }
 
-    /// Returns (split info, whether a new entry was actually inserted).
-    fn insert_rec(&self, pid: u32, stored: &[u8]) -> Result<InsertOutcome> {
+    fn insert_rec(&self, pid: u32, stored: &[u8]) -> Result<Split> {
         let frame = self.pool.fetch(self.file, pid)?;
         let kind = frame.page.lock().special0();
         match kind {
-            KIND_LEAF => self.insert_leaf(&frame, pid, stored),
+            KIND_LEAF => self.insert_leaf(&frame, stored),
             KIND_INTERNAL => {
                 let (child, _child_idx) = {
                     let p = frame.page.lock();
                     find_child(&p, stored)
                 };
                 drop(frame);
-                let (split, inserted) = self.insert_rec(child, stored)?;
-                let Some((sep, new_pid)) = split else {
-                    return Ok((None, inserted));
+                let Some((sep, new_pid)) = self.insert_rec(child, stored)? else {
+                    return Ok(None);
                 };
                 let frame = self.pool.fetch(self.file, pid)?;
-                let up = self.insert_internal(&frame, &sep, new_pid)?;
-                Ok((up, inserted))
+                self.insert_internal(&frame, &sep, new_pid)
             }
             other => Err(DbError::Corrupt(format!("page {pid} has bad node kind {other}"))),
         }
     }
 
-    fn insert_leaf(&self, frame: &FrameRef, _pid: u32, stored: &[u8]) -> Result<InsertOutcome> {
+    fn insert_leaf(&self, frame: &FrameRef, stored: &[u8]) -> Result<Split> {
         let mut p = frame.page.lock();
         let pos = match leaf_position(&p, stored) {
-            Ok(_) => return Ok((None, false)), // exact (key, rid) already present
+            Ok(_) => return Ok(None), // exact (key, rid) already present
             Err(pos) => pos,
         };
         let rec = leaf_record(stored);
         if p.insert_at(pos, &rec).is_some() {
             frame.mark_dirty();
-            return Ok((None, true));
+            return Ok(None);
         }
         // Split: gather all records (plus the new one) and redistribute.
         let mut records: Vec<Vec<u8>> =
@@ -224,11 +301,9 @@ impl BTree {
         let sep = leaf_key(&right_records[0]).to_vec();
 
         let old_sibling = p.special1();
-        let (right_pid, right_frame) = {
-            // Allocating while holding the page lock is safe: the pool
-            // never touches page contents during allocation.
-            self.pool.allocate(self.file)?
-        };
+        // Allocating while holding the page lock is safe: neither the
+        // pool nor the free list touches this page's contents.
+        let (right_pid, right_frame) = self.alloc_page()?;
         {
             let mut rp = right_frame.page.lock();
             rp.set_special0(KIND_LEAF);
@@ -238,23 +313,11 @@ impl BTree {
             }
             right_frame.mark_dirty();
         }
-        let mut fresh = Page::new();
-        fresh.set_special0(KIND_LEAF);
-        fresh.set_special1(right_pid);
-        for r in &records {
-            fresh.insert(r).expect("half the records fit a fresh page");
-        }
-        *p = fresh;
-        frame.mark_dirty();
-        Ok((Some((sep, right_pid)), true))
+        self.rewrite_left(frame, &mut p, &right_frame, [KIND_LEAF, right_pid, 0], &records);
+        Ok(Some((sep, right_pid)))
     }
 
-    fn insert_internal(
-        &self,
-        frame: &FrameRef,
-        sep: &[u8],
-        new_child: u32,
-    ) -> Result<Option<(Vec<u8>, u32)>> {
+    fn insert_internal(&self, frame: &FrameRef, sep: &[u8], new_child: u32) -> Result<Split> {
         let mut p = frame.page.lock();
         // Position: first separator greater than `sep`.
         let n = p.slot_count();
@@ -282,7 +345,7 @@ impl BTree {
         let right_records: Vec<Vec<u8>> = records[mid + 1..].to_vec();
         let left_records: Vec<Vec<u8>> = records[..mid].to_vec();
 
-        let (right_pid, right_frame) = self.pool.allocate(self.file)?;
+        let (right_pid, right_frame) = self.alloc_page()?;
         {
             let mut rp = right_frame.page.lock();
             rp.set_special0(KIND_INTERNAL);
@@ -293,42 +356,183 @@ impl BTree {
             }
             right_frame.mark_dirty();
         }
-        let leftmost = p.special2();
-        let mut fresh = Page::new();
-        fresh.set_special0(KIND_INTERNAL);
-        fresh.set_special1(NO_PAGE);
-        fresh.set_special2(leftmost);
-        for r in &left_records {
-            fresh.insert(r).expect("half the records fit a fresh page");
-        }
-        *p = fresh;
-        frame.mark_dirty();
+        let specials = [KIND_INTERNAL, NO_PAGE, p.special2()];
+        self.rewrite_left(frame, &mut p, &right_frame, specials, &left_records);
         Ok(Some((promoted_key, right_pid)))
     }
 
+    /// The second half of a split: `right` holds its share, and `left`
+    /// (locked by the caller) is rewritten in place with `records`. If
+    /// `left` has ever been logged, `right` goes into the log first: an
+    /// image of `left` with half its records gone cannot be logged before
+    /// this lock is released, and must never be without the page that took
+    /// them. A page that was never logged has no image a crash could fall
+    /// back to, so a bulk load into a fresh index logs nothing here. The
+    /// rewrite keeps the page's LSN, which is how "ever logged" is known.
+    fn rewrite_left(
+        &self,
+        frame: &FrameRef,
+        left: &mut Page,
+        right: &FrameRef,
+        specials: [u32; 3],
+        records: &[Vec<u8>],
+    ) {
+        if left.lsn() != 0 {
+            self.pool.log_frame(right);
+        }
+        left.reinit();
+        left.set_special0(specials[0]);
+        left.set_special1(specials[1]);
+        left.set_special2(specials[2]);
+        for r in records {
+            left.insert(r).expect("half the records fit an empty page");
+        }
+        frame.mark_dirty();
+    }
+
     /// Remove the exact `(key, rid)` entry. Returns whether it existed.
+    /// A leaf that loses its last entry is reclaimed (see the module
+    /// docs); the root leaf stays.
     pub fn delete(&self, key: &[u8], rid: Rid) -> Result<bool> {
         let stored = stored_key(key, rid);
         let _w = self.latch.write();
-        let (pid, _) = self.find_leaf(&stored)?;
-        let frame = self.pool.fetch(self.file, pid)?;
-        let mut p = frame.page.lock();
-        match leaf_position(&p, &stored) {
-            Ok(idx) => {
-                p.remove_slot(idx);
-                p.compact();
-                frame.mark_dirty();
-                drop(p);
-                self.bump_len(-1)?;
-                Ok(true)
+        let mut path: Vec<Step> = Vec::new();
+        let (leaf, _) = self.descend(&stored, |pid, slot| path.push((pid, slot)))?;
+        let frame = self.pool.fetch(self.file, leaf)?;
+        let emptied = {
+            let mut p = frame.page.lock();
+            let Ok(idx) = leaf_position(&p, &stored) else { return Ok(false) };
+            p.remove_slot(idx);
+            p.compact();
+            frame.mark_dirty();
+            p.slot_count() == 0
+        };
+        if emptied {
+            self.reclaim_leaf(&path, &frame)?;
+        }
+        Ok(true)
+    }
+
+    /// Give back the emptied leaf at the end of `path`, in the order the
+    /// module docs argue for: detach, unlink, free, shrink the root.
+    /// `log_frame` holds each step's image to that order in the log.
+    fn reclaim_leaf(&self, path: &[Step], leaf_frame: &FrameRef) -> Result<()> {
+        let leaf = leaf_frame.location().1;
+        // The lowest ancestor that keeps another child; the single-child
+        // internal nodes below it go with the leaf. (No such ancestor: the
+        // leaf is the root, which stays.)
+        let mut at = path.len();
+        loop {
+            let Some(up) = at.checked_sub(1) else { return Ok(()) };
+            at = up;
+            if self.pool.fetch(self.file, path[at].0)?.page.lock().slot_count() > 0 {
+                break;
             }
-            Err(_) => Ok(false),
+        }
+        let left = self.left_leaf(path)?;
+        let right = leaf_frame.page.lock().special1();
+        self.pool.log_frame(leaf_frame);
+
+        let (pid, slot) = path[at];
+        let frame = self.pool.fetch(self.file, pid)?;
+        {
+            let mut p = frame.page.lock();
+            if slot.is_none() {
+                // The leftmost child goes: separator 0's child takes its
+                // place, and its key range with it.
+                let first = internal_child(p.get(0).expect("node keeps another child"));
+                p.set_special2(first);
+            }
+            p.remove_slot(slot.unwrap_or(0));
+            p.compact();
+            frame.mark_dirty();
+        }
+        self.pool.log_frame(&frame);
+        // Empty leaves only the chain reaches, left between `left` and
+        // this one by reclamations a crash cut short: they go along.
+        let mut ghosts = Vec::new();
+        if let Some(left) = left {
+            let frame = self.pool.fetch(self.file, left)?;
+            let mut next = frame.page.lock().special1();
+            while next != leaf {
+                let after = if next == NO_PAGE {
+                    None
+                } else {
+                    let ghost = self.pool.fetch(self.file, next)?;
+                    let p = ghost.page.lock();
+                    (p.special0() == KIND_LEAF && p.slot_count() == 0).then(|| p.special1())
+                };
+                let Some(after) = after else {
+                    return Err(DbError::Corrupt(format!(
+                        "leaf {left} should chain to {leaf}, chains to {next}"
+                    )));
+                };
+                ghosts.push(next);
+                next = after;
+            }
+            {
+                let mut p = frame.page.lock();
+                p.set_special1(right);
+                frame.mark_dirty();
+            }
+            self.pool.log_frame(&frame);
+        }
+        for &(pid, _) in &path[at + 1..] {
+            self.free_page(pid)?;
+        }
+        for pid in ghosts {
+            self.free_page(pid)?;
+        }
+        self.free_page(leaf)?;
+
+        loop {
+            let root = self.root()?;
+            let only_child = {
+                let frame = self.pool.fetch(self.file, root)?;
+                let p = frame.page.lock();
+                (p.special0() == KIND_INTERNAL && p.slot_count() == 0).then(|| p.special2())
+            };
+            let Some(child) = only_child else { return Ok(()) };
+            self.set_root(child, None)?;
+            self.pool.log_frame(&self.pool.fetch(self.file, 0)?);
+            self.free_page(root)?;
         }
     }
 
-    /// Descend to the leaf that would contain `stored`; returns
-    /// (leaf pid, entry index of the first entry ≥ `stored`).
-    fn find_leaf(&self, stored: &[u8]) -> Result<(u32, usize)> {
+    /// The leaf immediately left of the one `path` leads to: down the
+    /// rightmost spine of the child left of the lowest step that did not
+    /// take the leftmost pointer. `None` at the left edge of the tree.
+    fn left_leaf(&self, path: &[Step]) -> Result<Option<u32>> {
+        let Some(&(pid, Some(i))) = path.iter().rev().find(|(_, slot)| slot.is_some()) else {
+            return Ok(None);
+        };
+        let child_of = |p: &Page, i: Option<usize>| match i {
+            Some(i) => internal_child(p.get(i).expect("internal slots are live")),
+            None => p.special2(),
+        };
+        let mut pid = child_of(&self.pool.fetch(self.file, pid)?.page.lock(), i.checked_sub(1));
+        loop {
+            let frame = self.pool.fetch(self.file, pid)?;
+            let p = frame.page.lock();
+            match p.special0() {
+                KIND_LEAF => return Ok(Some(pid)),
+                KIND_INTERNAL => pid = child_of(&p, p.slot_count().checked_sub(1)),
+                other => {
+                    return Err(DbError::Corrupt(format!("page {pid} has bad node kind {other}")))
+                }
+            }
+        }
+    }
+
+    /// Descend to the leaf that would contain `stored`, reporting each
+    /// internal page on the way down and the child pointer taken there to
+    /// `visit`; returns (leaf pid, entry index of the first entry ≥
+    /// `stored`).
+    fn descend(
+        &self,
+        stored: &[u8],
+        mut visit: impl FnMut(u32, Option<usize>),
+    ) -> Result<(u32, usize)> {
         let mut pid = self.root()?;
         loop {
             let frame = self.pool.fetch(self.file, pid)?;
@@ -341,8 +545,9 @@ impl BTree {
                     return Ok((pid, idx));
                 }
                 KIND_INTERNAL => {
-                    let (child, _) = find_child(&p, stored);
+                    let (child, slot) = find_child(&p, stored);
                     drop(p);
+                    visit(pid, slot);
                     pid = child;
                 }
                 other => {
@@ -368,11 +573,19 @@ impl BTree {
     ) -> Result<()> {
         // One probe = one descent; prefix and range scans both land here.
         crate::metrics::ENGINE.index_probes.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let (mut pid, mut idx) = self.find_leaf(lo)?;
+        let (mut pid, mut landed) =
+            self.descend(lo, |_, _| {}).map(|(pid, idx)| (pid, Some(idx)))?;
         loop {
             let frame = self.pool.fetch(self.file, pid)?;
             let p = frame.page.lock();
             let n = p.slot_count();
+            // A leaf entered through the chain starts at or above `lo` —
+            // unless the descent landed left of it (a split whose parent
+            // entry a crash cut off, see the module docs): enter at `lo`.
+            let mut idx = landed.take().unwrap_or_else(|| match p.get(0) {
+                Some(first) if leaf_key(first) < lo => leaf_position(&p, lo).unwrap_or_else(|i| i),
+                _ => 0,
+            });
             while idx < n {
                 let rec = p.get(idx).expect("leaf slots are live");
                 let stored = leaf_key(rec);
@@ -387,7 +600,6 @@ impl BTree {
                 return Ok(());
             }
             pid = next;
-            idx = 0;
         }
     }
 
@@ -542,13 +754,7 @@ mod tests {
     use crate::types::Value;
 
     fn tree(tag: &str, frames: usize) -> BTree {
-        let dir = std::env::temp_dir().join(format!("ordb-btree-{tag}-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("i.db");
-        let _ = std::fs::remove_file(&path);
-        let pool = Arc::new(BufferPool::new(frames));
-        pool.register_file(9, path).unwrap();
-        BTree::create(pool, 9).unwrap()
+        BTree::create(fresh_pool(&scratch(tag).join("i.db"), frames), 9).unwrap()
     }
 
     fn rid(i: u64) -> Rid {
@@ -561,7 +767,7 @@ mod tests {
         for i in 0..100i64 {
             t.insert(&encode_key(&[Value::Int(i)]), rid(i as u64)).unwrap();
         }
-        assert_eq!(t.len().unwrap(), 100);
+        assert_eq!(t.entry_count().unwrap(), 100);
         let hits = t.scan_prefix(&encode_key(&[Value::Int(42)])).unwrap();
         assert_eq!(hits, vec![rid(42)]);
         assert!(t.scan_prefix(&encode_key(&[Value::Int(500)])).unwrap().is_empty());
@@ -634,7 +840,7 @@ mod tests {
         assert!(t.delete(&k, rid(1)).unwrap());
         assert!(!t.delete(&k, rid(1)).unwrap());
         assert_eq!(t.scan_prefix(&k).unwrap(), vec![rid(2)]);
-        assert_eq!(t.len().unwrap(), 1);
+        assert_eq!(t.entry_count().unwrap(), 1);
     }
 
     #[test]
@@ -648,7 +854,7 @@ mod tests {
             let k = encode_key(&[Value::Int(probe)]);
             assert_eq!(t.scan_prefix(&k).unwrap(), vec![rid(probe as u64)]);
         }
-        assert_eq!(t.len().unwrap(), 3000);
+        assert_eq!(t.entry_count().unwrap(), 3000);
     }
 
     #[test]
@@ -693,9 +899,406 @@ mod tests {
             let pool = Arc::new(BufferPool::new(32));
             pool.register_file(9, path).unwrap();
             let t = BTree::open(pool, 9).unwrap();
-            assert_eq!(t.len().unwrap(), 500);
+            assert_eq!(t.entry_count().unwrap(), 500);
             let k = encode_key(&[Value::Int(321)]);
             assert_eq!(t.scan_prefix(&k).unwrap(), vec![rid(321)]);
         }
+    }
+
+    // ---- model suite: structure, reclamation, free list -----------------
+
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+    use std::collections::{BTreeSet, HashSet};
+    use std::path::PathBuf;
+
+    /// ~200-byte keys: a leaf holds ~35, so a few thousand keys make a
+    /// three-level tree and every structural path runs in a small test.
+    fn wide_key(k: u32) -> Vec<u8> {
+        encode_key(&[Value::str(format!("{k:010}{}", "x".repeat(180)))])
+    }
+
+    fn scratch(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("ordb-btree-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    fn fresh_pool(path: &std::path::Path, frames: usize) -> Arc<BufferPool> {
+        let pool = Arc::new(BufferPool::new(frames));
+        pool.register_file(9, path.to_path_buf()).unwrap();
+        pool
+    }
+
+    /// Check every structural invariant of `t` against `model` and return
+    /// the file's page count: the leaf chain is sorted and holds exactly
+    /// the model; every separator bounds its subtree; no empty leaf is
+    /// reachable unless it is the root; the free list holds only free
+    /// pages, none of them reachable; reachable + free + meta is the file.
+    fn check(t: &BTree, model: &BTreeSet<u32>) -> u32 {
+        struct Walk<'a> {
+            t: &'a BTree,
+            reachable: HashSet<u32>,
+            leaves: Vec<u32>,
+        }
+        impl Walk<'_> {
+            fn node(&mut self, pid: u32, lo: Option<&[u8]>, hi: Option<&[u8]>, is_root: bool) {
+                assert!(self.reachable.insert(pid), "page {pid} reachable twice");
+                let frame = self.t.pool.fetch(self.t.file, pid).unwrap();
+                let p = frame.page.lock();
+                let within = |k: &[u8]| lo.is_none_or(|lo| k >= lo) && hi.is_none_or(|hi| k < hi);
+                match p.special0() {
+                    KIND_LEAF => {
+                        assert!(p.slot_count() > 0 || is_root, "empty leaf {pid} reachable");
+                        let keys: Vec<&[u8]> =
+                            (0..p.slot_count()).map(|i| leaf_key(p.get(i).unwrap())).collect();
+                        assert!(keys.windows(2).all(|w| w[0] < w[1]), "leaf {pid} unsorted");
+                        assert!(keys.iter().all(|k| within(k)), "leaf {pid} outside its bounds");
+                        self.leaves.push(pid);
+                    }
+                    KIND_INTERNAL => {
+                        let seps: Vec<Vec<u8>> = (0..p.slot_count())
+                            .map(|i| internal_key(p.get(i).unwrap()).to_vec())
+                            .collect();
+                        let kids: Vec<u32> = std::iter::once(p.special2())
+                            .chain((0..p.slot_count()).map(|i| internal_child(p.get(i).unwrap())))
+                            .collect();
+                        assert!(!is_root || !seps.is_empty(), "one-child root {pid}");
+                        assert!(seps.windows(2).all(|w| w[0] < w[1]), "node {pid} unsorted");
+                        assert!(seps.iter().all(|k| within(k)), "node {pid} outside its bounds");
+                        drop(p);
+                        for (i, &kid) in kids.iter().enumerate() {
+                            let lo = if i == 0 { lo } else { Some(&seps[i - 1][..]) };
+                            let hi = seps.get(i).map(|s| &s[..]).or(hi);
+                            self.node(kid, lo, hi, false);
+                        }
+                    }
+                    other => panic!("page {pid} reachable with kind {other}"),
+                }
+            }
+        }
+        let _r = t.latch.read();
+        let root = t.root().unwrap();
+        let mut walk = Walk { t, reachable: HashSet::new(), leaves: Vec::new() };
+        walk.node(root, None, None, true);
+
+        // The chain visits the same leaves in the same order, and holds
+        // exactly the model.
+        let (mut chain, mut entries) = (Vec::new(), Vec::new());
+        let mut pid = walk.leaves[0];
+        while pid != NO_PAGE {
+            chain.push(pid);
+            let frame = t.pool.fetch(t.file, pid).unwrap();
+            let p = frame.page.lock();
+            for i in 0..p.slot_count() {
+                entries.push(split_stored(leaf_key(p.get(i).unwrap())).0.to_vec());
+            }
+            pid = p.special1();
+        }
+        assert_eq!(chain, walk.leaves, "leaf chain differs from the leaves the root reaches");
+        let want: Vec<Vec<u8>> = model.iter().map(|&k| wide_key(k)).collect();
+        assert!(entries == want, "chain holds {} entries, model {}", entries.len(), want.len());
+
+        let mut free = HashSet::new();
+        let mut pid = t.pool.fetch(t.file, 0).unwrap().page.lock().special2();
+        while pid != NO_FREE {
+            assert!(free.insert(pid), "free list cycles at {pid}");
+            assert!(!walk.reachable.contains(&pid), "free page {pid} is reachable");
+            let frame = t.pool.fetch(t.file, pid).unwrap();
+            let p = frame.page.lock();
+            assert_eq!(p.special0(), KIND_FREE, "page {pid} on the free list is not free");
+            pid = p.special1();
+        }
+        let pages = t.pool.page_count(t.file).unwrap();
+        assert_eq!(
+            walk.reachable.len() + free.len() + 1,
+            pages as usize,
+            "pages leaked: {} reachable, {} free, {pages} in the file",
+            walk.reachable.len(),
+            free.len()
+        );
+        pages
+    }
+
+    /// Seeded insert/delete batches against a `BTreeSet`, through an
+    /// 8-frame pool, checking after every batch and after a reopen.
+    fn churn_against_model(tag: &str, order: impl Fn(&mut SmallRng, &mut Vec<u32>)) {
+        let dir = scratch(tag);
+        let path = dir.join("i.db");
+        let mut rng = SmallRng::seed_from_u64(0xB7EE);
+        let mut model = BTreeSet::new();
+        let mut next = 0u32;
+        let mut pool = fresh_pool(&path, 8);
+        let mut t = BTree::create(pool.clone(), 9).unwrap();
+        for round in 0..12 {
+            // Grow for four rounds, then delete more than is inserted
+            // until the tree is empty again.
+            let (ins, del) = if round < 4 { (400, 100) } else { (100, 400) };
+            let mut fresh: Vec<u32> = (next..next + ins).collect();
+            next += ins;
+            order(&mut rng, &mut fresh);
+            for k in fresh {
+                t.insert(&wide_key(k), rid(u64::from(k))).unwrap();
+                model.insert(k);
+            }
+            check(&t, &model);
+            let mut victims: Vec<u32> = model.iter().copied().collect();
+            order(&mut rng, &mut victims);
+            victims.truncate(del.min(victims.len()));
+            for k in victims {
+                assert!(t.delete(&wide_key(k), rid(u64::from(k))).unwrap());
+                model.remove(&k);
+            }
+            check(&t, &model);
+            if round % 3 == 2 {
+                pool.flush_all().unwrap();
+                pool = fresh_pool(&path, 8);
+                t = BTree::open(pool.clone(), 9).unwrap();
+                check(&t, &model);
+            }
+        }
+        assert!(model.is_empty(), "the schedule deletes everything it inserted");
+        assert_eq!(t.height().unwrap(), 1, "an emptied tree is a single root leaf again");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn model_ascending_keys() {
+        churn_against_model("model-asc", |_, keys| keys.sort_unstable());
+    }
+
+    #[test]
+    fn model_descending_keys() {
+        churn_against_model("model-desc", |_, keys| keys.sort_unstable_by(|a, b| b.cmp(a)));
+    }
+
+    #[test]
+    fn model_random_keys() {
+        churn_against_model("model-rand", |rng, keys| {
+            for i in (1..keys.len()).rev() {
+                keys.swap(i, rng.gen_range(0..=i));
+            }
+        });
+    }
+
+    #[test]
+    fn steady_churn_holds_the_file_flat() {
+        // Keys only ascend and the oldest are deleted — the shape of a
+        // table maintained by an ever-growing id. Emptied leaves on the
+        // left must feed the splits on the right.
+        let dir = scratch("flat");
+        let t = BTree::create(fresh_pool(&dir.join("i.db"), 16), 9).unwrap();
+        let mut model = BTreeSet::new();
+        let live = 1000u32;
+        let mut sizes = Vec::new();
+        for k in 0..live * 9 {
+            t.insert(&wide_key(k), rid(u64::from(k))).unwrap();
+            model.insert(k);
+            if k >= live {
+                assert!(t.delete(&wide_key(k - live), rid(u64::from(k - live))).unwrap());
+                model.remove(&(k - live));
+            }
+            if k % live == live - 1 {
+                sizes.push(check(&t, &model));
+            }
+        }
+        // The first generations fill the file; after that it stays put.
+        assert!(sizes[2..].iter().all(|&s| s == sizes[2]), "index file kept growing: {sizes:?}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_free_list_head_that_is_not_free_is_dropped_not_reused() {
+        let dir = scratch("badhead");
+        let pool = fresh_pool(&dir.join("i.db"), 32);
+        let t = BTree::create(pool.clone(), 9).unwrap();
+        let mut model = BTreeSet::new();
+        for k in 0..200 {
+            t.insert(&wide_key(k), rid(u64::from(k))).unwrap();
+            model.insert(k);
+        }
+        // Point the head at the live root, as a log that captured the
+        // meta page without the rest of a reclamation would.
+        let root = t.root().unwrap();
+        let meta = pool.fetch(9, 0).unwrap();
+        meta.page.lock().set_special2(root);
+        meta.mark_dirty();
+        for k in 200..600 {
+            t.insert(&wide_key(k), rid(u64::from(k))).unwrap();
+            model.insert(k);
+        }
+        check(&t, &model);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A tree over a pool with a WAL, for replaying prefixes of what one
+    /// operation logged over the data file as it stood before it.
+    struct Logged {
+        dir: PathBuf,
+        pool: Arc<BufferPool>,
+        wal: Arc<crate::storage::wal::Wal>,
+        tree: BTree,
+    }
+
+    impl Logged {
+        fn create(tag: &str) -> Logged {
+            let dir = scratch(tag);
+            let pool = fresh_pool(&dir.join("i.db"), 256);
+            let wal = Arc::new(crate::storage::wal::Wal::open(&dir, None).unwrap());
+            pool.set_wal(Some(wal.clone()));
+            let tree = BTree::create(pool.clone(), 9).unwrap();
+            Logged { dir, pool, wal, tree }
+        }
+
+        /// Run `op` against a flushed data file and an empty log; then, if
+        /// it logged at least `min_images` pages, open the tree that each
+        /// prefix of those images replays to and hand it to `verify`
+        /// (with the prefix length). Returns whether it did.
+        fn replay_prefixes(
+            &self,
+            min_images: usize,
+            op: impl FnOnce(&BTree),
+            verify: impl Fn(&BTree, usize),
+        ) -> bool {
+            use crate::storage::page::PAGE_SIZE;
+            use crate::storage::wal::{WalReader, REC_PAGE_IMAGE};
+            self.pool.flush_all().unwrap();
+            self.wal.checkpoint_truncate().unwrap();
+            op(&self.tree);
+            self.pool.log_dirty_frames().unwrap();
+            self.wal.sync().unwrap();
+            let mut reader = WalReader::open(self.wal.path()).unwrap();
+            let mut images = Vec::new();
+            while let Some(rec) = reader.next_record() {
+                if rec.kind == REC_PAGE_IMAGE {
+                    images.push((rec.pid as usize, rec.payload));
+                }
+            }
+            if images.len() < min_images {
+                return false;
+            }
+            let mut bytes = std::fs::read(self.dir.join("i.db")).unwrap();
+            for (cut, (pid, image)) in images.iter().enumerate() {
+                bytes.resize(bytes.len().max((pid + 1) * PAGE_SIZE), 0);
+                bytes[pid * PAGE_SIZE..(pid + 1) * PAGE_SIZE].copy_from_slice(image);
+                let replayed = self.dir.join("replayed.db");
+                std::fs::write(&replayed, &bytes).unwrap();
+                let pool = Arc::new(BufferPool::new(64));
+                pool.register_file(9, replayed).unwrap();
+                verify(&BTree::open(pool, 9).unwrap(), cut + 1);
+            }
+            true
+        }
+    }
+
+    impl Drop for Logged {
+        fn drop(&mut self) {
+            self.pool.set_wal(None);
+            let _ = std::fs::remove_dir_all(&self.dir);
+        }
+    }
+
+    fn scanned(t: &BTree) -> Vec<Vec<u8>> {
+        t.scan_range(None, None, true).unwrap().into_iter().map(|(k, _)| k).collect()
+    }
+
+    #[test]
+    fn every_logged_prefix_of_a_reclamation_replays_to_a_tree_that_scans() {
+        let bed = Logged::create("prefix-reclaim");
+        let n = 1000u32;
+        for k in 0..n {
+            bed.tree.insert(&wide_key(k), rid(u64::from(k))).unwrap();
+        }
+        assert!(bed.tree.height().unwrap() >= 3, "internal nodes must be in play");
+        let mut model: BTreeSet<u32> = (0..n).collect();
+        let mut reclamations = 0;
+        // Empty leaves at the left edge (ascending), at the right edge
+        // (descending), in the middle (all but every 50th key), and then
+        // the stragglers, so the root shrinks down to a single leaf.
+        let middle = n / 2..n * 3 / 4;
+        let victims: Vec<u32> = (0..n / 2)
+            .chain((n * 3 / 4..n).rev())
+            .chain(middle.clone().filter(|k| k % 50 != 0))
+            .chain(middle.filter(|k| k % 50 == 0))
+            .collect();
+        for k in victims {
+            model.remove(&k);
+            let want: Vec<Vec<u8>> = model.iter().map(|&k| wide_key(k)).collect();
+            // An ordinary delete logs its one leaf; more is a reclamation.
+            reclamations += usize::from(bed.replay_prefixes(
+                2,
+                |t| assert!(t.delete(&wide_key(k), rid(u64::from(k))).unwrap()),
+                |t, cut| {
+                    assert!(scanned(t) == want, "delete {k}, {cut} images: scan differs");
+                    // Descents: every key around the reclaimed leaf, and
+                    // a sample of the rest.
+                    for &m in model.iter().filter(|&&m| m.abs_diff(k) < 80 || m % 16 == 0) {
+                        let hit = t.scan_prefix(&wide_key(m)).unwrap();
+                        assert_eq!(hit, vec![rid(u64::from(m))], "delete {k}, cut {cut}: {m}");
+                    }
+                    // And it takes what comes next: every key deleted —
+                    // the leaves around whatever the cut left behind are
+                    // reclaimed in their turn — and inserted again.
+                    let mut keys: Vec<u32> = model.iter().copied().collect();
+                    if cut % 2 == 0 {
+                        keys.reverse();
+                    }
+                    for &m in &keys {
+                        assert!(
+                            t.delete(&wide_key(m), rid(u64::from(m))).unwrap(),
+                            "{k}/{cut}/{m}"
+                        );
+                    }
+                    assert!(scanned(t).is_empty(), "delete {k}, cut {cut}: entries left behind");
+                    for &m in &keys {
+                        t.insert(&wide_key(m), rid(u64::from(m))).unwrap();
+                    }
+                    assert!(scanned(t) == want, "delete {k}, cut {cut}: scan after the refill");
+                },
+            ));
+        }
+        assert!(reclamations > 40, "the schedule must reclaim many leaves: {reclamations}");
+        assert_eq!(bed.tree.height().unwrap(), 1, "and shrink the tree back to its root leaf");
+    }
+
+    #[test]
+    fn every_logged_prefix_of_a_split_keeps_the_entries_it_moved() {
+        // Even keys first; then batches of odd keys, several to a leaf, so
+        // that the leaf a split halves is already dirty when it splits —
+        // the order in which a commit's pass would otherwise log it ahead
+        // of the page that took the other half.
+        let bed = Logged::create("prefix-split");
+        let n = 400u32;
+        for k in 0..n {
+            bed.tree.insert(&wide_key(2 * k), rid(u64::from(2 * k))).unwrap();
+        }
+        let mut model: BTreeSet<u32> = (0..n).map(|k| 2 * k).collect();
+        let mut splits = 0;
+        for batch in (0..n).collect::<Vec<_>>().chunks(8) {
+            let fresh: Vec<u32> = batch.iter().map(|k| 2 * k + 1).collect();
+            let older = model.clone();
+            // Three images or more: a leaf, its new sibling, the parent.
+            splits += usize::from(bed.replay_prefixes(
+                3,
+                |t| fresh.iter().for_each(|&k| t.insert(&wide_key(k), rid(u64::from(k))).unwrap()),
+                |t, cut| {
+                    // Of the batch, any part may be there; of what was
+                    // there before it, everything, in order, and findable.
+                    let keys = scanned(t);
+                    assert!(keys.windows(2).all(|w| w[0] < w[1]), "cut {cut}: scan unsorted");
+                    for &m in &older {
+                        assert!(keys.binary_search(&wide_key(m)).is_ok(), "cut {cut}: {m} gone");
+                    }
+                    // Descents: every key near the batch, a sample of the rest.
+                    for &m in older.iter().filter(|&&m| m.abs_diff(fresh[0]) < 90 || m % 16 == 0) {
+                        let hit = t.scan_prefix(&wide_key(m)).unwrap();
+                        assert_eq!(hit, vec![rid(u64::from(m))], "cut {cut}: probe {m}");
+                    }
+                },
+            ));
+            model.extend(fresh);
+        }
+        assert!(splits > 10, "the schedule must split many leaves: {splits}");
     }
 }

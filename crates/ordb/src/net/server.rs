@@ -179,7 +179,9 @@ fn handle(db: &Database, session: &mut Session, req: Request) -> Response {
         Request::Explain(sql) => {
             db.explain_with_forcing(&sql, session.forcing()).map(Response::Plan)
         }
-        Request::Execute(sql) => db.execute_txn(&sql, session.txn_mut()).map(Response::Affected),
+        Request::Execute(sql) => {
+            db.execute_txn(&sql, session.forcing(), session.txn_mut()).map(Response::Affected)
+        }
         Request::Commit => db.commit().map(Response::Affected),
         Request::Set { key, value } => session.set(&key, &value).map(|()| Response::Ok),
         Request::Close => Ok(Response::Bye),

@@ -257,12 +257,35 @@ impl Schema {
     }
 }
 
-/// A base table reference in FROM.
+/// A base table reference in FROM, or the target of a DML statement.
 struct BaseRef {
     alias: String,
     table: String, // lowered
     columns: Vec<Binding>,
     arity: usize,
+    /// DML target: the scan appends each row's rid (see
+    /// [`crate::exec::trailing_rid`]) and every local predicate stays a
+    /// residual filter, so the whole predicate is re-checked on the
+    /// version the scan fetched.
+    rid: bool,
+}
+
+impl BaseRef {
+    fn bind(ctx: &PlanContext<'_>, name: &str, alias: &str, rid: bool) -> Result<BaseRef> {
+        let def = ctx
+            .catalog
+            .table(name)
+            .ok_or_else(|| DbError::Plan(format!("unknown table {name:?}")))?;
+        let columns: Vec<Binding> =
+            def.columns.iter().map(|c| Binding::column(alias, &c.name, c.ty)).collect();
+        Ok(BaseRef {
+            alias: alias.to_string(),
+            table: name.to_ascii_lowercase(),
+            arity: columns.len(),
+            columns,
+            rid,
+        })
+    }
 }
 
 /// Plan a SELECT.
@@ -286,19 +309,7 @@ pub fn plan_select_profiled(
     for item in &q.from {
         match item {
             FromItem::Table { name, alias } => {
-                let def = ctx
-                    .catalog
-                    .table(name)
-                    .ok_or_else(|| DbError::Plan(format!("unknown table {name:?}")))?;
-                let alias = alias.clone().unwrap_or_else(|| name.clone());
-                let columns: Vec<Binding> =
-                    def.columns.iter().map(|c| Binding::column(&alias, &c.name, c.ty)).collect();
-                bases.push(BaseRef {
-                    alias,
-                    table: name.to_ascii_lowercase(),
-                    arity: columns.len(),
-                    columns,
-                });
+                bases.push(BaseRef::bind(ctx, name, alias.as_deref().unwrap_or(name), false)?);
             }
             FromItem::TableFunction { func, args, alias } => {
                 if !func.eq_ignore_ascii_case("unnest") {
@@ -892,16 +903,39 @@ pub fn plan_select_profiled(
     Ok(PhysicalPlan { root: root.into_rows(), columns, explain })
 }
 
-/// Compile an expression against a single table's schema (used by
-/// DELETE, which bypasses the full planner).
-pub fn compile_single_table(
-    table: &crate::catalog::TableDef,
-    ast: &AstExpr,
-    functions: &FunctionRegistry,
-) -> Result<Expr> {
-    let schema =
-        Schema(table.columns.iter().map(|c| Binding::column(&table.name, &c.name, c.ty)).collect());
-    compile(ast, &schema, functions)
+/// Where a `DELETE` finds its victims.
+pub struct DeletePlan {
+    /// Yields every row of the target table that the snapshot sees and
+    /// the predicate accepts, with its rid appended
+    /// ([`crate::exec::trailing_rid`]).
+    pub root: BoxOp,
+    /// The target table's name, lowered (the catalog's key).
+    pub table: String,
+    /// The target table's heap, for the claims.
+    pub heap: Arc<HeapFile>,
+    /// The access-path decision (for `EXPLAIN DELETE`).
+    pub explain: Vec<String>,
+}
+
+/// Plan the scan side of `DELETE FROM table [WHERE predicate]`: the same
+/// single-table access-path choice a `SELECT` gets from `build_scan`
+/// (index probe on a sargable conjunct, `SeqScan` otherwise, forcing
+/// honoured), over scans that also yield the rid.
+pub fn plan_delete(
+    ctx: &PlanContext<'_>,
+    table: &str,
+    predicate: Option<&AstExpr>,
+) -> Result<DeletePlan> {
+    let base = BaseRef::bind(ctx, table, table, true)?;
+    let preds = predicate.map(|p| p.clone().conjuncts());
+    let (root, path, _) = build_scan(ctx, &base, preds.as_ref(), &mut Profiler::disabled())?;
+    let mut explain = Vec::new();
+    if !ctx.forcing.is_default() {
+        explain.push(format!("forcing: {}", ctx.forcing.describe()));
+    }
+    explain.push(format!("delete from {} via {path}", base.table));
+    let heap = ctx.heap_of(&base.table)?;
+    Ok(DeletePlan { root: root.into_rows(), table: base.table, heap, explain })
 }
 
 /// Compile an expression against an explicit `(alias, column)` binding
@@ -993,23 +1027,19 @@ fn build_scan(
     let scannable =
         if ctx.forcing.access == Some(ForcedAccess::SeqScan) { &[] } else { preds.as_slice() };
     for (i, p) in scannable.iter().enumerate() {
-        if let AstExpr::Cmp { op, lhs, rhs } = p {
-            let (col, lit, op) = match (&**lhs, &**rhs) {
-                (AstExpr::Column { name, .. }, lit) if is_literal(lit) => (name, lit, *op),
-                (lit, AstExpr::Column { name, .. }) if is_literal(lit) => (name, lit, op.flipped()),
-                _ => continue,
-            };
-            if matches!(op, CmpOp::Ne) {
-                continue;
-            }
-            if let Some(tree) = find_index_on(ctx, &base.table, col) {
-                let value = literal_value(lit)?;
-                let is_eq = matches!(op, CmpOp::Eq);
-                // Prefer equality probes over ranges.
-                if chosen.is_none() || (is_eq && !matches!(chosen.as_ref().unwrap().2, CmpOp::Eq)) {
-                    chosen = Some((tree, value, op));
-                    chosen_pred_idx = i;
-                }
+        let Some((col, lit, op)) = sargable(p) else { continue };
+        // `<>` has no key range; a comparison with NULL is never true, and
+        // a probe for the NULL key would find the rows it must not match.
+        if matches!(op, CmpOp::Ne) || matches!(lit, AstExpr::Null) {
+            continue;
+        }
+        if let Some(tree) = find_index_on(ctx, &base.table, col) {
+            let value = literal_value(lit)?;
+            let is_eq = matches!(op, CmpOp::Eq);
+            // Prefer equality probes over ranges.
+            if chosen.is_none() || (is_eq && !matches!(chosen.as_ref().unwrap().2, CmpOp::Eq)) {
+                chosen = Some((tree, value, op));
+                chosen_pred_idx = i;
             }
         }
     }
@@ -1018,7 +1048,7 @@ fn build_scan(
         Some((tree, value, cmp)) => {
             let key = encode_key(std::slice::from_ref(&value));
             let snap = ctx.snapshot.clone();
-            let scan = match cmp {
+            let mut scan = match cmp {
                 CmpOp::Eq => IndexScan::prefix(heap, tree, &key, base.arity, snap),
                 CmpOp::Lt => {
                     IndexScan::range(heap, tree, None, Some(&key), false, base.arity, snap)
@@ -1030,6 +1060,9 @@ fn build_scan(
                 }
                 CmpOp::Ne => unreachable!("filtered above"),
             };
+            if base.rid {
+                scan = scan.with_rid();
+            }
             let desc = format!("IndexScan({cmp})");
             let (op, id) = prof.wrap(Box::new(scan), format!("{desc} {}", base.alias), vec![]);
             (AnyOp::Row(op), desc, id)
@@ -1037,26 +1070,31 @@ fn build_scan(
         // Batch executor: sequential scans vectorize — one pool fetch per
         // page, residual predicates below become selection-vector
         // refinements. Index paths (above) stay on the row executor.
-        None if ctx.forcing.executor == Executor::Batch => {
+        None if ctx.forcing.executor == Executor::Batch && !base.rid => {
             let scan = BatchSeqScan::new(heap, base.arity, ctx.snapshot.clone());
             let (op, id) =
                 prof.wrap_batch(Box::new(scan), format!("BatchSeqScan {}", base.alias), vec![]);
             (AnyOp::Batch(op), "BatchSeqScan".into(), id)
         }
         None => {
-            let scan = SeqScan::new(heap, base.arity, ctx.snapshot.clone());
+            let mut scan = SeqScan::new(heap, base.arity, ctx.snapshot.clone());
+            if base.rid {
+                scan = scan.with_rid();
+            }
             let (op, id) = prof.wrap(Box::new(scan), format!("SeqScan {}", base.alias), vec![]);
             (AnyOp::Row(op), "SeqScan".into(), id)
         }
     };
 
     // Residual local predicates (all of them except a consumed equality —
-    // range probes keep their predicate as a residual for exactness).
+    // range probes keep their predicate as a residual for exactness, and a
+    // DML target keeps every predicate).
     let residual: Vec<&AstExpr> = preds
         .iter()
         .enumerate()
         .filter(|(i, _)| {
-            *i != chosen_pred_idx
+            base.rid
+                || *i != chosen_pred_idx
                 || !matches!(preds[chosen_pred_idx], AstExpr::Cmp { op: CmpOp::Eq, .. })
         })
         .map(|(_, p)| p)
@@ -1072,6 +1110,17 @@ fn is_literal(e: &AstExpr) -> bool {
     matches!(e, AstExpr::Str(_) | AstExpr::Num(_) | AstExpr::Null)
 }
 
+/// The one matcher for sargable predicates: `column op literal` in either
+/// spelling, as `(column, literal, op with the column on the left)`.
+fn sargable(p: &AstExpr) -> Option<(&str, &AstExpr, CmpOp)> {
+    let AstExpr::Cmp { op, lhs, rhs } = p else { return None };
+    match (&**lhs, &**rhs) {
+        (AstExpr::Column { name, .. }, lit) if is_literal(lit) => Some((name, lit, *op)),
+        (lit, AstExpr::Column { name, .. }) if is_literal(lit) => Some((name, lit, op.flipped())),
+        _ => None,
+    }
+}
+
 fn literal_value(e: &AstExpr) -> Result<Value> {
     match e {
         AstExpr::Str(s) => Ok(Value::str(s.clone())),
@@ -1084,20 +1133,13 @@ fn literal_value(e: &AstExpr) -> Result<Value> {
 /// Crude selectivity estimates, in the spirit of System R defaults.
 fn selectivity(p: &AstExpr, base: &BaseRef, stats: Option<&TableStats>) -> f64 {
     match p {
-        AstExpr::Cmp { op: CmpOp::Eq, lhs, rhs } => {
-            let col = match (&**lhs, &**rhs) {
-                (AstExpr::Column { name, .. }, l) if is_literal(l) => Some(name),
-                (l, AstExpr::Column { name, .. }) if is_literal(l) => Some(name),
-                _ => None,
-            };
-            match (col, stats) {
-                (Some(c), Some(s)) => {
-                    let idx = base.columns.iter().position(|b| b.column.eq_ignore_ascii_case(c));
-                    idx.map_or(0.1, |i| s.eq_selectivity(i))
-                }
-                _ => 0.1,
+        AstExpr::Cmp { op: CmpOp::Eq, .. } => match (sargable(p).map(|(col, _, _)| col), stats) {
+            (Some(c), Some(s)) => {
+                let idx = base.columns.iter().position(|b| b.column.eq_ignore_ascii_case(c));
+                idx.map_or(0.1, |i| s.eq_selectivity(i))
             }
-        }
+            _ => 0.1,
+        },
         AstExpr::Cmp { .. } => 0.3,
         AstExpr::Like { .. } => 0.1,
         AstExpr::IsNull { .. } => 0.05,

@@ -40,9 +40,13 @@
 //!
 //! When a [`Wal`] is attached, the pool enforces **WAL-before-data**: a
 //! dirty frame whose image has not been logged since its last mutation
-//! (the `unlogged` bit, set by [`Frame::mark_dirty`]) is logged at
+//! (the `unlogged` bit, set by [`FrameRef::mark_dirty`]) is logged at
 //! write-back time, and [`Wal::ensure_durable`] forces the log to disk
-//! before the data page goes out. Whether or not a WAL is attached,
+//! before the data page goes out. A frame whose bit goes from clear to
+//! set is also remembered in the pool's unlogged list, which is all
+//! [`BufferPool::log_dirty_frames`] visits: a commit costs the frames
+//! dirtied since the last one, whatever the pool holds, and never locks
+//! a clean page. Whether or not a WAL is attached,
 //! every image is checksum-stamped before it is written and verified
 //! when it is read back, so torn or bit-flipped on-disk pages surface
 //! as [`DbError::Corrupt`] instead of garbage rows.
@@ -74,13 +78,15 @@ pub const POOL_SHARDS: usize = 8;
 /// One cached page. Obtained (pinned) from [`BufferPool::fetch`] as a
 /// [`FrameRef`]; the frame cannot be evicted while any ref is alive.
 pub struct Frame {
-    /// The page image. Lock, mutate, then call [`Frame::mark_dirty`].
+    /// The page image. Lock, mutate, then call [`FrameRef::mark_dirty`].
     pub page: Mutex<Page>,
     dirty: AtomicBool,
     /// Set by `mark_dirty`, cleared when the image is logged to the WAL.
     /// A dirty frame with this bit set must be logged before its page
     /// can be written to a data file (WAL-before-data).
     unlogged: AtomicBool,
+    /// The owning pool's list of frames whose `unlogged` bit was set.
+    tracker: Arc<UnloggedFrames>,
     /// Live [`FrameRef`] count. Non-zero pins veto eviction.
     pins: AtomicU32,
     /// Clock reference bit: set on every hit, cleared by the sweep hand.
@@ -90,12 +96,6 @@ pub struct Frame {
 }
 
 impl Frame {
-    /// Record that the page image was modified.
-    pub fn mark_dirty(&self) {
-        self.dirty.store(true, Ordering::Release);
-        self.unlogged.store(true, Ordering::Release);
-    }
-
     /// The (file, page) this frame caches.
     pub fn location(&self) -> (FileId, u32) {
         (self.file, self.pid)
@@ -115,6 +115,17 @@ impl FrameRef {
     fn pin(frame: &Arc<Frame>) -> FrameRef {
         frame.pins.fetch_add(1, Ordering::AcqRel);
         FrameRef { frame: frame.clone() }
+    }
+
+    /// Record that the page image was modified. Call with the page lock
+    /// held, after the mutation: a concurrent
+    /// [`BufferPool::log_dirty_frames`] then either logs the new image
+    /// or finds the frame in the list again next time.
+    pub fn mark_dirty(&self) {
+        self.frame.dirty.store(true, Ordering::Release);
+        if !self.frame.unlogged.swap(true, Ordering::AcqRel) {
+            self.frame.tracker.push(&self.frame);
+        }
     }
 
     /// Whether two refs pin the same frame object.
@@ -140,6 +151,30 @@ impl Deref for FrameRef {
 impl Drop for FrameRef {
     fn drop(&mut self) {
         self.frame.pins.fetch_sub(1, Ordering::AcqRel);
+    }
+}
+
+/// Frames whose `unlogged` bit went from clear to set since
+/// [`BufferPool::log_dirty_frames`] last drained the list. Entries are
+/// weak, and an entry may be stale (the frame was logged by a write-back,
+/// or evicted): the drain re-checks the bit, and `push` drops stale
+/// entries whenever the vector is about to grow, so the list stays
+/// within a constant factor of the resident unlogged frames even when
+/// nothing ever drains it (a bulk load, or durability off).
+#[derive(Default)]
+struct UnloggedFrames(Mutex<Vec<Weak<Frame>>>);
+
+impl UnloggedFrames {
+    fn push(&self, frame: &Arc<Frame>) {
+        let mut list = self.0.lock();
+        if list.len() == list.capacity() && list.len() >= 64 {
+            list.retain(|w| w.upgrade().is_some_and(|f| f.unlogged.load(Ordering::Acquire)));
+        }
+        list.push(Arc::downgrade(frame));
+    }
+
+    fn take(&self) -> Vec<Weak<Frame>> {
+        std::mem::take(&mut *self.0.lock())
     }
 }
 
@@ -317,6 +352,13 @@ pub struct BufferPool {
     wal: RwLock<Option<Arc<Wal>>>,
     /// Fault injector handed to every [`PageFile`] this pool opens.
     fault: Option<Arc<FaultInjector>>,
+    /// See [`UnloggedFrames`].
+    unlogged: Arc<UnloggedFrames>,
+    /// Held for the whole of one [`BufferPool::log_dirty_frames`] pass.
+    /// A pass owns the entries it drained until it has logged them; a
+    /// second committer that found the list empty meanwhile must not
+    /// fsync and acknowledge before those images are in the log.
+    log_pass: Mutex<()>,
 }
 
 impl BufferPool {
@@ -339,6 +381,8 @@ impl BufferPool {
             io_sim: Mutex::new(None),
             wal: RwLock::new(None),
             fault,
+            unlogged: Arc::default(),
+            log_pass: Mutex::new(()),
         }
     }
 
@@ -489,6 +533,7 @@ impl BufferPool {
             page: Mutex::new(Page::from_bytes(buf)),
             dirty: AtomicBool::new(false),
             unlogged: AtomicBool::new(false),
+            tracker: self.unlogged.clone(),
             pins: AtomicU32::new(0),
             referenced: AtomicBool::new(false),
             file: key.0,
@@ -660,9 +705,9 @@ impl BufferPool {
     /// I/O).
     pub fn log_dirty_frames(&self) -> Result<u64> {
         let Some(wal) = self.wal.read().clone() else { return Ok(0) };
-        let frames = self.collect_frames(|_| true);
+        let _pass = self.log_pass.lock();
         let mut logged = 0u64;
-        for frame in &frames {
+        for frame in self.unlogged.take().iter().filter_map(Weak::upgrade) {
             let mut page = frame.page.lock();
             if frame.dirty.load(Ordering::Acquire) && frame.unlogged.swap(false, Ordering::AcqRel) {
                 let (file, pid) = frame.location();
@@ -671,6 +716,21 @@ impl BufferPool {
             }
         }
         Ok(logged)
+    }
+
+    /// Log `frame`'s current image now if it has not been logged since
+    /// its last mutation (no-op without a WAL). WAL records replay in
+    /// append order and a torn tail cuts them at any point, so a
+    /// structure whose pages must not reach the log in the wrong order
+    /// (a B+Tree leaf turning into a free page before its parent has let
+    /// go of it) pins the order by logging the earlier image here.
+    pub fn log_frame(&self, frame: &FrameRef) {
+        let Some(wal) = self.wal.read().clone() else { return };
+        let mut page = frame.page.lock();
+        if frame.unlogged.swap(false, Ordering::AcqRel) {
+            let (file, pid) = frame.location();
+            wal.log_page(file, pid, &mut page);
+        }
     }
 
     /// Flush and drop every cached frame — the harness's "cold run" switch
@@ -949,6 +1009,72 @@ mod tests {
         }
         pool.set_wal(None);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn commit_logging_visits_only_frames_dirtied_since_the_last_pass() {
+        let dir = temp_dir("unlogged");
+        let _ = std::fs::remove_file(dir.join(crate::storage::wal::WAL_FILE));
+        let pool = BufferPool::new(256);
+        pool.register_file(1, dir.join("u.db")).unwrap();
+        let wal = Arc::new(crate::storage::wal::Wal::open(&dir, None).unwrap());
+        pool.set_wal(Some(wal.clone()));
+        let frames: Vec<FrameRef> = (0..100)
+            .map(|i: u32| {
+                let (_, frame) = pool.allocate(1).unwrap();
+                frame.page.lock().insert(&i.to_le_bytes()).unwrap();
+                frame.mark_dirty();
+                frame
+            })
+            .collect();
+        assert_eq!(pool.log_dirty_frames().unwrap(), 100);
+        assert_eq!(pool.log_dirty_frames().unwrap(), 0, "nothing dirtied since");
+
+        // Dirty three frames (one of them twice) and hold the page lock of
+        // every other frame: a pass that so much as looked at a clean
+        // page would block here forever.
+        for &i in &[7usize, 42, 42, 99] {
+            frames[i].page.lock().insert(b"again").unwrap();
+            frames[i].mark_dirty();
+        }
+        let held: Vec<_> = frames
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| ![7, 42, 99].contains(i))
+            .map(|(_, f)| f.page.lock())
+            .collect();
+        let before = wal.stats();
+        assert_eq!(pool.log_dirty_frames().unwrap(), 3);
+        drop(held);
+        assert_eq!(wal.stats().since(&before).appends, 3);
+
+        // A frame logged on its own is not logged again by the pass, and
+        // a write-back clears it the same way.
+        frames[5].page.lock().insert(b"early").unwrap();
+        frames[5].mark_dirty();
+        pool.log_frame(&frames[5]);
+        frames[6].page.lock().insert(b"flushed").unwrap();
+        frames[6].mark_dirty();
+        pool.flush_all().unwrap();
+        assert_eq!(pool.log_dirty_frames().unwrap(), 0);
+        pool.set_wal(None);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn unlogged_list_stays_bounded_when_nothing_drains_it() {
+        // No WAL: nothing ever calls `log_dirty_frames`. Streaming far
+        // more pages than the pool holds must not grow the list with it.
+        let dir = temp_dir("unlogged-bound");
+        let pool = BufferPool::new(16);
+        pool.register_file(1, dir.join("b.db")).unwrap();
+        for i in 0..4000u32 {
+            let (_, frame) = pool.allocate(1).unwrap();
+            frame.page.lock().insert(&i.to_le_bytes()).unwrap();
+            frame.mark_dirty();
+        }
+        let listed = pool.unlogged.0.lock().len();
+        assert!(listed <= 256, "list holds {listed} entries for a 16-frame pool");
     }
 
     #[test]

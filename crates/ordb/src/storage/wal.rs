@@ -43,16 +43,20 @@
 //! Vacuum needs no record kind of its own: every page it mutates —
 //! index leaves losing entries, data pages losing slots, overflow pages
 //! reinitialised to the free kind — is logged as an ordinary page
-//! image when the pass's closing [`Database::commit`] runs
-//! `log_dirty_frames` + [`Wal::sync`]. A crash before that sync replays
+//! image when the pass closes with `log_dirty_frames` + [`Wal::sync`],
+//! as [`Database::commit`] does. A crash before that sync replays
 //! none-to-some prefix of the pass (whatever `ensure_durable` already
 //! forced out); because vacuum deletes index entries *before* freeing
 //! the heap slot they point at, any replayed prefix is consistent: a
 //! surviving slot may have lost its index entry (re-reclaimed by the
 //! next pass), but no index entry ever points at a freed or reused
-//! slot.
+//! slot. Where the order of two pages' images matters more finely — a
+//! B+Tree leaf must not become a free page in the log before its parent
+//! has let go of it — the earlier image is appended at once with
+//! [`BufferPool::log_frame`] (see `index::btree`).
 //!
 //! [`Database::commit`]: crate::db::Database::commit
+//! [`BufferPool::log_frame`]: crate::storage::buffer::BufferPool::log_frame
 
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom};
@@ -65,7 +69,7 @@ use parking_lot::Mutex;
 use crate::error::{DbError, Result};
 use crate::storage::disk::{faulted_sync, faulted_write_at};
 use crate::storage::fault::{FaultInjector, IoKind};
-use crate::storage::page::{crc32, Page, PAGE_SIZE};
+use crate::storage::page::{crc32_update, Page, PAGE_SIZE};
 
 /// Magic prefix of every WAL record ("WALR").
 pub const WAL_MAGIC: u32 = 0x5741_4C52;
@@ -174,11 +178,8 @@ fn encode_header(kind: u8, lsn: u64, file_id: u32, pid: u32, payload: &[u8]) -> 
 /// CRC over everything after the magic, plus the payload. The CRC field
 /// itself lives *after* `len` in serialized form (see below), so the
 /// header bytes covered are `[4..28]`.
-fn record_crc(header: &[u8; REC_HEADER], payload: &[u8]) -> u32 {
-    let mut buf = Vec::with_capacity(REC_HEADER - 4 + payload.len());
-    buf.extend_from_slice(&header[4..]);
-    buf.extend_from_slice(payload);
-    crc32(&buf)
+fn record_crc(header: &[u8], payload: &[u8]) -> u32 {
+    !crc32_update(crc32_update(!0, &header[4..REC_HEADER]), payload)
 }
 
 fn append_record(out: &mut Vec<u8>, kind: u8, lsn: u64, file_id: u32, pid: u32, payload: &[u8]) {
@@ -496,10 +497,7 @@ impl WalReader {
             return None; // torn tail
         }
         let payload = &rest[REC_HEADER + 4..REC_HEADER + 4 + len];
-        let mut covered = Vec::with_capacity(REC_HEADER - 4 + len);
-        covered.extend_from_slice(&rest[4..REC_HEADER]);
-        covered.extend_from_slice(payload);
-        if crc32(&covered) != stored_crc {
+        if record_crc(rest, payload) != stored_crc {
             return None; // corrupt record: stop here
         }
         let rec = WalRecord { kind, lsn, file_id, pid, payload: payload.to_vec() };

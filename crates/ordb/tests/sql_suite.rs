@@ -460,3 +460,242 @@ fn in_and_between_desugar() {
     assert_eq!(r.scalar(), Some(&Value::Int(8)));
     assert!(d.query("SELECT n FROM nums WHERE n IN ()").is_err());
 }
+
+// ---- DELETE through the planner's access paths ---------------------------
+
+use ordb::{DbOptions, ForcedAccess, PlanForcing};
+
+fn forced(access: ForcedAccess) -> PlanForcing {
+    PlanForcing { access: Some(access), ..Default::default() }
+}
+
+/// `churn(k, parent, v)` with both columns indexed, `groups` four-row
+/// groups sharing a `parent` — the table `wire_txn_churn` maintains.
+fn setup_churn(d: &Database, groups: i64) {
+    d.execute("CREATE TABLE churn (k INTEGER, parent INTEGER, v VARCHAR)").unwrap();
+    let rows: Vec<Row> = (0..groups * 4)
+        .map(|k| vec![Value::Int(k), Value::Int(k / 4), Value::str(format!("payload-{k}"))])
+        .collect();
+    d.insert_rows("churn", rows).unwrap();
+    d.execute("CREATE INDEX ix_churn_k ON churn (k)").unwrap();
+    d.execute("CREATE INDEX ix_churn_parent ON churn (parent)").unwrap();
+}
+
+fn plan_text(r: &QueryResult) -> String {
+    r.rows.iter().map(|row| row[0].to_string()).collect::<Vec<_>>().join("\n")
+}
+
+#[test]
+fn explain_delete_prints_the_chosen_access_path() {
+    let d = db("explain-delete");
+    setup_churn(&d, 50);
+    let churn_stmt = "DELETE FROM churn WHERE parent = 7";
+    let plan = plan_text(&d.query(&format!("EXPLAIN {churn_stmt}")).unwrap());
+    assert!(plan.contains("delete from churn via IndexScan(=)"), "{plan}");
+    let seq = d
+        .query_with_forcing(&format!("EXPLAIN {churn_stmt}"), Some(forced(ForcedAccess::SeqScan)))
+        .unwrap();
+    let seq = plan_text(&seq);
+    assert!(seq.contains("via SeqScan") && seq.contains("access=seq"), "{seq}");
+    // `explain()` takes the bare statement, like it does for SELECT.
+    assert!(d.explain(churn_stmt).unwrap().join("\n").contains("IndexScan(=)"));
+    for (predicate, path) in [
+        ("WHERE k < 10", "IndexScan(<)"),
+        ("WHERE 10 <= k", "IndexScan(>=)"),
+        ("WHERE parent = 3 AND v = 'payload-12'", "IndexScan(=)"),
+        ("WHERE v = 'payload-12'", "SeqScan"),
+        ("WHERE parent = NULL", "SeqScan"),
+        ("WHERE parent <> 3", "SeqScan"),
+        ("", "SeqScan"),
+    ] {
+        let plan = d.explain(&format!("DELETE FROM churn {predicate}")).unwrap().join("\n");
+        assert!(plan.contains(&format!("via {path}")), "{predicate}: {plan}");
+    }
+    // Explaining deletes nothing, and what cannot be planned still says so.
+    assert_eq!(d.row_count("churn").unwrap(), 200);
+    assert!(d.query("EXPLAIN DELETE FROM nowhere").is_err());
+    assert!(d.query("EXPLAIN INSERT INTO churn VALUES (1, 1, 'x')").is_err());
+}
+
+#[test]
+fn delete_on_an_indexed_column_probes_instead_of_scanning() {
+    let d = db("delete-probe");
+    setup_churn(&d, 2_000);
+    // Pool counters are per database (the engine's probe counter is
+    // process-wide, and the suite's tests run in parallel).
+    let run = |sql: &str, forcing: PlanForcing| {
+        d.set_forcing(forcing);
+        let before = d.io_stats_total();
+        let n = d.execute(sql).unwrap();
+        (n, d.io_stats_total().since(&before).fetches())
+    };
+    let (n, fetches) = run("DELETE FROM churn WHERE parent = 1234", PlanForcing::default());
+    assert_eq!(n, 4);
+    assert!(fetches < 40, "an index-driven delete of 4 rows fetched {fetches} pages");
+    let (n, fetches) = run("DELETE FROM churn WHERE parent = 1235", forced(ForcedAccess::SeqScan));
+    assert_eq!(n, 4);
+    assert!(fetches > 8_000, "the forced sequential scan reads every tuple: {fetches}");
+    // Deleted is deleted, on either path.
+    assert_eq!(run("DELETE FROM churn WHERE parent = 1234", PlanForcing::default()).0, 0);
+    assert_eq!(d.row_count("churn").unwrap(), 8_000 - 8);
+}
+
+/// One generated `DELETE` predicate over `dml(id, a, c, s)`.
+fn gen_delete(rng: &mut impl rand::Rng, ids: i64) -> String {
+    let a = rng.gen_range(-2..24i64);
+    let c = rng.gen_range(0..10i64);
+    let id = rng.gen_range(0..ids);
+    let predicate = match rng.gen_range(0..14u32) {
+        0 => format!("a = {a}"),
+        1 => format!("{a} = a"),
+        2 => format!("a < {a}"),
+        3 => format!("a <= {a}"),
+        4 => format!("a > {}", a + 12),
+        5 => format!("{} <= a", a + 12),
+        6 => format!("a = {a} AND c < {c}"),
+        7 => format!("c = {c} AND a >= {a} AND a < {}", a + 3),
+        8 => format!("c = {c} AND id < {id}"),
+        9 => format!("id = {id}"),
+        10 => format!("id >= {id} AND id < {} AND s LIKE '%7%'", id + 40),
+        11 => "a = NULL".to_string(),
+        12 => "a IS NULL AND c = 3".to_string(),
+        _ => return "DELETE FROM dml".to_string(),
+    };
+    format!("DELETE FROM dml WHERE {predicate}")
+}
+
+#[test]
+fn dml_differential_forced_accesses_agree() {
+    use rand::{rngs::SmallRng, Rng, SeedableRng};
+    let seeds: Vec<u64> = match std::env::var("DML_SEED").ok().and_then(|s| s.parse().ok()) {
+        Some(seed) => vec![seed],
+        None => vec![1, 2, 3],
+    };
+    for seed in seeds {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let twins: Vec<Database> = [ForcedAccess::IndexScan, ForcedAccess::SeqScan]
+            .into_iter()
+            .map(|access| {
+                let dir = std::env::temp_dir()
+                    .join(format!("ordb-suite-dml-{access:?}-{seed}-{}", std::process::id()));
+                let _ = std::fs::remove_dir_all(&dir);
+                let opts = DbOptions { forcing: forced(access), ..Default::default() };
+                let d = Database::open_with(&dir, opts).unwrap();
+                d.execute("CREATE TABLE dml (id INTEGER, a INTEGER, c INTEGER, s VARCHAR)")
+                    .unwrap();
+                d.execute("CREATE INDEX dml_id ON dml (id)").unwrap();
+                d.execute("CREATE INDEX dml_a ON dml (a)").unwrap();
+                d
+            })
+            .collect();
+        let refill = |rng: &mut SmallRng, from: i64, n: i64| -> i64 {
+            let rows: Vec<Row> = (from..from + n)
+                .map(|id| {
+                    let a = match rng.gen_range(0..8u32) {
+                        0 => Value::Null,
+                        _ => Value::Int(rng.gen_range(0..20i64)),
+                    };
+                    vec![Value::Int(id), a, Value::Int(id % 10), Value::str(format!("s{id}"))]
+                })
+                .collect();
+            for d in &twins {
+                d.insert_rows("dml", rows.clone()).unwrap();
+            }
+            from + n
+        };
+        let mut next_id = refill(&mut rng, 0, 600);
+        for step in 0..120 {
+            let sql = gen_delete(&mut rng, next_id);
+            let affected: Vec<u64> = twins.iter().map(|d| d.execute(&sql).unwrap()).collect();
+            assert_eq!(affected[0], affected[1], "seed {seed} step {step}: {sql}");
+            let contents: Vec<Vec<Row>> = twins
+                .iter()
+                .map(|d| d.query("SELECT id, a, c, s FROM dml ORDER BY id").unwrap().rows)
+                .collect();
+            assert!(contents[0] == contents[1], "seed {seed} step {step}: {sql}: tables differ");
+            for d in &twins {
+                // Every live row has a non-null `id`, so the index on it
+                // must count what the heap counts — on both twins.
+                let by_index = d
+                    .query_with_forcing(
+                        "SELECT COUNT(*) FROM dml WHERE id >= 0",
+                        Some(forced(ForcedAccess::IndexScan)),
+                    )
+                    .unwrap();
+                assert_eq!(
+                    by_index.scalar().and_then(Value::as_int),
+                    Some(d.row_count("dml").unwrap() as i64),
+                    "seed {seed} step {step}: {sql}: heap and index counts differ"
+                );
+            }
+            // Keep the table populated, and let vacuum take the dead
+            // versions' index entries (and emptied leaves) away.
+            if contents[0].len() < 300 {
+                next_id = refill(&mut rng, next_id, 400);
+            }
+            if step % 16 == 15 {
+                let reclaimed: Vec<u64> =
+                    twins.iter().map(|d| d.vacuum().unwrap().vacuumed_versions).collect();
+                assert_eq!(reclaimed[0], reclaimed[1], "seed {seed} step {step}: vacuum");
+            }
+        }
+    }
+}
+
+#[test]
+fn index_driven_delete_keeps_mvcc_semantics_across_wire_sessions() {
+    use ordb::net::error_code;
+    use ordb::{Client, DbError, Server};
+    let dir = std::env::temp_dir().join(format!("ordb-suite-dml-wire-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let d = std::sync::Arc::new(Database::open(&dir).unwrap());
+    setup_churn(&d, 10);
+    let handle = Server::bind(d.clone(), "127.0.0.1:0").unwrap().spawn();
+    let mut a = Client::connect(handle.addr()).unwrap();
+    let mut b = Client::connect(handle.addr()).unwrap();
+    let mut reader = Client::connect(handle.addr()).unwrap();
+    assert!(a.explain("DELETE FROM churn WHERE parent = 99").unwrap().join("\n").contains("Index"));
+
+    a.execute("BEGIN").unwrap();
+    a.execute("INSERT INTO churn VALUES (396, 99, 'a1'), (397, 99, 'a2')").unwrap();
+    a.execute("DELETE FROM churn WHERE parent = 7").unwrap();
+
+    // B does not see A's uncommitted insert: the probe finds the index
+    // entries, the snapshot hides the versions behind them.
+    b.execute("BEGIN").unwrap();
+    assert_eq!(b.execute("DELETE FROM churn WHERE parent = 99").unwrap(), 0);
+    // A row A has claimed is a conflict for B, whose transaction dies.
+    let err = b.execute("DELETE FROM churn WHERE parent = 7").unwrap_err();
+    assert!(matches!(err, DbError::TxnConflict(_)), "got {err:?}");
+    assert_eq!(error_code(&err), 9);
+    assert!(b.execute("COMMIT").is_err(), "B's transaction is gone");
+
+    // A deletes a row its own transaction inserted, and only that one.
+    assert_eq!(a.execute("DELETE FROM churn WHERE k = 396").unwrap(), 1);
+    assert_eq!(a.query("SELECT k FROM churn WHERE parent = 99").unwrap().len(), 1);
+    // The same statement under a forced sequential scan agrees: the
+    // session's SET reaches DML.
+    a.set("force_access", "seq").unwrap();
+    assert!(a.explain("DELETE FROM churn WHERE parent = 99").unwrap().join("\n").contains("Seq"));
+    assert_eq!(a.execute("DELETE FROM churn WHERE parent = 99").unwrap(), 1);
+    assert_eq!(a.execute("DELETE FROM churn WHERE parent = 99").unwrap(), 0);
+
+    // ROLLBACK restores all of them, on both access paths.
+    a.execute("ROLLBACK").unwrap();
+    for access in ["index", "seq"] {
+        reader.set("force_access", access).unwrap();
+        let count = |c: &mut Client, predicate: &str| {
+            c.query(&format!("SELECT COUNT(*) FROM churn WHERE {predicate}"))
+                .unwrap()
+                .scalar()
+                .and_then(Value::as_int)
+        };
+        assert_eq!(count(&mut reader, "parent = 7"), Some(4), "{access}");
+        assert_eq!(count(&mut reader, "parent = 99"), Some(0), "{access}");
+        assert_eq!(count(&mut reader, "k >= 0"), Some(40), "{access}");
+    }
+    for c in [a, b, reader] {
+        c.close().unwrap();
+    }
+    handle.stop();
+}

@@ -104,7 +104,8 @@ pub fn run(seed: u64, steps: usize) -> Result<TxnReport, String> {
 
             if open[w].is_none() {
                 let mut slot = None;
-                db.execute_txn("BEGIN", &mut slot).map_err(|e| format!("{}: {e}", ctx("BEGIN")))?;
+                db.execute_txn("BEGIN", None, &mut slot)
+                    .map_err(|e| format!("{}: {e}", ctx("BEGIN")))?;
                 let snapshot = rows
                     .iter()
                     .filter(|(_, r)| r.claim != Claim::Committed)
@@ -127,7 +128,7 @@ pub fn run(seed: u64, steps: usize) -> Result<TxnReport, String> {
                         let sql = format!("INSERT INTO acct VALUES ({id}, {val})");
                         let mut slot = Some(open[w].as_ref().unwrap().txn);
                         let n = db
-                            .execute_txn(&sql, &mut slot)
+                            .execute_txn(&sql, None, &mut slot)
                             .map_err(|e| format!("{}: {e}", ctx(&sql)))?;
                         if n != 1 {
                             return Err(format!("{}: affected {n}, want 1", ctx(&sql)));
@@ -162,7 +163,7 @@ pub fn run(seed: u64, steps: usize) -> Result<TxnReport, String> {
                                     || matches!(r.claim, Claim::Active(o) if o != w)
                             });
                         let mut slot = Some(t.txn);
-                        let got = db.execute_txn(&sql, &mut slot);
+                        let got = db.execute_txn(&sql, None, &mut slot);
                         match (expect_conflict, got) {
                             (true, Err(DbError::TxnConflict(_))) => {
                                 // Whole-txn abort: the engine already rolled
@@ -205,7 +206,7 @@ pub fn run(seed: u64, steps: usize) -> Result<TxnReport, String> {
                     8 => {
                         let t = open[w].take().unwrap();
                         let mut slot = Some(t.txn);
-                        db.execute_txn("COMMIT", &mut slot)
+                        db.execute_txn("COMMIT", None, &mut slot)
                             .map_err(|e| format!("{}: {e}", ctx("COMMIT")))?;
                         for id in &t.claimed {
                             rows.get_mut(id).unwrap().claim = Claim::Committed;
@@ -220,7 +221,7 @@ pub fn run(seed: u64, steps: usize) -> Result<TxnReport, String> {
                     _ => {
                         let t = open[w].take().unwrap();
                         let mut slot = Some(t.txn);
-                        db.execute_txn("ROLLBACK", &mut slot)
+                        db.execute_txn("ROLLBACK", None, &mut slot)
                             .map_err(|e| format!("{}: {e}", ctx("ROLLBACK")))?;
                         for id in &t.claimed {
                             rows.get_mut(id).unwrap().claim = Claim::None;

@@ -301,7 +301,7 @@ fn btree_behaves_like_sorted_map() {
                 }
             }
         }
-        assert_eq!(tree.len().unwrap(), model.len() as u64, "seed {seed}");
+        assert_eq!(tree.entry_count().unwrap(), model.len() as u64, "seed {seed}");
         // Full scan is sorted and complete.
         let all = tree.scan_range(None, None, true).unwrap();
         assert_eq!(all.len(), model.len(), "seed {seed}");
