@@ -23,11 +23,11 @@ use crate::sql::parser::parse_statement;
 use crate::stats::{StatsBuilder, TableStats};
 use crate::storage::buffer::{BufferPool, PoolStats, DEFAULT_POOL_FRAMES};
 use crate::storage::fault::FaultInjector;
-use crate::storage::heap::{ClaimOutcome, HeapCursor, HeapFile, Rid};
+use crate::storage::heap::{ClaimOutcome, HeapFile, PageScan, Rid};
 use crate::storage::spill::{SpillConfig, SpillManager};
 use crate::storage::wal::{Wal, WalStats};
 use crate::trace::{TraceEvent, TraceSink};
-use crate::tuple::{encode_row, encoded_len};
+use crate::tuple::{decode_cols, decode_row, encode_row};
 use crate::txn::{Snapshot, TxnId, TxnManager, TxnStats, UndoRecord};
 use crate::types::{DataType, Row, Value};
 
@@ -430,11 +430,22 @@ impl Database {
         // claim, since a snapshot older than the deleter must still find
         // them through this index.
         let heap = inner.heaps.get(&tdef.name.to_ascii_lowercase()).expect("heap").clone();
-        let mut cursor = HeapCursor::new(heap);
-        while let Some(v) = cursor.next()? {
-            let row = crate::tuple::decode_row(&v.body, tdef.columns.len())?;
-            let key_vals: Vec<Value> = key_cols.iter().map(|&i| row[i].clone()).collect();
-            tree.insert(&encode_key(&key_vals), v.rid)?;
+        let ordinals = key_ordinals([&key_cols]);
+        let mut scan = PageScan::new(heap);
+        // The tree is fed between pages, not from under a heap page's
+        // latch (see `PageScan::next_page`).
+        let mut page_keys: Vec<(Vec<u8>, Rid)> = Vec::new();
+        while scan.next_page(
+            |_, _| true,
+            |rid, _, _, body| {
+                let row = decode_cols(body, ordinals.iter().copied())?;
+                page_keys.push((encode_key(&key_of(&key_cols, &ordinals, &row)), rid));
+                Ok(())
+            },
+        )? {
+            for (key, rid) in page_keys.drain(..) {
+                tree.insert(&key, rid)?;
+            }
         }
         inner.indexes.insert(name.to_ascii_lowercase(), tree);
         inner.catalog.save(&self.dir)?;
@@ -1025,14 +1036,14 @@ impl Database {
         };
         let snapshot = self.txns.read_snapshot();
         let mut builder = StatsBuilder::new(arity);
-        let mut cursor = HeapCursor::new(heap);
-        while let Some(v) = cursor.next()? {
-            if !snapshot.visible(v.xmin, v.xmax) {
-                continue;
-            }
-            let row = crate::tuple::decode_row(&v.body, arity)?;
-            builder.add(&row, encoded_len(&row));
-        }
+        let mut scan = PageScan::new(heap);
+        while scan.next_page(
+            |xmin, xmax| snapshot.visible(xmin, xmax),
+            |_, _, _, body| {
+                builder.add(&decode_row(body, arity)?, body.len());
+                Ok(())
+            },
+        )? {}
         let stats = builder.finish();
         self.inner.write().stats.insert(key, stats.clone());
         Ok(stats)
@@ -1105,12 +1116,14 @@ impl Database {
         };
         let snapshot = self.txns.read_snapshot();
         let mut n = 0u64;
-        heap.scan(|v| {
-            if snapshot.visible(v.xmin, v.xmax) {
+        let mut scan = PageScan::new(heap);
+        while scan.next_page(
+            |xmin, xmax| snapshot.visible(xmin, xmax),
+            |_, _, _, _| {
                 n += 1;
-            }
-            Ok(true)
-        })?;
+                Ok(())
+            },
+        )? {}
         Ok(n)
     }
 
@@ -1189,18 +1202,20 @@ impl Database {
             // and aborted claims are cleared before the claimant leaves
             // the active set. Bodies are resolved by the scan *before*
             // any freeing, because the index keys must be recomputed
-            // from them.
-            let mut victims: Vec<(crate::storage::heap::Rid, Row)> = Vec::new();
-            heap.scan(|v| {
-                if v.xmax != crate::txn::TXID_INVALID && v.xmax < watermark {
-                    victims.push((v.rid, crate::tuple::decode_row(&v.body, tdef.columns.len())?));
-                }
-                Ok(true)
-            })?;
+            // from them — from the key columns, all the pass decodes.
+            let ordinals = key_ordinals(idx_defs.iter().map(|(cols, _)| cols));
+            let mut victims: Vec<(Rid, Row)> = Vec::new();
+            let mut scan = PageScan::new(heap.clone());
+            while scan.next_page(
+                |_, xmax| xmax != crate::txn::TXID_INVALID && xmax < watermark,
+                |rid, _, _, body| {
+                    victims.push((rid, decode_cols(body, ordinals.iter().copied())?));
+                    Ok(())
+                },
+            )? {}
             for (rid, row) in victims {
                 for (cols, tree) in &idx_defs {
-                    let key_vals: Vec<Value> = cols.iter().map(|&i| row[i].clone()).collect();
-                    tree.delete(&encode_key(&key_vals), rid)?;
+                    tree.delete(&encode_key(&key_of(cols, &ordinals, &row)), rid)?;
                 }
                 if heap.delete(rid)? {
                     vacuumed += 1;
@@ -1378,6 +1393,20 @@ impl Drop for Database {
             let _ = self.close_inner();
         }
     }
+}
+
+/// The stored columns the index key lists in `keys` read, ascending.
+fn key_ordinals<'a>(keys: impl IntoIterator<Item = &'a Vec<usize>>) -> Vec<usize> {
+    let mut ordinals: Vec<usize> = keys.into_iter().flatten().copied().collect();
+    ordinals.sort_unstable();
+    ordinals.dedup();
+    ordinals
+}
+
+/// One index's key values, from a `row` decoded at `ordinals`.
+fn key_of(key_cols: &[usize], ordinals: &[usize], row: &[Value]) -> Vec<Value> {
+    let at = |col: &usize| ordinals.binary_search(col).expect("key column was decoded");
+    key_cols.iter().map(|col| row[at(col)].clone()).collect()
 }
 
 /// Convert parsed `INSERT … VALUES` literal rows into [`Value`] rows.
@@ -1943,9 +1972,10 @@ mod tests {
 
     #[test]
     fn explain_batch_plan_performs_zero_pool_fetches() {
-        // Regression: BatchSeqScan and BatchHashJoin must defer all I/O
-        // to first next() just like their row counterparts, or EXPLAIN
-        // under the batch executor would scan the heap to print a plan.
+        // Regression: a batch pipeline (row scan cut into batches,
+        // BatchHashJoin) must defer all I/O to the first pull just like
+        // a row plan, or EXPLAIN under the batch executor would scan the
+        // heap to print a plan.
         let db = db("explainbatchnofetch");
         setup_speech(&db);
         db.flush().unwrap();
@@ -1953,15 +1983,18 @@ mod tests {
         let batch =
             PlanForcing { executor: crate::plan::Executor::Batch, ..PlanForcing::default() };
         db.take_io_stats();
-        for sql in [
-            "SELECT speechID FROM speech WHERE speech_parentID = 1",
-            "SELECT s.speechID, a.act_title FROM speech s, act a \
-             WHERE s.speech_parentID = a.actID",
+        for (sql, vectorized) in [
+            ("SELECT speechID FROM speech WHERE speech_parentID = 1", "exec=batch"),
+            (
+                "SELECT s.speechID, a.act_title FROM speech s, act a \
+                 WHERE s.speech_parentID = a.actID",
+                "batch hash join",
+            ),
         ] {
             let plan = db.explain_with_forcing(sql, Some(batch)).unwrap();
             assert!(
-                plan.iter().any(|l| l.contains("BatchSeqScan")),
-                "forcing must vectorize the scan: {plan:?}"
+                plan.iter().any(|l| l.contains(vectorized)),
+                "forcing must vectorize the plan: {plan:?}"
             );
         }
         let window = db.take_io_stats();
@@ -2366,6 +2399,103 @@ mod tests {
         db.commit_txn(t).unwrap();
         assert_eq!(db.vacuum().unwrap().vacuumed_versions, 3, "commit releases the pin");
         check(None, 0, "post-vacuum both executors agree the heap is empty");
+    }
+
+    /// `t(id, body)` with `n` rows, every tenth body in an overflow chain.
+    fn setup_blobby(db: &Database, n: i64) {
+        db.execute("CREATE TABLE t (id INTEGER, body VARCHAR)").unwrap();
+        let body = |i: i64| if i % 10 == 5 { "x".repeat(9000) } else { format!("row-{i}") };
+        db.insert_rows("t", (0..n).map(|i| vec![Value::Int(i), Value::str(body(i))]).collect())
+            .unwrap();
+    }
+
+    #[test]
+    fn scan_paused_mid_file_reads_its_snapshot_through_churn_and_vacuum() {
+        let db = db("scan-paused");
+        setup_blobby(&db, 600);
+        // Dead before the reader begins: vacuum may take these from
+        // under a scan that has not reached them yet.
+        db.execute("DELETE FROM t WHERE id >= 300 AND id < 330").unwrap();
+        let reader = db.begin_txn();
+        let sql = "SELECT id, body FROM t";
+        let want = db.query_in(sql, None, Some(reader)).unwrap().rows;
+        assert_eq!(want.len(), 570);
+        // The same scan, stopped after its first row: one page visited,
+        // the rest of the file ahead of it.
+        let Statement::Select(q) = parse_statement(sql).unwrap() else { unreachable!() };
+        let mut scan = {
+            let inner = db.inner.read();
+            let ctx = db.plan_ctx(&inner, None, db.txns.snapshot_of(reader).unwrap());
+            crate::plan::plan_select(&ctx, &q).unwrap().root
+        };
+        let mut got = vec![scan.next().unwrap().expect("a first row")];
+        // Beside it: rows it sees are deleted behind and ahead of it, the
+        // dead ones are reclaimed (slots and overflow chains), and new
+        // rows — some with chains — move into the space.
+        db.execute("DELETE FROM t WHERE id < 10").unwrap();
+        db.execute("DELETE FROM t WHERE id >= 400").unwrap();
+        assert_eq!(db.vacuum().unwrap().vacuumed_versions, 30, "the reader pins the rest");
+        let newer =
+            |i: i64| vec![Value::Int(i), Value::str("y".repeat(if i % 7 == 0 { 9000 } else { 9 }))];
+        db.insert_rows("t", (1000..1100).map(newer).collect()).unwrap();
+        while let Some(row) = scan.next().unwrap() {
+            got.push(row);
+        }
+        assert_eq!(got, want, "the paused scan read something other than its snapshot");
+        db.commit_txn(reader).unwrap();
+        assert_eq!(db.row_count("t").unwrap(), 570 - 10 - 200 + 100);
+    }
+
+    #[test]
+    fn concurrent_scan_beside_churn_rollback_and_vacuum_sees_only_committed_rows() {
+        use std::sync::atomic::Ordering::SeqCst;
+        let db = db("concurrent-scan-churn");
+        setup_blobby(&db, 300);
+        let sql = "SELECT id, body FROM t";
+        let want = db.query(sql).unwrap().rows;
+        let done = AtomicBool::new(false);
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            // Every scan takes a fresh snapshot; what the writer commits
+            // never changes what a snapshot sees, so each scan must read
+            // exactly the base rows whatever it overlaps with.
+            let scanner = s.spawn(|| {
+                start.wait();
+                let mut scans = 0;
+                while !done.load(SeqCst) || scans < 10 {
+                    assert_eq!(db.query(sql).unwrap().rows, want, "scan {scans}");
+                    scans += 1;
+                }
+            });
+            start.wait();
+            for round in 0..30i64 {
+                let fresh = |n: i64| {
+                    let id = 10_000 + round * 100 + n;
+                    let body = "z".repeat(if n % 3 == 0 { 9000 } else { 12 });
+                    format!("INSERT INTO t VALUES ({id}, '{body}')")
+                };
+                // Inserted and deleted in one transaction: dead on
+                // commit, with chains, for the next vacuum pass.
+                let mut txn = None;
+                db.execute_txn("BEGIN", None, &mut txn).unwrap();
+                for n in 0..6 {
+                    db.execute_txn(&fresh(n), None, &mut txn).unwrap();
+                }
+                db.execute_txn("DELETE FROM t WHERE id >= 10000", None, &mut txn).unwrap();
+                db.execute_txn("COMMIT", None, &mut txn).unwrap();
+                // Inserted and rolled back: slots and chains physically
+                // removed, possibly while the scan is reading them.
+                db.execute_txn("BEGIN", None, &mut txn).unwrap();
+                for n in 6..12 {
+                    db.execute_txn(&fresh(n), None, &mut txn).unwrap();
+                }
+                db.execute_txn("ROLLBACK", None, &mut txn).unwrap();
+                db.vacuum().unwrap();
+            }
+            done.store(true, SeqCst);
+            scanner.join().expect("scanner");
+        });
+        assert_eq!(db.query(sql).unwrap().rows, want);
     }
 
     #[test]

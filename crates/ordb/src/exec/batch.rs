@@ -6,11 +6,15 @@
 //! pipeline thus pays one dynamic dispatch per ~1024 rows, and filters
 //! refine the selection vector in place without copying column data.
 //!
-//! The batch path covers sequential scans, filters, projections, and
-//! in-memory hash joins; everything else (sorts, spilling operators,
-//! index access, laterals, aggregation) stays on the Volcano path, and
-//! the planner bridges the two worlds with [`RowsToBatch`] /
-//! [`BatchToRows`] adapters. Batch plans are byte- and order-identical
+//! The batch path covers filters, projections, and in-memory hash joins;
+//! everything else (table access, sorts, spilling operators, laterals,
+//! aggregation) stays on the Volcano path, and the planner bridges the
+//! two worlds with [`RowsToBatch`] / [`BatchToRows`] adapters. There is
+//! no batch scan: the heap has one iteration loop
+//! ([`PageScan`](crate::storage::heap::PageScan)), the row
+//! [`SeqScan`](crate::exec::SeqScan) already reads it a page at a time
+//! and decodes only live columns, and a batch plan starts at
+//! `RowsToBatch(SeqScan)`. Batch plans are byte- and order-identical
 //! to their Volcano equivalents: scans emit heap order, hash joins are
 //! probe-driven with per-key matches in build-arrival order, exactly
 //! like [`HashJoin`](crate::exec::HashJoin).
@@ -19,23 +23,21 @@
 //! deferred to the first `next_batch()` call, so `EXPLAIN` on a batch
 //! plan touches zero pages.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
 
 use crate::error::Result;
+use crate::exec::join::{join_rows, BuildTable, JoinEmit, JoinKey};
 use crate::exec::{BoxOp, Operator};
 use crate::expr::Expr;
 use crate::metrics::NodeMetrics;
-use crate::storage::heap::{HeapFile, PageCursor};
-use crate::tuple::decode_row;
-use crate::txn::Snapshot;
 use crate::types::{Row, Value};
 
-/// Maximum rows per batch. Scans accumulate whole heap pages until they
-/// can emit a full batch, so interior batches are exactly this size and
-/// rows regularly straddle page boundaries.
+/// Maximum rows per batch. [`RowsToBatch`] fills a batch to this size
+/// before handing it on, so a scan's interior batches are exactly this
+/// size and rows regularly straddle page boundaries.
 pub const BATCH_SIZE: usize = 1024;
 
 /// A batch of rows in columnar layout.
@@ -118,61 +120,6 @@ pub trait BatchOperator {
 /// Boxed batch operator, the edge type of batch plan subtrees.
 pub type BoxBatchOp = Box<dyn BatchOperator>;
 
-// ---- scans ---------------------------------------------------------------
-
-/// Batched full-file scan in physical order: one buffer-pool fetch per
-/// heap *page* (via [`PageCursor`]) instead of one per row, with MVCC
-/// snapshot visibility applied as each page's versions are decoded.
-pub struct BatchSeqScan {
-    cursor: PageCursor,
-    arity: usize,
-    snapshot: Snapshot,
-    /// Decoded visible rows not yet emitted; refilled page-at-a-time
-    /// until a full batch is available, so rows straddle page boundaries.
-    carry: VecDeque<Row>,
-    done: bool,
-}
-
-impl BatchSeqScan {
-    /// Scan `heap`, decoding rows of `arity` columns visible to
-    /// `snapshot`. Lazy: no I/O until the first `next_batch()`.
-    pub fn new(heap: Arc<HeapFile>, arity: usize, snapshot: Snapshot) -> BatchSeqScan {
-        BatchSeqScan {
-            cursor: PageCursor::new(heap),
-            arity,
-            snapshot,
-            carry: VecDeque::new(),
-            done: false,
-        }
-    }
-}
-
-impl BatchOperator for BatchSeqScan {
-    fn next_batch(&mut self) -> Result<Option<Batch>> {
-        while !self.done && self.carry.len() < BATCH_SIZE {
-            let Some(versions) = self.cursor.next()? else {
-                self.done = true;
-                break;
-            };
-            for v in versions {
-                if !self.snapshot.visible(v.xmin, v.xmax) {
-                    continue;
-                }
-                self.carry.push_back(decode_row(&v.body, self.arity)?);
-            }
-        }
-        if self.carry.is_empty() {
-            return Ok(None);
-        }
-        let take = self.carry.len().min(BATCH_SIZE);
-        Ok(Some(Batch::from_rows(self.carry.drain(..take), self.arity)))
-    }
-
-    fn name(&self) -> &'static str {
-        "BatchSeqScan"
-    }
-}
-
 // ---- filter / projection -------------------------------------------------
 
 /// Predicate evaluation as selection-vector refinement: rows failing the
@@ -251,11 +198,12 @@ impl BatchOperator for BatchProject {
 // ---- hash join -----------------------------------------------------------
 
 /// In-memory hash join over batches, semantically identical to the row
-/// [`HashJoin`](crate::exec::HashJoin): the build side is drained into a
-/// contiguous arena grouped by key on the first `next_batch()`, then the
+/// [`HashJoin`](crate::exec::HashJoin): the build side is drained into
+/// the same one-pass build table on the first `next_batch()`, then the
 /// probe side streams. NULL keys never equi-join on either side; output
-/// is `probe ++ build` or `build ++ probe` per `probe_is_left`; the
-/// residual predicate is evaluated on the joined row. Matches of one
+/// is `probe ++ build` or `build ++ probe` per `probe_is_left`, cut to
+/// the listed columns after [`BatchHashJoin::emitting`]; the residual
+/// predicate is evaluated on the whole joined row. Matches of one
 /// probe batch are re-batched densely (chunked at [`BATCH_SIZE`]).
 ///
 /// No Grace spill: the planner only picks this operator when no spill
@@ -267,12 +215,9 @@ pub struct BatchHashJoin {
     probe_keys: Vec<Expr>,
     build_keys: Vec<Expr>,
     residual: Option<Expr>,
+    emit: Option<JoinEmit>,
     probe_is_left: bool,
-    /// Arena of build rows, grouped so each key's rows are contiguous in
-    /// build-arrival order.
-    entries: Vec<Row>,
-    /// Key → contiguous range in `entries`.
-    table: HashMap<Vec<Value>, std::ops::Range<usize>>,
+    built: BuildTable,
     /// Joined rows awaiting emission.
     out: VecDeque<Row>,
 }
@@ -294,16 +239,22 @@ impl BatchHashJoin {
             probe_keys,
             build_keys,
             residual,
+            emit: None,
             probe_is_left,
-            entries: Vec::new(),
-            table: HashMap::new(),
+            built: BuildTable::default(),
             out: VecDeque::new(),
         }
     }
 
+    /// Emit only the listed columns of the `left ++ right` row.
+    pub fn emitting(mut self, emit: JoinEmit) -> BatchHashJoin {
+        self.emit = Some(emit);
+        self
+    }
+
     /// Evaluate `keys` at row `r` of `batch`; `None` when any key value
     /// is NULL (NULL never equi-joins).
-    fn key_at(keys: &[Expr], batch: &Batch, r: usize) -> Result<Option<Vec<Value>>> {
+    fn key_at(keys: &[Expr], batch: &Batch, r: usize) -> Result<Option<JoinKey>> {
         let mut key = Vec::with_capacity(keys.len());
         for e in keys {
             let v = e.eval_at(&batch.cols, r)?;
@@ -312,33 +263,20 @@ impl BatchHashJoin {
             }
             key.push(v);
         }
-        Ok(Some(key))
-    }
-
-    /// Drain the build child into the grouped arena.
-    fn start(&mut self, build: BoxBatchOp) -> Result<()> {
-        let mut build = build;
-        let mut groups: HashMap<Vec<Value>, Vec<Row>> = HashMap::new();
-        while let Some(batch) = build.next_batch()? {
-            for r in batch.indices() {
-                let Some(key) = Self::key_at(&self.build_keys, &batch, r)? else { continue };
-                groups.entry(key).or_default().push(batch.row_at(r));
-            }
-        }
-        self.entries.reserve(groups.values().map(Vec::len).sum());
-        for (key, rows) in groups {
-            let start = self.entries.len();
-            self.entries.extend(rows);
-            self.table.insert(key, start..self.entries.len());
-        }
-        Ok(())
+        Ok(Some(JoinKey::new(key)))
     }
 }
 
 impl BatchOperator for BatchHashJoin {
     fn next_batch(&mut self) -> Result<Option<Batch>> {
-        if let Some(build) = self.build.take() {
-            self.start(build)?;
+        if let Some(mut build) = self.build.take() {
+            while let Some(batch) = build.next_batch()? {
+                for r in batch.indices() {
+                    if let Some(key) = Self::key_at(&self.build_keys, &batch, r)? {
+                        self.built.insert(key, batch.row_at(r));
+                    }
+                }
+            }
         }
         loop {
             if !self.out.is_empty() {
@@ -351,22 +289,20 @@ impl BatchOperator for BatchHashJoin {
             };
             for r in batch.indices() {
                 let Some(key) = Self::key_at(&self.probe_keys, &batch, r)? else { continue };
-                let Some(range) = self.table.get(&key) else { continue };
-                let probe_row = batch.row_at(r);
-                for idx in range.clone() {
-                    let build_row = &self.entries[idx];
-                    let mut joined = Vec::with_capacity(probe_row.len() + build_row.len());
-                    if self.probe_is_left {
-                        joined.extend_from_slice(&probe_row);
-                        joined.extend_from_slice(build_row);
+                let mut probe_row = None;
+                for build_row in self.built.rows_of(&key) {
+                    let probe_row: &Row = probe_row.get_or_insert_with(|| batch.row_at(r));
+                    let (left, right) = if self.probe_is_left {
+                        (probe_row, build_row)
                     } else {
-                        joined.extend_from_slice(build_row);
-                        joined.extend_from_slice(&probe_row);
+                        (build_row, probe_row)
+                    };
+                    if let Some(p) = &self.residual {
+                        if !p.eval(&join_rows(left, right, None))?.is_true() {
+                            continue;
+                        }
                     }
-                    match &self.residual {
-                        Some(p) if !p.eval(&joined)?.is_true() => continue,
-                        _ => self.out.push_back(joined),
-                    }
+                    self.out.push_back(join_rows(left, right, self.emit.as_ref()));
                 }
             }
         }

@@ -3,7 +3,7 @@
 use crate::error::Result;
 use crate::exec::{BoxOp, Operator};
 use crate::expr::Expr;
-use crate::types::Row;
+use crate::types::{Row, Value};
 
 /// Keep rows whose predicate evaluates to true.
 pub struct Filter {
@@ -37,27 +37,40 @@ impl Operator for Filter {
 pub struct Project {
     child: BoxOp,
     exprs: Vec<Expr>,
+    /// Per expression: the input column it passes through unchanged, when
+    /// no other expression reads that column — the value is then moved
+    /// out of the input row, not copied.
+    moves: Vec<Option<usize>>,
 }
 
 impl Project {
     /// Project `child` through `exprs`.
     pub fn new(child: BoxOp, exprs: Vec<Expr>) -> Project {
-        Project { child, exprs }
+        let mut reads = Vec::new();
+        exprs.iter().for_each(|e| e.columns(&mut reads));
+        let read_once = |col: &usize| reads.iter().filter(|c| *c == col).count() == 1;
+        let moves = exprs
+            .iter()
+            .map(|e| match e {
+                Expr::Column(col) if read_once(col) => Some(*col),
+                _ => None,
+            })
+            .collect();
+        Project { child, exprs, moves }
     }
 }
 
 impl Operator for Project {
     fn next(&mut self) -> Result<Option<Row>> {
-        match self.child.next()? {
-            Some(row) => {
-                let mut out = Vec::with_capacity(self.exprs.len());
-                for e in &self.exprs {
-                    out.push(e.eval(&row)?);
-                }
-                Ok(Some(out))
-            }
-            None => Ok(None),
+        let Some(mut row) = self.child.next()? else { return Ok(None) };
+        let mut out = Vec::with_capacity(self.exprs.len());
+        for (e, moved) in self.exprs.iter().zip(&self.moves) {
+            out.push(match moved.and_then(|col| row.get_mut(col)) {
+                Some(v) => std::mem::replace(v, Value::Null),
+                None => e.eval(&row)?,
+            });
         }
+        Ok(Some(out))
     }
 
     fn name(&self) -> &'static str {
@@ -127,7 +140,6 @@ mod tests {
     use super::*;
     use crate::exec::collect;
     use crate::expr::CmpOp;
-    use crate::types::Value;
 
     fn values(n: i64) -> BoxOp {
         Box::new(Values::new(
@@ -148,6 +160,10 @@ mod tests {
         let rows = collect(Box::new(Project::new(values(3), vec![Expr::col(1), Expr::lit(9i64)])))
             .unwrap();
         assert_eq!(rows[2], vec![Value::str("r2"), Value::Int(9)]);
+        // A column named twice is copied both times; one named once moves.
+        let twice = vec![Expr::col(1), Expr::col(0), Expr::col(1)];
+        let rows = collect(Box::new(Project::new(values(2), twice))).unwrap();
+        assert_eq!(rows[1], vec![Value::str("r1"), Value::Int(1), Value::str("r1")]);
     }
 
     #[test]

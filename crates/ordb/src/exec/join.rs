@@ -7,6 +7,7 @@
 //! on the first `next()` call, so `EXPLAIN` — which constructs a plan
 //! only to print it — touches zero pages.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -19,7 +20,7 @@ use crate::storage::heap::HeapFile;
 use crate::storage::spill::{
     partition_of, SpillConfig, SpillFile, SpillWriter, MAX_SPILL_DEPTH, SPILL_FANOUT,
 };
-use crate::tuple::{decode_row, encoded_len};
+use crate::tuple::{decode_cols, encoded_len};
 use crate::txn::Snapshot;
 use crate::types::{Row, Value};
 
@@ -66,9 +67,7 @@ impl Operator for NestedLoopJoin {
             while self.inner_pos < self.inner_rows.len() {
                 let inner = &self.inner_rows[self.inner_pos];
                 self.inner_pos += 1;
-                let mut joined = Vec::with_capacity(outer.len() + inner.len());
-                joined.extend_from_slice(outer);
-                joined.extend_from_slice(inner);
+                let joined = join_rows(outer, inner, None);
                 match &self.predicate {
                     Some(p) if !p.eval(&joined)?.is_true() => continue,
                     _ => return Ok(Some(joined)),
@@ -89,7 +88,8 @@ pub struct IndexNestedLoopJoin {
     outer: BoxOp,
     inner_heap: Arc<HeapFile>,
     inner_index: Arc<BTree>,
-    inner_arity: usize,
+    /// Ordinals of the inner table's columns to decode, ascending.
+    inner_cols: Vec<usize>,
     /// Expressions over the *outer* row producing the probe key values.
     outer_keys: Vec<Expr>,
     /// Residual predicate over the concatenated row.
@@ -106,7 +106,7 @@ impl IndexNestedLoopJoin {
         outer: BoxOp,
         inner_heap: Arc<HeapFile>,
         inner_index: Arc<BTree>,
-        inner_arity: usize,
+        inner_cols: Vec<usize>,
         outer_keys: Vec<Expr>,
         residual: Option<Expr>,
         snapshot: Snapshot,
@@ -115,7 +115,7 @@ impl IndexNestedLoopJoin {
             outer,
             inner_heap,
             inner_index,
-            inner_arity,
+            inner_cols,
             outer_keys,
             residual,
             snapshot,
@@ -130,9 +130,7 @@ impl Operator for IndexNestedLoopJoin {
         loop {
             if let Some(inner) = self.pending.next() {
                 let outer = self.current_outer.as_ref().expect("outer set");
-                let mut joined = Vec::with_capacity(outer.len() + inner.len());
-                joined.extend_from_slice(outer);
-                joined.extend(inner);
+                let joined = join_rows(outer, &inner, None);
                 match &self.residual {
                     Some(p) if !p.eval(&joined)?.is_true() => continue,
                     _ => return Ok(Some(joined)),
@@ -166,7 +164,7 @@ impl Operator for IndexNestedLoopJoin {
                 if !self.snapshot.visible(v.xmin, v.xmax) {
                     continue;
                 }
-                rows.push(decode_row(&v.body, self.inner_arity)?);
+                rows.push(decode_cols(&v.body, self.inner_cols.iter().copied())?);
             }
             self.current_outer = Some(outer);
             self.pending = rows.into_iter();
@@ -178,13 +176,118 @@ impl Operator for IndexNestedLoopJoin {
     }
 }
 
+/// A NULL-free join key. One integer — every join edge of both paper
+/// schemas — is held as such: no allocation per build or probe row, and
+/// sixteen bytes to hash.
+#[derive(PartialEq, Eq, Hash)]
+pub(crate) enum JoinKey {
+    Int(i64),
+    Values(Vec<Value>),
+}
+
+impl JoinKey {
+    /// The key of these (non-NULL) values.
+    pub(crate) fn new(values: Vec<Value>) -> JoinKey {
+        match values[..] {
+            [Value::Int(i)] => JoinKey::Int(i),
+            _ => JoinKey::Values(values),
+        }
+    }
+
+    /// Evaluate `keys` against `row`; `None` when any value is NULL
+    /// (NULL never equi-joins).
+    fn of(keys: &[Expr], row: &[Value]) -> Result<Option<JoinKey>> {
+        if let [key] = keys {
+            let v = key.eval_ref(row)?;
+            return Ok(match *v {
+                Value::Null => None,
+                Value::Int(i) => Some(JoinKey::Int(i)),
+                _ => Some(JoinKey::Values(vec![v.into_owned()])),
+            });
+        }
+        Ok(HashJoin::eval_key(keys, row)?.map(JoinKey::Values))
+    }
+
+    /// What [`encoded_len`] says of the key's values.
+    fn encoded_len(&self) -> usize {
+        match self {
+            JoinKey::Int(_) => 9,
+            JoinKey::Values(v) => encoded_len(v),
+        }
+    }
+}
+
+/// Which columns of its `left ++ right` output a join emits: positions
+/// into the left row, then positions into the right row.
+pub type JoinEmit = (Vec<usize>, Vec<usize>);
+
+/// `left ++ right`, or of that only the columns `emit` lists.
+pub(crate) fn join_rows(left: &[Value], right: &[Value], emit: Option<&JoinEmit>) -> Row {
+    match emit {
+        None => [left, right].concat(),
+        Some((l, r)) => {
+            let mut out = Vec::with_capacity(l.len() + r.len());
+            out.extend(l.iter().map(|&i| left[i].clone()));
+            out.extend(r.iter().map(|&i| right[i].clone()));
+            out
+        }
+    }
+}
+
+/// End of a build-row chain (an index no arena reaches).
+const NO_ROW: usize = usize::MAX;
+
+/// The build side of a hash join, filled in one pass: each row goes into
+/// an arena in arrival order, linked to the previous row of its key; the
+/// table maps a key to the first and last row of its chain. A probe
+/// match walks the chain — per key in build-arrival order — with no
+/// per-probe copy of the matched row group.
+#[derive(Default)]
+pub(crate) struct BuildTable {
+    /// Build rows, each with the arena index of the next row of the same
+    /// key ([`NO_ROW`] ends the chain).
+    entries: Vec<(Row, usize)>,
+    table: HashMap<JoinKey, (usize, usize)>,
+}
+
+impl BuildTable {
+    pub(crate) fn insert(&mut self, key: JoinKey, row: Row) {
+        let idx = self.entries.len();
+        self.entries.push((row, NO_ROW));
+        match self.table.entry(key) {
+            Entry::Occupied(mut chain) => {
+                let (_, last) = chain.get_mut();
+                self.entries[*last].1 = idx;
+                *last = idx;
+            }
+            Entry::Vacant(slot) => {
+                slot.insert((idx, idx));
+            }
+        }
+    }
+
+    /// Arena index of the first row of `key`, [`NO_ROW`] if it has none.
+    fn first(&self, key: &JoinKey) -> usize {
+        self.table.get(key).map_or(NO_ROW, |&(first, _)| first)
+    }
+
+    /// The rows of `key`, in build-arrival order.
+    pub(crate) fn rows_of(&self, key: &JoinKey) -> impl Iterator<Item = &Row> {
+        let mut idx = self.first(key);
+        std::iter::from_fn(move || {
+            let (row, next) = self.entries.get(idx)?;
+            idx = *next;
+            Some(row)
+        })
+    }
+}
+
 /// Hash join: build a hash table on the build side's keys, stream the
 /// probe side. Output rows are `probe ++ build` or `build ++ probe`
-/// depending on `probe_is_left`.
+/// depending on `probe_is_left` — or, after [`HashJoin::emitting`], only
+/// the columns of that which the plan above still reads.
 ///
-/// Build rows live in a contiguous arena (`entries`); the table maps each
-/// key to its arena range, and a probe match iterates that range by
-/// index — no per-probe clone of the matched row group.
+/// The build is one pass into a `BuildTable`.
 ///
 /// With a [`SpillConfig`] whose budget the build side exceeds, the
 /// operator switches to a Grace hash join: both inputs are partitioned
@@ -198,24 +301,27 @@ pub struct HashJoin {
     probe: Option<BoxOp>,
     /// Unconsumed build child; taken and hashed on first `next()`.
     build: Option<BoxOp>,
-    build_keys: Arc<Vec<Expr>>,
-    /// Arena of build rows, grouped so each key's rows are contiguous.
-    entries: Vec<Row>,
-    /// Key → contiguous range in `entries`.
-    table: HashMap<Vec<Value>, std::ops::Range<usize>>,
-    probe_keys: Arc<Vec<Expr>>,
-    residual: Arc<Option<Expr>>,
-    probe_is_left: bool,
-    spill: Option<SpillConfig>,
+    /// What to join on and what to emit; shared with Grace sub-joins.
+    spec: Arc<JoinSpec>,
+    built: BuildTable,
     /// Grace recursion depth of this operator (0 = planner-built root).
     depth: usize,
-    started: bool,
     /// Set when the build overflowed: partition pairs still to join and
     /// the sub-join currently draining.
     grace: Option<GraceState>,
     current_probe: Option<Row>,
-    /// Arena indices of the current probe row's matches.
-    pending: std::ops::Range<usize>,
+    /// Arena index of the current probe row's next match.
+    pending: usize,
+}
+
+struct JoinSpec {
+    probe_keys: Vec<Expr>,
+    build_keys: Vec<Expr>,
+    /// Checked on the whole `left ++ right` row.
+    residual: Option<Expr>,
+    emit: Option<JoinEmit>,
+    probe_is_left: bool,
+    spill: Option<SpillConfig>,
 }
 
 struct GraceState {
@@ -236,71 +342,41 @@ impl HashJoin {
         residual: Option<Expr>,
         probe_is_left: bool,
     ) -> HashJoin {
-        Self::build_join(
-            probe,
-            build,
-            Arc::new(probe_keys),
-            Arc::new(build_keys),
-            Arc::new(residual),
-            probe_is_left,
-            None,
-            0,
-        )
+        let spec =
+            JoinSpec { probe_keys, build_keys, residual, emit: None, probe_is_left, spill: None };
+        Self::open(probe, build, Arc::new(spec), 0)
     }
 
-    /// Like [`HashJoin::new`] but honouring `spill`'s memory budget via
-    /// Grace partitioning.
-    pub fn with_spill(
-        probe: BoxOp,
-        build: BoxOp,
-        probe_keys: Vec<Expr>,
-        build_keys: Vec<Expr>,
-        residual: Option<Expr>,
-        probe_is_left: bool,
-        spill: SpillConfig,
-    ) -> HashJoin {
-        Self::build_join(
-            probe,
-            build,
-            Arc::new(probe_keys),
-            Arc::new(build_keys),
-            Arc::new(residual),
-            probe_is_left,
-            Some(spill),
-            0,
-        )
+    /// Honour `spill`'s memory budget via Grace partitioning.
+    pub fn with_spill(mut self, spill: SpillConfig) -> HashJoin {
+        self.spec_mut().spill = Some(spill);
+        self
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn build_join(
-        probe: BoxOp,
-        build: BoxOp,
-        probe_keys: Arc<Vec<Expr>>,
-        build_keys: Arc<Vec<Expr>>,
-        residual: Arc<Option<Expr>>,
-        probe_is_left: bool,
-        spill: Option<SpillConfig>,
-        depth: usize,
-    ) -> HashJoin {
+    /// Emit only the listed columns of the `left ++ right` row.
+    pub fn emitting(mut self, emit: JoinEmit) -> HashJoin {
+        self.spec_mut().emit = Some(emit);
+        self
+    }
+
+    fn spec_mut(&mut self) -> &mut JoinSpec {
+        Arc::get_mut(&mut self.spec).expect("a join is configured before it first runs")
+    }
+
+    fn open(probe: BoxOp, build: BoxOp, spec: Arc<JoinSpec>, depth: usize) -> HashJoin {
         HashJoin {
             probe: Some(probe),
             build: Some(build),
-            build_keys,
-            entries: Vec::new(),
-            table: HashMap::new(),
-            probe_keys,
-            residual,
-            probe_is_left,
-            spill,
+            spec,
+            built: BuildTable::default(),
             depth,
-            started: false,
             grace: None,
             current_probe: None,
-            pending: 0..0,
+            pending: NO_ROW,
         }
     }
 
-    fn eval_key(keys: &[Expr], row: &Row) -> Result<Option<Vec<Value>>> {
+    fn eval_key(keys: &[Expr], row: &[Value]) -> Result<Option<Vec<Value>>> {
         let mut key = Vec::with_capacity(keys.len());
         for e in keys {
             let v = e.eval(row)?;
@@ -313,60 +389,57 @@ impl HashJoin {
         Ok(Some(key))
     }
 
-    /// Drain the build child. Either fills the in-memory arena + range
-    /// table, or — if the budget overflows mid-drain — partitions both
-    /// sides to disk and arms `self.grace`.
-    fn start(&mut self) -> Result<()> {
-        self.started = true;
-        let mut build = self.build.take().expect("build once");
-        let mut keyed: Vec<(Vec<Value>, Row)> = Vec::new();
+    /// Drain the build child. Either fills the in-memory table, or — if
+    /// the budget overflows mid-drain — partitions both sides to disk and
+    /// arms `self.grace`.
+    fn start(&mut self, mut build: BoxOp) -> Result<()> {
+        // Only a join that may spill accounts what it holds.
+        let spec = self.spec.clone();
+        let budget =
+            spec.spill.as_ref().filter(|s| s.budget.is_some() && self.depth < MAX_SPILL_DEPTH);
         let mut bytes = 0usize;
-        let may_spill =
-            self.spill.as_ref().is_some_and(|s| s.budget.is_some()) && self.depth < MAX_SPILL_DEPTH;
         while let Some(row) = build.next()? {
-            let Some(key) = Self::eval_key(&self.build_keys, &row)? else { continue };
-            bytes += encoded_len(&key) + encoded_len(&row);
-            keyed.push((key, row));
-            if may_spill && self.spill.as_ref().expect("checked").over(bytes) {
-                return self.grace_partition(keyed, build);
+            let Some(key) = JoinKey::of(&spec.build_keys, &row)? else { continue };
+            if budget.is_some() {
+                bytes += key.encoded_len() + encoded_len(&row);
             }
-        }
-        // Build side fits: group into the contiguous arena.
-        let mut groups: HashMap<Vec<Value>, Vec<Row>> = HashMap::new();
-        for (key, row) in keyed {
-            groups.entry(key).or_default().push(row);
-        }
-        self.entries.reserve(groups.values().map(Vec::len).sum());
-        for (key, rows) in groups {
-            let start = self.entries.len();
-            self.entries.extend(rows);
-            self.table.insert(key, start..self.entries.len());
+            self.built.insert(key, row);
+            if budget.is_some_and(|s| s.over(bytes)) {
+                return self.grace_partition(build);
+            }
         }
         Ok(())
     }
 
-    /// Scatter the (partially collected) build side and the whole probe
-    /// side into per-partition spill files.
-    fn grace_partition(&mut self, keyed: Vec<(Vec<Value>, Row)>, mut build: BoxOp) -> Result<()> {
-        let spill = self.spill.clone().expect("grace requires a spill config");
+    /// Scatter the build side — what the table holds, then the rest of
+    /// `build` — and the whole probe side into per-partition spill files.
+    fn grace_partition(&mut self, mut build: BoxOp) -> Result<()> {
+        let spec = self.spec.clone();
+        let spill = spec.spill.as_ref().expect("grace requires a spill config");
         crate::metrics::ENGINE
             .join_partitions
             .fetch_add(SPILL_FANOUT as u64, std::sync::atomic::Ordering::Relaxed);
 
-        let mut build_writers = new_writers(&spill)?;
-        for (key, row) in keyed {
-            build_writers[partition_of(&key, self.depth)].add(&row)?;
+        let held = std::mem::take(&mut self.built).entries;
+        let mut build_writers = new_writers(spill)?;
+        let mut scatter = |row: Row| -> Result<()> {
+            if let Some(key) = Self::eval_key(&spec.build_keys, &row)? {
+                build_writers[partition_of(&key, self.depth)].add(&row)?;
+            }
+            Ok(())
+        };
+        for (row, _) in held {
+            scatter(row)?;
         }
         while let Some(row) = build.next()? {
-            let Some(key) = Self::eval_key(&self.build_keys, &row)? else { continue };
-            build_writers[partition_of(&key, self.depth)].add(&row)?;
+            scatter(row)?;
         }
         let build_files = seal_writers(build_writers)?;
 
         let mut probe = self.probe.take().expect("probe not yet consumed");
-        let mut probe_writers = new_writers(&spill)?;
+        let mut probe_writers = new_writers(spill)?;
         while let Some(row) = probe.next()? {
-            let Some(key) = Self::eval_key(&self.probe_keys, &row)? else { continue };
+            let Some(key) = Self::eval_key(&spec.probe_keys, &row)? else { continue };
             probe_writers[partition_of(&key, self.depth)].add(&row)?;
         }
         let probe_files = seal_writers(probe_writers)?;
@@ -383,12 +456,6 @@ impl HashJoin {
     }
 
     fn grace_next(&mut self) -> Result<Option<Row>> {
-        // Clone the shared plan pieces up front so constructing sub-joins
-        // below doesn't fight the `grace` borrow.
-        let probe_keys = self.probe_keys.clone();
-        let build_keys = self.build_keys.clone();
-        let residual = self.residual.clone();
-        let (probe_is_left, spill, depth) = (self.probe_is_left, self.spill.clone(), self.depth);
         let g = self.grace.as_mut().expect("grace armed");
         loop {
             if let Some(sub) = &mut g.current {
@@ -400,15 +467,11 @@ impl HashJoin {
             let Some((build_file, probe_file)) = g.parts.next() else {
                 return Ok(None);
             };
-            g.current = Some(Box::new(HashJoin::build_join(
+            g.current = Some(Box::new(HashJoin::open(
                 Box::new(SpillScan::new(probe_file)),
                 Box::new(SpillScan::new(build_file)),
-                probe_keys.clone(),
-                build_keys.clone(),
-                residual.clone(),
-                probe_is_left,
-                spill.clone(),
-                depth + 1,
+                self.spec.clone(),
+                self.depth + 1,
             )));
         }
     }
@@ -424,44 +487,37 @@ fn seal_writers(writers: Vec<SpillWriter>) -> Result<Vec<SpillFile>> {
 
 impl Operator for HashJoin {
     fn next(&mut self) -> Result<Option<Row>> {
-        if !self.started {
-            self.start()?;
+        if let Some(build) = self.build.take() {
+            self.start(build)?;
         }
         if self.grace.is_some() {
             return self.grace_next();
         }
         loop {
-            if let Some(idx) = self.pending.next() {
-                let build_row = &self.entries[idx];
+            if let Some((build_row, next)) = self.built.entries.get(self.pending) {
+                self.pending = *next;
                 let probe_row = self.current_probe.as_ref().expect("probe set");
-                let joined = if self.probe_is_left {
-                    let mut j = probe_row.clone();
-                    j.extend_from_slice(build_row);
-                    j
+                let spec = &*self.spec;
+                let (left, right) = if spec.probe_is_left {
+                    (probe_row, build_row)
                 } else {
-                    let mut j = build_row.clone();
-                    j.extend_from_slice(probe_row);
-                    j
+                    (build_row, probe_row)
                 };
-                match self.residual.as_ref() {
-                    Some(p) if !p.eval(&joined)?.is_true() => continue,
-                    _ => return Ok(Some(joined)),
+                if let Some(p) = &spec.residual {
+                    if !p.eval(&join_rows(left, right, None))?.is_true() {
+                        continue;
+                    }
                 }
+                return Ok(Some(join_rows(left, right, spec.emit.as_ref())));
             }
             let Some(probe_row) =
                 self.probe.as_mut().expect("probe not consumed by grace").next()?
             else {
                 return Ok(None);
             };
-            let mut key = Vec::with_capacity(self.probe_keys.len());
-            let mut has_null = false;
-            for e in self.probe_keys.iter() {
-                let v = e.eval(&probe_row)?;
-                has_null |= v.is_null();
-                key.push(v);
+            if let Some(key) = JoinKey::of(&self.spec.probe_keys, &probe_row)? {
+                self.pending = self.built.first(&key);
             }
-            self.pending =
-                if has_null { 0..0 } else { self.table.get(&key).cloned().unwrap_or(0..0) };
             self.current_probe = Some(probe_row);
         }
     }
@@ -594,8 +650,7 @@ impl MergeState {
             };
             if !self.rgroup.is_empty() && *lk == self.rgroup_key {
                 if self.rpos < self.rgroup.len() {
-                    let mut joined = lrow.clone();
-                    joined.extend_from_slice(&self.rgroup[self.rpos]);
+                    let joined = join_rows(lrow, &self.rgroup[self.rpos], None);
                     self.rpos += 1;
                     match &self.residual {
                         Some(p) if !p.eval(&joined)?.is_true() => continue,
@@ -720,6 +775,44 @@ mod tests {
     }
 
     #[test]
+    fn hash_join_emits_only_the_listed_columns() {
+        // (name) of the probe row, (tag) of the build row; both orders.
+        for probe_is_left in [true, false] {
+            let (probe, build) = if probe_is_left { (left(), right()) } else { (right(), left()) };
+            let j = HashJoin::new(
+                probe,
+                build,
+                vec![Expr::col(0)],
+                vec![Expr::col(0)],
+                None,
+                probe_is_left,
+            )
+            .emitting((vec![1], vec![1]));
+            let mut rows = collect(Box::new(j)).unwrap();
+            rows.sort();
+            let want: Vec<Row> = expected_pairs()
+                .into_iter()
+                .map(|(_, name, tag)| vec![Value::Str(name), Value::Str(tag)])
+                .collect();
+            assert_eq!(rows, want, "probe_is_left={probe_is_left}");
+        }
+    }
+
+    #[test]
+    fn hash_join_on_string_and_mixed_keys() {
+        let side = |keys: Vec<Value>| -> BoxOp {
+            Box::new(Values::new(keys.into_iter().map(|k| vec![k]).collect()))
+        };
+        // An integer never equals a string, NULL never equals anything,
+        // and each build row of a key comes back in arrival order.
+        let probe = side(vec![Value::str("a"), Value::Int(1), Value::Null, Value::str("b")]);
+        let build = side(vec![Value::str("b"), Value::str("1"), Value::str("a"), Value::Null]);
+        let j = HashJoin::new(probe, build, vec![Expr::col(0)], vec![Expr::col(0)], None, true);
+        let rows = collect(Box::new(j)).unwrap();
+        assert_eq!(rows, [vec![Value::str("a"); 2], vec![Value::str("b"); 2]]);
+    }
+
+    #[test]
     fn merge_join_matches_nested_loop() {
         let j = MergeJoin::new(left(), right(), vec![Expr::col(0)], vec![Expr::col(0)], None);
         assert_eq!(normalize(collect(Box::new(j)).unwrap()), expected_pairs());
@@ -780,16 +873,15 @@ mod tests {
             let manager = cfg.manager.clone();
             let before =
                 crate::metrics::ENGINE.join_partitions.load(std::sync::atomic::Ordering::Relaxed);
-            let grace = collect(Box::new(HashJoin::with_spill(
+            let grace = HashJoin::new(
                 Box::new(Values::new(l.clone())),
                 Box::new(Values::new(r.clone())),
                 vec![Expr::col(0)],
                 vec![Expr::col(0)],
                 None,
                 true,
-                cfg,
-            )))
-            .unwrap();
+            );
+            let grace = collect(Box::new(grace.with_spill(cfg))).unwrap();
             // Grace emits partition by partition, so compare as multisets.
             assert_eq!(sorted(grace), sorted(in_mem.clone()), "budget {budget}");
             let after =

@@ -18,12 +18,12 @@ mod table_fn;
 
 pub use agg::{AggCall, AggFunc, Distinct, HashAggregate};
 pub use batch::{
-    Batch, BatchFilter, BatchHashJoin, BatchOperator, BatchProject, BatchSeqScan, BatchToRows,
-    BoxBatchOp, InstrumentedBatch, RowsToBatch, BATCH_SIZE,
+    Batch, BatchFilter, BatchHashJoin, BatchOperator, BatchProject, BatchToRows, BoxBatchOp,
+    InstrumentedBatch, RowsToBatch, BATCH_SIZE,
 };
 pub use filter::{Filter, Limit, Project, Values};
 pub use instrument::Instrumented;
-pub use join::{HashJoin, IndexNestedLoopJoin, MergeJoin, NestedLoopJoin};
+pub use join::{HashJoin, IndexNestedLoopJoin, JoinEmit, MergeJoin, NestedLoopJoin};
 pub use scan::{trailing_rid, IndexScan, SeqScan};
 pub use sort::{Sort, SortKey};
 pub use table_fn::UnnestScan;

@@ -4,7 +4,14 @@
 //! [`Snapshot`]: versions invisible to the reading transaction are
 //! skipped, and index entries pointing at missing slots (left dangling
 //! by a rolled-back insert) are skipped rather than treated as
-//! corruption.
+//! corruption. Both decode only the columns the planner lists
+//! ([`decode_cols`]): a row is as wide as what the statement reads of the
+//! table, not as wide as the table.
+//!
+//! A sequential scan reads through the heap's one iteration loop,
+//! [`PageScan`]: one pool fetch and one latch per page, visibility and
+//! decode straight from the page bytes. The batch executor has no scan
+//! of its own; a batch plan reads through `RowsToBatch(SeqScan)`.
 //!
 //! Either scan can append the version's [`Rid`] to each row as a trailing
 //! integer column ([`SeqScan::with_rid`], [`IndexScan::with_rid`]): DML
@@ -16,14 +23,15 @@ use std::sync::Arc;
 use crate::error::Result;
 use crate::exec::Operator;
 use crate::index::btree::BTree;
-use crate::storage::heap::{HeapCursor, HeapFile, Rid};
-use crate::tuple::decode_row;
+use crate::storage::heap::{HeapFile, PageScan, Rid};
+use crate::tuple::decode_cols;
 use crate::txn::Snapshot;
 use crate::types::{Row, Value};
 
-/// Decode a visible version, appending its rid when the scan carries it.
-fn emit(body: &[u8], arity: usize, rid: Option<Rid>) -> Result<Row> {
-    let mut row = decode_row(body, arity)?;
+/// Decode the listed columns of a visible version, appending its rid when
+/// the scan carries it.
+fn emit(body: &[u8], cols: &[usize], rid: Option<Rid>) -> Result<Row> {
+    let mut row = decode_cols(body, cols.iter().copied())?;
     if let Some(rid) = rid {
         row.push(Value::Int(rid.to_u64() as i64));
     }
@@ -37,17 +45,29 @@ pub fn trailing_rid(row: &Row) -> Option<Rid> {
 
 /// Full-file scan of a heap in physical order.
 pub struct SeqScan {
-    cursor: HeapCursor,
-    arity: usize,
+    pages: PageScan,
+    /// Ordinals of the stored columns to decode, ascending.
+    cols: Vec<usize>,
     snapshot: Snapshot,
     with_rid: bool,
+    /// Rows of the page last visited; `buf[next..]` are still to emit.
+    buf: Vec<Row>,
+    next: usize,
 }
 
 impl SeqScan {
-    /// Scan `heap`, decoding rows of `arity` columns visible to
-    /// `snapshot`.
-    pub fn new(heap: Arc<HeapFile>, arity: usize, snapshot: Snapshot) -> SeqScan {
-        SeqScan { cursor: HeapCursor::new(heap), arity, snapshot, with_rid: false }
+    /// Scan `heap`, decoding the columns at `cols` (ascending ordinals)
+    /// of the rows visible to `snapshot`. No I/O before the first
+    /// `next()`.
+    pub fn new(heap: Arc<HeapFile>, cols: Vec<usize>, snapshot: Snapshot) -> SeqScan {
+        SeqScan {
+            pages: PageScan::new(heap),
+            cols,
+            snapshot,
+            with_rid: false,
+            buf: Vec::new(),
+            next: 0,
+        }
     }
 
     /// Append each row's rid as a trailing column (see [`trailing_rid`]).
@@ -59,13 +79,23 @@ impl SeqScan {
 
 impl Operator for SeqScan {
     fn next(&mut self) -> Result<Option<Row>> {
-        while let Some(v) = self.cursor.next()? {
-            if !self.snapshot.visible(v.xmin, v.xmax) {
-                continue;
+        while self.next == self.buf.len() {
+            self.buf.clear();
+            self.next = 0;
+            let SeqScan { pages, cols, snapshot, with_rid, buf, .. } = self;
+            let more = pages.next_page(
+                |xmin, xmax| snapshot.visible(xmin, xmax),
+                |rid, _, _, body| {
+                    buf.push(emit(body, cols, with_rid.then_some(rid))?);
+                    Ok(())
+                },
+            )?;
+            if !more {
+                return Ok(None);
             }
-            return emit(&v.body, self.arity, self.with_rid.then_some(v.rid)).map(Some);
         }
-        Ok(None)
+        self.next += 1;
+        Ok(Some(std::mem::take(&mut self.buf[self.next - 1])))
     }
 
     fn name(&self) -> &'static str {
@@ -80,7 +110,8 @@ impl Operator for SeqScan {
 /// table).
 pub struct IndexScan {
     heap: Arc<HeapFile>,
-    arity: usize,
+    /// Ordinals of the stored columns to decode, ascending.
+    cols: Vec<usize>,
     snapshot: Snapshot,
     /// Deferred probe; taken and resolved on first `next()`.
     probe: Option<IndexProbe>,
@@ -100,21 +131,27 @@ enum ProbeKind {
 }
 
 impl IndexScan {
-    /// Scan `index` for logical keys starting with `prefix`.
+    /// Scan `index` for logical keys starting with `prefix`, decoding the
+    /// columns at `cols` of the rows found.
     pub fn prefix(
         heap: Arc<HeapFile>,
         index: Arc<BTree>,
         prefix: &[u8],
-        arity: usize,
+        cols: Vec<usize>,
         snapshot: Snapshot,
     ) -> IndexScan {
         let kind = ProbeKind::Prefix(prefix.to_vec());
-        IndexScan::new(heap, IndexProbe { index, kind }, arity, snapshot)
+        IndexScan::new(heap, IndexProbe { index, kind }, cols, snapshot)
     }
 
-    fn new(heap: Arc<HeapFile>, probe: IndexProbe, arity: usize, snapshot: Snapshot) -> IndexScan {
+    fn new(
+        heap: Arc<HeapFile>,
+        probe: IndexProbe,
+        cols: Vec<usize>,
+        snapshot: Snapshot,
+    ) -> IndexScan {
         let rids = Vec::new().into_iter();
-        IndexScan { heap, arity, snapshot, probe: Some(probe), rids, with_rid: false }
+        IndexScan { heap, cols, snapshot, probe: Some(probe), rids, with_rid: false }
     }
 
     /// Append each row's rid as a trailing column (see [`trailing_rid`]).
@@ -123,14 +160,15 @@ impl IndexScan {
         self
     }
 
-    /// Scan `index` for keys in `[lo, hi]` (see [`BTree::scan_range`]).
+    /// Scan `index` for keys in `[lo, hi]`, bounds as in
+    /// [`BTree::scan_range`].
     pub fn range(
         heap: Arc<HeapFile>,
         index: Arc<BTree>,
         lo: Option<&[u8]>,
         hi: Option<&[u8]>,
         hi_inclusive: bool,
-        arity: usize,
+        cols: Vec<usize>,
         snapshot: Snapshot,
     ) -> IndexScan {
         let kind = ProbeKind::Range {
@@ -138,7 +176,7 @@ impl IndexScan {
             hi: hi.map(<[u8]>::to_vec),
             hi_inclusive,
         };
-        IndexScan::new(heap, IndexProbe { index, kind }, arity, snapshot)
+        IndexScan::new(heap, IndexProbe { index, kind }, cols, snapshot)
     }
 }
 
@@ -147,11 +185,23 @@ impl Operator for IndexScan {
         if let Some(IndexProbe { index, kind }) = self.probe.take() {
             let rids: Vec<Rid> = match kind {
                 ProbeKind::Prefix(prefix) => index.scan_prefix(&prefix)?,
-                ProbeKind::Range { lo, hi, hi_inclusive } => index
-                    .scan_range(lo.as_deref(), hi.as_deref(), hi_inclusive)?
-                    .into_iter()
-                    .map(|(_, rid)| rid)
-                    .collect(),
+                ProbeKind::Range { lo, hi, hi_inclusive } => {
+                    let mut rids = Vec::new();
+                    index.scan_from(lo.as_deref().unwrap_or(&[]), |key, rid| {
+                        let within = hi.as_deref().is_none_or(|hi| {
+                            if hi_inclusive {
+                                key <= hi || key.starts_with(hi)
+                            } else {
+                                key < hi
+                            }
+                        });
+                        if within {
+                            rids.push(rid);
+                        }
+                        Ok(within)
+                    })?;
+                    rids
+                }
             };
             self.rids = rids.into_iter();
         }
@@ -162,7 +212,7 @@ impl Operator for IndexScan {
             if !self.snapshot.visible(v.xmin, v.xmax) {
                 continue;
             }
-            return emit(&v.body, self.arity, self.with_rid.then_some(rid)).map(Some);
+            return emit(&v.body, &self.cols, self.with_rid.then_some(rid)).map(Some);
         }
         Ok(None)
     }

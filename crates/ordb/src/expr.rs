@@ -4,6 +4,7 @@
 //! columns are positional indexes into the operator's input row, and
 //! function calls hold an `Arc` to their [`FunctionDef`].
 
+use std::borrow::Cow;
 use std::fmt;
 use std::sync::Arc;
 
@@ -165,14 +166,15 @@ pub type MemoSlot = Arc<Mutex<Option<(i64, Value)>>>;
 
 /// Where an expression reads its column operands from: a contiguous row
 /// slice (the Volcano executor) or one row position across the column
-/// vectors of a batch (the vectorized executor).
-trait ValueSource {
+/// vectors of a batch (the vectorized executor). `'a` is how long the
+/// values it hands out live — the row's lifetime, not the source's.
+trait ValueSource<'a> {
     /// The value of column `col`, `None` when out of range.
-    fn value(&self, col: usize) -> Option<&Value>;
+    fn value(&self, col: usize) -> Option<&'a Value>;
 }
 
-impl ValueSource for &[Value] {
-    fn value(&self, col: usize) -> Option<&Value> {
+impl<'a> ValueSource<'a> for &'a [Value] {
+    fn value(&self, col: usize) -> Option<&'a Value> {
         self.get(col)
     }
 }
@@ -183,8 +185,8 @@ struct ColumnsAt<'a> {
     row: usize,
 }
 
-impl ValueSource for ColumnsAt<'_> {
-    fn value(&self, col: usize) -> Option<&Value> {
+impl<'a> ValueSource<'a> for ColumnsAt<'a> {
+    fn value(&self, col: usize) -> Option<&'a Value> {
         self.cols.get(col)?.get(self.row)
     }
 }
@@ -213,32 +215,47 @@ impl Expr {
     /// Evaluate at position `row` of a column-vector batch: `cols[i]` is
     /// column `i`, `cols[i][row]` this row's value. The batch executor's
     /// entry point — same three-valued logic as [`Expr::eval`] (both are
-    /// monomorphized from one generic body over [`ValueSource`]).
+    /// monomorphized from one generic body over `ValueSource`).
     pub fn eval_at(&self, cols: &[Vec<Value>], row: usize) -> Result<Value> {
         self.eval_src(&ColumnsAt { cols, row })
     }
 
-    fn eval_src<S: ValueSource>(&self, row: &S) -> Result<Value> {
+    /// Evaluate against `row` without copying what is only looked at: a
+    /// column or a literal is answered by reference, anything else is
+    /// computed. What comparisons, `LIKE`, `IS NULL`, the logical
+    /// operators and join-key evaluation read their operands through.
+    pub(crate) fn eval_ref<'a>(&'a self, row: &'a [Value]) -> Result<Cow<'a, Value>> {
+        self.operand(&row)
+    }
+
+    fn operand<'a, S: ValueSource<'a>>(&'a self, row: &S) -> Result<Cow<'a, Value>> {
         match self {
             Expr::Column(i) => row
                 .value(*i)
-                .cloned()
+                .map(Cow::Borrowed)
                 .ok_or_else(|| DbError::Exec(format!("column index {i} out of range"))),
-            Expr::Literal(v) => Ok(v.clone()),
+            Expr::Literal(v) => Ok(Cow::Borrowed(v)),
+            computed => computed.eval_src(row).map(Cow::Owned),
+        }
+    }
+
+    fn eval_src<'a, S: ValueSource<'a>>(&'a self, row: &S) -> Result<Value> {
+        match self {
+            Expr::Column(_) | Expr::Literal(_) => self.operand(row).map(Cow::into_owned),
             Expr::Cmp { op, lhs, rhs } => {
-                let l = lhs.eval_src(row)?;
-                let r = rhs.eval_src(row)?;
+                let l = lhs.operand(row)?;
+                let r = rhs.operand(row)?;
                 Ok(match l.sql_cmp(&r) {
                     None => Value::Null,
                     Some(ord) => Value::Int(i64::from(op.matches(ord))),
                 })
             }
             Expr::And(a, b) => {
-                let va = a.eval_src(row)?;
+                let va = a.operand(row)?;
                 if !va.is_null() && !va.is_true() {
                     return Ok(Value::Int(0));
                 }
-                let vb = b.eval_src(row)?;
+                let vb = b.operand(row)?;
                 if !vb.is_null() && !vb.is_true() {
                     return Ok(Value::Int(0));
                 }
@@ -248,11 +265,11 @@ impl Expr {
                 Ok(Value::Int(1))
             }
             Expr::Or(a, b) => {
-                let va = a.eval_src(row)?;
+                let va = a.operand(row)?;
                 if va.is_true() {
                     return Ok(Value::Int(1));
                 }
-                let vb = b.eval_src(row)?;
+                let vb = b.operand(row)?;
                 if vb.is_true() {
                     return Ok(Value::Int(1));
                 }
@@ -262,25 +279,22 @@ impl Expr {
                 Ok(Value::Int(0))
             }
             Expr::Not(e) => {
-                let v = e.eval_src(row)?;
+                let v = e.operand(row)?;
                 if v.is_null() {
                     return Ok(Value::Null);
                 }
                 Ok(Value::Int(i64::from(!v.is_true())))
             }
-            Expr::Like { expr, pattern, negated } => {
-                let v = expr.eval_src(row)?;
-                match v {
-                    Value::Null => Ok(Value::Null),
-                    Value::Str(s) => {
-                        let m = like_match(pattern.as_bytes(), s.as_bytes());
-                        Ok(Value::Int(i64::from(m != *negated)))
-                    }
-                    other => Err(DbError::Exec(format!("LIKE on non-string {other:?}"))),
+            Expr::Like { expr, pattern, negated } => match &*expr.operand(row)? {
+                Value::Null => Ok(Value::Null),
+                Value::Str(s) => {
+                    let m = like_match(pattern.as_bytes(), s.as_bytes());
+                    Ok(Value::Int(i64::from(m != *negated)))
                 }
-            }
+                other => Err(DbError::Exec(format!("LIKE on non-string {other:?}"))),
+            },
             Expr::IsNull { expr, negated } => {
-                let v = expr.eval_src(row)?;
+                let v = expr.operand(row)?;
                 Ok(Value::Int(i64::from(v.is_null() != *negated)))
             }
             Expr::Func { def, args } => {
@@ -499,6 +513,73 @@ mod tests {
         // true OR null = true; false OR null = null
         assert_eq!(Expr::Or(Box::new(t), Box::new(null.clone())).eval(&[]).unwrap(), Value::Int(1));
         assert_eq!(Expr::Or(Box::new(f), Box::new(null)).eval(&[]).unwrap(), Value::Null);
+    }
+
+    /// The three-valued matrix of every operator that reads its operands
+    /// by reference, as the copying implementation before it answered.
+    /// Each operand is tried as a column, as a literal and as a computed
+    /// value, through the row and the batch entry points.
+    #[test]
+    fn null_matrix_is_the_same_for_borrowed_and_computed_operands() {
+        let (t, f, n, s) = (Value::Int(1), Value::Int(0), Value::Null, Value::str("x"));
+        // (lhs, rhs, AND, OR, lhs = rhs), then (operand, NOT, IS NULL).
+        let binary = [
+            (&t, &t, &t, &t, &t),
+            (&t, &f, &f, &t, &f),
+            (&t, &n, &n, &t, &n),
+            (&f, &t, &f, &t, &f),
+            (&f, &f, &f, &f, &t),
+            (&f, &n, &f, &n, &n),
+            (&n, &t, &n, &t, &n),
+            (&n, &f, &f, &n, &n),
+            (&n, &n, &n, &n, &n),
+            // A string is neither NULL nor true.
+            (&s, &t, &f, &t, &f),
+            (&s, &n, &f, &n, &n),
+            (&n, &s, &f, &n, &n),
+            (&s, &s, &f, &f, &t),
+        ];
+        let unary = [(&t, &f, &f), (&f, &t, &f), (&n, &n, &t), (&s, &t, &f)];
+        // Columns 0 and 1 hold the operands; each is spelled as the
+        // column, as a literal and (`col + 0`, not for strings) computed.
+        let spellings = |col: usize, v: &Value| {
+            let plus_zero = Expr::Arith {
+                op: ArithOp::Add,
+                lhs: Box::new(Expr::col(col)),
+                rhs: Box::new(Expr::lit(0i64)),
+            };
+            let computed = if matches!(v, Value::Str(_)) { Expr::col(col) } else { plus_zero };
+            [Expr::col(col), Expr::Literal(v.clone()), computed]
+        };
+        let check = |e: &Expr, row: &[Value], want: &Value| {
+            assert_eq!(&e.eval(row).unwrap(), want, "{e:?} over {row:?}");
+            let cols: Vec<Vec<Value>> = row.iter().map(|v| vec![v.clone()]).collect();
+            assert_eq!(&e.eval_at(&cols, 0).unwrap(), want, "{e:?} over batch {row:?}");
+        };
+        for (l, r, and, or, eq) in binary {
+            let row = [l.clone(), r.clone()];
+            for le in spellings(0, l) {
+                for re in spellings(1, r) {
+                    let (a, b) = (Box::new(le.clone()), Box::new(re.clone()));
+                    check(&Expr::And(a.clone(), b.clone()), &row, and);
+                    check(&Expr::Or(a, b), &row, or);
+                    check(&Expr::cmp(CmpOp::Eq, le.clone(), re), &row, eq);
+                }
+            }
+        }
+        for (v, not, is_null) in unary {
+            let row = [v.clone()];
+            for e in spellings(0, v) {
+                check(&Expr::Not(Box::new(e.clone())), &row, not);
+                check(&Expr::IsNull { expr: Box::new(e.clone()), negated: false }, &row, is_null);
+                let like = Expr::Like { expr: Box::new(e), pattern: "%x%".into(), negated: false };
+                match v {
+                    Value::Null => check(&like, &row, &n),
+                    Value::Str(_) => check(&like, &row, &t),
+                    _ => assert!(like.eval(&row).is_err(), "LIKE over {v:?}"),
+                }
+            }
+        }
     }
 
     #[test]

@@ -3,7 +3,9 @@
 //!
 //! Planning pipeline for a SELECT:
 //!
-//! 1. bind FROM items (base tables, lateral table functions);
+//! 1. bind FROM items (base tables, lateral table functions), keeping of
+//!    each base table only the columns the statement names anywhere
+//!    (`Liveness`) — every later step sees that narrow schema;
 //! 2. split WHERE into conjuncts and classify them: per-table local
 //!    predicates (pushed into scans), equi-join edges, residuals, and
 //!    predicates over table-function outputs;
@@ -12,20 +14,22 @@
 //! 4. order joins greedily from the smallest estimated input, preferring
 //!    an index nested-loop when the inner table has an index on its join
 //!    column, hash join otherwise (the planner's estimates come from
-//!    `runstats`, mirroring the paper's methodology);
+//!    `runstats`, mirroring the paper's methodology); a hash join emits
+//!    only the columns the plan above it still reads;
 //! 5. apply lateral `TABLE(unnest(...))` functions in declaration order,
 //!    filtering as soon as a predicate's inputs are all available;
 //! 6. aggregate / DISTINCT / ORDER BY / LIMIT / projection.
 
 use std::collections::HashMap;
+use std::fmt::Write as _;
 use std::sync::Arc;
 
-use crate::catalog::Catalog;
+use crate::catalog::{Catalog, TableDef};
 use crate::error::{DbError, Result};
 use crate::exec::{
-    AggCall, AggFunc, BatchFilter, BatchHashJoin, BatchProject, BatchSeqScan, BatchToRows,
-    BoxBatchOp, BoxOp, Distinct, Filter, HashAggregate, HashJoin, IndexNestedLoopJoin, IndexScan,
-    Limit, MergeJoin, NestedLoopJoin, Project, RowsToBatch, SeqScan, Sort, SortKey, UnnestScan,
+    AggCall, AggFunc, BatchFilter, BatchHashJoin, BatchProject, BatchToRows, BoxBatchOp, BoxOp,
+    Distinct, Filter, HashAggregate, HashJoin, IndexNestedLoopJoin, IndexScan, JoinEmit, Limit,
+    MergeJoin, NestedLoopJoin, Project, RowsToBatch, SeqScan, Sort, SortKey, UnnestScan,
 };
 use crate::expr::{CmpOp, Expr, MemoSlot};
 use crate::functions::FunctionRegistry;
@@ -261,7 +265,12 @@ impl Schema {
 struct BaseRef {
     alias: String,
     table: String, // lowered
+    /// The columns the statement reads of the table, in table order: all
+    /// its scan decodes, all the plan above can name.
     columns: Vec<Binding>,
+    /// Where each of `columns` sits in the stored row.
+    ordinals: Vec<usize>,
+    /// Columns the table has.
     arity: usize,
     /// DML target: the scan appends each row's rid (see
     /// [`crate::exec::trailing_rid`]) and every local predicate stays a
@@ -271,20 +280,108 @@ struct BaseRef {
 }
 
 impl BaseRef {
-    fn bind(ctx: &PlanContext<'_>, name: &str, alias: &str, rid: bool) -> Result<BaseRef> {
+    /// Stored position of the column `name`, if the statement reads it.
+    fn ordinal_of(&self, name: &str) -> Option<usize> {
+        let i = self.columns.iter().position(|b| b.column.eq_ignore_ascii_case(name))?;
+        Some(self.ordinals[i])
+    }
+
+    /// `cols 2/13: atupleid, atuple_parentid` — what the scan decodes.
+    /// Built for every statement planned, so sized once: grown piecewise
+    /// it cost a point select 0.4 µs.
+    fn describe_cols(&self) -> String {
+        let names: usize = self.columns.iter().map(|b| b.column.len() + 2).sum();
+        let mut out = String::with_capacity(16 + names);
+        let _ = write!(out, "cols {}/{}", self.columns.len(), self.arity);
+        for (i, b) in self.columns.iter().enumerate() {
+            out.push_str(if i == 0 { ": " } else { ", " });
+            out.push_str(&b.column);
+        }
+        out
+    }
+}
+
+/// Which columns of each FROM table a statement reads. One pass over the
+/// statement marks every column it names — select list, every conjunct
+/// (join keys among them), GROUP BY, ORDER BY, aggregate and table
+/// function arguments, hence also every call a lateral unnest carries —
+/// and each table is then bound with its marked columns only.
+#[derive(Default)]
+struct Liveness<'a> {
+    /// `(alias, definition, live flag per column)` in FROM order.
+    tables: Vec<(&'a str, &'a TableDef, Vec<bool>)>,
+}
+
+impl<'a> Liveness<'a> {
+    fn add_table(&mut self, ctx: &PlanContext<'a>, name: &str, alias: &'a str) -> Result<()> {
         let def = ctx
             .catalog
             .table(name)
             .ok_or_else(|| DbError::Plan(format!("unknown table {name:?}")))?;
-        let columns: Vec<Binding> =
-            def.columns.iter().map(|c| Binding::column(alias, &c.name, c.ty)).collect();
-        Ok(BaseRef {
-            alias: alias.to_string(),
-            table: name.to_ascii_lowercase(),
-            arity: columns.len(),
-            columns,
-            rid,
-        })
+        self.tables.push((alias, def, vec![false; def.columns.len()]));
+        Ok(())
+    }
+
+    /// Mark every column `e` names. An unqualified name marks the column
+    /// in every table that has one (name resolution reports the
+    /// ambiguity later); a name no table has marks nothing.
+    fn mark(&mut self, e: &AstExpr) {
+        columns_of(e, &mut |qualifier, name| {
+            for (alias, def, live) in &mut self.tables {
+                if qualifier.is_none_or(|q| q.eq_ignore_ascii_case(alias)) {
+                    if let Some(i) = def.column_index(name) {
+                        live[i] = true;
+                    }
+                }
+            }
+        });
+    }
+
+    /// Mark every column of the table under `alias` (`alias.*`), or of
+    /// every table (`*`).
+    fn mark_all(&mut self, alias: Option<&str>) {
+        for (a, _, live) in &mut self.tables {
+            if alias.is_none_or(|q| q.eq_ignore_ascii_case(a)) {
+                live.fill(true);
+            }
+        }
+    }
+
+    fn mark_select(&mut self, q: &Select) {
+        for item in &q.items {
+            match item {
+                SelectItem::Wildcard => self.mark_all(None),
+                SelectItem::QualifiedWildcard(alias) => self.mark_all(Some(alias)),
+                SelectItem::Expr { expr, .. } => self.mark(expr),
+            }
+        }
+        for item in &q.from {
+            if let FromItem::TableFunction { args, .. } = item {
+                args.iter().for_each(|a| self.mark(a));
+            }
+        }
+        let sorted = q.order_by.iter().map(|(e, _)| e);
+        for e in q.where_clause.iter().chain(&q.group_by).chain(sorted) {
+            self.mark(e);
+        }
+    }
+
+    fn bind(self, rid: bool) -> Vec<BaseRef> {
+        let bind = |(alias, def, live): (&str, &TableDef, Vec<bool>)| {
+            let ordinals: Vec<usize> = (0..live.len()).filter(|&i| live[i]).collect();
+            BaseRef {
+                alias: alias.to_string(),
+                table: def.name.to_ascii_lowercase(),
+                columns: ordinals
+                    .iter()
+                    .map(|&i| Binding::column(alias, &def.columns[i].name, def.columns[i].ty))
+                    .collect(),
+                ordinals,
+                arity: live.len(),
+                rid,
+            }
+        };
+        self.tables.into_iter().map(bind).collect()
     }
 }
 
@@ -304,12 +401,12 @@ pub fn plan_select_profiled(
     let mut explain = Vec::new();
 
     // ---- 1. bind FROM ---------------------------------------------------
-    let mut bases: Vec<BaseRef> = Vec::new();
+    let mut live = Liveness::default();
     let mut fns: Vec<(String, String, Vec<AstExpr>)> = Vec::new(); // (alias, func, args)
     for item in &q.from {
         match item {
             FromItem::Table { name, alias } => {
-                bases.push(BaseRef::bind(ctx, name, alias.as_deref().unwrap_or(name), false)?);
+                live.add_table(ctx, name, alias.as_deref().unwrap_or(name))?;
             }
             FromItem::TableFunction { func, args, alias } => {
                 if !func.eq_ignore_ascii_case("unnest") {
@@ -322,6 +419,8 @@ pub fn plan_select_profiled(
             }
         }
     }
+    live.mark_select(q);
+    let bases = live.bind(false);
     if bases.is_empty() {
         return Err(DbError::Plan("FROM must reference at least one base table".into()));
     }
@@ -420,10 +519,7 @@ pub fn plan_select_profiled(
     let mut schema = Schema::default();
     let (mut root, used_index, mut root_id) =
         build_scan(ctx, &bases[start], local.get(&bases[start].alias), prof)?;
-    explain.push(format!(
-        "scan {} ({}) via {} [est {:.0} rows]",
-        bases[start].alias, bases[start].table, used_index, est[start]
-    ));
+    explain.push(format!("{} [est {:.0} rows]", scan_line(&bases[start], &used_index), est[start]));
     schema.0.extend(bases[start].columns.iter().cloned());
     let mut current_rows = est[start];
 
@@ -453,8 +549,9 @@ pub fn plan_select_profiled(
             None => {
                 // No connecting edge: cross join the smallest remainder.
                 let cand = order[0];
-                let (inner, _, inner_id) =
+                let (inner, path, inner_id) =
                     build_scan(ctx, &bases[cand], local.get(&bases[cand].alias), prof)?;
+                explain.push(scan_line(&bases[cand], &path));
                 explain.push(format!("cross join {}", bases[cand].alias));
                 let (op, id) = prof.wrap(
                     Box::new(NestedLoopJoin::new(root.into_rows(), inner.into_rows(), None)),
@@ -499,11 +596,7 @@ pub fn plan_select_profiled(
             .max(1.0);
         let inner_ndv = inner_col
             .as_ref()
-            .and_then(|col| {
-                let idx =
-                    inner_base.columns.iter().position(|b| b.column.eq_ignore_ascii_case(col))?;
-                inner_stats.map(|s| s.ndv_of(idx) as f64)
-            })
+            .and_then(|col| Some(inner_stats?.ndv_of(inner_base.ordinal_of(col)?) as f64))
             .unwrap_or(inner_rows.max(1.0))
             .max(1.0);
         let matches_per_probe = (est[cand] / inner_ndv).max(0.0);
@@ -533,7 +626,8 @@ pub fn plan_select_profiled(
         if let Some(ForcedJoin::NestedLoop) = ctx.forcing.join {
             // Forced nested loop: materialize the inner side and apply the
             // equi-join predicate to the concatenated row.
-            let (inner_plan, _, inner_id) = build_scan(ctx, inner_base, inner_local, prof)?;
+            let (inner_plan, path, inner_id) = build_scan(ctx, inner_base, inner_local, prof)?;
+            explain.push(scan_line(inner_base, &path));
             schema.0.extend(inner_base.columns.iter().cloned());
             let pred_ast = AstExpr::Cmp {
                 op: CmpOp::Eq,
@@ -549,7 +643,8 @@ pub fn plan_select_profiled(
             );
             (root, root_id) = (AnyOp::Row(op), id);
         } else if let Some(ForcedJoin::Merge) = ctx.forcing.join {
-            let (inner_plan, _, inner_id) = build_scan(ctx, inner_base, inner_local, prof)?;
+            let (inner_plan, path, inner_id) = build_scan(ctx, inner_base, inner_local, prof)?;
+            explain.push(scan_line(inner_base, &path));
             let inner_schema = Schema(inner_base.columns.clone());
             let inner_key = compile(&inner_ast, &inner_schema, ctx.functions)?;
             schema.0.extend(inner_base.columns.iter().cloned());
@@ -570,117 +665,103 @@ pub fn plan_select_profiled(
         } else if let (true, Some(index)) = (use_index_nlj, inner_index) {
             // Residual = inner local predicates, compiled against the
             // concatenated schema.
-            let offset = schema.0.len();
             schema.0.extend(inner_base.columns.iter().cloned());
             let residual = compile_preds_at(inner_local, &schema, ctx.functions)?;
+            let cols = inner_base.describe_cols();
             explain.push(format!(
-                "index-nested-loop join {} via index (est outer {:.0})",
+                "index-nested-loop join {} via index (est outer {:.0}) {cols}",
                 inner_base.alias, current_rows
             ));
-            let _ = offset;
             let (op, id) = prof.wrap(
                 Box::new(IndexNestedLoopJoin::new(
                     root.into_rows(),
                     ctx.heap_of(&inner_base.table)?,
                     index,
-                    inner_base.arity,
+                    inner_base.ordinals.clone(),
                     vec![outer_key],
                     residual,
                     ctx.snapshot.clone(),
                 )),
-                format!("IndexNestedLoopJoin {}", inner_base.alias),
+                format!("IndexNestedLoopJoin {} {cols}", inner_base.alias),
                 vec![root_id],
             );
             (root, root_id) = (AnyOp::Row(op), id);
         } else {
-            // Hash join, building on the estimated-smaller side. The
-            // batch hash join has no Grace spill path, so it is only
-            // picked when no memory budget is configured; otherwise the
-            // batch pipeline (if any) converts to rows here.
-            let (inner_plan, _, inner_id) = build_scan(ctx, inner_base, inner_local, prof)?;
+            // Hash join, building on the estimated-smaller side, probing
+            // with the other; the output is `current ++ inner` either way,
+            // cut to what the plan above still reads. The batch hash join
+            // has no Grace spill path, so it is only picked when no memory
+            // budget is configured; otherwise the batch pipeline (if any)
+            // converts to rows here.
+            let (inner_plan, path, inner_id) = build_scan(ctx, inner_base, inner_local, prof)?;
+            explain.push(scan_line(inner_base, &path));
             let inner_schema = Schema(inner_base.columns.clone());
             let inner_key = compile(&inner_ast, &inner_schema, ctx.functions)?;
+            let left_width = schema.0.len();
             schema.0.extend(inner_base.columns.iter().cloned());
+            let pending = edges_left
+                .iter()
+                .flat_map(|(_, e1, _, e2)| [e1, e2])
+                .chain(deferred.iter().map(|(_, pred)| pred));
+            let read = read_above(&schema, q, pending);
+            let width = read.len();
+            let emit: JoinEmit = (
+                (0..left_width).filter(|&i| read[i]).collect(),
+                (left_width..width).filter(|&i| read[i]).map(|i| i - left_width).collect(),
+            );
+            let mut read = read.into_iter();
+            schema.0.retain(|_| read.next().expect("one flag per column"));
+            let build_inner = est[cand] <= current_rows;
             let batch_join = ctx.forcing.executor == Executor::Batch && ctx.spill.budget.is_none();
-            if est[cand] <= current_rows {
-                // Build on the new table, probe with the current plan.
-                explain.push(format!(
-                    "{}hash join {} (build inner {:.0} rows, probe {:.0})",
-                    if batch_join { "batch " } else { "" },
-                    inner_base.alias,
-                    est[cand],
-                    current_rows
-                ));
-                if batch_join {
-                    let (op, id) = prof.wrap_batch(
-                        Box::new(BatchHashJoin::new(
-                            root.into_batches(),
-                            inner_plan.into_batches(),
-                            vec![outer_key],
-                            vec![inner_key],
-                            None,
-                            true,
-                        )),
-                        format!("BatchHashJoin {}", inner_base.alias),
-                        vec![root_id, inner_id],
-                    );
-                    (root, root_id) = (AnyOp::Batch(op), id);
-                } else {
-                    let (op, id) = prof.wrap(
-                        Box::new(HashJoin::with_spill(
-                            root.into_rows(),
-                            inner_plan.into_rows(),
-                            vec![outer_key],
-                            vec![inner_key],
-                            None,
-                            true,
-                            ctx.spill.clone(),
-                        )),
-                        format!("HashJoin {}", inner_base.alias),
-                        vec![root_id, inner_id],
-                    );
-                    (root, root_id) = (AnyOp::Row(op), id);
-                }
+            let (build_side, build_rows, probe_side, probe_rows) = if build_inner {
+                ("inner", est[cand], "", current_rows)
             } else {
-                // Build on the current (smaller) result, stream the new
-                // table as the probe side; output stays build ++ probe.
-                explain.push(format!(
-                    "{}hash join {} (build current {:.0} rows, probe inner {:.0})",
-                    if batch_join { "batch " } else { "" },
-                    inner_base.alias,
-                    current_rows,
-                    est[cand]
-                ));
-                if batch_join {
-                    let (op, id) = prof.wrap_batch(
-                        Box::new(BatchHashJoin::new(
-                            inner_plan.into_batches(),
-                            root.into_batches(),
-                            vec![inner_key],
-                            vec![outer_key],
-                            None,
-                            false,
-                        )),
-                        format!("BatchHashJoin {}", inner_base.alias),
-                        vec![inner_id, root_id],
-                    );
-                    (root, root_id) = (AnyOp::Batch(op), id);
-                } else {
-                    let (op, id) = prof.wrap(
-                        Box::new(HashJoin::with_spill(
-                            inner_plan.into_rows(),
-                            root.into_rows(),
-                            vec![inner_key],
-                            vec![outer_key],
-                            None,
-                            false,
-                            ctx.spill.clone(),
-                        )),
-                        format!("HashJoin {}", inner_base.alias),
-                        vec![inner_id, root_id],
-                    );
-                    (root, root_id) = (AnyOp::Row(op), id);
-                }
+                ("current", current_rows, "inner ", est[cand])
+            };
+            explain.push(format!(
+                "{}hash join {} (build {build_side} {build_rows:.0} rows, probe \
+                 {probe_side}{probe_rows:.0}) emits {}/{width}",
+                if batch_join { "batch " } else { "" },
+                inner_base.alias,
+                schema.0.len(),
+            ));
+            let label = format!(
+                "{}HashJoin {} emits {}/{width}",
+                if batch_join { "Batch" } else { "" },
+                inner_base.alias,
+                schema.0.len()
+            );
+            // (probe, build) with their keys; the probe is the left input
+            // exactly when the build side is the new table.
+            let (probe, probe_key, probe_id, build, build_key, build_id) = if build_inner {
+                (root, outer_key, root_id, inner_plan, inner_key, inner_id)
+            } else {
+                (inner_plan, inner_key, inner_id, root, outer_key, root_id)
+            };
+            if batch_join {
+                let join = BatchHashJoin::new(
+                    probe.into_batches(),
+                    build.into_batches(),
+                    vec![probe_key],
+                    vec![build_key],
+                    None,
+                    build_inner,
+                );
+                let (op, id) =
+                    prof.wrap_batch(Box::new(join.emitting(emit)), label, vec![probe_id, build_id]);
+                (root, root_id) = (AnyOp::Batch(op), id);
+            } else {
+                let join = HashJoin::new(
+                    probe.into_rows(),
+                    build.into_rows(),
+                    vec![probe_key],
+                    vec![build_key],
+                    None,
+                    build_inner,
+                );
+                let join = join.with_spill(ctx.spill.clone()).emitting(emit);
+                let (op, id) = prof.wrap(Box::new(join), label, vec![probe_id, build_id]);
+                (root, root_id) = (AnyOp::Row(op), id);
             }
         }
         joined[cand] = true;
@@ -710,7 +791,7 @@ pub fn plan_select_profiled(
         let mut carried: Vec<AstExpr> = Vec::new();
         let selected = q.items.iter().filter_map(|item| match item {
             SelectItem::Expr { expr, .. } => Some(expr),
-            SelectItem::Wildcard => None,
+            SelectItem::Wildcard | SelectItem::QualifiedWildcard(_) => None,
         });
         for e in selected.chain(&q.group_by).chain(pending.iter().map(|(_, pred)| pred)) {
             collect_carried(e, &schema, &global, &mut carried);
@@ -745,7 +826,7 @@ pub fn plan_select_profiled(
     // ---- 6. aggregation / distinct / order / limit / projection ---------
     let has_agg = q.items.iter().any(|i| match i {
         SelectItem::Expr { expr, .. } => expr.has_aggregate(),
-        SelectItem::Wildcard => false,
+        SelectItem::Wildcard | SelectItem::QualifiedWildcard(_) => false,
     }) || !q.group_by.is_empty();
 
     let mut columns: Vec<String> = Vec::new();
@@ -833,13 +914,18 @@ pub fn plan_select_profiled(
         let mut out_exprs = Vec::new();
         for item in &q.items {
             match item {
+                // FROM items in declaration order, whatever order they
+                // were joined in.
                 SelectItem::Wildcard => {
-                    for (i, b) in schema.0.iter().enumerate() {
-                        if b.carried.is_none() {
-                            out_exprs.push(Expr::col(i));
-                            columns.push(b.column.clone());
-                        }
+                    for from in &q.from {
+                        expand_star(from.alias(), &schema, &mut out_exprs, &mut columns);
                     }
+                }
+                SelectItem::QualifiedWildcard(alias) => {
+                    if !q.from.iter().any(|f| f.alias().eq_ignore_ascii_case(alias)) {
+                        return Err(DbError::Plan(format!("unknown alias in {alias}.*")));
+                    }
+                    expand_star(alias, &schema, &mut out_exprs, &mut columns);
                 }
                 SelectItem::Expr { expr, alias } => {
                     out_exprs.push(compile(expr, &schema, ctx.functions)?);
@@ -926,7 +1012,10 @@ pub fn plan_delete(
     table: &str,
     predicate: Option<&AstExpr>,
 ) -> Result<DeletePlan> {
-    let base = BaseRef::bind(ctx, table, table, true)?;
+    let mut live = Liveness::default();
+    live.add_table(ctx, table, table)?;
+    predicate.into_iter().for_each(|p| live.mark(p));
+    let base = live.bind(true).pop().expect("one table bound");
     let preds = predicate.map(|p| p.clone().conjuncts());
     let (root, path, _) = build_scan(ctx, &base, preds.as_ref(), &mut Profiler::disabled())?;
     let mut explain = Vec::new();
@@ -969,6 +1058,59 @@ impl PlanContext<'_> {
 
 fn schema_has_alias(schema: &Schema, alias: &str) -> bool {
     schema.0.iter().any(|b| b.alias.eq_ignore_ascii_case(alias))
+}
+
+/// Append every named column `schema` binds under `alias` to a select
+/// list.
+fn expand_star(alias: &str, schema: &Schema, exprs: &mut Vec<Expr>, names: &mut Vec<String>) {
+    for (i, b) in schema.0.iter().enumerate() {
+        if b.carried.is_none() && b.alias.eq_ignore_ascii_case(alias) {
+            exprs.push(Expr::col(i));
+            names.push(b.column.clone());
+        }
+    }
+}
+
+/// `scan a (t) via SeqScan cols 2/13: x, y` — one table's access path.
+fn scan_line(base: &BaseRef, path: &str) -> String {
+    format!("scan {} ({}) via {path}", base.alias, base.table)
+}
+
+/// Which columns of `schema` — a hash join's whole output — the rest of
+/// the plan reads: the select list, the table function arguments, GROUP
+/// BY, ORDER BY, and the `pending` join edges and conjuncts no operator
+/// below has consumed. A name that matches several columns keeps them
+/// all, so name resolution above reports what it always did.
+fn read_above<'e>(
+    schema: &Schema,
+    q: &Select,
+    pending: impl Iterator<Item = &'e AstExpr>,
+) -> Vec<bool> {
+    let mut read = vec![false; schema.0.len()];
+    let mut mark = |qualifier: Option<&str>, name: Option<&str>| {
+        for (b, r) in schema.0.iter().zip(&mut read) {
+            *r |= qualifier.is_none_or(|q| b.alias.eq_ignore_ascii_case(q))
+                && name.is_none_or(|n| b.column.eq_ignore_ascii_case(n));
+        }
+    };
+    let mut exprs: Vec<&AstExpr> = pending.collect();
+    for item in &q.items {
+        match item {
+            SelectItem::Wildcard => mark(None, None),
+            SelectItem::QualifiedWildcard(alias) => mark(Some(alias), None),
+            SelectItem::Expr { expr, .. } => exprs.push(expr),
+        }
+    }
+    for item in &q.from {
+        if let FromItem::TableFunction { args, .. } = item {
+            exprs.extend(args);
+        }
+    }
+    exprs.extend(q.group_by.iter().chain(q.order_by.iter().map(|(e, _)| e)));
+    for e in exprs {
+        columns_of(e, &mut |qualifier, name| mark(qualifier, Some(name)));
+    }
+    read
 }
 
 /// Apply every pending predicate whose aliases are all in `schema`.
@@ -1048,41 +1190,43 @@ fn build_scan(
         Some((tree, value, cmp)) => {
             let key = encode_key(std::slice::from_ref(&value));
             let snap = ctx.snapshot.clone();
+            let cols = base.ordinals.clone();
             let mut scan = match cmp {
-                CmpOp::Eq => IndexScan::prefix(heap, tree, &key, base.arity, snap),
-                CmpOp::Lt => {
-                    IndexScan::range(heap, tree, None, Some(&key), false, base.arity, snap)
-                }
-                CmpOp::Le => IndexScan::range(heap, tree, None, Some(&key), true, base.arity, snap),
+                CmpOp::Eq => IndexScan::prefix(heap, tree, &key, cols, snap),
+                CmpOp::Lt => IndexScan::range(heap, tree, None, Some(&key), false, cols, snap),
+                CmpOp::Le => IndexScan::range(heap, tree, None, Some(&key), true, cols, snap),
                 CmpOp::Gt | CmpOp::Ge => {
                     // Gt: skip equal keys via the residual filter below.
-                    IndexScan::range(heap, tree, Some(&key), None, true, base.arity, snap)
+                    IndexScan::range(heap, tree, Some(&key), None, true, cols, snap)
                 }
                 CmpOp::Ne => unreachable!("filtered above"),
             };
             if base.rid {
                 scan = scan.with_rid();
             }
-            let desc = format!("IndexScan({cmp})");
-            let (op, id) = prof.wrap(Box::new(scan), format!("{desc} {}", base.alias), vec![]);
-            (AnyOp::Row(op), desc, id)
-        }
-        // Batch executor: sequential scans vectorize — one pool fetch per
-        // page, residual predicates below become selection-vector
-        // refinements. Index paths (above) stay on the row executor.
-        None if ctx.forcing.executor == Executor::Batch && !base.rid => {
-            let scan = BatchSeqScan::new(heap, base.arity, ctx.snapshot.clone());
-            let (op, id) =
-                prof.wrap_batch(Box::new(scan), format!("BatchSeqScan {}", base.alias), vec![]);
-            (AnyOp::Batch(op), "BatchSeqScan".into(), id)
+            let described = base.describe_cols();
+            let label = format!("IndexScan({cmp}) {} {described}", base.alias);
+            let (op, id) = prof.wrap(Box::new(scan), label, vec![]);
+            (AnyOp::Row(op), format!("IndexScan({cmp}) {described}"), id)
         }
         None => {
-            let mut scan = SeqScan::new(heap, base.arity, ctx.snapshot.clone());
+            let mut scan = SeqScan::new(heap, base.ordinals.clone(), ctx.snapshot.clone());
             if base.rid {
                 scan = scan.with_rid();
             }
-            let (op, id) = prof.wrap(Box::new(scan), format!("SeqScan {}", base.alias), vec![]);
-            (AnyOp::Row(op), "SeqScan".into(), id)
+            let described = base.describe_cols();
+            let (op, id) =
+                prof.wrap(Box::new(scan), format!("SeqScan {} {described}", base.alias), vec![]);
+            // The batch executor has no scan of its own: its pipelines
+            // start at the row scan (one pool fetch per page, live
+            // columns only), cut into batches; the residual predicates
+            // below become selection-vector refinements.
+            let op = if ctx.forcing.executor == Executor::Batch && !base.rid {
+                AnyOp::Batch(Box::new(RowsToBatch::new(op)))
+            } else {
+                AnyOp::Row(op)
+            };
+            (op, format!("SeqScan {described}"), id)
         }
     };
 
@@ -1134,10 +1278,7 @@ fn literal_value(e: &AstExpr) -> Result<Value> {
 fn selectivity(p: &AstExpr, base: &BaseRef, stats: Option<&TableStats>) -> f64 {
     match p {
         AstExpr::Cmp { op: CmpOp::Eq, .. } => match (sargable(p).map(|(col, _, _)| col), stats) {
-            (Some(c), Some(s)) => {
-                let idx = base.columns.iter().position(|b| b.column.eq_ignore_ascii_case(c));
-                idx.map_or(0.1, |i| s.eq_selectivity(i))
-            }
+            (Some(c), Some(s)) => base.ordinal_of(c).map_or(0.1, |i| s.eq_selectivity(i)),
             _ => 0.1,
         },
         AstExpr::Cmp { .. } => 0.3,
@@ -1147,55 +1288,47 @@ fn selectivity(p: &AstExpr, base: &BaseRef, stats: Option<&TableStats>) -> f64 {
     }
 }
 
-/// Collect the FROM aliases referenced by an expression.
-fn collect_aliases(e: &AstExpr, global: &[(String, String)], out: &mut Vec<String>) -> Result<()> {
+/// Call `f(qualifier, name)` for every column reference in `e`.
+fn columns_of(e: &AstExpr, f: &mut dyn FnMut(Option<&str>, &str)) {
     match e {
-        AstExpr::Column { qualifier, name } => {
-            match qualifier {
-                Some(q) => out.push(q.clone()),
-                None => {
-                    let lname = name.to_ascii_lowercase();
-                    let hits: Vec<&String> =
-                        global.iter().filter(|(c, _)| *c == lname).map(|(_, a)| a).collect();
-                    match hits.len() {
-                        0 => return Err(DbError::Plan(format!("unknown column {name:?}"))),
-                        1 => out.push(hits[0].clone()),
-                        _ => return Err(DbError::Plan(format!("ambiguous column {name:?}"))),
-                    }
-                }
-            }
-            Ok(())
-        }
-        AstExpr::Str(_) | AstExpr::Num(_) | AstExpr::Null => Ok(()),
-        AstExpr::Cmp { lhs, rhs, .. } => {
-            collect_aliases(lhs, global, out)?;
-            collect_aliases(rhs, global, out)
+        AstExpr::Column { qualifier, name } => f(qualifier.as_deref(), name),
+        AstExpr::Str(_) | AstExpr::Num(_) | AstExpr::Null => {}
+        AstExpr::Cmp { lhs, rhs, .. } | AstExpr::Arith { lhs, rhs, .. } => {
+            columns_of(lhs, f);
+            columns_of(rhs, f);
         }
         AstExpr::And(a, b) | AstExpr::Or(a, b) => {
-            collect_aliases(a, global, out)?;
-            collect_aliases(b, global, out)
+            columns_of(a, f);
+            columns_of(b, f);
         }
-        AstExpr::Not(x) => collect_aliases(x, global, out),
-        AstExpr::Like { expr, .. } | AstExpr::IsNull { expr, .. } => {
-            collect_aliases(expr, global, out)
-        }
-        AstExpr::Func { args, .. } => {
-            for a in args {
-                collect_aliases(a, global, out)?;
-            }
-            Ok(())
-        }
-        AstExpr::Agg { arg, .. } => {
-            if let Some(a) = arg {
-                collect_aliases(a, global, out)?;
-            }
-            Ok(())
-        }
-        AstExpr::Arith { lhs, rhs, .. } => {
-            collect_aliases(lhs, global, out)?;
-            collect_aliases(rhs, global, out)
-        }
+        AstExpr::Not(x) => columns_of(x, f),
+        AstExpr::Like { expr, .. } | AstExpr::IsNull { expr, .. } => columns_of(expr, f),
+        AstExpr::Func { args, .. } => args.iter().for_each(|a| columns_of(a, f)),
+        AstExpr::Agg { arg, .. } => arg.iter().for_each(|a| columns_of(a, f)),
     }
+}
+
+/// Collect the FROM aliases referenced by an expression.
+fn collect_aliases(e: &AstExpr, global: &[(String, String)], out: &mut Vec<String>) -> Result<()> {
+    let mut result = Ok(());
+    columns_of(e, &mut |qualifier, name| match qualifier {
+        Some(q) => out.push(q.to_string()),
+        None => {
+            let lname = name.to_ascii_lowercase();
+            let mut hits = global.iter().filter(|(c, _)| *c == lname).map(|(_, a)| a);
+            match (hits.next(), hits.next()) {
+                (Some(alias), None) => out.push(alias.clone()),
+                (None, _) if result.is_ok() => {
+                    result = Err(DbError::Plan(format!("unknown column {name:?}")));
+                }
+                (Some(_), Some(_)) if result.is_ok() => {
+                    result = Err(DbError::Plan(format!("ambiguous column {name:?}")));
+                }
+                _ => {}
+            }
+        }
+    });
+    result
 }
 
 /// Gather from `e` the outermost scalar calls that read at least one

@@ -80,6 +80,8 @@ pub struct Select {
 pub enum SelectItem {
     /// `*`.
     Wildcard,
+    /// `alias.*`: every column of one FROM item.
+    QualifiedWildcard(String),
     /// An expression with an optional alias.
     Expr {
         /// The expression.
@@ -108,6 +110,16 @@ pub enum FromItem {
         /// Mandatory alias; its single output column is `alias.out`.
         alias: String,
     },
+}
+
+impl FromItem {
+    /// The alias this item's columns are qualified with.
+    pub fn alias(&self) -> &str {
+        match self {
+            FromItem::Table { name, alias } => alias.as_deref().unwrap_or(name),
+            FromItem::TableFunction { alias, .. } => alias,
+        }
+    }
 }
 
 /// Unresolved expression.

@@ -223,6 +223,11 @@ impl Parser {
         loop {
             if self.eat_sym(Sym::Star) {
                 q.items.push(SelectItem::Wildcard);
+            } else if let [Token::Ident(alias), Token::Sym(Sym::Dot), Token::Sym(Sym::Star)] =
+                self.tokens.get(self.pos..self.pos + 3).unwrap_or(&[])
+            {
+                q.items.push(SelectItem::QualifiedWildcard(alias.clone()));
+                self.pos += 3;
             } else {
                 let expr = self.expr()?;
                 let alias = if self.eat_kw("as") {

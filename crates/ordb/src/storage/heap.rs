@@ -21,6 +21,10 @@
 //! slot can never alias a stale index entry. Freed pages keep their LSN
 //! trailer across [`Page::reinit`] so WAL redo ordering still applies
 //! when they are recycled.
+//!
+//! Reading a whole file goes through one loop, [`PageScan`]: a page at a
+//! time, one fetch and one latch per page, versions handed to the caller
+//! from the page bytes.
 
 use std::collections::BTreeSet;
 use std::sync::atomic::Ordering::Relaxed;
@@ -413,7 +417,7 @@ impl HeapFile {
     }
 
     /// Rids of versions stamped dead by recovery (`xmin == 0`): invisible
-    /// to every snapshot and skipped by [`HeapFile::scan`], they are
+    /// to every snapshot and skipped by [`PageScan`], they are
     /// reclaimed by vacuum without index bookkeeping (the open-time sweep
     /// already removed their index entries).
     pub fn stamped_dead_rids(&self) -> Result<Vec<Rid>> {
@@ -759,204 +763,88 @@ impl HeapFile {
         };
         Ok(xmin != 0 && is_stub(payload) && stub_target(payload) == (first, total))
     }
-
-    /// Visit every non-dead version in file order: `f(version)`.
-    /// Versions stamped dead by recovery (`xmin == 0`) are skipped.
-    pub fn scan(&self, mut f: impl FnMut(Version) -> Result<bool>) -> Result<()> {
-        let pages = self.page_count()?;
-        for pid in 0..pages {
-            let frame = self.pool.fetch(self.file, pid)?;
-            let page = frame.page.lock();
-            if !is_data_page(&page) {
-                continue;
-            }
-            let n = page.slot_count();
-            // Collect records, deferring overflow resolution until the
-            // page lock is released.
-            enum Pending {
-                Direct(Vec<u8>),
-                Overflow { first: u32, total: usize },
-            }
-            let mut pending: Vec<(u16, u64, u64, Pending)> = Vec::new();
-            for slot in 0..n {
-                if let Some(raw) = page.get(slot) {
-                    let (xmin, xmax, payload) = split_version(raw)?;
-                    if xmin == 0 {
-                        continue;
-                    }
-                    if is_stub(payload) {
-                        let (first, total) = stub_target(payload);
-                        pending.push((slot as u16, xmin, xmax, Pending::Overflow { first, total }));
-                    } else {
-                        pending.push((slot as u16, xmin, xmax, Pending::Direct(payload.to_vec())));
-                    }
-                }
-            }
-            drop(page);
-            for (slot, xmin, xmax, rec) in pending {
-                let rid = Rid { page: pid, slot };
-                let body = match rec {
-                    Pending::Direct(b) => b,
-                    Pending::Overflow { first, total } => {
-                        match self.resolve_stub(rid, first, total)? {
-                            Some(b) => b,
-                            // Physically removed while we read; skip it.
-                            None => continue,
-                        }
-                    }
-                };
-                if !f(Version { rid, xmin, xmax, body })? {
-                    return Ok(());
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Total non-dead versions (scans the file; includes versions with a
-    /// pending or committed delete claim).
-    pub fn count(&self) -> Result<u64> {
-        let mut n = 0;
-        self.scan(|_| {
-            n += 1;
-            Ok(true)
-        })?;
-        Ok(n)
-    }
 }
 
-/// Pull-style cursor over a heap file yielding non-dead versions.
-/// Resolves overflow stubs. Owns its heap handle so operators can store
-/// it without self-references.
-pub struct HeapCursor {
-    heap: Arc<HeapFile>,
-    page: u32,
-    slot: usize,
-    page_kind_known: bool,
-    is_data: bool,
-}
-
-impl HeapCursor {
-    /// Open a cursor at the start of `heap`.
-    pub fn new(heap: Arc<HeapFile>) -> HeapCursor {
-        HeapCursor { heap, page: 0, slot: 0, page_kind_known: false, is_data: false }
-    }
-
-    /// Next version, or `None` at end of file.
-    #[allow(clippy::should_implement_trait)] // fallible iterator
-    pub fn next(&mut self) -> Result<Option<Version>> {
-        loop {
-            let pages = self.heap.page_count()?;
-            if self.page >= pages {
-                return Ok(None);
-            }
-            let frame = self.heap.pool.fetch(self.heap.file, self.page)?;
-            let page = frame.page.lock();
-            if !self.page_kind_known {
-                self.is_data = is_data_page(&page);
-                self.page_kind_known = true;
-            }
-            if !self.is_data || self.slot >= page.slot_count() {
-                drop(page);
-                self.page += 1;
-                self.slot = 0;
-                self.page_kind_known = false;
-                continue;
-            }
-            let slot = self.slot;
-            self.slot += 1;
-            let Some(raw) = page.get(slot) else { continue };
-            let (xmin, xmax, payload) = split_version(raw)?;
-            if xmin == 0 {
-                continue;
-            }
-            let rid = Rid { page: self.page, slot: slot as u16 };
-            if is_stub(payload) {
-                let (first, total) = stub_target(payload);
-                drop(page);
-                match self.heap.resolve_stub(rid, first, total)? {
-                    Some(body) => return Ok(Some(Version { rid, xmin, xmax, body })),
-                    // Physically removed while we read; move on.
-                    None => continue,
-                }
-            }
-            return Ok(Some(Version { rid, xmin, xmax, body: payload.to_vec() }));
-        }
-    }
-}
-
-/// Page-at-a-time pull cursor over a heap file: each call returns every
-/// non-dead version of one data page, costing a single buffer-pool fetch
-/// per page instead of one per row. Overflow stubs are resolved after the
-/// page latch is dropped, exactly like [`HeapFile::scan`]. Feeds the
-/// vectorized executor's batched sequential scan.
-pub struct PageCursor {
+/// The one iteration loop over a heap file: a cursor that visits one data
+/// page per call, costing one buffer-pool fetch and one latch per page.
+/// Sequential scans, index backfill, `runstats`, `row_count` and vacuum's
+/// victim pass all read through it. Owns its heap handle so operators can
+/// store it without self-references; opening one does no I/O.
+pub struct PageScan {
     heap: Arc<HeapFile>,
     page: u32,
 }
 
-impl PageCursor {
+impl PageScan {
     /// Open a cursor at the start of `heap`.
-    pub fn new(heap: Arc<HeapFile>) -> PageCursor {
-        PageCursor { heap, page: 0 }
+    pub fn new(heap: Arc<HeapFile>) -> PageScan {
+        PageScan { heap, page: 0 }
     }
 
-    /// All non-dead versions of the next data page, or `None` at end of
-    /// file. Never returns an empty vector: pages with no live versions
-    /// are skipped.
-    #[allow(clippy::should_implement_trait)] // fallible iterator
-    pub fn next(&mut self) -> Result<Option<Vec<Version>>> {
-        enum Pending {
-            Direct(Vec<u8>),
-            Overflow { first: u32, total: usize },
+    /// Visit the next data page: `visit(rid, xmin, xmax, body)` for each
+    /// non-dead version (`xmin != 0`) that `wants(xmin, xmax)` accepts,
+    /// in slot order. Returns `false` at end of file.
+    ///
+    /// Inline bodies are handed to `visit` straight from the page bytes,
+    /// under the page latch — `visit` is to stay off the buffer pool (a
+    /// fetch may evict, write back and wait with this page latched). An
+    /// overflow chain is read after the latch drops (a chain read pins
+    /// other pages, and a corrupt chain may point back at this one), so
+    /// from a page's first wanted stub on, the wanted versions are set
+    /// aside — inline bodies copied — and visited in slot order once the
+    /// page is released. A version physically removed while its chain
+    /// was being read (a concurrent rollback) is passed over.
+    pub fn next_page(
+        &mut self,
+        wants: impl Fn(u64, u64) -> bool,
+        mut visit: impl FnMut(Rid, u64, u64, &[u8]) -> Result<()>,
+    ) -> Result<bool> {
+        enum Later {
+            Inline(Vec<u8>),
+            Stub { first: u32, total: usize },
         }
+        let heap = &*self.heap;
         loop {
-            let pages = self.heap.page_count()?;
-            if self.page >= pages {
-                return Ok(None);
+            if self.page >= heap.page_count()? {
+                return Ok(false);
             }
             let pid = self.page;
             self.page += 1;
-            let frame = self.heap.pool.fetch(self.heap.file, pid)?;
+            let frame = heap.pool.fetch(heap.file, pid)?;
             let page = frame.page.lock();
             if !is_data_page(&page) {
                 continue;
             }
-            let n = page.slot_count();
-            let mut pending: Vec<(u16, u64, u64, Pending)> = Vec::new();
-            for slot in 0..n {
-                if let Some(raw) = page.get(slot) {
-                    let (xmin, xmax, payload) = split_version(raw)?;
-                    if xmin == 0 {
-                        continue;
-                    }
-                    if is_stub(payload) {
-                        let (first, total) = stub_target(payload);
-                        pending.push((slot as u16, xmin, xmax, Pending::Overflow { first, total }));
-                    } else {
-                        pending.push((slot as u16, xmin, xmax, Pending::Direct(payload.to_vec())));
-                    }
+            let mut later: Vec<(Rid, u64, u64, Later)> = Vec::new();
+            for slot in 0..page.slot_count() {
+                let Some(raw) = page.get(slot) else { continue };
+                let (xmin, xmax, payload) = split_version(raw)?;
+                if xmin == 0 || !wants(xmin, xmax) {
+                    continue;
+                }
+                let rid = Rid { page: pid, slot: rid_slot(slot)? };
+                if is_stub(payload) {
+                    let (first, total) = stub_target(payload);
+                    later.push((rid, xmin, xmax, Later::Stub { first, total }));
+                } else if later.is_empty() {
+                    visit(rid, xmin, xmax, payload)?;
+                } else {
+                    later.push((rid, xmin, xmax, Later::Inline(payload.to_vec())));
                 }
             }
             drop(page);
-            let mut out = Vec::with_capacity(pending.len());
-            for (slot, xmin, xmax, rec) in pending {
-                let rid = Rid { page: pid, slot };
-                let body = match rec {
-                    Pending::Direct(b) => b,
-                    Pending::Overflow { first, total } => {
-                        match self.heap.resolve_stub(rid, first, total)? {
-                            Some(b) => b,
-                            // Physically removed while we read; skip it.
-                            None => continue,
+            drop(frame);
+            for (rid, xmin, xmax, rec) in later {
+                match rec {
+                    Later::Inline(body) => visit(rid, xmin, xmax, &body)?,
+                    Later::Stub { first, total } => {
+                        if let Some(body) = heap.resolve_stub(rid, first, total)? {
+                            visit(rid, xmin, xmax, &body)?;
                         }
                     }
-                };
-                out.push(Version { rid, xmin, xmax, body });
+                }
             }
-            if !out.is_empty() {
-                return Ok(Some(out));
-            }
+            return Ok(true);
         }
     }
 }
@@ -1005,14 +893,38 @@ mod tests {
     /// Transaction id used by tests that don't exercise versioning.
     const XMIN: u64 = 2;
 
-    fn heap(tag: &str) -> HeapFile {
+    fn heap(tag: &str) -> Arc<HeapFile> {
         let dir = std::env::temp_dir().join(format!("ordb-heap-{tag}-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("h.db");
         let _ = std::fs::remove_file(&path);
         let pool = Arc::new(BufferPool::new(16));
         pool.register_file(1, path).unwrap();
-        HeapFile::new(pool, 1)
+        Arc::new(HeapFile::new(pool, 1))
+    }
+
+    /// Every non-dead version's body in file order, and the data pages
+    /// the scan visited.
+    fn scan_all(h: &Arc<HeapFile>) -> (Vec<Vec<u8>>, usize) {
+        let mut scan = PageScan::new(h.clone());
+        let (mut bodies, mut pages) = (Vec::new(), 0);
+        while scan
+            .next_page(
+                |_, _| true,
+                |_, _, _, body| {
+                    bodies.push(body.to_vec());
+                    Ok(())
+                },
+            )
+            .unwrap()
+        {
+            pages += 1;
+        }
+        (bodies, pages)
+    }
+
+    fn count(h: &Arc<HeapFile>) -> usize {
+        scan_all(h).0.len()
     }
 
     #[test]
@@ -1035,7 +947,7 @@ mod tests {
         for rid in &rids {
             assert_eq!(h.get(*rid).unwrap(), rec);
         }
-        assert_eq!(h.count().unwrap(), 100);
+        assert_eq!(count(&h), 100);
     }
 
     #[test]
@@ -1057,78 +969,59 @@ mod tests {
     }
 
     #[test]
-    fn scan_sees_all_records_once() {
-        let h = heap("scan");
-        let mut expected = Vec::new();
-        for i in 0..50u32 {
-            let rec = i.to_le_bytes().to_vec();
-            h.insert(&rec, XMIN).unwrap();
-            expected.push(rec);
-        }
-        // One overflow record in the middle of the file.
-        let big = vec![7u8; 20_000];
-        h.insert(&big, XMIN).unwrap();
-        expected.push(big);
-        let mut seen = Vec::new();
-        h.scan(|v| {
-            seen.push(v.body);
-            Ok(true)
-        })
-        .unwrap();
-        seen.sort();
-        expected.sort();
-        assert_eq!(seen, expected);
-    }
-
-    #[test]
-    fn page_cursor_matches_row_cursor() {
-        let h = heap("pagecur");
+    fn page_scan_visits_every_version_once_in_file_order() {
+        let h = heap("pagescan");
         let mut expected = Vec::new();
         for i in 0..200u32 {
             let rec = vec![(i % 251) as u8; 64 + (i as usize % 300)];
             h.insert(&rec, XMIN).unwrap();
             expected.push(rec);
+            if i == 100 {
+                // An overflow record mid-page: its stub is resolved after
+                // the latch drops, and the inline versions behind it on
+                // the page still come out in slot order.
+                let big = vec![3u8; 25_000];
+                h.insert(&big, XMIN).unwrap();
+                expected.push(big);
+            }
         }
-        // Overflow record: stub resolution must work page-at-a-time too.
-        let big = vec![3u8; 25_000];
-        h.insert(&big, XMIN).unwrap();
-        expected.push(big);
-        let heap = Arc::new(h);
-        let mut cursor = PageCursor::new(heap.clone());
-        let mut seen = Vec::new();
-        let mut pages = 0;
-        while let Some(batch) = cursor.next().unwrap() {
-            assert!(!batch.is_empty());
-            pages += 1;
-            seen.extend(batch.into_iter().map(|v| v.body));
-        }
-        // Same rows, same file order as the row-at-a-time cursor.
-        let mut row_cursor = HeapCursor::new(heap.clone());
-        let mut row_seen = Vec::new();
-        while let Some(v) = row_cursor.next().unwrap() {
-            row_seen.push(v.body);
-        }
-        assert_eq!(seen, row_seen);
-        seen.sort();
-        expected.sort();
+        h.pool.take_stats();
+        let (seen, pages) = scan_all(&h);
         assert_eq!(seen, expected);
-        // One batch per data page, far fewer than rows.
         assert!(pages > 1 && pages < 201, "pages = {pages}");
+        // One fetch per page of the file (data pages to visit, chain
+        // pages to tell apart), the chain read, and the re-check of the
+        // stub — not one per version.
+        let chain = 25_000usize.div_ceil(OVF_CAPACITY) as u64;
+        let fetches = h.pool.take_stats().fetches();
+        assert_eq!(fetches, u64::from(h.page_count().unwrap()) + chain + 1);
     }
 
     #[test]
-    fn scan_early_exit() {
-        let h = heap("exit");
-        for i in 0..10u32 {
-            h.insert(&i.to_le_bytes(), XMIN).unwrap();
+    fn page_scan_hands_over_only_wanted_versions() {
+        let h = heap("wanted");
+        for xmin in 2..12u64 {
+            h.insert(&xmin.to_le_bytes(), xmin).unwrap();
         }
-        let mut n = 0;
-        h.scan(|_| {
-            n += 1;
-            Ok(n < 3)
-        })
-        .unwrap();
-        assert_eq!(n, 3);
+        let big = h.insert(&vec![1u8; 20_000], 40).unwrap();
+        h.pool.take_stats();
+        let mut seen = Vec::new();
+        let mut scan = PageScan::new(h.clone());
+        while scan
+            .next_page(
+                |xmin, _| xmin % 2 == 0 && xmin < 40,
+                |rid, xmin, xmax, body| {
+                    assert_eq!((xmax, body), (0, &xmin.to_le_bytes()[..]));
+                    assert_ne!(rid, big);
+                    seen.push(xmin);
+                    Ok(())
+                },
+            )
+            .unwrap()
+        {}
+        assert_eq!(seen, [2, 4, 6, 8, 10]);
+        // The unwanted overflow version's chain was never read.
+        assert_eq!(h.pool.take_stats().fetches(), u64::from(h.page_count().unwrap()));
     }
 
     #[test]
@@ -1251,7 +1144,7 @@ mod tests {
             rids = (0..64).map(|_| h.insert(&rec, XMIN).unwrap()).collect();
             assert_eq!(h.page_count().unwrap(), pages, "file grew on churn round {round}");
         }
-        assert_eq!(h.count().unwrap(), 64);
+        assert_eq!(count(&h), 64);
         for rid in &rids {
             assert_eq!(h.get(*rid).unwrap(), rec);
         }
@@ -1309,7 +1202,7 @@ mod tests {
             frame.mark_dirty();
         }
         assert_eq!(h.stamped_dead_rids().unwrap(), vec![a]);
-        assert_eq!(h.count().unwrap(), 1, "scan must skip stamped-dead versions");
+        assert_eq!(count(&h), 1, "scan must skip stamped-dead versions");
         assert!(h.delete(a).unwrap());
         assert!(h.stamped_dead_rids().unwrap().is_empty());
         assert_eq!(h.get(b).unwrap(), b"b");

@@ -22,6 +22,13 @@
 //! * `SUM` only over INTEGER columns;
 //! * XADT UDFs get typed arguments, with non-empty element names;
 //! * no LIMIT (truncation order is plan-dependent).
+//!
+//! The engine decodes only the columns a statement names, so the shapes
+//! where "named" is easy to get wrong are generated on purpose: a table
+//! joined to itself (two aliases, two column sets, one heap), `alias.*`
+//! and `*` beside tables read by the column, GROUP BY keys and ORDER BY
+//! keys that are not selected, and `unnest` over a column nothing else
+//! reads.
 
 use ordb::expr::{ArithOp, CmpOp};
 use ordb::sql::ast::{AstExpr, FromItem, Select, SelectItem};
@@ -75,7 +82,18 @@ pub fn generate(rng: &mut SmallRng, info: &SchemaInfo) -> Select {
             }
         }
         let pick_edge = !edges.is_empty() && rng.gen_bool(0.85);
-        let (ti, pred) = if pick_edge {
+        let (ti, pred) = if rng.gen_bool(0.12) {
+            // Self-join: a chosen table again under a new alias, matched
+            // on one of its integer columns. Each alias has its own
+            // column needs, over one stored table.
+            let (ti, other) = chosen[rng.gen_range(0..chosen.len())].clone();
+            let ints = info.cols_of_type(ti, DataType::Integer);
+            let on = pick(rng, &ints).map(|(_, name)| {
+                let (_, theirs) = pick(rng, &ints).expect("non-empty");
+                cmp(CmpOp::Eq, column(&alias, name), column(&other, theirs))
+            });
+            (ti, on)
+        } else if pick_edge {
             let (ti, e) = edges[rng.gen_range(0..edges.len())].clone();
             (ti, Some(e))
         } else {
@@ -307,8 +325,13 @@ fn gen_aggregate_shape(
             }
         }
     }
-    let mut items: Vec<SelectItem> =
-        group.iter().map(|g| SelectItem::Expr { expr: g.clone(), alias: None }).collect();
+    // A group key is usually selected too; one that is not is still read
+    // below the aggregate.
+    let mut items: Vec<SelectItem> = group
+        .iter()
+        .filter(|_| rng.gen_bool(0.75))
+        .map(|g| SelectItem::Expr { expr: g.clone(), alias: None })
+        .collect();
     let mut agg_items: Vec<AstExpr> = Vec::new();
     for _ in 0..rng.gen_range(1..=2u32) {
         let (ti, alias) = &chosen[rng.gen_range(0..chosen.len())];
@@ -372,8 +395,19 @@ fn gen_plain_shape(
 ) {
     let mut items: Vec<SelectItem> = Vec::new();
     for _ in 0..rng.gen_range(1..=4u32) {
-        let e = gen_output_expr(rng, info, chosen, unnests);
-        items.push(SelectItem::Expr { expr: e, alias: None });
+        // `alias.*` keeps one FROM item whole beside others read by the
+        // column; `*` keeps them all, in declaration order.
+        items.push(match rng.gen_range(0..20u32) {
+            0 => SelectItem::Wildcard,
+            1 | 2 => {
+                let aliases = chosen.iter().map(|(_, a)| a).chain(unnests.iter().map(|(a, _)| a));
+                let aliases: Vec<&String> = aliases.collect();
+                SelectItem::QualifiedWildcard(aliases[rng.gen_range(0..aliases.len())].clone())
+            }
+            _ => {
+                SelectItem::Expr { expr: gen_output_expr(rng, info, chosen, unnests), alias: None }
+            }
+        });
     }
     q.items = items;
     q.distinct = rng.gen_bool(0.3);
@@ -601,6 +635,10 @@ pub fn render_select(q: &Select) -> String {
         }
         match item {
             SelectItem::Wildcard => s.push('*'),
+            SelectItem::QualifiedWildcard(alias) => {
+                s.push_str(alias);
+                s.push_str(".*");
+            }
             SelectItem::Expr { expr, alias } => {
                 render_expr(expr, &mut s);
                 if let Some(a) = alias {

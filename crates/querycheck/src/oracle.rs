@@ -154,7 +154,7 @@ pub fn evaluate(
 
     let has_agg = q.items.iter().any(|i| match i {
         SelectItem::Expr { expr, .. } => expr.has_aggregate(),
-        SelectItem::Wildcard => false,
+        SelectItem::Wildcard | SelectItem::QualifiedWildcard(_) => false,
     }) || !q.group_by.is_empty();
 
     let (mut out, mut keys) =
@@ -198,10 +198,10 @@ fn plain(
     let mut out_exprs: Vec<Expr> = Vec::new();
     for item in &q.items {
         match item {
-            SelectItem::Wildcard => {
-                for i in 0..bindings.len() {
-                    out_exprs.push(Expr::col(i));
-                }
+            SelectItem::Wildcard => out_exprs.extend((0..bindings.len()).map(Expr::col)),
+            SelectItem::QualifiedWildcard(alias) => {
+                let of_alias = |i: &usize| bindings[*i].0.eq_ignore_ascii_case(alias);
+                out_exprs.extend((0..bindings.len()).filter(of_alias).map(Expr::col));
             }
             SelectItem::Expr { expr, .. } => out_exprs.push(compile_expr(expr, bindings, reg)?),
         }

@@ -313,7 +313,7 @@ fn shrink_query(
         // later lateral depends on). Keep at least one.
         if q.from.len() > 1 {
             for i in (0..q.from.len()).rev() {
-                let alias = from_alias(&q.from[i]);
+                let alias = q.from[i].alias();
                 if is_referenced(&q, i, alias) {
                     continue;
                 }
@@ -330,13 +330,6 @@ fn shrink_query(
     q
 }
 
-fn from_alias(item: &FromItem) -> &str {
-    match item {
-        FromItem::Table { name, alias } => alias.as_deref().unwrap_or(name),
-        FromItem::TableFunction { alias, .. } => alias,
-    }
-}
-
 /// Does anything outside `q.from[idx]` reference `alias`? A `*` select
 /// item references every FROM item.
 fn is_referenced(q: &Select, idx: usize, alias: &str) -> bool {
@@ -344,6 +337,8 @@ fn is_referenced(q: &Select, idx: usize, alias: &str) -> bool {
     for it in &q.items {
         match it {
             SelectItem::Wildcard => return true,
+            SelectItem::QualifiedWildcard(a) if a.eq_ignore_ascii_case(alias) => return true,
+            SelectItem::QualifiedWildcard(_) => {}
             SelectItem::Expr { expr, .. } => exprs.push(expr),
         }
     }

@@ -54,6 +54,55 @@ fn query_stream_is_deterministic_per_seed() {
     assert_ne!(render(7), render(8), "different seeds should diverge");
 }
 
+/// The shapes that exercise column pruning must actually come out of the
+/// generator: a table joined to itself, `alias.*` beside tables read by
+/// the column, a GROUP BY key that is not selected, and an `unnest` over
+/// a column nothing else names.
+#[test]
+fn generator_covers_the_column_pruning_shapes() {
+    use ordb::sql::ast::{AstExpr, FromItem, SelectItem};
+    let harness =
+        Harness::new(Corpus::Shakespeare, Algorithm::Xorator, 1, "shapes").expect("harness setup");
+    let mut rng = SmallRng::seed_from_u64(1);
+    let (mut self_join, mut mixed_star, mut hidden_group, mut lone_unnest) = (0, 0, 0, 0);
+    for _ in 0..400 {
+        let q = generate(&mut rng, &harness.info);
+        let tables: Vec<&String> = q
+            .from
+            .iter()
+            .filter_map(|f| match f {
+                FromItem::Table { name, .. } => Some(name),
+                FromItem::TableFunction { .. } => None,
+            })
+            .collect();
+        self_join += usize::from((1..tables.len()).any(|i| tables[..i].contains(&tables[i])));
+        let stars =
+            q.items.iter().filter(|i| matches!(i, SelectItem::QualifiedWildcard(_))).count();
+        mixed_star += usize::from(stars > 0 && stars < q.items.len() && tables.len() > 1);
+        let selected =
+            |g| q.items.iter().any(|i| matches!(i, SelectItem::Expr { expr, .. } if expr == g));
+        hidden_group += usize::from(q.group_by.iter().any(|g| !selected(g)));
+        let sql = render_select(&q);
+        lone_unnest += usize::from(q.from.iter().any(|f| match f {
+            FromItem::TableFunction { args, .. } => match &args[0] {
+                AstExpr::Column { qualifier: Some(t), name } => {
+                    sql.matches(&format!("{t}.{name}")).count() == 1
+                }
+                _ => false,
+            },
+            FromItem::Table { .. } => false,
+        }));
+    }
+    for (shape, n) in [
+        ("self-join", self_join),
+        ("alias.* mixed with columns", mixed_star),
+        ("unselected GROUP BY key", hidden_group),
+        ("unnest of a column named nowhere else", lone_unnest),
+    ] {
+        assert!(n >= 5, "only {n} of 400 queries have the shape: {shape}");
+    }
+}
+
 /// Inject a lost-tuple bug into the engine's results and prove the
 /// harness catches it and the shrinker produces a self-contained repro
 /// that still reproduces after minimization.
