@@ -2,20 +2,13 @@
 //! evaluation section (§4).
 //!
 //! ```text
-//! experiments [table1|table2|fig11|fig13|fig14|examples|throughput|durability|spill|txn|vacuum|batch|all]
+//! experiments [table1|table2|fig11|fig13|fig14|examples|throughput|durability|spill|txn|vacuum|all]
 //!             [--full] [--scales 1,2,4,8] [--reps 5] [--threads 1,2,4,8]
 //!             [--budget BYTES]
-//! experiments trajectory [--quick] [--out PATH]
-//! experiments compare OLD.json NEW.json [--threshold 0.15]
 //! experiments serve [--clients 4] [--secs 2]
 //! ```
 //!
-//! `trajectory` runs the pinned perf-trajectory set (fig11/fig13 queries
-//! under both executors, loads, throughput mix) and writes
-//! `BENCH_PR10.json`; `compare` diffs two BENCH files on deterministic
-//! counters and exits non-zero on a >15 % regression. See
-//! `xorator_bench::trajectory`. `batch` prints the Volcano-vs-vectorized
-//! side-by-side table.
+//! An unknown command prints this usage and exits 2.
 //!
 //! * `--full`  — use the paper-sized corpora (37 plays ≈ 7.5 MB,
 //!   3000 proceedings ≈ 12 MB); default is a reduced corpus that keeps
@@ -46,14 +39,8 @@ struct Args {
     io_sim: bool,
     threads: Vec<usize>,
     budget: Option<usize>,
-    quick: bool,
-    out: Option<String>,
-    threshold: f64,
     clients: usize,
     secs: f64,
-    /// Positional arguments after the command (the two files of
-    /// `compare OLD NEW`).
-    positional: Vec<String>,
 }
 
 fn parse_args() -> Args {
@@ -65,25 +52,14 @@ fn parse_args() -> Args {
         io_sim: false,
         threads: vec![1, 2, 4, 8],
         budget: None,
-        quick: false,
-        out: None,
-        threshold: xorator_bench::trajectory::DEFAULT_THRESHOLD,
         clients: 4,
         secs: 2.0,
-        positional: Vec::new(),
     };
-    let mut have_command = false;
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
         match a.as_str() {
             "--full" => args.full = true,
             "--io-sim" => args.io_sim = true,
-            "--quick" => args.quick = true,
-            "--out" => args.out = Some(it.next().expect("--out needs a path")),
-            "--threshold" => {
-                args.threshold =
-                    it.next().expect("--threshold needs a value").parse().expect("float");
-            }
             "--scales" => {
                 let v = it.next().expect("--scales needs a value");
                 args.scales = v
@@ -111,14 +87,7 @@ fn parse_args() -> Args {
             "--secs" => {
                 args.secs = it.next().expect("--secs needs a value").parse().expect("seconds");
             }
-            cmd if !cmd.starts_with('-') => {
-                if have_command {
-                    args.positional.push(cmd.to_string());
-                } else {
-                    args.command = cmd.to_string();
-                    have_command = true;
-                }
-            }
+            cmd if !cmd.starts_with('-') => args.command = cmd.to_string(),
             other => {
                 eprintln!("unknown flag {other}");
                 std::process::exit(2);
@@ -128,60 +97,48 @@ fn parse_args() -> Args {
     args
 }
 
+/// One table or figure of the report.
+type Figure = fn(&Args, &mut MetricsLog);
+
+/// Every figure by command name, in the order `all` runs them (`serve`
+/// runs only on its own).
+const FIGURES: [(&str, Figure); 11] = [
+    ("table1", |args, _| table1(args)),
+    ("fig11", fig11),
+    ("table2", |args, _| table2(args)),
+    ("fig13", fig13),
+    ("fig14", fig14),
+    ("examples", |args, _| examples(args)),
+    ("throughput", |args, _| throughput_figure(args)),
+    ("durability", durability_figure),
+    ("spill", spill_figure),
+    ("txn", txn_figure),
+    ("vacuum", vacuum_figure),
+];
+
 fn main() {
     let args = parse_args();
-    // The trajectory gate commands run alone, never as part of "all":
-    // `trajectory` re-runs a pinned benchmark set and writes a BENCH
-    // file; `compare` just diffs two files and sets the exit code.
-    if args.command == "compare" {
-        compare_command(&args);
-        return;
-    }
-    if args.command == "trajectory" {
-        trajectory_command(&args);
-        return;
-    }
     if args.command == "serve" {
         serve_command(&args);
         return;
     }
-    let run = |name: &str| args.command == name || args.command == "all";
+    let all = args.command == "all";
+    if !all && !FIGURES.iter().any(|(name, _)| *name == args.command) {
+        let names: Vec<&str> = FIGURES.iter().map(|(name, _)| *name).collect();
+        eprintln!(
+            "unknown command {:?}\nusage: experiments [{}|all] [--full] [--scales 1,2,4,8] \
+             [--reps 5] [--threads 1,2,4,8] [--budget BYTES] [--io-sim]\n       \
+             experiments serve [--clients 4] [--secs 2]",
+            args.command,
+            names.join("|")
+        );
+        std::process::exit(2);
+    }
     let mut mlog = MetricsLog::default();
-    if run("table1") {
-        table1(&args);
-    }
-    if run("fig11") {
-        fig11(&args, &mut mlog);
-    }
-    if run("table2") {
-        table2(&args);
-    }
-    if run("fig13") {
-        fig13(&args, &mut mlog);
-    }
-    if run("fig14") {
-        fig14(&args, &mut mlog);
-    }
-    if run("examples") {
-        examples(&args);
-    }
-    if run("throughput") {
-        throughput_figure(&args);
-    }
-    if run("durability") {
-        durability_figure(&args, &mut mlog);
-    }
-    if run("spill") {
-        spill_figure(&args, &mut mlog);
-    }
-    if run("txn") {
-        txn_figure(&args, &mut mlog);
-    }
-    if run("vacuum") {
-        vacuum_figure(&args, &mut mlog);
-    }
-    if run("batch") {
-        batch_figure(&args, &mut mlog);
+    for (name, figure) in FIGURES {
+        if all || args.command == name {
+            figure(&args, &mut mlog);
+        }
     }
     if let Some(path) = mlog.write().expect("write metrics.json") {
         println!("\n(per-query metrics written to {})", path.display());
@@ -640,287 +597,6 @@ fn spill_figure(args: &Args, mlog: &mut MetricsLog) {
         "\n(Budgeted rows are asserted byte-identical to the unbounded run; \
          spill temp files are asserted gone after each pass.)"
     );
-}
-
-/// Volcano vs vectorized execution on the Shakespeare query set: every
-/// query runs under both executors against the same Hybrid-mapped
-/// corpus, rows are asserted identical, and the table puts the batch
-/// path's buffer-pool traffic and batch shape next to the row path's.
-fn batch_figure(args: &Args, mlog: &mut MetricsLog) {
-    let scale = if args.full { 4 } else { 2 };
-    let docs = replicate(&shakespeare_docs(args), scale);
-    let queries = shakespeare_queries();
-    let wl = workload_sql(&queries);
-    let simple = simplify(&parse_dtd(xorator::dtds::SHAKESPEARE_DTD).unwrap());
-    let dir = scratch_dir("batch");
-    let loaded = setup(&dir, map_hybrid(&simple), &docs, FormatPolicy::Auto, &wl).expect("load");
-    let db = &loaded.db;
-    let forced = ordb::PlanForcing {
-        access: Some(ordb::ForcedAccess::SeqScan),
-        executor: ordb::Executor::Batch,
-        ..ordb::PlanForcing::default()
-    };
-    println!("\n## Batch — vectorized vs Volcano execution at DSx{scale} (hybrid mapping)\n");
-    println!("| query | rows | volcano | batch | fetches v→b | batches | rows/batch |");
-    println!("|---|---|---|---|---|---|---|");
-    for q in &queries {
-        db.drop_cache().expect("drop cache");
-        let v = db.explain_analyze(q.hybrid).expect("volcano run");
-        db.set_forcing(forced);
-        db.drop_cache().expect("drop cache");
-        let b = db.explain_analyze(q.hybrid).expect("batch run");
-        db.set_forcing(ordb::PlanForcing::default());
-        assert_eq!(v.result.rows, b.result.rows, "{}: batch executor diverged from Volcano", q.id);
-        let batches = b.metrics.engine.batches;
-        println!(
-            "| {} | {} | {:.2} ms | {:.2} ms | {}→{} | {} | {:.1} |",
-            q.id,
-            v.result.len(),
-            ms(v.metrics.exec),
-            ms(b.metrics.exec),
-            v.metrics.pool.fetches(),
-            b.metrics.pool.fetches(),
-            batches,
-            b.metrics.engine.batch_rows as f64 / batches.max(1) as f64,
-        );
-        mlog.push_raw(format!(
-            "{{\"figure\":\"batch\",\"scale\":{scale},\"query\":\"{}\",\"rows\":{},\
-             \"volcano\":{},\"batch\":{}}}",
-            q.id,
-            v.result.len(),
-            v.metrics.to_json(),
-            b.metrics.to_json(),
-        ));
-    }
-    println!(
-        "\n(Rows are asserted identical between executors; the batch column's forcing is \
-         exactly `SET force_executor = batch` plus a sequential-scan access path.)"
-    );
-}
-
-/// The perf-trajectory run (ROADMAP item 3): fig11 + fig13 queries and
-/// loads plus a throughput mix, under a configuration pinned hard enough
-/// that the counter columns are bit-identical run to run. Writes
-/// `BENCH_PR10.json` (or `--out`). Every query is measured twice — once
-/// per executor — with the vectorized run under its own `/batch` id, so
-/// the Volcano ids stay comparable against earlier baselines while the
-/// batch path gets its own gated trajectory. `--quick` runs the DSx1
-/// subset for CI; its entry ids are a subset of the full file's, so the
-/// comparator still gates on the intersection.
-fn trajectory_command(args: &Args) {
-    use xorator_bench::trajectory::{BenchEntry, BenchFile, SCHEMA_VERSION};
-    let scales: &[usize] = if args.quick { &[1] } else { &[1, 2] };
-    const TRAJECTORY_REPS: usize = 3;
-    let mut entries: Vec<BenchEntry> = Vec::new();
-
-    let shakespeare = datagen::generate_shakespeare(&ShakespeareConfig::default());
-    let sigmod = datagen::generate_sigmod(&SigmodConfig::default());
-    trajectory_figure(
-        "fig11",
-        xorator::dtds::SHAKESPEARE_DTD,
-        &shakespeare,
-        &shakespeare_queries(),
-        scales,
-        TRAJECTORY_REPS,
-        &mut entries,
-    );
-    trajectory_figure(
-        "fig13",
-        xorator::dtds::SIGMOD_DTD,
-        &sigmod,
-        &sigmod_queries(),
-        scales,
-        TRAJECTORY_REPS,
-        &mut entries,
-    );
-    trajectory_throughput(args, &shakespeare, &mut entries);
-
-    let mut config = std::collections::BTreeMap::new();
-    config.insert("mode".to_string(), if args.quick { "quick" } else { "full" }.to_string());
-    config.insert("corpus".to_string(), "reduced-default".to_string());
-    config.insert("reps".to_string(), TRAJECTORY_REPS.to_string());
-    config.insert(
-        "scales".to_string(),
-        scales.iter().map(usize::to_string).collect::<Vec<_>>().join(","),
-    );
-    config.insert("pool_frames".to_string(), xorator_bench::EXPERIMENT_POOL_FRAMES.to_string());
-    let file = BenchFile { schema_version: SCHEMA_VERSION, pr: 10, config, entries };
-    let out = args.out.clone().unwrap_or_else(|| "BENCH_PR10.json".to_string());
-    std::fs::write(&out, file.to_json()).expect("write BENCH file");
-    println!("\nwrote {out} ({} entries, schema v{SCHEMA_VERSION})", file.entries.len());
-}
-
-/// One figure's trajectory entries: per-scale loads (tuples, sizes, WAL
-/// volume) and per-query counters from an instrumented cold run.
-fn trajectory_figure(
-    tag: &str,
-    dtd_src: &str,
-    base: &[String],
-    queries: &[xorator::queries::QueryPair],
-    scales: &[usize],
-    reps: usize,
-    entries: &mut Vec<xorator_bench::trajectory::BenchEntry>,
-) {
-    use xorator_bench::trajectory::BenchEntry;
-    let wl = workload_sql(queries);
-    for &scale in scales {
-        let docs = replicate(base, scale);
-        let (h, x) = load_pair(&format!("traj-{tag}-x{scale}"), dtd_src, &docs, &wl);
-        for (variant, loaded) in [("hybrid", &h), ("xorator", &x)] {
-            let s = sizes(loaded).expect("sizes");
-            let wal = loaded.db.wal_stats().unwrap_or_default();
-            let mut counters = std::collections::BTreeMap::new();
-            counters.insert("tuples".to_string(), loaded.load.tuples);
-            counters.insert("tables".to_string(), s.tables as u64);
-            counters.insert("indexes".to_string(), loaded.indexes as u64);
-            counters.insert("data_bytes".to_string(), s.data_bytes);
-            counters.insert("index_bytes".to_string(), s.index_bytes);
-            counters.insert("wal_bytes".to_string(), wal.bytes);
-            let mut gauges = std::collections::BTreeMap::new();
-            gauges.insert("load_ns".to_string(), loaded.load.elapsed.as_nanos() as f64);
-            entries.push(BenchEntry {
-                id: format!("{tag}/x{scale}/load/{variant}"),
-                kind: "load".to_string(),
-                rows: loaded.load.tuples,
-                counters,
-                gauges,
-            });
-        }
-        for q in queries {
-            for (variant, db, sql) in [("hybrid", &h.db, q.hybrid), ("xorator", &x.db, q.xorator)] {
-                let t = time_query_opts(db, sql, reps, true).expect("trajectory query");
-                let m = t.metrics.as_ref().expect("instrumented run");
-                let mut counters = std::collections::BTreeMap::new();
-                counters.insert("pool_fetches".to_string(), m.pool.fetches());
-                counters.insert("pool_misses".to_string(), m.pool.misses);
-                counters.insert("wal_bytes".to_string(), m.wal.bytes);
-                counters.insert("index_probes".to_string(), m.engine.index_probes);
-                counters.insert("sort_rows".to_string(), m.engine.sort_rows);
-                counters.insert("sort_spills".to_string(), m.engine.sort_spills);
-                counters.insert("spill_bytes".to_string(), m.engine.spill_bytes);
-                counters.insert("join_partitions".to_string(), m.engine.join_partitions);
-                counters.insert("agg_spills".to_string(), m.engine.agg_spills);
-                counters.insert("unnest_calls".to_string(), m.engine.unnest_calls);
-                let mut gauges = std::collections::BTreeMap::new();
-                gauges.insert("mean_ns".to_string(), t.mean.as_nanos() as f64);
-                entries.push(BenchEntry {
-                    id: format!("{tag}/x{scale}/{}/{variant}", q.id),
-                    kind: "query".to_string(),
-                    rows: t.rows as u64,
-                    counters,
-                    gauges,
-                });
-                eprintln!(
-                    "  [trajectory {tag} DSx{scale}] {} {variant}: {} rows, {} fetches",
-                    q.id,
-                    t.rows,
-                    m.pool.fetches()
-                );
-                // The same query under the vectorized executor, as its
-                // own `/batch`-suffixed id: the Volcano ids above stay
-                // comparable against pre-batch baselines, while these
-                // entries pin the batch path's trajectory (its batch
-                // shape and the page-at-a-time scan's pool traffic).
-                db.set_forcing(ordb::PlanForcing {
-                    executor: ordb::Executor::Batch,
-                    ..ordb::PlanForcing::default()
-                });
-                let bt = time_query_opts(db, sql, reps, true).expect("trajectory batch query");
-                db.set_forcing(ordb::PlanForcing::default());
-                assert_eq!(bt.rows, t.rows, "{}: batch executor diverged from Volcano", q.id);
-                let bm = bt.metrics.as_ref().expect("instrumented batch run");
-                let mut counters = std::collections::BTreeMap::new();
-                counters.insert("pool_fetches".to_string(), bm.pool.fetches());
-                counters.insert("pool_misses".to_string(), bm.pool.misses);
-                counters.insert("wal_bytes".to_string(), bm.wal.bytes);
-                counters.insert("index_probes".to_string(), bm.engine.index_probes);
-                counters.insert("sort_rows".to_string(), bm.engine.sort_rows);
-                counters.insert("sort_spills".to_string(), bm.engine.sort_spills);
-                counters.insert("spill_bytes".to_string(), bm.engine.spill_bytes);
-                counters.insert("join_partitions".to_string(), bm.engine.join_partitions);
-                counters.insert("agg_spills".to_string(), bm.engine.agg_spills);
-                counters.insert("unnest_calls".to_string(), bm.engine.unnest_calls);
-                counters.insert("batches".to_string(), bm.engine.batches);
-                counters.insert("batch_rows".to_string(), bm.engine.batch_rows);
-                let mut gauges = std::collections::BTreeMap::new();
-                gauges.insert("mean_ns".to_string(), bt.mean.as_nanos() as f64);
-                entries.push(BenchEntry {
-                    id: format!("{tag}/x{scale}/{}/{variant}/batch", q.id),
-                    kind: "query".to_string(),
-                    rows: bt.rows as u64,
-                    counters,
-                    gauges,
-                });
-                eprintln!(
-                    "  [trajectory {tag} DSx{scale}] {} {variant}/batch: {} rows, \
-                     {} fetches, {} batches",
-                    q.id,
-                    bt.rows,
-                    bm.pool.fetches(),
-                    bm.engine.batches
-                );
-            }
-        }
-    }
-}
-
-/// The trajectory's multi-threaded cell: the Shakespeare query mix served
-/// from N client threads against each mapping. Pure wall-clock (qps), so
-/// every value lands in the ungated gauges.
-fn trajectory_throughput(
-    args: &Args,
-    base: &[String],
-    entries: &mut Vec<xorator_bench::trajectory::BenchEntry>,
-) {
-    use xorator_bench::trajectory::BenchEntry;
-    let queries = shakespeare_queries();
-    let wl = workload_sql(&queries);
-    let (h, x) = load_pair("traj-tput", xorator::dtds::SHAKESPEARE_DTD, base, &wl);
-    let per_cell = Duration::from_millis(if args.quick { 300 } else { 1000 });
-    let threads: &[usize] = if args.quick { &[4] } else { &[1, 4] };
-    for (variant, db, mix) in [
-        ("hybrid", &h.db, queries.iter().map(|q| q.hybrid).collect::<Vec<_>>()),
-        ("xorator", &x.db, queries.iter().map(|q| q.xorator).collect::<Vec<_>>()),
-    ] {
-        for &n in threads {
-            let row = throughput(db, &mix, n, per_cell).expect("trajectory throughput");
-            let mut gauges = std::collections::BTreeMap::new();
-            gauges.insert("qps".to_string(), row.qps());
-            gauges.insert("elapsed_ns".to_string(), row.elapsed.as_nanos() as f64);
-            entries.push(BenchEntry {
-                id: format!("throughput/t{n}/{variant}"),
-                kind: "throughput".to_string(),
-                rows: 0,
-                counters: std::collections::BTreeMap::new(),
-                gauges,
-            });
-        }
-    }
-}
-
-/// `experiments compare OLD NEW`: diff two BENCH files on deterministic
-/// counters; exit 1 on regression, 2 on usage/parse errors.
-fn compare_command(args: &Args) {
-    use xorator_bench::trajectory::{compare, BenchFile, DEFAULT_ABS_SLACK};
-    let [old_path, new_path] = args.positional.as_slice() else {
-        eprintln!("usage: experiments compare OLD.json NEW.json [--threshold 0.15]");
-        std::process::exit(2);
-    };
-    let load = |path: &str| -> BenchFile {
-        let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("cannot read {path}: {e}");
-            std::process::exit(2);
-        });
-        BenchFile::from_json(&text).unwrap_or_else(|e| {
-            eprintln!("cannot parse {path}: {e}");
-            std::process::exit(2);
-        })
-    };
-    let old = load(old_path);
-    let new = load(new_path);
-    let report = compare(&old, &new, args.threshold, DEFAULT_ABS_SLACK);
-    print!("{}", report.render());
-    std::process::exit(if report.ok() { 0 } else { 1 });
 }
 
 /// `experiments serve`: the wire-protocol saturation cell (ROADMAP

@@ -1,278 +1,6 @@
-//! Perf-trajectory files: schema, serialization, parsing, comparison.
-//!
-//! The `experiments trajectory` subcommand runs a pinned benchmark set
-//! (fig11/fig13 queries, corpus loads, a multi-threaded throughput mix)
-//! and emits a schema-versioned `BENCH_PR<k>.json` at the repo root. The
-//! `experiments compare` subcommand diffs two such files and fails on
-//! counter regressions, making the committed file a gate every later
-//! perf PR must pass (ROADMAP item 3).
-//!
-//! Two kinds of measurement live in one entry:
-//!
-//! * **counters** — deterministic under the pinned config (pool fetches
-//!   on a cold cache, WAL bytes, engine counters, rows). These are
-//!   *gated*: a >15 % increase fails the comparison. Rows are exact.
-//! * **gauges** — wall-clock derived (mean latency, qps). Recorded for
-//!   the trajectory but *never gated*: CI machines are too noisy.
-//!
-//! Everything here is hand-rolled (schema structs, JSON emitter, JSON
-//! parser) because the build environment has no serde — same discipline
-//! as the CRC table and the histogram buckets.
-
-use std::collections::BTreeMap;
-use std::fmt::Write as _;
-
-/// Version of the BENCH file layout. Bump on any breaking change to the
-/// entry shape; the comparator refuses to diff across versions.
-pub const SCHEMA_VERSION: u64 = 1;
-
-/// Default relative regression threshold for gated counters (15 %).
-pub const DEFAULT_THRESHOLD: f64 = 0.15;
-
-/// Absolute slack under which counter growth is ignored even past the
-/// relative threshold — a 3-fetch delta on a 10-fetch baseline is noise
-/// from stats pages, not a plan regression.
-pub const DEFAULT_ABS_SLACK: u64 = 64;
-
-/// One benchmark measurement: a query, a corpus load, or a throughput
-/// cell, identified by a stable `id` ("fig11/x1/QS3/xorator").
-#[derive(Debug, Clone, PartialEq)]
-pub struct BenchEntry {
-    /// Stable identity: `figure/scale/query/variant`. Comparisons join
-    /// on this, so quick runs (a subset of ids) still gate against a
-    /// full baseline via the intersection.
-    pub id: String,
-    /// "query" | "load" | "throughput".
-    pub kind: String,
-    /// Rows returned (queries) or tuples loaded (loads). Gated exact.
-    pub rows: u64,
-    /// Deterministic counters, gated at the threshold.
-    pub counters: BTreeMap<String, u64>,
-    /// Wall-clock measurements (ns means, qps). Recorded, never gated.
-    pub gauges: BTreeMap<String, f64>,
-}
-
-/// A whole `BENCH_PR<k>.json`: pinned config plus every entry.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BenchFile {
-    /// Layout version ([`SCHEMA_VERSION`] when written by this build).
-    pub schema_version: u64,
-    /// The PR number this trajectory belongs to (6 for the first file).
-    pub pr: u64,
-    /// Pinned run configuration, recorded so a human can tell a quick
-    /// CI run from the full committed baseline.
-    pub config: BTreeMap<String, String>,
-    /// All measurements, in emission order.
-    pub entries: Vec<BenchEntry>,
-}
-
-impl BenchFile {
-    /// Serialize to the canonical JSON layout (sorted counter keys via
-    /// `BTreeMap`, one entry per line — diffs stay readable).
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        let _ = writeln!(out, "  \"schema_version\": {},", self.schema_version);
-        let _ = writeln!(out, "  \"pr\": {},", self.pr);
-        out.push_str("  \"config\": {");
-        let cfg: Vec<String> =
-            self.config.iter().map(|(k, v)| format!("{}: {}", quote(k), quote(v))).collect();
-        out.push_str(&cfg.join(", "));
-        out.push_str("},\n");
-        out.push_str("  \"entries\": [\n");
-        for (i, e) in self.entries.iter().enumerate() {
-            let counters: Vec<String> =
-                e.counters.iter().map(|(k, v)| format!("{}: {v}", quote(k))).collect();
-            let gauges: Vec<String> =
-                e.gauges.iter().map(|(k, v)| format!("{}: {v:.1}", quote(k))).collect();
-            let _ = write!(
-                out,
-                "    {{\"id\": {}, \"kind\": {}, \"rows\": {}, \"counters\": {{{}}}, \"gauges\": {{{}}}}}",
-                quote(&e.id),
-                quote(&e.kind),
-                e.rows,
-                counters.join(", "),
-                gauges.join(", ")
-            );
-            out.push_str(if i + 1 < self.entries.len() { ",\n" } else { "\n" });
-        }
-        out.push_str("  ]\n}\n");
-        out
-    }
-
-    /// Parse a BENCH file written by [`BenchFile::to_json`] (or any
-    /// equivalent JSON). Errors carry a byte offset for debugging.
-    pub fn from_json(text: &str) -> Result<BenchFile, String> {
-        let root = parse_json(text)?;
-        let schema_version =
-            root.get("schema_version").and_then(Json::as_u64).ok_or("missing schema_version")?;
-        let pr = root.get("pr").and_then(Json::as_u64).ok_or("missing pr")?;
-        let mut config = BTreeMap::new();
-        if let Some(Json::Obj(pairs)) = root.get("config") {
-            for (k, v) in pairs {
-                if let Some(s) = v.as_str() {
-                    config.insert(k.clone(), s.to_string());
-                }
-            }
-        }
-        let mut entries = Vec::new();
-        let Some(Json::Arr(items)) = root.get("entries") else {
-            return Err("missing entries array".into());
-        };
-        for item in items {
-            let id = item.get("id").and_then(Json::as_str).ok_or("entry missing id")?.to_string();
-            let kind =
-                item.get("kind").and_then(Json::as_str).ok_or("entry missing kind")?.to_string();
-            let rows = item.get("rows").and_then(Json::as_u64).ok_or("entry missing rows")?;
-            let mut counters = BTreeMap::new();
-            if let Some(Json::Obj(pairs)) = item.get("counters") {
-                for (k, v) in pairs {
-                    counters.insert(k.clone(), v.as_u64().ok_or("counter not a u64")?);
-                }
-            }
-            let mut gauges = BTreeMap::new();
-            if let Some(Json::Obj(pairs)) = item.get("gauges") {
-                for (k, v) in pairs {
-                    gauges.insert(k.clone(), v.as_f64().ok_or("gauge not a number")?);
-                }
-            }
-            entries.push(BenchEntry { id, kind, rows, counters, gauges });
-        }
-        Ok(BenchFile { schema_version, pr, config, entries })
-    }
-}
-
-fn quote(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// The outcome of diffing two BENCH files on their shared entry ids.
-#[derive(Debug, Default)]
-pub struct CompareReport {
-    /// Entries present in both files (joined on id).
-    pub compared: usize,
-    /// Ids only in the baseline (quick runs gate a subset; fine).
-    pub only_old: Vec<String>,
-    /// Ids only in the new file (new benchmarks; fine).
-    pub only_new: Vec<String>,
-    /// Gate failures: row divergence or counter growth past threshold.
-    pub regressions: Vec<String>,
-    /// Informational: counter improvements and dropped counters.
-    pub notes: Vec<String>,
-}
-
-impl CompareReport {
-    /// True when the gate passes.
-    pub fn ok(&self) -> bool {
-        self.regressions.is_empty()
-    }
-
-    /// Render the human-readable comparison summary.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "compared {} shared entries ({} baseline-only, {} new-only)",
-            self.compared,
-            self.only_old.len(),
-            self.only_new.len()
-        );
-        for n in &self.notes {
-            let _ = writeln!(out, "  note: {n}");
-        }
-        for r in &self.regressions {
-            let _ = writeln!(out, "  REGRESSION: {r}");
-        }
-        let _ = writeln!(out, "{}", if self.ok() { "PASS" } else { "FAIL" });
-        out
-    }
-}
-
-/// Diff `new` against the `old` baseline on deterministic counters only.
-///
-/// * rows must match exactly — a row-count change means the benchmark
-///   itself changed and the file needs regenerating, not slack;
-/// * a shared counter regresses when it grows past *both* the relative
-///   `threshold` and the absolute `abs_slack` (so tiny baselines don't
-///   trip on noise);
-/// * gauges (wall clock, qps) are never compared;
-/// * ids present in only one file are reported but don't fail — that is
-///   what lets `--quick` CI runs gate against the full committed file.
-pub fn compare(old: &BenchFile, new: &BenchFile, threshold: f64, abs_slack: u64) -> CompareReport {
-    let mut report = CompareReport::default();
-    if old.schema_version != new.schema_version {
-        report.regressions.push(format!(
-            "schema_version mismatch: baseline v{} vs new v{} — regenerate the baseline",
-            old.schema_version, new.schema_version
-        ));
-        return report;
-    }
-    let old_by_id: BTreeMap<&str, &BenchEntry> =
-        old.entries.iter().map(|e| (e.id.as_str(), e)).collect();
-    let new_by_id: BTreeMap<&str, &BenchEntry> =
-        new.entries.iter().map(|e| (e.id.as_str(), e)).collect();
-    for id in old_by_id.keys() {
-        if !new_by_id.contains_key(*id) {
-            report.only_old.push((*id).to_string());
-        }
-    }
-    for (id, ne) in &new_by_id {
-        let Some(oe) = old_by_id.get(id) else {
-            report.only_new.push((*id).to_string());
-            continue;
-        };
-        report.compared += 1;
-        if ne.rows != oe.rows {
-            report.regressions.push(format!(
-                "{id}: rows diverged (baseline {}, new {}) — benchmark changed, regenerate",
-                oe.rows, ne.rows
-            ));
-        }
-        for (key, &old_v) in &oe.counters {
-            let Some(&new_v) = ne.counters.get(key) else {
-                report.notes.push(format!("{id}: counter {key} dropped from new file"));
-                continue;
-            };
-            let grew_rel = new_v as f64 > old_v as f64 * (1.0 + threshold);
-            let grew_abs = new_v.saturating_sub(old_v) > abs_slack;
-            if grew_rel && grew_abs {
-                report.regressions.push(format!(
-                    "{id}: {key} {old_v} -> {new_v} (+{:.0}%, threshold {:.0}%)",
-                    (new_v as f64 / old_v.max(1) as f64 - 1.0) * 100.0,
-                    threshold * 100.0
-                ));
-            } else if (new_v as f64) < old_v as f64 * (1.0 - threshold)
-                && old_v.saturating_sub(new_v) > abs_slack
-            {
-                report.notes.push(format!(
-                    "{id}: {key} improved {old_v} -> {new_v} ({:.0}%)",
-                    (1.0 - new_v as f64 / old_v.max(1) as f64) * 100.0
-                ));
-            }
-        }
-    }
-    report
-}
-
-// ---------------------------------------------------------------------
-// Minimal JSON parser — just enough for BENCH files and metrics.json.
-// ---------------------------------------------------------------------
+//! A minimal hand-rolled JSON reader — the build environment has no
+//! serde. The repo benchmark (`benchmark/`) reads its spec and result
+//! files through it.
 
 /// A parsed JSON value. Numbers are kept as `f64` (every counter this
 /// repo emits fits in the 2^53 exact-integer range).
@@ -477,92 +205,6 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn entry(id: &str, rows: u64, fetches: u64) -> BenchEntry {
-        let mut counters = BTreeMap::new();
-        counters.insert("pool_fetches".to_string(), fetches);
-        counters.insert("wal_bytes".to_string(), 0);
-        let mut gauges = BTreeMap::new();
-        gauges.insert("mean_ns".to_string(), 1.5e6);
-        BenchEntry { id: id.to_string(), kind: "query".to_string(), rows, counters, gauges }
-    }
-
-    fn file(entries: Vec<BenchEntry>) -> BenchFile {
-        let mut config = BTreeMap::new();
-        config.insert("mode".to_string(), "full".to_string());
-        BenchFile { schema_version: SCHEMA_VERSION, pr: 6, config, entries }
-    }
-
-    #[test]
-    fn bench_file_round_trips_through_json() {
-        let f = file(vec![entry("fig11/x1/QS1/hybrid", 42, 1000), entry("b\"\\x", 0, 7)]);
-        let parsed = BenchFile::from_json(&f.to_json()).unwrap();
-        assert_eq!(parsed, f);
-    }
-
-    #[test]
-    fn identical_files_pass() {
-        let f = file(vec![entry("a", 1, 500)]);
-        let r = compare(&f, &f, DEFAULT_THRESHOLD, DEFAULT_ABS_SLACK);
-        assert!(r.ok(), "{}", r.render());
-        assert_eq!(r.compared, 1);
-    }
-
-    #[test]
-    fn doubled_pool_fetches_fail_the_gate() {
-        let old = file(vec![entry("fig11/x1/QS1/hybrid", 42, 1000)]);
-        let new = file(vec![entry("fig11/x1/QS1/hybrid", 42, 2000)]);
-        let r = compare(&old, &new, DEFAULT_THRESHOLD, DEFAULT_ABS_SLACK);
-        assert!(!r.ok());
-        assert!(r.regressions[0].contains("pool_fetches 1000 -> 2000"), "{:?}", r.regressions);
-    }
-
-    #[test]
-    fn small_absolute_growth_is_not_a_regression() {
-        // +50 fetches on a 100-fetch baseline is past 15% relative but
-        // under the absolute slack; must not fail.
-        let old = file(vec![entry("a", 1, 100)]);
-        let new = file(vec![entry("a", 1, 150)]);
-        let r = compare(&old, &new, DEFAULT_THRESHOLD, DEFAULT_ABS_SLACK);
-        assert!(r.ok(), "{}", r.render());
-    }
-
-    #[test]
-    fn row_divergence_fails_even_within_threshold() {
-        let old = file(vec![entry("a", 100, 100)]);
-        let new = file(vec![entry("a", 101, 100)]);
-        let r = compare(&old, &new, DEFAULT_THRESHOLD, DEFAULT_ABS_SLACK);
-        assert!(!r.ok());
-        assert!(r.regressions[0].contains("rows diverged"));
-    }
-
-    #[test]
-    fn quick_subset_gates_on_intersection() {
-        let old = file(vec![entry("a", 1, 100), entry("b", 2, 200)]);
-        let new = file(vec![entry("a", 1, 100)]);
-        let r = compare(&old, &new, DEFAULT_THRESHOLD, DEFAULT_ABS_SLACK);
-        assert!(r.ok());
-        assert_eq!(r.compared, 1);
-        assert_eq!(r.only_old, vec!["b".to_string()]);
-    }
-
-    #[test]
-    fn schema_version_mismatch_fails() {
-        let old = file(vec![]);
-        let mut new = file(vec![]);
-        new.schema_version += 1;
-        let r = compare(&old, &new, DEFAULT_THRESHOLD, DEFAULT_ABS_SLACK);
-        assert!(!r.ok());
-    }
-
-    #[test]
-    fn wall_gauges_are_never_gated() {
-        let old = file(vec![entry("a", 1, 100)]);
-        let mut new = file(vec![entry("a", 1, 100)]);
-        *new.entries[0].gauges.get_mut("mean_ns").unwrap() *= 100.0;
-        let r = compare(&old, &new, DEFAULT_THRESHOLD, DEFAULT_ABS_SLACK);
-        assert!(r.ok(), "{}", r.render());
-    }
 
     #[test]
     fn parser_handles_nesting_escapes_and_numbers() {

@@ -173,23 +173,16 @@ fn txn_matrix_crash_points_never_leak_uncommitted_versions() {
             access: Some(ForcedAccess::IndexScan),
             ..Default::default()
         }));
-        let via_batch = canon(Some(PlanForcing {
-            access: Some(ForcedAccess::SeqScan),
-            executor: ordb::Executor::Batch,
-            ..Default::default()
-        }));
-        if seq != via_index || seq != via_batch {
+        if seq != via_index {
             fail_with_waldump(
                 seed,
                 round,
                 &ctx,
                 &dump,
                 format!(
-                    "executor divergence after recovery: {} seq rows vs {} index rows \
-                     vs {} batch rows",
+                    "access-path divergence after recovery: {} seq rows vs {} index rows",
                     seq.len(),
-                    via_index.len(),
-                    via_batch.len()
+                    via_index.len()
                 ),
             );
         }

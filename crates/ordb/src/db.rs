@@ -49,11 +49,6 @@ pub struct DbOptions {
     /// `<dir>/spill/` instead of growing. `None` (the default) keeps
     /// the historical unbounded all-in-memory behaviour.
     pub mem_budget: Option<usize>,
-    /// Plan-space forcing knobs (join algorithm / join order / access
-    /// path). Default: all cost-based. Can be changed at runtime with
-    /// [`Database::set_forcing`] — the differential-testing harness pins
-    /// one query to every plan shape this way.
-    pub forcing: PlanForcing,
     /// Run [`Database::vacuum`] automatically on checkpoint when deletes
     /// have accumulated since the last pass (default on). Insert-only
     /// workloads never trigger it.
@@ -67,7 +62,6 @@ impl fmt::Debug for DbOptions {
             .field("durability", &self.durability)
             .field("fault", &self.fault.is_some())
             .field("mem_budget", &self.mem_budget)
-            .field("forcing", &self.forcing)
             .field("auto_vacuum", &self.auto_vacuum)
             .finish()
     }
@@ -80,7 +74,6 @@ impl Default for DbOptions {
             durability: true,
             fault: None,
             mem_budget: None,
-            forcing: PlanForcing::default(),
             auto_vacuum: true,
         }
     }
@@ -105,8 +98,6 @@ pub struct Database {
     recovery: Option<RecoveryReport>,
     /// Memory budget + temp-file manager handed to blocking operators.
     spill: SpillConfig,
-    /// Plan-space forcing knobs applied to every planned query.
-    forcing: RwLock<PlanForcing>,
     /// Per-database query count + wall-latency histogram; unified with
     /// pool/WAL/engine counters by [`Database::metrics_snapshot`].
     registry: crate::metrics::MetricsRegistry,
@@ -331,7 +322,6 @@ impl Database {
             trace: RwLock::new(None),
             recovery,
             spill,
-            forcing: RwLock::new(opts.forcing),
             registry: crate::metrics::MetricsRegistry::new(),
             txns,
             vacuum_serial: parking_lot::Mutex::new(()),
@@ -340,17 +330,6 @@ impl Database {
             write_gate: RwLock::new(()),
             closed: AtomicBool::new(false),
         })
-    }
-
-    /// Replace the plan-space forcing knobs for every subsequent query.
-    /// Pass [`PlanForcing::default()`] to restore cost-based planning.
-    pub fn set_forcing(&self, forcing: PlanForcing) {
-        *self.forcing.write() = forcing;
-    }
-
-    /// The currently active plan-space forcing knobs.
-    pub fn forcing(&self) -> PlanForcing {
-        *self.forcing.read()
     }
 
     /// Install (or clear, with `None`) the query-lifecycle trace sink.
@@ -534,7 +513,7 @@ impl Database {
     }
 
     /// What the planner needs from this database for one statement.
-    /// `forcing` of `None` means the database-wide knobs.
+    /// `forcing` of `None` means cost-based planning.
     fn plan_ctx<'a>(
         &'a self,
         inner: &'a DbInner,
@@ -548,7 +527,7 @@ impl Database {
             stats: &inner.stats,
             functions: &self.functions,
             spill: &self.spill,
-            forcing: forcing.unwrap_or_else(|| *self.forcing.read()),
+            forcing: forcing.unwrap_or_default(),
             snapshot,
         }
     }
@@ -558,11 +537,10 @@ impl Database {
         self.query_with_forcing(sql, None)
     }
 
-    /// [`Database::query`] with a per-call forcing override. `None` uses
-    /// the database-wide knobs from [`Database::set_forcing`]; `Some`
-    /// plans this one statement under the given knobs without touching
-    /// shared state — the wire server maps per-session `SET` options
-    /// here so concurrent sessions cannot perturb each other's plans.
+    /// [`Database::query`] under plan-space forcing. `None` is the
+    /// cost-based planner; `Some` plans this one statement under the
+    /// given knobs — the wire server maps per-session `SET` options here,
+    /// and the differential harnesses pin one query to every plan shape.
     pub fn query_with_forcing(
         &self,
         sql: &str,
@@ -750,8 +728,8 @@ impl Database {
     /// when none is open). A failed DML statement inside an explicit
     /// transaction aborts the whole transaction (first-updater-wins
     /// conflicts never leave a half-applied statement behind).
-    /// `forcing` overrides the database-wide knobs for the scan a
-    /// `DELETE` finds its victims with, as in [`Database::query_in`].
+    /// `forcing` pins the scan a `DELETE` finds its victims with, as in
+    /// [`Database::query_in`]; `None` is cost-based.
     pub fn execute_txn(
         &self,
         sql: &str,
@@ -1971,37 +1949,6 @@ mod tests {
     }
 
     #[test]
-    fn explain_batch_plan_performs_zero_pool_fetches() {
-        // Regression: a batch pipeline (row scan cut into batches,
-        // BatchHashJoin) must defer all I/O to the first pull just like
-        // a row plan, or EXPLAIN under the batch executor would scan the
-        // heap to print a plan.
-        let db = db("explainbatchnofetch");
-        setup_speech(&db);
-        db.flush().unwrap();
-        db.drop_cache().unwrap();
-        let batch =
-            PlanForcing { executor: crate::plan::Executor::Batch, ..PlanForcing::default() };
-        db.take_io_stats();
-        for (sql, vectorized) in [
-            ("SELECT speechID FROM speech WHERE speech_parentID = 1", "exec=batch"),
-            (
-                "SELECT s.speechID, a.act_title FROM speech s, act a \
-                 WHERE s.speech_parentID = a.actID",
-                "batch hash join",
-            ),
-        ] {
-            let plan = db.explain_with_forcing(sql, Some(batch)).unwrap();
-            assert!(
-                plan.iter().any(|l| l.contains(vectorized)),
-                "forcing must vectorize the plan: {plan:?}"
-            );
-        }
-        let window = db.take_io_stats();
-        assert_eq!(window.fetches(), 0, "batch EXPLAIN must touch zero pages: {window:?}");
-    }
-
-    #[test]
     fn commit_then_crash_recovers_everything() {
         // Load + commit, then "crash" (abandon the handle so nothing
         // flushes): the data files never saw the committed pages. Reopen
@@ -2334,16 +2281,12 @@ mod tests {
     }
 
     #[test]
-    fn batch_scan_respects_open_snapshot() {
-        // The vectorized scan collects whole pages at a time, so its
-        // MVCC filtering must match the row cursor exactly: uncommitted
-        // writes and post-snapshot commits stay invisible under a
-        // pinned snapshot, and only the uncommitted ones under a fresh
-        // autocommit snapshot.
-        let db = db("batch-snapshot");
+    fn seq_scan_respects_open_snapshot() {
+        // The scan filters whole pages at a time: uncommitted writes and
+        // post-snapshot commits stay invisible under a pinned snapshot,
+        // and only the uncommitted ones under a fresh autocommit snapshot.
+        let db = db("scan-snapshot");
         setup_speech(&db);
-        let batch =
-            PlanForcing { executor: crate::plan::Executor::Batch, ..PlanForcing::default() };
         let t = db.begin_txn();
         // Another connection inserts but never commits...
         let mut other = None;
@@ -2363,33 +2306,24 @@ mod tests {
         .unwrap();
         let check = |txn: Option<TxnId>, want: usize, label: &str| {
             let sql = "SELECT speechID, speech_speaker FROM speech";
-            let row = db.query_in(sql, None, txn).unwrap();
-            let bat = db.query_in(sql, Some(batch), txn).unwrap();
-            assert_eq!(row.rows, bat.rows, "{label}: batch scan diverged from row scan");
-            assert_eq!(row.len(), want, "{label}");
+            assert_eq!(db.query_in(sql, None, txn).unwrap().len(), want, "{label}");
         };
         check(Some(t), 3, "pinned snapshot hides uncommitted and post-BEGIN rows");
         check(None, 4, "fresh snapshot hides only the uncommitted insert");
         db.execute_txn("ROLLBACK", None, &mut other).unwrap();
         db.commit_txn(t).unwrap();
-        check(None, 4, "rollback leaves the aborted insert invisible to both executors");
+        check(None, 4, "rollback leaves the aborted insert invisible");
     }
 
     #[test]
-    fn batch_scan_hides_vacuumed_versions_like_row_path() {
-        // Deleted-but-pinned versions must survive for the batch scan
-        // exactly as for the row cursor, and once vacuum reclaims them
-        // both executors agree the pages are empty.
-        let db = db("batch-vacuum");
+    fn seq_scan_hides_vacuumed_versions() {
+        // Deleted-but-pinned versions survive for the pinned scan, and
+        // once vacuum reclaims them the pages read as empty.
+        let db = db("scan-vacuum");
         setup_speech(&db);
-        let batch =
-            PlanForcing { executor: crate::plan::Executor::Batch, ..PlanForcing::default() };
         let check = |txn: Option<TxnId>, want: usize, label: &str| {
             let sql = "SELECT speechID, speech_line FROM speech";
-            let row = db.query_in(sql, None, txn).unwrap();
-            let bat = db.query_in(sql, Some(batch), txn).unwrap();
-            assert_eq!(row.rows, bat.rows, "{label}: batch scan diverged from row scan");
-            assert_eq!(row.len(), want, "{label}");
+            assert_eq!(db.query_in(sql, None, txn).unwrap().len(), want, "{label}");
         };
         let t = db.begin_txn();
         db.execute("DELETE FROM speech").unwrap();
@@ -2398,7 +2332,7 @@ mod tests {
         check(None, 0, "fresh snapshot sees the delete");
         db.commit_txn(t).unwrap();
         assert_eq!(db.vacuum().unwrap().vacuumed_versions, 3, "commit releases the pin");
-        check(None, 0, "post-vacuum both executors agree the heap is empty");
+        check(None, 0, "post-vacuum the heap reads as empty");
     }
 
     /// `t(id, body)` with `n` rows, every tenth body in an overflow chain.

@@ -180,20 +180,12 @@ impl Operator for IndexNestedLoopJoin {
 /// schemas — is held as such: no allocation per build or probe row, and
 /// sixteen bytes to hash.
 #[derive(PartialEq, Eq, Hash)]
-pub(crate) enum JoinKey {
+enum JoinKey {
     Int(i64),
     Values(Vec<Value>),
 }
 
 impl JoinKey {
-    /// The key of these (non-NULL) values.
-    pub(crate) fn new(values: Vec<Value>) -> JoinKey {
-        match values[..] {
-            [Value::Int(i)] => JoinKey::Int(i),
-            _ => JoinKey::Values(values),
-        }
-    }
-
     /// Evaluate `keys` against `row`; `None` when any value is NULL
     /// (NULL never equi-joins).
     fn of(keys: &[Expr], row: &[Value]) -> Result<Option<JoinKey>> {
@@ -222,7 +214,7 @@ impl JoinKey {
 pub type JoinEmit = (Vec<usize>, Vec<usize>);
 
 /// `left ++ right`, or of that only the columns `emit` lists.
-pub(crate) fn join_rows(left: &[Value], right: &[Value], emit: Option<&JoinEmit>) -> Row {
+fn join_rows(left: &[Value], right: &[Value], emit: Option<&JoinEmit>) -> Row {
     match emit {
         None => [left, right].concat(),
         Some((l, r)) => {
@@ -243,7 +235,7 @@ const NO_ROW: usize = usize::MAX;
 /// match walks the chain — per key in build-arrival order — with no
 /// per-probe copy of the matched row group.
 #[derive(Default)]
-pub(crate) struct BuildTable {
+struct BuildTable {
     /// Build rows, each with the arena index of the next row of the same
     /// key ([`NO_ROW`] ends the chain).
     entries: Vec<(Row, usize)>,
@@ -251,7 +243,7 @@ pub(crate) struct BuildTable {
 }
 
 impl BuildTable {
-    pub(crate) fn insert(&mut self, key: JoinKey, row: Row) {
+    fn insert(&mut self, key: JoinKey, row: Row) {
         let idx = self.entries.len();
         self.entries.push((row, NO_ROW));
         match self.table.entry(key) {
@@ -269,16 +261,6 @@ impl BuildTable {
     /// Arena index of the first row of `key`, [`NO_ROW`] if it has none.
     fn first(&self, key: &JoinKey) -> usize {
         self.table.get(key).map_or(NO_ROW, |&(first, _)| first)
-    }
-
-    /// The rows of `key`, in build-arrival order.
-    pub(crate) fn rows_of(&self, key: &JoinKey) -> impl Iterator<Item = &Row> {
-        let mut idx = self.first(key);
-        std::iter::from_fn(move || {
-            let (row, next) = self.entries.get(idx)?;
-            idx = *next;
-            Some(row)
-        })
     }
 }
 

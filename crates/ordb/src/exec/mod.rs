@@ -2,11 +2,7 @@
 //!
 //! Every physical operator implements [`Operator::next`], pulling rows
 //! from its children. Plans are trees of boxed operators produced by the
-//! planner ([`crate::plan`]). The vectorized alternative — operators
-//! exchanging columnar [`Batch`]es instead of single rows — lives in
-//! [`batch`] and plugs into row plans through adapters.
-
-pub mod batch;
+//! planner ([`crate::plan`]).
 
 mod agg;
 mod filter;
@@ -17,10 +13,6 @@ mod sort;
 mod table_fn;
 
 pub use agg::{AggCall, AggFunc, Distinct, HashAggregate};
-pub use batch::{
-    Batch, BatchFilter, BatchHashJoin, BatchOperator, BatchProject, BatchToRows, BoxBatchOp,
-    InstrumentedBatch, RowsToBatch, BATCH_SIZE,
-};
 pub use filter::{Filter, Limit, Project, Values};
 pub use instrument::Instrumented;
 pub use join::{HashJoin, IndexNestedLoopJoin, JoinEmit, MergeJoin, NestedLoopJoin};

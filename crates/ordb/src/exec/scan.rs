@@ -10,8 +10,7 @@
 //!
 //! A sequential scan reads through the heap's one iteration loop,
 //! [`PageScan`]: one pool fetch and one latch per page, visibility and
-//! decode straight from the page bytes. The batch executor has no scan
-//! of its own; a batch plan reads through `RowsToBatch(SeqScan)`.
+//! decode straight from the page bytes.
 //!
 //! Either scan can append the version's [`Rid`] to each row as a trailing
 //! integer column ([`SeqScan::with_rid`], [`IndexScan::with_rid`]): DML

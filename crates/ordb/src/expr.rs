@@ -164,33 +164,6 @@ pub enum Expr {
 /// The one-entry cache behind [`Expr::Memo`].
 pub type MemoSlot = Arc<Mutex<Option<(i64, Value)>>>;
 
-/// Where an expression reads its column operands from: a contiguous row
-/// slice (the Volcano executor) or one row position across the column
-/// vectors of a batch (the vectorized executor). `'a` is how long the
-/// values it hands out live — the row's lifetime, not the source's.
-trait ValueSource<'a> {
-    /// The value of column `col`, `None` when out of range.
-    fn value(&self, col: usize) -> Option<&'a Value>;
-}
-
-impl<'a> ValueSource<'a> for &'a [Value] {
-    fn value(&self, col: usize) -> Option<&'a Value> {
-        self.get(col)
-    }
-}
-
-/// One row position across a batch's column vectors.
-struct ColumnsAt<'a> {
-    cols: &'a [Vec<Value>],
-    row: usize,
-}
-
-impl<'a> ValueSource<'a> for ColumnsAt<'a> {
-    fn value(&self, col: usize) -> Option<&'a Value> {
-        self.cols.get(col)?.get(self.row)
-    }
-}
-
 impl Expr {
     /// Convenience: column reference.
     pub fn col(i: usize) -> Expr {
@@ -207,55 +180,39 @@ impl Expr {
         Expr::Cmp { op, lhs: Box::new(lhs), rhs: Box::new(rhs) }
     }
 
-    /// Evaluate against `row`.
-    pub fn eval(&self, row: &[Value]) -> Result<Value> {
-        self.eval_src(&row)
-    }
-
-    /// Evaluate at position `row` of a column-vector batch: `cols[i]` is
-    /// column `i`, `cols[i][row]` this row's value. The batch executor's
-    /// entry point — same three-valued logic as [`Expr::eval`] (both are
-    /// monomorphized from one generic body over `ValueSource`).
-    pub fn eval_at(&self, cols: &[Vec<Value>], row: usize) -> Result<Value> {
-        self.eval_src(&ColumnsAt { cols, row })
-    }
-
     /// Evaluate against `row` without copying what is only looked at: a
     /// column or a literal is answered by reference, anything else is
     /// computed. What comparisons, `LIKE`, `IS NULL`, the logical
     /// operators and join-key evaluation read their operands through.
     pub(crate) fn eval_ref<'a>(&'a self, row: &'a [Value]) -> Result<Cow<'a, Value>> {
-        self.operand(&row)
-    }
-
-    fn operand<'a, S: ValueSource<'a>>(&'a self, row: &S) -> Result<Cow<'a, Value>> {
         match self {
             Expr::Column(i) => row
-                .value(*i)
+                .get(*i)
                 .map(Cow::Borrowed)
                 .ok_or_else(|| DbError::Exec(format!("column index {i} out of range"))),
             Expr::Literal(v) => Ok(Cow::Borrowed(v)),
-            computed => computed.eval_src(row).map(Cow::Owned),
+            computed => computed.eval(row).map(Cow::Owned),
         }
     }
 
-    fn eval_src<'a, S: ValueSource<'a>>(&'a self, row: &S) -> Result<Value> {
+    /// Evaluate against `row`.
+    pub fn eval(&self, row: &[Value]) -> Result<Value> {
         match self {
-            Expr::Column(_) | Expr::Literal(_) => self.operand(row).map(Cow::into_owned),
+            Expr::Column(_) | Expr::Literal(_) => self.eval_ref(row).map(Cow::into_owned),
             Expr::Cmp { op, lhs, rhs } => {
-                let l = lhs.operand(row)?;
-                let r = rhs.operand(row)?;
+                let l = lhs.eval_ref(row)?;
+                let r = rhs.eval_ref(row)?;
                 Ok(match l.sql_cmp(&r) {
                     None => Value::Null,
                     Some(ord) => Value::Int(i64::from(op.matches(ord))),
                 })
             }
             Expr::And(a, b) => {
-                let va = a.operand(row)?;
+                let va = a.eval_ref(row)?;
                 if !va.is_null() && !va.is_true() {
                     return Ok(Value::Int(0));
                 }
-                let vb = b.operand(row)?;
+                let vb = b.eval_ref(row)?;
                 if !vb.is_null() && !vb.is_true() {
                     return Ok(Value::Int(0));
                 }
@@ -265,11 +222,11 @@ impl Expr {
                 Ok(Value::Int(1))
             }
             Expr::Or(a, b) => {
-                let va = a.operand(row)?;
+                let va = a.eval_ref(row)?;
                 if va.is_true() {
                     return Ok(Value::Int(1));
                 }
-                let vb = b.operand(row)?;
+                let vb = b.eval_ref(row)?;
                 if vb.is_true() {
                     return Ok(Value::Int(1));
                 }
@@ -279,13 +236,13 @@ impl Expr {
                 Ok(Value::Int(0))
             }
             Expr::Not(e) => {
-                let v = e.operand(row)?;
+                let v = e.eval_ref(row)?;
                 if v.is_null() {
                     return Ok(Value::Null);
                 }
                 Ok(Value::Int(i64::from(!v.is_true())))
             }
-            Expr::Like { expr, pattern, negated } => match &*expr.operand(row)? {
+            Expr::Like { expr, pattern, negated } => match &*expr.eval_ref(row)? {
                 Value::Null => Ok(Value::Null),
                 Value::Str(s) => {
                     let m = like_match(pattern.as_bytes(), s.as_bytes());
@@ -294,30 +251,30 @@ impl Expr {
                 other => Err(DbError::Exec(format!("LIKE on non-string {other:?}"))),
             },
             Expr::IsNull { expr, negated } => {
-                let v = expr.operand(row)?;
+                let v = expr.eval_ref(row)?;
                 Ok(Value::Int(i64::from(v.is_null() != *negated)))
             }
             Expr::Func { def, args } => {
                 let mut vals = Vec::with_capacity(args.len());
                 for a in args {
-                    vals.push(a.eval_src(row)?);
+                    vals.push(a.eval(row)?);
                 }
                 def.call(&vals)
             }
             Expr::Memo { ordinal, call, slot } => {
-                let key = row.value(*ordinal).and_then(Value::as_int).ok_or_else(|| {
+                let key = row.get(*ordinal).and_then(Value::as_int).ok_or_else(|| {
                     DbError::Exec(format!("column {ordinal} holds no row ordinal"))
                 })?;
                 if let Some((_, v)) = slot.lock().as_ref().filter(|(k, _)| *k == key) {
                     return Ok(v.clone());
                 }
-                let v = call.eval_src(row)?;
+                let v = call.eval(row)?;
                 *slot.lock() = Some((key, v.clone()));
                 Ok(v)
             }
             Expr::Arith { op, lhs, rhs } => {
-                let l = lhs.eval_src(row)?;
-                let r = rhs.eval_src(row)?;
+                let l = lhs.eval(row)?;
+                let r = rhs.eval(row)?;
                 match (l, r) {
                     (Value::Null, _) | (_, Value::Null) => Ok(Value::Null),
                     (Value::Int(a), Value::Int(b)) => {
@@ -518,7 +475,7 @@ mod tests {
     /// The three-valued matrix of every operator that reads its operands
     /// by reference, as the copying implementation before it answered.
     /// Each operand is tried as a column, as a literal and as a computed
-    /// value, through the row and the batch entry points.
+    /// value, through the copying and the borrowing entry points.
     #[test]
     fn null_matrix_is_the_same_for_borrowed_and_computed_operands() {
         let (t, f, n, s) = (Value::Int(1), Value::Int(0), Value::Null, Value::str("x"));
@@ -553,8 +510,7 @@ mod tests {
         };
         let check = |e: &Expr, row: &[Value], want: &Value| {
             assert_eq!(&e.eval(row).unwrap(), want, "{e:?} over {row:?}");
-            let cols: Vec<Vec<Value>> = row.iter().map(|v| vec![v.clone()]).collect();
-            assert_eq!(&e.eval_at(&cols, 0).unwrap(), want, "{e:?} over batch {row:?}");
+            assert_eq!(&*e.eval_ref(row).unwrap(), want, "{e:?} by reference over {row:?}");
         };
         for (l, r, and, or, eq) in binary {
             let row = [l.clone(), r.clone()];

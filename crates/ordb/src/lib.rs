@@ -57,7 +57,7 @@ pub use db::{AnalyzeReport, Database, DbOptions, QueryResult, VacuumReport};
 pub use error::{DbError, Result};
 pub use metrics::QueryMetrics;
 pub use net::{Client, Server, ServerHandle};
-pub use plan::{Executor, ForcedAccess, ForcedJoin, PlanForcing};
+pub use plan::{ForcedAccess, ForcedJoin, PlanForcing};
 pub use recovery::RecoveryReport;
 pub use storage::fault::{CrashMode, FaultInjector, FaultPlan, FaultScope};
 pub use storage::wal::WalStats;

@@ -41,7 +41,7 @@ use std::collections::BTreeMap;
 
 use crate::db::QueryResult;
 use crate::error::{DbError, Result};
-use crate::plan::{Executor, ForcedAccess, ForcedJoin, PlanForcing};
+use crate::plan::{ForcedAccess, ForcedJoin, PlanForcing};
 use crate::tuple::{decode_row, encode_row};
 
 // ---- request / response tags --------------------------------------------
@@ -298,8 +298,7 @@ pub fn decode_error(code: u8, message: &str) -> DbError {
 /// Per-connection server state. Holds the session's `SET` options (today
 /// the plan-forcing knobs; the option map is the future home of
 /// `PREPARE` slots and other session-scoped settings) so concurrent
-/// sessions can force different plans without touching the database-wide
-/// [`Database::set_forcing`](crate::db::Database::set_forcing) state.
+/// sessions can force different plans, each passed per statement.
 #[derive(Debug, Default)]
 pub struct Session {
     forcing: Option<PlanForcing>,
@@ -317,7 +316,7 @@ impl Session {
     }
 
     /// The session's forcing override, if any `SET force_*` was issued.
-    /// `None` means "use the database-wide knobs".
+    /// `None` means cost-based planning.
     pub fn forcing(&self) -> Option<PlanForcing> {
         self.forcing
     }
@@ -343,7 +342,6 @@ impl Session {
     /// * `force_join` — `nested` | `hash` | `merge` | `cost`
     /// * `force_access` — `seq` | `index` | `cost`
     /// * `force_order` — `declared` | `cost`
-    /// * `force_executor` — `batch` | `volcano`
     ///
     /// `cost` restores the cost-based default for that knob. Unknown
     /// keys or values fail with [`DbError::Exec`] and leave the session
@@ -385,17 +383,6 @@ impl Session {
                     other => {
                         return Err(DbError::Exec(format!(
                             "bad force_order value {other:?} (want declared|cost)"
-                        )))
-                    }
-                }
-            }
-            "force_executor" => {
-                forcing.executor = match val_lc.as_str() {
-                    "batch" => Executor::Batch,
-                    "volcano" => Executor::Volcano,
-                    other => {
-                        return Err(DbError::Exec(format!(
-                            "bad force_executor value {other:?} (want batch|volcano)"
                         )))
                     }
                 }
@@ -538,16 +525,14 @@ mod tests {
         assert_eq!(f.access, Some(ForcedAccess::SeqScan));
         s.set("force_order", "declared").unwrap();
         assert!(s.forcing().unwrap().declared_order);
-        s.set("force_executor", "batch").unwrap();
-        assert_eq!(s.forcing().unwrap().executor, Executor::Batch);
-        s.set("force_executor", "volcano").unwrap();
-        assert_eq!(s.forcing().unwrap().executor, Executor::Volcano);
         s.set("force_join", "cost").unwrap();
         assert_eq!(s.forcing().unwrap().join, None);
         // Bad key/value: error, state unchanged.
         let before = s.forcing();
         assert!(s.set("force_join", "quantum").is_err());
-        assert!(s.set("force_executor", "gpu").is_err());
+        // The engine has one executor, so there is no executor to pick.
+        let err = s.set("FORCE_EXECUTOR", "batch").unwrap_err();
+        assert!(err.to_string().contains("unknown session option"), "{err}");
         assert!(s.set("fsync", "off").is_err());
         assert_eq!(s.forcing(), before);
         assert_eq!(s.options().get("force_access").map(String::as_str), Some("seq"));

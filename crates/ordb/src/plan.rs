@@ -27,9 +27,9 @@ use std::sync::Arc;
 use crate::catalog::{Catalog, TableDef};
 use crate::error::{DbError, Result};
 use crate::exec::{
-    AggCall, AggFunc, BatchFilter, BatchHashJoin, BatchProject, BatchToRows, BoxBatchOp, BoxOp,
-    Distinct, Filter, HashAggregate, HashJoin, IndexNestedLoopJoin, IndexScan, JoinEmit, Limit,
-    MergeJoin, NestedLoopJoin, Project, RowsToBatch, SeqScan, Sort, SortKey, UnnestScan,
+    AggCall, AggFunc, BoxOp, Distinct, Filter, HashAggregate, HashJoin, IndexNestedLoopJoin,
+    IndexScan, JoinEmit, Limit, MergeJoin, NestedLoopJoin, Project, SeqScan, Sort, SortKey,
+    UnnestScan,
 };
 use crate::expr::{CmpOp, Expr, MemoSlot};
 use crate::functions::FunctionRegistry;
@@ -66,20 +66,6 @@ pub enum ForcedAccess {
     IndexScan,
 }
 
-/// Which execution engine drains the plan (see [`crate::exec::batch`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum Executor {
-    /// Row-at-a-time Volcano iterators — the default.
-    #[default]
-    Volcano,
-    /// Vectorized: scan/filter/project/hash-join exchange 1024-row
-    /// column batches with selection vectors; operators without a batch
-    /// implementation (sorts, aggregates, merge/nested-loop joins,
-    /// index paths, unnest, spilling joins) fall back to Volcano via a
-    /// batch→row adapter.
-    Batch,
-}
-
 /// Plan-space forcing: pins planner decisions so a test harness can run
 /// one query under every plan shape and compare results. The default
 /// (`None` everywhere) is the normal cost-based planner.
@@ -93,8 +79,6 @@ pub struct PlanForcing {
     pub declared_order: bool,
     /// Pin the base-table access path. `None`: current default policy.
     pub access: Option<ForcedAccess>,
-    /// Which executor drains the plan (default: Volcano rows).
-    pub executor: Executor,
 }
 
 impl PlanForcing {
@@ -118,11 +102,7 @@ impl PlanForcing {
             Some(ForcedAccess::SeqScan) => "seq",
             Some(ForcedAccess::IndexScan) => "index",
         };
-        let exec = match self.executor {
-            Executor::Volcano => "volcano",
-            Executor::Batch => "batch",
-        };
-        format!("join={join} order={order} access={access} exec={exec}")
+        format!("join={join} order={order} access={access}")
     }
 }
 
@@ -154,60 +134,6 @@ pub struct PhysicalPlan {
     pub columns: Vec<String>,
     /// Human-readable log of planning decisions (for EXPLAIN / tests).
     pub explain: Vec<String>,
-}
-
-/// A plan subtree under construction, in either executor's protocol.
-/// Under `Executor::Batch` the vectorizable prefix of the plan (seq
-/// scans, filters, projections, in-memory hash joins) is built as a
-/// batch subtree; any operator without a batch implementation converts
-/// the subtree back to rows via [`BatchToRows`], and a Volcano subtree
-/// feeding a batch operator is adapted with [`RowsToBatch`].
-enum AnyOp {
-    /// Volcano row subtree.
-    Row(BoxOp),
-    /// Vectorized batch subtree.
-    Batch(BoxBatchOp),
-}
-
-impl AnyOp {
-    /// View as a row operator, inserting a batch→row adapter if needed.
-    fn into_rows(self) -> BoxOp {
-        match self {
-            AnyOp::Row(op) => op,
-            AnyOp::Batch(op) => Box::new(BatchToRows::new(op)),
-        }
-    }
-
-    /// View as a batch operator, inserting a row→batch adapter if needed.
-    fn into_batches(self) -> BoxBatchOp {
-        match self {
-            AnyOp::Row(op) => Box::new(RowsToBatch::new(op)),
-            AnyOp::Batch(op) => op,
-        }
-    }
-}
-
-/// Apply `pred` as a filter in whichever protocol `root` speaks: a
-/// selection-vector refinement on batch subtrees, a Volcano [`Filter`]
-/// on row subtrees.
-fn filter_any(
-    root: AnyOp,
-    root_id: usize,
-    pred: Expr,
-    label: &str,
-    prof: &mut Profiler,
-) -> (AnyOp, usize) {
-    match root {
-        AnyOp::Batch(op) => {
-            let (op, id) =
-                prof.wrap_batch(Box::new(BatchFilter::new(op, pred)), label, vec![root_id]);
-            (AnyOp::Batch(op), id)
-        }
-        AnyOp::Row(op) => {
-            let (op, id) = prof.wrap(Box::new(Filter::new(op, pred)), label, vec![root_id]);
-            (AnyOp::Row(op), id)
-        }
-    }
 }
 
 /// One column of the in-flight plan.
@@ -553,12 +479,11 @@ pub fn plan_select_profiled(
                     build_scan(ctx, &bases[cand], local.get(&bases[cand].alias), prof)?;
                 explain.push(scan_line(&bases[cand], &path));
                 explain.push(format!("cross join {}", bases[cand].alias));
-                let (op, id) = prof.wrap(
-                    Box::new(NestedLoopJoin::new(root.into_rows(), inner.into_rows(), None)),
+                (root, root_id) = prof.wrap(
+                    Box::new(NestedLoopJoin::new(root, inner, None)),
                     format!("NestedLoopJoin (cross) {}", bases[cand].alias),
                     vec![root_id, inner_id],
                 );
-                (root, root_id) = (AnyOp::Row(op), id);
                 schema.0.extend(bases[cand].columns.iter().cloned());
                 joined[cand] = true;
                 current_rows *= est[cand];
@@ -636,12 +561,11 @@ pub fn plan_select_profiled(
             };
             let pred = compile(&pred_ast, &schema, ctx.functions)?;
             explain.push(format!("nested-loop join {} (forced)", inner_base.alias));
-            let (op, id) = prof.wrap(
-                Box::new(NestedLoopJoin::new(root.into_rows(), inner_plan.into_rows(), Some(pred))),
+            (root, root_id) = prof.wrap(
+                Box::new(NestedLoopJoin::new(root, inner_plan, Some(pred))),
                 format!("NestedLoopJoin {}", inner_base.alias),
                 vec![root_id, inner_id],
             );
-            (root, root_id) = (AnyOp::Row(op), id);
         } else if let Some(ForcedJoin::Merge) = ctx.forcing.join {
             let (inner_plan, path, inner_id) = build_scan(ctx, inner_base, inner_local, prof)?;
             explain.push(scan_line(inner_base, &path));
@@ -649,10 +573,10 @@ pub fn plan_select_profiled(
             let inner_key = compile(&inner_ast, &inner_schema, ctx.functions)?;
             schema.0.extend(inner_base.columns.iter().cloned());
             explain.push(format!("merge join {} (forced)", inner_base.alias));
-            let (op, id) = prof.wrap(
+            (root, root_id) = prof.wrap(
                 Box::new(MergeJoin::with_spill(
-                    root.into_rows(),
-                    inner_plan.into_rows(),
+                    root,
+                    inner_plan,
                     vec![outer_key],
                     vec![inner_key],
                     None,
@@ -661,7 +585,6 @@ pub fn plan_select_profiled(
                 format!("MergeJoin {}", inner_base.alias),
                 vec![root_id, inner_id],
             );
-            (root, root_id) = (AnyOp::Row(op), id);
         } else if let (true, Some(index)) = (use_index_nlj, inner_index) {
             // Residual = inner local predicates, compiled against the
             // concatenated schema.
@@ -672,9 +595,9 @@ pub fn plan_select_profiled(
                 "index-nested-loop join {} via index (est outer {:.0}) {cols}",
                 inner_base.alias, current_rows
             ));
-            let (op, id) = prof.wrap(
+            (root, root_id) = prof.wrap(
                 Box::new(IndexNestedLoopJoin::new(
-                    root.into_rows(),
+                    root,
                     ctx.heap_of(&inner_base.table)?,
                     index,
                     inner_base.ordinals.clone(),
@@ -685,14 +608,10 @@ pub fn plan_select_profiled(
                 format!("IndexNestedLoopJoin {} {cols}", inner_base.alias),
                 vec![root_id],
             );
-            (root, root_id) = (AnyOp::Row(op), id);
         } else {
             // Hash join, building on the estimated-smaller side, probing
             // with the other; the output is `current ++ inner` either way,
-            // cut to what the plan above still reads. The batch hash join
-            // has no Grace spill path, so it is only picked when no memory
-            // budget is configured; otherwise the batch pipeline (if any)
-            // converts to rows here.
+            // cut to what the plan above still reads.
             let (inner_plan, path, inner_id) = build_scan(ctx, inner_base, inner_local, prof)?;
             explain.push(scan_line(inner_base, &path));
             let inner_schema = Schema(inner_base.columns.clone());
@@ -712,25 +631,18 @@ pub fn plan_select_profiled(
             let mut read = read.into_iter();
             schema.0.retain(|_| read.next().expect("one flag per column"));
             let build_inner = est[cand] <= current_rows;
-            let batch_join = ctx.forcing.executor == Executor::Batch && ctx.spill.budget.is_none();
             let (build_side, build_rows, probe_side, probe_rows) = if build_inner {
                 ("inner", est[cand], "", current_rows)
             } else {
                 ("current", current_rows, "inner ", est[cand])
             };
             explain.push(format!(
-                "{}hash join {} (build {build_side} {build_rows:.0} rows, probe \
+                "hash join {} (build {build_side} {build_rows:.0} rows, probe \
                  {probe_side}{probe_rows:.0}) emits {}/{width}",
-                if batch_join { "batch " } else { "" },
                 inner_base.alias,
                 schema.0.len(),
             ));
-            let label = format!(
-                "{}HashJoin {} emits {}/{width}",
-                if batch_join { "Batch" } else { "" },
-                inner_base.alias,
-                schema.0.len()
-            );
+            let label = format!("HashJoin {} emits {}/{width}", inner_base.alias, schema.0.len());
             // (probe, build) with their keys; the probe is the left input
             // exactly when the build side is the new table.
             let (probe, probe_key, probe_id, build, build_key, build_id) = if build_inner {
@@ -738,31 +650,10 @@ pub fn plan_select_profiled(
             } else {
                 (inner_plan, inner_key, inner_id, root, outer_key, root_id)
             };
-            if batch_join {
-                let join = BatchHashJoin::new(
-                    probe.into_batches(),
-                    build.into_batches(),
-                    vec![probe_key],
-                    vec![build_key],
-                    None,
-                    build_inner,
-                );
-                let (op, id) =
-                    prof.wrap_batch(Box::new(join.emitting(emit)), label, vec![probe_id, build_id]);
-                (root, root_id) = (AnyOp::Batch(op), id);
-            } else {
-                let join = HashJoin::new(
-                    probe.into_rows(),
-                    build.into_rows(),
-                    vec![probe_key],
-                    vec![build_key],
-                    None,
-                    build_inner,
-                );
-                let join = join.with_spill(ctx.spill.clone()).emitting(emit);
-                let (op, id) = prof.wrap(Box::new(join), label, vec![probe_id, build_id]);
-                (root, root_id) = (AnyOp::Row(op), id);
-            }
+            let join =
+                HashJoin::new(probe, build, vec![probe_key], vec![build_key], None, build_inner);
+            let join = join.with_spill(ctx.spill.clone()).emitting(emit);
+            (root, root_id) = prof.wrap(Box::new(join), label, vec![probe_id, build_id]);
         }
         joined[cand] = true;
         current_rows = join_rows;
@@ -772,7 +663,8 @@ pub fn plan_select_profiled(
     for (_, e1, _, e2) in edges_left {
         let pred = AstExpr::Cmp { op: CmpOp::Eq, lhs: Box::new(e1), rhs: Box::new(e2) };
         let compiled = compile(&pred, &schema, ctx.functions)?;
-        (root, root_id) = filter_any(root, root_id, compiled, "Filter (join edge)", prof);
+        (root, root_id) =
+            prof.wrap(Box::new(Filter::new(root, compiled)), "Filter (join edge)", vec![root_id]);
     }
 
     // ---- 5. lateral table functions + deferred predicates ---------------
@@ -801,12 +693,11 @@ pub fn plan_select_profiled(
             line.push_str(&format!("{} {e}", if i == 0 { " carrying" } else { "," }));
         }
         explain.push(line);
-        let (op, id) = prof.wrap(
-            Box::new(UnnestScan::new(root.into_rows(), input, tag, !carried.is_empty())),
+        (root, root_id) = prof.wrap(
+            Box::new(UnnestScan::new(root, input, tag, !carried.is_empty())),
             format!("UnnestScan {alias}"),
             vec![root_id],
         );
-        (root, root_id) = (AnyOp::Row(op), id);
         schema.0.push(Binding::column(alias, "out", DataType::Xadt));
         if !carried.is_empty() {
             schema.0.push(Binding {
@@ -884,31 +775,20 @@ pub fn plan_select_profiled(
             group_exprs.len(),
             aggs.len()
         ));
-        let (op, id) = prof.wrap(
-            Box::new(HashAggregate::with_spill(
-                root.into_rows(),
-                group_exprs,
-                aggs,
-                ctx.spill.clone(),
-            )),
+        (root, root_id) = prof.wrap(
+            Box::new(HashAggregate::with_spill(root, group_exprs, aggs, ctx.spill.clone())),
             "HashAggregate",
             vec![root_id],
         );
-        (root, root_id) = (AnyOp::Row(op), id);
         if !sort_keys.is_empty() {
-            let (op, id) = prof.wrap(
-                Box::new(Sort::with_spill(root.into_rows(), sort_keys, ctx.spill.clone())),
+            (root, root_id) = prof.wrap(
+                Box::new(Sort::with_spill(root, sort_keys, ctx.spill.clone())),
                 "Sort",
                 vec![root_id],
             );
-            (root, root_id) = (AnyOp::Row(op), id);
         }
-        let (op, id) = prof.wrap(
-            Box::new(Project::new(root.into_rows(), out_exprs)),
-            "Project",
-            vec![root_id],
-        );
-        (root, root_id) = (AnyOp::Row(op), id);
+        (root, root_id) =
+            prof.wrap(Box::new(Project::new(root, out_exprs)), "Project", vec![root_id]);
     } else {
         // Plain projection.
         let mut out_exprs = Vec::new();
@@ -938,29 +818,14 @@ pub fn plan_select_profiled(
             for (e, asc) in &q.order_by {
                 sort_keys.push(SortKey { expr: compile(e, &schema, ctx.functions)?, asc: *asc });
             }
-            let (op, id) = prof.wrap(
-                Box::new(Sort::with_spill(root.into_rows(), sort_keys, ctx.spill.clone())),
+            (root, root_id) = prof.wrap(
+                Box::new(Sort::with_spill(root, sort_keys, ctx.spill.clone())),
                 "Sort",
                 vec![root_id],
             );
-            (root, root_id) = (AnyOp::Row(op), id);
         }
-        // Projection stays vectorized when its input is a batch subtree.
-        match root {
-            AnyOp::Batch(op) => {
-                let (op, id) = prof.wrap_batch(
-                    Box::new(BatchProject::new(op, out_exprs)),
-                    "BatchProject",
-                    vec![root_id],
-                );
-                (root, root_id) = (AnyOp::Batch(op), id);
-            }
-            AnyOp::Row(op) => {
-                let (op, id) =
-                    prof.wrap(Box::new(Project::new(op, out_exprs)), "Project", vec![root_id]);
-                (root, root_id) = (AnyOp::Row(op), id);
-            }
-        }
+        (root, root_id) =
+            prof.wrap(Box::new(Project::new(root, out_exprs)), "Project", vec![root_id]);
     }
 
     if q.distinct {
@@ -969,24 +834,19 @@ pub fn plan_select_profiled(
         // partitioned keys out of order, so only an unordered DISTINCT
         // gets the budget-bounded variant.
         let distinct: BoxOp = if q.order_by.is_empty() {
-            Box::new(Distinct::with_spill(root.into_rows(), ctx.spill.clone()))
+            Box::new(Distinct::with_spill(root, ctx.spill.clone()))
         } else {
-            Box::new(Distinct::new(root.into_rows()))
+            Box::new(Distinct::new(root))
         };
-        let (op, id) = prof.wrap(distinct, "Distinct", vec![root_id]);
-        (root, root_id) = (AnyOp::Row(op), id);
+        (root, root_id) = prof.wrap(distinct, "Distinct", vec![root_id]);
     }
     if let Some(n) = q.limit {
-        let (op, id) = prof.wrap(
-            Box::new(Limit::new(root.into_rows(), n)),
-            format!("Limit {n}"),
-            vec![root_id],
-        );
-        (root, root_id) = (AnyOp::Row(op), id);
+        (root, root_id) =
+            prof.wrap(Box::new(Limit::new(root, n)), format!("Limit {n}"), vec![root_id]);
     }
     let _ = root_id;
 
-    Ok(PhysicalPlan { root: root.into_rows(), columns, explain })
+    Ok(PhysicalPlan { root, columns, explain })
 }
 
 /// Where a `DELETE` finds its victims.
@@ -1024,7 +884,7 @@ pub fn plan_delete(
     }
     explain.push(format!("delete from {} via {path}", base.table));
     let heap = ctx.heap_of(&base.table)?;
-    Ok(DeletePlan { root: root.into_rows(), table: base.table, heap, explain })
+    Ok(DeletePlan { root, table: base.table, heap, explain })
 }
 
 /// Compile an expression against an explicit `(alias, column)` binding
@@ -1115,18 +975,19 @@ fn read_above<'e>(
 
 /// Apply every pending predicate whose aliases are all in `schema`.
 fn apply_ready_preds(
-    mut root: AnyOp,
+    mut root: BoxOp,
     mut root_id: usize,
     pending: &mut Vec<(Vec<String>, AstExpr)>,
     schema: &Schema,
     fns: &FunctionRegistry,
     prof: &mut Profiler,
-) -> Result<(AnyOp, usize)> {
+) -> Result<(BoxOp, usize)> {
     let mut remaining = Vec::new();
     for (aliases, pred) in pending.drain(..) {
         if aliases.iter().all(|a| schema_has_alias(schema, a)) {
             let compiled = compile(&pred, schema, fns)?;
-            (root, root_id) = filter_any(root, root_id, compiled, "Filter", prof);
+            (root, root_id) =
+                prof.wrap(Box::new(Filter::new(root, compiled)), "Filter", vec![root_id]);
         } else {
             remaining.push((aliases, pred));
         }
@@ -1155,7 +1016,7 @@ fn build_scan(
     base: &BaseRef,
     preds: Option<&Vec<AstExpr>>,
     prof: &mut Profiler,
-) -> Result<(AnyOp, String, usize)> {
+) -> Result<(BoxOp, String, usize)> {
     let heap = ctx.heap_of(&base.table)?;
     let table_schema = Schema(base.columns.clone());
     let empty = Vec::new();
@@ -1186,7 +1047,7 @@ fn build_scan(
         }
     }
 
-    let (mut op, desc, mut op_id): (AnyOp, String, usize) = match chosen {
+    let (mut op, desc, mut op_id) = match chosen {
         Some((tree, value, cmp)) => {
             let key = encode_key(std::slice::from_ref(&value));
             let snap = ctx.snapshot.clone();
@@ -1207,7 +1068,7 @@ fn build_scan(
             let described = base.describe_cols();
             let label = format!("IndexScan({cmp}) {} {described}", base.alias);
             let (op, id) = prof.wrap(Box::new(scan), label, vec![]);
-            (AnyOp::Row(op), format!("IndexScan({cmp}) {described}"), id)
+            (op, format!("IndexScan({cmp}) {described}"), id)
         }
         None => {
             let mut scan = SeqScan::new(heap, base.ordinals.clone(), ctx.snapshot.clone());
@@ -1217,15 +1078,6 @@ fn build_scan(
             let described = base.describe_cols();
             let (op, id) =
                 prof.wrap(Box::new(scan), format!("SeqScan {} {described}", base.alias), vec![]);
-            // The batch executor has no scan of its own: its pipelines
-            // start at the row scan (one pool fetch per page, live
-            // columns only), cut into batches; the residual predicates
-            // below become selection-vector refinements.
-            let op = if ctx.forcing.executor == Executor::Batch && !base.rid {
-                AnyOp::Batch(Box::new(RowsToBatch::new(op)))
-            } else {
-                AnyOp::Row(op)
-            };
             (op, format!("SeqScan {described}"), id)
         }
     };
@@ -1245,7 +1097,7 @@ fn build_scan(
         .collect();
     for p in residual {
         let compiled = compile(p, &table_schema, ctx.functions)?;
-        (op, op_id) = filter_any(op, op_id, compiled, "Filter", prof);
+        (op, op_id) = prof.wrap(Box::new(Filter::new(op, compiled)), "Filter", vec![op_id]);
     }
     Ok((op, desc, op_id))
 }

@@ -1,5 +1,5 @@
 //! Structured query-lifecycle events with a pluggable sink, and the
-//! hierarchical span tracer behind `\spans` and the trajectory bench.
+//! hierarchical span tracer behind `\spans` and the repo benchmark's traces.
 //!
 //! Two layers live here:
 //!

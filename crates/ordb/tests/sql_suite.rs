@@ -624,7 +624,7 @@ fn seq_scan_costs_a_fetch_per_page_not_per_tuple() {
 
 // ---- DELETE through the planner's access paths ---------------------------
 
-use ordb::{DbOptions, ForcedAccess, PlanForcing};
+use ordb::{ForcedAccess, PlanForcing};
 
 fn forced(access: ForcedAccess) -> PlanForcing {
     PlanForcing { access: Some(access), ..Default::default() }
@@ -685,9 +685,8 @@ fn delete_on_an_indexed_column_probes_instead_of_scanning() {
     // Pool counters are per database (the engine's probe counter is
     // process-wide, and the suite's tests run in parallel).
     let run = |sql: &str, forcing: PlanForcing| {
-        d.set_forcing(forcing);
         let before = d.io_stats_total();
-        let n = d.execute(sql).unwrap();
+        let n = d.execute_txn(sql, Some(forcing), &mut None).unwrap();
         (n, d.io_stats_total().since(&before).fetches())
     };
     let (n, fetches) = run("DELETE FROM churn WHERE parent = 1234", PlanForcing::default());
@@ -738,19 +737,19 @@ fn dml_differential_forced_accesses_agree() {
     };
     for seed in seeds {
         let mut rng = SmallRng::seed_from_u64(seed);
-        let twins: Vec<Database> = [ForcedAccess::IndexScan, ForcedAccess::SeqScan]
+        // Each twin plans every statement under its own pinned access path.
+        let twins: Vec<(Database, PlanForcing)> = [ForcedAccess::IndexScan, ForcedAccess::SeqScan]
             .into_iter()
             .map(|access| {
                 let dir = std::env::temp_dir()
                     .join(format!("ordb-suite-dml-{access:?}-{seed}-{}", std::process::id()));
                 let _ = std::fs::remove_dir_all(&dir);
-                let opts = DbOptions { forcing: forced(access), ..Default::default() };
-                let d = Database::open_with(&dir, opts).unwrap();
+                let d = Database::open(&dir).unwrap();
                 d.execute("CREATE TABLE dml (id INTEGER, a INTEGER, c INTEGER, s VARCHAR)")
                     .unwrap();
                 d.execute("CREATE INDEX dml_id ON dml (id)").unwrap();
                 d.execute("CREATE INDEX dml_a ON dml (a)").unwrap();
-                d
+                (d, forced(access))
             })
             .collect();
         let refill = |rng: &mut SmallRng, from: i64, n: i64| -> i64 {
@@ -763,7 +762,7 @@ fn dml_differential_forced_accesses_agree() {
                     vec![Value::Int(id), a, Value::Int(id % 10), Value::str(format!("s{id}"))]
                 })
                 .collect();
-            for d in &twins {
+            for (d, _) in &twins {
                 d.insert_rows("dml", rows.clone()).unwrap();
             }
             from + n
@@ -771,14 +770,20 @@ fn dml_differential_forced_accesses_agree() {
         let mut next_id = refill(&mut rng, 0, 600);
         for step in 0..120 {
             let sql = gen_delete(&mut rng, next_id);
-            let affected: Vec<u64> = twins.iter().map(|d| d.execute(&sql).unwrap()).collect();
+            let affected: Vec<u64> = twins
+                .iter()
+                .map(|(d, f)| d.execute_txn(&sql, Some(*f), &mut None).unwrap())
+                .collect();
             assert_eq!(affected[0], affected[1], "seed {seed} step {step}: {sql}");
             let contents: Vec<Vec<Row>> = twins
                 .iter()
-                .map(|d| d.query("SELECT id, a, c, s FROM dml ORDER BY id").unwrap().rows)
+                .map(|(d, f)| {
+                    let sql = "SELECT id, a, c, s FROM dml ORDER BY id";
+                    d.query_with_forcing(sql, Some(*f)).unwrap().rows
+                })
                 .collect();
             assert!(contents[0] == contents[1], "seed {seed} step {step}: {sql}: tables differ");
-            for d in &twins {
+            for (d, _) in &twins {
                 // Every live row has a non-null `id`, so the index on it
                 // must count what the heap counts — on both twins.
                 let by_index = d
@@ -800,7 +805,7 @@ fn dml_differential_forced_accesses_agree() {
             }
             if step % 16 == 15 {
                 let reclaimed: Vec<u64> =
-                    twins.iter().map(|d| d.vacuum().unwrap().vacuumed_versions).collect();
+                    twins.iter().map(|(d, _)| d.vacuum().unwrap().vacuumed_versions).collect();
                 assert_eq!(reclaimed[0], reclaimed[1], "seed {seed} step {step}: vacuum");
             }
         }

@@ -4,7 +4,7 @@
 use std::path::PathBuf;
 
 use ordb::tuple::encode_row;
-use ordb::{Database, DbOptions, Executor, ForcedAccess, ForcedJoin, PlanForcing, Row};
+use ordb::{Database, DbOptions, ForcedAccess, ForcedJoin, PlanForcing, Row};
 use xorator::prelude::*;
 
 use crate::data::{Corpus, SchemaInfo};
@@ -43,11 +43,9 @@ pub const CONFIGS: [EngineConfig; 4] = [
 ];
 
 /// Every forced plan shape one query is executed under: the cost-based
-/// default, each join algorithm pinned, declared join order, both
-/// access-path extremes, and the vectorized batch executor. Every
-/// generated query thus runs Volcano-vs-Batch-vs-oracle as a three-way
-/// differential; a mismatch's repro names the executor via
-/// [`PlanForcing::describe`] (`exec=batch` vs `exec=volcano`).
+/// default, each join algorithm pinned, declared join order, and both
+/// access-path extremes. A mismatch's repro names the shape via
+/// [`PlanForcing::describe`].
 pub fn forcing_modes() -> Vec<PlanForcing> {
     vec![
         PlanForcing::default(),
@@ -55,41 +53,15 @@ pub fn forcing_modes() -> Vec<PlanForcing> {
             join: Some(ForcedJoin::NestedLoop),
             declared_order: true,
             access: Some(ForcedAccess::SeqScan),
-            ..PlanForcing::default()
         },
-        PlanForcing {
-            join: Some(ForcedJoin::Hash),
-            declared_order: true,
-            access: None,
-            ..PlanForcing::default()
-        },
+        PlanForcing { join: Some(ForcedJoin::Hash), declared_order: true, access: None },
         PlanForcing {
             join: Some(ForcedJoin::Merge),
             declared_order: false,
             access: Some(ForcedAccess::SeqScan),
-            ..PlanForcing::default()
         },
-        PlanForcing {
-            join: None,
-            declared_order: false,
-            access: Some(ForcedAccess::SeqScan),
-            ..PlanForcing::default()
-        },
-        PlanForcing {
-            join: None,
-            declared_order: true,
-            access: Some(ForcedAccess::IndexScan),
-            ..PlanForcing::default()
-        },
-        // Batch executor over the scan-friendliest shape: forced seq
-        // scans vectorize every access path, hash joins batch when the
-        // config sets no memory budget and fall back under one.
-        PlanForcing {
-            join: None,
-            declared_order: false,
-            access: Some(ForcedAccess::SeqScan),
-            executor: Executor::Batch,
-        },
+        PlanForcing { join: None, declared_order: false, access: Some(ForcedAccess::SeqScan) },
+        PlanForcing { join: None, declared_order: true, access: Some(ForcedAccess::IndexScan) },
     ]
 }
 
@@ -227,9 +199,7 @@ impl Harness {
         let mut mismatches = Vec::new();
         for (cfg, db, _) in &self.dbs {
             for forcing in forcing_modes() {
-                db.set_forcing(forcing);
-                let mut got = db.query(&sql).map(|r| r.rows);
-                db.set_forcing(PlanForcing::default());
+                let mut got = db.query_with_forcing(&sql, Some(forcing)).map(|r| r.rows);
                 if let (Ok(rows), Some(m)) = (&mut got, mutation) {
                     m.apply(rows);
                 }
@@ -259,9 +229,7 @@ impl Harness {
         let sql = render_select(q);
         let expected = self.oracle(q);
         let (_, db, _) = self.dbs.iter().find(|(c, _, _)| *c == cfg)?;
-        db.set_forcing(forcing);
-        let mut got = db.query(&sql).map(|r| r.rows);
-        db.set_forcing(PlanForcing::default());
+        let mut got = db.query_with_forcing(&sql, Some(forcing)).map(|r| r.rows);
         if let (Ok(rows), Some(m)) = (&mut got, mutation) {
             m.apply(rows);
         }

@@ -101,9 +101,7 @@ fn probe_in(
     db.runstats_all().ok()?;
     let reg = ordb::functions::FunctionRegistry::with_builtins();
     let expected = oracle::evaluate(q, &info.mapping, &info.tables, &reg);
-    db.set_forcing(forcing);
-    let mut got = db.query(&render_select(q)).map(|r| r.rows);
-    db.set_forcing(PlanForcing::default());
+    let mut got = db.query_with_forcing(&render_select(q), Some(forcing)).map(|r| r.rows);
     if let (Ok(rows), Some(m)) = (&mut got, mutation) {
         m.apply(rows);
     }

@@ -17,7 +17,7 @@ use std::path::PathBuf;
 
 use datagen::{ShakespeareConfig, SigmodConfig};
 use ordb::tuple::encode_row;
-use ordb::{Database, Executor, PlanForcing};
+use ordb::Database;
 use xmlkit::dtd::parse_dtd;
 use xorator::prelude::*;
 use xorator::queries::QueryPair;
@@ -63,22 +63,9 @@ fn compute(corpus: &str, dtd: &str, docs: &[String], queries: &[QueryPair]) -> S
         load_corpus(&db, &mapping, docs, LoadOptions::default()).unwrap();
         advise_and_apply(&db, &mapping, &workload).unwrap();
         db.runstats_all().unwrap();
-        // Every paper query runs under both executors; the vectorized
-        // batch path must be indistinguishable from Volcano before its
-        // digest is recorded against the golden file.
-        let batch = PlanForcing { executor: Executor::Batch, ..PlanForcing::default() };
         for q in queries {
             let sql = if name == "hybrid" { q.hybrid } else { q.xorator };
             let r = db.query(sql).unwrap_or_else(|e| panic!("{} {name}: {e}", q.id));
-            let b = db
-                .query_with_forcing(sql, Some(batch))
-                .unwrap_or_else(|e| panic!("{} {name} (batch): {e}", q.id));
-            assert_eq!(
-                (r.len(), digest(&r.rows)),
-                (b.len(), digest(&b.rows)),
-                "{} {name}: batch executor diverged from Volcano",
-                q.id
-            );
             writeln!(out, "{} {name} rows={} fnv={:016x}", q.id, r.len(), digest(&r.rows)).unwrap();
         }
     }
