@@ -858,16 +858,16 @@ fn txn_figure(args: &Args, mlog: &mut MetricsLog) {
     assert_eq!(visible, commits + 1, "committed rows all visible");
 
     // First-updater-wins demonstration on the embedded handle.
-    let (mut s1, mut s2) = (None, None);
-    db.execute_txn("BEGIN", None, &mut s1).expect("begin t1");
-    db.execute_txn("BEGIN", None, &mut s2).expect("begin t2");
-    db.execute_txn("DELETE FROM ledger WHERE k = 0", None, &mut s1).expect("t1 claims");
-    let conflict = db.execute_txn("DELETE FROM ledger WHERE k = 0", None, &mut s2);
+    let (mut s1, mut s2) = (db.session(), db.session());
+    s1.execute("BEGIN").expect("begin t1");
+    s2.execute("BEGIN").expect("begin t2");
+    s1.execute("DELETE FROM ledger WHERE k = 0").expect("t1 claims");
+    let conflict = s2.execute("DELETE FROM ledger WHERE k = 0");
     assert!(
         matches!(conflict, Err(ordb::DbError::TxnConflict(_))),
         "second updater must fail fast, got {conflict:?}"
     );
-    db.execute_txn("ROLLBACK", None, &mut s1).expect("t1 rollback");
+    s1.execute("ROLLBACK").expect("t1 rollback");
     let dc = db.metrics_snapshot().since(&before);
     println!(
         "conflict demo: {} write-write conflict(s), loser rolled back automatically",
@@ -1010,7 +1010,9 @@ fn vacuum_figure(args: &Args, mlog: &mut MetricsLog) {
     let canon = |access: ordb::ForcedAccess| -> Vec<String> {
         let forcing = ordb::PlanForcing { access: Some(access), ..Default::default() };
         let mut ids: Vec<String> = db
-            .query_with_forcing("SELECT id FROM churn WHERE id >= 0", Some(forcing))
+            .session()
+            .with_forcing(forcing)
+            .query("SELECT id FROM churn WHERE id >= 0")
             .expect("recovered query")
             .rows
             .iter()

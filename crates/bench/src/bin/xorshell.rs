@@ -14,6 +14,7 @@
 //! .load sigmod N            generate + load N proceedings docs
 //! .xpath /PLAY/ACT/...      compile an XPath and run it
 //! .explain SELECT ...       show the planner's decisions
+//! .set KEY VALUE            session plan forcing (force_join/access/order)
 //! .analyze SELECT ...       EXPLAIN ANALYZE: run + per-operator rows/time
 //! .metrics                  session buffer-pool / engine / UDF counters
 //! .spans [chrome|folded F]  last query's span tree (or export a trace)
@@ -23,16 +24,20 @@
 //! ```
 //!
 //! Meta commands also accept a backslash prefix (`\analyze`, `\metrics`).
+//! SQL runs through one session, so `BEGIN`/`COMMIT`/`ROLLBACK` work as
+//! they do over the wire; quitting rolls back an open transaction.
 
 use std::io::{BufRead, Write};
 
-use ordb::{Database, DbOptions};
+use ordb::{Database, DbOptions, Session};
 use xmlkit::dtd::parse_dtd;
 use xorator::prelude::*;
 use xorator::schema::Mapping;
 
-struct Shell {
-    db: Database,
+struct Shell<'db> {
+    db: &'db Database,
+    /// Every SQL line runs here: the shell's forcing and transaction.
+    session: Session<'db>,
     /// Mapping of the last `.load`, for `.xpath`.
     mapping: Option<Mapping>,
 }
@@ -60,7 +65,7 @@ fn main() {
     // Span tracing stays on for the whole session so `\spans` can show
     // the last query's phase + operator tree.
     ordb::trace::spans_enable(ordb::trace::DEFAULT_SPAN_CAPACITY);
-    let mut shell = Shell { db, mapping: None };
+    let mut shell = Shell { db: &db, session: db.session(), mapping: None };
 
     let stdin = std::io::stdin();
     let mut line = String::new();
@@ -87,10 +92,12 @@ fn main() {
             eprintln!("error: {e}");
         }
     }
-    shell.db.flush().ok();
+    // Dropping the session rolls back a transaction left open.
+    drop(shell);
+    db.flush().ok();
 }
 
-impl Shell {
+impl Shell<'_> {
     fn dispatch(&mut self, input: &str) -> Result<(), Box<dyn std::error::Error>> {
         // Meta commands take either prefix: `.analyze` and `\analyze` are
         // the same command.
@@ -130,11 +137,18 @@ impl Shell {
                         self.mapping.as_ref().ok_or("no mapping loaded; use .load first")?;
                     let compiled = compile_xpath(mapping, path)?;
                     println!("-- {}", compiled.sql);
-                    print!("{}", self.db.query(&compiled.sql)?);
+                    print!("{}", self.session.query(&compiled.sql)?);
                 }
                 "explain" => {
                     let sql = rest.trim_start_matches("explain").trim();
-                    print!("{}", self.db.query(&format!("EXPLAIN {sql}"))?);
+                    print!("{}", self.session.query(&format!("EXPLAIN {sql}"))?);
+                }
+                "set" => {
+                    let (Some(key), Some(value)) = (parts.next(), parts.next()) else {
+                        return Err("usage: .set KEY VALUE".into());
+                    };
+                    self.session.set(key, value)?;
+                    println!("set {key} = {value}");
                 }
                 "analyze" => {
                     let sql = rest.trim_start_matches("analyze").trim();
@@ -213,11 +227,11 @@ impl Shell {
         if upper.starts_with("SELECT") || upper.starts_with("EXPLAIN") {
             ordb::trace::spans_clear();
             let start = std::time::Instant::now();
-            let r = self.db.query(input)?;
+            let r = self.session.query(input)?;
             print!("{r}");
             println!("({:.2} ms)", start.elapsed().as_secs_f64() * 1e3);
         } else {
-            let n = self.db.execute(input)?;
+            let n = self.session.execute(input)?;
             println!("ok ({n} rows affected)");
         }
         Ok(())
@@ -243,13 +257,13 @@ impl Shell {
         };
         let simple = simplify(&parse_dtd(dtd_src)?);
         let mapping = map_xorator(&simple);
-        let report = load_corpus(&self.db, &mapping, &docs, LoadOptions::default())?;
+        let report = load_corpus(self.db, &mapping, &docs, LoadOptions::default())?;
         let queries: Vec<&str> = if corpus == "shakespeare" {
             shakespeare_queries().iter().map(|q| q.xorator).collect()
         } else {
             sigmod_queries().iter().map(|q| q.xorator).collect()
         };
-        let n_idx = advise_and_apply(&self.db, &mapping, &queries)?;
+        let n_idx = advise_and_apply(self.db, &mapping, &queries)?;
         println!(
             "loaded {} documents → {} tuples ({:?} XADT), {} indexes, {:.2}s",
             report.documents,
@@ -271,6 +285,9 @@ const HELP: &str = "\
 .load sigmod N            generate + load N proceedings docs
 .xpath /PLAY/ACT/...      compile an XPath and run it
 .explain SELECT ...       show the planner's decisions
+.set KEY VALUE            plan forcing for this session: force_join
+                          nested|hash|merge|cost, force_access seq|index|cost,
+                          force_order declared|cost
 .analyze SELECT ...       EXPLAIN ANALYZE: run + per-operator rows/time
 .metrics                  session buffer-pool / engine / UDF counters
 .spans                    last query's span tree (self/total times)
@@ -278,7 +295,8 @@ const HELP: &str = "\
 .spans folded FILE        export last query as folded flamegraph stacks
 .hist                     session query-latency histogram (p50..p999)
 .stats                    run runstats on every table
-.quit                     exit
+.quit                     exit (rolls back an open transaction)
 meta commands also accept a backslash prefix (\\analyze, \\metrics, ...)
-anything else is SQL (SELECT / CREATE / INSERT / DELETE / DROP)
+anything else is SQL (SELECT / CREATE / INSERT / DELETE / DROP / VACUUM,
+BEGIN / COMMIT / ROLLBACK)
 ";

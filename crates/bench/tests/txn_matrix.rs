@@ -76,33 +76,29 @@ fn txn_matrix_crash_points_never_leak_uncommitted_versions() {
     for round in 0..rounds {
         // 1. A durably committed batch through the explicit txn path.
         let base = 1_000 + round as i64 * BATCH;
-        let mut committer = None;
-        db.execute_txn("BEGIN", None, &mut committer).expect("begin committer");
+        let mut committer = db.session();
+        committer.execute("BEGIN").expect("begin committer");
         for i in 0..BATCH {
-            db.execute_txn(
-                &format!("INSERT INTO tlog VALUES ({}, 'keep')", base + i),
-                None,
-                &mut committer,
-            )
-            .expect("committed insert");
+            committer
+                .execute(&format!("INSERT INTO tlog VALUES ({}, 'keep')", base + i))
+                .expect("committed insert");
         }
-        db.execute_txn("COMMIT", None, &mut committer).expect("durable commit");
+        committer.execute("COMMIT").expect("durable commit");
+        drop(committer);
 
         // 2. An orphan transaction: inserts plus one delete claim on a
         //    committed row, never committed. Its id slot dies with the
         //    process below.
         let orphan_base = 9_000_000 + round as i64 * BATCH;
-        let mut orphan = None;
-        db.execute_txn("BEGIN", None, &mut orphan).expect("begin orphan");
+        let mut orphan = db.session();
+        orphan.execute("BEGIN").expect("begin orphan");
         for i in 0..BATCH {
-            db.execute_txn(
-                &format!("INSERT INTO tlog VALUES ({}, 'orphan')", orphan_base + i),
-                None,
-                &mut orphan,
-            )
-            .expect("orphan insert");
+            orphan
+                .execute(&format!("INSERT INTO tlog VALUES ({}, 'orphan')", orphan_base + i))
+                .expect("orphan insert");
         }
-        db.execute_txn(&format!("DELETE FROM tlog WHERE id = {base}"), None, &mut orphan)
+        orphan
+            .execute(&format!("DELETE FROM tlog WHERE id = {base}"))
             .expect("orphan delete claim");
 
         // 3. Crash somewhere inside the checkpoint's write storm.
@@ -126,6 +122,8 @@ fn txn_matrix_crash_points_never_leak_uncommitted_versions() {
             crashes += 1;
             assert!(result.is_err(), "checkpoint must report the crash [{ctx}]");
         }
+        // The process dies with the orphan open: nothing rolls it back.
+        std::mem::forget(orphan);
         db.abandon();
         inj.disarm();
 
@@ -155,10 +153,13 @@ fn txn_matrix_crash_points_never_leak_uncommitted_versions() {
         }
         // Index path and sequential path must agree (dangling or
         // aliased index entries after recovery would diverge here).
-        let canon = |forcing: Option<PlanForcing>| -> Vec<String> {
+        let canon = |access: ForcedAccess| -> Vec<String> {
             let sql = "SELECT id FROM tlog WHERE id >= 0";
+            let forcing = PlanForcing { access: Some(access), ..Default::default() };
             let mut rows: Vec<String> = db
-                .query_with_forcing(sql, forcing)
+                .session()
+                .with_forcing(forcing)
+                .query(sql)
                 .expect(sql)
                 .rows
                 .iter()
@@ -167,12 +168,8 @@ fn txn_matrix_crash_points_never_leak_uncommitted_versions() {
             rows.sort();
             rows
         };
-        let seq =
-            canon(Some(PlanForcing { access: Some(ForcedAccess::SeqScan), ..Default::default() }));
-        let via_index = canon(Some(PlanForcing {
-            access: Some(ForcedAccess::IndexScan),
-            ..Default::default()
-        }));
+        let seq = canon(ForcedAccess::SeqScan);
+        let via_index = canon(ForcedAccess::IndexScan);
         if seq != via_index {
             fail_with_waldump(
                 seed,
@@ -208,26 +205,25 @@ const VACUUM_BATCH: i64 = 64;
 /// pages, not just entries.
 fn vacuum_matrix_churn(db: &Database, round: i64, oracle: &mut std::collections::BTreeSet<i64>) {
     let base = round * VACUUM_BATCH;
-    let mut w = None;
-    db.execute_txn("BEGIN", None, &mut w).expect("begin insert");
+    let mut w = db.session();
+    w.execute("BEGIN").expect("begin insert");
     for id in base..base + VACUUM_BATCH {
         let body = if id % 4 == 0 { "y".repeat(6000) } else { format!("row-{id}") };
         let tag = format!("{id:08}{}", "t".repeat(160));
-        db.execute_txn(&format!("INSERT INTO vlog VALUES ({id}, '{tag}', '{body}')"), None, &mut w)
-            .expect("insert");
+        w.execute(&format!("INSERT INTO vlog VALUES ({id}, '{tag}', '{body}')")).expect("insert");
         oracle.insert(id);
     }
-    db.execute_txn("COMMIT", None, &mut w).expect("durable insert commit");
-    db.execute_txn("BEGIN", None, &mut w).expect("begin delete");
+    w.execute("COMMIT").expect("durable insert commit");
+    w.execute("BEGIN").expect("begin delete");
     let old = (round - 2) * VACUUM_BATCH;
     let doomed = (base..base + VACUUM_BATCH)
         .filter(|id| id % 2 == 0)
         .chain((old..old + VACUUM_BATCH).filter(|id| *id >= 0 && id % 2 != 0));
     for id in doomed {
-        db.execute_txn(&format!("DELETE FROM vlog WHERE id = {id}"), None, &mut w).expect("delete");
+        w.execute(&format!("DELETE FROM vlog WHERE id = {id}")).expect("delete");
         oracle.remove(&id);
     }
-    db.execute_txn("COMMIT", None, &mut w).expect("durable delete commit");
+    w.execute("COMMIT").expect("durable delete commit");
 }
 
 /// The vacuum crash matrix: every round commits a batch durably,
@@ -263,7 +259,9 @@ fn vacuum_crash_matrix_recovers_heap_index_equivalence() {
     let canon = |db: &Database, predicate: &str, access: ForcedAccess| -> Vec<i64> {
         let forcing = PlanForcing { access: Some(access), ..Default::default() };
         let mut ids: Vec<i64> = db
-            .query_with_forcing(&format!("SELECT id FROM vlog WHERE {predicate}"), Some(forcing))
+            .session()
+            .with_forcing(forcing)
+            .query(&format!("SELECT id FROM vlog WHERE {predicate}"))
             .expect("recovered query")
             .rows
             .iter()
@@ -363,14 +361,16 @@ fn durable_commit_survives_instant_death() {
     let db = Database::open(&dir).expect("open");
     db.execute("CREATE TABLE t (id INTEGER)").expect("create");
 
-    let mut slot = None;
-    db.execute_txn("BEGIN", None, &mut slot).expect("begin");
-    db.execute_txn("INSERT INTO t VALUES (1), (2), (3)", None, &mut slot).expect("insert");
-    db.execute_txn("COMMIT", None, &mut slot).expect("commit");
+    let mut s = db.session();
+    s.execute("BEGIN").expect("begin");
+    s.execute("INSERT INTO t VALUES (1), (2), (3)").expect("insert");
+    s.execute("COMMIT").expect("commit");
 
-    db.execute_txn("BEGIN", None, &mut slot).expect("begin 2");
-    db.execute_txn("INSERT INTO t VALUES (99)", None, &mut slot).expect("uncommitted insert");
-    db.abandon(); // process death: no flush, no checkpoint
+    s.execute("BEGIN").expect("begin 2");
+    s.execute("INSERT INTO t VALUES (99)").expect("uncommitted insert");
+    // Process death: no rollback, no flush, no checkpoint.
+    std::mem::forget(s);
+    db.abandon();
 
     let db = Database::open(&dir).expect("recover");
     let count = db.query("SELECT COUNT(*), MIN(id), MAX(id) FROM t").expect("count");
@@ -432,18 +432,19 @@ fn commits_acknowledged_during_a_checkpoint_survive_the_crash() {
         let first_txn = next_txn;
         let (txn, newly) = std::thread::scope(|scope| {
             let committer = scope.spawn(|| {
-                let (mut slot, mut txn, mut acked) = (None, first_txn, Vec::new());
+                let (mut txn, mut acked) = (first_txn, Vec::new());
                 while !stop.load(Ordering::SeqCst) {
                     let rows: Vec<String> =
                         (0..TXN_ROWS).map(|j| format!("({}, {txn})", txn * TXN_ROWS + j)).collect();
                     let insert = format!("INSERT INTO clog VALUES {}", rows.join(", "));
-                    let committed = db.execute_txn("BEGIN", None, &mut slot).is_ok()
-                        && db.execute_txn(&insert, None, &mut slot).is_ok()
-                        && db.execute_txn("COMMIT", None, &mut slot).is_ok();
+                    // A failed statement leaves nothing open: dropping the
+                    // session rolls back whatever it began.
+                    let mut s = db.session();
+                    let committed = s.execute("BEGIN").is_ok()
+                        && s.execute(&insert).is_ok()
+                        && s.execute("COMMIT").is_ok();
                     if committed {
                         acked.push(txn);
-                    } else if let Some(open) = slot.take() {
-                        let _ = db.rollback_txn(open);
                     }
                     txn += 1;
                     attempts.fetch_add(1, Ordering::SeqCst);
@@ -485,7 +486,9 @@ fn commits_acknowledged_during_a_checkpoint_survive_the_crash() {
         let rows_of = |access: ForcedAccess| -> Vec<(i64, i64)> {
             let forcing = PlanForcing { access: Some(access), ..Default::default() };
             let mut rows: Vec<(i64, i64)> = db
-                .query_with_forcing("SELECT id, txn FROM clog WHERE id >= 0", Some(forcing))
+                .session()
+                .with_forcing(forcing)
+                .query("SELECT id, txn FROM clog WHERE id >= 0")
                 .expect("recovered query")
                 .rows
                 .iter()

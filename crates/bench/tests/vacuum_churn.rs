@@ -122,24 +122,19 @@ fn churn_transactions_hold_heap_and_index_files_flat() {
     db.execute("CREATE INDEX ix_churn_k ON churn (k)").expect("index k");
     db.execute("CREATE INDEX ix_churn_parent ON churn (parent)").expect("index parent");
 
-    let mut slot = None;
+    let mut session = db.session();
     let mut sizes = Vec::new();
     for txn in 0..2 * n {
         let tag = 2000 + txn;
         let rows: Vec<String> =
             (0..4).map(|j| format!("({}, {tag}, 'inserted-{:08}')", tag * 4 + j, tag)).collect();
-        db.execute_txn("BEGIN", None, &mut slot).expect("begin");
-        db.execute_txn(&format!("INSERT INTO churn VALUES {}", rows.join(", ")), None, &mut slot)
-            .expect("insert");
-        let deleted = db
-            .execute_txn(
-                &format!("DELETE FROM churn WHERE parent = {}", tag - LAG),
-                None,
-                &mut slot,
-            )
+        session.execute("BEGIN").expect("begin");
+        session.execute(&format!("INSERT INTO churn VALUES {}", rows.join(", "))).expect("insert");
+        let deleted = session
+            .execute(&format!("DELETE FROM churn WHERE parent = {}", tag - LAG))
             .expect("delete");
         assert_eq!(deleted, 4, "transaction {txn}");
-        db.execute_txn("COMMIT", None, &mut slot).expect("commit");
+        session.execute("COMMIT").expect("commit");
         if txn % 64 == 63 {
             db.vacuum().expect("vacuum");
         }
@@ -157,6 +152,7 @@ fn churn_transactions_hold_heap_and_index_files_flat() {
     assert_eq!(db.row_count("churn").expect("count"), 2000 * 4);
     let by_index = db.query("SELECT COUNT(*) FROM churn WHERE k >= 0").expect("index count");
     assert_eq!(by_index.scalar(), Some(&Value::Int(2000 * 4)));
+    drop(session);
     db.close().expect("close");
     let _ = std::fs::remove_dir_all(&dir);
 }

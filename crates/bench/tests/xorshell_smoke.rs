@@ -1,6 +1,7 @@
 //! End-to-end smoke test of the `xorshell` binary: drives a scripted
-//! session over stdin (DDL, DML, query, corpus load, EXPLAIN ANALYZE)
-//! and asserts on the captured stdout.
+//! session over stdin (DDL, DML, a rolled-back transaction, plan forcing,
+//! query, corpus load, EXPLAIN ANALYZE) and asserts on the captured
+//! stdout.
 
 use std::io::Write;
 use std::process::{Command, Stdio};
@@ -14,6 +15,13 @@ fn scripted_session_over_stdin() {
 CREATE TABLE kv (k INTEGER, v VARCHAR)
 INSERT INTO kv VALUES (1, 'one'), (2, 'two')
 SELECT k, v FROM kv
+BEGIN
+INSERT INTO kv VALUES (3, 'three')
+SELECT COUNT(*) AS inside FROM kv
+ROLLBACK
+SELECT COUNT(*) AS after FROM kv
+.set force_access seq
+.explain SELECT v FROM kv WHERE k = 1
 .load shakespeare 1
 .tables
 \\analyze SELECT COUNT(*) FROM speech
@@ -44,6 +52,16 @@ SELECT k, v FROM kv
     assert!(stdout.contains("ok (2 rows affected)"), "INSERT ack missing:\n{stdout}");
     // The SELECT echoes both rows.
     assert!(stdout.contains("one") && stdout.contains("two"), "SELECT rows missing:\n{stdout}");
+    // The shell's session holds the transaction open across lines: the
+    // insert is visible inside it and gone after ROLLBACK.
+    assert!(stdout.contains("inside\n3\n"), "transaction misses its insert:\n{stdout}");
+    assert!(stdout.contains("after\n2\n"), "ROLLBACK kept the insert:\n{stdout}");
+    // `.set` forces the session's plans, and `.explain` shows it.
+    assert!(stdout.contains("set force_access = seq"), ".set ack missing:\n{stdout}");
+    assert!(
+        stdout.contains("forcing: join=cost order=greedy access=seq"),
+        "forced plan missing:\n{stdout}"
+    );
     // After .load, the XORator Shakespeare tables exist with rows.
     assert!(stdout.contains("speech ("), ".tables must list speech:\n{stdout}");
     assert!(stdout.contains("play ("), ".tables must list play:\n{stdout}");

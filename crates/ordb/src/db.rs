@@ -15,7 +15,7 @@ use crate::error::{DbError, Result};
 use crate::exec::collect;
 use crate::index::btree::BTree;
 use crate::index::key::encode_key;
-use crate::metrics::{udf_delta, Profiler, QueryMetrics, ENGINE};
+use crate::metrics::{record_operator_spans, udf_delta, Profiler, QueryMetrics, ENGINE};
 use crate::plan::{plan_delete, plan_select, plan_select_profiled, PlanContext, PlanForcing};
 use crate::recovery::RecoveryReport;
 use crate::sql::ast::{AstExpr, Statement};
@@ -26,7 +26,6 @@ use crate::storage::fault::FaultInjector;
 use crate::storage::heap::{ClaimOutcome, HeapFile, PageScan, Rid};
 use crate::storage::spill::{SpillConfig, SpillManager};
 use crate::storage::wal::{Wal, WalStats};
-use crate::trace::{TraceEvent, TraceSink};
 use crate::tuple::{decode_cols, decode_row, encode_row};
 use crate::txn::{Snapshot, TxnId, TxnManager, TxnStats, UndoRecord};
 use crate::types::{DataType, Row, Value};
@@ -93,7 +92,6 @@ pub struct Database {
     pool: Arc<BufferPool>,
     inner: RwLock<DbInner>,
     functions: crate::functions::FunctionRegistry,
-    trace: RwLock<Option<Arc<dyn TraceSink>>>,
     /// What the open-time redo pass did (None: no WAL existed).
     recovery: Option<RecoveryReport>,
     /// Memory budget + temp-file manager handed to blocking operators.
@@ -319,7 +317,6 @@ impl Database {
             pool,
             inner: RwLock::new(DbInner { catalog, heaps, indexes, stats: HashMap::new() }),
             functions: crate::functions::FunctionRegistry::with_builtins(),
-            trace: RwLock::new(None),
             recovery,
             spill,
             registry: crate::metrics::MetricsRegistry::new(),
@@ -330,28 +327,6 @@ impl Database {
             write_gate: RwLock::new(()),
             closed: AtomicBool::new(false),
         })
-    }
-
-    /// Install (or clear, with `None`) the query-lifecycle trace sink.
-    /// Events are emitted only when the `trace` cargo feature is on (the
-    /// default); without it the emission sites compile away and an
-    /// installed sink receives nothing.
-    pub fn set_trace_sink(&self, sink: Option<Arc<dyn TraceSink>>) {
-        *self.trace.write() = sink;
-    }
-
-    /// Emit a lifecycle event; the payload closure runs only when a sink
-    /// is installed (and only when the `trace` feature is compiled in).
-    fn emit(&self, make: impl FnOnce() -> TraceEvent) {
-        #[cfg(feature = "trace")]
-        {
-            let sink = self.trace.read().clone();
-            if let Some(sink) = sink {
-                sink.event(&make());
-            }
-        }
-        #[cfg(not(feature = "trace"))]
-        let _ = make;
     }
 
     /// The function registry (to register custom functions).
@@ -464,8 +439,14 @@ impl Database {
     /// fragments. Runs as one autocommit transaction: on any error the
     /// rows inserted so far are rolled back.
     pub fn insert_rows(&self, table: &str, rows: Vec<Row>) -> Result<u64> {
+        self.autocommit(|t| self.insert_rows_in(table, rows, t))
+    }
+
+    /// Run `f` as one autocommit transaction: committed (without an
+    /// fsync, see [`Database::commit`]) on success, rolled back on error.
+    pub(crate) fn autocommit(&self, f: impl FnOnce(TxnId) -> Result<u64>) -> Result<u64> {
         let txn = self.txns.begin();
-        match self.insert_rows_in(table, rows, txn) {
+        match f(txn) {
             Ok(n) => {
                 self.commit_txn_inner(txn, false)?;
                 Ok(n)
@@ -480,7 +461,7 @@ impl Database {
     /// Insert rows inside transaction `txn`: each version is stamped
     /// with `txn`'s id as `xmin` and an undo record is kept so rollback
     /// can remove it (and its index entries) physically.
-    pub fn insert_rows_in(&self, table: &str, rows: Vec<Row>, txn: TxnId) -> Result<u64> {
+    pub(crate) fn insert_rows_in(&self, table: &str, rows: Vec<Row>, txn: TxnId) -> Result<u64> {
         let _gate = self.write_gate.read();
         let (tdef, heap, idx_defs) = self.table_access(table)?;
         let mut buf = Vec::new();
@@ -532,90 +513,10 @@ impl Database {
         }
     }
 
-    /// Run a SELECT, or EXPLAIN a SELECT or a DELETE.
+    /// Run a SELECT, or EXPLAIN a SELECT or a DELETE, over everything
+    /// committed so far, through a fresh [`Session`](crate::session::Session).
     pub fn query(&self, sql: &str) -> Result<QueryResult> {
-        self.query_with_forcing(sql, None)
-    }
-
-    /// [`Database::query`] under plan-space forcing. `None` is the
-    /// cost-based planner; `Some` plans this one statement under the
-    /// given knobs — the wire server maps per-session `SET` options here,
-    /// and the differential harnesses pin one query to every plan shape.
-    pub fn query_with_forcing(
-        &self,
-        sql: &str,
-        forcing: Option<PlanForcing>,
-    ) -> Result<QueryResult> {
-        self.query_in(sql, forcing, None)
-    }
-
-    /// [`Database::query_with_forcing`] inside an optional explicit
-    /// transaction: with `Some(txn)` the statement reads through the
-    /// snapshot captured at `BEGIN`; with `None` it reads through a
-    /// fresh autocommit snapshot (everything committed so far).
-    pub fn query_in(
-        &self,
-        sql: &str,
-        forcing: Option<PlanForcing>,
-        txn: Option<TxnId>,
-    ) -> Result<QueryResult> {
-        let snapshot = match txn {
-            Some(t) => self.txns.snapshot_of(t)?,
-            None => self.txns.read_snapshot(),
-        };
-        let wall = Instant::now();
-        let _query_span = crate::trace::span("query");
-        self.emit(|| TraceEvent::QueryStart { sql: sql.to_string() });
-        let t = Instant::now();
-        let parse_span = crate::trace::span("parse");
-        let stmt = parse_statement(sql)?;
-        drop(parse_span);
-        let parse_time = t.elapsed();
-        self.emit(|| TraceEvent::Parsed { elapsed: parse_time });
-        match stmt {
-            Statement::Explain(inner) => {
-                let explain = self.explain_stmt(*inner, forcing, snapshot)?;
-                Ok(QueryResult {
-                    columns: vec!["plan".to_string()],
-                    rows: explain.into_iter().map(|l| vec![Value::Str(l)]).collect(),
-                })
-            }
-            Statement::Select(q) => {
-                let inner = self.inner.read();
-                let ctx = self.plan_ctx(&inner, forcing, snapshot);
-                // With span tracing on, plan with a recording profiler so
-                // the span tree gets one operator span per plan node (the
-                // wrapper cost is paid only in traced sessions; the
-                // default path does a single atomic load).
-                let spans_on = crate::trace::spans_enabled();
-                let mut prof = if spans_on { Profiler::enabled() } else { Profiler::disabled() };
-                let t = Instant::now();
-                let plan_span = crate::trace::span("plan");
-                let plan = plan_select_profiled(&ctx, &q, &mut prof)?;
-                drop(plan_span);
-                let plan_time = t.elapsed();
-                self.emit(|| TraceEvent::Planned {
-                    elapsed: plan_time,
-                    explain: plan.explain.clone(),
-                });
-                let exec_span = crate::trace::span("exec");
-                let exec_id = exec_span.id();
-                let rows = collect(plan.root)?;
-                drop(exec_span);
-                if spans_on {
-                    if let Some(root) = prof.finish() {
-                        crate::metrics::record_operator_spans(&root, exec_id);
-                    }
-                }
-                self.registry.record_query(wall.elapsed());
-                self.emit(|| TraceEvent::QueryEnd {
-                    rows: rows.len() as u64,
-                    wall: wall.elapsed(),
-                });
-                Ok(QueryResult { columns: plan.columns, rows })
-            }
-            other => Err(DbError::Plan(format!("query() expects SELECT, got {other:?}"))),
-        }
+        self.session().query(sql)
     }
 
     /// Run a SELECT with full instrumentation: every operator is wrapped
@@ -627,75 +528,91 @@ impl Database {
     /// `metrics`): a concurrent query on the same process would be
     /// attributed to this one's window.
     pub fn explain_analyze(&self, sql: &str) -> Result<AnalyzeReport> {
+        let (result, metrics) = self.run_query(sql, None, self.txns.read_snapshot(), true)?;
+        let metrics = metrics.expect("an analyzed run returns its metrics");
+        Ok(AnalyzeReport { result, metrics })
+    }
+
+    /// The one parse → plan → execute body, under every session query
+    /// and [`Database::explain_analyze`]. With `analyze` the statement
+    /// must be a SELECT, every operator is profiled and execution is
+    /// bracketed with pool/WAL/engine/UDF counters, returned as
+    /// [`QueryMetrics`]. Without it, an EXPLAIN returns its plan lines as
+    /// rows, and operators are profiled only while span tracing is on —
+    /// so the span tree gets one span per plan node, and the default path
+    /// pays a single atomic load.
+    pub(crate) fn run_query(
+        &self,
+        sql: &str,
+        forcing: Option<PlanForcing>,
+        snapshot: Snapshot,
+        analyze: bool,
+    ) -> Result<(QueryResult, Option<QueryMetrics>)> {
         let wall = Instant::now();
         let _query_span = crate::trace::span("query");
-        self.emit(|| TraceEvent::QueryStart { sql: sql.to_string() });
-        let t = Instant::now();
         let parse_span = crate::trace::span("parse");
         let stmt = parse_statement(sql)?;
         drop(parse_span);
-        let parse_time = t.elapsed();
-        self.emit(|| TraceEvent::Parsed { elapsed: parse_time });
-        let Statement::Select(q) = stmt else {
-            return Err(DbError::Plan("explain_analyze() expects SELECT".into()));
+        let parse = wall.elapsed();
+        let q = match stmt {
+            Statement::Select(q) => q,
+            Statement::Explain(inner) if !analyze => {
+                let lines = self.explain_stmt(*inner, forcing, snapshot)?;
+                let rows = lines.into_iter().map(|l| vec![Value::Str(l)]).collect();
+                return Ok((QueryResult { columns: vec!["plan".to_string()], rows }, None));
+            }
+            _ if analyze => return Err(DbError::Plan("explain_analyze() expects SELECT".into())),
+            other => return Err(DbError::Plan(format!("query() expects SELECT, got {other:?}"))),
         };
         let inner = self.inner.read();
-        let ctx = self.plan_ctx(&inner, None, self.txns.read_snapshot());
-        let mut prof = Profiler::enabled();
+        let ctx = self.plan_ctx(&inner, forcing, snapshot);
+        let profile = analyze || crate::trace::spans_enabled();
+        let mut prof = if profile { Profiler::enabled() } else { Profiler::disabled() };
         let t = Instant::now();
         let plan_span = crate::trace::span("plan");
         let plan = plan_select_profiled(&ctx, &q, &mut prof)?;
         drop(plan_span);
         let plan_time = t.elapsed();
-        self.emit(|| TraceEvent::Planned { elapsed: plan_time, explain: plan.explain.clone() });
 
-        let pool0 = self.pool.stats_total();
-        let wal0 = self.wal_stats().unwrap_or_default();
-        let engine0 = ENGINE.snapshot();
-        let udf0 = self.functions.counters();
+        let before = analyze.then(|| {
+            let wal = self.wal_stats().unwrap_or_default();
+            (self.pool.stats_total(), wal, ENGINE.snapshot(), self.functions.counters())
+        });
         let t = Instant::now();
         let exec_span = crate::trace::span("exec");
         let exec_id = exec_span.id();
         let rows = collect(plan.root)?;
         drop(exec_span);
-        let exec_time = t.elapsed();
+        let exec = t.elapsed();
 
-        let metrics = QueryMetrics {
-            parse: parse_time,
+        let root = prof.finish();
+        if let Some(root) = &root {
+            record_operator_spans(root, exec_id);
+        }
+        let wall = wall.elapsed();
+        self.registry.record_query(wall);
+        let metrics = before.map(|(pool0, wal0, engine0, udf0)| QueryMetrics {
+            parse,
             plan: plan_time,
-            exec: exec_time,
-            wall: wall.elapsed(),
+            exec,
+            wall,
             rows: rows.len() as u64,
             pool: self.pool.stats_total().since(&pool0),
             wal: self.wal_stats().unwrap_or_default().since(&wal0),
             engine: ENGINE.snapshot().since(&engine0),
             udfs: udf_delta(&udf0, &self.functions.counters()),
-            root: prof.finish(),
-        };
-        if let Some(root) = metrics.root.as_ref() {
-            crate::metrics::record_operator_spans(root, exec_id);
-        }
-        self.registry.record_query(metrics.wall);
-        self.emit(|| TraceEvent::QueryEnd { rows: metrics.rows, wall: metrics.wall });
-        Ok(AnalyzeReport { result: QueryResult { columns: plan.columns, rows }, metrics })
+            root,
+        });
+        Ok((QueryResult { columns: plan.columns, rows }, metrics))
     }
 
-    /// Planner decisions for a SELECT or a DELETE, without executing it.
+    /// Planner decisions for a SELECT or a DELETE, without executing it,
+    /// through a fresh [`Session`](crate::session::Session).
     pub fn explain(&self, sql: &str) -> Result<Vec<String>> {
-        self.explain_with_forcing(sql, None)
+        self.session().explain(sql)
     }
 
-    /// [`Database::explain`] with a per-call forcing override (see
-    /// [`Database::query_with_forcing`]).
-    pub fn explain_with_forcing(
-        &self,
-        sql: &str,
-        forcing: Option<PlanForcing>,
-    ) -> Result<Vec<String>> {
-        self.explain_stmt(parse_statement(sql)?, forcing, self.txns.read_snapshot())
-    }
-
-    fn explain_stmt(
+    pub(crate) fn explain_stmt(
         &self,
         stmt: Statement,
         forcing: Option<PlanForcing>,
@@ -712,163 +629,47 @@ impl Database {
         }
     }
 
-    /// Execute DDL / DML with autocommit; returns affected-row count.
+    /// Execute DDL / DML with autocommit through a fresh
+    /// [`Session`](crate::session::Session); returns affected-row count.
     ///
-    /// `BEGIN`/`COMMIT`/`ROLLBACK` are rejected here: transaction scope
-    /// is per connection, so explicit transactions run through
-    /// [`Database::execute_txn`] (which the wire server drives with its
-    /// per-session transaction slot).
+    /// `BEGIN`/`COMMIT`/`ROLLBACK` are rejected here: an explicit
+    /// transaction lives in the session that opened it, so it runs
+    /// through one from [`Database::session`].
     pub fn execute(&self, sql: &str) -> Result<u64> {
-        self.execute_stmt(parse_statement(sql)?)
-    }
-
-    /// Run one statement against a per-connection transaction slot:
-    /// `BEGIN` opens a transaction into `current`, `COMMIT`/`ROLLBACK`
-    /// close it, and DML joins the open transaction (or autocommits
-    /// when none is open). A failed DML statement inside an explicit
-    /// transaction aborts the whole transaction (first-updater-wins
-    /// conflicts never leave a half-applied statement behind).
-    /// `forcing` pins the scan a `DELETE` finds its victims with, as in
-    /// [`Database::query_in`]; `None` is cost-based.
-    pub fn execute_txn(
-        &self,
-        sql: &str,
-        forcing: Option<PlanForcing>,
-        current: &mut Option<TxnId>,
-    ) -> Result<u64> {
         match parse_statement(sql)? {
-            Statement::Begin => {
-                if current.is_some() {
-                    return Err(DbError::Exec("transaction already open".into()));
-                }
-                *current = Some(self.begin_txn());
-                Ok(0)
-            }
-            Statement::Commit => match current.take() {
-                Some(t) => {
-                    self.commit_txn(t)?;
-                    Ok(0)
-                }
-                None => Err(DbError::Exec("COMMIT with no open transaction".into())),
-            },
-            Statement::Rollback => match current.take() {
-                Some(t) => {
-                    self.rollback_txn(t)?;
-                    Ok(0)
-                }
-                None => Err(DbError::Exec("ROLLBACK with no open transaction".into())),
-            },
-            Statement::Insert { table, rows } => {
-                let values = literal_rows(rows)?;
-                self.dml_in(current, |t| self.insert_rows_in(&table, values, t))
-            }
-            Statement::Delete { table, predicate } => {
-                self.dml_in(current, |t| self.delete_rows_in(&table, predicate, forcing, t))
-            }
-            other => self.execute_stmt(other),
-        }
-    }
-
-    /// Join `current` (or autocommit) for one DML statement. On error
-    /// inside an explicit transaction the whole transaction is rolled
-    /// back and the slot cleared; the original error (e.g.
-    /// [`DbError::TxnConflict`]) is returned unchanged so wire clients
-    /// see a stable error code.
-    fn dml_in(
-        &self,
-        current: &mut Option<TxnId>,
-        f: impl FnOnce(TxnId) -> Result<u64>,
-    ) -> Result<u64> {
-        match *current {
-            Some(t) => match f(t) {
-                Ok(n) => Ok(n),
-                Err(e) => {
-                    let _ = self.rollback_txn(t);
-                    *current = None;
-                    Err(e)
-                }
-            },
-            None => {
-                let t = self.txns.begin();
-                match f(t) {
-                    Ok(n) => {
-                        self.commit_txn_inner(t, false)?;
-                        Ok(n)
-                    }
-                    Err(e) => {
-                        let _ = self.rollback_txn(t);
-                        Err(e)
-                    }
-                }
-            }
-        }
-    }
-
-    /// Autocommit execution of a parsed statement.
-    fn execute_stmt(&self, stmt: Statement) -> Result<u64> {
-        match stmt {
-            Statement::CreateTable { name, columns } => {
-                let cols = columns.into_iter().map(|(n, t)| ColumnDef::new(n, t)).collect();
-                self.create_table(&name, cols)?;
-                Ok(0)
-            }
-            Statement::CreateIndex { name, table, columns } => {
-                self.create_index(&name, &table, columns)?;
-                Ok(0)
-            }
-            Statement::Insert { table, rows } => self.insert_rows(&table, literal_rows(rows)?),
-            Statement::Delete { table, predicate } => self.delete_rows(&table, predicate),
-            Statement::Drop { index: true, name } => {
-                let mut inner = self.inner.write();
-                let def = inner.catalog.remove_index(&name)?;
-                inner.indexes.remove(&name.to_ascii_lowercase());
-                self.pool.unregister_file(def.file)?;
-                let _ = std::fs::remove_file(file_path(&self.dir, def.file));
-                inner.catalog.save(&self.dir)?;
-                Ok(0)
-            }
-            Statement::Drop { index: false, name } => {
-                let mut inner = self.inner.write();
-                let (tdef, indexes) = inner.catalog.remove_table(&name)?;
-                inner.heaps.remove(&tdef.name.to_ascii_lowercase());
-                self.pool.unregister_file(tdef.file)?;
-                let _ = std::fs::remove_file(file_path(&self.dir, tdef.file));
-                for ix in indexes {
-                    inner.indexes.remove(&ix.name.to_ascii_lowercase());
-                    self.pool.unregister_file(ix.file)?;
-                    let _ = std::fs::remove_file(file_path(&self.dir, ix.file));
-                }
-                inner.stats.remove(&tdef.name.to_ascii_lowercase());
-                inner.catalog.save(&self.dir)?;
-                Ok(0)
-            }
-            Statement::Vacuum => {
-                let report = self.vacuum()?;
-                Ok(report.vacuumed_versions)
-            }
-            Statement::Explain(_) => Err(DbError::Plan("EXPLAIN returns rows; use query()".into())),
-            Statement::Select(_) => {
-                Err(DbError::Plan("execute() expects DDL/DML; use query()".into()))
-            }
             Statement::Begin | Statement::Commit | Statement::Rollback => Err(DbError::Exec(
-                "transaction control is per connection; use execute_txn() or a wire session".into(),
+                "transaction control needs a session to hold the transaction; \
+                 use Database::session()"
+                    .into(),
             )),
+            stmt => self.session().execute_stmt(stmt),
         }
     }
 
-    /// `DELETE FROM table [WHERE …]` as one autocommit transaction.
-    fn delete_rows(&self, table: &str, predicate: Option<AstExpr>) -> Result<u64> {
-        let txn = self.txns.begin();
-        match self.delete_rows_in(table, predicate, None, txn) {
-            Ok(n) => {
-                self.commit_txn_inner(txn, false)?;
-                Ok(n)
-            }
-            Err(e) => {
-                let _ = self.rollback_txn(txn);
-                Err(e)
-            }
+    /// `DROP INDEX name`.
+    pub(crate) fn drop_index(&self, name: &str) -> Result<()> {
+        let mut inner = self.inner.write();
+        let def = inner.catalog.remove_index(name)?;
+        inner.indexes.remove(&name.to_ascii_lowercase());
+        self.pool.unregister_file(def.file)?;
+        let _ = std::fs::remove_file(file_path(&self.dir, def.file));
+        inner.catalog.save(&self.dir)
+    }
+
+    /// `DROP TABLE name`, with its indexes and statistics.
+    pub(crate) fn drop_table(&self, name: &str) -> Result<()> {
+        let mut inner = self.inner.write();
+        let (tdef, indexes) = inner.catalog.remove_table(name)?;
+        inner.heaps.remove(&tdef.name.to_ascii_lowercase());
+        self.pool.unregister_file(tdef.file)?;
+        let _ = std::fs::remove_file(file_path(&self.dir, tdef.file));
+        for ix in indexes {
+            inner.indexes.remove(&ix.name.to_ascii_lowercase());
+            self.pool.unregister_file(ix.file)?;
+            let _ = std::fs::remove_file(file_path(&self.dir, ix.file));
         }
+        inner.stats.remove(&tdef.name.to_ascii_lowercase());
+        inner.catalog.save(&self.dir)
     }
 
     /// MVCC delete inside `txn`: find the versions `txn`'s snapshot sees
@@ -880,7 +681,7 @@ impl Database {
     /// immediately, so there is no lock waiting and no deadlock). Heap
     /// slots and index entries stay in place: older snapshots must still
     /// see the row, and readers filter on visibility.
-    pub fn delete_rows_in(
+    pub(crate) fn delete_rows_in(
         &self,
         table: &str,
         predicate: Option<AstExpr>,
@@ -926,8 +727,17 @@ impl Database {
 
     /// Open an explicit transaction; pair with [`Database::commit_txn`]
     /// or [`Database::rollback_txn`].
-    pub fn begin_txn(&self) -> TxnId {
+    pub(crate) fn begin_txn(&self) -> TxnId {
         self.txns.begin()
+    }
+
+    /// What a statement in `txn` reads: the snapshot captured at its
+    /// `BEGIN`, or with `None` everything committed so far.
+    pub(crate) fn snapshot_of(&self, txn: Option<TxnId>) -> Result<Snapshot> {
+        match txn {
+            Some(t) => self.txns.snapshot_of(t),
+            None => Ok(self.txns.read_snapshot()),
+        }
     }
 
     /// Durably commit `txn`: flush dirty page images to the WAL, append
@@ -935,7 +745,7 @@ impl Database {
     /// one `fsync` (the group-commit leader flushes the whole buffer,
     /// so followers find their record already durable). Read-only
     /// transactions skip the log entirely.
-    pub fn commit_txn(&self, txn: TxnId) -> Result<()> {
+    pub(crate) fn commit_txn(&self, txn: TxnId) -> Result<()> {
         self.commit_txn_inner(txn, true)
     }
 
@@ -966,7 +776,7 @@ impl Database {
     /// Abort `txn`: apply its undo list in reverse — inserts are
     /// removed physically (heap slot and index entries), delete claims
     /// are cleared — then drop it from the active set.
-    pub fn rollback_txn(&self, txn: TxnId) -> Result<()> {
+    pub(crate) fn rollback_txn(&self, txn: TxnId) -> Result<()> {
         let _gate = self.write_gate.read();
         let undo = self.txns.take_undo(txn)?;
         for rec in undo.into_iter().rev() {
@@ -1387,28 +1197,6 @@ fn key_of(key_cols: &[usize], ordinals: &[usize], row: &[Value]) -> Vec<Value> {
     key_cols.iter().map(|col| row[at(col)].clone()).collect()
 }
 
-/// Convert parsed `INSERT … VALUES` literal rows into [`Value`] rows.
-fn literal_rows(rows: Vec<Vec<AstExpr>>) -> Result<Vec<Row>> {
-    let mut values = Vec::with_capacity(rows.len());
-    for row in rows {
-        let mut out = Vec::with_capacity(row.len());
-        for e in row {
-            out.push(match e {
-                AstExpr::Str(s) => Value::Str(s),
-                AstExpr::Num(n) => Value::Int(n),
-                AstExpr::Null => Value::Null,
-                other => {
-                    return Err(DbError::Exec(format!(
-                        "INSERT values must be literals, got {other:?}"
-                    )))
-                }
-            });
-        }
-        values.push(out);
-    }
-    Ok(values)
-}
-
 fn file_path(dir: &Path, file: u32) -> PathBuf {
     dir.join(format!("f{file:05}.dat"))
 }
@@ -1433,6 +1221,7 @@ fn coerce(v: &mut Value, c: &ColumnDef) -> Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session::Session;
 
     fn db(tag: &str) -> Database {
         let dir = std::env::temp_dir().join(format!("ordb-db-{tag}-{}", std::process::id()));
@@ -1890,31 +1679,6 @@ mod tests {
     }
 
     #[test]
-    fn trace_sink_sees_query_lifecycle() {
-        let db = db("tracesink");
-        setup_speech(&db);
-        let sink = crate::trace::MemorySink::new();
-        db.set_trace_sink(Some(sink.clone()));
-        db.query("SELECT speechID FROM speech").unwrap();
-        let events = sink.events();
-        #[cfg(feature = "trace")]
-        {
-            use crate::trace::TraceEvent as E;
-            assert_eq!(events.len(), 4, "{events:?}");
-            assert!(matches!(&events[0], E::QueryStart { sql } if sql.contains("speechID")));
-            assert!(matches!(events[1], E::Parsed { .. }));
-            assert!(matches!(&events[2], E::Planned { explain, .. } if !explain.is_empty()));
-            assert!(matches!(events[3], E::QueryEnd { rows: 3, .. }));
-        }
-        #[cfg(not(feature = "trace"))]
-        assert!(events.is_empty());
-        // Uninstalling stops delivery.
-        db.set_trace_sink(None);
-        db.query("SELECT speechID FROM speech").unwrap();
-        assert_eq!(sink.events().len(), events.len());
-    }
-
-    #[test]
     fn order_by_desc_and_limit() {
         let db = db("orderlimit");
         db.execute("CREATE TABLE t (a INTEGER)").unwrap();
@@ -2267,16 +2031,17 @@ mod tests {
     fn open_transaction_pins_vacuum_watermark() {
         let db = db("vacuum-pin");
         setup_speech(&db);
-        let t = db.begin_txn();
+        let mut t = db.session();
+        t.execute("BEGIN").unwrap();
         db.execute("DELETE FROM speech").unwrap();
         let report = db.vacuum().unwrap();
         assert_eq!(
             report.vacuumed_versions, 0,
             "versions visible to the open snapshot survive: {report:?}"
         );
-        let r = db.query_in("SELECT speechID FROM speech", None, Some(t)).unwrap();
+        let r = t.query("SELECT speechID FROM speech").unwrap();
         assert_eq!(r.len(), 3, "the pinned snapshot still reads the pre-delete rows");
-        db.commit_txn(t).unwrap();
+        t.execute("COMMIT").unwrap();
         assert_eq!(db.vacuum().unwrap().vacuumed_versions, 3, "releasing the pin unblocks reclaim");
     }
 
@@ -2287,32 +2052,32 @@ mod tests {
         // and only the uncommitted ones under a fresh autocommit snapshot.
         let db = db("scan-snapshot");
         setup_speech(&db);
-        let t = db.begin_txn();
+        let mut t = db.session();
+        t.execute("BEGIN").unwrap();
         // Another connection inserts but never commits...
-        let mut other = None;
-        db.execute_txn("BEGIN", None, &mut other).unwrap();
-        db.execute_txn(
-            "INSERT INTO speech VALUES (13, 2, 'ACT', \
-             '<SPEAKER>GHOST</SPEAKER>', '<LINE>mark me</LINE>')",
-            None,
-            &mut other,
-        )
-        .unwrap();
+        let mut other = db.session();
+        other.execute("BEGIN").unwrap();
+        other
+            .execute(
+                "INSERT INTO speech VALUES (13, 2, 'ACT', \
+                 '<SPEAKER>GHOST</SPEAKER>', '<LINE>mark me</LINE>')",
+            )
+            .unwrap();
         // ...and an autocommit insert lands after the pinned snapshot.
         db.execute(
             "INSERT INTO speech VALUES (14, 2, 'ACT', \
              '<SPEAKER>MARCELLUS</SPEAKER>', '<LINE>peace, break thee off</LINE>')",
         )
         .unwrap();
-        let check = |txn: Option<TxnId>, want: usize, label: &str| {
+        let check = |s: &Session, want: usize, label: &str| {
             let sql = "SELECT speechID, speech_speaker FROM speech";
-            assert_eq!(db.query_in(sql, None, txn).unwrap().len(), want, "{label}");
+            assert_eq!(s.query(sql).unwrap().len(), want, "{label}");
         };
-        check(Some(t), 3, "pinned snapshot hides uncommitted and post-BEGIN rows");
-        check(None, 4, "fresh snapshot hides only the uncommitted insert");
-        db.execute_txn("ROLLBACK", None, &mut other).unwrap();
-        db.commit_txn(t).unwrap();
-        check(None, 4, "rollback leaves the aborted insert invisible");
+        check(&t, 3, "pinned snapshot hides uncommitted and post-BEGIN rows");
+        check(&db.session(), 4, "fresh snapshot hides only the uncommitted insert");
+        other.execute("ROLLBACK").unwrap();
+        t.execute("COMMIT").unwrap();
+        check(&db.session(), 4, "rollback leaves the aborted insert invisible");
     }
 
     #[test]
@@ -2321,18 +2086,19 @@ mod tests {
         // once vacuum reclaims them the pages read as empty.
         let db = db("scan-vacuum");
         setup_speech(&db);
-        let check = |txn: Option<TxnId>, want: usize, label: &str| {
+        let check = |s: &Session, want: usize, label: &str| {
             let sql = "SELECT speechID, speech_line FROM speech";
-            assert_eq!(db.query_in(sql, None, txn).unwrap().len(), want, "{label}");
+            assert_eq!(s.query(sql).unwrap().len(), want, "{label}");
         };
-        let t = db.begin_txn();
+        let mut t = db.session();
+        t.execute("BEGIN").unwrap();
         db.execute("DELETE FROM speech").unwrap();
         assert_eq!(db.vacuum().unwrap().vacuumed_versions, 0, "open snapshot blocks reclaim");
-        check(Some(t), 3, "pinned snapshot still reads the deleted versions");
-        check(None, 0, "fresh snapshot sees the delete");
-        db.commit_txn(t).unwrap();
+        check(&t, 3, "pinned snapshot still reads the deleted versions");
+        check(&db.session(), 0, "fresh snapshot sees the delete");
+        t.execute("COMMIT").unwrap();
         assert_eq!(db.vacuum().unwrap().vacuumed_versions, 3, "commit releases the pin");
-        check(None, 0, "post-vacuum the heap reads as empty");
+        check(&db.session(), 0, "post-vacuum the heap reads as empty");
     }
 
     /// `t(id, body)` with `n` rows, every tenth body in an overflow chain.
@@ -2350,16 +2116,17 @@ mod tests {
         // Dead before the reader begins: vacuum may take these from
         // under a scan that has not reached them yet.
         db.execute("DELETE FROM t WHERE id >= 300 AND id < 330").unwrap();
-        let reader = db.begin_txn();
+        let mut reader = db.session();
+        reader.execute("BEGIN").unwrap();
         let sql = "SELECT id, body FROM t";
-        let want = db.query_in(sql, None, Some(reader)).unwrap().rows;
+        let want = reader.query(sql).unwrap().rows;
         assert_eq!(want.len(), 570);
         // The same scan, stopped after its first row: one page visited,
         // the rest of the file ahead of it.
         let Statement::Select(q) = parse_statement(sql).unwrap() else { unreachable!() };
         let mut scan = {
             let inner = db.inner.read();
-            let ctx = db.plan_ctx(&inner, None, db.txns.snapshot_of(reader).unwrap());
+            let ctx = db.plan_ctx(&inner, None, reader.snapshot().unwrap());
             crate::plan::plan_select(&ctx, &q).unwrap().root
         };
         let mut got = vec![scan.next().unwrap().expect("a first row")];
@@ -2376,7 +2143,7 @@ mod tests {
             got.push(row);
         }
         assert_eq!(got, want, "the paused scan read something other than its snapshot");
-        db.commit_txn(reader).unwrap();
+        reader.execute("COMMIT").unwrap();
         assert_eq!(db.row_count("t").unwrap(), 570 - 10 - 200 + 100);
     }
 
@@ -2410,20 +2177,20 @@ mod tests {
                 };
                 // Inserted and deleted in one transaction: dead on
                 // commit, with chains, for the next vacuum pass.
-                let mut txn = None;
-                db.execute_txn("BEGIN", None, &mut txn).unwrap();
+                let mut txn = db.session();
+                txn.execute("BEGIN").unwrap();
                 for n in 0..6 {
-                    db.execute_txn(&fresh(n), None, &mut txn).unwrap();
+                    txn.execute(&fresh(n)).unwrap();
                 }
-                db.execute_txn("DELETE FROM t WHERE id >= 10000", None, &mut txn).unwrap();
-                db.execute_txn("COMMIT", None, &mut txn).unwrap();
+                txn.execute("DELETE FROM t WHERE id >= 10000").unwrap();
+                txn.execute("COMMIT").unwrap();
                 // Inserted and rolled back: slots and chains physically
                 // removed, possibly while the scan is reading them.
-                db.execute_txn("BEGIN", None, &mut txn).unwrap();
+                txn.execute("BEGIN").unwrap();
                 for n in 6..12 {
-                    db.execute_txn(&fresh(n), None, &mut txn).unwrap();
+                    txn.execute(&fresh(n)).unwrap();
                 }
-                db.execute_txn("ROLLBACK", None, &mut txn).unwrap();
+                txn.execute("ROLLBACK").unwrap();
                 db.vacuum().unwrap();
             }
             done.store(true, SeqCst);

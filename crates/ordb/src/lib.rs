@@ -22,6 +22,9 @@
 //! * the [`Database`] facade ([`db`]) tying it together, including
 //!   `runstats`, size accounting, commit/checkpoint/close, and cold-cache
 //!   control for experiments;
+//! * one way to run a statement ([`session`]): a [`Session`] holds a
+//!   caller's plan forcing and open transaction, and every caller — the
+//!   wire server, `xorshell`, the test harnesses — runs SQL through one;
 //! * a TCP serving layer ([`net`]): a hand-rolled length-prefixed wire
 //!   protocol, a thread-per-connection [`Server`], and a blocking
 //!   [`Client`] — the `xord-server` / `xord-client` binaries;
@@ -44,6 +47,7 @@ pub mod metrics;
 pub mod net;
 pub mod plan;
 pub mod recovery;
+pub mod session;
 pub mod sql;
 pub mod stats;
 pub mod storage;
@@ -59,8 +63,8 @@ pub use metrics::QueryMetrics;
 pub use net::{Client, Server, ServerHandle};
 pub use plan::{ForcedAccess, ForcedJoin, PlanForcing};
 pub use recovery::RecoveryReport;
+pub use session::Session;
 pub use storage::fault::{CrashMode, FaultInjector, FaultPlan, FaultScope};
 pub use storage::wal::WalStats;
-pub use trace::{MemorySink, TraceEvent, TraceSink};
 pub use txn::{Snapshot, TxnId, TxnStats};
 pub use types::{DataType, Row, Value};

@@ -1,7 +1,7 @@
 //! A small blocking client for the wire protocol.
 //!
-//! One [`Client`] wraps one TCP connection (and thus one server
-//! [`Session`](super::Session)). Calls are strictly request/response:
+//! One [`Client`] wraps one TCP connection (and thus one server-side
+//! [`Session`](crate::session::Session)). Calls are strictly request/response:
 //! each method writes one frame and reads one frame. Server-side
 //! statement failures come back as the original [`DbError`] variant
 //! (reconstructed via [`decode_error`](super::decode_error)), so remote
@@ -93,7 +93,8 @@ impl Client {
         }
     }
 
-    /// Set a session option (see [`Session::set`](super::Session::set)).
+    /// Set a session option (see
+    /// [`Session::set`](crate::session::Session::set)).
     pub fn set(&mut self, key: &str, value: &str) -> Result<()> {
         match self.roundtrip(&Request::Set { key: key.to_string(), value: value.to_string() })? {
             Response::Ok => Ok(()),

@@ -1,10 +1,10 @@
 //! Wire protocol, server, and client for serving a
 //! [`Database`](crate::Database) over TCP.
 //!
-//! This is ROADMAP open item 1: the client/server boundary that turns
-//! the embedded engine into something that can serve remote traffic, the
-//! deployment model the XML query-processing literature assumes for
-//! relational-backed XML stores. Everything is `std::net` + threads —
+//! The client/server boundary turns the embedded engine into something
+//! that can serve remote traffic, the deployment model the XML
+//! query-processing literature assumes for relational-backed XML
+//! stores. Everything is `std::net` + threads —
 //! no async runtime — because the engine's operators are blocking and a
 //! thread-per-connection model serves the paper's workloads comfortably.
 //!
@@ -17,11 +17,10 @@
 //! * [`Request`] / [`Response`] — the tagged message bodies. Row batches
 //!   reuse the storage layer's [`encode_row`] framing, so a value
 //!   round-trips the wire in exactly its heap-file representation;
-//! * [`Session`] — per-connection state: `SET`-style option overrides
-//!   mapped onto [`PlanForcing`] (and a reserved home for a future
-//!   `PREPARE` statement map);
 //! * [`Server`] / [`ServerHandle`] — accept loop plus
-//!   thread-per-connection serving, counting traffic into the owning
+//!   thread-per-connection serving, each connection running its
+//!   statements through its own [`Session`](crate::session::Session),
+//!   counting traffic into the owning
 //!   database's [`MetricsRegistry`](crate::metrics::MetricsRegistry);
 //! * [`Client`] — a small blocking client, used by `xord-client`, the
 //!   bench saturation driver, and the integration tests.
@@ -37,11 +36,8 @@ pub use frame::{
 };
 pub use server::{Server, ServerHandle};
 
-use std::collections::BTreeMap;
-
 use crate::db::QueryResult;
 use crate::error::{DbError, Result};
-use crate::plan::{ForcedAccess, ForcedJoin, PlanForcing};
 use crate::tuple::{decode_row, encode_row};
 
 // ---- request / response tags --------------------------------------------
@@ -75,7 +71,8 @@ pub enum Request {
     Execute(String),
     /// Durably commit; answered with [`Response::Affected`] (pages logged).
     Commit,
-    /// Set a session option (see [`Session::set`]); answered with
+    /// Set a session option (see
+    /// [`Session::set`](crate::session::Session::set)); answered with
     /// [`Response::Ok`].
     Set {
         /// Option name, e.g. `force_join`.
@@ -293,108 +290,6 @@ pub fn decode_error(code: u8, message: &str) -> DbError {
     }
 }
 
-// ---- per-connection session state ---------------------------------------
-
-/// Per-connection server state. Holds the session's `SET` options (today
-/// the plan-forcing knobs; the option map is the future home of
-/// `PREPARE` slots and other session-scoped settings) so concurrent
-/// sessions can force different plans, each passed per statement.
-#[derive(Debug, Default)]
-pub struct Session {
-    forcing: Option<PlanForcing>,
-    options: BTreeMap<String, String>,
-    /// The connection's open explicit transaction, if a `BEGIN` ran.
-    /// The server auto-aborts it when the connection ends (cleanly or
-    /// not) so a dropped client can never wedge the watermark.
-    txn: Option<crate::txn::TxnId>,
-}
-
-impl Session {
-    /// A fresh session with no overrides.
-    pub fn new() -> Session {
-        Session::default()
-    }
-
-    /// The session's forcing override, if any `SET force_*` was issued.
-    /// `None` means cost-based planning.
-    pub fn forcing(&self) -> Option<PlanForcing> {
-        self.forcing
-    }
-
-    /// Raw key→value options set so far (most recent value wins).
-    pub fn options(&self) -> &BTreeMap<String, String> {
-        &self.options
-    }
-
-    /// The open explicit transaction, if any.
-    pub fn txn(&self) -> Option<crate::txn::TxnId> {
-        self.txn
-    }
-
-    /// Mutable access to the transaction slot (the server threads it
-    /// through [`Database::execute_txn`](crate::db::Database::execute_txn)).
-    pub fn txn_mut(&mut self) -> &mut Option<crate::txn::TxnId> {
-        &mut self.txn
-    }
-
-    /// Apply one `SET key value`. Supported keys:
-    ///
-    /// * `force_join` — `nested` | `hash` | `merge` | `cost`
-    /// * `force_access` — `seq` | `index` | `cost`
-    /// * `force_order` — `declared` | `cost`
-    ///
-    /// `cost` restores the cost-based default for that knob. Unknown
-    /// keys or values fail with [`DbError::Exec`] and leave the session
-    /// unchanged.
-    pub fn set(&mut self, key: &str, value: &str) -> Result<()> {
-        let mut forcing = self.forcing.unwrap_or_default();
-        let key_lc = key.to_ascii_lowercase();
-        let val_lc = value.to_ascii_lowercase();
-        match key_lc.as_str() {
-            "force_join" => {
-                forcing.join = match val_lc.as_str() {
-                    "nested" => Some(ForcedJoin::NestedLoop),
-                    "hash" => Some(ForcedJoin::Hash),
-                    "merge" => Some(ForcedJoin::Merge),
-                    "cost" => None,
-                    other => {
-                        return Err(DbError::Exec(format!(
-                            "bad force_join value {other:?} (want nested|hash|merge|cost)"
-                        )))
-                    }
-                }
-            }
-            "force_access" => {
-                forcing.access = match val_lc.as_str() {
-                    "seq" => Some(ForcedAccess::SeqScan),
-                    "index" => Some(ForcedAccess::IndexScan),
-                    "cost" => None,
-                    other => {
-                        return Err(DbError::Exec(format!(
-                            "bad force_access value {other:?} (want seq|index|cost)"
-                        )))
-                    }
-                }
-            }
-            "force_order" => {
-                forcing.declared_order = match val_lc.as_str() {
-                    "declared" => true,
-                    "cost" => false,
-                    other => {
-                        return Err(DbError::Exec(format!(
-                            "bad force_order value {other:?} (want declared|cost)"
-                        )))
-                    }
-                }
-            }
-            other => return Err(DbError::Exec(format!("unknown session option {other:?}"))),
-        }
-        self.forcing = Some(forcing);
-        self.options.insert(key_lc, val_lc);
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -511,30 +406,5 @@ mod tests {
         assert!(matches!(back, DbError::Exec(ref m) if m.contains("bad fragment")));
         // Unknown codes never panic.
         assert!(matches!(decode_error(42, "?"), DbError::Protocol(_)));
-    }
-
-    #[test]
-    fn session_set_maps_onto_forcing() {
-        let mut s = Session::new();
-        assert_eq!(s.forcing(), None);
-        s.set("force_join", "hash").unwrap();
-        assert_eq!(s.forcing().unwrap().join, Some(ForcedJoin::Hash));
-        s.set("FORCE_ACCESS", "SEQ").unwrap();
-        let f = s.forcing().unwrap();
-        assert_eq!(f.join, Some(ForcedJoin::Hash), "knobs compose");
-        assert_eq!(f.access, Some(ForcedAccess::SeqScan));
-        s.set("force_order", "declared").unwrap();
-        assert!(s.forcing().unwrap().declared_order);
-        s.set("force_join", "cost").unwrap();
-        assert_eq!(s.forcing().unwrap().join, None);
-        // Bad key/value: error, state unchanged.
-        let before = s.forcing();
-        assert!(s.set("force_join", "quantum").is_err());
-        // The engine has one executor, so there is no executor to pick.
-        let err = s.set("FORCE_EXECUTOR", "batch").unwrap_err();
-        assert!(err.to_string().contains("unknown session option"), "{err}");
-        assert!(s.set("fsync", "off").is_err());
-        assert_eq!(s.forcing(), before);
-        assert_eq!(s.options().get("force_access").map(String::as_str), Some("seq"));
     }
 }

@@ -19,9 +19,10 @@ use std::thread::JoinHandle;
 
 use crate::db::Database;
 use crate::error::Result;
+use crate::session::Session;
 
 use super::frame::{read_frame, server_handshake, write_frame};
-use super::{Request, Response, Session};
+use super::{Request, Response};
 
 /// A bound-but-not-yet-serving TCP server over a shared [`Database`].
 pub struct Server {
@@ -117,16 +118,10 @@ fn serve_connection(db: &Database, mut stream: TcpStream) -> Result<()> {
         net.protocol_errors.fetch_add(1, Ordering::Relaxed);
         return Err(e);
     }
-    let mut session = Session::new();
-    let result = statement_loop(db, &mut stream, &mut session, net);
-    // Whatever ended the connection — clean Close, client vanishing
-    // mid-transaction, or a broken frame layer — an open explicit
-    // transaction is aborted here so it can neither leak uncommitted
-    // versions nor pin the checkpoint watermark forever.
-    if let Some(txn) = session.txn_mut().take() {
-        let _ = db.rollback_txn(txn);
-    }
-    result
+    // Whatever ends the connection — clean Close, client vanishing
+    // mid-transaction, or a broken frame layer — dropping the session
+    // aborts its open transaction.
+    statement_loop(db, &mut stream, &mut db.session(), net)
 }
 
 fn statement_loop(
@@ -173,15 +168,9 @@ fn statement_loop(
 fn handle(db: &Database, session: &mut Session, req: Request) -> Response {
     let result: Result<Response> = match req {
         Request::Ping => Ok(Response::Pong),
-        Request::Query(sql) => {
-            db.query_in(&sql, session.forcing(), session.txn()).map(Response::Rows)
-        }
-        Request::Explain(sql) => {
-            db.explain_with_forcing(&sql, session.forcing()).map(Response::Plan)
-        }
-        Request::Execute(sql) => {
-            db.execute_txn(&sql, session.forcing(), session.txn_mut()).map(Response::Affected)
-        }
+        Request::Query(sql) => session.query(&sql).map(Response::Rows),
+        Request::Explain(sql) => session.explain(&sql).map(Response::Plan),
+        Request::Execute(sql) => session.execute(&sql).map(Response::Affected),
         Request::Commit => db.commit().map(Response::Affected),
         Request::Set { key, value } => session.set(&key, &value).map(|()| Response::Ok),
         Request::Close => Ok(Response::Bye),

@@ -1,0 +1,300 @@
+//! One caller's view of a [`Database`]: the only place per-caller state
+//! lives.
+//!
+//! A [`Session`] holds the caller's plan forcing (`SET force_*`) and its
+//! open explicit transaction, if a `BEGIN` ran. Every caller runs SQL the
+//! same way through one: the wire server keeps one per connection,
+//! `xorshell` one per process, and the differential harnesses one per
+//! logical writer. [`Database::query`], [`Database::explain`] and
+//! [`Database::execute`] are autocommit wrappers over a fresh session.
+//!
+//! Dropping a session rolls back its open transaction, so a caller that
+//! goes away mid-transaction (a dropped connection, a panicking harness)
+//! can neither leak uncommitted versions nor pin the vacuum watermark.
+
+use crate::catalog::ColumnDef;
+use crate::db::{Database, QueryResult};
+use crate::error::{DbError, Result};
+use crate::plan::{ForcedAccess, ForcedJoin, PlanForcing};
+use crate::sql::ast::{AstExpr, Statement};
+use crate::sql::parser::parse_statement;
+use crate::txn::{Snapshot, TxnId};
+use crate::types::{Row, Value};
+
+/// Per-caller state over a borrowed [`Database`]: plan forcing and the
+/// open explicit transaction. See the module docs.
+pub struct Session<'db> {
+    db: &'db Database,
+    /// `None` means cost-based planning.
+    forcing: Option<PlanForcing>,
+    /// The open explicit transaction, if a `BEGIN` ran.
+    txn: Option<TxnId>,
+}
+
+impl Database {
+    /// A fresh session: cost-based planning, no open transaction.
+    pub fn session(&self) -> Session<'_> {
+        Session { db: self, forcing: None, txn: None }
+    }
+}
+
+impl<'db> Session<'db> {
+    /// This session, planning every statement under `forcing` — how the
+    /// differential harnesses pin one query to each plan shape.
+    pub fn with_forcing(mut self, forcing: PlanForcing) -> Session<'db> {
+        self.forcing = Some(forcing);
+        self
+    }
+
+    /// The forcing `SET force_*` or [`Session::with_forcing`] installed;
+    /// `None` means cost-based planning.
+    pub fn forcing(&self) -> Option<PlanForcing> {
+        self.forcing
+    }
+
+    /// Whether a `BEGIN` is open on this session.
+    pub fn in_transaction(&self) -> bool {
+        self.txn.is_some()
+    }
+
+    /// What this session's statements read: the snapshot captured at
+    /// `BEGIN` inside a transaction, everything committed so far outside.
+    pub(crate) fn snapshot(&self) -> Result<Snapshot> {
+        self.db.snapshot_of(self.txn)
+    }
+
+    /// Run a SELECT, or EXPLAIN a SELECT or a DELETE, through this
+    /// session's snapshot and forcing.
+    pub fn query(&self, sql: &str) -> Result<QueryResult> {
+        Ok(self.db.run_query(sql, self.forcing, self.snapshot()?, false)?.0)
+    }
+
+    /// Planner decisions for a SELECT or a DELETE, without executing it.
+    pub fn explain(&self, sql: &str) -> Result<Vec<String>> {
+        self.db.explain_stmt(parse_statement(sql)?, self.forcing, self.snapshot()?)
+    }
+
+    /// Run one statement; returns the affected-row count. `BEGIN` opens
+    /// the session's transaction and `COMMIT`/`ROLLBACK` close it. DML
+    /// joins the open transaction, or autocommits when none is open;
+    /// a failed DML statement inside a transaction aborts the whole
+    /// transaction (first-updater-wins conflicts never leave a
+    /// half-applied statement behind). DDL and `VACUUM` run on their own.
+    pub fn execute(&mut self, sql: &str) -> Result<u64> {
+        self.execute_stmt(parse_statement(sql)?)
+    }
+
+    pub(crate) fn execute_stmt(&mut self, stmt: Statement) -> Result<u64> {
+        let db = self.db;
+        match stmt {
+            Statement::Begin => {
+                if self.txn.is_some() {
+                    return Err(DbError::Exec("transaction already open".into()));
+                }
+                self.txn = Some(db.begin_txn());
+                Ok(0)
+            }
+            Statement::Commit => {
+                let t = self
+                    .txn
+                    .take()
+                    .ok_or_else(|| DbError::Exec("COMMIT with no open transaction".into()))?;
+                db.commit_txn(t).map(|()| 0)
+            }
+            Statement::Rollback => {
+                let t = self
+                    .txn
+                    .take()
+                    .ok_or_else(|| DbError::Exec("ROLLBACK with no open transaction".into()))?;
+                db.rollback_txn(t).map(|()| 0)
+            }
+            Statement::Insert { table, rows } => {
+                self.dml(|t| db.insert_rows_in(&table, literal_rows(rows)?, t))
+            }
+            Statement::Delete { table, predicate } => {
+                let forcing = self.forcing;
+                self.dml(|t| db.delete_rows_in(&table, predicate, forcing, t))
+            }
+            Statement::CreateTable { name, columns } => {
+                let cols = columns.into_iter().map(|(n, t)| ColumnDef::new(n, t)).collect();
+                db.create_table(&name, cols).map(|()| 0)
+            }
+            Statement::CreateIndex { name, table, columns } => {
+                db.create_index(&name, &table, columns).map(|()| 0)
+            }
+            Statement::Drop { index: true, name } => db.drop_index(&name).map(|()| 0),
+            Statement::Drop { index: false, name } => db.drop_table(&name).map(|()| 0),
+            Statement::Vacuum => Ok(db.vacuum()?.vacuumed_versions),
+            Statement::Explain(_) => Err(DbError::Plan("EXPLAIN returns rows; use query()".into())),
+            Statement::Select(_) => {
+                Err(DbError::Plan("execute() expects DDL/DML; use query()".into()))
+            }
+        }
+    }
+
+    /// Run one DML statement in the open transaction, or as its own
+    /// autocommit transaction. An error inside an explicit transaction
+    /// rolls the whole transaction back and clears the slot; the original
+    /// error (e.g. [`DbError::TxnConflict`]) is returned unchanged so wire
+    /// clients see a stable error code.
+    fn dml(&mut self, f: impl FnOnce(TxnId) -> Result<u64>) -> Result<u64> {
+        let Some(t) = self.txn else { return self.db.autocommit(f) };
+        f(t).inspect_err(|_| {
+            self.txn = None;
+            let _ = self.db.rollback_txn(t);
+        })
+    }
+
+    /// Apply one `SET key value`. Supported keys:
+    ///
+    /// * `force_join` — `nested` | `hash` | `merge` | `cost`
+    /// * `force_access` — `seq` | `index` | `cost`
+    /// * `force_order` — `declared` | `cost`
+    ///
+    /// `cost` restores the cost-based default for that knob. Unknown
+    /// keys or values fail with [`DbError::Exec`] and leave the session
+    /// unchanged.
+    pub fn set(&mut self, key: &str, value: &str) -> Result<()> {
+        let mut forcing = self.forcing.unwrap_or_default();
+        let val_lc = value.to_ascii_lowercase();
+        match key.to_ascii_lowercase().as_str() {
+            "force_join" => {
+                forcing.join = match val_lc.as_str() {
+                    "nested" => Some(ForcedJoin::NestedLoop),
+                    "hash" => Some(ForcedJoin::Hash),
+                    "merge" => Some(ForcedJoin::Merge),
+                    "cost" => None,
+                    other => {
+                        return Err(DbError::Exec(format!(
+                            "bad force_join value {other:?} (want nested|hash|merge|cost)"
+                        )))
+                    }
+                }
+            }
+            "force_access" => {
+                forcing.access = match val_lc.as_str() {
+                    "seq" => Some(ForcedAccess::SeqScan),
+                    "index" => Some(ForcedAccess::IndexScan),
+                    "cost" => None,
+                    other => {
+                        return Err(DbError::Exec(format!(
+                            "bad force_access value {other:?} (want seq|index|cost)"
+                        )))
+                    }
+                }
+            }
+            "force_order" => {
+                forcing.declared_order = match val_lc.as_str() {
+                    "declared" => true,
+                    "cost" => false,
+                    other => {
+                        return Err(DbError::Exec(format!(
+                            "bad force_order value {other:?} (want declared|cost)"
+                        )))
+                    }
+                }
+            }
+            other => return Err(DbError::Exec(format!("unknown session option {other:?}"))),
+        }
+        self.forcing = Some(forcing);
+        Ok(())
+    }
+}
+
+impl Drop for Session<'_> {
+    /// Roll back the open transaction, if any. Errors are swallowed —
+    /// `Drop` cannot report them; `ROLLBACK` through
+    /// [`Session::execute`] does.
+    fn drop(&mut self) {
+        if let Some(t) = self.txn.take() {
+            let _ = self.db.rollback_txn(t);
+        }
+    }
+}
+
+/// Convert parsed `INSERT … VALUES` literal rows into [`Value`] rows.
+fn literal_rows(rows: Vec<Vec<AstExpr>>) -> Result<Vec<Row>> {
+    let mut values = Vec::with_capacity(rows.len());
+    for row in rows {
+        let mut out = Vec::with_capacity(row.len());
+        for e in row {
+            out.push(match e {
+                AstExpr::Str(s) => Value::Str(s),
+                AstExpr::Num(n) => Value::Int(n),
+                AstExpr::Null => Value::Null,
+                other => {
+                    return Err(DbError::Exec(format!(
+                        "INSERT values must be literals, got {other:?}"
+                    )))
+                }
+            });
+        }
+        values.push(out);
+    }
+    Ok(values)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn db(tag: &str) -> Database {
+        let dir = std::env::temp_dir().join(format!("ordb-session-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        Database::open(&dir).unwrap()
+    }
+
+    #[test]
+    fn session_set_maps_onto_forcing() {
+        let db = db("set");
+        let mut s = db.session();
+        assert_eq!(s.forcing(), None);
+        s.set("force_join", "hash").unwrap();
+        assert_eq!(s.forcing().unwrap().join, Some(ForcedJoin::Hash));
+        s.set("FORCE_ACCESS", "SEQ").unwrap();
+        let f = s.forcing().unwrap();
+        assert_eq!(f.join, Some(ForcedJoin::Hash), "knobs compose");
+        assert_eq!(f.access, Some(ForcedAccess::SeqScan));
+        s.set("force_order", "declared").unwrap();
+        assert!(s.forcing().unwrap().declared_order);
+        s.set("force_join", "cost").unwrap();
+        assert_eq!(s.forcing().unwrap().join, None);
+        // Bad key/value: error, state unchanged.
+        let before = s.forcing();
+        assert!(s.set("force_join", "quantum").is_err());
+        // The engine has one executor, so there is no executor to pick.
+        let err = s.set("FORCE_EXECUTOR", "batch").unwrap_err();
+        assert!(err.to_string().contains("unknown session option"), "{err}");
+        assert!(s.set("fsync", "off").is_err());
+        assert_eq!(s.forcing(), before);
+    }
+
+    #[test]
+    fn failed_dml_inside_a_transaction_aborts_it() {
+        let db = db("dmlabort");
+        db.execute("CREATE TABLE t (a INTEGER)").unwrap();
+        // A non-literal value, a value of the wrong type, and an unknown
+        // table: each fails at a different stage of the statement, and
+        // each must take the whole transaction down with it.
+        for bad in
+            ["INSERT INTO t VALUES (1+1)", "INSERT INTO t VALUES ('x')", "DELETE FROM nosuchtable"]
+        {
+            let mut s = db.session();
+            s.execute("BEGIN").unwrap();
+            assert_eq!(s.execute("INSERT INTO t VALUES (7)").unwrap(), 1);
+            assert!(s.execute(bad).is_err(), "{bad}");
+            assert!(!s.in_transaction(), "{bad} left the transaction open");
+            let count = db.query("SELECT COUNT(*) FROM t").unwrap();
+            assert_eq!(count.scalar(), Some(&Value::Int(0)), "{bad} kept the earlier insert");
+        }
+    }
+
+    #[test]
+    fn execute_refuses_transaction_control_outside_a_session() {
+        let db = db("txncontrol");
+        for sql in ["BEGIN", "COMMIT", "ROLLBACK"] {
+            let err = db.execute(sql).unwrap_err();
+            assert!(err.to_string().contains("Database::session"), "{sql}: {err}");
+        }
+    }
+}

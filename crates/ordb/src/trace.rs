@@ -1,103 +1,27 @@
-//! Structured query-lifecycle events with a pluggable sink, and the
-//! hierarchical span tracer behind `\spans` and the repo benchmark's traces.
+//! The hierarchical span tracer behind `\spans`, `EXPLAIN ANALYZE`'s
+//! operator spans and the repo benchmark's traces.
 //!
-//! Two layers live here:
-//!
-//! * [`TraceSink`] / [`TraceEvent`] — coarse per-query lifecycle events
-//!   (start → parsed → planned → end), registered per `Database` via
-//!   `Database::set_trace_sink`. There is deliberately no per-row event.
-//! * [`span`] / [`SpanGuard`] — a process-wide hierarchical span tracer.
-//!   A span is a named, monotonic `(start, duration)` interval with a
-//!   parent link; guards nest through a thread-local, so
-//!   `span("query") → span("parse")` produces a parent/child pair
-//!   without any plumbing. Finished spans land in a fixed-capacity ring
-//!   buffer ([`spans_enable`]) that overwrites the oldest record, so a
-//!   long-running process can keep tracing without unbounded memory.
-//!   Snapshots export as Chrome `trace_event` JSON
-//!   ([`chrome_trace_json`], load in `chrome://tracing` / Perfetto) or
-//!   folded-stack text ([`folded_stacks`], feed to `flamegraph.pl`).
+//! A span ([`span`] / [`SpanGuard`]) is a named, monotonic
+//! `(start, duration)` interval with a parent link; guards nest through a
+//! thread-local, so `span("query") → span("parse")` produces a
+//! parent/child pair without any plumbing. Finished spans land in a
+//! process-wide fixed-capacity ring buffer ([`spans_enable`]) that
+//! overwrites the oldest record, so a long-running process can keep
+//! tracing without unbounded memory. Snapshots export as Chrome
+//! `trace_event` JSON ([`chrome_trace_json`], load in `chrome://tracing`
+//! / Perfetto) or folded-stack text ([`folded_stacks`], feed to
+//! `flamegraph.pl`).
 //!
 //! When span collection is disabled (the default), [`span`] returns an
 //! inert guard after a single relaxed atomic load — the hot path pays
-//! nothing. The lifecycle-event call sites are compiled out entirely
-//! when the `trace` cargo feature (on by default) is disabled.
+//! nothing.
 
 use std::cell::Cell;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use parking_lot::Mutex;
-
-/// One query-lifecycle event.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TraceEvent {
-    /// A query was submitted.
-    QueryStart {
-        /// The SQL text.
-        sql: String,
-    },
-    /// Parsing finished.
-    Parsed {
-        /// Time spent in the parser.
-        elapsed: Duration,
-    },
-    /// Planning finished.
-    Planned {
-        /// Time spent in the planner.
-        elapsed: Duration,
-        /// The planner's decision log (same lines as `EXPLAIN`).
-        explain: Vec<String>,
-    },
-    /// Execution finished (also emitted on the error path with the rows
-    /// produced so far when execution fails midway — currently only on
-    /// success).
-    QueryEnd {
-        /// Rows returned.
-        rows: u64,
-        /// End-to-end wall time.
-        wall: Duration,
-    },
-}
-
-/// Receives [`TraceEvent`]s. Implementations must be cheap or hand off
-/// quickly: events are emitted synchronously on the query path.
-pub trait TraceSink: Send + Sync {
-    /// Handle one event.
-    fn event(&self, ev: &TraceEvent);
-}
-
-/// A sink that buffers events in memory — for tests and the shell.
-#[derive(Default)]
-pub struct MemorySink {
-    events: Mutex<Vec<TraceEvent>>,
-}
-
-impl MemorySink {
-    /// A fresh, shareable sink.
-    pub fn new() -> Arc<MemorySink> {
-        Arc::new(MemorySink::default())
-    }
-
-    /// Copy out the buffered events.
-    pub fn events(&self) -> Vec<TraceEvent> {
-        self.events.lock().clone()
-    }
-
-    /// Drop all buffered events.
-    pub fn clear(&self) {
-        self.events.lock().clear();
-    }
-}
-
-impl TraceSink for MemorySink {
-    fn event(&self, ev: &TraceEvent) {
-        self.events.lock().push(ev.clone());
-    }
-}
-
-// ---- hierarchical spans -------------------------------------------------
 
 /// One finished span: a named monotonic interval with a parent link.
 /// Timestamps are nanoseconds since the process-wide trace epoch (the

@@ -14,7 +14,7 @@ use std::sync::Arc;
 
 use ordb::net::{self, Client, Server};
 use ordb::tuple::encode_row;
-use ordb::{Database, DbError, Value};
+use ordb::{Database, DbError, QueryResult, Result, Session, Value};
 
 fn served_db(tag: &str) -> (Arc<Database>, net::ServerHandle) {
     let dir = std::env::temp_dir().join(format!("ordb-net-{tag}-{}", std::process::id()));
@@ -316,4 +316,109 @@ fn connection_drop_mid_txn_auto_aborts() {
     // The orphaned insert was physically undone.
     assert!(db.query("SELECT * FROM grp WHERE gid = 55").unwrap().is_empty());
     handle.stop();
+}
+
+/// What a script step can do, embedded or over the wire.
+trait Conn {
+    fn set(&mut self, key: &str, value: &str) -> Result<()>;
+    fn query(&mut self, sql: &str) -> Result<QueryResult>;
+    fn explain(&mut self, sql: &str) -> Result<Vec<String>>;
+    fn execute(&mut self, sql: &str) -> Result<u64>;
+}
+
+impl Conn for Session<'_> {
+    fn set(&mut self, key: &str, value: &str) -> Result<()> {
+        Session::set(self, key, value)
+    }
+    fn query(&mut self, sql: &str) -> Result<QueryResult> {
+        Session::query(self, sql)
+    }
+    fn explain(&mut self, sql: &str) -> Result<Vec<String>> {
+        Session::explain(self, sql)
+    }
+    fn execute(&mut self, sql: &str) -> Result<u64> {
+        Session::execute(self, sql)
+    }
+}
+
+impl Conn for Client {
+    fn set(&mut self, key: &str, value: &str) -> Result<()> {
+        Client::set(self, key, value)
+    }
+    fn query(&mut self, sql: &str) -> Result<QueryResult> {
+        Client::query(self, sql)
+    }
+    fn explain(&mut self, sql: &str) -> Result<Vec<String>> {
+        Client::explain(self, sql)
+    }
+    fn execute(&mut self, sql: &str) -> Result<u64> {
+        Client::execute(self, sql)
+    }
+}
+
+/// One step's outcome: the value, or the error's wire code.
+fn outcome<T: std::fmt::Debug>(r: Result<T>) -> String {
+    match r {
+        Ok(v) => format!("ok {v:?}"),
+        Err(e) => format!("error {}", net::error_code(&e)),
+    }
+}
+
+/// A forced, transactional script on `a`, with `b` as the conflicting
+/// second session. Every statement it runs is rolled back by its end.
+fn session_script(a: &mut dyn Conn, b: &mut dyn Conn) -> Vec<String> {
+    vec![
+        outcome(a.set("force_access", "seq")),
+        outcome(a.execute("BEGIN")),
+        outcome(a.execute("INSERT INTO grp VALUES (42, 'own')")),
+        outcome(a.query("SELECT gid, title FROM grp WHERE gid = 42")),
+        outcome(a.explain("SELECT name FROM item WHERE id = 7")),
+        outcome(a.execute("DELETE FROM item WHERE id = 7")),
+        outcome(b.execute("BEGIN")),
+        outcome(b.execute("DELETE FROM item WHERE id = 7")),
+        // The conflict aborted b's transaction: nothing left to roll back.
+        outcome(b.execute("ROLLBACK")),
+        outcome(a.execute("ROLLBACK")),
+        outcome(a.query("SELECT gid, title FROM grp")),
+        outcome(a.query("SELECT COUNT(*) FROM item WHERE id = 7")),
+    ]
+}
+
+#[test]
+fn embedded_and_wire_sessions_behave_identically() {
+    let (db, handle) = served_db("twins");
+    let embedded = session_script(&mut db.session(), &mut db.session());
+    let mut a = Client::connect(handle.addr()).unwrap();
+    let mut b = Client::connect(handle.addr()).unwrap();
+    let wire = session_script(&mut a, &mut b);
+    assert_eq!(embedded, wire);
+    // And the script did what it says.
+    assert!(embedded[3].contains("own"), "the transaction reads its own insert: {}", embedded[3]);
+    assert!(embedded[4].contains("forcing: "), "EXPLAIN shows the forcing: {}", embedded[4]);
+    assert_eq!(embedded[5], "ok 1");
+    assert_eq!(embedded[7], "error 9", "first-updater-wins conflict");
+    assert_eq!(embedded[8], "error 4", "the conflict cleared b's slot");
+    assert!(!embedded[10].contains("own"), "ROLLBACK undid the insert: {}", embedded[10]);
+    assert!(embedded[11].contains("Int(1)"), "ROLLBACK released the claim: {}", embedded[11]);
+    a.close().unwrap();
+    b.close().unwrap();
+    handle.stop();
+}
+
+#[test]
+fn session_drop_mid_txn_auto_aborts() {
+    let (db, handle) = served_db("sessdrop");
+    handle.stop();
+    let aborted_before = db.txn_stats().aborted;
+    let pinned = {
+        let mut doomed = db.session();
+        doomed.execute("BEGIN").unwrap();
+        doomed.execute("INSERT INTO grp VALUES (55, 'orphan')").unwrap();
+        db.vacuum().unwrap().watermark
+        // Dropped without ROLLBACK.
+    };
+    assert_eq!(db.txn_stats().aborted, aborted_before + 1);
+    // The orphaned insert was physically undone, and it pins nothing.
+    assert!(db.query("SELECT * FROM grp WHERE gid = 55").unwrap().is_empty());
+    assert!(db.vacuum().unwrap().watermark > pinned, "the dropped session still pins vacuum");
 }

@@ -579,7 +579,7 @@ fn star_lists_from_items_in_declaration_order_under_every_join_order() {
     ];
     for declared_order in [false, true] {
         let forcing = PlanForcing { declared_order, ..Default::default() };
-        let r = d.query_with_forcing(sql, Some(forcing)).unwrap();
+        let r = d.session().with_forcing(forcing).query(sql).unwrap();
         assert_eq!(r.columns, want, "declared_order={declared_order}");
         assert!(r.rows.iter().all(|row| row[1] == row[5]), "{:?}", r.rows);
     }
@@ -654,7 +654,9 @@ fn explain_delete_prints_the_chosen_access_path() {
     let plan = plan_text(&d.query(&format!("EXPLAIN {churn_stmt}")).unwrap());
     assert!(plan.contains("delete from churn via IndexScan(=)"), "{plan}");
     let seq = d
-        .query_with_forcing(&format!("EXPLAIN {churn_stmt}"), Some(forced(ForcedAccess::SeqScan)))
+        .session()
+        .with_forcing(forced(ForcedAccess::SeqScan))
+        .query(&format!("EXPLAIN {churn_stmt}"))
         .unwrap();
     let seq = plan_text(&seq);
     assert!(seq.contains("via SeqScan") && seq.contains("access=seq"), "{seq}");
@@ -686,7 +688,7 @@ fn delete_on_an_indexed_column_probes_instead_of_scanning() {
     // process-wide, and the suite's tests run in parallel).
     let run = |sql: &str, forcing: PlanForcing| {
         let before = d.io_stats_total();
-        let n = d.execute_txn(sql, Some(forcing), &mut None).unwrap();
+        let n = d.session().with_forcing(forcing).execute(sql).unwrap();
         (n, d.io_stats_total().since(&before).fetches())
     };
     let (n, fetches) = run("DELETE FROM churn WHERE parent = 1234", PlanForcing::default());
@@ -772,14 +774,14 @@ fn dml_differential_forced_accesses_agree() {
             let sql = gen_delete(&mut rng, next_id);
             let affected: Vec<u64> = twins
                 .iter()
-                .map(|(d, f)| d.execute_txn(&sql, Some(*f), &mut None).unwrap())
+                .map(|(d, f)| d.session().with_forcing(*f).execute(&sql).unwrap())
                 .collect();
             assert_eq!(affected[0], affected[1], "seed {seed} step {step}: {sql}");
             let contents: Vec<Vec<Row>> = twins
                 .iter()
                 .map(|(d, f)| {
                     let sql = "SELECT id, a, c, s FROM dml ORDER BY id";
-                    d.query_with_forcing(sql, Some(*f)).unwrap().rows
+                    d.session().with_forcing(*f).query(sql).unwrap().rows
                 })
                 .collect();
             assert!(contents[0] == contents[1], "seed {seed} step {step}: {sql}: tables differ");
@@ -787,10 +789,9 @@ fn dml_differential_forced_accesses_agree() {
                 // Every live row has a non-null `id`, so the index on it
                 // must count what the heap counts — on both twins.
                 let by_index = d
-                    .query_with_forcing(
-                        "SELECT COUNT(*) FROM dml WHERE id >= 0",
-                        Some(forced(ForcedAccess::IndexScan)),
-                    )
+                    .session()
+                    .with_forcing(forced(ForcedAccess::IndexScan))
+                    .query("SELECT COUNT(*) FROM dml WHERE id >= 0")
                     .unwrap();
                 assert_eq!(
                     by_index.scalar().and_then(Value::as_int),

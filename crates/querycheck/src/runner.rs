@@ -199,7 +199,7 @@ impl Harness {
         let mut mismatches = Vec::new();
         for (cfg, db, _) in &self.dbs {
             for forcing in forcing_modes() {
-                let mut got = db.query_with_forcing(&sql, Some(forcing)).map(|r| r.rows);
+                let mut got = db.session().with_forcing(forcing).query(&sql).map(|r| r.rows);
                 if let (Ok(rows), Some(m)) = (&mut got, mutation) {
                     m.apply(rows);
                 }
@@ -229,7 +229,7 @@ impl Harness {
         let sql = render_select(q);
         let expected = self.oracle(q);
         let (_, db, _) = self.dbs.iter().find(|(c, _, _)| *c == cfg)?;
-        let mut got = db.query_with_forcing(&sql, Some(forcing)).map(|r| r.rows);
+        let mut got = db.session().with_forcing(forcing).query(&sql).map(|r| r.rows);
         if let (Ok(rows), Some(m)) = (&mut got, mutation) {
             m.apply(rows);
         }

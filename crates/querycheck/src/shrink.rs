@@ -101,7 +101,7 @@ fn probe_in(
     db.runstats_all().ok()?;
     let reg = ordb::functions::FunctionRegistry::with_builtins();
     let expected = oracle::evaluate(q, &info.mapping, &info.tables, &reg);
-    let mut got = db.query_with_forcing(&render_select(q), Some(forcing)).map(|r| r.rows);
+    let mut got = db.session().with_forcing(forcing).query(&render_select(q)).map(|r| r.rows);
     if let (Ok(rows), Some(m)) = (&mut got, mutation) {
         m.apply(rows);
     }

@@ -26,7 +26,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use ordb::{Database, DbError, ForcedAccess, PlanForcing, TxnId, Value};
+use ordb::{Database, DbError, ForcedAccess, PlanForcing, Session, Value};
 use rand::{rngs::SmallRng, Rng, SeedableRng};
 
 /// Who currently holds the delete claim (`xmax`) on a committed row.
@@ -50,8 +50,9 @@ struct OracleRow {
 }
 
 /// One writer's open transaction, mirrored oracle-side.
-struct OpenTxn {
-    txn: TxnId,
+struct OpenTxn<'db> {
+    /// The writer's session, inside its `BEGIN`.
+    session: Session<'db>,
     /// Committed-live ids visible at `BEGIN` (the snapshot).
     snapshot: BTreeSet<i64>,
     /// Own uncommitted inserts, in insertion order.
@@ -103,16 +104,15 @@ pub fn run(seed: u64, steps: usize) -> Result<TxnReport, String> {
             let ctx = |op: &str| format!("seed={seed} step={step} writer={w} op={op}");
 
             if open[w].is_none() {
-                let mut slot = None;
-                db.execute_txn("BEGIN", None, &mut slot)
-                    .map_err(|e| format!("{}: {e}", ctx("BEGIN")))?;
+                let mut session = db.session();
+                session.execute("BEGIN").map_err(|e| format!("{}: {e}", ctx("BEGIN")))?;
                 let snapshot = rows
                     .iter()
                     .filter(|(_, r)| r.claim != Claim::Committed)
                     .map(|(id, _)| *id)
                     .collect();
                 open[w] = Some(OpenTxn {
-                    txn: slot.expect("BEGIN must fill the slot"),
+                    session,
                     snapshot,
                     inserts: Vec::new(),
                     deleted_own: BTreeSet::new(),
@@ -126,9 +126,11 @@ pub fn run(seed: u64, steps: usize) -> Result<TxnReport, String> {
                         let (id, val) = (next_id, rng.gen_range(0..1_000));
                         next_id += 1;
                         let sql = format!("INSERT INTO acct VALUES ({id}, {val})");
-                        let mut slot = Some(open[w].as_ref().unwrap().txn);
-                        let n = db
-                            .execute_txn(&sql, None, &mut slot)
+                        let n = open[w]
+                            .as_mut()
+                            .unwrap()
+                            .session
+                            .execute(&sql)
                             .map_err(|e| format!("{}: {e}", ctx(&sql)))?;
                         if n != 1 {
                             return Err(format!("{}: affected {n}, want 1", ctx(&sql)));
@@ -137,7 +139,7 @@ pub fn run(seed: u64, steps: usize) -> Result<TxnReport, String> {
                     }
                     // Delete a row the writer can see — the conflict axis.
                     5..=7 => {
-                        let t = open[w].as_ref().unwrap();
+                        let t = open[w].as_mut().unwrap();
                         let mut targets: Vec<i64> = t
                             .snapshot
                             .iter()
@@ -162,13 +164,12 @@ pub fn run(seed: u64, steps: usize) -> Result<TxnReport, String> {
                                 matches!(r.claim, Claim::Committed)
                                     || matches!(r.claim, Claim::Active(o) if o != w)
                             });
-                        let mut slot = Some(t.txn);
-                        let got = db.execute_txn(&sql, None, &mut slot);
+                        let got = t.session.execute(&sql);
                         match (expect_conflict, got) {
                             (true, Err(DbError::TxnConflict(_))) => {
                                 // Whole-txn abort: the engine already rolled
                                 // back and cleared the slot; mirror it.
-                                if slot.is_some() {
+                                if t.session.in_transaction() {
                                     return Err(format!(
                                         "{}: conflict left the txn slot open",
                                         ctx(&sql)
@@ -204,9 +205,9 @@ pub fn run(seed: u64, steps: usize) -> Result<TxnReport, String> {
                         }
                     }
                     8 => {
-                        let t = open[w].take().unwrap();
-                        let mut slot = Some(t.txn);
-                        db.execute_txn("COMMIT", None, &mut slot)
+                        let mut t = open[w].take().unwrap();
+                        t.session
+                            .execute("COMMIT")
                             .map_err(|e| format!("{}: {e}", ctx("COMMIT")))?;
                         for id in &t.claimed {
                             rows.get_mut(id).unwrap().claim = Claim::Committed;
@@ -219,9 +220,9 @@ pub fn run(seed: u64, steps: usize) -> Result<TxnReport, String> {
                         report.commits += 1;
                     }
                     _ => {
-                        let t = open[w].take().unwrap();
-                        let mut slot = Some(t.txn);
-                        db.execute_txn("ROLLBACK", None, &mut slot)
+                        let mut t = open[w].take().unwrap();
+                        t.session
+                            .execute("ROLLBACK")
                             .map_err(|e| format!("{}: {e}", ctx("ROLLBACK")))?;
                         for id in &t.claimed {
                             rows.get_mut(id).unwrap().claim = Claim::None;
@@ -236,10 +237,9 @@ pub fn run(seed: u64, steps: usize) -> Result<TxnReport, String> {
         Ok(())
     })();
 
-    // Leave nothing open, then scrub the scratch directory.
-    for t in open.iter_mut().filter_map(Option::take) {
-        let _ = db.rollback_txn(t.txn);
-    }
+    // Dropping the sessions rolls back what is still open; then scrub
+    // the scratch directory.
+    drop(open);
     let _ = db.close();
     let _ = std::fs::remove_dir_all(&dir);
     result.map(|()| report)
@@ -262,7 +262,7 @@ fn check_states(
         .collect();
     for access in [ForcedAccess::SeqScan, ForcedAccess::IndexScan] {
         let forcing = PlanForcing { access: Some(access), ..PlanForcing::default() };
-        let got = read_pairs(db, Some(forcing), None)
+        let got = read_pairs(&db.session().with_forcing(forcing))
             .map_err(|e| format!("seed={seed} step={step} committed read ({access:?}): {e}"))?;
         report.reads_checked += 1;
         if got != committed {
@@ -284,7 +284,7 @@ fn check_states(
             .chain(t.inserts.iter().filter(|(id, _)| !t.deleted_own.contains(id)).copied())
             .collect();
         want.sort_unstable();
-        let got = read_pairs(db, None, Some(t.txn))
+        let got = read_pairs(&t.session)
             .map_err(|e| format!("seed={seed} step={step} writer={w} snapshot read: {e}"))?;
         report.reads_checked += 1;
         if got != want {
@@ -297,14 +297,10 @@ fn check_states(
     Ok(())
 }
 
-/// `SELECT id, val FROM acct` as sorted `(id, val)` pairs.
-fn read_pairs(
-    db: &Database,
-    forcing: Option<PlanForcing>,
-    txn: Option<TxnId>,
-) -> Result<Vec<(i64, i64)>, String> {
-    let result =
-        db.query_in("SELECT id, val FROM acct", forcing, txn).map_err(|e| e.to_string())?;
+/// `SELECT id, val FROM acct` through `session`, as sorted `(id, val)`
+/// pairs.
+fn read_pairs(session: &Session) -> Result<Vec<(i64, i64)>, String> {
+    let result = session.query("SELECT id, val FROM acct").map_err(|e| e.to_string())?;
     let mut pairs = Vec::with_capacity(result.rows.len());
     for row in &result.rows {
         match (&row[0], &row[1]) {
