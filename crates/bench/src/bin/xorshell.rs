@@ -17,7 +17,7 @@
 //! .set KEY VALUE            session plan forcing (force_join/access/order)
 //! .analyze SELECT ...       EXPLAIN ANALYZE: run + per-operator rows/time
 //! .metrics                  session buffer-pool / engine / UDF counters
-//! .spans [chrome|folded F]  last query's span tree (or export a trace)
+//! .spans [chrome|folded F]  last SELECT's span tree (or export a trace)
 //! .hist                     session query-latency histogram
 //! .stats                    run runstats on every table
 //! .quit
@@ -25,11 +25,13 @@
 //!
 //! Meta commands also accept a backslash prefix (`\analyze`, `\metrics`).
 //! SQL runs through one session, so `BEGIN`/`COMMIT`/`ROLLBACK` work as
-//! they do over the wire; quitting rolls back an open transaction.
+//! they do over the wire; quitting rolls back an open transaction. Every
+//! SELECT runs profiled (`Session::analyze`), and the shell keeps the last
+//! one's report for `.spans`.
 
 use std::io::{BufRead, Write};
 
-use ordb::{Database, DbOptions, Session};
+use ordb::{AnalyzeReport, Database, DbOptions, Session};
 use xmlkit::dtd::parse_dtd;
 use xorator::prelude::*;
 use xorator::schema::Mapping;
@@ -40,6 +42,8 @@ struct Shell<'db> {
     session: Session<'db>,
     /// Mapping of the last `.load`, for `.xpath`.
     mapping: Option<Mapping>,
+    /// The last SELECT's report, for `.spans`.
+    last: Option<AnalyzeReport>,
 }
 
 fn main() {
@@ -62,10 +66,7 @@ fn main() {
         }
     };
     println!("xorshell — {} table(s) in {dir}. Type .help for commands.", db.table_count());
-    // Span tracing stays on for the whole session so `\spans` can show
-    // the last query's phase + operator tree.
-    ordb::trace::spans_enable(ordb::trace::DEFAULT_SPAN_CAPACITY);
-    let mut shell = Shell { db: &db, session: db.session(), mapping: None };
+    let mut shell = Shell { db: &db, session: db.session(), mapping: None, last: None };
 
     let stdin = std::io::stdin();
     let mut line = String::new();
@@ -137,7 +138,7 @@ impl Shell<'_> {
                         self.mapping.as_ref().ok_or("no mapping loaded; use .load first")?;
                     let compiled = compile_xpath(mapping, path)?;
                     println!("-- {}", compiled.sql);
-                    print!("{}", self.session.query(&compiled.sql)?);
+                    print!("{}", self.analyze(&compiled.sql)?.result);
                 }
                 "explain" => {
                     let sql = rest.trim_start_matches("explain").trim();
@@ -155,17 +156,16 @@ impl Shell<'_> {
                     if sql.is_empty() {
                         return Err("usage: \\analyze SELECT ...".into());
                     }
-                    ordb::trace::spans_clear();
-                    let report = self.db.explain_analyze(sql)?;
+                    let report = self.analyze(sql)?;
                     print!("{report}");
                     println!("({} rows)", report.result.len());
                 }
                 "spans" => {
-                    let spans = ordb::trace::spans_snapshot();
-                    if spans.is_empty() {
+                    let Some(last) = &self.last else {
                         println!("(no spans yet — run a query first)");
                         return Ok(());
-                    }
+                    };
+                    let spans = last.metrics.spans();
                     match (parts.next(), parts.next()) {
                         (Some("chrome"), Some(path)) => {
                             std::fs::write(path, ordb::trace::chrome_trace_json(&spans))?;
@@ -180,11 +180,12 @@ impl Shell<'_> {
                     }
                 }
                 "hist" => {
-                    let reg = self.db.metrics();
-                    println!("queries={} latency: {}", reg.queries(), reg.latency().summary());
+                    let m = self.db.metrics_snapshot();
+                    println!("queries={} latency: {}", m.queries, m.latency.summary());
                 }
                 "metrics" => {
-                    let pool = self.db.io_stats_total();
+                    let m = self.db.metrics_snapshot();
+                    let pool = m.pool;
                     println!(
                         "buffer pool: fetches={} hits={} misses={} evictions={} \
                          writebacks={} hit_ratio={:.3}",
@@ -195,7 +196,7 @@ impl Shell<'_> {
                         pool.writebacks,
                         pool.hit_ratio()
                     );
-                    let e = ordb::metrics::ENGINE.snapshot();
+                    let e = m.engine;
                     println!(
                         "engine: index_probes={} sort_rows={} sort_spills={} \
                          unnest_calls={} unnest_bytes={}",
@@ -224,17 +225,23 @@ impl Shell<'_> {
         }
         // SQL.
         let upper = input.trim_start().to_ascii_uppercase();
-        if upper.starts_with("SELECT") || upper.starts_with("EXPLAIN") {
-            ordb::trace::spans_clear();
-            let start = std::time::Instant::now();
-            let r = self.session.query(input)?;
-            print!("{r}");
-            println!("({:.2} ms)", start.elapsed().as_secs_f64() * 1e3);
+        let start = std::time::Instant::now();
+        if upper.starts_with("SELECT") {
+            print!("{}", self.analyze(input)?.result);
+        } else if upper.starts_with("EXPLAIN") {
+            print!("{}", self.session.query(input)?);
         } else {
             let n = self.session.execute(input)?;
             println!("ok ({n} rows affected)");
         }
+        println!("({:.2} ms)", start.elapsed().as_secs_f64() * 1e3);
         Ok(())
+    }
+
+    /// Run a SELECT through the session, profiled, and keep its record
+    /// for `.spans`.
+    fn analyze(&mut self, sql: &str) -> ordb::Result<&AnalyzeReport> {
+        Ok(self.last.insert(self.session.analyze(sql)?))
     }
 
     fn load(&mut self, corpus: &str, n: usize) -> Result<(), Box<dyn std::error::Error>> {
@@ -290,9 +297,9 @@ const HELP: &str = "\
                           force_order declared|cost
 .analyze SELECT ...       EXPLAIN ANALYZE: run + per-operator rows/time
 .metrics                  session buffer-pool / engine / UDF counters
-.spans                    last query's span tree (self/total times)
-.spans chrome FILE        export last query as Chrome trace_event JSON
-.spans folded FILE        export last query as folded flamegraph stacks
+.spans                    last SELECT's span tree (self/total times)
+.spans chrome FILE        export last SELECT as Chrome trace_event JSON
+.spans folded FILE        export last SELECT as folded flamegraph stacks
 .hist                     session query-latency histogram (p50..p999)
 .stats                    run runstats on every table
 .quit                     exit (rolls back an open transaction)

@@ -1,7 +1,7 @@
 //! End-to-end smoke test of the `xorshell` binary: drives a scripted
 //! session over stdin (DDL, DML, a rolled-back transaction, plan forcing,
-//! query, corpus load, EXPLAIN ANALYZE) and asserts on the captured
-//! stdout.
+//! query, corpus load, EXPLAIN ANALYZE, span exports) and asserts on the
+//! captured stdout and the exported files.
 
 use std::io::Write;
 use std::process::{Command, Stdio};
@@ -10,14 +10,19 @@ use std::process::{Command, Stdio};
 fn scripted_session_over_stdin() {
     let dir = std::env::temp_dir().join(format!("xorshell-smoke-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let chrome = dir.join("trace.json");
+    let folded = dir.join("trace.folded");
 
-    let script = "\
+    let script = format!(
+        "\
 CREATE TABLE kv (k INTEGER, v VARCHAR)
 INSERT INTO kv VALUES (1, 'one'), (2, 'two')
 SELECT k, v FROM kv
 BEGIN
 INSERT INTO kv VALUES (3, 'three')
 SELECT COUNT(*) AS inside FROM kv
+\\analyze SELECT k FROM kv
 ROLLBACK
 SELECT COUNT(*) AS after FROM kv
 .set force_access seq
@@ -27,9 +32,14 @@ SELECT COUNT(*) AS after FROM kv
 \\analyze SELECT COUNT(*) FROM speech
 .metrics
 \\spans
+\\spans chrome {}
+\\spans folded {}
 \\hist
 .quit
-";
+",
+        chrome.display(),
+        folded.display()
+    );
 
     let mut child = Command::new(env!("CARGO_BIN_EXE_xorshell"))
         .arg(&dir)
@@ -40,6 +50,8 @@ SELECT COUNT(*) AS after FROM kv
         .expect("spawn xorshell");
     child.stdin.take().expect("stdin piped").write_all(script.as_bytes()).expect("write script");
     let out = child.wait_with_output().expect("xorshell exits");
+    let chrome = std::fs::read_to_string(&chrome).unwrap_or_default();
+    let folded = std::fs::read_to_string(&folded).unwrap_or_default();
     let _ = std::fs::remove_dir_all(&dir);
 
     let stdout = String::from_utf8_lossy(&out.stdout);
@@ -49,12 +61,14 @@ SELECT COUNT(*) AS after FROM kv
 
     // Banner and DDL/DML acknowledgements.
     assert!(stdout.contains("xorshell —"), "greeting missing:\n{stdout}");
-    assert!(stdout.contains("ok (2 rows affected)"), "INSERT ack missing:\n{stdout}");
+    assert!(stdout.contains("ok (2 rows affected)\n("), "timed INSERT ack missing:\n{stdout}");
     // The SELECT echoes both rows.
     assert!(stdout.contains("one") && stdout.contains("two"), "SELECT rows missing:\n{stdout}");
     // The shell's session holds the transaction open across lines: the
     // insert is visible inside it and gone after ROLLBACK.
     assert!(stdout.contains("inside\n3\n"), "transaction misses its insert:\n{stdout}");
+    // `\analyze` runs in that transaction too.
+    assert!(stdout.contains("(3 rows)"), "\\analyze misses the open insert:\n{stdout}");
     assert!(stdout.contains("after\n2\n"), "ROLLBACK kept the insert:\n{stdout}");
     // `.set` forces the session's plans, and `.explain` shows it.
     assert!(stdout.contains("set force_access = seq"), ".set ack missing:\n{stdout}");
@@ -76,6 +90,14 @@ SELECT COUNT(*) AS after FROM kv
         assert!(stdout.contains(phase), "span tree missing {phase} phase:\n{stdout}");
     }
     assert!(stdout.contains("total") && stdout.contains("self"), "span times:\n{stdout}");
+    // The exports hold the same record: the phases and the aggregate's
+    // operator as Chrome events, and a folded stack through exec.
+    for name in ["query", "parse", "plan", "exec"] {
+        let event = format!("{{\"name\":\"{name}\",\"ph\":\"X\"");
+        assert!(chrome.contains(&event), "Chrome trace misses {name}:\n{chrome}");
+    }
+    assert!(chrome.matches("\"ph\":\"X\"").count() >= 5, "no operator event:\n{chrome}");
+    assert!(folded.lines().any(|l| l.starts_with("query;exec;")), "folded:\n{folded}");
     // \hist summarizes the session latency histogram.
     assert!(stdout.contains("latency: count="), "histogram summary missing:\n{stdout}");
     assert!(stdout.contains("p999="), "histogram quantiles missing:\n{stdout}");

@@ -6,7 +6,7 @@ use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::Duration;
 
 use parking_lot::RwLock;
 
@@ -15,7 +15,7 @@ use crate::error::{DbError, Result};
 use crate::exec::collect;
 use crate::index::btree::BTree;
 use crate::index::key::encode_key;
-use crate::metrics::{record_operator_spans, udf_delta, Profiler, QueryMetrics, ENGINE};
+use crate::metrics::{udf_delta, Profiler, QueryMetrics, ENGINE};
 use crate::plan::{plan_delete, plan_select, plan_select_profiled, PlanContext, PlanForcing};
 use crate::recovery::RecoveryReport;
 use crate::sql::ast::{AstExpr, Statement};
@@ -26,6 +26,7 @@ use crate::storage::fault::FaultInjector;
 use crate::storage::heap::{ClaimOutcome, HeapFile, PageScan, Rid};
 use crate::storage::spill::{SpillConfig, SpillManager};
 use crate::storage::wal::{Wal, WalStats};
+use crate::trace::now_ns;
 use crate::tuple::{decode_cols, decode_row, encode_row};
 use crate::txn::{Snapshot, TxnId, TxnManager, TxnStats, UndoRecord};
 use crate::types::{DataType, Row, Value};
@@ -162,7 +163,8 @@ impl QueryResult {
     }
 }
 
-/// The result of [`Database::explain_analyze`]: the query's rows plus a
+/// The result of [`Session::analyze`](crate::session::Session::analyze)
+/// and [`Database::explain_analyze`]: the query's rows plus a
 /// full [`QueryMetrics`] snapshot. `Display` renders the annotated plan
 /// tree and counters (the classic `EXPLAIN ANALYZE` output).
 #[derive(Debug, Clone)]
@@ -519,28 +521,19 @@ impl Database {
         self.session().query(sql)
     }
 
-    /// Run a SELECT with full instrumentation: every operator is wrapped
-    /// to count `next()` calls, rows, and inclusive time, and the query
-    /// is bracketed with buffer-pool, index, sort, and UDF counter
-    /// snapshots. Returns both the result and the [`QueryMetrics`].
-    ///
-    /// The counter deltas are exact only for single-stream use (see
-    /// `metrics`): a concurrent query on the same process would be
-    /// attributed to this one's window.
+    /// `EXPLAIN ANALYZE` a SELECT over everything committed so far,
+    /// through a fresh [`Session`](crate::session::Session); see
+    /// [`Session::analyze`](crate::session::Session::analyze).
     pub fn explain_analyze(&self, sql: &str) -> Result<AnalyzeReport> {
-        let (result, metrics) = self.run_query(sql, None, self.txns.read_snapshot(), true)?;
-        let metrics = metrics.expect("an analyzed run returns its metrics");
-        Ok(AnalyzeReport { result, metrics })
+        self.session().analyze(sql)
     }
 
     /// The one parse → plan → execute body, under every session query
-    /// and [`Database::explain_analyze`]. With `analyze` the statement
-    /// must be a SELECT, every operator is profiled and execution is
-    /// bracketed with pool/WAL/engine/UDF counters, returned as
-    /// [`QueryMetrics`]. Without it, an EXPLAIN returns its plan lines as
-    /// rows, and operators are profiled only while span tracing is on —
-    /// so the span tree gets one span per plan node, and the default path
-    /// pays a single atomic load.
+    /// and [`Session::analyze`](crate::session::Session::analyze). With
+    /// `analyze` the statement must be a SELECT, every operator is
+    /// profiled and execution is bracketed with pool/WAL/engine/UDF
+    /// counters, returned as [`QueryMetrics`]. Without it, an EXPLAIN
+    /// returns its plan lines as rows, and no operator is wrapped.
     pub(crate) fn run_query(
         &self,
         sql: &str,
@@ -548,12 +541,11 @@ impl Database {
         snapshot: Snapshot,
         analyze: bool,
     ) -> Result<(QueryResult, Option<QueryMetrics>)> {
-        let wall = Instant::now();
-        let _query_span = crate::trace::span("query");
-        let parse_span = crate::trace::span("parse");
+        // Every phase is timed on the trace clock, so the phases laid end
+        // to end from `start_ns` end before the first operator pull.
+        let start_ns = now_ns();
         let stmt = parse_statement(sql)?;
-        drop(parse_span);
-        let parse = wall.elapsed();
+        let parsed_ns = now_ns();
         let q = match stmt {
             Statement::Select(q) => q,
             Statement::Explain(inner) if !analyze => {
@@ -566,42 +558,32 @@ impl Database {
         };
         let inner = self.inner.read();
         let ctx = self.plan_ctx(&inner, forcing, snapshot);
-        let profile = analyze || crate::trace::spans_enabled();
-        let mut prof = if profile { Profiler::enabled() } else { Profiler::disabled() };
-        let t = Instant::now();
-        let plan_span = crate::trace::span("plan");
+        let mut prof = if analyze { Profiler::enabled() } else { Profiler::disabled() };
         let plan = plan_select_profiled(&ctx, &q, &mut prof)?;
-        drop(plan_span);
-        let plan_time = t.elapsed();
+        let planned_ns = now_ns();
 
         let before = analyze.then(|| {
             let wal = self.wal_stats().unwrap_or_default();
             (self.pool.stats_total(), wal, ENGINE.snapshot(), self.functions.counters())
         });
-        let t = Instant::now();
-        let exec_span = crate::trace::span("exec");
-        let exec_id = exec_span.id();
+        let exec_ns = now_ns();
         let rows = collect(plan.root)?;
-        drop(exec_span);
-        let exec = t.elapsed();
+        let end_ns = now_ns();
 
-        let root = prof.finish();
-        if let Some(root) = &root {
-            record_operator_spans(root, exec_id);
-        }
-        let wall = wall.elapsed();
+        let wall = Duration::from_nanos(end_ns - start_ns);
         self.registry.record_query(wall);
         let metrics = before.map(|(pool0, wal0, engine0, udf0)| QueryMetrics {
-            parse,
-            plan: plan_time,
-            exec,
+            start_ns,
+            parse: Duration::from_nanos(parsed_ns - start_ns),
+            plan: Duration::from_nanos(planned_ns - parsed_ns),
+            exec: Duration::from_nanos(end_ns - exec_ns),
             wall,
             rows: rows.len() as u64,
             pool: self.pool.stats_total().since(&pool0),
             wal: self.wal_stats().unwrap_or_default().since(&wal0),
             engine: ENGINE.snapshot().since(&engine0),
             udfs: udf_delta(&udf0, &self.functions.counters()),
-            root,
+            root: prof.finish(),
         });
         Ok((QueryResult { columns: plan.columns, rows }, metrics))
     }
@@ -935,7 +917,6 @@ impl Database {
 
     /// [`Database::commit`] for a caller that already holds the write gate.
     fn log_and_sync(&self) -> Result<u64> {
-        let _span = crate::trace::span("commit");
         let logged = self.pool.log_dirty_frames()?;
         if let Some(wal) = self.pool.wal() {
             wal.sync()?;
@@ -958,7 +939,6 @@ impl Database {
     /// by logging and fsyncing, as [`Database::commit`] does, so the
     /// reclamation is durable.
     pub fn vacuum(&self) -> Result<VacuumReport> {
-        let _span = crate::trace::span("vacuum");
         let _serial = self.vacuum_serial.lock();
         let _gate = self.write_gate.read();
         // Reset the hint up front: deletes racing with this pass are
@@ -1086,9 +1066,10 @@ impl Database {
         self.closed.store(true, Ordering::SeqCst);
     }
 
-    /// The per-database metrics registry: queries completed and the
-    /// wall-latency histogram they recorded into.
-    pub fn metrics(&self) -> &crate::metrics::MetricsRegistry {
+    /// The per-database metrics registry: queries completed, the
+    /// wall-latency histogram they recorded into, and the wire counters
+    /// the server increments.
+    pub(crate) fn metrics(&self) -> &crate::metrics::MetricsRegistry {
         &self.registry
     }
 
@@ -1136,25 +1117,15 @@ impl Database {
     /// as in the paper's methodology (§4.2). The flush's writebacks are
     /// *excluded* from the I/O stats (they belong to the workload that
     /// dirtied the pages, not to the cold query measured next), so a
-    /// `drop_cache` → query → `take_io_stats` sequence charges the query
-    /// only its own I/O.
+    /// `drop_cache` → query window over [`Database::io_stats_total`]
+    /// charges the query only its own I/O.
     pub fn drop_cache(&self) -> Result<()> {
         self.pool.drop_cache()
     }
 
-    /// Buffer pool I/O counters accumulated since the previous
-    /// `take_io_stats` call — **snapshot-and-reset** semantics: each call
-    /// closes a measurement window and opens the next. Use
-    /// [`Database::io_stats_total`] for cumulative counters, and see
-    /// [`Database::drop_cache`] for how cache teardown interacts with
-    /// these windows. `explain_analyze` reads only the cumulative
-    /// counters, so it never disturbs a window.
-    pub fn take_io_stats(&self) -> PoolStats {
-        self.pool.take_stats()
-    }
-
-    /// Cumulative buffer pool I/O counters since open. Never resets and
-    /// does not affect [`Database::take_io_stats`] windows.
+    /// Cumulative buffer pool I/O counters since open. Never resets: a
+    /// measurement window is two readings and
+    /// [`PoolStats::since`](crate::storage::buffer::PoolStats::since).
     pub fn io_stats_total(&self) -> PoolStats {
         self.pool.stats_total()
     }
@@ -1497,10 +1468,10 @@ mod tests {
         db.insert_rows("t", (0..2000).map(|i| vec![Value::Int(i)]).collect()).unwrap();
         db.flush().unwrap();
         db.drop_cache().unwrap();
-        db.take_io_stats();
+        let before = db.io_stats_total();
         let r = db.query("SELECT COUNT(*) FROM t").unwrap();
         assert_eq!(r.scalar(), Some(&Value::Int(2000)));
-        let io = db.take_io_stats();
+        let io = db.io_stats_total().since(&before);
         assert!(io.misses > 0, "cold run must read from disk: {io:?}");
     }
 
@@ -1664,18 +1635,19 @@ mod tests {
         let db = db("dropchargewindow");
         db.execute("CREATE TABLE t (a INTEGER)").unwrap();
         db.insert_rows("t", (0..500).map(|i| vec![Value::Int(i)]).collect()).unwrap();
-        // Dirty frames exist now; open a fresh window, then drop the cache.
-        db.take_io_stats();
+        // Dirty frames exist now; open a window, then drop the cache.
+        let before = db.io_stats_total();
         db.drop_cache().unwrap();
-        let window = db.take_io_stats();
+        let window = db.io_stats_total().since(&before);
         assert_eq!(
             window.writebacks, 0,
             "cache-teardown flushes must not land in the measurement window: {window:?}"
         );
         // An explicit flush IS charged.
+        let before = db.io_stats_total();
         db.insert_rows("t", vec![vec![Value::Int(9999)]]).unwrap();
         db.flush().unwrap();
-        assert!(db.take_io_stats().writebacks > 0);
+        assert!(db.io_stats_total().since(&before).writebacks > 0);
     }
 
     #[test]
@@ -1697,7 +1669,7 @@ mod tests {
         db.execute("CREATE INDEX idx_parent ON speech (speech_parentID)").unwrap();
         db.flush().unwrap();
         db.drop_cache().unwrap();
-        db.take_io_stats();
+        let before = db.io_stats_total();
         for sql in [
             "EXPLAIN SELECT speechID FROM speech WHERE speech_parentID = 1",
             "EXPLAIN SELECT s.speechID, a.act_title FROM speech s, act a \
@@ -1708,7 +1680,7 @@ mod tests {
             let plan = db.query(sql).unwrap();
             assert!(!plan.rows.is_empty(), "plan rows for {sql}");
         }
-        let window = db.take_io_stats();
+        let window = db.io_stats_total().since(&before);
         assert_eq!(window.fetches(), 0, "EXPLAIN must touch zero pages: {window:?}");
     }
 
@@ -1925,32 +1897,49 @@ mod tests {
     }
 
     #[test]
-    fn query_emits_phase_and_operator_spans() {
-        let _guard = crate::trace::span_test_lock();
-        crate::trace::spans_enable(crate::trace::DEFAULT_SPAN_CAPACITY);
-        crate::trace::spans_clear();
+    fn analyze_spans_nest_phases_and_pulled_operators() {
         let db = db("spans");
         setup_speech(&db);
-        db.query("SELECT speechID FROM speech WHERE speech_parentID = 1").unwrap();
-        db.commit().unwrap();
-        let spans = crate::trace::spans_snapshot();
-        crate::trace::spans_disable();
-        let names: Vec<&str> = spans.iter().map(|s| s.name.as_str()).collect();
-        for phase in ["query", "parse", "plan", "exec", "commit"] {
-            assert!(names.contains(&phase), "missing {phase} span in {names:?}");
+        let sql = "SELECT speechID FROM speech WHERE speech_parentID = 1";
+        let m = db.explain_analyze(sql).unwrap().metrics;
+        let spans = m.spans();
+        let roots: Vec<_> = spans.iter().filter(|s| s.parent.is_none()).collect();
+        assert_eq!(roots.len(), 1, "one root: {spans:?}");
+        let query = roots[0];
+        assert_eq!((query.name.as_str(), query.start_ns), ("query", m.start_ns));
+        // parse, plan and exec are its children, laid end to end.
+        let phases: Vec<_> = spans.iter().filter(|s| s.parent == Some(query.id)).collect();
+        let names: Vec<&str> = phases.iter().map(|s| s.name.as_str()).collect();
+        assert_eq!(names, ["parse", "plan", "exec"]);
+        let mut at = m.start_ns;
+        for phase in &phases {
+            assert_eq!(phase.start_ns, at, "{} starts where the last phase ended", phase.name);
+            at = phase.end_ns();
         }
-        // parse/plan/exec are children of the root query span.
-        let query = spans.iter().find(|s| s.name == "query").unwrap();
-        let kids = spans.iter().filter(|s| s.parent == Some(query.id)).count();
-        assert!(kids >= 3, "query span has {kids} children, expected parse/plan/exec");
-        // The plain query path still produced operator spans (scan at
-        // least), parented into the span tree with a real timestamp.
-        let scan = spans
-            .iter()
-            .find(|s| s.name.contains("Scan"))
-            .unwrap_or_else(|| panic!("no operator span in {names:?}"));
-        assert!(scan.parent.is_some(), "operator span must hang off the tree");
-        assert!(scan.start_ns >= query.start_ns, "operator span uses the shared epoch");
+        assert!(at <= query.end_ns(), "phases fit in the statement's wall time");
+        // The scan hangs under exec, stamped on the same clock.
+        let exec = phases[2];
+        let scan = spans.iter().find(|s| s.name.contains("Scan")).expect("an operator span");
+        let mut up = scan;
+        while let Some(p) = up.parent.filter(|&p| p != exec.id) {
+            up = spans.iter().find(|s| s.id == p).expect("parent in the list");
+        }
+        assert_eq!(up.parent, Some(exec.id), "operator spans sit under exec");
+        assert!(scan.start_ns >= exec.start_ns, "the first pull follows the phases");
+
+        // LIMIT 0 never pulls the join below it: the profile has the join,
+        // the spans do not.
+        let m = db
+            .explain_analyze(
+                "SELECT s.speechID FROM speech s, act a \
+                 WHERE s.speech_parentID = a.actID LIMIT 0",
+            )
+            .unwrap()
+            .metrics;
+        let ops: Vec<String> = m.spans().into_iter().skip(4).map(|s| s.name).collect();
+        assert_eq!(ops, ["Limit 0"], "only the pulled operator has a span");
+        let root = m.root.expect("profiled");
+        assert!(root.children[0].start_ns.is_none(), "{root:?}");
     }
 
     #[test]

@@ -28,9 +28,18 @@ pub struct Instrumented {
     pulled: bool,
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Wrappers built on this thread, so a test can tell which paths
+    /// build them.
+    static BUILT: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
 impl Instrumented {
     /// Wrap `inner`, recording into `metrics`.
     pub fn new(inner: BoxOp, metrics: Arc<NodeMetrics>) -> Instrumented {
+        #[cfg(test)]
+        BUILT.with(|n| n.set(n.get() + 1));
         Instrumented { inner, metrics, pulled: false }
     }
 }
@@ -68,5 +77,25 @@ mod tests {
         assert_eq!(out.len(), 3);
         assert_eq!(metrics.rows_out.load(Ordering::Relaxed), 3);
         assert_eq!(metrics.next_calls.load(Ordering::Relaxed), 4);
+    }
+
+    #[test]
+    fn only_analyze_wraps_operators() {
+        let dir = std::env::temp_dir().join(format!("ordb-instrument-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let db = crate::Database::open(&dir).unwrap();
+        db.execute("CREATE TABLE t (a INTEGER)").unwrap();
+        db.execute("INSERT INTO t VALUES (1), (2)").unwrap();
+        let sql = "SELECT a FROM t WHERE a = 2";
+        let built = || BUILT.with(|n| n.get());
+        let before = built();
+        db.query(sql).unwrap();
+        let mut s = db.session();
+        s.execute("BEGIN").unwrap();
+        s.query(sql).unwrap();
+        s.query(&format!("EXPLAIN {sql}")).unwrap();
+        assert_eq!(built(), before, "plain queries build no wrapper");
+        s.analyze(sql).unwrap();
+        assert!(built() > before, "EXPLAIN ANALYZE wraps every operator");
     }
 }

@@ -10,14 +10,15 @@
 //!   rows out, inclusive wall time);
 //! * [`Profiler`] — collects wrapped plan nodes during planning and
 //!   produces a nested [`OperatorProfile`] tree afterwards;
-//! * [`EngineCounters`] / [`ENGINE`] — process-wide counters for events
+//! * [`EngineCounters`] / `ENGINE` — process-wide counters for events
 //!   that are awkward to thread through call chains (index probes, sort
 //!   volume, `unnest` expansions). Deltas of [`EngineCounters::snapshot`]
 //!   bracket a query. The engine runs single-stream workloads (see
 //!   DESIGN.md); concurrent queries would attribute each other's counts.
-//! * [`QueryMetrics`] — the per-query roll-up rendered by
-//!   `Database::explain_analyze` and exported as JSON by the bench
-//!   harness.
+//! * [`QueryMetrics`] — the one record of a statement's time and
+//!   counters: rendered by `Database::explain_analyze`, exported as JSON
+//!   by the bench harness, and flattened into spans
+//!   ([`QueryMetrics::spans`]) for the shell's `\spans` exports.
 //!
 //! Overhead: every counter is a relaxed `AtomicU64` add. The plain
 //! `query()` path constructs no [`Instrumented`] wrappers at all (the
@@ -31,6 +32,7 @@ use std::time::Duration;
 use crate::exec::{BoxOp, Instrumented};
 use crate::storage::buffer::PoolStats;
 use crate::storage::wal::WalStats;
+use crate::trace::SpanRecord;
 
 // ---- per-operator metrics ----------------------------------------------
 
@@ -170,25 +172,6 @@ fn build_profile(nodes: &[ProfNode], ix: usize) -> OperatorProfile {
     }
 }
 
-/// Record one span per executed operator from a finished profile tree,
-/// preserving the plan hierarchy under `parent` (0 ⇒ root). Spans carry
-/// the operator's real first-pull timestamp and inclusive duration, so a
-/// Chrome trace shows them nested inside the query's `exec` phase.
-/// No-op when span collection is off; operators never pulled (and their
-/// subtrees) are skipped.
-pub fn record_operator_spans(profile: &OperatorProfile, parent: u64) {
-    let Some(start_ns) = profile.start_ns else { return };
-    let id = crate::trace::record_span(
-        profile.label.clone(),
-        (parent != 0).then_some(parent),
-        start_ns,
-        profile.elapsed.as_nanos() as u64,
-    );
-    for c in &profile.children {
-        record_operator_spans(c, id);
-    }
-}
-
 // ---- engine-wide counters ----------------------------------------------
 
 /// Process-wide counters for events deep inside the engine. Bracket a
@@ -229,7 +212,7 @@ pub struct EngineCounters {
 }
 
 /// The global counter instance.
-pub static ENGINE: EngineCounters = EngineCounters {
+pub(crate) static ENGINE: EngineCounters = EngineCounters {
     index_probes: AtomicU64::new(0),
     sort_rows: AtomicU64::new(0),
     sort_spills: AtomicU64::new(0),
@@ -528,28 +511,15 @@ impl Histogram {
         if self.count == 0 {
             return "(no recordings)".to_string();
         }
-        let f = |ns: u64| {
-            if ns == u64::MAX {
-                ">36min".to_string()
-            } else if ns >= 1_000_000_000 {
-                format!("{:.2}s", ns as f64 / 1e9)
-            } else if ns >= 1_000_000 {
-                format!("{:.2}ms", ns as f64 / 1e6)
-            } else if ns >= 1_000 {
-                format!("{:.1}µs", ns as f64 / 1e3)
-            } else {
-                format!("{ns}ns")
-            }
-        };
         format!(
             "count={} mean={} p50={} p90={} p99={} p999={} max={}",
             self.count,
-            f(self.mean()),
-            f(self.p50()),
-            f(self.p90()),
-            f(self.p99()),
-            f(self.p999()),
-            f(self.max()),
+            fmt_ns(self.mean()),
+            fmt_ns(self.p50()),
+            fmt_ns(self.p90()),
+            fmt_ns(self.p99()),
+            fmt_ns(self.p999()),
+            fmt_ns(self.max()),
         )
     }
 }
@@ -625,7 +595,7 @@ impl NetSnapshot {
 // ---- the metrics registry -----------------------------------------------
 
 /// One registry per [`Database`](crate::db::Database): unifies the
-/// process-wide [`ENGINE`] counters, the instance's buffer-pool / WAL /
+/// process-wide `ENGINE` counters, the instance's buffer-pool / WAL /
 /// spill stats, and a per-query latency histogram behind a single
 /// snapshot-diff API. Bracket a workload with two
 /// [`RegistrySnapshot`]s and [`RegistrySnapshot::since`] to get exactly
@@ -788,9 +758,13 @@ pub fn udf_delta(before: &[UdfCounters], after: &[UdfCounters]) -> Vec<UdfCounte
 
 // ---- the per-query roll-up ---------------------------------------------
 
-/// Everything measured about one query execution.
+/// Everything measured about one query execution — the only place a
+/// statement's timing lives.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QueryMetrics {
+    /// When the statement started, on the [`crate::trace::now_ns`]
+    /// timeline its operators' [`OperatorProfile::start_ns`] share.
+    pub start_ns: u64,
     /// Time in the SQL parser.
     pub parse: Duration,
     /// Time in the planner.
@@ -815,6 +789,33 @@ pub struct QueryMetrics {
 }
 
 impl QueryMetrics {
+    /// The statement as spans, the input of the [`crate::trace`]
+    /// exporters: a `query` root, its `parse`, `plan` and `exec` phases
+    /// laid end to end from [`QueryMetrics::start_ns`], and under `exec`
+    /// one span per operator, nested like the plan. Operators that were
+    /// never pulled (and their subtrees) have no span.
+    pub fn spans(&self) -> Vec<SpanRecord> {
+        let mut out = vec![SpanRecord {
+            id: 1,
+            parent: None,
+            name: "query".into(),
+            start_ns: self.start_ns,
+            dur_ns: self.wall.as_nanos() as u64,
+        }];
+        let mut at = self.start_ns;
+        for (name, phase) in [("parse", self.parse), ("plan", self.plan), ("exec", self.exec)] {
+            let dur_ns = phase.as_nanos() as u64;
+            let id = out.len() as u64 + 1;
+            out.push(SpanRecord { id, parent: Some(1), name: name.into(), start_ns: at, dur_ns });
+            at += dur_ns;
+        }
+        if let Some(root) = &self.root {
+            let exec = out.len() as u64;
+            push_operator_spans(root, exec, &mut out);
+        }
+        out
+    }
+
     /// Render the annotated plan tree plus counters, the body of
     /// `EXPLAIN ANALYZE` output.
     pub fn render(&self) -> String {
@@ -824,10 +825,10 @@ impl QueryMetrics {
         }
         out.push_str(&format!(
             "phases: parse {} · plan {} · exec {} · wall {}\n",
-            fmt_dur(self.parse),
-            fmt_dur(self.plan),
-            fmt_dur(self.exec),
-            fmt_dur(self.wall),
+            fmt_ns(self.parse.as_nanos() as u64),
+            fmt_ns(self.plan.as_nanos() as u64),
+            fmt_ns(self.exec.as_nanos() as u64),
+            fmt_ns(self.wall.as_nanos() as u64),
         ));
         out.push_str(&format!(
             "buffer pool: {} fetches ({} hits, {} misses, hit ratio {:.1}%), \
@@ -932,6 +933,21 @@ impl QueryMetrics {
     }
 }
 
+fn push_operator_spans(n: &OperatorProfile, parent: u64, out: &mut Vec<SpanRecord>) {
+    let Some(start_ns) = n.start_ns else { return };
+    let id = out.len() as u64 + 1;
+    out.push(SpanRecord {
+        id,
+        parent: Some(parent),
+        name: n.label.clone(),
+        start_ns,
+        dur_ns: n.elapsed.as_nanos() as u64,
+    });
+    for c in &n.children {
+        push_operator_spans(c, id, out);
+    }
+}
+
 fn render_node(n: &OperatorProfile, depth: usize, out: &mut String) {
     let indent = "  ".repeat(depth);
     out.push_str(&format!(
@@ -939,7 +955,7 @@ fn render_node(n: &OperatorProfile, depth: usize, out: &mut String) {
         n.label,
         n.rows_out,
         n.next_calls,
-        fmt_dur(n.elapsed)
+        fmt_ns(n.elapsed.as_nanos() as u64)
     ));
     for c in &n.children {
         render_node(c, depth + 1, out);
@@ -986,10 +1002,13 @@ pub fn json_str(s: &str) -> String {
     out
 }
 
-fn fmt_dur(d: Duration) -> String {
-    let ns = d.as_nanos();
-    if ns >= 1_000_000_000 {
-        format!("{:.2}s", d.as_secs_f64())
+/// A nanosecond count as `ns`/`µs`/`ms`/`s` text; `u64::MAX` (a
+/// histogram's overflow bucket) prints as `>36min`.
+pub(crate) fn fmt_ns(ns: u64) -> String {
+    if ns == u64::MAX {
+        ">36min".to_string()
+    } else if ns >= 1_000_000_000 {
+        format!("{:.2}s", ns as f64 / 1e9)
     } else if ns >= 1_000_000 {
         format!("{:.2}ms", ns as f64 / 1e6)
     } else if ns >= 1_000 {
@@ -1049,6 +1068,7 @@ mod tests {
     #[test]
     fn json_is_well_formed_enough() {
         let m = QueryMetrics {
+            start_ns: 0,
             parse: Duration::from_micros(10),
             plan: Duration::from_micros(20),
             exec: Duration::from_millis(1),

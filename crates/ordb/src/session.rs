@@ -5,15 +5,16 @@
 //! open explicit transaction, if a `BEGIN` ran. Every caller runs SQL the
 //! same way through one: the wire server keeps one per connection,
 //! `xorshell` one per process, and the differential harnesses one per
-//! logical writer. [`Database::query`], [`Database::explain`] and
-//! [`Database::execute`] are autocommit wrappers over a fresh session.
+//! logical writer. [`Database::query`], [`Database::explain`],
+//! [`Database::explain_analyze`] and [`Database::execute`] are
+//! autocommit wrappers over a fresh session.
 //!
 //! Dropping a session rolls back its open transaction, so a caller that
 //! goes away mid-transaction (a dropped connection, a panicking harness)
 //! can neither leak uncommitted versions nor pin the vacuum watermark.
 
 use crate::catalog::ColumnDef;
-use crate::db::{Database, QueryResult};
+use crate::db::{AnalyzeReport, Database, QueryResult};
 use crate::error::{DbError, Result};
 use crate::plan::{ForcedAccess, ForcedJoin, PlanForcing};
 use crate::sql::ast::{AstExpr, Statement};
@@ -67,6 +68,21 @@ impl<'db> Session<'db> {
     /// session's snapshot and forcing.
     pub fn query(&self, sql: &str) -> Result<QueryResult> {
         Ok(self.db.run_query(sql, self.forcing, self.snapshot()?, false)?.0)
+    }
+
+    /// Run a SELECT with full instrumentation, through this session's
+    /// snapshot and forcing: every operator is wrapped to count `next()`
+    /// calls, rows, and inclusive time, and the query is bracketed with
+    /// buffer-pool, index, sort, and UDF counter snapshots. Returns both
+    /// the result and the [`QueryMetrics`](crate::metrics::QueryMetrics).
+    ///
+    /// The counter deltas are exact only for single-stream use (see
+    /// `metrics`): a concurrent query on the same process would be
+    /// attributed to this one's window.
+    pub fn analyze(&self, sql: &str) -> Result<AnalyzeReport> {
+        let (result, metrics) = self.db.run_query(sql, self.forcing, self.snapshot()?, true)?;
+        let metrics = metrics.expect("an analyzed run returns its metrics");
+        Ok(AnalyzeReport { result, metrics })
     }
 
     /// Planner decisions for a SELECT or a DELETE, without executing it.
@@ -287,6 +303,34 @@ mod tests {
             let count = db.query("SELECT COUNT(*) FROM t").unwrap();
             assert_eq!(count.scalar(), Some(&Value::Int(0)), "{bad} kept the earlier insert");
         }
+    }
+
+    #[test]
+    fn analyze_runs_under_the_sessions_forcing_and_transaction() {
+        let db = db("analyze");
+        db.execute("CREATE TABLE t (a INTEGER)").unwrap();
+        db.insert_rows("t", (0..200).map(|i| vec![Value::Int(i)]).collect()).unwrap();
+        db.execute("CREATE INDEX t_a ON t (a)").unwrap();
+        db.runstats("t").unwrap();
+        let sql = "SELECT a FROM t WHERE a = 7";
+        let leaf = |s: &Session<'_>| {
+            let mut n = s.analyze(sql).unwrap().metrics.root.expect("profiled");
+            while let Some(c) = n.children.pop() {
+                n = c;
+            }
+            n.label
+        };
+        assert!(leaf(&db.session()).starts_with("IndexScan"), "cost-based plan probes");
+        let forced = ForcedAccess::SeqScan;
+        let seq =
+            db.session().with_forcing(PlanForcing { access: Some(forced), ..Default::default() });
+        assert!(leaf(&seq).starts_with("SeqScan"), "forcing reaches the profiled plan");
+
+        let mut s = db.session();
+        s.execute("BEGIN").unwrap();
+        s.execute("INSERT INTO t VALUES (7)").unwrap();
+        assert_eq!(s.analyze(sql).unwrap().metrics.rows, 2, "sees its own insert");
+        assert_eq!(db.explain_analyze(sql).unwrap().metrics.rows, 1, "others do not");
     }
 
     #[test]

@@ -179,8 +179,8 @@ impl UnloggedFrames {
 }
 
 /// I/O counters. [`BufferPool::stats_total`] returns the cumulative
-/// values; [`BufferPool::take_stats`] returns growth since the previous
-/// `take_stats` call (a measurement window).
+/// values; two readings and [`PoolStats::since`] bound a measurement
+/// window.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct PoolStats {
     /// Fetches satisfied from the cache.
@@ -344,8 +344,6 @@ pub struct BufferPool {
     shards: Vec<Mutex<Shard>>,
     files: RwLock<HashMap<FileId, PageFile>>,
     stats: AtomicStats,
-    /// Watermark of `stats` at the last `take_stats` call.
-    taken: Mutex<PoolStats>,
     io_sim: Mutex<Option<IoSimulation>>,
     /// Attached write-ahead log; when present, write-backs enforce
     /// WAL-before-data.
@@ -377,7 +375,6 @@ impl BufferPool {
             shards: (0..POOL_SHARDS).map(|_| Mutex::new(Shard::new(per_shard))).collect(),
             files: RwLock::new(HashMap::new()),
             stats: AtomicStats::default(),
-            taken: Mutex::new(PoolStats::default()),
             io_sim: Mutex::new(None),
             wal: RwLock::new(None),
             fault,
@@ -756,21 +753,8 @@ impl BufferPool {
         Ok(())
     }
 
-    /// Counter growth since the previous `take_stats` call
-    /// (snapshot-and-reset semantics). The cumulative totals are
-    /// available from [`BufferPool::stats_total`], which does not disturb
-    /// these windows.
-    pub fn take_stats(&self) -> PoolStats {
-        let mut taken = self.taken.lock();
-        let now = self.stats.snapshot();
-        let window = now.since(&taken);
-        *taken = now;
-        window
-    }
-
-    /// Cumulative counters since pool creation. Never resets and does not
-    /// affect [`BufferPool::take_stats`] windows — safe for
-    /// `explain_analyze` to bracket a query with.
+    /// Cumulative counters since pool creation. Never resets, so any
+    /// number of readers can bracket their own windows with it.
     pub fn stats_total(&self) -> PoolStats {
         self.stats.snapshot()
     }
@@ -806,9 +790,10 @@ mod tests {
         drop(frame);
         pool.flush_all().unwrap();
         pool.drop_cache().unwrap();
+        let before = pool.stats_total();
         let frame = pool.fetch(1, pid).unwrap();
         assert_eq!(frame.page.lock().get(0), Some(b"data" as &[u8]));
-        let stats = pool.take_stats();
+        let stats = pool.stats_total().since(&before);
         assert!(stats.misses >= 1);
     }
 
@@ -881,7 +866,7 @@ mod tests {
         frame.mark_dirty();
         drop(frame);
         pool.drop_cache().unwrap();
-        pool.take_stats();
+        let before = pool.stats_total();
         // Make the single read slow enough that every thread arrives
         // while it is still in flight.
         pool.set_io_simulation(Some(IoSimulation {
@@ -898,7 +883,7 @@ mod tests {
             }
         });
         pool.set_io_simulation(None);
-        let stats = pool.take_stats();
+        let stats = pool.stats_total().since(&before);
         assert_eq!(stats.misses, 1, "in-flight table must dedupe the read: {stats:?}");
         assert_eq!(stats.hits, 7, "waiters retry into the hit path: {stats:?}");
     }

@@ -985,7 +985,7 @@ mod tests {
                 expected.push(big);
             }
         }
-        h.pool.take_stats();
+        let before = h.pool.stats_total();
         let (seen, pages) = scan_all(&h);
         assert_eq!(seen, expected);
         assert!(pages > 1 && pages < 201, "pages = {pages}");
@@ -993,7 +993,7 @@ mod tests {
         // pages to tell apart), the chain read, and the re-check of the
         // stub — not one per version.
         let chain = 25_000usize.div_ceil(OVF_CAPACITY) as u64;
-        let fetches = h.pool.take_stats().fetches();
+        let fetches = h.pool.stats_total().since(&before).fetches();
         assert_eq!(fetches, u64::from(h.page_count().unwrap()) + chain + 1);
     }
 
@@ -1004,7 +1004,7 @@ mod tests {
             h.insert(&xmin.to_le_bytes(), xmin).unwrap();
         }
         let big = h.insert(&vec![1u8; 20_000], 40).unwrap();
-        h.pool.take_stats();
+        let before = h.pool.stats_total();
         let mut seen = Vec::new();
         let mut scan = PageScan::new(h.clone());
         while scan
@@ -1021,7 +1021,8 @@ mod tests {
         {}
         assert_eq!(seen, [2, 4, 6, 8, 10]);
         // The unwanted overflow version's chain was never read.
-        assert_eq!(h.pool.take_stats().fetches(), u64::from(h.page_count().unwrap()));
+        let fetches = h.pool.stats_total().since(&before).fetches();
+        assert_eq!(fetches, u64::from(h.page_count().unwrap()));
     }
 
     #[test]

@@ -1,35 +1,27 @@
-//! The hierarchical span tracer behind `\spans`, `EXPLAIN ANALYZE`'s
-//! operator spans and the repo benchmark's traces.
+//! The shared trace clock and the span exporters behind `\spans`.
 //!
-//! A span ([`span`] / [`SpanGuard`]) is a named, monotonic
-//! `(start, duration)` interval with a parent link; guards nest through a
-//! thread-local, so `span("query") → span("parse")` produces a
-//! parent/child pair without any plumbing. Finished spans land in a
-//! process-wide fixed-capacity ring buffer ([`spans_enable`]) that
-//! overwrites the oldest record, so a long-running process can keep
-//! tracing without unbounded memory. Snapshots export as Chrome
-//! `trace_event` JSON ([`chrome_trace_json`], load in `chrome://tracing`
-//! / Perfetto) or folded-stack text ([`folded_stacks`], feed to
-//! `flamegraph.pl`).
+//! A statement's timing lives in one record,
+//! [`QueryMetrics`](crate::metrics::QueryMetrics); its
+//! [`spans`](crate::metrics::QueryMetrics::spans) flatten it into
+//! [`SpanRecord`]s — the `query` root, its `parse`/`plan`/`exec` phases
+//! and one span per operator — which export as Chrome `trace_event` JSON
+//! ([`chrome_trace_json`], load in `chrome://tracing` / Perfetto),
+//! folded-stack text ([`folded_stacks`], feed to `flamegraph.pl`) or an
+//! indented tree ([`render_span_tree`]).
 //!
-//! When span collection is disabled (the default), [`span`] returns an
-//! inert guard after a single relaxed atomic load — the hot path pays
-//! nothing.
+//! [`now_ns`] is the one clock: statements and operators stamp their
+//! starts on it, and so does the repo benchmark, so spans from the engine
+//! and from the benchmark land on one timeline.
 
-use std::cell::Cell;
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Instant;
-
-use parking_lot::Mutex;
 
 /// One finished span: a named monotonic interval with a parent link.
 /// Timestamps are nanoseconds since the process-wide trace epoch (the
-/// first call that needed a clock), so spans from different threads and
-/// queries share one timeline.
+/// first [`now_ns`] call), so spans from different threads and
+/// statements share one timeline.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpanRecord {
-    /// Unique id (process-wide, monotonically assigned).
+    /// Id, unique within one span list.
     pub id: u64,
     /// Enclosing span's id; `None` for a root span.
     pub parent: Option<u64>,
@@ -48,33 +40,6 @@ impl SpanRecord {
     }
 }
 
-/// Default ring-buffer capacity used by [`spans_enable`] callers that
-/// have no better number (≈ a few hundred queries' worth of spans).
-pub const DEFAULT_SPAN_CAPACITY: usize = 4096;
-
-struct SpanCollector {
-    enabled: AtomicBool,
-    next_id: AtomicU64,
-    ring: Mutex<SpanRing>,
-}
-
-struct SpanRing {
-    capacity: usize,
-    records: VecDeque<SpanRecord>,
-    dropped: u64,
-}
-
-static COLLECTOR: SpanCollector = SpanCollector {
-    enabled: AtomicBool::new(false),
-    next_id: AtomicU64::new(1),
-    ring: Mutex::new(SpanRing { capacity: 0, records: VecDeque::new(), dropped: 0 }),
-};
-
-thread_local! {
-    /// The innermost live span on this thread (parent of the next one).
-    static CURRENT: Cell<Option<u64>> = const { Cell::new(None) };
-}
-
 fn epoch() -> Instant {
     static EPOCH: std::sync::OnceLock<Instant> = std::sync::OnceLock::new();
     *EPOCH.get_or_init(Instant::now)
@@ -83,140 +48,6 @@ fn epoch() -> Instant {
 /// Nanoseconds since the process-wide trace epoch (monotonic).
 pub fn now_ns() -> u64 {
     epoch().elapsed().as_nanos() as u64
-}
-
-/// Turn span collection on with a ring buffer of `capacity` finished
-/// spans (oldest overwritten first). Idempotent; a repeat call resizes
-/// the buffer and keeps the newest records that still fit.
-pub fn spans_enable(capacity: usize) {
-    let capacity = capacity.max(1);
-    {
-        let mut ring = COLLECTOR.ring.lock();
-        ring.capacity = capacity;
-        while ring.records.len() > capacity {
-            ring.records.pop_front();
-            ring.dropped += 1;
-        }
-    }
-    COLLECTOR.enabled.store(true, Ordering::Release);
-}
-
-/// Turn span collection off and drop all buffered spans. Guards already
-/// live keep recording into the (now cleared) buffer when they close;
-/// new [`span`] calls become free no-ops.
-pub fn spans_disable() {
-    COLLECTOR.enabled.store(false, Ordering::Release);
-    let mut ring = COLLECTOR.ring.lock();
-    ring.records.clear();
-    ring.dropped = 0;
-}
-
-/// Whether span collection is currently on.
-pub fn spans_enabled() -> bool {
-    COLLECTOR.enabled.load(Ordering::Acquire)
-}
-
-/// Copy out the buffered spans, oldest first.
-pub fn spans_snapshot() -> Vec<SpanRecord> {
-    COLLECTOR.ring.lock().records.iter().cloned().collect()
-}
-
-/// Drop buffered spans without toggling collection — brackets "the last
-/// query" in the shell.
-pub fn spans_clear() {
-    COLLECTOR.ring.lock().records.clear();
-}
-
-/// How many spans the ring has overwritten since it was enabled (a
-/// non-zero value means a snapshot is a suffix of the true history).
-pub fn spans_dropped() -> u64 {
-    COLLECTOR.ring.lock().dropped
-}
-
-fn push_record(rec: SpanRecord) {
-    let mut ring = COLLECTOR.ring.lock();
-    if ring.capacity == 0 {
-        return;
-    }
-    while ring.records.len() >= ring.capacity {
-        ring.records.pop_front();
-        ring.dropped += 1;
-    }
-    ring.records.push_back(rec);
-}
-
-/// Record an already-measured span (used for operator spans, whose
-/// timing comes from the profiler rather than a live guard). Returns the
-/// assigned id so callers can parent further spans under it; records
-/// nothing and returns 0 when collection is off.
-pub fn record_span(
-    name: impl Into<String>,
-    parent: Option<u64>,
-    start_ns: u64,
-    dur_ns: u64,
-) -> u64 {
-    if !spans_enabled() {
-        return 0;
-    }
-    let id = COLLECTOR.next_id.fetch_add(1, Ordering::Relaxed);
-    push_record(SpanRecord { id, parent, name: name.into(), start_ns, dur_ns });
-    id
-}
-
-/// Open a span. The returned guard closes it on drop, recording the
-/// elapsed time into the ring buffer; while the guard lives, spans opened
-/// on the same thread become its children. When collection is disabled
-/// this is one relaxed atomic load and no allocation.
-pub fn span(name: impl Into<String>) -> SpanGuard {
-    if !spans_enabled() {
-        return SpanGuard { live: None };
-    }
-    let id = COLLECTOR.next_id.fetch_add(1, Ordering::Relaxed);
-    let parent = CURRENT.with(|c| c.replace(Some(id)));
-    SpanGuard {
-        live: Some(LiveSpan {
-            id,
-            parent,
-            name: name.into(),
-            start_ns: now_ns(),
-            start: Instant::now(),
-        }),
-    }
-}
-
-struct LiveSpan {
-    id: u64,
-    parent: Option<u64>,
-    name: String,
-    start_ns: u64,
-    start: Instant,
-}
-
-/// RAII handle for an open span; see [`span`].
-pub struct SpanGuard {
-    live: Option<LiveSpan>,
-}
-
-impl SpanGuard {
-    /// This span's id (0 for an inert guard) — parent further
-    /// [`record_span`] calls under it.
-    pub fn id(&self) -> u64 {
-        self.live.as_ref().map_or(0, |l| l.id)
-    }
-}
-
-impl Drop for SpanGuard {
-    fn drop(&mut self) {
-        let Some(live) = self.live.take() else { return };
-        CURRENT.with(|c| c.set(live.parent));
-        push_record(SpanRecord {
-            id: live.id,
-            parent: live.parent,
-            name: live.name,
-            start_ns: live.start_ns,
-            dur_ns: live.start.elapsed().as_nanos() as u64,
-        });
-    }
 }
 
 // ---- span export --------------------------------------------------------
@@ -248,8 +79,8 @@ pub fn chrome_trace_json(spans: &[SpanRecord]) -> String {
 /// the input format of `flamegraph.pl`. Each line's value is the span's
 /// *self* time: its duration minus the duration of its direct children
 /// (saturating, since child wall time can exceed the parent's under
-/// timer jitter). Spans whose parent is missing from the snapshot (e.g.
-/// overwritten by the ring) are treated as roots.
+/// timer jitter). Spans whose parent is missing from the list are
+/// treated as roots.
 pub fn folded_stacks(spans: &[SpanRecord]) -> String {
     use std::collections::HashMap;
     let by_id: HashMap<u64, &SpanRecord> = spans.iter().map(|s| (s.id, s)).collect();
@@ -278,7 +109,7 @@ pub fn folded_stacks(spans: &[SpanRecord]) -> String {
     out
 }
 
-/// Render a span snapshot as an indented tree with total and self times
+/// Render a span list as an indented tree with total and self times
 /// (the shell's `\spans` view). Children are nested under their parents
 /// in start order; orphans print as roots.
 pub fn render_span_tree(spans: &[SpanRecord]) -> String {
@@ -308,8 +139,8 @@ pub fn render_span_tree(spans: &[SpanRecord]) -> String {
             "{}{}  total {}  self {}\n",
             "  ".repeat(depth),
             s.name,
-            fmt_ns(s.dur_ns),
-            fmt_ns(s.dur_ns.saturating_sub(child_ns)),
+            crate::metrics::fmt_ns(s.dur_ns),
+            crate::metrics::fmt_ns(s.dur_ns.saturating_sub(child_ns)),
         ));
         if let Some(ks) = kids {
             for k in ks {
@@ -324,85 +155,9 @@ pub fn render_span_tree(spans: &[SpanRecord]) -> String {
     out
 }
 
-fn fmt_ns(ns: u64) -> String {
-    if ns >= 1_000_000_000 {
-        format!("{:.2}s", ns as f64 / 1e9)
-    } else if ns >= 1_000_000 {
-        format!("{:.2}ms", ns as f64 / 1e6)
-    } else if ns >= 1_000 {
-        format!("{:.1}µs", ns as f64 / 1e3)
-    } else {
-        format!("{ns}ns")
-    }
-}
-
-/// Serializes tests (across modules) that toggle the global span
-/// collector, so parallel test threads don't see each other's spans.
-#[cfg(test)]
-pub(crate) fn span_test_lock() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: Mutex<()> = Mutex::new(());
-    LOCK.lock()
-}
-
 #[cfg(test)]
 mod span_tests {
     use super::*;
-
-    #[test]
-    fn nesting_links_parents_and_disable_clears() {
-        let _guard = span_test_lock();
-        spans_enable(64);
-        spans_clear();
-        {
-            let root = span("query");
-            assert_ne!(root.id(), 0);
-            {
-                let _parse = span("parse");
-            }
-            {
-                let _exec = span("exec");
-                let _op = span("SeqScan t");
-            }
-        }
-        let snap = spans_snapshot();
-        // Drop order: parse, op, exec, query.
-        let names: Vec<&str> = snap.iter().map(|s| s.name.as_str()).collect();
-        assert_eq!(names, vec!["parse", "SeqScan t", "exec", "query"]);
-        let by_name = |n: &str| snap.iter().find(|s| s.name == n).unwrap();
-        let query = by_name("query");
-        assert_eq!(query.parent, None);
-        assert_eq!(by_name("parse").parent, Some(query.id));
-        assert_eq!(by_name("exec").parent, Some(query.id));
-        assert_eq!(by_name("SeqScan t").parent, Some(by_name("exec").id));
-        // Children start within the parent's window and ids are unique.
-        assert!(by_name("parse").start_ns >= query.start_ns);
-        let mut ids: Vec<u64> = snap.iter().map(|s| s.id).collect();
-        ids.dedup();
-        assert_eq!(ids.len(), snap.len());
-        spans_disable();
-        assert!(spans_snapshot().is_empty());
-        // Disabled spans are inert.
-        let g = span("ignored");
-        assert_eq!(g.id(), 0);
-        drop(g);
-        assert!(spans_snapshot().is_empty());
-    }
-
-    #[test]
-    fn ring_overwrites_oldest_and_counts_drops() {
-        let _guard = span_test_lock();
-        spans_enable(4);
-        spans_clear();
-        for i in 0..10 {
-            record_span(format!("s{i}"), None, i, 1);
-        }
-        let snap = spans_snapshot();
-        assert_eq!(snap.len(), 4);
-        let names: Vec<&str> = snap.iter().map(|s| s.name.as_str()).collect();
-        assert_eq!(names, vec!["s6", "s7", "s8", "s9"], "oldest overwritten first");
-        assert!(spans_dropped() >= 6);
-        spans_disable();
-    }
 
     #[test]
     fn chrome_json_and_folded_stacks_export() {
@@ -440,7 +195,7 @@ mod span_tests {
 
     #[test]
     fn orphan_spans_render_as_roots() {
-        // Parent id 99 is not in the snapshot (overwritten by the ring).
+        // Parent id 99 is not in the list.
         let spans = vec![SpanRecord {
             id: 5,
             parent: Some(99),
