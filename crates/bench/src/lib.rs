@@ -7,7 +7,8 @@
 //! corpus multiple times, §4.3/§4.4).
 //!
 //! The `experiments` binary drives these helpers to print every table and
-//! figure; the Criterion benches reuse them at a reduced scale.
+//! figure; the repository benchmark under `benchmark/` reuses the corpus
+//! scaling, the workload list and the scratch directory.
 
 #![warn(missing_docs)]
 
@@ -20,7 +21,7 @@ use ordb::{Database, DbOptions, QueryResult};
 use xorator::prelude::*;
 use xorator::schema::Mapping;
 
-/// Default buffer-pool size for experiments (1024 × 8 KiB = 8 MiB), small
+/// Default buffer-pool size for experiments (256 × 8 KiB = 2 MiB), small
 /// enough that the larger DSx scales spill to disk, as on the paper's
 /// 256 MB testbed.
 pub const EXPERIMENT_POOL_FRAMES: usize = 256;
@@ -49,15 +50,14 @@ pub fn setup(
     setup_opts(dir, mapping, docs, policy, workload, experiment_opts())
 }
 
-/// Database options used by [`setup`]: the experiment pool size with
-/// durability on (the engine default).
+/// Database options used by [`setup`]: the experiment pool size, every
+/// other option at the engine default.
 pub fn experiment_opts() -> DbOptions {
     DbOptions { pool_frames: EXPERIMENT_POOL_FRAMES, ..Default::default() }
 }
 
-/// [`setup`] with explicit [`DbOptions`] — used by the durability
-/// experiment (WAL on vs off) and the crash-matrix harness (fault
-/// injection).
+/// [`setup`] with explicit [`DbOptions`] — used by the crash-matrix
+/// harness (fault injection).
 pub fn setup_opts(
     dir: &Path,
     mapping: Mapping,
@@ -145,74 +145,6 @@ pub fn time_query_opts(
         None
     };
     Ok(QueryTiming { mean, runs, rows, metrics })
-}
-
-/// One row of the multi-threaded throughput report: `threads` clients
-/// hammering one shared [`Database`] with a read-only query mix.
-#[derive(Debug, Clone, Copy)]
-pub struct ThroughputRow {
-    /// Client thread count.
-    pub threads: usize,
-    /// Queries completed across all threads.
-    pub total_queries: u64,
-    /// Wall-clock duration of the measurement.
-    pub elapsed: Duration,
-}
-
-impl ThroughputRow {
-    /// Queries per second over the measurement window.
-    pub fn qps(&self) -> f64 {
-        self.total_queries as f64 / self.elapsed.as_secs_f64().max(1e-9)
-    }
-}
-
-/// Serve `workload` from `threads` concurrent client threads against one
-/// shared database for roughly `duration`, and report queries/sec.
-///
-/// Each thread loops over the workload round-robin from a staggered start
-/// (so different queries overlap in the pool at any instant), counting
-/// completed queries. The database is shared by reference across the
-/// threads — this is exactly the serving topology the sharded buffer pool
-/// exists for, and it compiles only because `Database: Send + Sync`.
-pub fn throughput(
-    db: &Database,
-    workload: &[&str],
-    threads: usize,
-    duration: Duration,
-) -> ordb::Result<ThroughputRow> {
-    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-    assert!(threads >= 1 && !workload.is_empty());
-    let stop = AtomicBool::new(false);
-    let total = AtomicU64::new(0);
-    let start = Instant::now();
-    let result: ordb::Result<()> = std::thread::scope(|s| {
-        let mut handles = Vec::with_capacity(threads);
-        for t in 0..threads {
-            let stop = &stop;
-            let total = &total;
-            handles.push(s.spawn(move || -> ordb::Result<()> {
-                let mut i = t * workload.len() / threads.max(1);
-                while !stop.load(Ordering::Relaxed) {
-                    db.query(workload[i % workload.len()])?;
-                    i += 1;
-                    total.fetch_add(1, Ordering::Relaxed);
-                }
-                Ok(())
-            }));
-        }
-        std::thread::sleep(duration);
-        stop.store(true, Ordering::Relaxed);
-        for h in handles {
-            h.join().expect("client thread panicked")?;
-        }
-        Ok(())
-    });
-    result?;
-    Ok(ThroughputRow {
-        threads,
-        total_queries: total.load(Ordering::Relaxed),
-        elapsed: start.elapsed(),
-    })
 }
 
 /// Replicate `base` docs `k` times — the paper's DSx`k` configurations.
@@ -310,33 +242,6 @@ mod tests {
         }
         // The plain path carries no profile.
         assert!(time_query(&h.db, q.hybrid, 3).unwrap().metrics.is_none());
-    }
-
-    #[test]
-    fn throughput_counts_queries_from_multiple_threads() {
-        let docs = datagen::generate_shakespeare(&ShakespeareConfig {
-            plays: 1,
-            acts: 1,
-            scenes_per_act: 1,
-            speeches_per_scene: 4,
-            ..Default::default()
-        });
-        let queries = shakespeare_queries();
-        let sql = workload_sql(&queries);
-        let dtd = xmlkit::dtd::parse_dtd(xorator::dtds::SHAKESPEARE_DTD).unwrap();
-        let x = setup(
-            &scratch_dir("libtest-tput"),
-            map_xorator(&simplify(&dtd)),
-            &docs,
-            FormatPolicy::Auto,
-            &sql,
-        )
-        .unwrap();
-        let wl: Vec<&str> = queries.iter().map(|q| q.xorator).collect();
-        let row = throughput(&x.db, &wl, 4, Duration::from_millis(200)).unwrap();
-        assert_eq!(row.threads, 4);
-        assert!(row.total_queries > 0, "{row:?}");
-        assert!(row.qps() > 0.0);
     }
 
     #[test]

@@ -26,32 +26,47 @@ fn fill(db: &Database, rows: i64, round: i64) {
 fn churn_with_vacuum_holds_steady_state_size() {
     let rounds = if cfg!(debug_assertions) { 4 } else { 12 };
     let rows: i64 = if cfg!(debug_assertions) { 512 } else { 1536 };
-    let dir = scratch_dir("vacuum-churn-test");
-    let _ = std::fs::remove_dir_all(&dir);
-    // Auto-vacuum off: the test drives every pass explicitly.
-    let opts = DbOptions { auto_vacuum: false, ..Default::default() };
-    let db = Database::open_with(&dir, opts).expect("open churn db");
-    db.execute("CREATE TABLE churn (id INTEGER, body VARCHAR)").expect("create");
-    db.execute("CREATE INDEX churn_id ON churn (id)").expect("index");
+    let open = |tag: &str| {
+        let dir = scratch_dir(tag);
+        let _ = std::fs::remove_dir_all(&dir);
+        // Auto-vacuum off: the test drives every pass explicitly, and the
+        // leak twin never reclaims.
+        let opts = DbOptions { auto_vacuum: false, ..Default::default() };
+        let db = Database::open_with(&dir, opts).expect("open churn db");
+        db.execute("CREATE TABLE churn (id INTEGER, body VARCHAR)").expect("create");
+        db.execute("CREATE INDEX churn_id ON churn (id)").expect("index");
+        (dir, db)
+    };
+    let (dir, db) = open("vacuum-churn-test");
+    // The twin runs the same rounds without vacuum: the pinned size below
+    // is only evidence if the leak it rules out would have shown.
+    let (leak_dir, leak) = open("vacuum-churn-leak");
 
     let before = db.metrics_snapshot();
     // One full cycle to reach steady state, then the size must pin.
     fill(&db, rows, 0);
+    fill(&leak, rows, 0);
     db.execute("DELETE FROM churn").expect("delete");
+    leak.execute("DELETE FROM churn").expect("delete (leak twin)");
     db.vacuum().expect("vacuum");
     fill(&db, rows, 1);
+    fill(&leak, rows, 1);
     let steady = db.data_size_bytes().expect("size");
+    let mut leak_sizes = vec![leak.data_size_bytes().expect("leak size")];
     let index_steady = db.index_size_bytes().expect("index size");
     // Meta page, an internal root, two leaves: anything less never splits.
     assert!(index_steady >= 4 * 8192, "the index must be more than a root: {index_steady}");
     for round in 2..=rounds {
         db.execute("DELETE FROM churn").expect("delete");
+        leak.execute("DELETE FROM churn").expect("delete (leak twin)");
         let report = db.vacuum().expect("vacuum");
         assert!(
             report.vacuumed_versions >= rows as u64,
             "round {round}: pass must reclaim the whole dead generation, got {report:?}"
         );
         fill(&db, rows, round);
+        fill(&leak, rows, round);
+        leak_sizes.push(leak.data_size_bytes().expect("leak size"));
         assert_eq!(
             db.data_size_bytes().expect("size"),
             steady,
@@ -63,6 +78,16 @@ fn churn_with_vacuum_holds_steady_state_size() {
             "round {round}: emptied leaves must feed the splits, not the file's end"
         );
     }
+    assert!(
+        leak_sizes.windows(2).all(|w| w[0] <= w[1]),
+        "the leak twin never shrinks: {leak_sizes:?}"
+    );
+    assert!(
+        leak_sizes[leak_sizes.len() - 1] > steady,
+        "without vacuum the heap must outgrow the steady state {steady}: {leak_sizes:?}"
+    );
+    leak.close().expect("close leak twin");
+    let _ = std::fs::remove_dir_all(&leak_dir);
     let delta = db.metrics_snapshot().since(&before);
     assert!(
         delta.engine.vacuumed_versions >= (rounds - 1) as u64 * rows as u64,

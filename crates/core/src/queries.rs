@@ -231,22 +231,39 @@ pub fn example_queries() -> Vec<QueryPair> {
     ]
 }
 
-/// QT1/QT2 (Figure 14): `(id, description, built-in SQL, UDF SQL)` over
-/// the Hybrid Shakespeare `speaker` table.
-pub fn udf_overhead_queries() -> Vec<(&'static str, &'static str, &'static str, &'static str)> {
+/// One Figure 14 query: the same string function over the Hybrid
+/// Shakespeare `speaker` table, called through each call path.
+#[derive(Debug, Clone)]
+pub struct UdfOverheadQuery {
+    /// Paper identifier (e.g. "QT1").
+    pub id: &'static str,
+    /// The paper's description.
+    pub description: &'static str,
+    /// SQL calling the built-in function.
+    pub builtin: &'static str,
+    /// SQL calling its NOT FENCED UDF twin (the paper's configuration).
+    pub udf: &'static str,
+    /// SQL calling its FENCED UDF twin (out-of-process marshalling).
+    pub fenced: &'static str,
+}
+
+/// QT1/QT2 (Figure 14): built-in vs. UDF string functions.
+pub fn udf_overhead_queries() -> Vec<UdfOverheadQuery> {
     vec![
-        (
-            "QT1",
-            "Return the length of the SPEAKER attribute",
-            "SELECT length(speaker_value) FROM speaker",
-            "SELECT udf_length(speaker_value) FROM speaker",
-        ),
-        (
-            "QT2",
-            "Return the substring of SPEAKER from position 5",
-            "SELECT substr(speaker_value, 5) FROM speaker",
-            "SELECT udf_substr(speaker_value, 5) FROM speaker",
-        ),
+        UdfOverheadQuery {
+            id: "QT1",
+            description: "Return the length of the SPEAKER attribute",
+            builtin: "SELECT length(speaker_value) FROM speaker",
+            udf: "SELECT udf_length(speaker_value) FROM speaker",
+            fenced: "SELECT fenced_length(speaker_value) FROM speaker",
+        },
+        UdfOverheadQuery {
+            id: "QT2",
+            description: "Return the substring of SPEAKER from position 5",
+            builtin: "SELECT substr(speaker_value, 5) FROM speaker",
+            udf: "SELECT udf_substr(speaker_value, 5) FROM speaker",
+            fenced: "SELECT fenced_substr(speaker_value, 5) FROM speaker",
+        },
     ]
 }
 
@@ -273,9 +290,10 @@ mod tests {
             parse_statement(q.xorator)
                 .unwrap_or_else(|e| panic!("{} xorator: {e}\n{}", q.id, q.xorator));
         }
-        for (id, _, b, u) in udf_overhead_queries() {
-            parse_statement(b).unwrap_or_else(|e| panic!("{id} builtin: {e}"));
-            parse_statement(u).unwrap_or_else(|e| panic!("{id} udf: {e}"));
+        for q in udf_overhead_queries() {
+            for (variant, sql) in [("builtin", q.builtin), ("udf", q.udf), ("fenced", q.fenced)] {
+                parse_statement(sql).unwrap_or_else(|e| panic!("{} {variant}: {e}", q.id));
+            }
         }
     }
 

@@ -12,12 +12,11 @@
 use std::sync::Arc;
 
 use ordb::net::Server;
-use ordb::{Database, DbOptions};
+use ordb::Database;
 
 fn main() {
     let mut db_dir: Option<String> = None;
     let mut addr = "127.0.0.1:4000".to_string();
-    let mut durability = true;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
@@ -27,15 +26,13 @@ fn main() {
                     addr = v;
                 }
             }
-            "--no-durability" => durability = false,
             "--help" | "-h" => {
                 println!(
-                    "usage: xord-server --db DIR [--addr HOST:PORT] [--no-durability]\n\
+                    "usage: xord-server --db DIR [--addr HOST:PORT]\n\
                      \n\
                      Serves the ordb database in DIR over the XORD wire protocol.\n\
                      --addr defaults to 127.0.0.1:4000; port 0 picks an ephemeral\n\
-                     port (printed on the `listening on` line). --no-durability\n\
-                     disables the WAL (bench setups that reload from scratch)."
+                     port (printed on the `listening on` line)."
                 );
                 return;
             }
@@ -46,12 +43,11 @@ fn main() {
         }
     }
     let Some(db_dir) = db_dir else {
-        eprintln!("usage: xord-server --db DIR [--addr HOST:PORT] [--no-durability]");
+        eprintln!("usage: xord-server --db DIR [--addr HOST:PORT]");
         std::process::exit(2);
     };
 
-    let opts = DbOptions { durability, ..Default::default() };
-    let db = match Database::open_with(&db_dir, opts) {
+    let db = match Database::open(&db_dir) {
         Ok(db) => Arc::new(db),
         Err(e) => {
             eprintln!("xord-server: cannot open {db_dir}: {e}");

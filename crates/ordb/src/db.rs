@@ -36,10 +36,6 @@ use crate::types::{DataType, Row, Value};
 pub struct DbOptions {
     /// Buffer pool capacity in frames (default 256 = 2 MiB).
     pub pool_frames: usize,
-    /// Write-ahead logging + crash recovery (default on). With it off,
-    /// pages are still checksummed (corruption is detected) but a crash
-    /// loses un-flushed work and a torn page cannot be repaired.
-    pub durability: bool,
     /// Deterministic disk-fault injector routed under every page file
     /// and the WAL (crash-matrix tests only; `None` in production).
     pub fault: Option<Arc<FaultInjector>>,
@@ -59,7 +55,6 @@ impl fmt::Debug for DbOptions {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("DbOptions")
             .field("pool_frames", &self.pool_frames)
-            .field("durability", &self.durability)
             .field("fault", &self.fault.is_some())
             .field("mem_budget", &self.mem_budget)
             .field("auto_vacuum", &self.auto_vacuum)
@@ -71,7 +66,6 @@ impl Default for DbOptions {
     fn default() -> Self {
         DbOptions {
             pool_frames: DEFAULT_POOL_FRAMES,
-            durability: true,
             fault: None,
             mem_budget: None,
             auto_vacuum: true,
@@ -86,11 +80,14 @@ struct DbInner {
     stats: HashMap<String, TableStats>,
 }
 
-/// A database rooted at a directory of page files plus `catalog.txt`
-/// (and, with durability on, `wal.log`).
+/// A database rooted at a directory of page files plus `catalog.txt` and
+/// the write-ahead log `wal.log`.
 pub struct Database {
     dir: PathBuf,
     pool: Arc<BufferPool>,
+    /// The write-ahead log, also attached to `pool` (which logs page
+    /// images to it before writing them back).
+    wal: Arc<Wal>,
     inner: RwLock<DbInner>,
     functions: crate::functions::FunctionRegistry,
     /// What the open-time redo pass did (None: no WAL existed).
@@ -127,7 +124,7 @@ pub struct Database {
 }
 
 // A `Database` is shared across client threads by reference (see the
-// concurrent tests and the bench throughput harness); this fails to
+// concurrent tests and the wire server); this fails to
 // compile if any field regresses to a single-threaded type.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
@@ -245,13 +242,8 @@ impl Database {
         // committed, so the new watermark is simply `next`.
         crate::txn::write_txn_meta(&dir, next, next)?;
         let pool = Arc::new(BufferPool::with_fault(opts.pool_frames, opts.fault.clone()));
-        let wal = if opts.durability {
-            let wal = Arc::new(Wal::open(&dir, opts.fault.clone())?);
-            pool.set_wal(Some(wal.clone()));
-            Some(wal)
-        } else {
-            None
-        };
+        let wal = Arc::new(Wal::open(&dir, opts.fault.clone())?);
+        pool.set_wal(Some(wal.clone()));
         let mut heaps = HashMap::new();
         let mut indexes = HashMap::new();
         for t in catalog.tables() {
@@ -300,16 +292,14 @@ impl Database {
                 }
             }
         }
-        if let Some(wal) = wal {
-            // Make the sweep's page edits durable in the data files,
-            // then reset the log to a checkpoint record that carries
-            // the LSN cursor forward (everything redo restored was
-            // already fsync'd by the recovery pass).
-            pool.log_dirty_frames()?;
-            wal.sync()?;
-            pool.flush_all()?;
-            wal.checkpoint_truncate()?;
-        }
+        // Make the sweep's page edits durable in the data files, then
+        // reset the log to a checkpoint record that carries the LSN
+        // cursor forward (everything redo restored was already fsync'd
+        // by the recovery pass).
+        pool.log_dirty_frames()?;
+        wal.sync()?;
+        pool.flush_all()?;
+        wal.checkpoint_truncate()?;
         let spill = SpillConfig {
             budget: opts.mem_budget,
             manager: Arc::new(SpillManager::new(dir.join("spill"))),
@@ -317,6 +307,7 @@ impl Database {
         Ok(Database {
             dir,
             pool,
+            wal,
             inner: RwLock::new(DbInner { catalog, heaps, indexes, stats: HashMap::new() }),
             functions: crate::functions::FunctionRegistry::with_builtins(),
             recovery,
@@ -563,8 +554,12 @@ impl Database {
         let planned_ns = now_ns();
 
         let before = analyze.then(|| {
-            let wal = self.wal_stats().unwrap_or_default();
-            (self.pool.stats_total(), wal, ENGINE.snapshot(), self.functions.counters())
+            (
+                self.pool.stats_total(),
+                self.wal.stats(),
+                ENGINE.snapshot(),
+                self.functions.counters(),
+            )
         });
         let exec_ns = now_ns();
         let rows = collect(plan.root)?;
@@ -580,7 +575,7 @@ impl Database {
             wall,
             rows: rows.len() as u64,
             pool: self.pool.stats_total().since(&pool0),
-            wal: self.wal_stats().unwrap_or_default().since(&wal0),
+            wal: self.wal.stats().since(&wal0),
             engine: ENGINE.snapshot().since(&engine0),
             udfs: udf_delta(&udf0, &self.functions.counters()),
             root: prof.finish(),
@@ -741,14 +736,12 @@ impl Database {
         let _gate = self.write_gate.read();
         let wrote = self.txns.wrote(txn)?;
         if wrote {
-            if let Some(wal) = self.pool.wal() {
-                if durable {
-                    self.pool.log_dirty_frames()?;
-                    let lsn = wal.log_commit(txn.0);
-                    wal.sync_group(lsn)?;
-                } else {
-                    wal.log_commit(txn.0);
-                }
+            if durable {
+                self.pool.log_dirty_frames()?;
+                let lsn = self.wal.log_commit(txn.0);
+                self.wal.sync_group(lsn)?;
+            } else {
+                self.wal.log_commit(txn.0);
             }
         }
         self.txns.take_undo(txn)?;
@@ -905,8 +898,7 @@ impl Database {
     /// Make all work so far durable: log every dirty page's image to the
     /// WAL and fsync it — **one** fsync, zero data-page writes, so this
     /// is the cheap durability point for bulk loads. Returns the number
-    /// of page images logged. With durability off this is a no-op
-    /// returning 0 (use [`Database::flush`] to push pages out).
+    /// of page images logged.
     ///
     /// After `commit` returns, a crash at *any* point loses nothing: the
     /// redo pass on the next open rebuilds every page from the log.
@@ -918,9 +910,7 @@ impl Database {
     /// [`Database::commit`] for a caller that already holds the write gate.
     fn log_and_sync(&self) -> Result<u64> {
         let logged = self.pool.log_dirty_frames()?;
-        if let Some(wal) = self.pool.wal() {
-            wal.sync()?;
-        }
+        self.wal.sync()?;
         Ok(logged)
     }
 
@@ -1031,16 +1021,12 @@ impl Database {
         // transaction still running) are re-logged into the fresh WAL.
         let (watermark, next, relog) = self.txns.checkpoint_info();
         crate::txn::write_txn_meta(&self.dir, watermark, next)?;
-        if let Some(wal) = self.pool.wal() {
-            wal.checkpoint_truncate_with(&relog)?;
-        }
-        Ok(())
+        self.wal.checkpoint_truncate_with(&relog)
     }
 
-    /// Orderly shutdown: checkpoint (or, with durability off, flush) so
-    /// nothing is left only in memory, then mark the handle closed so
-    /// `Drop` does no further I/O. Prefer this over relying on `Drop`,
-    /// which cannot report errors.
+    /// Orderly shutdown: checkpoint so nothing is left only in memory,
+    /// then mark the handle closed so `Drop` does no further I/O. Prefer
+    /// this over relying on `Drop`, which cannot report errors.
     pub fn close(self) -> Result<()> {
         self.close_inner()
     }
@@ -1083,7 +1069,7 @@ impl Database {
             queries: self.registry.queries(),
             latency: self.registry.latency(),
             pool: self.pool.stats_total(),
-            wal: self.wal_stats().unwrap_or_default(),
+            wal: self.wal.stats(),
             engine: ENGINE.snapshot(),
             net: self.registry.net().snapshot(),
             txn: self.txns.stats(),
@@ -1091,14 +1077,15 @@ impl Database {
         }
     }
 
-    /// Cumulative WAL counters since open (`None` with durability off).
+    /// Cumulative WAL counters since open. Always `Some`: every
+    /// database opens its log.
     pub fn wal_stats(&self) -> Option<WalStats> {
-        self.pool.wal().map(|w| w.stats())
+        Some(self.wal.stats())
     }
 
-    /// Current WAL size in bytes (0 with durability off).
+    /// Current WAL size in bytes.
     pub fn wal_bytes(&self) -> u64 {
-        self.pool.wal().map(|w| w.len_bytes()).unwrap_or(0)
+        self.wal.len_bytes()
     }
 
     /// Spill temp files currently on disk. Zero between queries: spill
@@ -1760,27 +1747,33 @@ mod tests {
     }
 
     #[test]
-    fn corruption_without_wal_is_detected_not_served() {
-        // Durability off: no WAL to repair from, but the page checksum
-        // still turns silent corruption into a hard error.
-        let dir = std::env::temp_dir().join(format!("ordb-db-nowal-{}", std::process::id()));
+    fn corruption_the_log_cannot_repair_is_detected() {
+        // A clean close checkpoints and truncates the log, so no page
+        // image is left to repair from: the page checksum alone must turn
+        // silent corruption into a hard error.
+        let dir = std::env::temp_dir().join(format!("ordb-db-norepair-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let opts = DbOptions { durability: false, ..Default::default() };
         let file_id;
         {
-            let db = Database::open_with(&dir, opts.clone()).unwrap();
+            let db = Database::open(&dir).unwrap();
             db.execute("CREATE TABLE t (a INTEGER)").unwrap();
             db.insert_rows("t", (0..300).map(|i| vec![Value::Int(i)]).collect()).unwrap();
             file_id = db.table_def("t").unwrap().file;
             db.close().unwrap();
-            assert!(!dir.join("wal.log").exists(), "durability off must not write a log");
         }
+        let wal_len = std::fs::metadata(dir.join("wal.log")).unwrap().len();
+        assert_eq!(
+            wal_len,
+            crate::storage::wal::record_size(0) as u64,
+            "a clean close leaves no page image in the log"
+        );
         let path = file_path(&dir, file_id);
         let mut raw = std::fs::read(&path).unwrap();
         raw[777] ^= 0x20;
         std::fs::write(&path, &raw).unwrap();
         {
-            let db = Database::open_with(&dir, opts).unwrap();
+            let db = Database::open(&dir).unwrap();
+            assert_eq!(db.recovery_report().expect("wal existed").replayed_pages, 0);
             match db.query("SELECT COUNT(*) FROM t") {
                 Err(DbError::Corrupt(_)) => {}
                 other => panic!("bit flip must surface as Corrupt, got {other:?}"),

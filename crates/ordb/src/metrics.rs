@@ -647,7 +647,7 @@ pub struct RegistrySnapshot {
     pub latency: Histogram,
     /// Cumulative buffer-pool counters.
     pub pool: PoolStats,
-    /// Cumulative WAL counters (all-zero with durability off).
+    /// Cumulative WAL counters.
     pub wal: WalStats,
     /// Process-wide engine counters (see [`EngineCounters`]).
     pub engine: EngineSnapshot,
@@ -777,8 +777,8 @@ pub struct QueryMetrics {
     pub rows: u64,
     /// Buffer-pool activity during execution (delta, not cumulative).
     pub pool: PoolStats,
-    /// WAL activity during execution (delta; all-zero with durability
-    /// off or for read-only queries).
+    /// WAL activity during execution (delta; all-zero for read-only
+    /// queries).
     pub wal: WalStats,
     /// Engine counter deltas (index probes, sort volume, unnest).
     pub engine: EngineSnapshot,

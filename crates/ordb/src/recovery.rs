@@ -71,7 +71,7 @@ fn data_file_path(dir: &Path, file: u32) -> std::path::PathBuf {
 }
 
 /// Run the redo pass over `dir/wal.log`. Returns `None` when no log
-/// exists (a database that has never run with durability on).
+/// exists (a database opened for the first time).
 pub fn recover(dir: &Path) -> Result<Option<RecoveryReport>> {
     let wal_path = dir.join(WAL_FILE);
     if !wal_path.exists() {

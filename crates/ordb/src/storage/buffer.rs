@@ -160,7 +160,7 @@ impl Drop for FrameRef {
 /// or evicted): the drain re-checks the bit, and `push` drops stale
 /// entries whenever the vector is about to grow, so the list stays
 /// within a constant factor of the resident unlogged frames even when
-/// nothing ever drains it (a bulk load, or durability off).
+/// nothing ever drains it (a bulk load, or a pool without a log).
 #[derive(Default)]
 struct UnloggedFrames(Mutex<Vec<Weak<Frame>>>);
 
@@ -387,11 +387,6 @@ impl BufferPool {
     /// enforcement on write-backs.
     pub fn set_wal(&self, wal: Option<Arc<Wal>>) {
         *self.wal.write() = wal;
-    }
-
-    /// The attached write-ahead log, if any.
-    pub fn wal(&self) -> Option<Arc<Wal>> {
-        self.wal.read().clone()
     }
 
     fn shard(&self, file: FileId, pid: u32) -> &Mutex<Shard> {

@@ -266,6 +266,7 @@ fn explicit_txn_is_invisible_across_connections_until_commit() {
 #[test]
 fn write_write_conflict_round_trips_with_stable_code() {
     let (db, handle) = served_db("txnconflict");
+    let conflicts_before = db.txn_stats().conflicts;
     let mut a = Client::connect(handle.addr()).unwrap();
     let mut b = Client::connect(handle.addr()).unwrap();
 
@@ -280,6 +281,7 @@ fn write_write_conflict_round_trips_with_stable_code() {
     let err = b.execute("DELETE FROM item WHERE id = 7").unwrap_err();
     assert!(matches!(err, DbError::TxnConflict(_)), "got {err:?}");
     assert_eq!(net::error_code(&err), 9);
+    assert_eq!(db.txn_stats().conflicts, conflicts_before + 1, "the conflict is counted");
     // B's earlier insert died with the transaction.
     let mut c = Client::connect(handle.addr()).unwrap();
     assert!(c.query("SELECT * FROM grp WHERE gid = 99").unwrap().is_empty());
@@ -295,6 +297,62 @@ fn write_write_conflict_round_trips_with_stable_code() {
     c.close().unwrap();
     handle.stop();
     drop(db);
+}
+
+/// Group commit under wire writers: four clients loop BEGIN / INSERT /
+/// COMMIT, and every COMMIT asks for a durable fsync. Committers that
+/// arrive while a leader is flushing must ride its fsync, so the run ends
+/// with fewer fsyncs than commit records. The database lives under the
+/// target directory, not the system temp directory, which may be a tmpfs
+/// where an fsync costs nothing and no committer ever waits behind one.
+#[test]
+fn wire_writers_share_fsyncs_through_group_commit() {
+    const WRITERS: u64 = 4;
+    const COMMITS_EACH: u64 = 50;
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"))
+        .join(format!("ordb-net-group-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let db = Arc::new(Database::open(&dir).unwrap());
+    db.execute("CREATE TABLE ledger (k INTEGER, v VARCHAR)").unwrap();
+    db.execute("INSERT INTO ledger VALUES (0, 'seed')").unwrap();
+    let handle = Server::bind(db.clone(), "127.0.0.1:0").unwrap().spawn();
+    let addr = handle.addr();
+
+    let before = db.metrics_snapshot();
+    std::thread::scope(|s| {
+        for w in 0..WRITERS {
+            s.spawn(move || {
+                let mut c = Client::connect(addr).unwrap();
+                for i in 0..COMMITS_EACH {
+                    let k = (w + 1) * 1_000_000 + i;
+                    c.execute("BEGIN").unwrap();
+                    c.execute(&format!("INSERT INTO ledger VALUES ({k}, 'w{w}')")).unwrap();
+                    c.execute("COMMIT").unwrap();
+                }
+                c.close().unwrap();
+            });
+        }
+    });
+    let d = db.metrics_snapshot().since(&before);
+    let commits = WRITERS * COMMITS_EACH;
+    assert_eq!(d.txn.committed, commits, "every wire COMMIT lands in the counter");
+    let visible = db.query("SELECT COUNT(*) FROM ledger").unwrap();
+    assert_eq!(visible.scalar(), Some(&Value::Int(commits as i64 + 1)), "committed rows visible");
+    assert_eq!(
+        d.wal.group_commits + d.wal.fsyncs_saved,
+        commits,
+        "each durable COMMIT either leads a flush or rides one: {:?}",
+        d.wal
+    );
+    assert!(
+        d.wal.fsyncs < d.wal.commit_records,
+        "group commit must batch: {} fsyncs for {} commit records",
+        d.wal.fsyncs,
+        d.wal.commit_records
+    );
+    handle.stop();
+    drop(db);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
