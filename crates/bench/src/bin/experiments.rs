@@ -77,9 +77,9 @@ type Figure = fn(&Args, &mut MetricsLog);
 
 /// Every figure by command name, in the order `all` runs them.
 const FIGURES: [(&str, Figure); 6] = [
-    ("table1", |args, _| table1(args)),
+    ("table1", table1),
     ("fig11", fig11),
-    ("table2", |args, _| table2(args)),
+    ("table2", table2),
     ("fig13", fig13),
     ("fig14", fig14),
     ("examples", |args, _| examples(args)),
@@ -109,8 +109,9 @@ fn main() {
     }
 }
 
-/// Accumulates one JSON object per timed query and writes them all as a
-/// JSON array to `target/experiments/metrics.json` at the end of the run.
+/// Accumulates one JSON object per timed query (and per dialect of a
+/// size table) and writes them all as a JSON array to
+/// `target/experiments/metrics.json` at the end of the run.
 #[derive(Default)]
 struct MetricsLog {
     entries: Vec<String>,
@@ -195,9 +196,18 @@ fn load_pair(tag: &str, dtd_src: &str, docs: &[String], workload: &[&str]) -> (L
     (h, x)
 }
 
-fn print_size_table(title: &str, h: &LoadedDb, x: &LoadedDb) {
+/// Print a size table and log one entry per dialect with the numbers CI's
+/// `paper-harness` job asserts on.
+fn print_size_table(figure: &str, title: &str, h: &LoadedDb, x: &LoadedDb, mlog: &mut MetricsLog) {
     let sh = sizes(h).expect("sizes");
     let sx = sizes(x).expect("sizes");
+    for (variant, s) in [("hybrid", &sh), ("xorator", &sx)] {
+        mlog.push_raw(format!(
+            "{{\"figure\":\"{figure}\",\"variant\":\"{variant}\",\"tables\":{},\
+             \"data_bytes\":{},\"index_bytes\":{}}}",
+            s.tables, s.data_bytes, s.index_bytes
+        ));
+    }
     println!("\n## {title}\n");
     println!("| | Hybrid | XORator | XORator/Hybrid |");
     println!("|---|---|---|---|");
@@ -226,23 +236,31 @@ fn print_size_table(title: &str, h: &LoadedDb, x: &LoadedDb) {
     );
 }
 
-fn table1(args: &Args) {
+fn table1(args: &Args, mlog: &mut MetricsLog) {
     let docs = shakespeare_docs(args);
     let queries = shakespeare_queries();
     let wl = workload_sql(&queries);
     let (h, x) = load_pair("table1", xorator::dtds::SHAKESPEARE_DTD, &docs, &wl);
-    print_size_table("Table 1 — Shakespeare data set: tables, database size, index size", &h, &x);
+    print_size_table(
+        "table1",
+        "Table 1 — Shakespeare data set: tables, database size, index size",
+        &h,
+        &x,
+        mlog,
+    );
 }
 
-fn table2(args: &Args) {
+fn table2(args: &Args, mlog: &mut MetricsLog) {
     let docs = sigmod_docs(args);
     let queries = sigmod_queries();
     let wl = workload_sql(&queries);
     let (h, x) = load_pair("table2", xorator::dtds::SIGMOD_DTD, &docs, &wl);
     print_size_table(
+        "table2",
         "Table 2 — SIGMOD Proceedings data set: tables, database size, index size",
         &h,
         &x,
+        mlog,
     );
 }
 

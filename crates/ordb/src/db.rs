@@ -349,7 +349,10 @@ impl Database {
         Ok(())
     }
 
-    /// Create an index and backfill it from existing rows.
+    /// Create an index and backfill it from existing rows. The backfill
+    /// collects every `(key, rid)` pair, sorts them into stored-key order
+    /// and inserts them through [`BTree::insert`]: ascending inserts take
+    /// the tree's right-edge split, so every leaf but the last is full.
     pub fn create_index(&self, name: &str, table: &str, columns: Vec<String>) -> Result<()> {
         let mut inner = self.inner.write();
         let tdef = inner
@@ -379,20 +382,20 @@ impl Database {
         let heap = inner.heaps.get(&tdef.name.to_ascii_lowercase()).expect("heap").clone();
         let ordinals = key_ordinals([&key_cols]);
         let mut scan = PageScan::new(heap);
-        // The tree is fed between pages, not from under a heap page's
-        // latch (see `PageScan::next_page`).
-        let mut page_keys: Vec<(Vec<u8>, Rid)> = Vec::new();
+        let mut keys: Vec<(Vec<u8>, Rid)> = Vec::new();
         while scan.next_page(
             |_, _| true,
             |rid, _, _, body| {
                 let row = decode_cols(body, ordinals.iter().copied())?;
-                page_keys.push((encode_key(&key_of(&key_cols, &ordinals, &row)), rid));
+                keys.push((encode_key(&key_of(&key_cols, &ordinals, &row)), rid));
                 Ok(())
             },
-        )? {
-            for (key, rid) in page_keys.drain(..) {
-                tree.insert(&key, rid)?;
-            }
+        )? {}
+        // Encoded keys of one index are prefix-free and `Rid` orders as
+        // its big-endian suffix, so this is stored-key order.
+        keys.sort_unstable();
+        for (key, rid) in keys {
+            tree.insert(&key, rid)?;
         }
         inner.indexes.insert(name.to_ascii_lowercase(), tree);
         inner.catalog.save(&self.dir)?;
@@ -1446,6 +1449,52 @@ mod tests {
         assert!(explain.contains("IndexScan"), "{explain}");
         let r = db.query("SELECT a FROM t WHERE a = 42").unwrap();
         assert_eq!(r.rows, vec![vec![Value::Int(42)]]);
+    }
+
+    #[test]
+    fn index_backfill_packs_leaves_whatever_the_heap_order() {
+        use crate::storage::page::{Page, PAGE_SIZE};
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        // Three rows to a key, so the order among duplicates counts too.
+        let n = 20_000i64;
+        let load = |tag: &str, order: &[i64]| {
+            let db = db(tag);
+            db.execute("CREATE TABLE t (a INTEGER, b VARCHAR)").unwrap();
+            let rows =
+                order.iter().map(|&i| vec![Value::Int(i / 3), Value::str(format!("row {i}"))]);
+            db.insert_rows("t", rows.collect()).unwrap();
+            db.execute("CREATE INDEX t_a ON t (a)").unwrap();
+            db.flush().unwrap();
+            let tree = db.inner.read().indexes["t_a"].clone();
+            let scan = tree.scan_range(None, None, true).unwrap();
+            let keys: Vec<Vec<u8>> = scan.into_iter().map(|(k, _)| k).collect();
+            (db.index_size_bytes().unwrap(), keys, tree.height().unwrap())
+        };
+        let mut order: Vec<i64> = (0..n).collect();
+        let (bytes, keys, height) = load("packed-asc", &order);
+        let mut rng = SmallRng::seed_from_u64(26);
+        for i in (1..order.len()).rev() {
+            order.swap(i, rng.gen_range(0..=i));
+        }
+        let (shuffled_bytes, shuffled_keys, _) = load("packed-shuffled", &order);
+        assert_eq!(bytes, shuffled_bytes, "the heap order changed the index size");
+        assert!(keys == shuffled_keys, "the heap order changed the index contents");
+        assert_eq!(keys.len(), n as usize);
+
+        // A leaf entry is a u16 length, the 9-byte integer key and the
+        // 8-byte rid. Packed: the meta page, full leaves, and one node on
+        // each level above them.
+        let mut page = Page::new();
+        let per_leaf = std::iter::repeat_with(|| page.insert(&[0u8; 2 + 9 + 8]))
+            .take_while(Option::is_some)
+            .count() as u64;
+        let packed = 1 + (n as u64).div_ceil(per_leaf) + u64::from(height - 1);
+        let pages = bytes / PAGE_SIZE as u64;
+        assert!(
+            pages >= packed && pages - packed <= u64::from(height),
+            "{pages} index pages; packed minimum {packed} ({per_leaf} keys to a leaf, height {height})"
+        );
     }
 
     #[test]

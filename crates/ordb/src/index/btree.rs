@@ -24,7 +24,15 @@
 //!   churn stops growing.
 //!
 //! Inserts split full nodes bottom-up (recursive); the root splits into a
-//! new root. Deletes do not rebalance, but a leaf that loses its last
+//! new root. A full leaf splits one of two ways. When the new entry sorts
+//! after every entry of the rightmost leaf, the leaf keeps all it holds
+//! and the new entry starts a fresh right leaf of its own; the full page
+//! changes only its sibling pointer. Ascending inserts — a sorted index
+//! backfill, or appends under an ever-growing id — therefore leave every
+//! leaf but the last one full. Any other full leaf, and every internal
+//! node, splits in the middle, so random inserts keep the 50/50 split
+//! (over integer keys a half-full internal page still points at ~150
+//! leaves). Deletes do not rebalance, but a leaf that loses its last
 //! entry is given back: it is detached from the lowest ancestor that
 //! keeps another child (the single-child internal nodes in between go
 //! with it), unlinked from the leaf chain, and pushed on the free list; a
@@ -51,7 +59,8 @@
 //!
 //! Growth follows the same rule — a page is in the log before any page
 //! that points to it can be: a split logs the new right page before it
-//! rewrites the left one, a root split logs the new root before the meta
+//! rewrites the left one (or, at the right edge, before the left one names
+//! it as its sibling), a root split logs the new root before the meta
 //! page names it — whenever the pointing page has ever been logged, so
 //! that a bulk load into a fresh index adds nothing to the log. (What
 //! stays open is the pair left page / parent: a log
@@ -292,6 +301,16 @@ impl BTree {
             frame.mark_dirty();
             return Ok(None);
         }
+        let old_sibling = p.special1();
+        if pos == p.slot_count() && old_sibling == NO_PAGE {
+            // Right-edge split: the full page keeps every record and the
+            // new entry starts the next leaf on its own, so ascending
+            // inserts leave every leaf but the last one full.
+            let right_pid = self.new_right(&p, [KIND_LEAF, NO_PAGE, 0], &[rec])?;
+            p.set_special1(right_pid);
+            frame.mark_dirty();
+            return Ok(Some((stored.to_vec(), right_pid)));
+        }
         // Split: gather all records (plus the new one) and redistribute.
         let mut records: Vec<Vec<u8>> =
             (0..p.slot_count()).filter_map(|i| p.get(i).map(<[u8]>::to_vec)).collect();
@@ -299,21 +318,9 @@ impl BTree {
         let mid = records.len() / 2;
         let right_records = records.split_off(mid);
         let sep = leaf_key(&right_records[0]).to_vec();
-
-        let old_sibling = p.special1();
-        // Allocating while holding the page lock is safe: neither the
-        // pool nor the free list touches this page's contents.
-        let (right_pid, right_frame) = self.alloc_page()?;
-        {
-            let mut rp = right_frame.page.lock();
-            rp.set_special0(KIND_LEAF);
-            rp.set_special1(old_sibling);
-            for r in &right_records {
-                rp.insert(r).expect("half the records fit a fresh page");
-            }
-            right_frame.mark_dirty();
-        }
-        self.rewrite_left(frame, &mut p, &right_frame, [KIND_LEAF, right_pid, 0], &records);
+        let right_pid = self.new_right(&p, [KIND_LEAF, old_sibling, 0], &right_records)?;
+        fill(&mut p, [KIND_LEAF, right_pid, 0], &records);
+        frame.mark_dirty();
         Ok(Some((sep, right_pid)))
     }
 
@@ -339,55 +346,34 @@ impl BTree {
             (0..p.slot_count()).filter_map(|i| p.get(i).map(<[u8]>::to_vec)).collect();
         records.insert(pos, rec);
         let mid = records.len() / 2;
-        let promoted = records[mid].clone();
-        let promoted_key = internal_key(&promoted).to_vec();
-        let promoted_child = internal_child(&promoted);
-        let right_records: Vec<Vec<u8>> = records[mid + 1..].to_vec();
-        let left_records: Vec<Vec<u8>> = records[..mid].to_vec();
-
-        let (right_pid, right_frame) = self.alloc_page()?;
-        {
-            let mut rp = right_frame.page.lock();
-            rp.set_special0(KIND_INTERNAL);
-            rp.set_special1(NO_PAGE);
-            rp.set_special2(promoted_child);
-            for r in &right_records {
-                rp.insert(r).expect("half the records fit a fresh page");
-            }
-            right_frame.mark_dirty();
-        }
-        let specials = [KIND_INTERNAL, NO_PAGE, p.special2()];
-        self.rewrite_left(frame, &mut p, &right_frame, specials, &left_records);
+        let promoted_key = internal_key(&records[mid]).to_vec();
+        let right_specials = [KIND_INTERNAL, NO_PAGE, internal_child(&records[mid])];
+        let right_pid = self.new_right(&p, right_specials, &records[mid + 1..])?;
+        let left_specials = [KIND_INTERNAL, NO_PAGE, p.special2()];
+        fill(&mut p, left_specials, &records[..mid]);
+        frame.mark_dirty();
         Ok(Some((promoted_key, right_pid)))
     }
 
-    /// The second half of a split: `right` holds its share, and `left`
-    /// (locked by the caller) is rewritten in place with `records`. If
-    /// `left` has ever been logged, `right` goes into the log first: an
-    /// image of `left` with half its records gone cannot be logged before
-    /// this lock is released, and must never be without the page that took
-    /// them. A page that was never logged has no image a crash could fall
-    /// back to, so a bulk load into a fresh index logs nothing here. The
-    /// rewrite keeps the page's LSN, which is how "ever logged" is known.
-    fn rewrite_left(
-        &self,
-        frame: &FrameRef,
-        left: &mut Page,
-        right: &FrameRef,
-        specials: [u32; 3],
-        records: &[Vec<u8>],
-    ) {
-        if left.lsn() != 0 {
-            self.pool.log_frame(right);
-        }
-        left.reinit();
-        left.set_special0(specials[0]);
-        left.set_special1(specials[1]);
-        left.set_special2(specials[2]);
-        for r in records {
-            left.insert(r).expect("half the records fit an empty page");
-        }
+    /// A split's new right page, holding `records` under `specials`. If
+    /// `left` — the page that splits, locked by the caller, which will
+    /// name the new page — has ever been logged, the new page goes into
+    /// the log first: an image of `left` that names it or lacks the
+    /// records it took cannot be logged before that lock is released, and
+    /// must never be without it. A page that was never logged has no image
+    /// a crash could fall back to, so a bulk load into a fresh index logs
+    /// nothing here. `fill` keeps a page's LSN, which is how "ever logged"
+    /// is known.
+    fn new_right(&self, left: &Page, specials: [u32; 3], records: &[Vec<u8>]) -> Result<u32> {
+        // Allocating while holding the left page's lock is safe: neither
+        // the pool nor the free list touches that page's contents.
+        let (pid, frame) = self.alloc_page()?;
+        fill(&mut frame.page.lock(), specials, records);
         frame.mark_dirty();
+        if left.lsn() != 0 {
+            self.pool.log_frame(&frame);
+        }
+        Ok(pid)
     }
 
     /// Remove the exact `(key, rid)` entry. Returns whether it existed.
@@ -658,6 +644,18 @@ impl BTree {
             pid = leftmost;
             h += 1;
         }
+    }
+}
+
+/// Rewrite `p` as an empty node with `specials` holding `records`, which
+/// a split has sized to fit. The LSN survives.
+fn fill(p: &mut Page, specials: [u32; 3], records: &[Vec<u8>]) {
+    p.reinit();
+    p.set_special0(specials[0]);
+    p.set_special1(specials[1]);
+    p.set_special2(specials[2]);
+    for r in records {
+        p.insert(r).expect("a split's share fits an empty page");
     }
 }
 
@@ -1075,11 +1073,35 @@ mod tests {
 
     #[test]
     fn model_random_keys() {
-        churn_against_model("model-rand", |rng, keys| {
-            for i in (1..keys.len()).rev() {
-                keys.swap(i, rng.gen_range(0..=i));
-            }
-        });
+        churn_against_model("model-rand", |rng, keys| shuffle(rng, keys));
+    }
+
+    fn shuffle(rng: &mut SmallRng, keys: &mut [u32]) {
+        for i in (1..keys.len()).rev() {
+            keys.swap(i, rng.gen_range(0..=i));
+        }
+    }
+
+    #[test]
+    fn ascending_inserts_fill_every_leaf_but_the_last() {
+        let t = tree("fill", 64);
+        let mut page = Page::new();
+        let per_leaf = (0u32..)
+            .take_while(|&k| page.insert(&leaf_record(&stored_key(&wide_key(k), rid(0)))).is_some())
+            .count() as u32;
+        let n = 1000u32;
+        let model: BTreeSet<u32> = (0..n).collect();
+        for &k in &model {
+            t.insert(&wide_key(k), rid(u64::from(k))).unwrap();
+        }
+        check(&t, &model);
+        let (mut pid, _) = t.descend(&[], |_, _| {}).unwrap();
+        let mut leaves = 0;
+        while pid != NO_PAGE {
+            leaves += 1;
+            pid = t.pool.fetch(t.file, pid).unwrap().page.lock().special1();
+        }
+        assert_eq!(leaves, n.div_ceil(per_leaf), "{per_leaf} keys to a leaf");
     }
 
     #[test]
@@ -1206,8 +1228,13 @@ mod tests {
     #[test]
     fn every_logged_prefix_of_a_reclamation_replays_to_a_tree_that_scans() {
         let bed = Logged::create("prefix-reclaim");
-        let n = 1000u32;
-        for k in 0..n {
+        // Shuffled, so that middle splits leave the leaves part full and
+        // 1 300 keys make a three-level tree (ascending ones would pack
+        // into two levels).
+        let n = 1300u32;
+        let mut keys: Vec<u32> = (0..n).collect();
+        shuffle(&mut SmallRng::seed_from_u64(0x5EED), &mut keys);
+        for k in keys {
             bed.tree.insert(&wide_key(k), rid(u64::from(k))).unwrap();
         }
         assert!(bed.tree.height().unwrap() >= 3, "internal nodes must be in play");
@@ -1274,6 +1301,26 @@ mod tests {
             bed.tree.insert(&wide_key(2 * k), rid(u64::from(2 * k))).unwrap();
         }
         let mut model: BTreeSet<u32> = (0..n).map(|k| 2 * k).collect();
+        let insert = |t: &BTree, keys: &[u32]| {
+            keys.iter().for_each(|&k| t.insert(&wide_key(k), rid(u64::from(k))).unwrap())
+        };
+        let probe = |t: &BTree, cut: usize, m: u32| {
+            let hit = t.scan_prefix(&wide_key(m)).unwrap();
+            assert_eq!(hit, vec![rid(u64::from(m))], "cut {cut}: probe {m}");
+        };
+        // Of a batch, any part may be there; of what was there before it,
+        // everything, in order, and findable by a descent (every key near
+        // the batch, a sample of the rest).
+        let keeps = |t: &BTree, cut: usize, older: &BTreeSet<u32>, batch: u32| {
+            let keys = scanned(t);
+            assert!(keys.windows(2).all(|w| w[0] < w[1]), "cut {cut}: scan unsorted");
+            for &m in older {
+                assert!(keys.binary_search(&wide_key(m)).is_ok(), "cut {cut}: {m} gone");
+            }
+            for &m in older.iter().filter(|&&m| m.abs_diff(batch) < 90 || m % 16 == 0) {
+                probe(t, cut, m);
+            }
+        };
         let mut splits = 0;
         for batch in (0..n).collect::<Vec<_>>().chunks(8) {
             let fresh: Vec<u32> = batch.iter().map(|k| 2 * k + 1).collect();
@@ -1281,24 +1328,34 @@ mod tests {
             // Three images or more: a leaf, its new sibling, the parent.
             splits += usize::from(bed.replay_prefixes(
                 3,
-                |t| fresh.iter().for_each(|&k| t.insert(&wide_key(k), rid(u64::from(k))).unwrap()),
-                |t, cut| {
-                    // Of the batch, any part may be there; of what was
-                    // there before it, everything, in order, and findable.
-                    let keys = scanned(t);
-                    assert!(keys.windows(2).all(|w| w[0] < w[1]), "cut {cut}: scan unsorted");
-                    for &m in &older {
-                        assert!(keys.binary_search(&wide_key(m)).is_ok(), "cut {cut}: {m} gone");
-                    }
-                    // Descents: every key near the batch, a sample of the rest.
-                    for &m in older.iter().filter(|&&m| m.abs_diff(fresh[0]) < 90 || m % 16 == 0) {
-                        let hit = t.scan_prefix(&wide_key(m)).unwrap();
-                        assert_eq!(hit, vec![rid(u64::from(m))], "cut {cut}: probe {m}");
-                    }
-                },
+                |t| insert(t, &fresh),
+                |t, cut| keeps(t, cut, &older, fresh[0]),
             ));
             model.extend(fresh);
         }
         assert!(splits > 10, "the schedule must split many leaves: {splits}");
+
+        // Then ascending batches past the largest key, into pages that are
+        // all in the log: every split is a right-edge split of a logged
+        // leaf. Whatever prefix survives also takes the keys that come
+        // next and finds each of them. (Older keys a cut left reachable
+        // through the chain only are the open left page / parent gap of
+        // the module docs: such an insert can route past them.)
+        let mut edge_splits = 0;
+        let next: Vec<u32> = (3 * n..3 * n + 40).collect();
+        for batch in (2 * n..3 * n).collect::<Vec<_>>().chunks(8) {
+            let older = model.clone();
+            edge_splits += usize::from(bed.replay_prefixes(
+                3,
+                |t| insert(t, batch),
+                |t, cut| {
+                    keeps(t, cut, &older, batch[0]);
+                    insert(t, &next);
+                    next.iter().for_each(|&m| probe(t, cut, m));
+                },
+            ));
+            model.extend(batch);
+        }
+        assert!(edge_splits > 5, "the schedule must split the right edge: {edge_splits}");
     }
 }
