@@ -246,10 +246,10 @@ fn vacuum_crash_matrix_recovers_heap_index_equivalence() {
     let dir = scratch_dir(&format!("vacuum-matrix-{seed}"));
     let _ = std::fs::remove_dir_all(&dir);
     let inj = FaultInjector::new();
-    // Auto-vacuum off: the matrix arms the injector around explicit
-    // passes, and a checkpoint-triggered pass would reclaim the round's
-    // garbage before the armed one gets to crash on it.
-    let opts = DbOptions { fault: Some(inj.clone()), auto_vacuum: false, ..Default::default() };
+    // The matrix arms the injector around explicit passes and never
+    // checkpoints, whose own pass would reclaim the round's garbage before
+    // the armed one gets to crash on it.
+    let opts = DbOptions { fault: Some(inj.clone()), ..Default::default() };
     let mut db = Database::open_with(&dir, opts.clone()).expect("open vacuum-matrix db");
     db.execute("CREATE TABLE vlog (id INTEGER, tag VARCHAR, body VARCHAR)").expect("create");
     db.execute("CREATE INDEX vlog_id ON vlog (id)").expect("index");

@@ -29,10 +29,9 @@ fn churn_with_vacuum_holds_steady_state_size() {
     let open = |tag: &str| {
         let dir = scratch_dir(tag);
         let _ = std::fs::remove_dir_all(&dir);
-        // Auto-vacuum off: the test drives every pass explicitly, and the
-        // leak twin never reclaims.
-        let opts = DbOptions { auto_vacuum: false, ..Default::default() };
-        let db = Database::open_with(&dir, opts).expect("open churn db");
+        // The test drives every pass explicitly and never checkpoints, so
+        // the leak twin never reclaims.
+        let db = Database::open(&dir).expect("open churn db");
         db.execute("CREATE TABLE churn (id INTEGER, body VARCHAR)").expect("create");
         db.execute("CREATE INDEX churn_id ON churn (id)").expect("index");
         (dir, db)
@@ -137,7 +136,7 @@ fn churn_transactions_hold_heap_and_index_files_flat() {
     let n: i64 = if cfg!(debug_assertions) { 256 } else { 1024 };
     let dir = scratch_dir("vacuum-churn-txn");
     let _ = std::fs::remove_dir_all(&dir);
-    let opts = DbOptions { auto_vacuum: false, pool_frames: 1024, ..Default::default() };
+    let opts = DbOptions { pool_frames: 1024, ..Default::default() };
     let db = Database::open_with(&dir, opts).expect("open churn db");
     db.execute("CREATE TABLE churn (k INTEGER, parent INTEGER, v VARCHAR)").expect("create");
     let prefill: Vec<Vec<Value>> = (0..2000 * 4)

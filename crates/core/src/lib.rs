@@ -41,7 +41,6 @@ pub mod graph;
 pub mod hybrid;
 pub mod load;
 mod mapbuild;
-pub mod monet;
 pub mod queries;
 pub mod reconstruct;
 pub mod schema;

@@ -45,10 +45,6 @@ pub struct DbOptions {
     /// `<dir>/spill/` instead of growing. `None` (the default) keeps
     /// the historical unbounded all-in-memory behaviour.
     pub mem_budget: Option<usize>,
-    /// Run [`Database::vacuum`] automatically on checkpoint when deletes
-    /// have accumulated since the last pass (default on). Insert-only
-    /// workloads never trigger it.
-    pub auto_vacuum: bool,
 }
 
 impl fmt::Debug for DbOptions {
@@ -57,19 +53,13 @@ impl fmt::Debug for DbOptions {
             .field("pool_frames", &self.pool_frames)
             .field("fault", &self.fault.is_some())
             .field("mem_budget", &self.mem_budget)
-            .field("auto_vacuum", &self.auto_vacuum)
             .finish()
     }
 }
 
 impl Default for DbOptions {
     fn default() -> Self {
-        DbOptions {
-            pool_frames: DEFAULT_POOL_FRAMES,
-            fault: None,
-            mem_budget: None,
-            auto_vacuum: true,
-        }
+        DbOptions { pool_frames: DEFAULT_POOL_FRAMES, fault: None, mem_budget: None }
     }
 }
 
@@ -92,8 +82,9 @@ pub struct Database {
     functions: crate::functions::FunctionRegistry,
     /// What the open-time redo pass did (None: no WAL existed).
     recovery: Option<RecoveryReport>,
-    /// Memory budget + temp-file manager handed to blocking operators.
-    spill: SpillConfig,
+    /// Memory budget + temp-file manager handed to blocking operators;
+    /// `None` without [`DbOptions::mem_budget`].
+    spill: Option<SpillConfig>,
     /// Per-database query count + wall-latency histogram; unified with
     /// pool/WAL/engine counters by [`Database::metrics_snapshot`].
     registry: crate::metrics::MetricsRegistry,
@@ -107,8 +98,6 @@ pub struct Database {
     /// on checkpoint skips the pass entirely while this is zero, so
     /// insert-only workloads stay byte-for-byte unaffected.
     reclaim_hint: AtomicU64,
-    /// See [`DbOptions::auto_vacuum`].
-    auto_vacuum: bool,
     /// Held shared by everything that changes pages or makes them
     /// durable through the log — a DML statement, a rollback, a commit,
     /// a vacuum pass — and exclusively by a checkpoint from before its
@@ -300,10 +289,9 @@ impl Database {
         wal.sync()?;
         pool.flush_all()?;
         wal.checkpoint_truncate()?;
-        let spill = SpillConfig {
-            budget: opts.mem_budget,
-            manager: Arc::new(SpillManager::new(dir.join("spill"))),
-        };
+        let spill = opts
+            .mem_budget
+            .map(|budget| SpillConfig::new(budget, Arc::new(SpillManager::new(dir.join("spill")))));
         Ok(Database {
             dir,
             pool,
@@ -316,7 +304,6 @@ impl Database {
             txns,
             vacuum_serial: parking_lot::Mutex::new(()),
             reclaim_hint: AtomicU64::new(0),
-            auto_vacuum: opts.auto_vacuum,
             write_gate: RwLock::new(()),
             closed: AtomicBool::new(false),
         })
@@ -503,7 +490,7 @@ impl Database {
             indexes: &inner.indexes,
             stats: &inner.stats,
             functions: &self.functions,
-            spill: &self.spill,
+            spill: self.spill.as_ref(),
             forcing: forcing.unwrap_or_default(),
             snapshot,
         }
@@ -1002,16 +989,16 @@ impl Database {
     /// Checkpoint: commit, write every dirty page to its data file,
     /// fsync the data files, then truncate the WAL to a single
     /// checkpoint record. Bounds both recovery time and log size.
-    /// When [`DbOptions::auto_vacuum`] is on and deletes have
-    /// accumulated since the last pass, a [`Database::vacuum`] runs
-    /// first so the checkpointed state is also compact.
+    /// When deletes have accumulated since the last pass, a
+    /// [`Database::vacuum`] runs first so the checkpointed state is also
+    /// compact.
     ///
     /// Writers wait while the pages are flushed and the log is cut (see
     /// `write_gate`): a DML statement, commit or rollback that arrives
     /// meanwhile starts when the checkpoint is done; queries run on. The
     /// vacuum pass runs before the gate is taken, as a writer of its own.
     pub fn checkpoint(&self) -> Result<()> {
-        if self.auto_vacuum && self.reclaim_hint.load(Ordering::Relaxed) > 0 {
+        if self.reclaim_hint.load(Ordering::Relaxed) > 0 {
             self.vacuum()?;
         }
         let _gate = self.write_gate.write();
@@ -1095,7 +1082,7 @@ impl Database {
     /// data is owned by operators and deleted when the query's plan is
     /// dropped, on success and on error alike.
     pub fn spill_files_live(&self) -> usize {
-        self.spill.manager.live_files()
+        self.spill.as_ref().map_or(0, |s| s.manager.live_files())
     }
 
     /// What the open-time redo pass did; `None` when no WAL existed.
@@ -2240,23 +2227,6 @@ mod tests {
             db.vacuum().unwrap().vacuumed_versions,
             0,
             "checkpoint's auto-vacuum already reclaimed the deletes"
-        );
-    }
-
-    #[test]
-    fn auto_vacuum_off_leaves_dead_versions_for_manual_pass() {
-        let dir =
-            std::env::temp_dir().join(format!("ordb-db-vacuum-manual-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let opts = DbOptions { auto_vacuum: false, ..DbOptions::default() };
-        let db = Database::open_with(&dir, opts).unwrap();
-        setup_speech(&db);
-        db.execute("DELETE FROM speech").unwrap();
-        db.checkpoint().unwrap();
-        assert_eq!(
-            db.vacuum().unwrap().vacuumed_versions,
-            3,
-            "with auto_vacuum off the dead versions wait for a manual pass"
         );
     }
 

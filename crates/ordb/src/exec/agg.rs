@@ -4,21 +4,18 @@
 //! an optional [`SpillConfig`] memory budget with a partition-and-retry
 //! scheme: when the in-memory working set overflows, input not yet
 //! absorbed is hash-partitioned into spill files and each partition is
-//! re-processed recursively (depth-seeded hash, capped at
-//! [`MAX_SPILL_DEPTH`]). Without a budget they behave exactly as the
-//! historical all-in-memory versions.
+//! re-processed by a sub-operator one level deeper ([`Partitioned`]).
+//! Without a budget they hold everything in memory.
 
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 use crate::error::{DbError, Result};
-use crate::exec::{BoxOp, Operator, SpillScan};
+use crate::exec::{BoxOp, Operator};
 use crate::expr::Expr;
-use crate::storage::spill::{
-    partition_of, SpillConfig, SpillFile, SpillWriter, MAX_SPILL_DEPTH, SPILL_FANOUT,
-};
+use crate::storage::spill::{Partitioned, Partitioner, SpillConfig};
 use crate::tuple::encoded_len;
 use crate::types::{Row, Value};
-use std::sync::Arc;
 
 /// Supported aggregate functions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -66,9 +63,9 @@ impl AggState {
         }
     }
 
-    /// Fold `v` in, returning the bytes of state growth (only
-    /// `COUNT(DISTINCT)` retains per-value memory).
-    fn update(&mut self, v: Option<Value>) -> Result<usize> {
+    /// Fold `v` in, returning the bytes of state growth when `account`
+    /// is set (only `COUNT(DISTINCT)` retains per-value memory).
+    fn update(&mut self, v: Option<Value>, account: bool) -> Result<usize> {
         match self {
             AggState::Count(n) => {
                 // COUNT(*) passes None; COUNT(expr) passes Some(v) and
@@ -82,7 +79,8 @@ impl AggState {
             AggState::CountDistinct(set) => {
                 if let Some(val) = v {
                     if !val.is_null() {
-                        let grow = encoded_len(std::slice::from_ref(&val));
+                        let grow =
+                            if account { encoded_len(std::slice::from_ref(&val)) } else { 0 };
                         if set.insert(val) {
                             return Ok(grow);
                         }
@@ -145,50 +143,37 @@ pub struct HashAggregate {
     group_exprs: Arc<Vec<Expr>>,
     aggs: Arc<Vec<AggCall>>,
     spill: Option<SpillConfig>,
-    depth: usize,
     output: std::vec::IntoIter<Row>,
-    grace: Option<AggGrace>,
+    /// Overflow partitions still to aggregate, once built.
+    grace: Option<Partitioned<1>>,
     built: bool,
-}
-
-struct AggGrace {
-    /// Remaining overflow partitions.
-    parts: std::vec::IntoIter<SpillFile>,
-    /// Sub-aggregate over the current partition.
-    current: Option<Box<HashAggregate>>,
 }
 
 impl HashAggregate {
     /// Group `child` by `group_exprs` and compute `aggs` per group,
-    /// fully in memory.
-    pub fn new(child: BoxOp, group_exprs: Vec<Expr>, aggs: Vec<AggCall>) -> HashAggregate {
-        Self::build_agg(child, Arc::new(group_exprs), Arc::new(aggs), None, 0)
-    }
-
-    /// Like [`HashAggregate::new`] but honouring `spill`'s memory budget
-    /// via partition-and-retry.
-    pub fn with_spill(
+    /// within `spill`'s budget when there is one. A global aggregate (no
+    /// group keys) holds one row and never spills.
+    pub fn new(
         child: BoxOp,
         group_exprs: Vec<Expr>,
         aggs: Vec<AggCall>,
-        spill: SpillConfig,
+        spill: Option<SpillConfig>,
     ) -> HashAggregate {
-        Self::build_agg(child, Arc::new(group_exprs), Arc::new(aggs), Some(spill), 0)
+        let spill = spill.filter(|_| !group_exprs.is_empty());
+        Self::open(child, Arc::new(group_exprs), Arc::new(aggs), spill)
     }
 
-    fn build_agg(
+    fn open(
         child: BoxOp,
         group_exprs: Arc<Vec<Expr>>,
         aggs: Arc<Vec<AggCall>>,
         spill: Option<SpillConfig>,
-        depth: usize,
     ) -> HashAggregate {
         HashAggregate {
             child: Some(child),
             group_exprs,
             aggs,
             spill,
-            depth,
             output: Vec::new().into_iter(),
             grace: None,
             built: false,
@@ -200,15 +185,11 @@ impl HashAggregate {
         let mut groups: HashMap<Vec<Value>, Vec<AggState>> = HashMap::new();
         // Preserve first-seen group order for deterministic output.
         let mut order: Vec<Vec<Value>> = Vec::new();
+        let account = self.spill.is_some();
         let mut bytes = 0usize;
         // Armed on overflow; from then on rows of non-resident keys are
         // scattered to these partitions instead of growing `groups`.
-        let mut writers: Option<Vec<SpillWriter>> = None;
-        // Partitioning a single global group is pointless (its state is
-        // O(1) anyway and one key can never be split by hash).
-        let may_spill = self.spill.as_ref().is_some_and(|s| s.budget.is_some())
-            && self.depth < MAX_SPILL_DEPTH
-            && !self.group_exprs.is_empty();
+        let mut overflow: Option<Partitioner> = None;
         while let Some(row) = child.next()? {
             let mut key = Vec::with_capacity(self.group_exprs.len());
             for e in self.group_exprs.iter() {
@@ -217,12 +198,14 @@ impl HashAggregate {
             let states = match groups.get_mut(&key) {
                 Some(s) => s,
                 None => {
-                    if let Some(ws) = writers.as_mut() {
+                    if let Some(parts) = overflow.as_mut() {
                         // Resident set is frozen: defer this key's rows.
-                        ws[partition_of(&key, self.depth)].add(&row)?;
+                        parts.add(&key, &row)?;
                         continue;
                     }
-                    bytes += encoded_len(&key) + AGG_STATE_BYTES * self.aggs.len();
+                    if account {
+                        bytes += encoded_len(&key) + AGG_STATE_BYTES * self.aggs.len();
+                    }
                     order.push(key.clone());
                     groups.entry(key).or_insert_with(|| {
                         self.aggs.iter().map(|a| AggState::new(a.func)).collect()
@@ -234,26 +217,24 @@ impl HashAggregate {
                     Some(e) => Some(e.eval(&row)?),
                     None => None,
                 };
-                bytes += state.update(v)?;
+                bytes += state.update(v, account)?;
             }
-            if may_spill && writers.is_none() && self.spill.as_ref().expect("checked").over(bytes) {
-                let spill = self.spill.as_ref().expect("checked");
-                crate::metrics::ENGINE
-                    .agg_spills
-                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                writers =
-                    Some((0..SPILL_FANOUT).map(|_| spill.manager.create()).collect::<Result<_>>()?);
+            if let Some(spill) = &self.spill {
+                if overflow.is_none() && spill.over(bytes) {
+                    crate::metrics::ENGINE
+                        .agg_spills
+                        .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                    overflow = Some(spill.partitioner()?);
+                }
             }
         }
-        if let Some(ws) = writers {
-            let parts: Vec<SpillFile> = ws
-                .into_iter()
-                .map(SpillWriter::finish)
-                .collect::<Result<Vec<_>>>()?
-                .into_iter()
-                .filter(|f| f.rows() > 0)
-                .collect();
-            self.grace = Some(AggGrace { parts: parts.into_iter(), current: None });
+        if let Some(parts) = overflow {
+            let spill = self.spill.as_ref().expect("only a budgeted aggregate overflows");
+            let (group_exprs, aggs) = (self.group_exprs.clone(), self.aggs.clone());
+            let open = move |[rows]: [BoxOp; 1], spill| -> BoxOp {
+                Box::new(HashAggregate::open(rows, group_exprs.clone(), aggs.clone(), spill))
+            };
+            self.grace = Some(Partitioned::new(spill, [parts], open)?);
         }
         if groups.is_empty() && self.group_exprs.is_empty() {
             // Global aggregate over empty input still yields one row.
@@ -271,32 +252,6 @@ impl HashAggregate {
         self.built = true;
         Ok(())
     }
-
-    fn grace_next(&mut self) -> Result<Option<Row>> {
-        let (group_exprs, aggs) = (self.group_exprs.clone(), self.aggs.clone());
-        let (spill, depth) = (self.spill.clone(), self.depth);
-        let Some(g) = self.grace.as_mut() else {
-            return Ok(None);
-        };
-        loop {
-            if let Some(sub) = &mut g.current {
-                if let Some(row) = sub.next()? {
-                    return Ok(Some(row));
-                }
-                g.current = None;
-            }
-            let Some(file) = g.parts.next() else {
-                return Ok(None);
-            };
-            g.current = Some(Box::new(HashAggregate::build_agg(
-                Box::new(SpillScan::new(file)),
-                group_exprs.clone(),
-                aggs.clone(),
-                spill.clone(),
-                depth + 1,
-            )));
-        }
-    }
 }
 
 impl Operator for HashAggregate {
@@ -307,7 +262,10 @@ impl Operator for HashAggregate {
         if let Some(row) = self.output.next() {
             return Ok(Some(row));
         }
-        self.grace_next()
+        match &mut self.grace {
+            Some(grace) => grace.next(),
+            None => Ok(None),
+        }
     }
 
     fn name(&self) -> &'static str {
@@ -331,91 +289,48 @@ pub struct Distinct {
     seen: HashSet<Row>,
     bytes: usize,
     spill: Option<SpillConfig>,
-    depth: usize,
     /// Rows from `child` carry a leading emitted-marker column (true for
     /// the recursive partition passes).
     flagged: bool,
-    grace: Option<DistinctGrace>,
-}
-
-struct DistinctGrace {
-    parts: std::vec::IntoIter<SpillFile>,
-    current: Option<Box<Distinct>>,
+    /// Set on overflow: the partitions still to deduplicate.
+    grace: Option<Partitioned<1>>,
 }
 
 impl Distinct {
-    /// Deduplicate `child`, fully in memory.
-    pub fn new(child: BoxOp) -> Distinct {
-        Self::build_distinct(child, None, 0, false)
+    /// Deduplicate `child`, within `spill`'s budget when there is one.
+    pub fn new(child: BoxOp, spill: Option<SpillConfig>) -> Distinct {
+        Self::open(child, spill, false)
     }
 
-    /// Like [`Distinct::new`] but honouring `spill`'s memory budget.
-    pub fn with_spill(child: BoxOp, spill: SpillConfig) -> Distinct {
-        Self::build_distinct(child, Some(spill), 0, false)
-    }
-
-    fn build_distinct(
-        child: BoxOp,
-        spill: Option<SpillConfig>,
-        depth: usize,
-        flagged: bool,
-    ) -> Distinct {
-        Distinct { child, seen: HashSet::new(), bytes: 0, spill, depth, flagged, grace: None }
+    fn open(child: BoxOp, spill: Option<SpillConfig>, flagged: bool) -> Distinct {
+        Distinct { child, seen: HashSet::new(), bytes: 0, spill, flagged, grace: None }
     }
 
     /// Spill the seen-set (marked emitted) and the rest of the input
     /// (original markers) into hash partitions, then arm `grace`.
     fn overflow(&mut self) -> Result<()> {
-        let spill = self.spill.clone().expect("overflow requires a spill config");
+        let spill = self.spill.as_ref().expect("only a budgeted DISTINCT overflows");
         crate::metrics::ENGINE.agg_spills.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let mut writers: Vec<SpillWriter> =
-            (0..SPILL_FANOUT).map(|_| spill.manager.create()).collect::<Result<_>>()?;
+        let mut parts = spill.partitioner()?;
         let mut rec: Row = Vec::new();
-        let mut write = |writers: &mut Vec<SpillWriter>, emitted: bool, row: &[Value]| {
+        let mut write = |emitted: bool, row: &[Value]| {
             rec.clear();
             rec.push(Value::Int(emitted as i64));
             rec.extend(row.iter().cloned());
-            writers[partition_of(row, self.depth)].add(&rec)
+            parts.add(row, &rec)
         };
         for row in self.seen.drain() {
-            write(&mut writers, true, &row)?;
+            write(true, &row)?;
         }
         self.bytes = 0;
         while let Some(row) = self.child.next()? {
             let (emitted, payload) = split_flag(row, self.flagged);
-            write(&mut writers, emitted, &payload)?;
+            write(emitted, &payload)?;
         }
-        let parts: Vec<SpillFile> = writers
-            .into_iter()
-            .map(SpillWriter::finish)
-            .collect::<Result<Vec<_>>>()?
-            .into_iter()
-            .filter(|f| f.rows() > 0)
-            .collect();
-        self.grace = Some(DistinctGrace { parts: parts.into_iter(), current: None });
+        let open =
+            |[rows]: [BoxOp; 1], spill| -> BoxOp { Box::new(Distinct::open(rows, spill, true)) };
+        self.grace = Some(Partitioned::new(spill, [parts], open)?);
         Ok(())
-    }
-
-    fn grace_next(&mut self) -> Result<Option<Row>> {
-        let (spill, depth) = (self.spill.clone(), self.depth);
-        let g = self.grace.as_mut().expect("grace armed");
-        loop {
-            if let Some(sub) = &mut g.current {
-                if let Some(row) = sub.next()? {
-                    return Ok(Some(row));
-                }
-                g.current = None;
-            }
-            let Some(file) = g.parts.next() else {
-                return Ok(None);
-            };
-            g.current = Some(Box::new(Distinct::build_distinct(
-                Box::new(SpillScan::new(file)),
-                spill.clone(),
-                depth + 1,
-                true,
-            )));
-        }
     }
 }
 
@@ -432,8 +347,8 @@ fn split_flag(mut row: Row, flagged: bool) -> (bool, Row) {
 impl Operator for Distinct {
     fn next(&mut self) -> Result<Option<Row>> {
         loop {
-            if self.grace.is_some() {
-                return self.grace_next();
+            if let Some(grace) = &mut self.grace {
+                return grace.next();
             }
             let Some(row) = self.child.next()? else {
                 return Ok(None);
@@ -442,18 +357,16 @@ impl Operator for Distinct {
             if self.seen.contains(&payload) {
                 continue;
             }
-            self.bytes += encoded_len(&payload) + SEEN_ENTRY_BYTES;
+            let mut over = false;
+            if let Some(spill) = &self.spill {
+                self.bytes += encoded_len(&payload) + SEEN_ENTRY_BYTES;
+                over = spill.over(self.bytes);
+            }
             self.seen.insert(payload.clone());
-            if self.depth < MAX_SPILL_DEPTH
-                && self.spill.as_ref().is_some_and(|s| s.over(self.bytes))
-            {
+            if over {
+                // The row that tipped the budget goes to disk with the
+                // seen-set, marked emitted: emit it now if it was fresh.
                 self.overflow()?;
-                // The row that tipped the budget is in the spilled seen-
-                // set (marked emitted), so emit it now if it was fresh.
-                if !emitted {
-                    return Ok(Some(payload));
-                }
-                continue;
             }
             if !emitted {
                 return Ok(Some(payload));
@@ -470,7 +383,7 @@ impl Operator for Distinct {
 mod tests {
     use super::*;
     use crate::exec::{collect, Values};
-    use crate::storage::spill::SpillManager;
+    use crate::storage::spill::{partition_of, SpillManager, MAX_SPILL_DEPTH, SPILL_FANOUT};
 
     fn rows() -> BoxOp {
         Box::new(Values::new(vec![
@@ -491,6 +404,7 @@ mod tests {
                 AggCall { func: AggFunc::Count, arg: None },
                 AggCall { func: AggFunc::Count, arg: Some(Expr::col(1)) },
             ],
+            None,
         );
         let mut out = collect(Box::new(op)).unwrap();
         out.sort_by(|a, b| a[0].cmp(&b[0]));
@@ -509,6 +423,7 @@ mod tests {
                 AggCall { func: AggFunc::Min, arg: Some(Expr::col(1)) },
                 AggCall { func: AggFunc::Max, arg: Some(Expr::col(1)) },
             ],
+            None,
         );
         let out = collect(Box::new(op)).unwrap();
         assert_eq!(out, vec![vec![Value::Int(2), Value::Int(8), Value::Int(1), Value::Int(3)]]);
@@ -520,6 +435,7 @@ mod tests {
             Box::new(Values::new(vec![])),
             vec![],
             vec![AggCall { func: AggFunc::Count, arg: None }],
+            None,
         );
         let out = collect(Box::new(op)).unwrap();
         assert_eq!(out, vec![vec![Value::Int(0)]]);
@@ -531,13 +447,14 @@ mod tests {
             Box::new(Values::new(vec![])),
             vec![Expr::col(0)],
             vec![AggCall { func: AggFunc::Count, arg: None }],
+            None,
         );
         assert!(collect(Box::new(op)).unwrap().is_empty());
     }
 
     #[test]
     fn distinct_dedups() {
-        let out = collect(Box::new(Distinct::new(rows()))).unwrap();
+        let out = collect(Box::new(Distinct::new(rows(), None))).unwrap();
         assert_eq!(out.len(), 4);
     }
 
@@ -547,6 +464,7 @@ mod tests {
             Box::new(Values::new(vec![vec![Value::Int(i64::MAX)], vec![Value::Int(1)]])),
             vec![],
             vec![AggCall { func: AggFunc::Sum, arg: Some(Expr::col(0)) }],
+            None,
         );
         let err = collect(Box::new(op)).unwrap_err();
         assert!(matches!(&err, DbError::Exec(m) if m == "SUM overflow"), "{err}");
@@ -558,6 +476,7 @@ mod tests {
             Box::new(Values::new(vec![vec![Value::Int(i64::MAX - 1)], vec![Value::Int(1)]])),
             vec![],
             vec![AggCall { func: AggFunc::Sum, arg: Some(Expr::col(0)) }],
+            None,
         );
         let out = collect(Box::new(op)).unwrap();
         assert_eq!(out, vec![vec![Value::Int(i64::MAX)]]);
@@ -566,7 +485,7 @@ mod tests {
     fn spill_config(tag: &str, budget: usize) -> SpillConfig {
         let dir = std::env::temp_dir().join(format!("ordb-agg-test-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        SpillConfig { budget: Some(budget), manager: Arc::new(SpillManager::new(dir)) }
+        SpillConfig::new(budget, Arc::new(SpillManager::new(dir)))
     }
 
     fn many_rows() -> Vec<Row> {
@@ -590,16 +509,17 @@ mod tests {
             Box::new(Values::new(many_rows())),
             vec![Expr::col(0)],
             aggs(),
+            None,
         )))
         .unwrap();
         for budget in [128usize, 512, 2048] {
             let cfg = spill_config(&format!("agg-{budget}"), budget);
             let manager = cfg.manager.clone();
-            let mut spilled = collect(Box::new(HashAggregate::with_spill(
+            let mut spilled = collect(Box::new(HashAggregate::new(
                 Box::new(Values::new(many_rows())),
                 vec![Expr::col(0)],
                 aggs(),
-                cfg,
+                Some(cfg),
             )))
             .unwrap();
             // Group order differs between the two paths; compare sorted.
@@ -616,12 +536,12 @@ mod tests {
             .map(|i| vec![Value::Int(i % 91), Value::str(format!("v{}", i % 13))])
             .collect();
         let mut in_mem =
-            collect(Box::new(Distinct::new(Box::new(Values::new(rows.clone()))))).unwrap();
+            collect(Box::new(Distinct::new(Box::new(Values::new(rows.clone())), None))).unwrap();
         for budget in [64usize, 256, 1024] {
             let cfg = spill_config(&format!("distinct-{budget}"), budget);
             let manager = cfg.manager.clone();
             let mut spilled =
-                collect(Box::new(Distinct::with_spill(Box::new(Values::new(rows.clone())), cfg)))
+                collect(Box::new(Distinct::new(Box::new(Values::new(rows.clone())), Some(cfg))))
                     .unwrap();
             assert_eq!(spilled.len(), in_mem.len(), "budget {budget}");
             in_mem.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
@@ -629,5 +549,56 @@ mod tests {
             assert_eq!(spilled, in_mem, "budget {budget}");
             assert_eq!(manager.live_files(), 0, "budget {budget}");
         }
+    }
+
+    /// Spill files an aggregate under a zero budget creates over `keys`
+    /// (distinct group keys in first-seen order) at `depth`: every level
+    /// below `cap` keeps its first key resident and partitions the rest.
+    fn files_created_model(keys: &[Vec<Value>], depth: usize, cap: usize) -> u64 {
+        if depth == cap {
+            return 0;
+        }
+        let mut parts = vec![Vec::new(); SPILL_FANOUT];
+        for key in &keys[1..] {
+            parts[partition_of(key, depth)].push(key.clone());
+        }
+        let deeper = parts.iter().filter(|p| !p.is_empty());
+        SPILL_FANOUT as u64 + deeper.map(|p| files_created_model(p, depth + 1, cap)).sum::<u64>()
+    }
+
+    #[test]
+    fn groups_overflowing_every_level_stop_partitioning_at_the_depth_cap() {
+        // 1 000 groups, each over the budget on its own: every aggregate
+        // above the cap holds one group and partitions the others.
+        let rows: Vec<Row> = (0..3000).map(|i| vec![Value::Int(i % 1000), Value::Int(i)]).collect();
+        let aggs = || {
+            vec![
+                AggCall { func: AggFunc::Count, arg: None },
+                AggCall { func: AggFunc::Sum, arg: Some(Expr::col(1)) },
+            ]
+        };
+        let agg = |spill| -> BoxOp {
+            Box::new(HashAggregate::new(
+                Box::new(Values::new(rows.clone())),
+                vec![Expr::col(0)],
+                aggs(),
+                spill,
+            ))
+        };
+        let mut in_mem = collect(agg(None)).unwrap();
+        let keys: Vec<Vec<Value>> = in_mem.iter().map(|r| vec![r[0].clone()]).collect();
+        let cfg = spill_config("skew", 0);
+        let manager = cfg.manager.clone();
+        let mut spilled = collect(agg(Some(cfg))).unwrap();
+        in_mem.sort();
+        spilled.sort();
+        assert_eq!(spilled, in_mem);
+        let capped = files_created_model(&keys, 0, MAX_SPILL_DEPTH);
+        assert!(
+            capped < files_created_model(&keys, 0, MAX_SPILL_DEPTH + 1),
+            "partitions at the cap must still hold more than one group"
+        );
+        assert_eq!(manager.files_created(), capped);
+        assert_eq!(manager.live_files(), 0, "spill files must be gone after the aggregate");
     }
 }

@@ -1,25 +1,23 @@
-//! Join operators: block nested-loop, index nested-loop, hash, and
-//! sort-merge — the three cost regimes the paper discusses in §4.4
-//! (O(n²) nested loop, O(n log n) merge, O(n) hash probe).
+//! Join operators: block nested-loop, index nested-loop and hash — the
+//! O(n²) and O(n) cost regimes the paper discusses in §4.4, plus the
+//! index probe that makes the parent-ID joins of the Hybrid mapping cheap.
 //!
 //! All builds are **lazy**: constructing an operator does no I/O. The
-//! build side (materialized inner, hash table, sorted runs) is produced
-//! on the first `next()` call, so `EXPLAIN` — which constructs a plan
-//! only to print it — touches zero pages.
+//! build side (materialized inner, hash table) is produced on the first
+//! `next()` call, so `EXPLAIN` — which constructs a plan only to print it
+//! — touches zero pages.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use crate::error::Result;
-use crate::exec::{BoxOp, Operator, SpillScan};
+use crate::exec::{BoxOp, Operator};
 use crate::expr::Expr;
 use crate::index::btree::BTree;
 use crate::index::key::encode_key;
 use crate::storage::heap::HeapFile;
-use crate::storage::spill::{
-    partition_of, SpillConfig, SpillFile, SpillWriter, MAX_SPILL_DEPTH, SPILL_FANOUT,
-};
+use crate::storage::spill::{Partitioned, Partitioner, SpillConfig, SPILL_FANOUT};
 use crate::tuple::{decode_cols, encoded_len};
 use crate::txn::Snapshot;
 use crate::types::{Row, Value};
@@ -197,7 +195,15 @@ impl JoinKey {
                 _ => Some(JoinKey::Values(vec![v.into_owned()])),
             });
         }
-        Ok(HashJoin::eval_key(keys, row)?.map(JoinKey::Values))
+        let mut values = Vec::with_capacity(keys.len());
+        for e in keys {
+            let v = e.eval(row)?;
+            if v.is_null() {
+                return Ok(None);
+            }
+            values.push(v);
+        }
+        Ok(Some(JoinKey::Values(values)))
     }
 
     /// What [`encoded_len`] says of the key's values.
@@ -206,6 +212,16 @@ impl JoinKey {
             JoinKey::Int(_) => 9,
             JoinKey::Values(v) => encoded_len(v),
         }
+    }
+}
+
+/// Write `row` to the partition of its key under `keys`; a row with a
+/// NULL key goes nowhere.
+fn scatter(parts: &mut Partitioner, keys: &[Expr], row: &[Value]) -> Result<()> {
+    match JoinKey::of(keys, row)? {
+        Some(JoinKey::Int(i)) => parts.add(&[Value::Int(i)], row),
+        Some(JoinKey::Values(v)) => parts.add(&v, row),
+        None => Ok(()),
     }
 }
 
@@ -273,11 +289,10 @@ impl BuildTable {
 ///
 /// With a [`SpillConfig`] whose budget the build side exceeds, the
 /// operator switches to a Grace hash join: both inputs are partitioned
-/// into [`SPILL_FANOUT`] spill files by a depth-seeded hash of the join
-/// key, and each (build, probe) partition pair is joined independently —
-/// recursing (with a fresh seed) if a partition is still over budget,
-/// up to [`MAX_SPILL_DEPTH`]. NULL keys never equi-join, so both
-/// partitioning passes drop them, same as the in-memory build.
+/// by their join key (`storage::spill::Partitioned`) and each (build,
+/// probe) partition pair is joined by a sub-join one level deeper. NULL
+/// keys never equi-join, so both partitioning passes drop them, same as
+/// the in-memory build.
 pub struct HashJoin {
     /// Unconsumed probe child; taken when Grace partitioning drains it.
     probe: Option<BoxOp>,
@@ -285,12 +300,10 @@ pub struct HashJoin {
     build: Option<BoxOp>,
     /// What to join on and what to emit; shared with Grace sub-joins.
     spec: Arc<JoinSpec>,
+    spill: Option<SpillConfig>,
     built: BuildTable,
-    /// Grace recursion depth of this operator (0 = planner-built root).
-    depth: usize,
-    /// Set when the build overflowed: partition pairs still to join and
-    /// the sub-join currently draining.
-    grace: Option<GraceState>,
+    /// Set when the build overflowed: the partition pairs still to join.
+    grace: Option<Partitioned<2>>,
     current_probe: Option<Row>,
     /// Arena index of the current probe row's next match.
     pending: usize,
@@ -303,19 +316,12 @@ struct JoinSpec {
     residual: Option<Expr>,
     emit: Option<JoinEmit>,
     probe_is_left: bool,
-    spill: Option<SpillConfig>,
-}
-
-struct GraceState {
-    /// Remaining (build, probe) partition pairs.
-    parts: std::vec::IntoIter<(SpillFile, SpillFile)>,
-    /// Sub-join over the current partition pair.
-    current: Option<Box<HashJoin>>,
 }
 
 impl HashJoin {
     /// Join `probe` against `build` (hashed by `build_keys` on first
-    /// `next()`), streaming `probe` with `probe_keys`. Fully in-memory.
+    /// `next()`), streaming `probe` with `probe_keys`, within `spill`'s
+    /// budget when there is one.
     pub fn new(
         probe: BoxOp,
         build: BoxOp,
@@ -323,148 +329,84 @@ impl HashJoin {
         build_keys: Vec<Expr>,
         residual: Option<Expr>,
         probe_is_left: bool,
+        spill: Option<SpillConfig>,
     ) -> HashJoin {
-        let spec =
-            JoinSpec { probe_keys, build_keys, residual, emit: None, probe_is_left, spill: None };
-        Self::open(probe, build, Arc::new(spec), 0)
-    }
-
-    /// Honour `spill`'s memory budget via Grace partitioning.
-    pub fn with_spill(mut self, spill: SpillConfig) -> HashJoin {
-        self.spec_mut().spill = Some(spill);
-        self
+        let spec = JoinSpec { probe_keys, build_keys, residual, emit: None, probe_is_left };
+        Self::open(probe, build, Arc::new(spec), spill)
     }
 
     /// Emit only the listed columns of the `left ++ right` row.
     pub fn emitting(mut self, emit: JoinEmit) -> HashJoin {
-        self.spec_mut().emit = Some(emit);
+        Arc::get_mut(&mut self.spec).expect("a join is configured before it first runs").emit =
+            Some(emit);
         self
     }
 
-    fn spec_mut(&mut self) -> &mut JoinSpec {
-        Arc::get_mut(&mut self.spec).expect("a join is configured before it first runs")
-    }
-
-    fn open(probe: BoxOp, build: BoxOp, spec: Arc<JoinSpec>, depth: usize) -> HashJoin {
+    fn open(
+        probe: BoxOp,
+        build: BoxOp,
+        spec: Arc<JoinSpec>,
+        spill: Option<SpillConfig>,
+    ) -> HashJoin {
         HashJoin {
             probe: Some(probe),
             build: Some(build),
             spec,
+            spill,
             built: BuildTable::default(),
-            depth,
             grace: None,
             current_probe: None,
             pending: NO_ROW,
         }
     }
 
-    fn eval_key(keys: &[Expr], row: &[Value]) -> Result<Option<Vec<Value>>> {
-        let mut key = Vec::with_capacity(keys.len());
-        for e in keys {
-            let v = e.eval(row)?;
-            if v.is_null() {
-                // NULL never equi-joins.
-                return Ok(None);
-            }
-            key.push(v);
-        }
-        Ok(Some(key))
-    }
-
     /// Drain the build child. Either fills the in-memory table, or — if
     /// the budget overflows mid-drain — partitions both sides to disk and
     /// arms `self.grace`.
     fn start(&mut self, mut build: BoxOp) -> Result<()> {
-        // Only a join that may spill accounts what it holds.
         let spec = self.spec.clone();
-        let budget =
-            spec.spill.as_ref().filter(|s| s.budget.is_some() && self.depth < MAX_SPILL_DEPTH);
         let mut bytes = 0usize;
         while let Some(row) = build.next()? {
             let Some(key) = JoinKey::of(&spec.build_keys, &row)? else { continue };
-            if budget.is_some() {
+            let mut over = false;
+            if let Some(spill) = &self.spill {
                 bytes += key.encoded_len() + encoded_len(&row);
+                over = spill.over(bytes);
             }
             self.built.insert(key, row);
-            if budget.is_some_and(|s| s.over(bytes)) {
-                return self.grace_partition(build);
+            if over {
+                return self.partition(build);
             }
         }
         Ok(())
     }
 
     /// Scatter the build side — what the table holds, then the rest of
-    /// `build` — and the whole probe side into per-partition spill files.
-    fn grace_partition(&mut self, mut build: BoxOp) -> Result<()> {
-        let spec = self.spec.clone();
-        let spill = spec.spill.as_ref().expect("grace requires a spill config");
+    /// `build` — and the whole probe side into partitions.
+    fn partition(&mut self, mut build: BoxOp) -> Result<()> {
+        let spill = self.spill.as_ref().expect("only a budgeted join partitions");
         crate::metrics::ENGINE
             .join_partitions
             .fetch_add(SPILL_FANOUT as u64, std::sync::atomic::Ordering::Relaxed);
-
-        let held = std::mem::take(&mut self.built).entries;
-        let mut build_writers = new_writers(spill)?;
-        let mut scatter = |row: Row| -> Result<()> {
-            if let Some(key) = Self::eval_key(&spec.build_keys, &row)? {
-                build_writers[partition_of(&key, self.depth)].add(&row)?;
-            }
-            Ok(())
-        };
-        for (row, _) in held {
-            scatter(row)?;
+        let spec = self.spec.clone();
+        let mut build_parts = spill.partitioner()?;
+        for (row, _) in std::mem::take(&mut self.built).entries {
+            scatter(&mut build_parts, &spec.build_keys, &row)?;
         }
         while let Some(row) = build.next()? {
-            scatter(row)?;
+            scatter(&mut build_parts, &spec.build_keys, &row)?;
         }
-        let build_files = seal_writers(build_writers)?;
-
         let mut probe = self.probe.take().expect("probe not yet consumed");
-        let mut probe_writers = new_writers(spill)?;
+        let mut probe_parts = spill.partitioner()?;
         while let Some(row) = probe.next()? {
-            let Some(key) = Self::eval_key(&spec.probe_keys, &row)? else { continue };
-            probe_writers[partition_of(&key, self.depth)].add(&row)?;
+            scatter(&mut probe_parts, &spec.probe_keys, &row)?;
         }
-        let probe_files = seal_writers(probe_writers)?;
-
-        // A pair with an empty side can produce no matches; dropping it
-        // here deletes both files immediately.
-        let parts: Vec<(SpillFile, SpillFile)> = build_files
-            .into_iter()
-            .zip(probe_files)
-            .filter(|(b, p)| b.rows() > 0 && p.rows() > 0)
-            .collect();
-        self.grace = Some(GraceState { parts: parts.into_iter(), current: None });
+        let open = move |[build, probe]: [BoxOp; 2], spill| -> BoxOp {
+            Box::new(HashJoin::open(probe, build, spec.clone(), spill))
+        };
+        self.grace = Some(Partitioned::new(spill, [build_parts, probe_parts], open)?);
         Ok(())
     }
-
-    fn grace_next(&mut self) -> Result<Option<Row>> {
-        let g = self.grace.as_mut().expect("grace armed");
-        loop {
-            if let Some(sub) = &mut g.current {
-                if let Some(row) = sub.next()? {
-                    return Ok(Some(row));
-                }
-                g.current = None;
-            }
-            let Some((build_file, probe_file)) = g.parts.next() else {
-                return Ok(None);
-            };
-            g.current = Some(Box::new(HashJoin::open(
-                Box::new(SpillScan::new(probe_file)),
-                Box::new(SpillScan::new(build_file)),
-                self.spec.clone(),
-                self.depth + 1,
-            )));
-        }
-    }
-}
-
-fn new_writers(spill: &SpillConfig) -> Result<Vec<SpillWriter>> {
-    (0..SPILL_FANOUT).map(|_| spill.manager.create()).collect()
-}
-
-fn seal_writers(writers: Vec<SpillWriter>) -> Result<Vec<SpillFile>> {
-    writers.into_iter().map(SpillWriter::finish).collect()
 }
 
 impl Operator for HashJoin {
@@ -472,8 +414,8 @@ impl Operator for HashJoin {
         if let Some(build) = self.build.take() {
             self.start(build)?;
         }
-        if self.grace.is_some() {
-            return self.grace_next();
+        if let Some(grace) = &mut self.grace {
+            return grace.next();
         }
         loop {
             if let Some((build_row, next)) = self.built.entries.get(self.pending) {
@@ -509,192 +451,12 @@ impl Operator for HashJoin {
     }
 }
 
-/// Sort-merge join on equi-keys: each side is routed through a [`Sort`](super::sort::Sort)
-/// on its key expressions (the external merge sort when a
-/// [`SpillConfig`] budget is set), then merged streaming. Only the
-/// current right-side duplicate group is buffered, so peak memory is
-/// one sort budget per side plus the widest equal-key group.
-///
-/// NULL keys never equi-join; they sort first (NULLs-first contract)
-/// and are skipped as the merge reads each side.
-pub struct MergeJoin {
-    /// Unconsumed children and keys; sorted lazily on first `next()`.
-    inputs: Option<MergeInputs>,
-    spill: Option<SpillConfig>,
-    state: Option<MergeState>,
-}
-
-struct MergeInputs {
-    left: BoxOp,
-    right: BoxOp,
-    left_keys: Vec<Expr>,
-    right_keys: Vec<Expr>,
-    residual: Option<Expr>,
-}
-
-struct MergeState {
-    left: BoxOp,
-    right: BoxOp,
-    left_keys: Vec<Expr>,
-    right_keys: Vec<Expr>,
-    residual: Option<Expr>,
-    /// Current left head (key + row).
-    lhead: Option<(Vec<Value>, Row)>,
-    /// Right head not yet folded into a group.
-    rhead: Option<(Vec<Value>, Row)>,
-    /// Buffered right rows equal to `rgroup_key`.
-    rgroup: Vec<Row>,
-    rgroup_key: Vec<Value>,
-    /// Cross-product cursor of `lhead` × `rgroup`.
-    rpos: usize,
-}
-
-impl MergeJoin {
-    /// Join `left` and `right` on their key expressions (work deferred to
-    /// first `next()`). Fully in-memory sorts.
-    pub fn new(
-        left: BoxOp,
-        right: BoxOp,
-        left_keys: Vec<Expr>,
-        right_keys: Vec<Expr>,
-        residual: Option<Expr>,
-    ) -> MergeJoin {
-        MergeJoin {
-            inputs: Some(MergeInputs { left, right, left_keys, right_keys, residual }),
-            spill: None,
-            state: None,
-        }
-    }
-
-    /// Like [`MergeJoin::new`] but sorting each side under `spill`'s
-    /// memory budget.
-    pub fn with_spill(
-        left: BoxOp,
-        right: BoxOp,
-        left_keys: Vec<Expr>,
-        right_keys: Vec<Expr>,
-        residual: Option<Expr>,
-        spill: SpillConfig,
-    ) -> MergeJoin {
-        MergeJoin {
-            inputs: Some(MergeInputs { left, right, left_keys, right_keys, residual }),
-            spill: Some(spill),
-            state: None,
-        }
-    }
-
-    fn start(&mut self) -> Result<()> {
-        let MergeInputs { left, right, left_keys, right_keys, residual } =
-            self.inputs.take().expect("start once");
-        let sorted = |op: BoxOp, keys: &[Expr], spill: &Option<SpillConfig>| -> BoxOp {
-            let sort_keys: Vec<crate::exec::SortKey> =
-                keys.iter().map(|e| crate::exec::SortKey { expr: e.clone(), asc: true }).collect();
-            match spill {
-                Some(cfg) => Box::new(crate::exec::Sort::with_spill(op, sort_keys, cfg.clone())),
-                None => Box::new(crate::exec::Sort::new(op, sort_keys)),
-            }
-        };
-        let mut state = MergeState {
-            left: sorted(left, &left_keys, &self.spill),
-            right: sorted(right, &right_keys, &self.spill),
-            left_keys,
-            right_keys,
-            residual,
-            lhead: None,
-            rhead: None,
-            rgroup: Vec::new(),
-            rgroup_key: Vec::new(),
-            rpos: 0,
-        };
-        state.lhead = read_keyed(&mut state.left, &state.left_keys)?;
-        state.rhead = read_keyed(&mut state.right, &state.right_keys)?;
-        self.state = Some(state);
-        Ok(())
-    }
-}
-
-/// Read the next row with a fully non-NULL key from `op`, returning the
-/// evaluated key alongside it.
-fn read_keyed(op: &mut BoxOp, keys: &[Expr]) -> Result<Option<(Vec<Value>, Row)>> {
-    while let Some(row) = op.next()? {
-        if let Some(key) = HashJoin::eval_key(keys, &row)? {
-            return Ok(Some((key, row)));
-        }
-    }
-    Ok(None)
-}
-
-impl MergeState {
-    fn next(&mut self) -> Result<Option<Row>> {
-        loop {
-            let Some((lk, lrow)) = &self.lhead else {
-                return Ok(None);
-            };
-            if !self.rgroup.is_empty() && *lk == self.rgroup_key {
-                if self.rpos < self.rgroup.len() {
-                    let joined = join_rows(lrow, &self.rgroup[self.rpos], None);
-                    self.rpos += 1;
-                    match &self.residual {
-                        Some(p) if !p.eval(&joined)?.is_true() => continue,
-                        _ => return Ok(Some(joined)),
-                    }
-                }
-                // Crossed this left row against the whole group; advance.
-                self.lhead = read_keyed(&mut self.left, &self.left_keys)?;
-                self.rpos = 0;
-                continue;
-            }
-            let Some((rk, _)) = &self.rhead else {
-                // Right exhausted and the buffered group doesn't match.
-                return Ok(None);
-            };
-            match lk.cmp(rk) {
-                std::cmp::Ordering::Less => {
-                    self.lhead = read_keyed(&mut self.left, &self.left_keys)?;
-                    self.rpos = 0;
-                }
-                std::cmp::Ordering::Greater => {
-                    self.rhead = read_keyed(&mut self.right, &self.right_keys)?;
-                }
-                std::cmp::Ordering::Equal => {
-                    // Buffer the full right group for this key.
-                    let (key, row) = self.rhead.take().expect("checked above");
-                    self.rgroup_key = key;
-                    self.rgroup = vec![row];
-                    loop {
-                        match read_keyed(&mut self.right, &self.right_keys)? {
-                            Some((k, r)) if k == self.rgroup_key => self.rgroup.push(r),
-                            other => {
-                                self.rhead = other;
-                                break;
-                            }
-                        }
-                    }
-                    self.rpos = 0;
-                }
-            }
-        }
-    }
-}
-
-impl Operator for MergeJoin {
-    fn next(&mut self) -> Result<Option<Row>> {
-        if self.state.is_none() {
-            self.start()?;
-        }
-        self.state.as_mut().expect("started").next()
-    }
-
-    fn name(&self) -> &'static str {
-        "MergeJoin"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::exec::{collect, Values};
     use crate::expr::CmpOp;
+    use crate::storage::spill::MAX_SPILL_DEPTH;
 
     fn left() -> BoxOp {
         // (id, name)
@@ -752,7 +514,15 @@ mod tests {
 
     #[test]
     fn hash_join_matches_nested_loop() {
-        let j = HashJoin::new(left(), right(), vec![Expr::col(0)], vec![Expr::col(0)], None, true);
+        let j = HashJoin::new(
+            left(),
+            right(),
+            vec![Expr::col(0)],
+            vec![Expr::col(0)],
+            None,
+            true,
+            None,
+        );
         assert_eq!(normalize(collect(Box::new(j)).unwrap()), expected_pairs());
     }
 
@@ -768,6 +538,7 @@ mod tests {
                 vec![Expr::col(0)],
                 None,
                 probe_is_left,
+                None,
             )
             .emitting((vec![1], vec![1]));
             let mut rows = collect(Box::new(j)).unwrap();
@@ -789,15 +560,10 @@ mod tests {
         // and each build row of a key comes back in arrival order.
         let probe = side(vec![Value::str("a"), Value::Int(1), Value::Null, Value::str("b")]);
         let build = side(vec![Value::str("b"), Value::str("1"), Value::str("a"), Value::Null]);
-        let j = HashJoin::new(probe, build, vec![Expr::col(0)], vec![Expr::col(0)], None, true);
+        let j =
+            HashJoin::new(probe, build, vec![Expr::col(0)], vec![Expr::col(0)], None, true, None);
         let rows = collect(Box::new(j)).unwrap();
         assert_eq!(rows, [vec![Value::str("a"); 2], vec![Value::str("b"); 2]]);
-    }
-
-    #[test]
-    fn merge_join_matches_nested_loop() {
-        let j = MergeJoin::new(left(), right(), vec![Expr::col(0)], vec![Expr::col(0)], None);
-        assert_eq!(normalize(collect(Box::new(j)).unwrap()), expected_pairs());
     }
 
     #[test]
@@ -809,10 +575,7 @@ mod tests {
     fn spill_config(tag: &str, budget: usize) -> SpillConfig {
         let dir = std::env::temp_dir().join(format!("ordb-join-test-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        SpillConfig {
-            budget: Some(budget),
-            manager: Arc::new(crate::storage::spill::SpillManager::new(dir)),
-        }
+        SpillConfig::new(budget, Arc::new(crate::storage::spill::SpillManager::new(dir)))
     }
 
     fn big_sides() -> (Vec<Row>, Vec<Row>) {
@@ -848,6 +611,7 @@ mod tests {
             vec![Expr::col(0)],
             None,
             true,
+            None,
         )))
         .unwrap();
         for budget in [256usize, 1024, 4096] {
@@ -862,8 +626,9 @@ mod tests {
                 vec![Expr::col(0)],
                 None,
                 true,
+                Some(cfg),
             );
-            let grace = collect(Box::new(grace.with_spill(cfg))).unwrap();
+            let grace = collect(Box::new(grace)).unwrap();
             // Grace emits partition by partition, so compare as multisets.
             assert_eq!(sorted(grace), sorted(in_mem.clone()), "budget {budget}");
             let after =
@@ -874,29 +639,35 @@ mod tests {
     }
 
     #[test]
-    fn merge_join_with_spill_matches_in_memory() {
-        let (l, r) = big_sides();
-        let in_mem = collect(Box::new(MergeJoin::new(
-            Box::new(Values::new(l.clone())),
-            Box::new(Values::new(r.clone())),
-            vec![Expr::col(0)],
-            vec![Expr::col(0)],
-            None,
-        )))
-        .unwrap();
-        let cfg = spill_config("merge", 512);
+    fn one_key_build_side_partitions_down_to_the_depth_cap() {
+        // Every row has the same key, which no hash can split: each level
+        // sends both whole sides into one partition pair.
+        let side = |n: i64, tag: &str| -> Vec<Row> {
+            (0..n).map(|i| vec![Value::Int(7), Value::str(format!("{tag}-{i:04}-pad"))]).collect()
+        };
+        let (probe, build) = (side(30, "probe"), side(200, "build"));
+        let join = |spill| -> BoxOp {
+            Box::new(HashJoin::new(
+                Box::new(Values::new(probe.clone())),
+                Box::new(Values::new(build.clone())),
+                vec![Expr::col(0)],
+                vec![Expr::col(0)],
+                None,
+                true,
+                spill,
+            ))
+        };
+        let in_mem = collect(join(None)).unwrap();
+        assert_eq!(in_mem.len(), 30 * 200);
+        // The build side is ~8 KB of rows.
+        let cfg = spill_config("skew", 256);
         let manager = cfg.manager.clone();
-        let spilled = collect(Box::new(MergeJoin::with_spill(
-            Box::new(Values::new(l)),
-            Box::new(Values::new(r)),
-            vec![Expr::col(0)],
-            vec![Expr::col(0)],
-            None,
-            cfg,
-        )))
-        .unwrap();
-        assert_eq!(spilled, in_mem);
-        assert_eq!(manager.live_files(), 0);
+        assert_eq!(collect(join(Some(cfg))).unwrap(), in_mem);
+        // A build and a probe partitioner at each level above the cap;
+        // the join at the cap builds in memory.
+        let per_level = 2 * SPILL_FANOUT as u64;
+        assert_eq!(manager.files_created(), MAX_SPILL_DEPTH as u64 * per_level);
+        assert_eq!(manager.live_files(), 0, "spill files must be gone after the join");
     }
 
     #[test]
@@ -910,6 +681,7 @@ mod tests {
             vec![Expr::col(0)],
             Some(residual),
             true,
+            None,
         );
         let rows = collect(Box::new(j)).unwrap();
         assert_eq!(rows.len(), 2); // b-y and b2-y

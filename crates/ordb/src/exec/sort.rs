@@ -64,24 +64,12 @@ pub struct Sort {
 }
 
 impl Sort {
-    /// Sort `child` by `keys`, fully in memory (no budget).
-    pub fn new(child: BoxOp, keys: Vec<SortKey>) -> Sort {
+    /// Sort `child` by `keys`, within `spill`'s budget when there is one.
+    pub fn new(child: BoxOp, keys: Vec<SortKey>, spill: Option<SpillConfig>) -> Sort {
         Sort {
             child: Some(child),
             keys,
-            spill: None,
-            sorted: Vec::new().into_iter(),
-            merge: None,
-            done_build: false,
-        }
-    }
-
-    /// Sort `child` by `keys` under `spill`'s memory budget.
-    pub fn with_spill(child: BoxOp, keys: Vec<SortKey>, spill: SpillConfig) -> Sort {
-        Sort {
-            child: Some(child),
-            keys,
-            spill: Some(spill),
+            spill,
             sorted: Vec::new().into_iter(),
             merge: None,
             done_build: false,
@@ -101,13 +89,15 @@ impl Sort {
             for sk in &self.keys {
                 k.push(sk.expr.eval(&row)?);
             }
+            let Some(spill) = &self.spill else {
+                chunk.push((k, row));
+                continue;
+            };
             chunk_bytes += encoded_len(&k) + encoded_len(&row);
             chunk.push((k, row));
-            if let Some(spill) = &self.spill {
-                if spill.over(chunk_bytes) {
-                    runs.push(write_run(&mut chunk, &descending, spill)?);
-                    chunk_bytes = 0;
-                }
+            if spill.over(chunk_bytes) {
+                runs.push(write_run(&mut chunk, &descending, spill)?);
+                chunk_bytes = 0;
             }
         }
         crate::metrics::ENGINE.sort_rows.fetch_add(row_count, std::sync::atomic::Ordering::Relaxed);
@@ -248,6 +238,7 @@ mod tests {
                 SortKey { expr: Expr::col(0), asc: true },
                 SortKey { expr: Expr::col(1), asc: false },
             ],
+            None,
         );
         let out = collect(Box::new(op)).unwrap();
         let snapshot: Vec<(Option<i64>, &str)> =
@@ -269,6 +260,7 @@ mod tests {
         let op = Sort::new(
             Box::new(Values::new(rows)),
             vec![SortKey { expr: Expr::col(0), asc: false }],
+            None,
         );
         let out = collect(Box::new(op)).unwrap();
         let snapshot: Vec<Option<i64>> = out.iter().map(|r| r[0].as_int()).collect();
@@ -278,7 +270,7 @@ mod tests {
     fn spill_config(tag: &str, budget: usize) -> SpillConfig {
         let dir = std::env::temp_dir().join(format!("ordb-sort-test-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        SpillConfig { budget: Some(budget), manager: Arc::new(SpillManager::new(dir)) }
+        SpillConfig::new(budget, Arc::new(SpillManager::new(dir)))
     }
 
     #[test]
@@ -293,11 +285,12 @@ mod tests {
             ]
         };
         let in_mem =
-            collect(Box::new(Sort::new(Box::new(Values::new(rows.clone())), keys()))).unwrap();
+            collect(Box::new(Sort::new(Box::new(Values::new(rows.clone())), keys(), None)))
+                .unwrap();
         let cfg = spill_config("ext", 512);
         let manager = cfg.manager.clone();
         let external =
-            collect(Box::new(Sort::with_spill(Box::new(Values::new(rows)), keys(), cfg))).unwrap();
+            collect(Box::new(Sort::new(Box::new(Values::new(rows)), keys(), Some(cfg)))).unwrap();
         assert_eq!(external, in_mem);
         assert_eq!(manager.live_files(), 0, "spill files must be gone after the query");
     }
@@ -308,10 +301,10 @@ mod tests {
         // 1 records input position but is not a sort key.
         let rows: Vec<Row> = (0..200).map(|i| vec![Value::Int(i % 3), Value::Int(i)]).collect();
         let cfg = spill_config("stable", 256);
-        let out = collect(Box::new(Sort::with_spill(
+        let out = collect(Box::new(Sort::new(
             Box::new(Values::new(rows)),
             vec![SortKey { expr: Expr::col(0), asc: true }],
-            cfg,
+            Some(cfg),
         )))
         .unwrap();
         let mut last = (-1, -1);

@@ -28,8 +28,7 @@ use crate::catalog::{Catalog, TableDef};
 use crate::error::{DbError, Result};
 use crate::exec::{
     AggCall, AggFunc, BoxOp, Distinct, Filter, HashAggregate, HashJoin, IndexNestedLoopJoin,
-    IndexScan, JoinEmit, Limit, MergeJoin, NestedLoopJoin, Project, SeqScan, Sort, SortKey,
-    UnnestScan,
+    IndexScan, JoinEmit, Limit, NestedLoopJoin, Project, SeqScan, Sort, SortKey, UnnestScan,
 };
 use crate::expr::{CmpOp, Expr, MemoSlot};
 use crate::functions::FunctionRegistry;
@@ -51,8 +50,6 @@ pub enum ForcedJoin {
     NestedLoop,
     /// Hash join on the equi-keys (build side still picked by estimate).
     Hash,
-    /// Sort-merge join on the equi-keys.
-    Merge,
 }
 
 /// Base-table access path pinned by a [`PlanForcing`].
@@ -88,13 +85,12 @@ impl PlanForcing {
     }
 
     /// Compact rendering for EXPLAIN lines and repro files, e.g.
-    /// `join=merge order=declared access=seq`.
+    /// `join=hash order=declared access=seq`.
     pub fn describe(&self) -> String {
         let join = match self.join {
             None => "cost",
             Some(ForcedJoin::NestedLoop) => "nested-loop",
             Some(ForcedJoin::Hash) => "hash",
-            Some(ForcedJoin::Merge) => "merge",
         };
         let order = if self.declared_order { "declared" } else { "greedy" };
         let access = match self.access {
@@ -118,8 +114,9 @@ pub struct PlanContext<'a> {
     pub stats: &'a HashMap<String, TableStats>,
     /// Scalar function registry.
     pub functions: &'a FunctionRegistry,
-    /// Memory budget + spill manager handed to blocking operators.
-    pub spill: &'a SpillConfig,
+    /// Memory budget + spill manager handed to blocking operators;
+    /// `None`: they hold everything in memory.
+    pub spill: Option<&'a SpillConfig>,
     /// Plan-space forcing knobs (default: cost-based planning).
     pub forcing: PlanForcing,
     /// MVCC snapshot every scan filters versions through.
@@ -536,11 +533,11 @@ pub fn plan_select_profiled(
         // Under a memory budget, a build side that will not fit pays a
         // Grace partitioning pass: both sides written to spill files and
         // read back once (~2× the build pages of extra I/O).
-        if let Some(budget) = ctx.spill.budget {
+        if let Some(spill) = ctx.spill {
             let build_rows = est[cand].min(current_rows).max(1.0);
             let build_bytes =
                 build_rows * inner_stats.map_or(64.0, |s| s.avg_row_bytes.max(16) as f64);
-            if build_bytes > budget as f64 {
+            if build_bytes > spill.budget as f64 {
                 hash_cost += 2.0 * (build_bytes / 8192.0).max(1.0);
             }
         }
@@ -564,25 +561,6 @@ pub fn plan_select_profiled(
             (root, root_id) = prof.wrap(
                 Box::new(NestedLoopJoin::new(root, inner_plan, Some(pred))),
                 format!("NestedLoopJoin {}", inner_base.alias),
-                vec![root_id, inner_id],
-            );
-        } else if let Some(ForcedJoin::Merge) = ctx.forcing.join {
-            let (inner_plan, path, inner_id) = build_scan(ctx, inner_base, inner_local, prof)?;
-            explain.push(scan_line(inner_base, &path));
-            let inner_schema = Schema(inner_base.columns.clone());
-            let inner_key = compile(&inner_ast, &inner_schema, ctx.functions)?;
-            schema.0.extend(inner_base.columns.iter().cloned());
-            explain.push(format!("merge join {} (forced)", inner_base.alias));
-            (root, root_id) = prof.wrap(
-                Box::new(MergeJoin::with_spill(
-                    root,
-                    inner_plan,
-                    vec![outer_key],
-                    vec![inner_key],
-                    None,
-                    ctx.spill.clone(),
-                )),
-                format!("MergeJoin {}", inner_base.alias),
                 vec![root_id, inner_id],
             );
         } else if let (true, Some(index)) = (use_index_nlj, inner_index) {
@@ -650,9 +628,11 @@ pub fn plan_select_profiled(
             } else {
                 (inner_plan, inner_key, inner_id, root, outer_key, root_id)
             };
+            let (probe_keys, build_keys) = (vec![probe_key], vec![build_key]);
+            let spill = ctx.spill.cloned();
             let join =
-                HashJoin::new(probe, build, vec![probe_key], vec![build_key], None, build_inner);
-            let join = join.with_spill(ctx.spill.clone()).emitting(emit);
+                HashJoin::new(probe, build, probe_keys, build_keys, None, build_inner, spill)
+                    .emitting(emit);
             (root, root_id) = prof.wrap(Box::new(join), label, vec![probe_id, build_id]);
         }
         joined[cand] = true;
@@ -776,13 +756,13 @@ pub fn plan_select_profiled(
             aggs.len()
         ));
         (root, root_id) = prof.wrap(
-            Box::new(HashAggregate::with_spill(root, group_exprs, aggs, ctx.spill.clone())),
+            Box::new(HashAggregate::new(root, group_exprs, aggs, ctx.spill.cloned())),
             "HashAggregate",
             vec![root_id],
         );
         if !sort_keys.is_empty() {
             (root, root_id) = prof.wrap(
-                Box::new(Sort::with_spill(root, sort_keys, ctx.spill.clone())),
+                Box::new(Sort::new(root, sort_keys, ctx.spill.cloned())),
                 "Sort",
                 vec![root_id],
             );
@@ -819,7 +799,7 @@ pub fn plan_select_profiled(
                 sort_keys.push(SortKey { expr: compile(e, &schema, ctx.functions)?, asc: *asc });
             }
             (root, root_id) = prof.wrap(
-                Box::new(Sort::with_spill(root, sort_keys, ctx.spill.clone())),
+                Box::new(Sort::new(root, sort_keys, ctx.spill.cloned())),
                 "Sort",
                 vec![root_id],
             );
@@ -833,12 +813,9 @@ pub fn plan_select_profiled(
         // it must preserve its input order — the spill path re-emits
         // partitioned keys out of order, so only an unordered DISTINCT
         // gets the budget-bounded variant.
-        let distinct: BoxOp = if q.order_by.is_empty() {
-            Box::new(Distinct::with_spill(root, ctx.spill.clone()))
-        } else {
-            Box::new(Distinct::new(root))
-        };
-        (root, root_id) = prof.wrap(distinct, "Distinct", vec![root_id]);
+        let spill = if q.order_by.is_empty() { ctx.spill.cloned() } else { None };
+        (root, root_id) =
+            prof.wrap(Box::new(Distinct::new(root, spill)), "Distinct", vec![root_id]);
     }
     if let Some(n) = q.limit {
         (root, root_id) =

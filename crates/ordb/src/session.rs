@@ -163,7 +163,7 @@ impl<'db> Session<'db> {
 
     /// Apply one `SET key value`. Supported keys:
     ///
-    /// * `force_join` — `nested` | `hash` | `merge` | `cost`
+    /// * `force_join` — `nested` | `hash` | `cost`
     /// * `force_access` — `seq` | `index` | `cost`
     /// * `force_order` — `declared` | `cost`
     ///
@@ -178,11 +178,10 @@ impl<'db> Session<'db> {
                 forcing.join = match val_lc.as_str() {
                     "nested" => Some(ForcedJoin::NestedLoop),
                     "hash" => Some(ForcedJoin::Hash),
-                    "merge" => Some(ForcedJoin::Merge),
                     "cost" => None,
                     other => {
                         return Err(DbError::Exec(format!(
-                            "bad force_join value {other:?} (want nested|hash|merge|cost)"
+                            "bad force_join value {other:?} (want nested|hash|cost)"
                         )))
                     }
                 }
@@ -278,6 +277,9 @@ mod tests {
         // Bad key/value: error, state unchanged.
         let before = s.forcing();
         assert!(s.set("force_join", "quantum").is_err());
+        // Hash join is the one equi-join that builds a table.
+        let err = s.set("force_join", "merge").unwrap_err();
+        assert!(err.to_string().contains("nested|hash|cost"), "{err}");
         // The engine has one executor, so there is no executor to pick.
         let err = s.set("FORCE_EXECUTOR", "batch").unwrap_err();
         assert!(err.to_string().contains("unknown session option"), "{err}");

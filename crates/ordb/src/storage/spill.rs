@@ -18,6 +18,11 @@
 //! the same. Operators own their spill files, queries own their
 //! operators, so dropping a query — normally or on error — removes every
 //! temp file it created.
+//!
+//! The hash operators (join, aggregation, DISTINCT) overflow the same
+//! way: a `Partitioner` from `SpillConfig::partitioner` scatters rows by
+//! [`partition_of`] their key, and `Partitioned` seals the files and
+//! drains each partition through a sub-operator one level deeper.
 
 use std::fs::{self, File};
 use std::io::{BufReader, BufWriter, Read, Write};
@@ -26,28 +31,50 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::error::{DbError, Result};
+use crate::exec::{BoxOp, Operator};
 use crate::storage::page::PAGE_SIZE;
 use crate::tuple::{decode_row, encode_row};
 use crate::types::{Row, Value};
 
-/// Per-query memory policy handed to blocking operators: an optional
-/// budget in bytes plus the spill manager to use on overflow.
+/// The memory budget a blocking operator runs under, with the spill
+/// manager that takes its overflow. An operator with no budget gets no
+/// config and holds everything in memory.
 ///
-/// The budget bounds each operator's working set (measured as encoded
-/// row bytes via [`crate::tuple::encoded_len`]); `None` means unbounded,
-/// which reproduces the historical all-in-memory behaviour exactly.
+/// The budget bounds each operator's working set, measured as encoded
+/// row bytes via [`crate::tuple::encoded_len`].
 #[derive(Debug, Clone)]
 pub struct SpillConfig {
-    /// Per-operator working-set bound in bytes; `None` = unbounded.
-    pub budget: Option<usize>,
+    /// Per-operator working-set bound in bytes.
+    pub budget: usize,
     /// Where overflow rows go.
     pub manager: Arc<SpillManager>,
+    /// Partitioning passes above the operator holding this config (0 for
+    /// one the planner built); seeds [`partition_of`].
+    depth: usize,
 }
 
 impl SpillConfig {
-    /// True when `bytes` exceeds the budget (never for unbounded).
+    /// A budget of `budget` bytes for a planner-built operator.
+    pub fn new(budget: usize, manager: Arc<SpillManager>) -> SpillConfig {
+        SpillConfig { budget, manager, depth: 0 }
+    }
+
+    /// True when `bytes` exceeds the budget.
     pub fn over(&self, bytes: usize) -> bool {
-        self.budget.is_some_and(|b| bytes > b)
+        bytes > self.budget
+    }
+
+    /// Fan-out writers for one partitioning pass at this config's depth.
+    pub(crate) fn partitioner(&self) -> Result<Partitioner> {
+        let writers = (0..SPILL_FANOUT).map(|_| self.manager.create()).collect::<Result<_>>()?;
+        Ok(Partitioner { writers, depth: self.depth })
+    }
+
+    /// The config of a sub-operator over one partition, `None` at
+    /// [`MAX_SPILL_DEPTH`].
+    fn deeper(&self) -> Option<SpillConfig> {
+        let depth = self.depth + 1;
+        (depth < MAX_SPILL_DEPTH).then(|| SpillConfig { depth, ..self.clone() })
     }
 }
 
@@ -70,6 +97,101 @@ pub fn partition_of(key: &[Value], depth: usize) -> usize {
     0x9e37_79b9_7f4a_7c15u64.wrapping_mul(depth as u64 + 1).hash(&mut h);
     key.hash(&mut h);
     h.finish() as usize % SPILL_FANOUT
+}
+
+/// One input side of a partitioning pass: [`SPILL_FANOUT`] spill files,
+/// a row going to the one [`partition_of`] its key.
+pub(crate) struct Partitioner {
+    writers: Vec<SpillWriter>,
+    depth: usize,
+}
+
+impl Partitioner {
+    /// Write `row` to the partition of `key`.
+    pub(crate) fn add(&mut self, key: &[Value], row: &[Value]) -> Result<()> {
+        self.writers[partition_of(key, self.depth)].add(row)
+    }
+}
+
+/// The partitions of one pass, drained in partition order: partition `i`
+/// of every side is replayed through one sub-operator, built by `open`
+/// with the config one level down — or with none at [`MAX_SPILL_DEPTH`],
+/// where a partition no hash split further is processed in memory.
+/// Dropping it deletes every file not yet drained.
+pub(crate) struct Partitioned<const N: usize> {
+    parts: std::vec::IntoIter<[SpillFile; N]>,
+    deeper: Option<SpillConfig>,
+    open: Box<dyn FnMut([BoxOp; N], Option<SpillConfig>) -> BoxOp>,
+    current: Option<BoxOp>,
+}
+
+impl<const N: usize> Partitioned<N> {
+    /// Seal the `sides` `spill` partitioned. A partition empty on any
+    /// side is dropped at once: it can produce no row.
+    pub(crate) fn new(
+        spill: &SpillConfig,
+        sides: [Partitioner; N],
+        open: impl FnMut([BoxOp; N], Option<SpillConfig>) -> BoxOp + 'static,
+    ) -> Result<Partitioned<N>> {
+        let mut sealed = Vec::with_capacity(N);
+        for side in sides {
+            let files: Vec<SpillFile> =
+                side.writers.into_iter().map(SpillWriter::finish).collect::<Result<_>>()?;
+            sealed.push(files.into_iter());
+        }
+        let parts: Vec<[SpillFile; N]> = (0..SPILL_FANOUT)
+            .map(|_| std::array::from_fn(|i| sealed[i].next().expect("a file per partition")))
+            .filter(|part: &[SpillFile; N]| part.iter().all(|f| f.rows() > 0))
+            .collect();
+        Ok(Partitioned {
+            parts: parts.into_iter(),
+            deeper: spill.deeper(),
+            open: Box::new(open),
+            current: None,
+        })
+    }
+}
+
+impl<const N: usize> Operator for Partitioned<N> {
+    fn next(&mut self) -> Result<Option<Row>> {
+        loop {
+            if let Some(sub) = &mut self.current {
+                if let Some(row) = sub.next()? {
+                    return Ok(Some(row));
+                }
+                self.current = None;
+            }
+            let Some(part) = self.parts.next() else {
+                return Ok(None);
+            };
+            let inputs = part.map(|file| Box::new(SpillScan { file, reader: None }) as BoxOp);
+            self.current = Some((self.open)(inputs, self.deeper.clone()));
+        }
+    }
+
+    fn name(&self) -> &'static str {
+        "Partitioned"
+    }
+}
+
+/// Replays a sealed spill file as an operator. Owns the file, so the temp
+/// data lives exactly as long as the sub-plan reading it.
+struct SpillScan {
+    file: SpillFile,
+    reader: Option<SpillReader>,
+}
+
+impl Operator for SpillScan {
+    fn next(&mut self) -> Result<Option<Row>> {
+        if self.reader.is_none() {
+            self.reader = Some(self.file.open()?);
+        }
+        self.reader.as_mut().expect("opened above").next()
+    }
+
+    fn name(&self) -> &'static str {
+        "SpillScan"
+    }
 }
 
 /// Hands out uniquely-named temp files under `<db dir>/spill/`.
@@ -105,6 +227,12 @@ impl SpillManager {
             bytes: 0,
             buf: Vec::new(),
         })
+    }
+
+    /// Spill files created so far, deleted ones included.
+    #[cfg(test)]
+    pub(crate) fn files_created(&self) -> u64 {
+        self.next_id.load(Ordering::Relaxed)
     }
 
     /// Number of spill files currently on disk (tests assert this goes

@@ -43,8 +43,8 @@ pub const CONFIGS: [EngineConfig; 4] = [
 ];
 
 /// Every forced plan shape one query is executed under: the cost-based
-/// default, each join algorithm pinned, declared join order, and both
-/// access-path extremes. A mismatch's repro names the shape via
+/// default, each join algorithm pinned (hash under both join orders),
+/// declared join order, and both access-path extremes. A mismatch's repro names the shape via
 /// [`PlanForcing::describe`].
 pub fn forcing_modes() -> Vec<PlanForcing> {
     vec![
@@ -56,7 +56,7 @@ pub fn forcing_modes() -> Vec<PlanForcing> {
         },
         PlanForcing { join: Some(ForcedJoin::Hash), declared_order: true, access: None },
         PlanForcing {
-            join: Some(ForcedJoin::Merge),
+            join: Some(ForcedJoin::Hash),
             declared_order: false,
             access: Some(ForcedAccess::SeqScan),
         },
