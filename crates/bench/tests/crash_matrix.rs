@@ -16,7 +16,7 @@
 //! release, a handful in debug so local `cargo test` stays fast).
 //! The crash point is randomized per round from `CRASH_SEED` (the CI
 //! matrix pins three seeds), so one run covers crashes in heap writes,
-//! index writes, WAL truncation, and the checkpoint record itself. A
+//! index writes, and the log rewrite that carries the checkpoint record. A
 //! failure message carries the `(seed, round, plan)` triple — rerunning
 //! with that seed replays the exact same crash.
 
@@ -186,7 +186,7 @@ fn torn_final_page_is_detected_and_repaired() {
     let want = canon(&db, "SELECT COUNT(*), MIN(id), MAX(id) FROM crashlog");
     db.commit().expect("commit");
     db.flush().expect("flush");
-    db.abandon(); // keep the WAL: no Drop-time checkpoint truncation
+    db.abandon(); // keep the WAL: no Drop-time checkpoint replaces it
 
     // Tear the final data write at the OS level: the file ends mid-page.
     let path = dir.join(format!("f{file_id:05}.dat"));

@@ -127,7 +127,7 @@ fn txn_matrix_crash_points_never_leak_uncommitted_versions() {
         db.abandon();
         inj.disarm();
 
-        // Capture the log before the reopen truncates it.
+        // Capture the log before the reopen replaces it.
         let dump = ordb::storage::wal::dump(&dir.join("wal.log")).unwrap_or_default();
 
         // 4. Reopen and check the MVCC recovery contract.
@@ -382,19 +382,27 @@ fn durable_commit_survives_instant_death() {
 /// Commits racing a checkpoint (ROADMAP 5e). A second thread commits
 /// small transactions flat out while this thread checkpoints, each
 /// checkpoint starting as soon as two more transactions have come back
-/// (so a heap page and an index leaf, at the least, are dirty again). In
-/// three rounds of four the last checkpoint runs with the injector armed
-/// and the process dies at the first or second data write of its page
-/// flush; in the fourth it survives, and the process is abandoned right
-/// after. Either way every commit the second thread saw acknowledged
-/// must be there on reopen, whole, on both access paths: a commit that
-/// logged and was acknowledged between a checkpoint's flush and its WAL
-/// truncation used to lose its records.
+/// (so a heap page and an index leaf, at the least, are dirty again). A
+/// third session holds a transaction open over an insert for the whole
+/// round, so every commit after it stays above the checkpoint watermark
+/// and is re-logged into each new log. In three rounds of four the last
+/// checkpoint runs with the injector armed: in two the process dies at
+/// the first or second data write of its page flush, and in one at its
+/// first log write — the log rewrite itself, since the committer stops
+/// first. In the fourth round it survives, and the process is abandoned
+/// right after. Either way every commit the second thread saw
+/// acknowledged must be there on reopen, whole, on both access paths,
+/// and nothing of the held transaction: a commit that logged and was
+/// acknowledged between a checkpoint's flush and its WAL truncation used
+/// to lose its records, and so did a re-logged commit when the crash hit
+/// the truncated log before its rewrite.
 #[test]
 fn commits_acknowledged_during_a_checkpoint_survive_the_crash() {
     use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
     const TXN_ROWS: i64 = 4;
+    /// The `txn` column of the held transaction's rows.
+    const HELD: i64 = -1;
     let seed = env_u64("CRASH_SEED", 1);
     let default_points = if cfg!(debug_assertions) { 4 } else { 16 };
     let rounds = env_u64("CRASH_POINTS", default_points);
@@ -409,23 +417,35 @@ fn commits_acknowledged_during_a_checkpoint_survive_the_crash() {
     let mut rng = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(seed);
     let mut next_txn = 0i64;
     let mut acked: Vec<i64> = Vec::new();
-    let (mut armed, mut crashes) = (0u64, 0u64);
+    let (mut armed, mut crashes, mut rewrite_crashes) = (0u64, 0u64, 0u64);
     for round in 0..rounds {
         let checkpoints = 1 + xorshift(&mut rng) % 6;
         let survives = round % 4 == 3;
+        let (scope, crash_after) = match round % 4 {
+            0 => (FaultScope::Wal, 0),
+            _ => (FaultScope::Data, xorshift(&mut rng) % 2),
+        };
         let plan = FaultPlan {
-            crash_after: xorshift(&mut rng) % 2,
+            crash_after,
             mode: match xorshift(&mut rng) % 3 {
                 0 => CrashMode::Drop,
                 1 => CrashMode::Tear,
                 _ => CrashMode::BitFlip,
             },
-            scope: FaultScope::Data,
+            scope,
             seed: xorshift(&mut rng),
         };
         let ctx = format!(
             "seed={seed} round={round} checkpoints={checkpoints} survives={survives} plan={plan:?}"
         );
+
+        // Begun before every commit of the round: all of them are above
+        // the watermark of every checkpoint the round takes.
+        let mut held = db.session();
+        held.execute("BEGIN").expect("begin held");
+        let rows: Vec<String> =
+            (0..TXN_ROWS).map(|j| format!("({}, {HELD})", 1_000_000_000 + j)).collect();
+        held.execute(&format!("INSERT INTO clog VALUES {}", rows.join(", "))).expect("held insert");
 
         let stop = AtomicBool::new(false);
         let attempts = AtomicU64::new(0);
@@ -460,15 +480,36 @@ fn commits_acknowledged_during_a_checkpoint_survive_the_crash() {
                 while attempts.load(Ordering::SeqCst) < seen + 2 {
                     std::thread::yield_now();
                 }
-                if k + 1 == checkpoints && !survives {
+                let arm = k + 1 == checkpoints && !survives;
+                if arm && plan.scope == FaultScope::Wal {
+                    // The committer's last transaction logged every dirty
+                    // page, so the checkpoint's first log write is its
+                    // rewrite: the only commit records it writes are the
+                    // re-logged ones.
+                    stop.store(true, Ordering::SeqCst);
+                    while !committer.is_finished() {
+                        std::thread::yield_now();
+                    }
+                }
+                if arm {
                     inj.arm(plan);
                     armed += 1;
                 }
+                let relogged = db.wal_stats().expect("wal").commit_records;
                 let result = db.checkpoint();
+                let relogged = db.wal_stats().expect("wal").commit_records - relogged;
                 seen = attempts.load(Ordering::SeqCst);
                 if inj.crashed() {
                     crashes += 1;
                     assert!(result.is_err(), "checkpoint must report the crash [{ctx}]");
+                    // Only a crash inside the rewrite leaves the new log
+                    // unrenamed.
+                    if plan.scope == FaultScope::Wal
+                        && relogged > 0
+                        && dir.join("wal.log.tmp").exists()
+                    {
+                        rewrite_crashes += 1;
+                    }
                 } else {
                     result.unwrap_or_else(|e| panic!("checkpoint {k}: {e} [{ctx}]"));
                 }
@@ -478,6 +519,8 @@ fn commits_acknowledged_during_a_checkpoint_survive_the_crash() {
         });
         next_txn = txn;
         acked.extend(newly);
+        // The process dies with the held transaction open.
+        std::mem::forget(held);
         db.abandon();
         inj.disarm();
 
@@ -519,6 +562,10 @@ fn commits_acknowledged_during_a_checkpoint_survive_the_crash() {
         for (_, txn) in &seq {
             *per_txn.entry(*txn).or_default() += 1;
         }
+        if let Some(n) = per_txn.get(&HELD) {
+            let msg = format!("{n} rows of the transaction held open at the crash survived");
+            fail_with_waldump(seed, round, &ctx, &dump, msg);
+        }
         if let Some((txn, n)) = per_txn.iter().find(|(_, n)| **n != TXN_ROWS) {
             fail_with_waldump(
                 seed,
@@ -542,7 +589,11 @@ fn commits_acknowledged_during_a_checkpoint_survive_the_crash() {
             );
         }
     }
-    assert_eq!(crashes, armed, "every armed checkpoint has two data writes to die in");
+    assert_eq!(crashes, armed, "every armed checkpoint has a write to die in");
+    assert!(
+        rewrite_crashes > 0,
+        "no crash landed in a log rewrite with commits to re-log ({crashes} crashes)"
+    );
 
     let _ = db.close();
     let _ = std::fs::remove_dir_all(&dir);

@@ -25,7 +25,7 @@ use crate::storage::buffer::{BufferPool, PoolStats, DEFAULT_POOL_FRAMES};
 use crate::storage::fault::FaultInjector;
 use crate::storage::heap::{ClaimOutcome, HeapFile, PageScan, Rid};
 use crate::storage::spill::{SpillConfig, SpillManager};
-use crate::storage::wal::{Wal, WalStats};
+use crate::storage::wal::{LogScan, Wal, WalStats};
 use crate::trace::now_ns;
 use crate::tuple::{decode_cols, decode_row, encode_row};
 use crate::txn::{Snapshot, TxnId, TxnManager, TxnStats, UndoRecord};
@@ -89,7 +89,7 @@ pub struct Database {
     /// pool/WAL/engine counters by [`Database::metrics_snapshot`].
     registry: crate::metrics::MetricsRegistry,
     /// Transaction ids, snapshots, undo lists, and the commit
-    /// watermark the checkpoint persists to `txn.meta`.
+    /// watermark the checkpoint writes into the log.
     txns: TxnManager,
     /// Serializes vacuum passes (concurrent DML keeps running; a second
     /// caller waits rather than double-reclaiming).
@@ -101,8 +101,8 @@ pub struct Database {
     /// Held shared by everything that changes pages or makes them
     /// durable through the log — a DML statement, a rollback, a commit,
     /// a vacuum pass — and exclusively by a checkpoint from before its
-    /// page flush until the WAL is truncated. The checkpoint flushes the
-    /// frames it finds and then cuts the log: a commit acknowledged in
+    /// page flush until the WAL is replaced. The checkpoint flushes the
+    /// frames it finds and then replaces the log: a commit acknowledged in
     /// between, or a page born in between (a B+Tree split moving
     /// committed entries onto it), would be in neither the data files nor
     /// the log. Never taken twice by one call chain — a reader that
@@ -205,33 +205,30 @@ impl Database {
 
     /// Open (or create) with explicit options.
     ///
-    /// When a `wal.log` exists, the redo pass runs *first* — before any
-    /// file is registered with the pool — so torn or lost data-page
-    /// writes from a crash are repaired before anything reads them.
+    /// When a `wal.log` exists, it is read once and the redo pass runs
+    /// *first* — before any file is registered with the pool — so torn or
+    /// lost data-page writes from a crash are repaired before anything
+    /// reads them. A log this version cannot classify is refused before
+    /// any data file is written.
     pub fn open_with(dir: impl AsRef<Path>, opts: DbOptions) -> Result<Database> {
         let dir = dir.as_ref().to_path_buf();
         std::fs::create_dir_all(&dir)?;
-        let recovery = crate::recovery::recover(&dir)?;
+        let mut scan = LogScan::read(&dir)?;
+        let recovery = scan.as_mut().map(|scan| crate::recovery::redo(&dir, scan)).transpose()?;
         let catalog = Catalog::load(&dir)?;
-        // Undo pass: with a WAL present, redo has restored the pages the
-        // log covered, but versions written by transactions that never
-        // logged a commit record must be stamped dead (and orphaned
-        // delete claims cleared) before anything reads them. This must
-        // run while the commit records are still in the log — i.e.
-        // before the checkpoint-truncate below.
+        // Undo pass: redo has restored the pages the log covered, but
+        // versions written by transactions that never logged a commit
+        // record must be stamped dead (and orphaned delete claims
+        // cleared) before anything reads them.
         let heap_files: Vec<u32> = catalog.tables().map(|t| t.file).collect();
-        let undo = match recovery {
-            Some(_) => Some(crate::recovery::undo_uncommitted(&dir, &heap_files)?),
-            None => None,
-        };
-        let (_, meta_next) = crate::txn::read_txn_meta(&dir);
-        let next = meta_next.max(undo.map_or(0, |u| u.max_txid + 1)).max(crate::txn::TXID_FIRST);
+        let undo = scan
+            .as_ref()
+            .map(|scan| crate::recovery::undo_uncommitted(&dir, &heap_files, scan))
+            .transpose()?;
+        let next = undo.map_or(0, |u| u.max_txid + 1).max(crate::txn::TXID_FIRST);
         let txns = TxnManager::new(next);
-        // After the undo pass every surviving on-disk version is
-        // committed, so the new watermark is simply `next`.
-        crate::txn::write_txn_meta(&dir, next, next)?;
         let pool = Arc::new(BufferPool::with_fault(opts.pool_frames, opts.fault.clone()));
-        let wal = Arc::new(Wal::open(&dir, opts.fault.clone())?);
+        let wal = Arc::new(Wal::open(&dir, opts.fault.clone(), scan.as_ref())?);
         pool.set_wal(Some(wal.clone()));
         let mut heaps = HashMap::new();
         let mut indexes = HashMap::new();
@@ -250,8 +247,8 @@ impl Database {
         // would alias whatever future insert lands on that slot index.
         // Purge entries whose heap slot no longer exists (or whose
         // version the undo pass stamped dead) before serving queries.
-        // `skipped_pages` counts too: a clean shutdown truncates the log
-        // to a bare checkpoint record, so *any* page image in the WAL —
+        // `skipped_pages` counts too: a clean shutdown leaves the log a
+        // bare checkpoint record, so *any* page image in the WAL —
         // even one the data file already has — means the last process
         // died mid-flight (e.g. mid-vacuum with some frames evicted and
         // others lost) and an index page may be stale relative to its
@@ -282,13 +279,14 @@ impl Database {
             }
         }
         // Make the sweep's page edits durable in the data files, then
-        // reset the log to a checkpoint record that carries the LSN
-        // cursor forward (everything redo restored was already fsync'd
-        // by the recovery pass).
+        // replace the log (everything redo restored was already fsync'd
+        // by the recovery pass). After the undo pass every surviving
+        // on-disk version is committed, so the new watermark is `next`;
+        // until the new log lands, the old one still classifies them.
         pool.log_dirty_frames()?;
         wal.sync()?;
         pool.flush_all()?;
-        wal.checkpoint_truncate()?;
+        wal.checkpoint(next, next, &[])?;
         let spill = opts
             .mem_budget
             .map(|budget| SpillConfig::new(budget, Arc::new(SpillManager::new(dir.join("spill")))));
@@ -987,13 +985,14 @@ impl Database {
     }
 
     /// Checkpoint: commit, write every dirty page to its data file,
-    /// fsync the data files, then truncate the WAL to a single
-    /// checkpoint record. Bounds both recovery time and log size.
+    /// fsync the data files, then replace the WAL with a checkpoint
+    /// record (plus the commit records an open transaction still needs).
+    /// Bounds both recovery time and log size.
     /// When deletes have accumulated since the last pass, a
     /// [`Database::vacuum`] runs first so the checkpointed state is also
     /// compact.
     ///
-    /// Writers wait while the pages are flushed and the log is cut (see
+    /// Writers wait while the pages are flushed and the log replaced (see
     /// `write_gate`): a DML statement, commit or rollback that arrives
     /// meanwhile starts when the checkpoint is done; queries run on. The
     /// vacuum pass runs before the gate is taken, as a writer of its own.
@@ -1004,14 +1003,13 @@ impl Database {
         let _gate = self.write_gate.write();
         self.log_and_sync()?;
         self.pool.flush_all()?;
-        // Persist the transaction watermark *before* truncating: if we
-        // crash in between, the old log (with its commit records) is
-        // still intact, and `decided = below-watermark ∪ logged-commits`
-        // stays correct either way. Commits above the watermark (some
-        // transaction still running) are re-logged into the fresh WAL.
+        // The new log's checkpoint record carries the transaction
+        // watermark; commits above it (an older transaction still runs)
+        // are re-logged after it. The new log replaces the old one whole,
+        // so `decided = below-watermark ∪ logged-commits` holds whichever
+        // of the two a crash leaves.
         let (watermark, next, relog) = self.txns.checkpoint_info();
-        crate::txn::write_txn_meta(&self.dir, watermark, next)?;
-        self.wal.checkpoint_truncate_with(&relog)
+        self.wal.checkpoint(watermark, next, &relog)
     }
 
     /// Orderly shutdown: checkpoint so nothing is left only in memory,
@@ -1745,7 +1743,7 @@ mod tests {
     #[test]
     fn torn_page_repaired_from_wal_not_served_as_garbage() {
         // Corrupt a data page on disk after a clean close. Because the
-        // close checkpoint truncated the WAL, re-log the pages first by
+        // close checkpoint replaced the WAL, re-log the pages first by
         // committing without checkpointing — then tear. Reopen must
         // restore the page from the log, and the query result must be
         // exactly the pre-corruption answer.
@@ -1784,7 +1782,7 @@ mod tests {
 
     #[test]
     fn corruption_the_log_cannot_repair_is_detected() {
-        // A clean close checkpoints and truncates the log, so no page
+        // A clean close checkpoints and replaces the log, so no page
         // image is left to repair from: the page checksum alone must turn
         // silent corruption into a hard error.
         let dir = std::env::temp_dir().join(format!("ordb-db-norepair-{}", std::process::id()));
@@ -1800,7 +1798,7 @@ mod tests {
         let wal_len = std::fs::metadata(dir.join("wal.log")).unwrap().len();
         assert_eq!(
             wal_len,
-            crate::storage::wal::record_size(0) as u64,
+            crate::storage::wal::record_size(crate::storage::wal::CHECKPOINT_PAYLOAD) as u64,
             "a clean close leaves no page image in the log"
         );
         let path = file_path(&dir, file_id);
@@ -1826,14 +1824,18 @@ mod tests {
             let db = Database::open(&dir).unwrap();
             db.execute("CREATE TABLE t (a INTEGER)").unwrap();
             db.insert_rows("t", (0..50).map(|i| vec![Value::Int(i)]).collect()).unwrap();
+            db.checkpoint().unwrap();
             db.close().unwrap();
             // `close` consumed the handle; `Drop` already saw the closed
             // flag. A clean close leaves a checkpoint-only WAL.
         }
+        for absent in ["wal.meta", "txn.meta", "wal.log.tmp"] {
+            assert!(!dir.join(absent).exists(), "the log is the only recovery state: {absent}");
+        }
         let wal_len = std::fs::metadata(dir.join("wal.log")).unwrap().len();
         assert_eq!(
             wal_len,
-            crate::storage::wal::record_size(0) as u64,
+            crate::storage::wal::record_size(crate::storage::wal::CHECKPOINT_PAYLOAD) as u64,
             "clean close leaves a single checkpoint record"
         );
         {
@@ -1844,6 +1846,56 @@ mod tests {
             assert_eq!(db.query("SELECT COUNT(*) FROM t").unwrap().scalar(), Some(&Value::Int(50)));
         }
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn commit_behind_an_open_transaction_survives_a_crashed_checkpoint() {
+        // Transaction A stays open over an insert while B commits after
+        // it, so the checkpoint must carry B's commit record into the new
+        // log. The crash lands on that rewrite: on reopen B's row is
+        // there, A's is not, and the index agrees with the heap.
+        use crate::plan::ForcedAccess;
+        use crate::storage::fault::{CrashMode, FaultInjector, FaultPlan, FaultScope};
+        for (i, mode) in
+            [CrashMode::Drop, CrashMode::Tear, CrashMode::BitFlip].into_iter().enumerate()
+        {
+            let dir =
+                std::env::temp_dir().join(format!("ordb-db-ckpt-relog-{i}-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            let inj = FaultInjector::new();
+            let db = Database::open_with(
+                &dir,
+                DbOptions { fault: Some(inj.clone()), ..Default::default() },
+            )
+            .unwrap();
+            db.execute("CREATE TABLE t (id INTEGER)").unwrap();
+            db.execute("CREATE INDEX t_id ON t (id)").unwrap();
+            let mut open = db.session();
+            open.execute("BEGIN").unwrap();
+            open.execute("INSERT INTO t VALUES (2)").unwrap();
+            let mut committed = db.session();
+            committed.execute("BEGIN").unwrap();
+            committed.execute("INSERT INTO t VALUES (3)").unwrap();
+            committed.execute("COMMIT").unwrap();
+            drop(committed);
+            db.commit().unwrap();
+            inj.arm(FaultPlan { crash_after: 0, mode, scope: FaultScope::Wal, seed: 7 + i as u64 });
+            assert!(db.checkpoint().is_err(), "{mode:?}: the log rewrite crashed");
+            // The process dies with A open: nothing rolls it back.
+            std::mem::forget(open);
+            db.abandon();
+            inj.disarm();
+
+            let db = Database::open(&dir).unwrap();
+            for access in [ForcedAccess::SeqScan, ForcedAccess::IndexScan] {
+                let forcing = PlanForcing { access: Some(access), ..Default::default() };
+                let rows =
+                    db.session().with_forcing(forcing).query("SELECT id FROM t WHERE id >= 0");
+                assert_eq!(rows.unwrap().rows, vec![vec![Value::Int(3)]], "{mode:?} {access:?}");
+            }
+            db.close().unwrap();
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]

@@ -1167,7 +1167,7 @@ mod tests {
         fn create(tag: &str) -> Logged {
             let dir = scratch(tag);
             let pool = fresh_pool(&dir.join("i.db"), 256);
-            let wal = Arc::new(crate::storage::wal::Wal::open(&dir, None).unwrap());
+            let wal = Arc::new(crate::storage::wal::Wal::open(&dir, None, None).unwrap());
             pool.set_wal(Some(wal.clone()));
             let tree = BTree::create(pool.clone(), 9).unwrap();
             Logged { dir, pool, wal, tree }
@@ -1186,7 +1186,7 @@ mod tests {
             use crate::storage::page::PAGE_SIZE;
             use crate::storage::wal::{WalReader, REC_PAGE_IMAGE};
             self.pool.flush_all().unwrap();
-            self.wal.checkpoint_truncate().unwrap();
+            self.wal.checkpoint(crate::txn::TXID_FIRST, crate::txn::TXID_FIRST, &[]).unwrap();
             op(&self.tree);
             self.pool.log_dirty_frames().unwrap();
             self.wal.sync().unwrap();

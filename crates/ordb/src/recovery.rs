@@ -1,23 +1,25 @@
 //! Crash recovery: the redo + undo passes run by [`Database::open`].
 //!
-//! **Redo** is pure physical replay over the write-ahead log
-//! ([`crate::storage::wal`]): scan every valid record front to back,
-//! keep the *last* image logged for each `(file, page)`, and write those
-//! images over the data files. A page is skipped when its on-disk image
+//! Both passes take their inputs from one read of the write-ahead log,
+//! [`LogScan::read`] ([`crate::storage::wal`]), which also hands the
+//! reopened log its LSN cursor.
+//!
+//! **Redo** ([`redo`]) is pure physical replay: the scan kept the *last*
+//! image logged for each `(file, page)`, and those images are written
+//! over the data files. A page is skipped when its on-disk image
 //! already verifies and carries an LSN at least as new as the record —
 //! which makes replay idempotent (a crash *during* recovery just means
 //! the next open redoes less). A torn or checksum-failed on-disk page
 //! never survives: its logged image overwrites it unconditionally.
 //!
 //! **Undo** ([`undo_uncommitted`]) runs after redo, once the catalog is
-//! loaded: it collects the committed-transaction set from the log's
-//! `TXNC` records, then sweeps every heap page stamping dead
-//! (`xmin := 0`) versions created by transactions that never committed
-//! and clearing `xmax` claims they left behind. Transaction ids below
-//! the `txn.meta` watermark were decided before the last checkpoint and
-//! are trusted without commit records. The sweep is logical-state
-//! repair, not log replay — it edits slot headers in place and restamps
-//! the page checksum without touching the LSN.
+//! loaded: it sweeps every heap page stamping dead (`xmin := 0`)
+//! versions created by transactions that never committed and clearing
+//! `xmax` claims they left behind. A transaction committed if its `TXNC`
+//! record is in the log or its id is below the watermark carried by the
+//! log's checkpoint record (decided before that checkpoint). The sweep
+//! is logical-state repair, not log replay — it edits slot headers in
+//! place and restamps the page checksum without touching the LSN.
 //!
 //! **Vacuum interaction.** A crash mid-[`vacuum`] needs no special
 //! handling here. Vacuum is WAL-logged like any other mutation: redo
@@ -38,21 +40,21 @@
 //!
 //! [`Database::open`]: crate::db::Database::open
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::fs::OpenOptions;
 use std::os::unix::fs::FileExt;
 use std::path::Path;
 
 use crate::error::Result;
 use crate::storage::page::{verify_checksum, Page, PAGE_SIZE};
-use crate::storage::wal::{WalReader, REC_PAGE_IMAGE, REC_TXN_COMMIT, WAL_FILE};
+use crate::storage::wal::LogScan;
 
 /// What one recovery pass did. Returned by
 /// [`Database::recovery_report`](crate::db::Database::recovery_report)
 /// and folded into `metrics.json` by the bench harness.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RecoveryReport {
-    /// Valid WAL records scanned (page images + checkpoints).
+    /// Valid WAL records scanned (the checkpoint, page images, commits).
     pub scanned_records: u64,
     /// Pages whose logged image was written back over the data file.
     pub replayed_pages: u64,
@@ -70,30 +72,18 @@ fn data_file_path(dir: &Path, file: u32) -> std::path::PathBuf {
     dir.join(format!("f{file:05}.dat"))
 }
 
-/// Run the redo pass over `dir/wal.log`. Returns `None` when no log
-/// exists (a database opened for the first time).
-pub fn recover(dir: &Path) -> Result<Option<RecoveryReport>> {
-    let wal_path = dir.join(WAL_FILE);
-    if !wal_path.exists() {
-        return Ok(None);
-    }
-    let mut reader = WalReader::open(&wal_path)?;
-    // Last image wins per page: later records supersede earlier ones, so
-    // each page is written at most once no matter how long the log is.
-    let mut latest: HashMap<(u32, u32), (u64, Vec<u8>)> = HashMap::new();
-    let mut report = RecoveryReport::default();
-    while let Some(rec) = reader.next_record() {
-        report.scanned_records += 1;
-        if rec.kind == REC_PAGE_IMAGE && rec.payload.len() == PAGE_SIZE {
-            latest.insert((rec.file_id, rec.pid), (rec.lsn, rec.payload));
-        }
-    }
-    report.torn_tail_bytes = reader.remaining();
-    report.wal_bytes = reader.consumed() + report.torn_tail_bytes;
-
+/// Run the redo pass: write the scan's page images (taken out of `scan`)
+/// over the data files in `dir` wherever the disk copy is not current.
+pub fn redo(dir: &Path, scan: &mut LogScan) -> Result<RecoveryReport> {
+    let mut report = RecoveryReport {
+        scanned_records: scan.records,
+        torn_tail_bytes: scan.torn_tail,
+        wal_bytes: scan.valid_len + scan.torn_tail,
+        ..RecoveryReport::default()
+    };
     // Group by file so each data file opens (and fsyncs) once.
     let mut by_file: HashMap<u32, Vec<(u32, u64, Vec<u8>)>> = HashMap::new();
-    for ((file, pid), (lsn, image)) in latest {
+    for ((file, pid), (lsn, image)) in std::mem::take(&mut scan.images) {
         by_file.entry(file).or_default().push((pid, lsn, image));
     }
     for (file_id, mut pages) in by_file {
@@ -123,7 +113,7 @@ pub fn recover(dir: &Path) -> Result<Option<RecoveryReport>> {
             f.sync_data()?;
         }
     }
-    Ok(Some(report))
+    Ok(report)
 }
 
 fn page_lsn(bytes: &[u8; PAGE_SIZE]) -> u64 {
@@ -143,31 +133,23 @@ pub struct UndoReport {
     /// that never committed.
     pub xmax_cleared: u64,
     /// Highest transaction id seen anywhere (headers, commit records,
-    /// `txn.meta`).
+    /// the checkpoint's id cursor).
     pub max_txid: u64,
 }
 
 /// Undo pass: sweep the heap files named by `heap_file_ids`, stamping
-/// dead every version whose creator is neither below the `txn.meta`
-/// watermark nor in the log's committed set, and clearing `xmax` claims
-/// under the same rule. Must run after [`recover`] (so slot headers are
-/// as the log left them) and before the WAL is checkpoint-truncated
-/// (which discards the commit records).
-pub fn undo_uncommitted(dir: &Path, heap_file_ids: &[u32]) -> Result<UndoReport> {
-    let (watermark, meta_next) = crate::txn::read_txn_meta(dir);
-    let mut committed: HashSet<u64> = HashSet::new();
-    let wal_path = dir.join(WAL_FILE);
-    if wal_path.exists() {
-        let mut reader = WalReader::open(&wal_path)?;
-        while let Some(rec) = reader.next_record() {
-            if rec.kind == REC_TXN_COMMIT && rec.payload.len() == 8 {
-                committed.insert(u64::from_le_bytes(rec.payload[..8].try_into().unwrap()));
-            }
-        }
-    }
+/// dead every version whose creator is neither below the scan's
+/// checkpoint watermark nor in its committed set, and clearing `xmax`
+/// claims under the same rule. Must run after [`redo`] (so slot headers
+/// are as the log left them).
+pub fn undo_uncommitted(dir: &Path, heap_file_ids: &[u32], scan: &LogScan) -> Result<UndoReport> {
+    let (watermark, committed) = (scan.watermark, &scan.committed);
     let mut report = UndoReport {
         committed_txns: committed.len() as u64,
-        max_txid: meta_next.saturating_sub(1).max(committed.iter().copied().max().unwrap_or(0)),
+        max_txid: scan
+            .next_txid
+            .saturating_sub(1)
+            .max(committed.iter().copied().max().unwrap_or(0)),
         ..UndoReport::default()
     };
     let decided = |t: u64| t < watermark || committed.contains(&t);
@@ -231,7 +213,8 @@ pub fn undo_uncommitted(dir: &Path, heap_file_ids: &[u32]) -> Result<UndoReport>
 mod tests {
     use super::*;
     use crate::storage::page::Page;
-    use crate::storage::wal::Wal;
+    use crate::storage::wal::{record_size, Wal, CHECKPOINT_PAYLOAD};
+    use crate::txn::TXID_FIRST;
     use std::path::PathBuf;
 
     fn tmp_dir(tag: &str) -> PathBuf {
@@ -239,6 +222,21 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         dir
+    }
+
+    /// A log as a database leaves it: the checkpoint record first.
+    fn fresh_wal(dir: &Path) -> Wal {
+        let wal = Wal::open(dir, None, None).unwrap();
+        wal.checkpoint(TXID_FIRST, TXID_FIRST, &[]).unwrap();
+        wal
+    }
+
+    fn scan(dir: &Path) -> LogScan {
+        LogScan::read(dir).unwrap().expect("wal exists")
+    }
+
+    fn recover(dir: &Path) -> RecoveryReport {
+        redo(dir, &mut scan(dir)).unwrap()
     }
 
     fn logged_page(wal: &Wal, file: u32, pid: u32, payload: &[u8]) -> Page {
@@ -251,20 +249,20 @@ mod tests {
     #[test]
     fn no_wal_means_no_report() {
         let dir = tmp_dir("nowal");
-        assert!(recover(&dir).unwrap().is_none());
+        assert!(LogScan::read(&dir).unwrap().is_none());
     }
 
     #[test]
     fn replays_missing_and_stale_pages() {
         let dir = tmp_dir("replay");
-        let wal = Wal::open(&dir, None).unwrap();
+        let wal = fresh_wal(&dir);
         // Log two pages of file 1 but never write the data file (the
         // "crashed before checkpoint" shape).
         let p0 = logged_page(&wal, 1, 0, b"page zero");
         let p1 = logged_page(&wal, 1, 1, b"page one");
         wal.sync().unwrap();
         drop(wal);
-        let report = recover(&dir).unwrap().expect("wal exists");
+        let report = recover(&dir);
         assert_eq!(report.replayed_pages, 2);
         assert_eq!(report.skipped_pages, 0);
         assert_eq!(report.torn_tail_bytes, 0);
@@ -272,7 +270,7 @@ mod tests {
         assert_eq!(&raw[..PAGE_SIZE], &p0.bytes()[..]);
         assert_eq!(&raw[PAGE_SIZE..2 * PAGE_SIZE], &p1.bytes()[..]);
         // Second pass: everything current, nothing replayed.
-        let again = recover(&dir).unwrap().unwrap();
+        let again = recover(&dir);
         assert_eq!(again.replayed_pages, 0);
         assert_eq!(again.skipped_pages, 2);
         std::fs::remove_dir_all(&dir).unwrap();
@@ -281,13 +279,13 @@ mod tests {
     #[test]
     fn last_image_wins() {
         let dir = tmp_dir("lastwins");
-        let wal = Wal::open(&dir, None).unwrap();
+        let wal = fresh_wal(&dir);
         logged_page(&wal, 1, 0, b"old image");
         let newer = logged_page(&wal, 1, 0, b"new image");
         wal.sync().unwrap();
         drop(wal);
-        let report = recover(&dir).unwrap().unwrap();
-        assert_eq!(report.scanned_records, 2);
+        let report = recover(&dir);
+        assert_eq!(report.scanned_records, 3, "checkpoint + two images");
         assert_eq!(report.replayed_pages, 1, "one page, latest image only");
         let raw = std::fs::read(data_file_path(&dir, 1)).unwrap();
         assert_eq!(&raw[..PAGE_SIZE], &newer.bytes()[..]);
@@ -297,7 +295,7 @@ mod tests {
     #[test]
     fn torn_data_page_is_repaired() {
         let dir = tmp_dir("tornpage");
-        let wal = Wal::open(&dir, None).unwrap();
+        let wal = fresh_wal(&dir);
         let good = logged_page(&wal, 1, 0, b"the good image");
         wal.sync().unwrap();
         drop(wal);
@@ -307,7 +305,7 @@ mod tests {
             *b = 0xFF;
         }
         std::fs::write(data_file_path(&dir, 1), &torn).unwrap();
-        let report = recover(&dir).unwrap().unwrap();
+        let report = recover(&dir);
         assert_eq!(report.replayed_pages, 1, "torn page must not be skipped");
         let raw = std::fs::read(data_file_path(&dir, 1)).unwrap();
         assert_eq!(&raw[..PAGE_SIZE], &good.bytes()[..]);
@@ -317,7 +315,7 @@ mod tests {
     #[test]
     fn newer_disk_page_is_kept() {
         let dir = tmp_dir("newer");
-        let wal = Wal::open(&dir, None).unwrap();
+        let wal = fresh_wal(&dir);
         logged_page(&wal, 1, 0, b"logged early");
         wal.sync().unwrap();
         // The data file holds a *newer* image (logged later, written by
@@ -329,7 +327,7 @@ mod tests {
         newer.stamp_checksum();
         std::fs::write(data_file_path(&dir, 1), newer.bytes()).unwrap();
         drop(wal);
-        let report = recover(&dir).unwrap().unwrap();
+        let report = recover(&dir);
         assert_eq!(report.replayed_pages, 0);
         assert_eq!(report.skipped_pages, 1);
         let raw = std::fs::read(data_file_path(&dir, 1)).unwrap();
@@ -341,9 +339,9 @@ mod tests {
     fn undo_stamps_uncommitted_and_clears_claims() {
         let dir = tmp_dir("undo");
         // The log carries commit evidence for txn 5 only; txn 7 crashed
-        // mid-flight. No txn.meta: the watermark defaults to 2, so both
+        // mid-flight. The checkpoint's watermark is the first id, so both
         // ids are judged by the committed set.
-        let wal = Wal::open(&dir, None).unwrap();
+        let wal = fresh_wal(&dir);
         wal.log_commit(5);
         wal.sync().unwrap();
         drop(wal);
@@ -362,7 +360,7 @@ mod tests {
         p.stamp_checksum();
         std::fs::write(data_file_path(&dir, 1), p.bytes()).unwrap();
 
-        let report = undo_uncommitted(&dir, &[1]).unwrap();
+        let report = undo_uncommitted(&dir, &[1], &scan(&dir)).unwrap();
         assert_eq!(report.committed_txns, 1);
         assert_eq!(report.versions_stamped_dead, 1);
         assert_eq!(report.xmax_cleared, 1);
@@ -384,7 +382,7 @@ mod tests {
         assert_eq!(hdr(2), (5, 0), "uncommitted claim cleared");
 
         // Idempotent: a second sweep changes nothing.
-        let again = undo_uncommitted(&dir, &[1]).unwrap();
+        let again = undo_uncommitted(&dir, &[1], &scan(&dir)).unwrap();
         assert_eq!(again.versions_stamped_dead, 0);
         assert_eq!(again.xmax_cleared, 0);
         std::fs::remove_dir_all(&dir).unwrap();
@@ -393,12 +391,11 @@ mod tests {
     #[test]
     fn undo_trusts_ids_below_the_watermark() {
         let dir = tmp_dir("undowm");
-        // Empty log (no commit records at all) but a watermark of 10:
-        // ids below 10 were decided before the last checkpoint.
-        let wal = Wal::open(&dir, None).unwrap();
-        wal.sync().unwrap();
+        // No commit records at all, but a checkpoint watermark of 10: ids
+        // below 10 were decided before the last checkpoint.
+        let wal = Wal::open(&dir, None, None).unwrap();
+        wal.checkpoint(10, 12, &[]).unwrap();
         drop(wal);
-        crate::txn::write_txn_meta(&dir, 10, 12).unwrap();
         let rec = |xmin: u64, xmax: u64| {
             let mut r = Vec::new();
             r.extend_from_slice(&xmin.to_le_bytes());
@@ -412,7 +409,7 @@ mod tests {
         p.insert(&rec(11, 0)).unwrap(); // above, no commit record: dead
         p.stamp_checksum();
         std::fs::write(data_file_path(&dir, 1), p.bytes()).unwrap();
-        let report = undo_uncommitted(&dir, &[1]).unwrap();
+        let report = undo_uncommitted(&dir, &[1], &scan(&dir)).unwrap();
         assert_eq!(report.versions_stamped_dead, 1);
         assert_eq!(report.max_txid, 11);
         let raw: [u8; PAGE_SIZE] =
@@ -426,17 +423,17 @@ mod tests {
     #[test]
     fn torn_wal_tail_is_measured_and_ignored() {
         let dir = tmp_dir("torntail");
-        let wal = Wal::open(&dir, None).unwrap();
+        let wal = fresh_wal(&dir);
         let keep = logged_page(&wal, 1, 0, b"kept");
         logged_page(&wal, 1, 1, b"lost to the tear");
         wal.sync().unwrap();
         let wal_path = wal.path().to_path_buf();
         drop(wal);
         let full = std::fs::read(&wal_path).unwrap();
-        let cut = crate::storage::wal::record_size(PAGE_SIZE) + 99;
+        let cut = record_size(CHECKPOINT_PAYLOAD) + record_size(PAGE_SIZE) + 99;
         std::fs::write(&wal_path, &full[..cut]).unwrap();
-        let report = recover(&dir).unwrap().unwrap();
-        assert_eq!(report.scanned_records, 1);
+        let report = recover(&dir);
+        assert_eq!(report.scanned_records, 2, "checkpoint + the image before the tear");
         assert_eq!(report.replayed_pages, 1);
         assert_eq!(report.torn_tail_bytes, 99);
         let raw = std::fs::read(data_file_path(&dir, 1)).unwrap();

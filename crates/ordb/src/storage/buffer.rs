@@ -961,7 +961,7 @@ mod tests {
         let dir = temp_dir("walconc");
         let pool = Arc::new(BufferPool::new(8));
         pool.register_file(1, dir.join("w.db")).unwrap();
-        let wal = Arc::new(crate::storage::wal::Wal::open(&dir, None).unwrap());
+        let wal = Arc::new(crate::storage::wal::Wal::open(&dir, None, None).unwrap());
         pool.set_wal(Some(wal.clone()));
         std::thread::scope(|s| {
             for t in 0..4u32 {
@@ -997,7 +997,7 @@ mod tests {
         let _ = std::fs::remove_file(dir.join(crate::storage::wal::WAL_FILE));
         let pool = BufferPool::new(256);
         pool.register_file(1, dir.join("u.db")).unwrap();
-        let wal = Arc::new(crate::storage::wal::Wal::open(&dir, None).unwrap());
+        let wal = Arc::new(crate::storage::wal::Wal::open(&dir, None, None).unwrap());
         pool.set_wal(Some(wal.clone()));
         let frames: Vec<FrameRef> = (0..100)
             .map(|i: u32| {

@@ -12,14 +12,19 @@
 //! [magic u32 = 0x57414C52 "WALR"]
 //! [kind  u8] [pad u8;3]
 //! [lsn   u64]
-//! [file  u32] [pid u32]        (zero for checkpoint records)
+//! [file  u32] [pid u32]        (zero for checkpoint and commit records)
 //! [len   u32]                  payload length
 //! [crc   u32]                  CRC32 over kind..=payload
 //! [payload; len]
 //! ```
 //!
-//! `kind` is [`REC_PAGE_IMAGE`] (payload = 8 KiB page image) or
-//! [`REC_CHECKPOINT`] (payload empty; `lsn` = next LSN to hand out).
+//! `kind` is [`REC_PAGE_IMAGE`] (payload = 8 KiB page image),
+//! [`REC_TXN_COMMIT`] (payload = transaction id) or [`REC_CHECKPOINT`]
+//! (payload = `[watermark u64][next_txid u64]`). Every log begins with
+//! exactly one checkpoint record, and the log is the database's only
+//! recovery state besides the data files: the LSN cursor resumes past
+//! the highest record, and the checkpoint's transaction watermark and id
+//! cursor tell recovery which versions were decided before it.
 //!
 //! ## Protocol
 //!
@@ -30,13 +35,17 @@
 //! * [`Wal::ensure_durable`] is the WAL-before-data gate: the buffer
 //!   pool calls it with a page's LSN before writing that page to a data
 //!   file, forcing a flush only when the log actually lags.
-//! * [`Wal::checkpoint_truncate`] runs after all data pages are flushed
-//!   and fsync'd: the log is reset to a single checkpoint record
-//!   carrying the LSN cursor forward.
+//! * [`Wal::checkpoint`] runs after all data pages are flushed and
+//!   fsync'd: it writes a fresh log — the checkpoint record plus the
+//!   commit records still needed above the watermark — to `wal.log.tmp`,
+//!   fsyncs it and renames it over `wal.log`. A crash at any point leaves
+//!   either the old log or the new one, and each classifies every
+//!   version on disk.
 //!
-//! Recovery ([`crate::recovery`]) scans the log front to back, stops at
-//! the first corrupt or torn record (the torn tail), and replays images
-//! whose LSN is newer than the on-disk page.
+//! Recovery reads the log once ([`LogScan::read`]): the scan stops at the
+//! first corrupt or torn record (the torn tail) and hands redo its page
+//! images, undo its commit set and watermark, and the reopened [`Wal`]
+//! its LSN cursor and valid length.
 //!
 //! ## Vacuum ordering
 //!
@@ -58,8 +67,8 @@
 //! [`Database::commit`]: crate::db::Database::commit
 //! [`BufferPool::log_frame`]: crate::storage::buffer::BufferPool::log_frame
 
+use std::collections::{HashMap, HashSet};
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -75,24 +84,21 @@ use crate::storage::page::{crc32_update, Page, PAGE_SIZE};
 pub const WAL_MAGIC: u32 = 0x5741_4C52;
 /// Record kind: full page image.
 pub const REC_PAGE_IMAGE: u8 = 1;
-/// Record kind: checkpoint (log reset marker carrying the LSN cursor).
+/// Record kind: checkpoint, the first record of every log (payload =
+/// [`CHECKPOINT_PAYLOAD`] bytes: LE transaction watermark, then LE next
+/// transaction id).
 pub const REC_CHECKPOINT: u8 = 2;
 /// Record kind: transaction commit (payload = 8-byte LE transaction id).
 /// Recovery treats a transaction as committed iff its commit record is
-/// in the valid log prefix (or its id is below the `txn.meta`
+/// in the valid log prefix (or its id is below the checkpoint's
 /// watermark); versions of any other transaction are stamped dead.
 pub const REC_TXN_COMMIT: u8 = 3;
+/// Payload length of a [`REC_CHECKPOINT`] record.
+pub const CHECKPOINT_PAYLOAD: usize = 16;
 /// Fixed record header size in bytes.
 pub const REC_HEADER: usize = 28;
 /// File name of the log inside a database directory.
 pub const WAL_FILE: &str = "wal.log";
-/// Sidecar holding the LSN cursor across checkpoint truncations: written
-/// atomically (temp + rename) *before* the log is truncated, so a crash
-/// between the truncation and the new checkpoint record becoming durable
-/// can never reset LSNs. A reset would be silent data loss: recovery
-/// skips any page whose on-disk LSN is `>=` the record's, so re-issued
-/// low LSNs would make stale disk pages look current.
-pub const WAL_META: &str = "wal.meta";
 
 /// Monotonic WAL counters, surfaced in `EXPLAIN ANALYZE` and
 /// `metrics.json`. All counts are totals since open; use
@@ -105,7 +111,7 @@ pub struct WalStats {
     pub bytes: u64,
     /// fsyncs of the log file.
     pub fsyncs: u64,
-    /// Checkpoints taken (log truncations).
+    /// Checkpoints taken (log replacements).
     pub checkpoints: u64,
     /// Transaction commit records appended.
     pub commit_records: u64,
@@ -196,34 +202,17 @@ pub fn record_size(payload_len: usize) -> usize {
 }
 
 impl Wal {
-    /// Open (creating if absent) the log at `dir/wal.log`. Scans the
-    /// existing log to resume the LSN cursor past its highest record.
-    pub fn open(dir: &Path, fault: Option<Arc<FaultInjector>>) -> Result<Wal> {
+    /// Open the log at `dir/wal.log`, appending after the valid prefix
+    /// `scan` found and resuming its LSN cursor. `None` means there is no
+    /// log yet: the file is created and LSNs start at 1.
+    pub fn open(
+        dir: &Path,
+        fault: Option<Arc<FaultInjector>>,
+        scan: Option<&LogScan>,
+    ) -> Result<Wal> {
         let path = dir.join(WAL_FILE);
-        let mut file =
-            OpenOptions::new().read(true).write(true).create(true).truncate(false).open(&path)?;
-        // Resume the LSN cursor: highest LSN in any valid record + 1.
-        let mut next_lsn = 1u64;
-        let mut valid_len = 0u64;
-        {
-            let mut reader = WalReader::from_file(&mut file)?;
-            while let Some(rec) = reader.next_record() {
-                next_lsn = next_lsn.max(rec.lsn + 1);
-                if rec.kind == REC_CHECKPOINT {
-                    next_lsn = next_lsn.max(rec.lsn);
-                }
-                valid_len = reader.consumed();
-            }
-        }
-        // The meta sidecar wins over the log: a crash during checkpoint
-        // truncation may leave the log empty (or with a torn checkpoint
-        // record) while the sidecar already carries the real cursor.
-        if let Ok(text) = std::fs::read_to_string(dir.join(WAL_META)) {
-            if let Ok(meta_lsn) = text.trim().parse::<u64>() {
-                next_lsn = next_lsn.max(meta_lsn);
-            }
-        }
-        file.seek(SeekFrom::Start(valid_len))?;
+        let file = OpenOptions::new().write(true).create(true).truncate(false).open(&path)?;
+        let (next_lsn, valid_len) = scan.map_or((1, 0), |s| (s.next_lsn, s.valid_len));
         Ok(Wal {
             path,
             inner: Mutex::new(WalInner {
@@ -373,69 +362,137 @@ impl Wal {
         self.flush_locked(&mut inner)
     }
 
-    /// Truncate the log to a single checkpoint record. The caller must
-    /// have flushed and fsync'd every data page first — otherwise redo
-    /// information is lost.
-    pub fn checkpoint_truncate(&self) -> Result<()> {
-        self.checkpoint_truncate_with(&[])
-    }
-
-    /// [`Wal::checkpoint_truncate`] that additionally re-appends commit
-    /// records for `commits` — committed transaction ids at or above
-    /// the `txn.meta` watermark, whose commit evidence must survive the
-    /// truncation because an older transaction was still in flight when
-    /// the checkpoint ran.
-    pub fn checkpoint_truncate_with(&self, commits: &[u64]) -> Result<()> {
+    /// Replace the log with a checkpoint record carrying `watermark` (ids
+    /// below it are decided) and `next_txid`, followed by a commit record
+    /// for each of `commits` — ids committed at or above the watermark,
+    /// whose evidence must survive because an older transaction was still
+    /// in flight. The new log is written and fsync'd as `wal.log.tmp`,
+    /// then renamed over `wal.log`, so a crash at any point leaves the old
+    /// log or the new one; a dead fault injector fails the write or the
+    /// fsync before the rename. The caller must have flushed and fsync'd
+    /// every data page first — otherwise redo information is lost.
+    pub fn checkpoint(&self, watermark: u64, next_txid: u64, commits: &[u64]) -> Result<()> {
         let mut inner = self.inner.lock();
-        if let Some(f) = &self.fault {
-            if f.crashed() {
-                // A dead process never reaches the truncation; without
-                // this guard the set_len below would erase redo records
-                // the "crashed" run still needs.
-                return Err(DbError::Io(crate::storage::fault::crash_error()));
-            }
-        }
         inner.buf.clear();
-        let lsn = self.next_lsn.load(Ordering::SeqCst);
-        // Persist the cursor before destroying the log that carries it;
-        // the rename is atomic, so every crash window sees either the old
-        // sidecar (log still intact) or the new one.
-        let dir = self.path.parent().unwrap_or(Path::new("."));
-        let tmp = dir.join("wal.meta.tmp");
-        std::fs::write(&tmp, lsn.to_string())?;
-        std::fs::rename(&tmp, dir.join(WAL_META))?;
-        let mut rec = Vec::new();
-        append_record(&mut rec, REC_CHECKPOINT, lsn, 0, 0, &[]);
+        let mut log = Vec::new();
+        let mut payload = [0u8; CHECKPOINT_PAYLOAD];
+        payload[..8].copy_from_slice(&watermark.to_le_bytes());
+        payload[8..].copy_from_slice(&next_txid.to_le_bytes());
+        let lsn = self.next_lsn.fetch_add(1, Ordering::SeqCst);
+        append_record(&mut log, REC_CHECKPOINT, lsn, 0, 0, &payload);
         for &txid in commits {
-            let clsn = self.next_lsn.fetch_add(1, Ordering::SeqCst);
-            append_record(&mut rec, REC_TXN_COMMIT, clsn, 0, 0, &txid.to_le_bytes());
+            let lsn = self.next_lsn.fetch_add(1, Ordering::SeqCst);
+            append_record(&mut log, REC_TXN_COMMIT, lsn, 0, 0, &txid.to_le_bytes());
             self.commit_records.fetch_add(1, Ordering::Relaxed);
         }
-        inner.file.set_len(0)?;
-        faulted_write_at(&inner.file, self.fault.as_deref(), IoKind::Wal, &rec, 0)
-            .map_err(DbError::from)?;
-        faulted_sync(&inner.file, self.fault.as_deref()).map_err(DbError::from)?;
-        inner.len = rec.len() as u64;
+        let tmp = self.path.with_extension("log.tmp");
+        let file = File::create(&tmp)?;
+        faulted_write_at(&file, self.fault.as_deref(), IoKind::Wal, &log, 0)?;
+        faulted_sync(&file, self.fault.as_deref())?;
+        std::fs::rename(&tmp, &self.path)?;
+        // From the rename on, appends must go to the new file whatever
+        // the directory fsync below reports.
+        inner.file = file;
+        inner.len = log.len() as u64;
         inner.durable_len = inner.len;
         self.fsyncs.fetch_add(1, Ordering::Relaxed);
         self.checkpoints.fetch_add(1, Ordering::Relaxed);
         self.durable_lsn.store(self.next_lsn.load(Ordering::SeqCst) - 1, Ordering::SeqCst);
+        File::open(self.path.parent().unwrap_or(Path::new(".")))?.sync_all()?;
         Ok(())
+    }
+}
+
+/// Everything recovery and a reopened [`Wal`] need from the log,
+/// gathered in one front-to-back pass by [`LogScan::read`].
+#[derive(Debug, Default)]
+pub struct LogScan {
+    /// The last image logged for each `(file, page)`, with its LSN: the
+    /// redo set.
+    pub images: HashMap<(u32, u32), (u64, Vec<u8>)>,
+    /// Transaction ids with a commit record in the valid prefix.
+    pub committed: HashSet<u64>,
+    /// The checkpoint's watermark: every id below it was decided then.
+    pub watermark: u64,
+    /// The checkpoint's next transaction id.
+    pub next_txid: u64,
+    /// The LSN to hand out next: one past the highest record.
+    pub next_lsn: u64,
+    /// Valid records, the checkpoint record included.
+    pub records: u64,
+    /// Byte length of the valid prefix.
+    pub valid_len: u64,
+    /// Bytes past the last valid record (a torn append from a crash).
+    pub torn_tail: u64,
+}
+
+impl LogScan {
+    /// Read `dir/wal.log` once. `None` when there is no log or it is
+    /// empty (a database that never finished its first open). A log that
+    /// does not begin with a checkpoint record carrying the transaction
+    /// watermark fails with an error naming the file: it comes from a
+    /// version that kept the watermark beside the log, and without it
+    /// recovery would stamp every checkpointed row dead.
+    pub fn read(dir: &Path) -> Result<Option<LogScan>> {
+        let path = dir.join(WAL_FILE);
+        let mut reader = WalReader::open(&path)?;
+        if reader.remaining() == 0 {
+            return Ok(None);
+        }
+        let Some((lsn, (watermark, next_txid))) =
+            reader.next_record().and_then(|rec| Some((rec.lsn, rec.checkpoint()?)))
+        else {
+            return Err(DbError::Corrupt(format!(
+                "{}: the log does not begin with a checkpoint record carrying the \
+                 transaction watermark (written by an older version?); refusing to recover",
+                path.display()
+            )));
+        };
+        let mut scan =
+            LogScan { watermark, next_txid, next_lsn: lsn + 1, records: 1, ..LogScan::default() };
+        while let Some(rec) = reader.next_record() {
+            scan.records += 1;
+            scan.next_lsn = scan.next_lsn.max(rec.lsn + 1);
+            if rec.kind == REC_PAGE_IMAGE && rec.payload.len() == PAGE_SIZE {
+                // Later images supersede earlier ones.
+                scan.images.insert((rec.file_id, rec.pid), (rec.lsn, rec.payload));
+            } else if rec.kind == REC_TXN_COMMIT && rec.payload.len() == 8 {
+                scan.committed.insert(u64::from_le_bytes(rec.payload[..].try_into().unwrap()));
+            }
+        }
+        scan.valid_len = reader.consumed();
+        scan.torn_tail = reader.remaining();
+        Ok(Some(scan))
     }
 }
 
 /// One decoded WAL record.
 pub struct WalRecord {
-    /// Record kind ([`REC_PAGE_IMAGE`] or [`REC_CHECKPOINT`]).
+    /// Record kind ([`REC_PAGE_IMAGE`], [`REC_CHECKPOINT`] or
+    /// [`REC_TXN_COMMIT`]).
     pub kind: u8,
     /// Log sequence number.
     pub lsn: u64,
-    /// Target data file id (0 for checkpoints).
+    /// Target data file id (0 for checkpoint and commit records).
     pub file_id: u32,
-    /// Target page id (0 for checkpoints).
+    /// Target page id (0 for checkpoint and commit records).
     pub pid: u32,
-    /// Payload (the page image for [`REC_PAGE_IMAGE`]).
+    /// Payload (see the record kinds).
     pub payload: Vec<u8>,
+}
+
+impl WalRecord {
+    /// `(watermark, next_txid)` if this is a well-formed checkpoint record.
+    pub fn checkpoint(&self) -> Option<(u64, u64)> {
+        if self.kind != REC_CHECKPOINT || self.payload.len() != CHECKPOINT_PAYLOAD {
+            return None;
+        }
+        let (watermark, next_txid) = self.payload.split_at(8);
+        Some((
+            u64::from_le_bytes(watermark.try_into().expect("8-byte half")),
+            u64::from_le_bytes(next_txid.try_into().expect("8-byte half")),
+        ))
+    }
 }
 
 /// Streaming, CRC-validating scan of a WAL byte stream. Stops cleanly
@@ -455,13 +512,6 @@ impl WalReader {
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
             Err(e) => return Err(e.into()),
         };
-        Ok(WalReader { data, pos: 0 })
-    }
-
-    fn from_file(file: &mut File) -> Result<WalReader> {
-        let mut data = Vec::new();
-        file.seek(SeekFrom::Start(0))?;
-        file.read_to_end(&mut data)?;
         Ok(WalReader { data, pos: 0 })
     }
 
@@ -523,6 +573,8 @@ pub fn dump(path: &Path) -> Result<String> {
         if rec.kind == REC_TXN_COMMIT && rec.payload.len() == 8 {
             let txid = u64::from_le_bytes(rec.payload[..8].try_into().unwrap());
             let _ = writeln!(out, "{n:6} {kind} lsn={} txid={txid}", rec.lsn);
+        } else if let Some((watermark, next)) = rec.checkpoint() {
+            let _ = writeln!(out, "{n:6} {kind} lsn={} watermark={watermark} next={next}", rec.lsn);
         } else {
             let _ = writeln!(
                 out,
@@ -546,6 +598,7 @@ pub fn dump(path: &Path) -> Result<String> {
 mod tests {
     use super::*;
     use crate::storage::fault::{CrashMode, FaultPlan, FaultScope};
+    use crate::txn::TXID_FIRST;
 
     fn tmp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("ordb-wal-{tag}-{}", std::process::id()));
@@ -554,10 +607,24 @@ mod tests {
         dir
     }
 
+    /// A log as a database leaves it: the checkpoint record first.
+    fn fresh(dir: &Path, fault: Option<Arc<FaultInjector>>) -> Wal {
+        let wal = Wal::open(dir, fault, None).unwrap();
+        wal.checkpoint(TXID_FIRST, TXID_FIRST, &[]).unwrap();
+        wal
+    }
+
+    /// Reopen from one scan, as `Database::open` does.
+    fn reopen(dir: &Path) -> (LogScan, Wal) {
+        let scan = LogScan::read(dir).unwrap().expect("a log");
+        let wal = Wal::open(dir, None, Some(&scan)).unwrap();
+        (scan, wal)
+    }
+
     #[test]
     fn log_sync_read_round_trip() {
         let dir = tmp_dir("rt");
-        let wal = Wal::open(&dir, None).unwrap();
+        let wal = Wal::open(&dir, None, None).unwrap();
         let mut p = Page::new();
         p.insert(b"hello wal").unwrap();
         let lsn = wal.log_page(3, 7, &mut p);
@@ -578,7 +645,7 @@ mod tests {
         let dir = tmp_dir("mono");
         let mut highest = 0;
         {
-            let wal = Wal::open(&dir, None).unwrap();
+            let wal = fresh(&dir, None);
             let mut p = Page::new();
             for _ in 0..5 {
                 highest = wal.log_page(1, 1, &mut p);
@@ -586,15 +653,15 @@ mod tests {
             wal.sync().unwrap();
         }
         {
-            let wal = Wal::open(&dir, None).unwrap();
+            let (_, wal) = reopen(&dir);
             let mut p = Page::new();
             let lsn = wal.log_page(1, 2, &mut p);
             assert!(lsn > highest, "reopen must not reuse LSNs ({lsn} <= {highest})");
-            wal.checkpoint_truncate().unwrap();
+            wal.checkpoint(TXID_FIRST, TXID_FIRST, &[]).unwrap();
             highest = lsn;
         }
         {
-            let wal = Wal::open(&dir, None).unwrap();
+            let (_, wal) = reopen(&dir);
             let mut p = Page::new();
             let lsn = wal.log_page(1, 3, &mut p);
             assert!(lsn > highest, "checkpoint must carry the cursor forward");
@@ -605,27 +672,30 @@ mod tests {
     #[test]
     fn reader_stops_at_torn_tail() {
         let dir = tmp_dir("tear");
-        let wal = Wal::open(&dir, None).unwrap();
+        let wal = fresh(&dir, None);
         let mut p = Page::new();
         wal.log_page(1, 1, &mut p);
         wal.log_page(1, 2, &mut p);
         wal.sync().unwrap();
-        // Chop the file mid-second-record.
+        // Chop the file mid-second-image.
         let path = wal.path().to_path_buf();
         drop(wal);
         let full = std::fs::read(&path).unwrap();
-        let cut = record_size(PAGE_SIZE) + 40;
+        let cut = record_size(CHECKPOINT_PAYLOAD) + record_size(PAGE_SIZE) + 40;
         std::fs::write(&path, &full[..cut]).unwrap();
         let mut reader = WalReader::open(&path).unwrap();
+        assert_eq!(reader.next_record().unwrap().kind, REC_CHECKPOINT);
         assert!(reader.next_record().is_some());
         assert!(reader.next_record().is_none());
         assert_eq!(reader.remaining(), 40);
         // Reopening resumes cleanly past the valid prefix.
-        let wal = Wal::open(&dir, None).unwrap();
+        let (scan, wal) = reopen(&dir);
+        assert_eq!((scan.records, scan.torn_tail), (2, 40));
         let mut p2 = Page::new();
         wal.log_page(1, 3, &mut p2);
         wal.sync().unwrap();
         let mut reader = WalReader::open(&path).unwrap();
+        assert_eq!(reader.next_record().unwrap().kind, REC_CHECKPOINT);
         assert_eq!(reader.next_record().unwrap().pid, 1);
         assert_eq!(reader.next_record().unwrap().pid, 3);
         std::fs::remove_dir_all(&dir).unwrap();
@@ -634,7 +704,7 @@ mod tests {
     #[test]
     fn reader_stops_at_bit_flip() {
         let dir = tmp_dir("flip");
-        let wal = Wal::open(&dir, None).unwrap();
+        let wal = Wal::open(&dir, None, None).unwrap();
         let mut p = Page::new();
         wal.log_page(1, 1, &mut p);
         wal.log_page(1, 2, &mut p);
@@ -653,7 +723,7 @@ mod tests {
     #[test]
     fn ensure_durable_flushes_only_when_needed() {
         let dir = tmp_dir("dur");
-        let wal = Wal::open(&dir, None).unwrap();
+        let wal = Wal::open(&dir, None, None).unwrap();
         let mut p = Page::new();
         let lsn = wal.log_page(1, 1, &mut p);
         let before = wal.stats();
@@ -671,36 +741,33 @@ mod tests {
     #[test]
     fn checkpoint_truncates_to_one_record() {
         let dir = tmp_dir("ckpt");
-        let wal = Wal::open(&dir, None).unwrap();
+        let wal = fresh(&dir, None);
         let mut p = Page::new();
         for i in 0..10 {
             wal.log_page(1, i, &mut p);
         }
         wal.sync().unwrap();
         assert!(wal.len_bytes() > 10 * PAGE_SIZE as u64);
-        wal.checkpoint_truncate().unwrap();
-        assert_eq!(wal.len_bytes(), record_size(0) as u64);
-        let mut reader = WalReader::open(wal.path()).unwrap();
-        let rec = reader.next_record().unwrap();
-        assert_eq!(rec.kind, REC_CHECKPOINT);
-        assert!(reader.next_record().is_none());
+        wal.checkpoint(7, 9, &[]).unwrap();
+        assert_eq!(wal.len_bytes(), record_size(CHECKPOINT_PAYLOAD) as u64);
+        let scan = LogScan::read(&dir).unwrap().unwrap();
+        assert_eq!((scan.records, scan.watermark, scan.next_txid), (1, 7, 9));
+        assert!(scan.images.is_empty());
+        assert!(!dir.join("wal.log.tmp").exists(), "the new log was renamed into place");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn commit_records_round_trip_and_survive_checkpoint_relog() {
         let dir = tmp_dir("txnc");
-        let wal = Wal::open(&dir, None).unwrap();
+        let wal = fresh(&dir, None);
         let lsn = wal.log_commit(42);
         wal.log_commit(43);
         wal.sync_group(lsn).unwrap();
-        let mut reader = WalReader::open(wal.path()).unwrap();
-        let rec = reader.next_record().unwrap();
-        assert_eq!(rec.kind, REC_TXN_COMMIT);
-        assert_eq!(u64::from_le_bytes(rec.payload[..8].try_into().unwrap()), 42);
-        assert_eq!(reader.next_record().unwrap().kind, REC_TXN_COMMIT);
+        let scan = LogScan::read(&dir).unwrap().unwrap();
+        assert_eq!(scan.committed, HashSet::from([42, 43]));
         // Checkpoint with a re-log list keeps the commit evidence.
-        wal.checkpoint_truncate_with(&[42, 43]).unwrap();
+        wal.checkpoint(40, 44, &[42, 43]).unwrap();
         let mut reader = WalReader::open(wal.path()).unwrap();
         assert_eq!(reader.next_record().unwrap().kind, REC_CHECKPOINT);
         let mut relogged = Vec::new();
@@ -709,16 +776,19 @@ mod tests {
             relogged.push(u64::from_le_bytes(rec.payload[..8].try_into().unwrap()));
         }
         assert_eq!(relogged, vec![42, 43]);
-        // An empty re-log list truncates to exactly one record.
-        wal.checkpoint_truncate_with(&[]).unwrap();
-        assert_eq!(wal.len_bytes(), record_size(0) as u64);
+        let scan = LogScan::read(&dir).unwrap().unwrap();
+        assert_eq!((scan.watermark, scan.next_txid), (40, 44));
+        assert_eq!(scan.committed, HashSet::from([42, 43]));
+        // An empty re-log list leaves exactly one record.
+        wal.checkpoint(44, 44, &[]).unwrap();
+        assert_eq!(wal.len_bytes(), record_size(CHECKPOINT_PAYLOAD) as u64);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn group_commit_batches_concurrent_fsyncs() {
         let dir = tmp_dir("group");
-        let wal = std::sync::Arc::new(Wal::open(&dir, None).unwrap());
+        let wal = std::sync::Arc::new(Wal::open(&dir, None, None).unwrap());
         let n_threads = 8;
         let n_commits = 25;
         let barrier = std::sync::Arc::new(std::sync::Barrier::new(n_threads));
@@ -758,7 +828,7 @@ mod tests {
     fn crashed_injector_fails_wal_sync() {
         let dir = tmp_dir("crash");
         let inj = FaultInjector::new();
-        let wal = Wal::open(&dir, Some(inj.clone())).unwrap();
+        let wal = Wal::open(&dir, Some(inj.clone()), None).unwrap();
         let mut p = Page::new();
         wal.log_page(1, 1, &mut p);
         inj.arm(FaultPlan {
@@ -773,40 +843,100 @@ mod tests {
 
     #[test]
     fn crash_on_checkpoint_record_does_not_reset_lsns() {
-        // The nasty window: set_len(0) done, checkpoint record lost.
-        // Without the meta sidecar the next open would restart at LSN 1
-        // and recovery would mistake stale disk pages for current ones.
-        let dir = tmp_dir("ckptcrash");
-        let inj = FaultInjector::new();
-        let mut highest = 0;
+        // Whatever the crash does to the rewrite, the old log must survive
+        // whole: its images, its commit records and its cursor. A reset
+        // cursor would be silent data loss — recovery skips any page whose
+        // on-disk LSN is `>=` the record's, so re-issued low LSNs would
+        // make stale disk pages look current.
+        for (i, mode) in
+            [CrashMode::Drop, CrashMode::Tear, CrashMode::BitFlip].into_iter().enumerate()
         {
-            let wal = Wal::open(&dir, Some(inj.clone())).unwrap();
+            let dir = tmp_dir(&format!("ckptcrash{i}"));
+            let inj = FaultInjector::new();
+            let wal = fresh(&dir, Some(inj.clone()));
             let mut p = Page::new();
-            for i in 0..8 {
-                highest = wal.log_page(1, i, &mut p);
+            let mut highest = 0;
+            for pid in 0..8 {
+                highest = wal.log_page(1, pid, &mut p);
             }
+            wal.log_commit(5);
             wal.sync().unwrap();
+            let old = std::fs::read(wal.path()).unwrap();
             inj.arm(FaultPlan {
                 crash_after: 0,
-                mode: CrashMode::Drop,
+                mode,
                 scope: FaultScope::Wal,
-                seed: 11,
+                seed: 11 + i as u64,
             });
-            assert!(wal.checkpoint_truncate().is_err(), "checkpoint write crashed");
+            assert!(wal.checkpoint(6, 9, &[5]).is_err(), "{mode:?}: the rewrite crashed");
+            drop(wal);
+            inj.disarm();
+            let path = dir.join(WAL_FILE);
+            assert_eq!(std::fs::read(&path).unwrap(), old, "{mode:?}: the old log is intact");
+            let tmp = dir.join("wal.log.tmp");
+            assert!(tmp.exists(), "{mode:?}: the crash left the new log unrenamed");
+            // Open reads the old log, not the leftover, and resumes past it.
+            let (scan, wal) = reopen(&dir);
+            assert_eq!((scan.watermark, scan.images.len()), (TXID_FIRST, 8), "{mode:?}");
+            assert_eq!(scan.committed, HashSet::from([5]), "{mode:?}");
+            let lsn = wal.log_page(1, 99, &mut p);
+            assert!(lsn > highest, "{mode:?}: cursor reset by the crash ({lsn} <= {highest})");
+            // The next checkpoint overwrites the leftover, however long.
+            wal.checkpoint(9, 9, &[]).unwrap();
+            assert!(!tmp.exists(), "{mode:?}");
+            let len = std::fs::metadata(&path).unwrap().len();
+            assert_eq!(len, record_size(CHECKPOINT_PAYLOAD) as u64, "{mode:?}");
+            std::fs::remove_dir_all(&dir).unwrap();
         }
-        inj.disarm();
-        assert_eq!(std::fs::metadata(dir.join(WAL_FILE)).unwrap().len(), 0, "log was truncated");
-        let wal = Wal::open(&dir, None).unwrap();
-        let mut p = Page::new();
-        let lsn = wal.log_page(1, 99, &mut p);
-        assert!(lsn > highest, "cursor must survive the crashed truncation ({lsn} <= {highest})");
+    }
+
+    #[test]
+    fn open_refuses_a_log_whose_checkpoint_lacks_the_watermark() {
+        use crate::db::Database;
+        use crate::types::Value;
+        let dir = tmp_dir("refuse");
+        let file_id = {
+            let db = Database::open(&dir).unwrap();
+            db.execute("CREATE TABLE t (a INTEGER)").unwrap();
+            db.insert_rows("t", (0..50).map(|i| vec![Value::Int(i)]).collect()).unwrap();
+            let file_id = db.table_def("t").unwrap().file;
+            db.close().unwrap();
+            file_id
+        };
+        // A log as an older version wrote it: a checkpoint record with no
+        // payload (the watermark lived beside the log), then an image that
+        // redo would write over the table's first page.
+        let mut log = Vec::new();
+        append_record(&mut log, REC_CHECKPOINT, 1, 0, 0, &[]);
+        let mut page = Page::new();
+        page.insert(b"not the table's page").unwrap();
+        append_record(&mut log, REC_PAGE_IMAGE, u64::MAX - 1, file_id, 0, page.bytes());
+        std::fs::write(dir.join(WAL_FILE), &log).unwrap();
+        let data_files = || {
+            let mut files: Vec<(PathBuf, Vec<u8>)> = std::fs::read_dir(&dir)
+                .unwrap()
+                .map(|e| e.unwrap().path())
+                .filter(|p| p.extension().is_some_and(|x| x == "dat"))
+                .map(|p| {
+                    let bytes = std::fs::read(&p).unwrap();
+                    (p, bytes)
+                })
+                .collect();
+            files.sort();
+            files
+        };
+        let before = data_files();
+        assert!(!before.is_empty());
+        let err = Database::open(&dir).err().expect("the older log must be refused");
+        assert!(err.to_string().contains(WAL_FILE), "the error names the log: {err}");
+        assert_eq!(data_files(), before, "refused before any data file was written");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn concurrent_log_page_assigns_unique_lsns() {
         let dir = tmp_dir("conc");
-        let wal = std::sync::Arc::new(Wal::open(&dir, None).unwrap());
+        let wal = std::sync::Arc::new(Wal::open(&dir, None, None).unwrap());
         let mut handles = Vec::new();
         for t in 0..4 {
             let wal = wal.clone();

@@ -27,14 +27,12 @@
 //!
 //! Durability bookkeeping lives here too: the manager tracks a
 //! *watermark* (oldest transaction id that could still be undecided on
-//! disk) and the set of recently committed ids at or above it. The
-//! checkpoint path persists both to a `txn.meta` sidecar and re-logs
-//! the committed ids into the fresh WAL so crash recovery can always
-//! classify every version it finds.
+//! disk) and the set of recently committed ids at or above it. A
+//! checkpoint writes the watermark and the id cursor into the new log's
+//! checkpoint record and re-logs the committed ids after it, so crash
+//! recovery can always classify every version it finds.
 
 use std::collections::{BTreeSet, HashMap, HashSet};
-use std::io::Write as _;
-use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::sync::Mutex;
@@ -50,9 +48,6 @@ pub const TXID_INVALID: u64 = 0;
 /// The first transaction id ever handed out (0 is invalid, 1 is
 /// reserved as the pre-MVCC bootstrap id).
 pub const TXID_FIRST: u64 = 2;
-
-/// Name of the sidecar file holding `watermark next_txid`.
-pub const TXN_META: &str = "txn.meta";
 
 /// Opaque handle for an open transaction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -122,18 +117,6 @@ fn snapshot_boundary(s: &Snapshot) -> u64 {
 }
 
 impl Snapshot {
-    /// A snapshot that sees every committed version and belongs to no
-    /// transaction — used by internal maintenance paths (stats,
-    /// backfill checks) once all writers are known to be finished.
-    pub fn all_committed() -> Snapshot {
-        Snapshot {
-            txid: TXID_INVALID,
-            horizon: u64::MAX,
-            active: Arc::new(HashSet::new()),
-            pin: None,
-        }
-    }
-
     /// Does this snapshot consider transaction `t` committed-or-self?
     fn sees(&self, t: u64) -> bool {
         t != TXID_INVALID && (t == self.txid || (t < self.horizon && !self.active.contains(&t)))
@@ -307,11 +290,6 @@ impl TxnManager {
             .ok_or_else(|| DbError::Exec(format!("no active transaction {}", txn.0)))
     }
 
-    /// Is `txn` still active?
-    pub fn is_active(&self, txn: TxnId) -> bool {
-        self.tables.lock().expect("txn tables poisoned").active.contains_key(&txn.0)
-    }
-
     /// Append an undo record to `txn`'s list and mark it as a writer.
     pub fn record_undo(&self, txn: TxnId, rec: UndoRecord) -> Result<()> {
         let mut t = self.tables.lock().expect("txn tables poisoned");
@@ -401,37 +379,6 @@ impl TxnManager {
             aborted: self.aborted.load(Ordering::Relaxed),
             conflicts: self.conflicts.load(Ordering::Relaxed),
         }
-    }
-}
-
-/// Persist `watermark next` to the `txn.meta` sidecar (atomic
-/// temp+rename, like `wal.meta`).
-pub fn write_txn_meta(dir: &Path, watermark: u64, next: u64) -> Result<()> {
-    let tmp = dir.join("txn.meta.tmp");
-    let fin = dir.join(TXN_META);
-    let mut f = std::fs::File::create(&tmp)?;
-    writeln!(f, "{watermark} {next}")?;
-    f.sync_data()?;
-    std::fs::rename(&tmp, &fin)?;
-    Ok(())
-}
-
-/// Read the `txn.meta` sidecar. Returns `(watermark, next)`; both
-/// default to [`TXID_FIRST`] when the file is missing or malformed
-/// (pre-MVCC database or first boot) — the conservative choice that
-/// makes every stored transaction id subject to the commit-record
-/// check.
-pub fn read_txn_meta(dir: &Path) -> (u64, u64) {
-    let raw = match std::fs::read_to_string(dir.join(TXN_META)) {
-        Ok(s) => s,
-        Err(_) => return (TXID_FIRST, TXID_FIRST),
-    };
-    let mut it = raw.split_whitespace();
-    let wm = it.next().and_then(|s| s.parse::<u64>().ok());
-    let next = it.next().and_then(|s| s.parse::<u64>().ok());
-    match (wm, next) {
-        (Some(w), Some(n)) if w >= 1 && n >= w => (w.max(TXID_FIRST), n.max(TXID_FIRST)),
-        _ => (TXID_FIRST, TXID_FIRST),
     }
 }
 
@@ -541,15 +488,5 @@ mod tests {
         assert_eq!(m.vacuum_watermark(), a.0);
         m.finish_abort(b);
         assert_eq!(m.vacuum_watermark(), 4);
-    }
-
-    #[test]
-    fn txn_meta_round_trip() {
-        let dir = std::env::temp_dir().join(format!("txnmeta-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        assert_eq!(read_txn_meta(&dir), (TXID_FIRST, TXID_FIRST));
-        write_txn_meta(&dir, 7, 42).unwrap();
-        assert_eq!(read_txn_meta(&dir), (7, 42));
-        std::fs::remove_dir_all(&dir).ok();
     }
 }
