@@ -162,6 +162,7 @@ fn crash_matrix_recovers_to_twin_equivalence() {
             );
         }
     }
+    println!("crash matrix seed={seed}: crashes={crashes}/{rounds}");
     assert!(
         crashes >= rounds * 9 / 10,
         "matrix barely crashed ({crashes}/{rounds}) — fault plans are miscalibrated"

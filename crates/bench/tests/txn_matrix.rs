@@ -87,8 +87,9 @@ fn txn_matrix_crash_points_never_leak_uncommitted_versions() {
         drop(committer);
 
         // 2. An orphan transaction: inserts plus one delete claim on a
-        //    committed row, never committed. Its id slot dies with the
-        //    process below.
+        //    committed row of an older page, never committed. Its id slot
+        //    dies with the process below.
+        let claimed = 1_000 + round as i64;
         let orphan_base = 9_000_000 + round as i64 * BATCH;
         let mut orphan = db.session();
         orphan.execute("BEGIN").expect("begin orphan");
@@ -98,7 +99,7 @@ fn txn_matrix_crash_points_never_leak_uncommitted_versions() {
                 .expect("orphan insert");
         }
         orphan
-            .execute(&format!("DELETE FROM tlog WHERE id = {base}"))
+            .execute(&format!("DELETE FROM tlog WHERE id = {claimed}"))
             .expect("orphan delete claim");
 
         // 3. Crash somewhere inside the checkpoint's write storm.
@@ -137,7 +138,7 @@ fn txn_matrix_crash_points_never_leak_uncommitted_versions() {
             ("SELECT COUNT(*) FROM tlog WHERE tag = 'orphan'".into(), 0),
             ("SELECT COUNT(*) FROM tlog WHERE tag = 'keep'".into(), committed),
             // The orphan's delete claim must have been cleared.
-            (format!("SELECT COUNT(*) FROM tlog WHERE id = {base}"), 1),
+            (format!("SELECT COUNT(*) FROM tlog WHERE id = {claimed}"), 1),
         ];
         for (sql, want) in &checks {
             let got = db.query(sql).expect(sql).rows[0][0].clone();
@@ -184,6 +185,7 @@ fn txn_matrix_crash_points_never_leak_uncommitted_versions() {
             );
         }
     }
+    println!("txn matrix seed={seed}: crashes={crashes}/{rounds}");
     assert!(
         crashes >= rounds * 7 / 10,
         "matrix barely crashed ({crashes}/{rounds}) — fault plans are miscalibrated"

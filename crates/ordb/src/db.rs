@@ -216,16 +216,15 @@ impl Database {
         let mut scan = LogScan::read(&dir)?;
         let recovery = scan.as_mut().map(|scan| crate::recovery::redo(&dir, scan)).transpose()?;
         let catalog = Catalog::load(&dir)?;
-        // Undo pass: redo has restored the pages the log covered, but
-        // versions written by transactions that never logged a commit
-        // record must be stamped dead (and orphaned delete claims
-        // cleared) before anything reads them.
+        // Undo pass: list the versions written by transactions that never
+        // logged a commit record, and the delete claims they left.
         let heap_files: Vec<u32> = catalog.tables().map(|t| t.file).collect();
         let undo = scan
             .as_ref()
             .map(|scan| crate::recovery::undo_uncommitted(&dir, &heap_files, scan))
-            .transpose()?;
-        let next = undo.map_or(0, |u| u.max_txid + 1).max(crate::txn::TXID_FIRST);
+            .transpose()?
+            .unwrap_or_default();
+        let next = (undo.max_txid + 1).max(crate::txn::TXID_FIRST);
         let txns = TxnManager::new(next);
         let pool = Arc::new(BufferPool::with_fault(opts.pool_frames, opts.fault.clone()));
         let wal = Arc::new(Wal::open(&dir, opts.fault.clone(), scan.as_ref())?);
@@ -242,32 +241,41 @@ impl Database {
             indexes
                 .insert(i.name.to_ascii_lowercase(), Arc::new(BTree::open(pool.clone(), i.file)?));
         }
-        // After a dirty shutdown an index page can be durable while the
-        // heap page holding its target slot was lost — the stale entry
-        // would alias whatever future insert lands on that slot index.
-        // Purge entries whose heap slot no longer exists (or whose
-        // version the undo pass stamped dead) before serving queries.
-        // `skipped_pages` counts too: a clean shutdown leaves the log a
-        // bare checkpoint record, so *any* page image in the WAL —
-        // even one the data file already has — means the last process
-        // died mid-flight (e.g. mid-vacuum with some frames evicted and
-        // others lost) and an index page may be stale relative to its
-        // heap page.
+        // A log holding any page image or a torn tail means the last
+        // process died mid-flight (a clean shutdown leaves a bare
+        // checkpoint record, and every data-file write since the last
+        // checkpoint logged its image first): a WAL torn mid-vacuum can
+        // leave stubs whose chains were already reclaimed and overflow
+        // pages nothing references, and an index page can be durable
+        // while the heap page holding its target slot was lost.
         let dirty = recovery
             .as_ref()
-            .is_some_and(|r| r.replayed_pages > 0 || r.skipped_pages > 0 || r.torn_tail_bytes > 0)
-            || undo.is_some_and(|u| {
-                u.versions_stamped_dead > 0 || u.xmax_cleared > 0 || u.committed_txns > 0
-            });
+            .is_some_and(|r| r.replayed_pages > 0 || r.skipped_pages > 0 || r.torn_tail_bytes > 0);
         if dirty {
-            // A WAL torn mid-vacuum can leave stubs whose chains were
-            // already reclaimed and overflow pages nothing references:
-            // digest both before the index sweep below, so its
-            // `get_versioned` probes see a consistent heap and drop
-            // the purged stubs' index entries.
             for heap in heaps.values() {
                 heap.scavenge_after_recovery()?;
             }
+        }
+        // Take the undecided versions out the way vacuum does, index
+        // entries first, then clear the undecided claims.
+        for tdef in catalog.tables() {
+            let heap = &heaps[&tdef.name.to_ascii_lowercase()];
+            let idx_defs = index_defs(&catalog, &indexes, tdef);
+            let ordinals = key_ordinals(idx_defs.iter().map(|(cols, _)| cols));
+            let mut victims = Vec::new();
+            for &(_, rid) in undo.remove.iter().filter(|(file, _)| *file == tdef.file) {
+                if let Some(v) = heap.get_versioned(rid)? {
+                    victims.push((rid, decode_cols(&v.body, ordinals.iter().copied())?));
+                }
+            }
+            reclaim(heap, &idx_defs, &ordinals, victims)?;
+            for &(_, rid) in undo.clear.iter().filter(|(file, _)| *file == tdef.file) {
+                heap.clear_xmax(rid)?;
+            }
+        }
+        // Purge index entries whose heap slot no longer exists — the
+        // stale entry would alias whatever future insert lands there.
+        if dirty {
             for idef in catalog.indexes() {
                 let Some(heap) = heaps.get(&idef.table.to_ascii_lowercase()) else { continue };
                 let tree = indexes.get(&idef.name.to_ascii_lowercase()).expect("tree");
@@ -278,11 +286,11 @@ impl Database {
                 }
             }
         }
-        // Make the sweep's page edits durable in the data files, then
-        // replace the log (everything redo restored was already fsync'd
-        // by the recovery pass). After the undo pass every surviving
-        // on-disk version is committed, so the new watermark is `next`;
-        // until the new log lands, the old one still classifies them.
+        // Make the repair durable in the data files, then replace the log
+        // (everything redo restored was already fsync'd by the recovery
+        // pass). After the repair every surviving on-disk version is
+        // committed, so the new watermark is `next`; until the new log
+        // lands, the old one still classifies them.
         pool.log_dirty_frames()?;
         wal.sync()?;
         pool.flush_all()?;
@@ -397,20 +405,7 @@ impl Database {
             .ok_or_else(|| DbError::Catalog(format!("unknown table {table:?}")))?
             .clone();
         let heap = inner.heaps.get(&tdef.name.to_ascii_lowercase()).expect("heap").clone();
-        let idx_defs: Vec<(Vec<usize>, Arc<BTree>)> = inner
-            .catalog
-            .indexes_of(&tdef.name)
-            .into_iter()
-            .map(|d| {
-                let cols = d
-                    .columns
-                    .iter()
-                    .map(|c| tdef.column_index(c).expect("index column exists"))
-                    .collect::<Vec<_>>();
-                let tree = inner.indexes.get(&d.name.to_ascii_lowercase()).expect("tree").clone();
-                (cols, tree)
-            })
-            .collect();
+        let idx_defs = index_defs(&inner.catalog, &inner.indexes, &tdef);
         drop(inner);
         Ok((tdef, heap, idx_defs))
     }
@@ -904,13 +899,12 @@ impl Database {
 
     /// Physically reclaim every dead version no current or future
     /// snapshot can see: versions whose committed `xmax` lies below
-    /// [`TxnManager::vacuum_watermark`], plus versions stamped dead by
-    /// crash recovery (`xmin == 0`). For each victim the pass deletes
-    /// its index entries *first*, then frees the heap slot and walks
-    /// its overflow chain back to the free-space map — that ordering
-    /// means a revived slot can never alias a stale index entry, even
-    /// if the pass crashes halfway (redo replays the logged prefix; the
-    /// open-time sweep and a re-run converge the rest).
+    /// [`TxnManager::vacuum_watermark`]. For each victim the pass
+    /// deletes its index entries *first*, then frees the heap slot and
+    /// walks its overflow chain back to the free-space map — that
+    /// ordering means a revived slot can never alias a stale index
+    /// entry, even if the pass crashes halfway (redo replays the logged
+    /// prefix; the open-time sweep and a re-run converge the rest).
     ///
     /// Runs under the catalog read lock (concurrent queries and DML
     /// proceed; DDL waits) and a pass-serialization mutex. Finishes
@@ -929,19 +923,7 @@ impl Database {
         let tables: Vec<TableDef> = inner.catalog.tables().cloned().collect();
         for tdef in &tables {
             let heap = inner.heaps.get(&tdef.name.to_ascii_lowercase()).expect("heap").clone();
-            let idx_defs: Vec<(Vec<usize>, Arc<BTree>)> = inner
-                .catalog
-                .indexes_of(&tdef.name)
-                .into_iter()
-                .map(|d| {
-                    let cols: Vec<usize> = d
-                        .columns
-                        .iter()
-                        .map(|c| tdef.column_index(c).expect("index column"))
-                        .collect();
-                    (cols, inner.indexes.get(&d.name.to_ascii_lowercase()).expect("tree").clone())
-                })
-                .collect();
+            let idx_defs = index_defs(&inner.catalog, &inner.indexes, tdef);
             // Committed-dead versions below the watermark. A nonzero
             // `xmax` below the watermark is necessarily committed: an
             // active claimant's own id bounds the watermark from above,
@@ -959,21 +941,7 @@ impl Database {
                     Ok(())
                 },
             )? {}
-            for (rid, row) in victims {
-                for (cols, tree) in &idx_defs {
-                    tree.delete(&encode_key(&key_of(cols, &ordinals, &row)), rid)?;
-                }
-                if heap.delete(rid)? {
-                    vacuumed += 1;
-                }
-            }
-            // Recovery-stamped corpses (`xmin == 0`) carry no index
-            // entries — the open-time sweep already purged them.
-            for rid in heap.stamped_dead_rids()? {
-                if heap.delete(rid)? {
-                    vacuumed += 1;
-                }
-            }
+            vacuumed += reclaim(&heap, &idx_defs, &ordinals, victims)?;
         }
         drop(inner);
         ENGINE.vacuumed_versions.fetch_add(vacuumed, Ordering::Relaxed);
@@ -1127,6 +1095,46 @@ impl Drop for Database {
             let _ = self.close_inner();
         }
     }
+}
+
+/// One table's indexes: each one's key-column positions and tree.
+fn index_defs(
+    catalog: &Catalog,
+    indexes: &HashMap<String, Arc<BTree>>,
+    tdef: &TableDef,
+) -> Vec<(Vec<usize>, Arc<BTree>)> {
+    catalog
+        .indexes_of(&tdef.name)
+        .into_iter()
+        .map(|d| {
+            let cols =
+                d.columns.iter().map(|c| tdef.column_index(c).expect("index column")).collect();
+            (cols, indexes.get(&d.name.to_ascii_lowercase()).expect("tree").clone())
+        })
+        .collect()
+}
+
+/// How vacuum and open's undo take versions out of the heap: for each
+/// victim, with its key columns decoded at `ordinals`, delete its index
+/// entries first, then its slot and overflow chain — so a revived slot
+/// can never alias a stale entry. Returns the number of versions
+/// removed.
+fn reclaim(
+    heap: &HeapFile,
+    idx_defs: &[(Vec<usize>, Arc<BTree>)],
+    ordinals: &[usize],
+    victims: Vec<(Rid, Row)>,
+) -> Result<u64> {
+    let mut removed = 0;
+    for (rid, row) in victims {
+        for (cols, tree) in idx_defs {
+            tree.delete(&encode_key(&key_of(cols, ordinals, &row)), rid)?;
+        }
+        if heap.delete(rid)? {
+            removed += 1;
+        }
+    }
+    Ok(removed)
 }
 
 /// The stored columns the index key lists in `keys` read, ascending.
@@ -1893,6 +1901,78 @@ mod tests {
                     db.session().with_forcing(forcing).query("SELECT id FROM t WHERE id >= 0");
                 assert_eq!(rows.unwrap().rows, vec![vec![Value::Int(3)]], "{mode:?} {access:?}");
             }
+            db.close().unwrap();
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    #[test]
+    fn crash_during_open_repair_leaves_no_index_entry_to_alias_a_later_row() {
+        // Open's repair of an uncommitted insert crashes at its first log
+        // write. The next open must still take the version out, index
+        // entry first: a slot freed later without its entry would be
+        // revived by the next insert, and a probe for the dead key would
+        // find the new row.
+        use crate::plan::ForcedAccess;
+        use crate::storage::fault::{CrashMode, FaultInjector, FaultPlan, FaultScope};
+        for (i, mode) in
+            [CrashMode::Drop, CrashMode::Tear, CrashMode::BitFlip].into_iter().enumerate()
+        {
+            let dir =
+                std::env::temp_dir().join(format!("ordb-db-undo-crash-{i}-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            let inj = FaultInjector::new();
+            let opts = DbOptions { fault: Some(inj.clone()), ..Default::default() };
+            let db = Database::open_with(&dir, opts.clone()).unwrap();
+            db.execute("CREATE TABLE t (id INTEGER)").unwrap();
+            db.execute("CREATE INDEX t_id ON t (id)").unwrap();
+            db.execute("INSERT INTO t VALUES (1)").unwrap();
+            let mut open = db.session();
+            open.execute("BEGIN").unwrap();
+            open.execute("INSERT INTO t VALUES (2)").unwrap();
+            db.checkpoint().unwrap();
+            std::mem::forget(open);
+            db.abandon();
+
+            inj.arm(FaultPlan {
+                crash_after: 0,
+                mode,
+                scope: FaultScope::Wal,
+                seed: 11 + i as u64,
+            });
+            assert!(Database::open_with(&dir, opts.clone()).is_err(), "{mode:?}: repair crashed");
+            inj.disarm();
+
+            let db = Database::open_with(&dir, opts).unwrap();
+            db.execute("DELETE FROM t WHERE id = 1").unwrap();
+            db.vacuum().unwrap();
+            db.execute("INSERT INTO t VALUES (5)").unwrap();
+            db.execute("INSERT INTO t VALUES (6)").unwrap();
+            let ids = |access: ForcedAccess, sql: &str| -> Vec<Row> {
+                let forcing = PlanForcing { access: Some(access), ..Default::default() };
+                let mut rows = db.session().with_forcing(forcing).query(sql).unwrap().rows;
+                rows.sort_by_key(|r| r[0].as_int());
+                rows
+            };
+            for access in [ForcedAccess::SeqScan, ForcedAccess::IndexScan] {
+                let all = ids(access, "SELECT id FROM t WHERE id >= 0");
+                assert_eq!(
+                    all,
+                    vec![vec![Value::Int(5)], vec![Value::Int(6)]],
+                    "{mode:?} {access:?}"
+                );
+                let two = ids(access, "SELECT id FROM t WHERE id = 2");
+                assert!(two.is_empty(), "{mode:?} {access:?}: id = 2 found {two:?}");
+            }
+            // Every index entry resolves to a live version with its key.
+            let inner = db.inner.read();
+            let (heap, tree) = (&inner.heaps["t"], &inner.indexes["t_id"]);
+            for (key, rid) in tree.scan_range(None, None, true).unwrap() {
+                let v = heap.get_versioned(rid).unwrap().expect("index entry resolves");
+                assert_eq!(v.xmax, 0, "{mode:?}: entry at {rid:?} names a deleted version");
+                assert_eq!(encode_key(&decode_row(&v.body, 1).unwrap()), key, "{mode:?} {rid:?}");
+            }
+            drop(inner);
             db.close().unwrap();
             let _ = std::fs::remove_dir_all(&dir);
         }

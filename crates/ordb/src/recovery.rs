@@ -13,41 +13,49 @@
 //! never survives: its logged image overwrites it unconditionally.
 //!
 //! **Undo** ([`undo_uncommitted`]) runs after redo, once the catalog is
-//! loaded: it sweeps every heap page stamping dead (`xmin := 0`)
-//! versions created by transactions that never committed and clearing
-//! `xmax` claims they left behind. A transaction committed if its `TXNC`
-//! record is in the log or its id is below the watermark carried by the
-//! log's checkpoint record (decided before that checkpoint). The sweep
-//! is logical-state repair, not log replay — it edits slot headers in
-//! place and restamps the page checksum without touching the LSN.
+//! loaded, and only reads: it lists the versions created by transactions
+//! that never committed and the `xmax` claims they left behind. A
+//! transaction committed if its `TXNC` record is in the log or its id is
+//! below the watermark carried by the log's checkpoint record (decided
+//! before that checkpoint); an `xmin` of zero is never decided, so a
+//! version an older build stamped dead in place is listed as well.
+//! [`Database::open`] then takes each listed version out through the
+//! reclaim that [`vacuum`] uses — index entries first, then the slot and
+//! its overflow chain — and clears each listed claim, all through the
+//! logged buffer pool. The repair is logged like any other write: a
+//! crash during it leaves either the data files as they were, and the
+//! next open lists the same versions again, or a log whose images redo
+//! replays.
 //!
 //! **Vacuum interaction.** A crash mid-[`vacuum`] needs no special
 //! handling here. Vacuum is WAL-logged like any other mutation: redo
 //! replays whatever prefix of the pass reached the log (index deletes,
 //! freed slots, pages reinitialised to the free kind, `special0 == 3`),
-//! and the undo sweep skips free and overflow pages entirely — it only
+//! and the undo pass skips free and overflow pages entirely — it only
 //! inspects `special0 == 1` data pages, so a half-reclaimed chain can
 //! never be misread as slot headers. Versions the crashed pass did not
 //! get to are still dead-below-the-watermark on reopen and the next
-//! pass reclaims them; versions it stamped `xmin == 0` are swept up by
-//! [`vacuum`]'s stamped-dead scan.
+//! pass reclaims them.
 //!
-//! Both passes use plain `std::fs` I/O rather than the pool/fault
-//! stack: recovery models the clean restart *after* the crash, when the
-//! disk is healthy again.
+//! Redo writes the data files with plain `std::fs` I/O rather than the
+//! pool/fault stack: recovery models the clean restart *after* the
+//! crash, when the disk is healthy again. It is the only code here that
+//! writes a data file.
 //!
 //! [`vacuum`]: crate::db::Database::vacuum
 //!
 //! [`Database::open`]: crate::db::Database::open
 
 use std::collections::HashMap;
-use std::fs::OpenOptions;
+use std::fs::{File, OpenOptions};
 use std::os::unix::fs::FileExt;
 use std::path::Path;
 
 use crate::error::Result;
+use crate::storage::heap::{rid_slot, Rid};
 use crate::storage::page::{verify_checksum, Page, PAGE_SIZE};
 use crate::storage::wal::LogScan;
+use crate::txn::TXID_INVALID;
 
 /// What one recovery pass did. Returned by
 /// [`Database::recovery_report`](crate::db::Database::recovery_report)
@@ -120,28 +128,34 @@ fn page_lsn(bytes: &[u8; PAGE_SIZE]) -> u64 {
     u64::from_le_bytes(bytes[PAGE_SIZE - 12..PAGE_SIZE - 4].try_into().unwrap())
 }
 
-/// What the undo pass did. Folded into open-time bookkeeping: the
-/// transaction manager resumes its id cursor past `max_txid`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+/// What the undo pass found: the versions [`Database::open`] must take
+/// out of the heap, the claims it must clear, and where the transaction
+/// manager resumes its id cursor (past `max_txid`).
+///
+/// [`Database::open`]: crate::db::Database::open
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct UndoReport {
     /// Distinct committed transaction ids found in the log.
     pub committed_txns: u64,
-    /// Versions stamped dead (`xmin := 0`) — inserts by transactions
-    /// that never committed.
-    pub versions_stamped_dead: u64,
-    /// Delete claims cleared (`xmax := 0`) — claims by transactions
-    /// that never committed.
-    pub xmax_cleared: u64,
     /// Highest transaction id seen anywhere (headers, commit records,
     /// the checkpoint's id cursor).
     pub max_txid: u64,
+    /// `(heap file, rid)` of every version whose creator never
+    /// committed: open reclaims each — index entries first, then the
+    /// slot — through the logged pool, as vacuum does.
+    pub remove: Vec<(u32, Rid)>,
+    /// `(heap file, rid)` of every committed version whose `xmax` claim
+    /// was left by a transaction that never committed.
+    pub clear: Vec<(u32, Rid)>,
 }
 
-/// Undo pass: sweep the heap files named by `heap_file_ids`, stamping
-/// dead every version whose creator is neither below the scan's
-/// checkpoint watermark nor in its committed set, and clearing `xmax`
-/// claims under the same rule. Must run after [`redo`] (so slot headers
-/// are as the log left them).
+/// Undo pass: read the heap files named by `heap_file_ids` and list
+/// every version whose creator is neither below the scan's checkpoint
+/// watermark nor in its committed set (`remove`), and every `xmax`
+/// claim under the same rule (`clear`). Must run after [`redo`] (so slot
+/// headers are as the log left them). Writes nothing: pages that fail
+/// their checksum are passed over, left for the pool's corruption
+/// detection.
 pub fn undo_uncommitted(dir: &Path, heap_file_ids: &[u32], scan: &LogScan) -> Result<UndoReport> {
     let (watermark, committed) = (scan.watermark, &scan.committed);
     let mut report = UndoReport {
@@ -152,58 +166,38 @@ pub fn undo_uncommitted(dir: &Path, heap_file_ids: &[u32], scan: &LogScan) -> Re
             .max(committed.iter().copied().max().unwrap_or(0)),
         ..UndoReport::default()
     };
-    let decided = |t: u64| t < watermark || committed.contains(&t);
+    let decided = |t: u64| t != TXID_INVALID && (t < watermark || committed.contains(&t));
     for &fid in heap_file_ids {
-        let path = data_file_path(dir, fid);
-        let Ok(f) = OpenOptions::new().read(true).write(true).open(&path) else {
+        let Ok(f) = File::open(data_file_path(dir, fid)) else {
             continue; // heap file never materialized
         };
-        let pages = f.metadata()?.len() / PAGE_SIZE as u64;
-        let mut touched_file = false;
+        // Page ids are `u32`: pages past that no `Rid` can name.
+        let pages = u32::try_from(f.metadata()?.len() / PAGE_SIZE as u64).unwrap_or(u32::MAX);
         for pid in 0..pages {
-            let off = pid * PAGE_SIZE as u64;
             let mut raw = [0u8; PAGE_SIZE];
-            if f.read_exact_at(&mut raw, off).is_err() {
-                continue; // short tail: never a full page
-            }
-            // Leave non-verifying pages for the pool's corruption
-            // detection — restamping them would bless garbage.
-            if !verify_checksum(&raw) {
+            let off = u64::from(pid) * PAGE_SIZE as u64;
+            if f.read_exact_at(&mut raw, off).is_err() || !verify_checksum(&raw) {
                 continue;
             }
-            let mut page = Page::from_bytes(raw);
+            let page = Page::from_bytes(raw);
             if page.special0() != 1 {
                 continue; // overflow, vacuumed-free, or fresh page: no slot headers
             }
-            let mut touched = false;
             for slot in 0..page.slot_count() {
-                let Some(rec) = page.get_mut(slot) else { continue };
+                let Some(rec) = page.get(slot) else { continue };
                 if rec.len() < 16 {
                     continue;
                 }
                 let xmin = u64::from_le_bytes(rec[0..8].try_into().unwrap());
                 let xmax = u64::from_le_bytes(rec[8..16].try_into().unwrap());
                 report.max_txid = report.max_txid.max(xmin).max(xmax);
-                if xmin != 0 && !decided(xmin) {
-                    rec[0..8].copy_from_slice(&0u64.to_le_bytes());
-                    report.versions_stamped_dead += 1;
-                    touched = true;
-                } else if xmax != 0 && !decided(xmax) {
-                    rec[8..16].copy_from_slice(&0u64.to_le_bytes());
-                    report.xmax_cleared += 1;
-                    touched = true;
+                let rid = Rid { page: pid, slot: rid_slot(slot)? };
+                if !decided(xmin) {
+                    report.remove.push((fid, rid));
+                } else if xmax != TXID_INVALID && !decided(xmax) {
+                    report.clear.push((fid, rid));
                 }
             }
-            if touched {
-                // Keep the LSN (redo ordering is untouched); refresh the
-                // trailer over the edited headers.
-                page.stamp_checksum();
-                f.write_all_at(page.bytes(), off)?;
-                touched_file = true;
-            }
-        }
-        if touched_file {
-            f.sync_data()?;
         }
     }
     Ok(report)
@@ -335,8 +329,33 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// A slot record: version header, then `body`.
+    fn rec(xmin: u64, xmax: u64, body: &[u8]) -> Vec<u8> {
+        let mut r = Vec::new();
+        r.extend_from_slice(&xmin.to_le_bytes());
+        r.extend_from_slice(&xmax.to_le_bytes());
+        r.extend_from_slice(body);
+        r
+    }
+
+    /// Write one data page holding `records` as heap file 1.
+    fn write_data_page(dir: &Path, records: &[Vec<u8>]) -> Vec<u8> {
+        let mut p = Page::new();
+        p.set_special0(1); // data page
+        for r in records {
+            p.insert(r).unwrap();
+        }
+        p.stamp_checksum();
+        std::fs::write(data_file_path(dir, 1), p.bytes()).unwrap();
+        p.bytes().to_vec()
+    }
+
+    fn rid(slot: u16) -> (u32, Rid) {
+        (1, Rid { page: 0, slot })
+    }
+
     #[test]
-    fn undo_stamps_uncommitted_and_clears_claims() {
+    fn undo_lists_uncommitted_versions_and_claims() {
         let dir = tmp_dir("undo");
         // The log carries commit evidence for txn 5 only; txn 7 crashed
         // mid-flight. The checkpoint's watermark is the first id, so both
@@ -345,46 +364,25 @@ mod tests {
         wal.log_commit(5);
         wal.sync().unwrap();
         drop(wal);
-        let rec = |xmin: u64, xmax: u64, body: &[u8]| {
-            let mut r = Vec::new();
-            r.extend_from_slice(&xmin.to_le_bytes());
-            r.extend_from_slice(&xmax.to_le_bytes());
-            r.extend_from_slice(body);
-            r
-        };
-        let mut p = Page::new();
-        p.set_special0(1); // data page
-        p.insert(&rec(5, 0, b"keep")).unwrap();
-        p.insert(&rec(7, 0, b"uncommitted insert")).unwrap();
-        p.insert(&rec(5, 7, b"uncommitted delete claim")).unwrap();
-        p.stamp_checksum();
-        std::fs::write(data_file_path(&dir, 1), p.bytes()).unwrap();
+        let before = write_data_page(
+            &dir,
+            &[
+                rec(5, 0, b"keep"),
+                rec(7, 0, b"uncommitted insert"),
+                rec(5, 7, b"uncommitted delete claim"),
+                rec(0, 0, b"stamped dead by an older build"),
+            ],
+        );
 
         let report = undo_uncommitted(&dir, &[1], &scan(&dir)).unwrap();
         assert_eq!(report.committed_txns, 1);
-        assert_eq!(report.versions_stamped_dead, 1);
-        assert_eq!(report.xmax_cleared, 1);
         assert_eq!(report.max_txid, 7);
+        assert_eq!(report.remove, vec![rid(1), rid(3)]);
+        assert_eq!(report.clear, vec![rid(2)]);
+        assert_eq!(std::fs::read(data_file_path(&dir, 1)).unwrap(), before, "undo only reads");
 
-        let raw: [u8; PAGE_SIZE] =
-            std::fs::read(data_file_path(&dir, 1)).unwrap().try_into().unwrap();
-        assert!(verify_checksum(&raw), "sweep must restamp the trailer");
-        let q = Page::from_bytes(raw);
-        let hdr = |slot: usize| {
-            let r = q.get(slot).unwrap();
-            (
-                u64::from_le_bytes(r[0..8].try_into().unwrap()),
-                u64::from_le_bytes(r[8..16].try_into().unwrap()),
-            )
-        };
-        assert_eq!(hdr(0), (5, 0), "committed row untouched");
-        assert_eq!(hdr(1), (0, 0), "uncommitted insert stamped dead");
-        assert_eq!(hdr(2), (5, 0), "uncommitted claim cleared");
-
-        // Idempotent: a second sweep changes nothing.
-        let again = undo_uncommitted(&dir, &[1], &scan(&dir)).unwrap();
-        assert_eq!(again.versions_stamped_dead, 0);
-        assert_eq!(again.xmax_cleared, 0);
+        // Reading twice finds the same work.
+        assert_eq!(undo_uncommitted(&dir, &[1], &scan(&dir)).unwrap(), report);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -396,27 +394,13 @@ mod tests {
         let wal = Wal::open(&dir, None, None).unwrap();
         wal.checkpoint(10, 12, &[]).unwrap();
         drop(wal);
-        let rec = |xmin: u64, xmax: u64| {
-            let mut r = Vec::new();
-            r.extend_from_slice(&xmin.to_le_bytes());
-            r.extend_from_slice(&xmax.to_le_bytes());
-            r.extend_from_slice(b"x");
-            r
-        };
-        let mut p = Page::new();
-        p.set_special0(1);
-        p.insert(&rec(9, 0)).unwrap(); // below watermark: keep
-        p.insert(&rec(11, 0)).unwrap(); // above, no commit record: dead
-        p.stamp_checksum();
-        std::fs::write(data_file_path(&dir, 1), p.bytes()).unwrap();
+        // Below the watermark: keep. Above, no commit record: remove.
+        let before = write_data_page(&dir, &[rec(9, 0, b"x"), rec(11, 0, b"x")]);
         let report = undo_uncommitted(&dir, &[1], &scan(&dir)).unwrap();
-        assert_eq!(report.versions_stamped_dead, 1);
+        assert_eq!(report.remove, vec![rid(1)]);
+        assert!(report.clear.is_empty());
         assert_eq!(report.max_txid, 11);
-        let raw: [u8; PAGE_SIZE] =
-            std::fs::read(data_file_path(&dir, 1)).unwrap().try_into().unwrap();
-        let q = Page::from_bytes(raw);
-        assert_eq!(u64::from_le_bytes(q.get(0).unwrap()[0..8].try_into().unwrap()), 9);
-        assert_eq!(u64::from_le_bytes(q.get(1).unwrap()[0..8].try_into().unwrap()), 0);
+        assert_eq!(std::fs::read(data_file_path(&dir, 1)).unwrap(), before, "undo only reads");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -16,15 +16,17 @@
 //! Dead slots and emptied pages are tracked in an in-memory free-space
 //! map (`Fsm`) and reused by later inserts, so steady-state churn does
 //! not grow the file. A dead slot only becomes reusable after every
-//! index entry pointing at it has been deleted — vacuum and rollback
-//! both remove index entries before killing the slot — so a revived
-//! slot can never alias a stale index entry. Freed pages keep their LSN
-//! trailer across [`Page::reinit`] so WAL redo ordering still applies
-//! when they are recycled.
+//! index entry pointing at it has been deleted — vacuum, rollback and
+//! recovery's undo all remove index entries before killing the slot —
+//! so a revived slot can never alias a stale index entry. Freed pages
+//! keep their LSN trailer across [`Page::reinit`] so WAL redo ordering
+//! still applies when they are recycled.
 //!
 //! Reading a whole file goes through one loop, [`PageScan`]: a page at a
 //! time, one fetch and one latch per page, versions handed to the caller
-//! from the page bytes.
+//! from the page bytes. Every overflow chain — read, freed, or marked
+//! reachable — goes through one validating walker, so a chain is acted
+//! on only once all of it has checked out.
 
 use std::collections::BTreeSet;
 use std::sync::atomic::Ordering::Relaxed;
@@ -103,8 +105,8 @@ pub enum ClaimOutcome {
     OwnedBySelf,
     /// Another transaction holds the claim — write-write conflict.
     Conflict(u64),
-    /// The slot is missing or stamped dead (e.g. a concurrent rollback
-    /// physically removed it).
+    /// The slot is missing (e.g. a concurrent rollback physically
+    /// removed it).
     Gone,
 }
 
@@ -113,7 +115,7 @@ pub enum ClaimOutcome {
 /// into a *wrong but valid-looking* `Rid` — today's 8 KiB pages cannot
 /// hold that many slots, but the record format must not depend on the
 /// page size staying small.
-fn rid_slot(slot: usize) -> Result<u16> {
+pub(crate) fn rid_slot(slot: usize) -> Result<u16> {
     u16::try_from(slot)
         .map_err(|_| DbError::Exec(format!("slot index {slot} exceeds the Rid slot range")))
 }
@@ -334,24 +336,38 @@ impl HeapFile {
         self.insert_slot(&record)
     }
 
-    /// Physically delete the record at `rid` (rollback of an insert and
-    /// vacuum reclamation — MVCC deletes go through
-    /// [`HeapFile::try_claim_xmax`] instead). The overflow chain, if
-    /// any, is walked and returned to the free-space map; a data page
-    /// whose last live slot dies is freed whole. Callers must have
-    /// removed every index entry pointing at `rid` first — the slot is
-    /// immediately reusable.
+    /// Physically delete the record at `rid` (rollback of an insert,
+    /// vacuum reclamation and recovery's undo — MVCC deletes go through
+    /// [`HeapFile::try_claim_xmax`] instead). A data page whose last live
+    /// slot dies is freed whole, and the overflow chain, if any, is
+    /// returned to the free-space map once all of it has validated.
+    /// Callers must have removed every index entry pointing at `rid`
+    /// first — the slot is immediately reusable.
     pub fn delete(&self, rid: Rid) -> Result<bool> {
+        let Some(chain) = self.remove_slot(rid)? else { return Ok(false) };
+        if let Some((first, total)) = chain {
+            self.free_chain(first, total)?;
+        }
+        Ok(true)
+    }
+
+    /// Kill the slot at `rid` under one page latch, from reading its stub
+    /// to the kill, and free the page if that was its last live slot.
+    /// `None` when there is no such slot; otherwise the overflow chain
+    /// the slot's stub pointed at, if it held one. A record too short
+    /// for a version header is still removable.
+    fn remove_slot(&self, rid: Rid) -> Result<Option<Option<(u32, usize)>>> {
         if rid.page >= self.page_count()? {
-            return Ok(false);
+            return Ok(None);
         }
         let frame = self.pool.fetch(self.file, rid.page)?;
         let mut page = frame.page.lock();
+        if !is_data_page(&page) {
+            return Ok(None);
+        }
         let Some(raw) = page.get(rid.slot as usize) else {
-            return Ok(false);
+            return Ok(None);
         };
-        // Capture the chain head before the stub disappears. A record
-        // too short for a version header is still deletable.
         let chain = match split_version(raw) {
             Ok((_, _, payload)) if is_stub(payload) => Some(stub_target(payload)),
             _ => None,
@@ -370,76 +386,27 @@ impl HeapFile {
         } else {
             self.fsm.lock().data.insert(rid.page);
         }
-        if let Some((first, total)) = chain {
-            self.free_chain(first, total)?;
-        }
-        Ok(true)
+        Ok(Some(chain))
     }
 
-    /// Walk the overflow chain starting at `first` and return every page
-    /// to the free-space map. Bounded by the page count implied by
-    /// `total`, like `HeapFile::read_overflow`, so a corrupt cycle
-    /// cannot loop forever. Returns the number of pages freed.
-    pub fn free_chain(&self, first: u32, total: usize) -> Result<u32> {
-        let max_hops = total.div_ceil(OVF_CAPACITY).max(1);
-        let mut pid = first;
-        let mut freed = 0u32;
-        while pid != OVF_END {
-            if freed as usize >= max_hops {
-                return Err(DbError::Corrupt(format!(
-                    "overflow chain from page {first} exceeds the {max_hops} pages implied by \
-                     length {total}"
-                )));
-            }
-            if pid >= self.page_count()? {
-                return Err(DbError::Corrupt(format!(
-                    "overflow chain points past the end of the file at page {pid}"
-                )));
-            }
+    /// Return the overflow chain from `first` to the free-space map. The
+    /// whole chain is walked and validated before the first page is
+    /// freed, so a corrupt `next` pointing into another record's chain
+    /// fails here with nothing freed.
+    fn free_chain(&self, first: u32, total: usize) -> Result<()> {
+        let mut pids = Vec::new();
+        self.walk_chain(first, total, |pid, _| pids.push(pid))?;
+        for &pid in &pids {
             let frame = self.pool.fetch(self.file, pid)?;
             let mut page = frame.page.lock();
-            if !is_overflow_page(&page) {
-                return Err(DbError::Corrupt(format!(
-                    "page {pid} in an overflow chain is not an overflow page"
-                )));
-            }
-            let next = u32::from_le_bytes(overflow_body(&page)[0..4].try_into().unwrap());
             page.reinit();
             mark_free_page(&mut page);
             frame.mark_dirty();
             drop(page);
             self.fsm.lock().free.insert(pid);
-            freed += 1;
-            pid = next;
         }
-        ENGINE.freed_pages.fetch_add(u64::from(freed), Relaxed);
-        Ok(freed)
-    }
-
-    /// Rids of versions stamped dead by recovery (`xmin == 0`): invisible
-    /// to every snapshot and skipped by [`PageScan`], they are
-    /// reclaimed by vacuum without index bookkeeping (the open-time sweep
-    /// already removed their index entries).
-    pub fn stamped_dead_rids(&self) -> Result<Vec<Rid>> {
-        let pages = self.page_count()?;
-        let mut out = Vec::new();
-        for pid in 0..pages {
-            let frame = self.pool.fetch(self.file, pid)?;
-            let page = frame.page.lock();
-            if !is_data_page(&page) {
-                continue;
-            }
-            for slot in 0..page.slot_count() {
-                if let Some(raw) = page.get(slot) {
-                    if raw.len() >= VERSION_HEADER
-                        && u64::from_le_bytes(raw[0..8].try_into().unwrap()) == 0
-                    {
-                        out.push(Rid { page: pid, slot: rid_slot(slot)? });
-                    }
-                }
-            }
-        }
-        Ok(out)
+        ENGINE.freed_pages.fetch_add(pids.len() as u64, Relaxed);
+        Ok(())
     }
 
     /// Post-crash convergence pass, run by `Database::open` after a
@@ -484,29 +451,13 @@ impl HeapFile {
         let mut reachable: BTreeSet<u32> = BTreeSet::new();
         let mut purged = 0u64;
         for (rid, first, total) in stubs {
-            match self.chain_pages(first, total) {
-                Ok(pids) => reachable.extend(pids),
+            let mut pids = Vec::new();
+            match self.walk_chain(first, total, |pid, _| pids.push(pid)) {
+                Ok(()) => reachable.extend(pids),
                 Err(DbError::Corrupt(_)) => {
-                    let frame = self.pool.fetch(self.file, rid.page)?;
-                    let mut page = frame.page.lock();
-                    if page.get(rid.slot as usize).is_none() {
-                        continue;
+                    if self.remove_slot(rid)?.is_some() {
+                        purged += 1;
                     }
-                    page.delete(rid.slot as usize);
-                    let emptied = page.live_slots() == 0;
-                    if emptied {
-                        page.reinit();
-                        mark_free_page(&mut page);
-                    }
-                    frame.mark_dirty();
-                    drop(page);
-                    if emptied {
-                        self.fsm.lock().free.insert(rid.page);
-                        ENGINE.freed_pages.fetch_add(1, Relaxed);
-                    } else {
-                        self.fsm.lock().data.insert(rid.page);
-                    }
-                    purged += 1;
                 }
                 Err(e) => return Err(e),
             }
@@ -532,55 +483,6 @@ impl HeapFile {
         Ok((purged, freed))
     }
 
-    /// Walk the chain from `first`, validating the same structure
-    /// [`HeapFile::read_overflow`] checks but without copying bodies,
-    /// and return the pages it traverses.
-    fn chain_pages(&self, first: u32, total: usize) -> Result<Vec<u32>> {
-        let pages = self.page_count()?;
-        if total > (pages as usize).saturating_mul(OVF_CAPACITY) {
-            return Err(DbError::Corrupt(format!(
-                "overflow length {total} exceeds what {pages} pages can hold"
-            )));
-        }
-        let max_hops = total.div_ceil(OVF_CAPACITY).max(1);
-        let mut out = Vec::new();
-        let mut covered = 0usize;
-        let mut pid = first;
-        while pid != OVF_END {
-            if out.len() >= max_hops {
-                return Err(DbError::Corrupt(format!(
-                    "overflow chain from page {first} exceeds the {max_hops} pages implied by \
-                     length {total} (cycle?)"
-                )));
-            }
-            if pid >= pages {
-                return Err(DbError::Corrupt(format!("overflow page {pid} is past the file end")));
-            }
-            let frame = self.pool.fetch(self.file, pid)?;
-            let page = frame.page.lock();
-            if !is_overflow_page(&page) {
-                return Err(DbError::Corrupt(format!("page {pid} is not an overflow page")));
-            }
-            let raw = overflow_body(&page);
-            let next = u32::from_le_bytes(raw[0..4].try_into().unwrap());
-            let len = u16::from_le_bytes(raw[4..6].try_into().unwrap()) as usize;
-            if len > raw.len() - OVF_HEADER || covered + len > total {
-                return Err(DbError::Corrupt(format!(
-                    "overflow page {pid} breaks the chain's recorded {total} bytes"
-                )));
-            }
-            covered += len;
-            out.push(pid);
-            pid = next;
-        }
-        if covered != total {
-            return Err(DbError::Corrupt(format!(
-                "overflow chain length {covered} != recorded {total}"
-            )));
-        }
-        Ok(out)
-    }
-
     /// Read the record body at `rid`, resolving overflow chains.
     /// Errors if the slot is missing — callers that must tolerate
     /// concurrent rollback use [`HeapFile::get_versioned`].
@@ -591,8 +493,8 @@ impl HeapFile {
         }
     }
 
-    /// Read the full version at `rid`: `None` if the slot is missing,
-    /// dead, or stamped dead by recovery (`xmin == 0`).
+    /// Read the full version at `rid`: `None` if the slot is missing or
+    /// dead.
     pub fn get_versioned(&self, rid: Rid) -> Result<Option<Version>> {
         if rid.page >= self.page_count()? {
             return Ok(None);
@@ -606,9 +508,6 @@ impl HeapFile {
             return Ok(None);
         };
         let (xmin, xmax, payload) = split_version(raw)?;
-        if xmin == 0 {
-            return Ok(None);
-        }
         if is_stub(payload) {
             let (first, total) = stub_target(payload);
             drop(page);
@@ -635,10 +534,6 @@ impl HeapFile {
         };
         if raw.len() < VERSION_HEADER {
             return Err(DbError::Corrupt(format!("slot record at {rid:?} has no version header")));
-        }
-        let xmin = u64::from_le_bytes(raw[0..8].try_into().unwrap());
-        if xmin == 0 {
-            return Ok(ClaimOutcome::Gone);
         }
         let xmax = u64::from_le_bytes(raw[8..16].try_into().unwrap());
         if xmax == 0 {
@@ -672,21 +567,24 @@ impl HeapFile {
         Ok(())
     }
 
-    fn read_overflow(&self, first: u32, total: usize) -> Result<Vec<u8>> {
-        // `total` comes off disk: validate it against the file size
-        // before trusting it for allocation, and bound the chain walk by
-        // the page count it implies so a corrupt `next` pointer forming
-        // a cycle terminates as an error instead of reading forever.
-        let pages = self.page_count()? as usize;
-        if total > pages.saturating_mul(OVF_CAPACITY) {
+    /// The one overflow-chain walker: hand `each(pid, chunk)` every page
+    /// of the chain from `first` in order, with the payload bytes it
+    /// holds. `total` comes off disk, so it is checked against the file
+    /// size before anything is visited, and the walk is bounded by the
+    /// page count it implies — a corrupt `next` forming a cycle ends as
+    /// an error instead of walking forever. Every page must be an
+    /// overflow page inside the file whose `len` fits its body, and the
+    /// chunks must add up to exactly `total`: a caller that acts only on
+    /// `Ok` acts on a whole, well-formed chain.
+    fn walk_chain(&self, first: u32, total: usize, mut each: impl FnMut(u32, &[u8])) -> Result<()> {
+        let pages = self.page_count()?;
+        if total > (pages as usize).saturating_mul(OVF_CAPACITY) {
             return Err(DbError::Corrupt(format!(
                 "overflow length {total} exceeds what {pages} pages can hold"
             )));
         }
         let max_hops = total.div_ceil(OVF_CAPACITY).max(1);
-        let mut out = Vec::with_capacity(total);
-        let mut pid = first;
-        let mut hops = 0usize;
+        let (mut pid, mut hops, mut covered) = (first, 0usize, 0usize);
         while pid != OVF_END {
             hops += 1;
             if hops > max_hops {
@@ -694,6 +592,9 @@ impl HeapFile {
                     "overflow chain from page {first} exceeds the {max_hops} pages implied by \
                      length {total} (cycle?)"
                 )));
+            }
+            if pid >= pages {
+                return Err(DbError::Corrupt(format!("overflow page {pid} is past the file end")));
             }
             let frame = self.pool.fetch(self.file, pid)?;
             let page = frame.page.lock();
@@ -709,21 +610,21 @@ impl HeapFile {
                     raw.len() - OVF_HEADER
                 )));
             }
-            if out.len() + len > total {
+            if covered + len > total {
                 return Err(DbError::Corrupt(format!(
                     "overflow chain from page {first} is longer than its recorded {total} bytes"
                 )));
             }
-            out.extend_from_slice(&raw[OVF_HEADER..OVF_HEADER + len]);
+            covered += len;
+            each(pid, &raw[OVF_HEADER..OVF_HEADER + len]);
             pid = next;
         }
-        if out.len() != total {
+        if covered != total {
             return Err(DbError::Corrupt(format!(
-                "overflow chain length {} != recorded {total}",
-                out.len()
+                "overflow chain length {covered} != recorded {total}"
             )));
         }
-        Ok(out)
+        Ok(())
     }
 
     /// Resolve the overflow body behind the stub at `rid`, tolerating a
@@ -734,7 +635,15 @@ impl HeapFile {
     /// gone (`None`) rather than serving garbage or a spurious
     /// corruption error.
     fn resolve_stub(&self, rid: Rid, first: u32, total: usize) -> Result<Option<Vec<u8>>> {
-        let read = self.read_overflow(first, total);
+        let mut body = Vec::new();
+        // The walker checks `total` before the first chunk arrives, so
+        // it is safe to size the buffer from then.
+        let read = self
+            .walk_chain(first, total, |_, chunk| {
+                body.reserve_exact(total - body.len());
+                body.extend_from_slice(chunk);
+            })
+            .map(|()| body);
         let intact = self.stub_matches(rid, first, total)?;
         match read {
             Ok(body) if intact => Ok(Some(body)),
@@ -758,10 +667,10 @@ impl HeapFile {
         let Some(raw) = page.get(rid.slot as usize) else {
             return Ok(false);
         };
-        let Ok((xmin, _, payload)) = split_version(raw) else {
+        let Ok((_, _, payload)) = split_version(raw) else {
             return Ok(false);
         };
-        Ok(xmin != 0 && is_stub(payload) && stub_target(payload) == (first, total))
+        Ok(is_stub(payload) && stub_target(payload) == (first, total))
     }
 }
 
@@ -782,8 +691,7 @@ impl PageScan {
     }
 
     /// Visit the next data page: `visit(rid, xmin, xmax, body)` for each
-    /// non-dead version (`xmin != 0`) that `wants(xmin, xmax)` accepts,
-    /// in slot order. Returns `false` at end of file.
+    /// version that `wants(xmin, xmax)` accepts, in slot order. Returns `false` at end of file.
     ///
     /// Inline bodies are handed to `visit` straight from the page bytes,
     /// under the page latch — `visit` is to stay off the buffer pool (a
@@ -819,7 +727,7 @@ impl PageScan {
             for slot in 0..page.slot_count() {
                 let Some(raw) = page.get(slot) else { continue };
                 let (xmin, xmax, payload) = split_version(raw)?;
-                if xmin == 0 || !wants(xmin, xmax) {
+                if !wants(xmin, xmax) {
                     continue;
                 }
                 let rid = Rid { page: pid, slot: rid_slot(slot)? };
@@ -1157,7 +1065,13 @@ mod tests {
         let big = vec![3u8; 3 * OVF_CAPACITY + 10];
         let rid = h.insert(&big, XMIN).unwrap();
         let pages = h.page_count().unwrap();
+        let before = ENGINE.snapshot();
         assert!(h.delete(rid).unwrap());
+        // Four chain pages and the data page the stub emptied. Other
+        // tests free pages concurrently, so the global counter is a floor.
+        assert_eq!(h.fsm.lock().free.len(), 5);
+        let counted = ENGINE.snapshot().since(&before).freed_pages;
+        assert!(counted >= 5, "ENGINE.freed_pages moved by {counted}");
         // The whole footprint (chain pages + the emptied data page) is
         // recycled by an identical insert.
         let rid2 = h.insert(&big, XMIN).unwrap();
@@ -1191,22 +1105,24 @@ mod tests {
     }
 
     #[test]
-    fn stamped_dead_rids_found_and_reclaimable() {
-        let h = heap("stamped");
-        let a = h.insert(b"a", XMIN).unwrap();
-        let b = h.insert(b"b", XMIN).unwrap();
+    fn delete_walks_a_corrupt_chain_before_freeing_any_of_it() {
+        let h = heap("ovf-cross");
+        let a_body = vec![1u8; 2 * OVF_CAPACITY];
+        let b_body: Vec<u8> = (0..2 * OVF_CAPACITY as u32).map(|i| (i % 241) as u8).collect();
+        let a = h.insert(&a_body, XMIN).unwrap();
+        let b = h.insert(&b_body, XMIN).unwrap();
+        let (a_first, _) = stub_of(&h, a);
+        let (b_first, _) = stub_of(&h, b);
+        // Point a's first chain page into b's chain.
         {
-            let frame = h.pool.fetch(h.file, a.page).unwrap();
+            let frame = h.pool.fetch(h.file, a_first).unwrap();
             let mut page = frame.page.lock();
-            let raw = page.get_mut(a.slot as usize).unwrap();
-            raw[0..8].copy_from_slice(&0u64.to_le_bytes());
+            page.bytes_mut()[16..20].copy_from_slice(&b_first.to_le_bytes());
             frame.mark_dirty();
         }
-        assert_eq!(h.stamped_dead_rids().unwrap(), vec![a]);
-        assert_eq!(count(&h), 1, "scan must skip stamped-dead versions");
-        assert!(h.delete(a).unwrap());
-        assert!(h.stamped_dead_rids().unwrap().is_empty());
-        assert_eq!(h.get(b).unwrap(), b"b");
+        assert!(matches!(h.delete(a), Err(DbError::Corrupt(_))));
+        assert_eq!(h.get(b).unwrap(), b_body, "b's chain must be untouched");
+        assert!(h.fsm.lock().free.is_empty(), "no page of a corrupt chain may be freed");
     }
 
     #[test]

@@ -91,7 +91,7 @@ pub const REC_CHECKPOINT: u8 = 2;
 /// Record kind: transaction commit (payload = 8-byte LE transaction id).
 /// Recovery treats a transaction as committed iff its commit record is
 /// in the valid log prefix (or its id is below the checkpoint's
-/// watermark); versions of any other transaction are stamped dead.
+/// watermark); versions of any other transaction are removed on open.
 pub const REC_TXN_COMMIT: u8 = 3;
 /// Payload length of a [`REC_CHECKPOINT`] record.
 pub const CHECKPOINT_PAYLOAD: usize = 16;
@@ -432,7 +432,7 @@ impl LogScan {
     /// does not begin with a checkpoint record carrying the transaction
     /// watermark fails with an error naming the file: it comes from a
     /// version that kept the watermark beside the log, and without it
-    /// recovery would stamp every checkpointed row dead.
+    /// recovery would remove every checkpointed row.
     pub fn read(dir: &Path) -> Result<Option<LogScan>> {
         let path = dir.join(WAL_FILE);
         let mut reader = WalReader::open(&path)?;

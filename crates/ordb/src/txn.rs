@@ -9,16 +9,18 @@
 //!   snapshot's own transaction or a transaction that committed before
 //!   the snapshot was taken, *and* its `xmax` is unset or set by a
 //!   transaction the snapshot does not see as committed;
-//! - `xmin == 0` ([`TXID_INVALID`]) marks a version stamped dead by
-//!   rollback recovery — it is invisible to everyone.
+//! - no version is created with `xmin == 0` ([`TXID_INVALID`]): no
+//!   snapshot sees that id, and the open-time undo removes any version
+//!   found carrying it.
 //!
 //! "Committed before" is decided without a commit log: transaction ids
 //! are handed out under the same lock that maintains the active set, so
 //! any id below the snapshot's `horizon` that was not active when the
 //! snapshot was taken must have finished — and aborted transactions
-//! physically undo their effects (or are stamped dead by crash
-//! recovery) *before* leaving the active set, so "finished" implies
-//! "committed" for every version still reachable.
+//! physically undo their effects *before* leaving the active set (a
+//! transaction the process died in is undone by the next open before
+//! anything reads), so "finished" implies "committed" for every version
+//! still reachable.
 //!
 //! Write-write conflicts are first-updater-wins: deleting a row claims
 //! its `xmax` under the page latch; a second claimant gets
@@ -41,8 +43,9 @@ use crate::error::{DbError, Result};
 use crate::storage::heap::Rid;
 use crate::types::Row;
 
-/// The reserved "no transaction" id. An `xmin` of zero marks a version
-/// stamped dead by recovery; an `xmax` of zero means "not deleted".
+/// The reserved "no transaction" id: an `xmax` of zero means "not
+/// deleted". No version is created with it as its `xmin`; no snapshot
+/// sees it, and the open-time undo removes a version that carries it.
 pub const TXID_INVALID: u64 = 0;
 
 /// The first transaction id ever handed out (0 is invalid, 1 is
@@ -266,9 +269,8 @@ impl TxnManager {
     /// The oldest visibility boundary any live snapshot could use: the
     /// minimum over active transactions' snapshots and registered
     /// readers, or `next` when fully idle. A version whose committed
-    /// `xmax` (or recovery-stamped `xmin == 0`) lies below this value is
-    /// invisible to every current and future snapshot and safe for
-    /// vacuum to reclaim physically.
+    /// `xmax` lies below this value is invisible to every current and
+    /// future snapshot and safe for vacuum to reclaim physically.
     pub fn vacuum_watermark(&self) -> u64 {
         let t = self.tables.lock().expect("txn tables poisoned");
         let mut wm = self.next.load(Ordering::SeqCst);
