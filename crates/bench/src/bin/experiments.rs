@@ -13,9 +13,10 @@
 //!   the whole suite in the minutes range.
 //! * `--scales` — the DSx replication factors for Figures 11/13.
 //! * `--reps` — cold runs per query (paper: 5, mean of middle three).
-//! * `--io-sim` — simulate year-2000 disk latency on buffer-pool misses
-//!   (0.2 ms sequential / 2 ms random), re-creating the paper's I/O-bound
-//!   regime; see `ordb::storage::buffer::IoSimulation`.
+//! * `--io-sim` — Figures 11/13 compare modelled times, each cold run's
+//!   time plus 0.2 ms per sequential and 2 ms per random buffer-pool miss
+//!   (the paper's I/O-bound regime, `xorator_bench::io_charge`), and
+//!   print each query's miss counts beside its ratio. Nothing sleeps.
 //!
 //! Engine properties beyond the paper (throughput, durability, spilling,
 //! serving, transactions, vacuum) are measured by the repository
@@ -36,7 +37,7 @@ struct Args {
     full: bool,
     scales: Vec<usize>,
     reps: usize,
-    io_sim: bool,
+    model_io: bool,
 }
 
 fn parse_args() -> Args {
@@ -45,13 +46,13 @@ fn parse_args() -> Args {
         full: false,
         scales: vec![1, 2, 4, 8],
         reps: 5,
-        io_sim: false,
+        model_io: false,
     };
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
         match a.as_str() {
             "--full" => args.full = true,
-            "--io-sim" => args.io_sim = true,
+            "--io-sim" => args.model_io = true,
             "--scales" => {
                 let v = it.next().expect("--scales needs a value");
                 args.scales = v
@@ -124,8 +125,12 @@ impl MetricsLog {
         let metrics = t.metrics.as_ref().map_or_else(|| "null".to_string(), |m| m.to_json());
         self.entries.push(format!(
             "{{\"figure\":\"{figure}\",\"scale\":{scale},\"query\":\"{query}\",\
-             \"variant\":\"{variant}\",\"mean_ns\":{},\"rows\":{},\"metrics\":{metrics}}}",
+             \"variant\":\"{variant}\",\"mean_ns\":{},\"modelled_ns\":{},\"seq_misses\":{},\
+             \"rand_misses\":{},\"rows\":{},\"metrics\":{metrics}}}",
             t.mean.as_nanos(),
+            t.modelled.as_nanos(),
+            t.io.seq_misses,
+            t.io.rand_misses(),
             t.rows
         ));
     }
@@ -276,29 +281,28 @@ fn ratio_figure(
     mlog: &mut MetricsLog,
 ) {
     let wl = workload_sql(queries);
-    println!("\n## {title}\n");
+    println!("\n## {title}{}\n", if args.model_io { " (modelled I/O-bound clock)" } else { "" });
     let header: Vec<String> = queries.iter().map(|q| q.id.to_string()).collect();
     println!("| scale | {} | load |", header.join(" | "));
     println!("|---|{}---|", "---|".repeat(queries.len()));
     for &scale in &args.scales {
         let docs = replicate(base, scale);
         let (h, x) = load_pair(&format!("{tag}-x{scale}"), dtd_src, &docs, &wl);
-        if args.io_sim {
-            let sim = ordb::storage::buffer::IoSimulation::year2000_disk();
-            h.db.set_io_simulation(Some(sim));
-            x.db.set_io_simulation(Some(sim));
-        }
+        let clock = |t: &QueryTiming| if args.model_io { t.modelled } else { t.mean };
         let mut cells = Vec::new();
         for q in queries {
             let th = time_query_opts(&h.db, q.hybrid, args.reps, true).expect("hybrid query");
             let tx = time_query_opts(&x.db, q.xorator, args.reps, true).expect("xorator query");
             mlog.push(tag, scale, q.id, "hybrid", &th);
             mlog.push(tag, scale, q.id, "xorator", &tx);
-            let ratio = th.mean.as_secs_f64() / tx.mean.as_secs_f64().max(1e-9);
-            cells.push(format!("{ratio:.2}"));
+            let (ch, cx) = (clock(&th), clock(&tx));
+            let ratio = ch.as_secs_f64() / cx.as_secs_f64().max(1e-9);
+            let misses = |t: &QueryTiming| format!("{}s/{}r", t.io.seq_misses, t.io.rand_misses());
+            let io = format!(" ({} · {})", misses(&th), misses(&tx));
+            cells.push(format!("{ratio:.2}{}", if args.model_io { &io } else { "" }));
             eprintln!(
                 "  [{} DSx{scale}] {}: hybrid {:?} ({} rows) / xorator {:?} ({} rows) = {ratio:.2}",
-                tag, q.id, th.mean, th.rows, tx.mean, tx.rows
+                tag, q.id, ch, th.rows, cx, tx.rows
             );
         }
         let load_ratio = h.load.elapsed.as_secs_f64() / x.load.elapsed.as_secs_f64().max(1e-9);
@@ -316,6 +320,9 @@ fn ratio_figure(
         }
     }
     println!("\n(Values are Hybrid/XORator response-time ratios; > 1 means XORator is faster, matching the paper's log-scale figures.)");
+    if args.model_io {
+        println!("(Modelled time: cold time + 0.2 ms per sequential, 2 ms per random miss; in parentheses sequential (s) and random (r) misses, Hybrid · XORator.)");
+    }
 }
 
 fn fig11(args: &Args, mlog: &mut MetricsLog) {

@@ -17,6 +17,7 @@ pub mod trajectory;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
+use ordb::storage::buffer::PoolStats;
 use ordb::{Database, DbOptions, QueryResult};
 use xorator::prelude::*;
 use xorator::schema::Mapping;
@@ -25,6 +26,13 @@ use xorator::schema::Mapping;
 /// enough that the larger DSx scales spill to disk, as on the paper's
 /// 256 MB testbed.
 pub const EXPERIMENT_POOL_FRAMES: usize = 256;
+
+/// What `io`'s misses would have cost on the paper's I/O-bound testbed,
+/// a year-2000 disk scaled down ~10×: 0.2 ms per sequential miss (~0.5 ms
+/// on the real device) and 2 ms per random one (~10 ms, seek + rotation).
+pub fn io_charge(io: &PoolStats) -> Duration {
+    Duration::from_micros(200 * io.seq_misses + 2000 * io.rand_misses())
+}
 
 /// A database loaded with one corpus under one mapping.
 pub struct LoadedDb {
@@ -82,6 +90,12 @@ pub struct QueryTiming {
     pub mean: Duration,
     /// All run durations, sorted.
     pub runs: Vec<Duration>,
+    /// The same mean over modelled times: each run's measured time plus
+    /// the [`io_charge`] of its own misses.
+    pub modelled: Duration,
+    /// Buffer-pool counters of the first cold run (every cold run reads
+    /// the same pages in the same order).
+    pub io: PoolStats,
     /// Rows returned (sanity check: must agree across algorithms).
     pub rows: usize,
     /// Per-operator profile and engine counters from one extra cold
@@ -109,15 +123,18 @@ pub fn time_query_opts(
     with_metrics: bool,
 ) -> ordb::Result<QueryTiming> {
     assert!(reps >= 3, "need at least 3 runs to trim");
-    let mut runs = Vec::with_capacity(reps);
-    let mut rows = 0;
+    let (mut runs, mut modelled) = (Vec::with_capacity(reps), Vec::with_capacity(reps));
+    let (mut rows, mut first_io) = (0, PoolStats::default());
     for rep in 0..reps {
         db.drop_cache()?;
+        let pool0 = db.metrics_snapshot().pool;
         let start = Instant::now();
         let result: QueryResult = db.query(sql)?;
         runs.push(start.elapsed());
+        let io = db.metrics_snapshot().pool.since(&pool0);
+        modelled.push(runs[rep] + io_charge(&io));
         if rep == 0 {
-            rows = result.len();
+            (rows, first_io) = (result.len(), io);
         } else if result.len() != rows {
             return Err(ordb::DbError::Exec(format!(
                 "row count diverged across timing runs of {sql:?}: \
@@ -127,9 +144,11 @@ pub fn time_query_opts(
             )));
         }
     }
-    runs.sort();
-    let middle = &runs[1..reps - 1];
-    let mean = middle.iter().sum::<Duration>() / middle.len() as u32;
+    let trimmed_mean = |v: &mut Vec<Duration>| {
+        v.sort();
+        v[1..reps - 1].iter().sum::<Duration>() / (reps - 2) as u32
+    };
+    let (mean, modelled) = (trimmed_mean(&mut runs), trimmed_mean(&mut modelled));
     let metrics = if with_metrics {
         db.drop_cache()?;
         let report = db.explain_analyze(sql)?;
@@ -144,7 +163,7 @@ pub fn time_query_opts(
     } else {
         None
     };
-    Ok(QueryTiming { mean, runs, rows, metrics })
+    Ok(QueryTiming { mean, runs, modelled, io: first_io, rows, metrics })
 }
 
 /// Replicate `base` docs `k` times — the paper's DSx`k` configurations.
@@ -239,6 +258,10 @@ mod tests {
             let root = m.root.as_ref().expect("profiled plan");
             assert_eq!(root.rows_out, t.rows as u64);
             assert!(m.pool.fetches() > 0, "cold instrumented run fetches pages");
+            // The timed cold runs read what the instrumented one did, and
+            // the modelled clock charges every miss.
+            assert_eq!((t.io.misses, t.io.seq_misses), (m.pool.misses, m.pool.seq_misses));
+            assert!(t.io.misses > 0 && t.modelled > t.mean, "{t:?}");
         }
         // The plain path carries no profile.
         assert!(time_query(&h.db, q.hybrid, 3).unwrap().metrics.is_none());

@@ -15,20 +15,20 @@ use crate::error::{DbError, Result};
 use crate::exec::collect;
 use crate::index::btree::BTree;
 use crate::index::key::encode_key;
-use crate::metrics::{udf_delta, Profiler, QueryMetrics, ENGINE};
+use crate::metrics::{thread_counters, udf_delta, Profiler, QueryMetrics};
 use crate::plan::{plan_delete, plan_select, plan_select_profiled, PlanContext, PlanForcing};
 use crate::recovery::RecoveryReport;
 use crate::sql::ast::{AstExpr, Statement};
 use crate::sql::parser::parse_statement;
 use crate::stats::{StatsBuilder, TableStats};
-use crate::storage::buffer::{BufferPool, PoolStats, DEFAULT_POOL_FRAMES};
+use crate::storage::buffer::{BufferPool, DEFAULT_POOL_FRAMES};
 use crate::storage::fault::FaultInjector;
 use crate::storage::heap::{ClaimOutcome, HeapFile, PageScan, Rid};
 use crate::storage::spill::{SpillConfig, SpillManager};
 use crate::storage::wal::{LogScan, Wal, WalStats};
 use crate::trace::now_ns;
 use crate::tuple::{decode_cols, decode_row, encode_row};
-use crate::txn::{Snapshot, TxnId, TxnManager, TxnStats, UndoRecord};
+use crate::txn::{Snapshot, TxnId, TxnManager, UndoRecord};
 use crate::types::{DataType, Row, Value};
 
 /// Tuning knobs for [`Database::open_with`].
@@ -85,8 +85,8 @@ pub struct Database {
     /// Memory budget + temp-file manager handed to blocking operators;
     /// `None` without [`DbOptions::mem_budget`].
     spill: Option<SpillConfig>,
-    /// Per-database query count + wall-latency histogram; unified with
-    /// pool/WAL/engine counters by [`Database::metrics_snapshot`].
+    /// Query latency and the counters this database's calls folded in;
+    /// unified with WAL and wire counters by [`Database::metrics_snapshot`].
     registry: crate::metrics::MetricsRegistry,
     /// Transaction ids, snapshots, undo lists, and the commit
     /// watermark the checkpoint writes into the log.
@@ -298,7 +298,7 @@ impl Database {
         let spill = opts
             .mem_budget
             .map(|budget| SpillConfig::new(budget, Arc::new(SpillManager::new(dir.join("spill")))));
-        Ok(Database {
+        let db = Database {
             dir,
             pool,
             wal,
@@ -306,13 +306,15 @@ impl Database {
             functions: crate::functions::FunctionRegistry::with_builtins(),
             recovery,
             spill,
-            registry: crate::metrics::MetricsRegistry::new(),
+            registry: crate::metrics::MetricsRegistry::default(),
             txns,
             vacuum_serial: parking_lot::Mutex::new(()),
             reclaim_hint: AtomicU64::new(0),
             write_gate: RwLock::new(()),
             closed: AtomicBool::new(false),
-        })
+        };
+        db.registry.fold();
+        Ok(db)
     }
 
     /// The function registry (to register custom functions).
@@ -320,10 +322,10 @@ impl Database {
         &mut self.functions
     }
 
-    /// Lifetime call and marshalling counters for every registered
-    /// function, sorted by name.
+    /// Call and marshalling counters for every registered function,
+    /// sorted by name: everything this database's calls folded in.
     pub fn udf_counters(&self) -> Vec<crate::metrics::UdfCounters> {
-        self.functions.counters()
+        self.functions.counters(&self.registry.read().counters.udfs)
     }
 
     /// Create a table.
@@ -347,6 +349,7 @@ impl Database {
     /// and inserts them through [`BTree::insert`]: ascending inserts take
     /// the tree's right-edge split, so every leaf but the last is full.
     pub fn create_index(&self, name: &str, table: &str, columns: Vec<String>) -> Result<()> {
+        let _fold = self.registry.folding();
         let mut inner = self.inner.write();
         let tdef = inner
             .catalog
@@ -415,6 +418,7 @@ impl Database {
     /// fragments. Runs as one autocommit transaction: on any error the
     /// rows inserted so far are rolled back.
     pub fn insert_rows(&self, table: &str, rows: Vec<Row>) -> Result<u64> {
+        let _fold = self.registry.folding();
         self.autocommit(|t| self.insert_rows_in(table, rows, t))
     }
 
@@ -505,8 +509,8 @@ impl Database {
     /// The one parse → plan → execute body, under every session query
     /// and [`Session::analyze`](crate::session::Session::analyze). With
     /// `analyze` the statement must be a SELECT, every operator is
-    /// profiled and execution is bracketed with pool/WAL/engine/UDF
-    /// counters, returned as [`QueryMetrics`]. Without it, an EXPLAIN
+    /// profiled, and execution is bracketed with the thread's counters
+    /// and the WAL's, returned as [`QueryMetrics`]. Without it, an EXPLAIN
     /// returns its plan lines as rows, and no operator is wrapped.
     pub(crate) fn run_query(
         &self,
@@ -515,6 +519,7 @@ impl Database {
         snapshot: Snapshot,
         analyze: bool,
     ) -> Result<(QueryResult, Option<QueryMetrics>)> {
+        let _fold = self.registry.folding();
         // Every phase is timed on the trace clock, so the phases laid end
         // to end from `start_ns` end before the first operator pull.
         let start_ns = now_ns();
@@ -536,33 +541,29 @@ impl Database {
         let plan = plan_select_profiled(&ctx, &q, &mut prof)?;
         let planned_ns = now_ns();
 
-        let before = analyze.then(|| {
-            (
-                self.pool.stats_total(),
-                self.wal.stats(),
-                ENGINE.snapshot(),
-                self.functions.counters(),
-            )
-        });
+        let before = analyze.then(|| (thread_counters(), self.wal.stats()));
         let exec_ns = now_ns();
         let rows = collect(plan.root)?;
         let end_ns = now_ns();
 
         let wall = Duration::from_nanos(end_ns - start_ns);
-        self.registry.record_query(wall);
-        let metrics = before.map(|(pool0, wal0, engine0, udf0)| QueryMetrics {
-            start_ns,
-            parse: Duration::from_nanos(parsed_ns - start_ns),
-            plan: Duration::from_nanos(planned_ns - parsed_ns),
-            exec: Duration::from_nanos(end_ns - exec_ns),
-            wall,
-            rows: rows.len() as u64,
-            pool: self.pool.stats_total().since(&pool0),
-            wal: self.wal.stats().since(&wal0),
-            engine: ENGINE.snapshot().since(&engine0),
-            udfs: udf_delta(&udf0, &self.functions.counters()),
-            root: prof.finish(),
+        let metrics = before.map(|(counters0, wal0)| {
+            let counted = thread_counters().since(&counters0);
+            QueryMetrics {
+                start_ns,
+                parse: Duration::from_nanos(parsed_ns - start_ns),
+                plan: Duration::from_nanos(planned_ns - parsed_ns),
+                exec: Duration::from_nanos(end_ns - exec_ns),
+                wall,
+                rows: rows.len() as u64,
+                pool: counted.pool,
+                wal: self.wal.stats().since(&wal0),
+                engine: counted.engine,
+                udfs: udf_delta(&[], &self.functions.counters(&counted.udfs)),
+                root: prof.finish(),
+            }
         });
+        self.registry.record_query(wall);
         Ok((QueryResult { columns: plan.columns, rows }, metrics))
     }
 
@@ -674,7 +675,7 @@ impl Database {
                 }
                 ClaimOutcome::OwnedBySelf | ClaimOutcome::Gone => {}
                 ClaimOutcome::Conflict(holder) => {
-                    self.txns.note_conflict();
+                    crate::metrics::count(|c| c.txn.conflicts += 1);
                     return Err(DbError::TxnConflict(format!(
                         "row in {:?} already deleted by concurrent transaction {holder}",
                         plan.table
@@ -763,14 +764,9 @@ impl Database {
         Ok(())
     }
 
-    /// Lifetime transaction counters (begun / committed / aborted /
-    /// write-write conflicts).
-    pub fn txn_stats(&self) -> TxnStats {
-        self.txns.stats()
-    }
-
     /// Recompute statistics for one table (the paper's `runstats`).
     pub fn runstats(&self, table: &str) -> Result<TableStats> {
+        let _fold = self.registry.folding();
         let (heap, arity, key) = {
             let inner = self.inner.read();
             let tdef = inner
@@ -852,6 +848,7 @@ impl Database {
     /// fresh snapshot (so uncommitted inserts and committed deletes are
     /// excluded).
     pub fn row_count(&self, table: &str) -> Result<u64> {
+        let _fold = self.registry.folding();
         let heap = {
             let inner = self.inner.read();
             inner
@@ -875,6 +872,7 @@ impl Database {
 
     /// Flush everything to disk.
     pub fn flush(&self) -> Result<()> {
+        let _fold = self.registry.folding();
         self.pool.flush_all()
     }
 
@@ -911,12 +909,13 @@ impl Database {
     /// by logging and fsyncing, as [`Database::commit`] does, so the
     /// reclamation is durable.
     pub fn vacuum(&self) -> Result<VacuumReport> {
+        let _fold = self.registry.folding();
         let _serial = self.vacuum_serial.lock();
         let _gate = self.write_gate.read();
         // Reset the hint up front: deletes racing with this pass are
         // counted toward the *next* one.
         self.reclaim_hint.store(0, Ordering::Relaxed);
-        let engine0 = ENGINE.snapshot();
+        let freed0 = thread_counters().engine.freed_pages;
         let watermark = self.txns.vacuum_watermark();
         let mut vacuumed = 0u64;
         let inner = self.inner.read();
@@ -944,11 +943,11 @@ impl Database {
             vacuumed += reclaim(&heap, &idx_defs, &ordinals, victims)?;
         }
         drop(inner);
-        ENGINE.vacuumed_versions.fetch_add(vacuumed, Ordering::Relaxed);
+        crate::metrics::count(|c| c.engine.vacuumed_versions += vacuumed);
         // Durability point: log every page the pass touched and fsync,
         // so a crash from here on replays the whole reclamation.
         self.log_and_sync()?;
-        let freed = ENGINE.snapshot().since(&engine0).freed_pages;
+        let freed = thread_counters().engine.freed_pages - freed0;
         Ok(VacuumReport { watermark, vacuumed_versions: vacuumed, freed_pages: freed })
     }
 
@@ -965,6 +964,7 @@ impl Database {
     /// meanwhile starts when the checkpoint is done; queries run on. The
     /// vacuum pass runs before the gate is taken, as a writer of its own.
     pub fn checkpoint(&self) -> Result<()> {
+        let _fold = self.registry.folding();
         if self.reclaim_hint.load(Ordering::Relaxed) > 0 {
             self.vacuum()?;
         }
@@ -1008,27 +1008,29 @@ impl Database {
         self.closed.store(true, Ordering::SeqCst);
     }
 
-    /// The per-database metrics registry: queries completed, the
-    /// wall-latency histogram they recorded into, and the wire counters
-    /// the server increments.
+    /// The per-database metrics registry: query latency, the counters
+    /// this database's calls folded in, and the server's wire counters.
     pub(crate) fn metrics(&self) -> &crate::metrics::MetricsRegistry {
         &self.registry
     }
 
-    /// One unified snapshot of everything this process can measure:
-    /// query count + latency histogram (registry), buffer-pool and WAL
-    /// counters, engine counters, and live spill files. Two snapshots
+    /// One unified snapshot of everything this database can measure:
+    /// query count + latency histogram, the buffer-pool and engine
+    /// counters its calls folded in (see
+    /// [`MetricsRegistry`](crate::metrics::MetricsRegistry)), WAL,
+    /// transaction and wire counters, and live spill files. Two snapshots
     /// taken around a workload diff with
     /// [`RegistrySnapshot::since`](crate::metrics::RegistrySnapshot::since).
     pub fn metrics_snapshot(&self) -> crate::metrics::RegistrySnapshot {
+        let folded = self.registry.read();
         crate::metrics::RegistrySnapshot {
-            queries: self.registry.queries(),
-            latency: self.registry.latency(),
-            pool: self.pool.stats_total(),
+            queries: folded.queries,
+            latency: folded.latency,
+            pool: folded.counters.pool,
             wal: self.wal.stats(),
-            engine: ENGINE.snapshot(),
+            engine: folded.counters.engine,
             net: self.registry.net().snapshot(),
-            txn: self.txns.stats(),
+            txn: folded.counters.txn,
             spill_files_live: self.spill_files_live() as u64,
         }
     }
@@ -1060,23 +1062,10 @@ impl Database {
     /// as in the paper's methodology (§4.2). The flush's writebacks are
     /// *excluded* from the I/O stats (they belong to the workload that
     /// dirtied the pages, not to the cold query measured next), so a
-    /// `drop_cache` → query window over [`Database::io_stats_total`]
-    /// charges the query only its own I/O.
+    /// `drop_cache` → query window over [`Database::metrics_snapshot`]'s
+    /// `pool` charges the query only its own I/O.
     pub fn drop_cache(&self) -> Result<()> {
         self.pool.drop_cache()
-    }
-
-    /// Cumulative buffer pool I/O counters since open. Never resets: a
-    /// measurement window is two readings and
-    /// [`PoolStats::since`](crate::storage::buffer::PoolStats::since).
-    pub fn io_stats_total(&self) -> PoolStats {
-        self.pool.stats_total()
-    }
-
-    /// Enable or disable the storage-latency simulation (see
-    /// [`crate::storage::buffer::IoSimulation`]).
-    pub fn set_io_simulation(&self, sim: Option<crate::storage::buffer::IoSimulation>) {
-        self.pool.set_io_simulation(sim);
     }
 
     /// The database directory.
@@ -1497,10 +1486,10 @@ mod tests {
         db.insert_rows("t", (0..2000).map(|i| vec![Value::Int(i)]).collect()).unwrap();
         db.flush().unwrap();
         db.drop_cache().unwrap();
-        let before = db.io_stats_total();
+        let before = db.metrics_snapshot().pool;
         let r = db.query("SELECT COUNT(*) FROM t").unwrap();
         assert_eq!(r.scalar(), Some(&Value::Int(2000)));
-        let io = db.io_stats_total().since(&before);
+        let io = db.metrics_snapshot().pool.since(&before);
         assert!(io.misses > 0, "cold run must read from disk: {io:?}");
     }
 
@@ -1665,18 +1654,18 @@ mod tests {
         db.execute("CREATE TABLE t (a INTEGER)").unwrap();
         db.insert_rows("t", (0..500).map(|i| vec![Value::Int(i)]).collect()).unwrap();
         // Dirty frames exist now; open a window, then drop the cache.
-        let before = db.io_stats_total();
+        let before = db.metrics_snapshot().pool;
         db.drop_cache().unwrap();
-        let window = db.io_stats_total().since(&before);
+        let window = db.metrics_snapshot().pool.since(&before);
         assert_eq!(
             window.writebacks, 0,
             "cache-teardown flushes must not land in the measurement window: {window:?}"
         );
         // An explicit flush IS charged.
-        let before = db.io_stats_total();
+        let before = db.metrics_snapshot().pool;
         db.insert_rows("t", vec![vec![Value::Int(9999)]]).unwrap();
         db.flush().unwrap();
-        assert!(db.io_stats_total().since(&before).writebacks > 0);
+        assert!(db.metrics_snapshot().pool.since(&before).writebacks > 0);
     }
 
     #[test]
@@ -1698,7 +1687,7 @@ mod tests {
         db.execute("CREATE INDEX idx_parent ON speech (speech_parentID)").unwrap();
         db.flush().unwrap();
         db.drop_cache().unwrap();
-        let before = db.io_stats_total();
+        let before = db.metrics_snapshot().pool;
         for sql in [
             "EXPLAIN SELECT speechID FROM speech WHERE speech_parentID = 1",
             "EXPLAIN SELECT s.speechID, a.act_title FROM speech s, act a \
@@ -1709,7 +1698,7 @@ mod tests {
             let plan = db.query(sql).unwrap();
             assert!(!plan.rows.is_empty(), "plan rows for {sql}");
         }
-        let window = db.io_stats_total().since(&before);
+        let window = db.metrics_snapshot().pool.since(&before);
         assert_eq!(window.fetches(), 0, "EXPLAIN must touch zero pages: {window:?}");
     }
 
@@ -2385,5 +2374,71 @@ mod tests {
         let before = db.data_size_bytes().unwrap();
         db.insert_rows("blobs", vec![vec![Value::Int(100), Value::str("z".repeat(6000))]]).unwrap();
         assert_eq!(db.data_size_bytes().unwrap(), before, "reopen rebuilds the free-space map");
+    }
+
+    #[test]
+    fn explain_analyze_counts_only_its_own_statement_while_another_session_runs() {
+        let db = db("analyze-alone");
+        db.execute("CREATE TABLE t (id INTEGER, v VARCHAR)").unwrap();
+        let rows = (0..2000).map(|i| vec![Value::Int(i), Value::str(format!("v{i}"))]).collect();
+        db.insert_rows("t", rows).unwrap();
+        db.execute("CREATE INDEX t_id ON t (id)").unwrap();
+        db.runstats("t").unwrap();
+        let sql = "SELECT COUNT(*) FROM t";
+        let solo = db.explain_analyze(sql).unwrap().metrics;
+        assert_eq!(solo.engine.index_probes, 0, "a sequential scan probes no index");
+        let stop = AtomicBool::new(false);
+        let ran = AtomicU64::new(0);
+        let runs = std::thread::scope(|s| {
+            s.spawn(|| {
+                let mut k = 0;
+                while !stop.load(Ordering::Relaxed) {
+                    let point = format!("SELECT udf_length(v) FROM t WHERE id = {k}");
+                    assert_eq!(db.query(&point).unwrap().len(), 1);
+                    ran.fetch_add(1, Ordering::Relaxed);
+                    k = (k + 7) % 2000;
+                }
+            });
+            while ran.load(Ordering::Relaxed) == 0 {
+                std::thread::yield_now();
+            }
+            let runs: Result<Vec<QueryMetrics>> =
+                (0..200).map(|_| db.explain_analyze(sql).map(|r| r.metrics)).collect();
+            stop.store(true, Ordering::Relaxed);
+            runs
+        })
+        .unwrap();
+        assert!(ran.load(Ordering::Relaxed) > 1, "the point queries ran alongside");
+        for (run, m) in runs.iter().enumerate() {
+            let seen = (m.engine.index_probes, m.pool.fetches(), &m.udfs);
+            assert_eq!(seen, (0, solo.pool.fetches(), &solo.udfs), "run {run}");
+        }
+    }
+
+    #[test]
+    fn concurrent_vacuums_of_two_databases_each_report_their_own_pages() {
+        let deleted = |tag: &str| {
+            let db = db(tag);
+            db.execute("CREATE TABLE blobs (id INTEGER, body VARCHAR)").unwrap();
+            let big = (0..20).map(|i| vec![Value::Int(i), Value::str("w".repeat(20_000))]);
+            db.insert_rows("blobs", big.collect()).unwrap();
+            db.execute("DELETE FROM blobs").unwrap();
+            db
+        };
+        let solo = deleted("vacuum-solo").vacuum().unwrap().freed_pages;
+        assert!(solo > 20, "every row's chain comes back: {solo}");
+        for round in 0..10 {
+            let (a, b) = (deleted("vacuum-pair-a"), deleted("vacuum-pair-b"));
+            let start = std::sync::Barrier::new(2);
+            let vacuum = |db: &Database| {
+                start.wait();
+                db.vacuum().unwrap().freed_pages
+            };
+            let reports = std::thread::scope(|s| {
+                let pass = s.spawn(|| vacuum(&a));
+                (vacuum(&b), pass.join().unwrap())
+            });
+            assert_eq!(reports, (solo, solo), "round {round}");
+        }
     }
 }

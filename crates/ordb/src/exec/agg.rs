@@ -221,9 +221,7 @@ impl HashAggregate {
             }
             if let Some(spill) = &self.spill {
                 if overflow.is_none() && spill.over(bytes) {
-                    crate::metrics::ENGINE
-                        .agg_spills
-                        .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                    crate::metrics::count(|c| c.engine.agg_spills += 1);
                     overflow = Some(spill.partitioner()?);
                 }
             }
@@ -310,7 +308,7 @@ impl Distinct {
     /// (original markers) into hash partitions, then arm `grace`.
     fn overflow(&mut self) -> Result<()> {
         let spill = self.spill.as_ref().expect("only a budgeted DISTINCT overflows");
-        crate::metrics::ENGINE.agg_spills.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        crate::metrics::count(|c| c.engine.agg_spills += 1);
         let mut parts = spill.partitioner()?;
         let mut rec: Row = Vec::new();
         let mut write = |emitted: bool, row: &[Value]| {

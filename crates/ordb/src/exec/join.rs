@@ -385,9 +385,7 @@ impl HashJoin {
     /// `build` — and the whole probe side into partitions.
     fn partition(&mut self, mut build: BoxOp) -> Result<()> {
         let spill = self.spill.as_ref().expect("only a budgeted join partitions");
-        crate::metrics::ENGINE
-            .join_partitions
-            .fetch_add(SPILL_FANOUT as u64, std::sync::atomic::Ordering::Relaxed);
+        crate::metrics::count(|c| c.engine.join_partitions += SPILL_FANOUT as u64);
         let spec = self.spec.clone();
         let mut build_parts = spill.partitioner()?;
         for (row, _) in std::mem::take(&mut self.built).entries {
@@ -617,8 +615,7 @@ mod tests {
         for budget in [256usize, 1024, 4096] {
             let cfg = spill_config(&format!("grace-{budget}"), budget);
             let manager = cfg.manager.clone();
-            let before =
-                crate::metrics::ENGINE.join_partitions.load(std::sync::atomic::Ordering::Relaxed);
+            let before = crate::metrics::thread_counters().engine.join_partitions;
             let grace = HashJoin::new(
                 Box::new(Values::new(l.clone())),
                 Box::new(Values::new(r.clone())),
@@ -631,8 +628,7 @@ mod tests {
             let grace = collect(Box::new(grace)).unwrap();
             // Grace emits partition by partition, so compare as multisets.
             assert_eq!(sorted(grace), sorted(in_mem.clone()), "budget {budget}");
-            let after =
-                crate::metrics::ENGINE.join_partitions.load(std::sync::atomic::Ordering::Relaxed);
+            let after = crate::metrics::thread_counters().engine.join_partitions;
             assert!(after > before, "budget {budget} should have partitioned");
             assert_eq!(manager.live_files(), 0, "spill files must be gone after the join");
         }

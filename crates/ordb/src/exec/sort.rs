@@ -100,7 +100,7 @@ impl Sort {
                 chunk_bytes = 0;
             }
         }
-        crate::metrics::ENGINE.sort_rows.fetch_add(row_count, std::sync::atomic::Ordering::Relaxed);
+        crate::metrics::count(|c| c.engine.sort_rows += row_count);
         chunk.sort_by(|a, b| cmp_keys(&a.0, &b.0, &descending));
         if runs.is_empty() {
             // Everything fit: emit straight from memory.
@@ -139,7 +139,7 @@ fn write_sorted_run(chunk: &[(Vec<Value>, Row)], spill: &SpillConfig) -> Result<
         rec.extend(row.iter().cloned());
         w.add(&rec)?;
     }
-    crate::metrics::ENGINE.sort_spills.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    crate::metrics::count(|c| c.engine.sort_spills += 1);
     w.finish()
 }
 

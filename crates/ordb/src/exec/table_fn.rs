@@ -65,9 +65,10 @@ impl Operator for UnnestScan {
             let frags: Vec<Value> = match (&input, &tag) {
                 (Value::Null, _) => Vec::new(),
                 (Value::Xadt(x), Value::Str(t)) => {
-                    use std::sync::atomic::Ordering::Relaxed;
-                    crate::metrics::ENGINE.unnest_calls.fetch_add(1, Relaxed);
-                    crate::metrics::ENGINE.unnest_bytes.fetch_add(x.storage_len() as u64, Relaxed);
+                    crate::metrics::count(|c| {
+                        c.engine.unnest_calls += 1;
+                        c.engine.unnest_bytes += x.storage_len() as u64;
+                    });
                     xadt::unnest(x, t)?.into_iter().map(Value::Xadt).collect()
                 }
                 other => {

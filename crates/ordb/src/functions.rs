@@ -18,13 +18,12 @@
 //! registered as UDFs exactly as the paper implemented them in DB2.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use xadt::XadtValue;
 
 use crate::error::{DbError, Result};
-use crate::metrics::UdfCounters;
+use crate::metrics::{count, UdfCounters};
 use crate::tuple::{decode_row, encode_row, encode_value};
 use crate::types::Value;
 
@@ -55,11 +54,10 @@ pub struct FunctionDef {
     pub path: CallPath,
     /// Accepted argument counts (inclusive range).
     pub arity: (usize, usize),
-    /// Cumulative successful+failed invocations (observability).
-    calls: AtomicU64,
-    /// Cumulative bytes copied through the UDF call buffer; FENCED mode's
-    /// second copy counts double. Stays 0 for built-ins.
-    marshalled_bytes: AtomicU64,
+    /// Where a [`crate::metrics::Counters`] set counts this function's
+    /// calls (failed ones too) and bytes copied through the UDF call
+    /// buffer (FENCED mode's second copy included; 0 for built-ins).
+    slot: usize,
 }
 
 impl FunctionDef {
@@ -74,7 +72,7 @@ impl FunctionDef {
                 args.len()
             )));
         }
-        self.calls.fetch_add(1, Ordering::Relaxed);
+        count(|c| c.udf(self.slot)[0] += 1);
         match self.path {
             CallPath::Builtin => (self.imp)(args),
             CallPath::Udf { fenced } => {
@@ -91,7 +89,7 @@ impl FunctionDef {
                     }
                 }
                 let copies = if fenced { 2 } else { 1 };
-                self.marshalled_bytes.fetch_add(copies * buf.len() as u64, Ordering::Relaxed);
+                count(|c| c.udf(self.slot)[1] += copies * buf.len() as u64);
                 let buf = if fenced { buf.clone() } else { buf };
                 let mut callee_args = decode_row(&buf, args.len())?;
                 for (slot, a) in callee_args.iter_mut().zip(args) {
@@ -108,7 +106,7 @@ impl FunctionDef {
                 }
                 let mut rbuf = Vec::new();
                 encode_row(std::slice::from_ref(&result), &mut rbuf);
-                self.marshalled_bytes.fetch_add(copies * rbuf.len() as u64, Ordering::Relaxed);
+                count(|c| c.udf(self.slot)[1] += copies * rbuf.len() as u64);
                 let rbuf = if fenced { rbuf.clone() } else { rbuf };
                 let mut row = decode_row(&rbuf, 1)?;
                 Ok(row.pop().expect("one result"))
@@ -163,19 +161,13 @@ impl FunctionRegistry {
         r
     }
 
-    /// Register (or replace) a function.
+    /// Register (or replace) a function. A replacement keeps the slot,
+    /// and so the counters, of the function it replaces.
     pub fn register(&mut self, name: &str, imp: ScalarImpl, path: CallPath, arity: (usize, usize)) {
-        self.map.insert(
-            name.to_ascii_lowercase(),
-            Arc::new(FunctionDef {
-                name: name.to_string(),
-                imp,
-                path,
-                arity,
-                calls: AtomicU64::new(0),
-                marshalled_bytes: AtomicU64::new(0),
-            }),
-        );
+        let key = name.to_ascii_lowercase();
+        let slot = self.map.get(&key).map_or(self.map.len(), |d| d.slot);
+        self.map
+            .insert(key, Arc::new(FunctionDef { name: name.to_string(), imp, path, arity, slot }));
     }
 
     /// Look up a function (case-insensitive).
@@ -183,17 +175,16 @@ impl FunctionRegistry {
         self.map.get(&name.to_ascii_lowercase()).cloned()
     }
 
-    /// Cumulative call counters of every registered function, sorted by
-    /// name. Bracket a query with two snapshots and diff with
-    /// [`crate::metrics::udf_delta`].
-    pub fn counters(&self) -> Vec<UdfCounters> {
+    /// Every registered function's `[calls, marshalled bytes]` pair in
+    /// `udfs` (a [`crate::metrics::Counters::udfs`] list), named and
+    /// sorted by name.
+    pub fn counters(&self, udfs: &[[u64; 2]]) -> Vec<UdfCounters> {
         let mut out: Vec<UdfCounters> = self
             .map
             .values()
-            .map(|d| UdfCounters {
-                name: d.name.clone(),
-                calls: d.calls.load(Ordering::Relaxed),
-                marshalled_bytes: d.marshalled_bytes.load(Ordering::Relaxed),
+            .map(|d| {
+                let [calls, marshalled_bytes] = udfs.get(d.slot).copied().unwrap_or_default();
+                UdfCounters { name: d.name.clone(), calls, marshalled_bytes }
             })
             .collect();
         out.sort_by(|a, b| a.name.cmp(&b.name));
@@ -474,7 +465,7 @@ mod tests {
         let r = reg();
         let marshalled = |name: &str, args: &[Value]| {
             let count = || {
-                let counters = r.counters();
+                let counters = r.counters(&crate::metrics::thread_counters().udfs);
                 let c = counters.iter().find(|c| c.name == name).expect("registered");
                 (c.calls, c.marshalled_bytes)
             };

@@ -558,7 +558,7 @@ impl BTree {
         mut f: impl FnMut(&[u8], Rid) -> Result<bool>,
     ) -> Result<()> {
         // One probe = one descent; prefix and range scans both land here.
-        crate::metrics::ENGINE.index_probes.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        crate::metrics::count(|c| c.engine.index_probes += 1);
         let (mut pid, mut landed) =
             self.descend(lo, |_, _| {}).map(|(pid, idx)| (pid, Some(idx)))?;
         loop {

@@ -1,4 +1,4 @@
-//! Engine observability: cheap atomic counters and per-query snapshots.
+//! Engine observability: plain per-thread counters and per-query snapshots.
 //!
 //! The paper's evaluation (§4) argues from *where time goes* — join work
 //! vs. in-fragment XADT evaluation, buffer-pool behaviour on a small
@@ -10,21 +10,20 @@
 //!   rows out, inclusive wall time);
 //! * [`Profiler`] — collects wrapped plan nodes during planning and
 //!   produces a nested [`OperatorProfile`] tree afterwards;
-//! * [`EngineCounters`] / `ENGINE` — process-wide counters for events
-//!   that are awkward to thread through call chains (index probes, sort
-//!   volume, `unnest` expansions). Deltas of [`EngineCounters::snapshot`]
-//!   bracket a query. The engine runs single-stream workloads (see
-//!   DESIGN.md); concurrent queries would attribute each other's counts.
+//! * [`Counters`] — plain `u64`s per thread, added to through `count`;
+//!   a statement's counts are its thread's set after minus before;
+//! * [`MetricsRegistry`] — one per database: query latency plus the
+//!   counters its public calls folded in when they ended;
 //! * [`QueryMetrics`] — the one record of a statement's time and
 //!   counters: rendered by `Database::explain_analyze`, exported as JSON
 //!   by the bench harness, and flattened into spans
 //!   ([`QueryMetrics::spans`]) for the shell's `\spans` exports.
 //!
-//! Overhead: every counter is a relaxed `AtomicU64` add. The plain
-//! `query()` path constructs no [`Instrumented`] wrappers at all (the
-//! profiler is disabled), so per-row cost there is zero; the global
-//! counters cost one uncontended atomic add per probe/sort/unnest event.
+//! Overhead: a counted event is one add to a thread-local field. The
+//! plain `query()` path constructs no [`Instrumented`] wrappers at all
+//! (the profiler is disabled), so per-row cost there is zero.
 
+use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -33,6 +32,7 @@ use crate::exec::{BoxOp, Instrumented};
 use crate::storage::buffer::PoolStats;
 use crate::storage::wal::WalStats;
 use crate::trace::SpanRecord;
+use crate::txn::TxnStats;
 
 // ---- per-operator metrics ----------------------------------------------
 
@@ -172,128 +172,154 @@ fn build_profile(nodes: &[ProfNode], ix: usize) -> OperatorProfile {
     }
 }
 
-// ---- engine-wide counters ----------------------------------------------
+// ---- the thread's counters ----------------------------------------------
 
-/// Process-wide counters for events deep inside the engine. Bracket a
-/// query with two [`EngineCounters::snapshot`]s and subtract.
-#[derive(Debug, Default)]
-pub struct EngineCounters {
-    /// B+Tree descents (one per `scan_from`, which underlies prefix and
-    /// range scans and therefore every index probe).
-    pub index_probes: AtomicU64,
-    /// Rows materialized by `Sort` operators.
-    pub sort_rows: AtomicU64,
-    /// Sorted runs spilled to disk by the external merge sort (0 when
-    /// every sort fit its memory budget).
-    pub sort_spills: AtomicU64,
-    /// Framed bytes written to spill files by any operator (sort runs,
-    /// join partitions, aggregation partitions).
-    pub spill_bytes: AtomicU64,
-    /// Partition files created by Grace hash joins whose build side
-    /// exceeded the memory budget.
-    pub join_partitions: AtomicU64,
-    /// Hash aggregation / DISTINCT overflows that switched to
-    /// partition-and-retry.
-    pub agg_spills: AtomicU64,
-    /// `unnest` table-function expansions (one per outer row unnested).
-    pub unnest_calls: AtomicU64,
-    /// Bytes of XADT fragment content fed through `unnest` (the table-UDF
-    /// analogue of scalar-UDF marshalling bytes).
-    pub unnest_bytes: AtomicU64,
-    /// Dead versions physically reclaimed by vacuum (slot freed, index
-    /// entries removed, overflow chain released).
-    pub vacuumed_versions: AtomicU64,
-    /// Heap pages (overflow-chain pages and fully-emptied data pages)
-    /// returned to the free-space map for reuse.
-    pub freed_pages: AtomicU64,
-    /// Inserts that landed in a reclaimed slot or reused a freed page
-    /// instead of growing the file.
-    pub reused_slots: AtomicU64,
-}
-
-/// The global counter instance.
-pub(crate) static ENGINE: EngineCounters = EngineCounters {
-    index_probes: AtomicU64::new(0),
-    sort_rows: AtomicU64::new(0),
-    sort_spills: AtomicU64::new(0),
-    spill_bytes: AtomicU64::new(0),
-    join_partitions: AtomicU64::new(0),
-    agg_spills: AtomicU64::new(0),
-    unnest_calls: AtomicU64::new(0),
-    unnest_bytes: AtomicU64::new(0),
-    vacuumed_versions: AtomicU64::new(0),
-    freed_pages: AtomicU64::new(0),
-    reused_slots: AtomicU64::new(0),
-};
-
-/// A point-in-time copy of [`EngineCounters`].
+/// Engine counts that are not buffer-pool or UDF counts: index probes,
+/// sort, spill and `unnest` volume, vacuum work. One of the three parts
+/// of a [`Counters`] set.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct EngineSnapshot {
-    /// See [`EngineCounters::index_probes`].
+    /// B+Tree descents (one per `scan_from`, which underlies prefix and
+    /// range scans and therefore every index probe).
     pub index_probes: u64,
-    /// See [`EngineCounters::sort_rows`].
+    /// Rows materialized by `Sort` operators.
     pub sort_rows: u64,
-    /// See [`EngineCounters::sort_spills`].
+    /// Sorted runs spilled to disk by the external merge sort (0 when
+    /// every sort fit its memory budget).
     pub sort_spills: u64,
-    /// See [`EngineCounters::spill_bytes`].
+    /// Framed bytes written to spill files by any operator (sort runs,
+    /// join partitions, aggregation partitions).
     pub spill_bytes: u64,
-    /// See [`EngineCounters::join_partitions`].
+    /// Partition files created by Grace hash joins whose build side
+    /// exceeded the memory budget.
     pub join_partitions: u64,
-    /// See [`EngineCounters::agg_spills`].
+    /// Hash aggregation / DISTINCT overflows that switched to
+    /// partition-and-retry.
     pub agg_spills: u64,
-    /// See [`EngineCounters::unnest_calls`].
+    /// `unnest` table-function expansions (one per outer row unnested).
     pub unnest_calls: u64,
-    /// See [`EngineCounters::unnest_bytes`].
+    /// Bytes of XADT fragment content fed through `unnest` (the table-UDF
+    /// analogue of scalar-UDF marshalling bytes).
     pub unnest_bytes: u64,
-    /// See [`EngineCounters::vacuumed_versions`].
+    /// Dead versions physically reclaimed by vacuum (slot freed, index
+    /// entries removed, overflow chain released).
     pub vacuumed_versions: u64,
-    /// See [`EngineCounters::freed_pages`].
+    /// Heap pages (overflow-chain pages and fully-emptied data pages)
+    /// returned to the free-space map for reuse.
     pub freed_pages: u64,
-    /// See [`EngineCounters::reused_slots`].
+    /// Inserts that landed in a reclaimed slot or reused a freed page
+    /// instead of growing the file.
     pub reused_slots: u64,
     /// Always 0; read by `benchmark/src/layers.rs:84`, removed with the
     /// benchmark-only follow-up.
     pub batches: u64,
 }
 
-impl EngineCounters {
-    /// Copy the current counter values.
-    pub fn snapshot(&self) -> EngineSnapshot {
+impl EngineSnapshot {
+    /// Counter growth since `earlier` (saturating).
+    pub fn since(&self, earlier: &EngineSnapshot) -> EngineSnapshot {
+        self.zip(earlier, u64::saturating_sub)
+    }
+
+    fn zip(&self, o: &EngineSnapshot, f: fn(u64, u64) -> u64) -> EngineSnapshot {
         EngineSnapshot {
-            index_probes: self.index_probes.load(Ordering::Relaxed),
-            sort_rows: self.sort_rows.load(Ordering::Relaxed),
-            sort_spills: self.sort_spills.load(Ordering::Relaxed),
-            spill_bytes: self.spill_bytes.load(Ordering::Relaxed),
-            join_partitions: self.join_partitions.load(Ordering::Relaxed),
-            agg_spills: self.agg_spills.load(Ordering::Relaxed),
-            unnest_calls: self.unnest_calls.load(Ordering::Relaxed),
-            unnest_bytes: self.unnest_bytes.load(Ordering::Relaxed),
-            vacuumed_versions: self.vacuumed_versions.load(Ordering::Relaxed),
-            freed_pages: self.freed_pages.load(Ordering::Relaxed),
-            reused_slots: self.reused_slots.load(Ordering::Relaxed),
+            index_probes: f(self.index_probes, o.index_probes),
+            sort_rows: f(self.sort_rows, o.sort_rows),
+            sort_spills: f(self.sort_spills, o.sort_spills),
+            spill_bytes: f(self.spill_bytes, o.spill_bytes),
+            join_partitions: f(self.join_partitions, o.join_partitions),
+            agg_spills: f(self.agg_spills, o.agg_spills),
+            unnest_calls: f(self.unnest_calls, o.unnest_calls),
+            unnest_bytes: f(self.unnest_bytes, o.unnest_bytes),
+            vacuumed_versions: f(self.vacuumed_versions, o.vacuumed_versions),
+            freed_pages: f(self.freed_pages, o.freed_pages),
+            reused_slots: f(self.reused_slots, o.reused_slots),
             batches: 0,
         }
     }
 }
 
-impl EngineSnapshot {
+/// Everything the engine counts, as plain integers. Each thread owns one
+/// cumulative set; a statement's [`QueryMetrics`] is its thread's set
+/// after minus before, exact under any concurrency because a statement,
+/// a vacuum pass and a checkpoint each run on the caller's thread.
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
+pub struct Counters {
+    /// Buffer-pool hits, misses (sequential and random), evictions and
+    /// writebacks.
+    pub pool: PoolStats,
+    /// Index, sort, spill, `unnest` and vacuum counts.
+    pub engine: EngineSnapshot,
+    /// Transactions begun, committed, aborted and conflicting.
+    pub txn: TxnStats,
+    /// `[calls, marshalled bytes]` per function, indexed by the
+    /// function's registry slot.
+    pub udfs: Vec<[u64; 2]>,
+}
+
+impl Counters {
     /// Counter growth since `earlier` (saturating).
-    pub fn since(&self, earlier: &EngineSnapshot) -> EngineSnapshot {
-        EngineSnapshot {
-            index_probes: self.index_probes.saturating_sub(earlier.index_probes),
-            sort_rows: self.sort_rows.saturating_sub(earlier.sort_rows),
-            sort_spills: self.sort_spills.saturating_sub(earlier.sort_spills),
-            spill_bytes: self.spill_bytes.saturating_sub(earlier.spill_bytes),
-            join_partitions: self.join_partitions.saturating_sub(earlier.join_partitions),
-            agg_spills: self.agg_spills.saturating_sub(earlier.agg_spills),
-            unnest_calls: self.unnest_calls.saturating_sub(earlier.unnest_calls),
-            unnest_bytes: self.unnest_bytes.saturating_sub(earlier.unnest_bytes),
-            vacuumed_versions: self.vacuumed_versions.saturating_sub(earlier.vacuumed_versions),
-            freed_pages: self.freed_pages.saturating_sub(earlier.freed_pages),
-            reused_slots: self.reused_slots.saturating_sub(earlier.reused_slots),
-            batches: 0,
-        }
+    pub fn since(&self, earlier: &Counters) -> Counters {
+        self.zip(earlier, u64::saturating_sub)
     }
+
+    fn add(&mut self, delta: &Counters) {
+        *self = self.zip(delta, u64::saturating_add);
+    }
+
+    fn zip(&self, o: &Counters, f: fn(u64, u64) -> u64) -> Counters {
+        let slot = |udfs: &[[u64; 2]], i| udfs.get(i).copied().unwrap_or_default();
+        let udfs = (0..self.udfs.len().max(o.udfs.len()))
+            .map(|i| (slot(&self.udfs, i), slot(&o.udfs, i)))
+            .map(|([c, b], [c0, b0])| [f(c, c0), f(b, b0)])
+            .collect();
+        let (pool, engine) = (self.pool.zip(&o.pool, f), self.engine.zip(&o.engine, f));
+        Counters { pool, engine, txn: self.txn.zip(&o.txn, f), udfs }
+    }
+
+    /// The `[calls, marshalled bytes]` pair of function-registry `slot`.
+    pub(crate) fn udf(&mut self, slot: usize) -> &mut [u64; 2] {
+        if self.udfs.len() <= slot {
+            self.udfs.resize(slot + 1, [0; 2]);
+        }
+        &mut self.udfs[slot]
+    }
+}
+
+thread_local! {
+    /// The thread's cumulative counters, and how much of them registries
+    /// have taken.
+    static THREAD: RefCell<ThreadCounters> = RefCell::default();
+}
+
+#[derive(Default)]
+struct ThreadCounters {
+    total: Counters,
+    folded: Counters,
+}
+
+/// Add to the calling thread's counters — the one way the engine counts.
+pub(crate) fn count(f: impl FnOnce(&mut Counters)) {
+    THREAD.with(|t| f(&mut t.borrow_mut().total));
+}
+
+/// A copy of the calling thread's cumulative counters. Two readings
+/// around work done on this thread bound exactly that work.
+pub fn thread_counters() -> Counters {
+    THREAD.with(|t| t.borrow().total.clone())
+}
+
+/// The part of the calling thread's counters no registry has taken yet,
+/// marked taken; `None` when nothing was counted since the last take.
+fn take_unfolded() -> Option<Counters> {
+    THREAD.with(|t| {
+        let t = &mut *t.borrow_mut();
+        (t.total != t.folded).then(|| {
+            let delta = t.total.since(&t.folded);
+            t.folded.clone_from(&t.total);
+            delta
+        })
+    })
 }
 
 // ---- latency histograms -------------------------------------------------
@@ -594,45 +620,74 @@ impl NetSnapshot {
 
 // ---- the metrics registry -----------------------------------------------
 
-/// One registry per [`Database`](crate::db::Database): unifies the
-/// process-wide `ENGINE` counters, the instance's buffer-pool / WAL /
-/// spill stats, and a per-query latency histogram behind a single
-/// snapshot-diff API. Bracket a workload with two
+/// One registry per [`Database`](crate::db::Database): query latency,
+/// the [`Counters`] its calls added, and the wire counters. Every public
+/// `Database` or `Session` call that does engine work ends by folding
+/// the part of its thread's counters no registry has taken yet into this
+/// one, under the lock [`MetricsRegistry::record_query`] takes, so a
+/// nested call's part is taken once. Bracket a workload with two
 /// [`RegistrySnapshot`]s and [`RegistrySnapshot::since`] to get exactly
-/// what it did — the pattern `EXPLAIN ANALYZE`, `metrics.json`, and the
-/// repo benchmark all share.
+/// what it did.
 #[derive(Default)]
 pub struct MetricsRegistry {
-    latency: parking_lot::Mutex<Histogram>,
-    queries: AtomicU64,
+    inner: parking_lot::Mutex<Folded>,
     net: NetCounters,
 }
 
+/// What a registry holds: queries completed, their wall-latency
+/// histogram, and the counters taken from the threads that ran its calls.
+#[derive(Debug, Default, Clone)]
+pub struct Folded {
+    /// Queries recorded.
+    pub queries: u64,
+    /// Their end-to-end wall times.
+    pub latency: Histogram,
+    /// Everything this registry's calls counted.
+    pub counters: Counters,
+}
+
 impl MetricsRegistry {
-    /// A fresh registry.
-    pub fn new() -> MetricsRegistry {
-        MetricsRegistry::default()
-    }
-
-    /// Record one finished query's end-to-end wall time.
+    /// Record one finished query's end-to-end wall time, and fold the
+    /// calling thread's counters under the same lock.
     pub fn record_query(&self, wall: Duration) {
-        self.queries.fetch_add(1, Ordering::Relaxed);
-        self.latency.lock().record_duration(wall);
+        let delta = take_unfolded();
+        let mut inner = self.inner.lock();
+        inner.queries += 1;
+        inner.latency.record_duration(wall);
+        inner.counters.add(&delta.unwrap_or_default());
     }
 
-    /// Queries recorded so far.
-    pub fn queries(&self) -> u64 {
-        self.queries.load(Ordering::Relaxed)
+    /// Add the part of the calling thread's counters that no registry
+    /// has taken yet.
+    pub fn fold(&self) {
+        if let Some(delta) = take_unfolded() {
+            self.inner.lock().counters.add(&delta);
+        }
     }
 
-    /// A copy of the latency histogram.
-    pub fn latency(&self) -> Histogram {
-        self.latency.lock().clone()
+    /// A guard that [folds](MetricsRegistry::fold) when dropped, so a
+    /// call's counts land here on every exit path.
+    pub(crate) fn folding(&self) -> FoldOnDrop<'_> {
+        FoldOnDrop(self)
+    }
+
+    /// A copy of everything recorded so far, read under one lock.
+    pub fn read(&self) -> Folded {
+        self.inner.lock().clone()
     }
 
     /// The wire-protocol counters, for `ordb::net` to increment.
     pub fn net(&self) -> &NetCounters {
         &self.net
+    }
+}
+
+/// See [`MetricsRegistry::folding`].
+pub(crate) struct FoldOnDrop<'a>(&'a MetricsRegistry);
+
+impl Drop for FoldOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.fold();
     }
 }
 
@@ -645,16 +700,16 @@ pub struct RegistrySnapshot {
     pub queries: u64,
     /// Per-query wall-time latency histogram.
     pub latency: Histogram,
-    /// Cumulative buffer-pool counters.
+    /// Buffer-pool counters folded from this database's calls.
     pub pool: PoolStats,
-    /// Cumulative WAL counters.
+    /// Cumulative WAL counters (log-wide, see [`QueryMetrics::wal`]).
     pub wal: WalStats,
-    /// Process-wide engine counters (see [`EngineCounters`]).
+    /// Engine counters folded from this database's calls.
     pub engine: EngineSnapshot,
     /// Wire-protocol counters (all-zero unless a server is attached).
     pub net: NetSnapshot,
-    /// Transaction counters (begun / committed / aborted / conflicts).
-    pub txn: crate::txn::TxnStats,
+    /// Transaction counters folded from this database's calls.
+    pub txn: TxnStats,
     /// Spill temp files on disk at capture time (a gauge, not a counter:
     /// `since` keeps the later value).
     pub spill_files_live: u64,
@@ -686,6 +741,8 @@ impl RegistrySnapshot {
         push_kv(&mut s, "fetches", self.pool.fetches());
         push_kv(&mut s, "hits", self.pool.hits);
         push_kv(&mut s, "misses", self.pool.misses);
+        push_kv(&mut s, "seq_misses", self.pool.seq_misses);
+        push_kv(&mut s, "rand_misses", self.pool.rand_misses());
         push_kv(&mut s, "evictions", self.pool.evictions);
         s.push_str(&format!("\"writebacks\":{}}},", self.pool.writebacks));
         s.push_str("\"wal\":{");
@@ -775,14 +832,16 @@ pub struct QueryMetrics {
     pub wall: Duration,
     /// Rows returned.
     pub rows: u64,
-    /// Buffer-pool activity during execution (delta, not cumulative).
+    /// Buffer-pool activity of the statement's thread during execution.
     pub pool: PoolStats,
-    /// WAL activity during execution (delta; all-zero for read-only
-    /// queries).
+    /// WAL activity during execution (all-zero for read-only queries).
+    /// Unlike every other counter here, the WAL's [`WalStats`] are
+    /// log-wide, updated under the WAL mutex: a commit by another session
+    /// during this statement's execution is counted too.
     pub wal: WalStats,
-    /// Engine counter deltas (index probes, sort volume, unnest).
+    /// Engine counts (index probes, sort volume, unnest), likewise.
     pub engine: EngineSnapshot,
-    /// Per-function call/marshalling deltas, functions actually called.
+    /// Per-function call/marshalling counts, functions actually called.
     pub udfs: Vec<UdfCounters>,
     /// The annotated operator tree, root first.
     pub root: Option<OperatorProfile>,
@@ -831,11 +890,13 @@ impl QueryMetrics {
             fmt_ns(self.wall.as_nanos() as u64),
         ));
         out.push_str(&format!(
-            "buffer pool: {} fetches ({} hits, {} misses, hit ratio {:.1}%), \
-             {} evictions, {} reads, {} writes\n",
+            "buffer pool: {} fetches ({} hits, {} misses: {} sequential, {} random; \
+             hit ratio {:.1}%), {} evictions, {} reads, {} writes\n",
             self.pool.fetches(),
             self.pool.hits,
             self.pool.misses,
+            self.pool.seq_misses,
+            self.pool.rand_misses(),
             self.pool.hit_ratio() * 100.0,
             self.pool.evictions,
             self.pool.misses,
@@ -891,6 +952,8 @@ impl QueryMetrics {
         push_kv(&mut s, "fetches", self.pool.fetches());
         push_kv(&mut s, "hits", self.pool.hits);
         push_kv(&mut s, "misses", self.pool.misses);
+        push_kv(&mut s, "seq_misses", self.pool.seq_misses);
+        push_kv(&mut s, "rand_misses", self.pool.rand_misses());
         push_kv(&mut s, "evictions", self.pool.evictions);
         push_kv(&mut s, "reads", self.pool.misses);
         push_kv(&mut s, "writes", self.pool.writebacks);
@@ -1074,7 +1137,13 @@ mod tests {
             exec: Duration::from_millis(1),
             wall: Duration::from_millis(2),
             rows: 3,
-            pool: PoolStats { hits: 8, misses: 2, writebacks: 0, evictions: 0 },
+            pool: PoolStats {
+                hits: 8,
+                misses: 2,
+                writebacks: 0,
+                evictions: 0,
+                ..Default::default()
+            },
             wal: WalStats {
                 appends: 2,
                 bytes: 16448,
@@ -1276,14 +1345,20 @@ mod tests {
 
     #[test]
     fn registry_snapshot_diff_and_json() {
-        let reg = MetricsRegistry::new();
+        let reg = MetricsRegistry::default();
         reg.record_query(Duration::from_micros(100));
         reg.record_query(Duration::from_micros(200));
-        assert_eq!(reg.queries(), 2);
+        assert_eq!(reg.read().queries, 2);
         let before = RegistrySnapshot {
-            queries: reg.queries(),
-            latency: reg.latency(),
-            pool: PoolStats { hits: 10, misses: 5, writebacks: 1, evictions: 0 },
+            queries: reg.read().queries,
+            latency: reg.read().latency,
+            pool: PoolStats {
+                hits: 10,
+                misses: 5,
+                writebacks: 1,
+                evictions: 0,
+                ..Default::default()
+            },
             wal: WalStats {
                 appends: 3,
                 bytes: 100,
@@ -1298,9 +1373,15 @@ mod tests {
         };
         reg.record_query(Duration::from_millis(5));
         let after = RegistrySnapshot {
-            queries: reg.queries(),
-            latency: reg.latency(),
-            pool: PoolStats { hits: 30, misses: 6, writebacks: 1, evictions: 0 },
+            queries: reg.read().queries,
+            latency: reg.read().latency,
+            pool: PoolStats {
+                hits: 30,
+                misses: 6,
+                writebacks: 1,
+                evictions: 0,
+                ..Default::default()
+            },
             wal: WalStats {
                 appends: 3,
                 bytes: 100,
@@ -1338,5 +1419,26 @@ mod tests {
             j.chars().filter(|&c| c == open).count() == j.chars().filter(|&c| c == close).count()
         };
         assert!(balance('{', '}') && balance('[', ']'));
+    }
+
+    #[test]
+    fn thread_counts_fold_once_into_the_registry_that_takes_them() {
+        // Whatever this thread counted before belongs to neither.
+        MetricsRegistry::default().fold();
+        let (a, b) = (MetricsRegistry::default(), MetricsRegistry::default());
+        count(|c| c.engine.index_probes += 3);
+        count(|c| c.udf(2)[0] += 1);
+        // Another thread's counts are its own.
+        std::thread::spawn(|| count(|c| c.engine.index_probes += 100)).join().unwrap();
+        a.record_query(Duration::from_micros(1));
+        b.fold();
+        let folded = a.read().counters;
+        assert_eq!(folded.engine.index_probes, 3);
+        let calls: Vec<u64> = folded.udfs.iter().map(|u| u[0]).collect();
+        assert_eq!((calls.get(2), calls.iter().sum::<u64>()), (Some(&1), 1));
+        assert_eq!(b.read().counters, Counters::default(), "taken once, by the first fold");
+        count(|c| c.pool.hits += 1);
+        drop(b.folding());
+        assert_eq!((a.read().counters.pool.hits, b.read().counters.pool.hits), (0, 1));
     }
 }

@@ -72,13 +72,11 @@ impl<'db> Session<'db> {
 
     /// Run a SELECT with full instrumentation, through this session's
     /// snapshot and forcing: every operator is wrapped to count `next()`
-    /// calls, rows, and inclusive time, and the query is bracketed with
-    /// buffer-pool, index, sort, and UDF counter snapshots. Returns both
-    /// the result and the [`QueryMetrics`](crate::metrics::QueryMetrics).
-    ///
-    /// The counter deltas are exact only for single-stream use (see
-    /// `metrics`): a concurrent query on the same process would be
-    /// attributed to this one's window.
+    /// calls, rows, and inclusive time, and execution is bracketed with
+    /// the calling thread's buffer-pool, index, sort, and UDF counters.
+    /// Returns both the result and the
+    /// [`QueryMetrics`](crate::metrics::QueryMetrics), whose counts are
+    /// this statement's alone whatever other sessions run meanwhile.
     pub fn analyze(&self, sql: &str) -> Result<AnalyzeReport> {
         let (result, metrics) = self.db.run_query(sql, self.forcing, self.snapshot()?, true)?;
         let metrics = metrics.expect("an analyzed run returns its metrics");
@@ -102,6 +100,7 @@ impl<'db> Session<'db> {
 
     pub(crate) fn execute_stmt(&mut self, stmt: Statement) -> Result<u64> {
         let db = self.db;
+        let _fold = db.metrics().folding();
         match stmt {
             Statement::Begin => {
                 if self.txn.is_some() {
@@ -222,6 +221,7 @@ impl Drop for Session<'_> {
     /// [`Session::execute`] does.
     fn drop(&mut self) {
         if let Some(t) = self.txn.take() {
+            let _fold = self.db.metrics().folding();
             let _ = self.db.rollback_txn(t);
         }
     }

@@ -29,12 +29,11 @@
 //! on only once all of it has checked out.
 
 use std::collections::BTreeSet;
-use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use crate::metrics::ENGINE;
+use crate::metrics::count;
 
 use crate::error::{DbError, Result};
 use crate::storage::buffer::{BufferPool, FileId, FrameRef};
@@ -238,7 +237,7 @@ impl HeapFile {
                 .insert(record)
                 .ok_or_else(|| DbError::Exec("record does not fit in an empty page".into()))?;
             frame.mark_dirty();
-            ENGINE.reused_slots.fetch_add(1, Relaxed);
+            count(|c| c.engine.reused_slots += 1);
             *self.insert_hint.lock() = Some(pid);
             return Ok(Rid { page: pid, slot: rid_slot(slot)? });
         }
@@ -264,7 +263,7 @@ impl HeapFile {
             Some((slot, reused)) => {
                 frame.mark_dirty();
                 if reused {
-                    ENGINE.reused_slots.fetch_add(1, Relaxed);
+                    count(|c| c.engine.reused_slots += 1);
                 }
                 Ok(Some(Rid { page: pid, slot: rid_slot(slot)? }))
             }
@@ -305,7 +304,7 @@ impl HeapFile {
         if let Some(pid) = self.fsm.lock().free.pop_first() {
             let frame = self.pool.fetch(self.file, pid)?;
             frame.page.lock().reinit();
-            ENGINE.reused_slots.fetch_add(1, Relaxed);
+            count(|c| c.engine.reused_slots += 1);
             return Ok((pid, frame));
         }
         self.pool.allocate(self.file)
@@ -382,7 +381,7 @@ impl HeapFile {
         drop(page);
         if emptied {
             self.fsm.lock().free.insert(rid.page);
-            ENGINE.freed_pages.fetch_add(1, Relaxed);
+            count(|c| c.engine.freed_pages += 1);
         } else {
             self.fsm.lock().data.insert(rid.page);
         }
@@ -405,7 +404,7 @@ impl HeapFile {
             drop(page);
             self.fsm.lock().free.insert(pid);
         }
-        ENGINE.freed_pages.fetch_add(pids.len() as u64, Relaxed);
+        count(|c| c.engine.freed_pages += pids.len() as u64);
         Ok(())
     }
 
@@ -426,9 +425,9 @@ impl HeapFile {
     ///   reinitialised back to the free list (a mark-sweep over the
     ///   file: reachable = union of every valid stub chain).
     ///
-    /// Returns `(purged_stubs, freed_pages)`. Idempotent: a clean file
-    /// reports `(0, 0)` and is untouched.
-    pub fn scavenge_after_recovery(&self) -> Result<(u64, u64)> {
+    /// Idempotent: a clean file is untouched. Freed pages are counted
+    /// like vacuum's.
+    pub fn scavenge_after_recovery(&self) -> Result<()> {
         let pages = self.page_count()?;
         // Collect every stub first, latches released, because a corrupt
         // chain could point back into the data page we are scanning.
@@ -449,20 +448,16 @@ impl HeapFile {
             }
         }
         let mut reachable: BTreeSet<u32> = BTreeSet::new();
-        let mut purged = 0u64;
         for (rid, first, total) in stubs {
             let mut pids = Vec::new();
             match self.walk_chain(first, total, |pid, _| pids.push(pid)) {
                 Ok(()) => reachable.extend(pids),
                 Err(DbError::Corrupt(_)) => {
-                    if self.remove_slot(rid)?.is_some() {
-                        purged += 1;
-                    }
+                    self.remove_slot(rid)?;
                 }
                 Err(e) => return Err(e),
             }
         }
-        let mut freed = 0u64;
         for pid in 0..pages {
             if reachable.contains(&pid) {
                 continue;
@@ -477,10 +472,9 @@ impl HeapFile {
             frame.mark_dirty();
             drop(page);
             self.fsm.lock().free.insert(pid);
-            freed += 1;
+            count(|c| c.engine.freed_pages += 1);
         }
-        ENGINE.freed_pages.fetch_add(freed, Relaxed);
-        Ok((purged, freed))
+        Ok(())
     }
 
     /// Read the record body at `rid`, resolving overflow chains.
@@ -797,6 +791,7 @@ fn overflow_body_mut(p: &mut Page) -> &mut [u8] {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::thread_counters;
 
     /// Transaction id used by tests that don't exercise versioning.
     const XMIN: u64 = 2;
@@ -893,7 +888,7 @@ mod tests {
                 expected.push(big);
             }
         }
-        let before = h.pool.stats_total();
+        let before = thread_counters().pool;
         let (seen, pages) = scan_all(&h);
         assert_eq!(seen, expected);
         assert!(pages > 1 && pages < 201, "pages = {pages}");
@@ -901,7 +896,7 @@ mod tests {
         // pages to tell apart), the chain read, and the re-check of the
         // stub — not one per version.
         let chain = 25_000usize.div_ceil(OVF_CAPACITY) as u64;
-        let fetches = h.pool.stats_total().since(&before).fetches();
+        let fetches = thread_counters().pool.since(&before).fetches();
         assert_eq!(fetches, u64::from(h.page_count().unwrap()) + chain + 1);
     }
 
@@ -912,7 +907,7 @@ mod tests {
             h.insert(&xmin.to_le_bytes(), xmin).unwrap();
         }
         let big = h.insert(&vec![1u8; 20_000], 40).unwrap();
-        let before = h.pool.stats_total();
+        let before = thread_counters().pool;
         let mut seen = Vec::new();
         let mut scan = PageScan::new(h.clone());
         while scan
@@ -929,7 +924,7 @@ mod tests {
         {}
         assert_eq!(seen, [2, 4, 6, 8, 10]);
         // The unwanted overflow version's chain was never read.
-        let fetches = h.pool.stats_total().since(&before).fetches();
+        let fetches = thread_counters().pool.since(&before).fetches();
         assert_eq!(fetches, u64::from(h.page_count().unwrap()));
     }
 
@@ -1065,13 +1060,11 @@ mod tests {
         let big = vec![3u8; 3 * OVF_CAPACITY + 10];
         let rid = h.insert(&big, XMIN).unwrap();
         let pages = h.page_count().unwrap();
-        let before = ENGINE.snapshot();
+        let before = thread_counters().engine;
         assert!(h.delete(rid).unwrap());
-        // Four chain pages and the data page the stub emptied. Other
-        // tests free pages concurrently, so the global counter is a floor.
+        // Four chain pages and the data page the stub emptied.
         assert_eq!(h.fsm.lock().free.len(), 5);
-        let counted = ENGINE.snapshot().since(&before).freed_pages;
-        assert!(counted >= 5, "ENGINE.freed_pages moved by {counted}");
+        assert_eq!(thread_counters().engine.since(&before).freed_pages, 5);
         // The whole footprint (chain pages + the emptied data page) is
         // recycled by an identical insert.
         let rid2 = h.insert(&big, XMIN).unwrap();

@@ -224,7 +224,6 @@ impl SpillManager {
             path,
             arity: None,
             rows: 0,
-            bytes: 0,
             buf: Vec::new(),
         })
     }
@@ -253,13 +252,12 @@ pub struct SpillWriter {
     path: PathBuf,
     arity: Option<usize>,
     rows: u64,
-    bytes: u64,
     buf: Vec<u8>,
 }
 
 impl SpillWriter {
-    /// Append one row. Counts the framed bytes into
-    /// `ENGINE.spill_bytes`.
+    /// Append one row. Counts the framed bytes into the thread's
+    /// `spill_bytes`.
     pub fn add(&mut self, row: &[Value]) -> Result<()> {
         let arity = *self.arity.get_or_insert(row.len());
         debug_assert_eq!(row.len(), arity, "spill row arity mismatch");
@@ -268,16 +266,9 @@ impl SpillWriter {
         let file = self.file.as_mut().expect("writer not finished");
         file.write_all(&(self.buf.len() as u32).to_le_bytes())?;
         file.write_all(&self.buf)?;
-        let framed = 4 + self.buf.len() as u64;
         self.rows += 1;
-        self.bytes += framed;
-        crate::metrics::ENGINE.spill_bytes.fetch_add(framed, Ordering::Relaxed);
+        crate::metrics::count(|c| c.engine.spill_bytes += 4 + self.buf.len() as u64);
         Ok(())
-    }
-
-    /// Rows written so far.
-    pub fn rows(&self) -> u64 {
-        self.rows
     }
 
     /// Flush and seal into a [`SpillFile`].
@@ -288,7 +279,6 @@ impl SpillWriter {
             path: std::mem::take(&mut self.path),
             arity: self.arity.unwrap_or(0),
             rows: self.rows,
-            bytes: self.bytes,
         };
         // `self.file` is now None and `self.path` empty, so our Drop is a
         // no-op; the sealed handle owns cleanup from here.
@@ -311,18 +301,12 @@ pub struct SpillFile {
     path: PathBuf,
     arity: usize,
     rows: u64,
-    bytes: u64,
 }
 
 impl SpillFile {
     /// Rows in the file.
     pub fn rows(&self) -> u64 {
         self.rows
-    }
-
-    /// Framed bytes in the file.
-    pub fn bytes(&self) -> u64 {
-        self.bytes
     }
 
     /// Open a sequential reader (the file can be read multiple times).

@@ -40,6 +40,7 @@ use std::sync::Arc;
 use std::sync::Mutex;
 
 use crate::error::{DbError, Result};
+use crate::metrics::count;
 use crate::storage::heap::Rid;
 use crate::types::Row;
 
@@ -170,7 +171,8 @@ struct Tables {
     watermark: u64,
 }
 
-/// Counters the metrics registry samples from the manager.
+/// Transaction counts, one part of a [`crate::metrics::Counters`] set:
+/// added by the thread that begins, commits, aborts or conflicts.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TxnStats {
     /// Transactions begun (including per-statement autocommit ones).
@@ -186,11 +188,15 @@ pub struct TxnStats {
 impl TxnStats {
     /// Delta between two snapshots of the counters.
     pub fn since(&self, base: &TxnStats) -> TxnStats {
+        self.zip(base, u64::saturating_sub)
+    }
+
+    pub(crate) fn zip(&self, o: &TxnStats, f: fn(u64, u64) -> u64) -> TxnStats {
         TxnStats {
-            begun: self.begun.wrapping_sub(base.begun),
-            committed: self.committed.wrapping_sub(base.committed),
-            aborted: self.aborted.wrapping_sub(base.aborted),
-            conflicts: self.conflicts.wrapping_sub(base.conflicts),
+            begun: f(self.begun, o.begun),
+            committed: f(self.committed, o.committed),
+            aborted: f(self.aborted, o.aborted),
+            conflicts: f(self.conflicts, o.conflicts),
         }
     }
 }
@@ -205,10 +211,6 @@ pub struct TxnManager {
     /// `tables` before `readers`.
     readers: Readers,
     next_reader: AtomicU64,
-    begun: AtomicU64,
-    committed: AtomicU64,
-    aborted: AtomicU64,
-    conflicts: AtomicU64,
 }
 
 impl TxnManager {
@@ -225,10 +227,6 @@ impl TxnManager {
             }),
             readers: Arc::new(Mutex::new(HashMap::new())),
             next_reader: AtomicU64::new(0),
-            begun: AtomicU64::new(0),
-            committed: AtomicU64::new(0),
-            aborted: AtomicU64::new(0),
-            conflicts: AtomicU64::new(0),
         }
     }
 
@@ -242,7 +240,7 @@ impl TxnManager {
         let snapshot = Snapshot { txid, horizon: txid + 1, active: Arc::new(active), pin: None };
         t.active
             .insert(txid, TxnState { snapshot: snapshot.clone(), undo: Vec::new(), wrote: false });
-        self.begun.fetch_add(1, Ordering::Relaxed);
+        count(|c| c.txn.begun += 1);
         TxnId(txid)
     }
 
@@ -333,7 +331,7 @@ impl TxnManager {
             return Err(DbError::Exec(format!("no active transaction {}", txn.0)));
         }
         t.committed_recent.insert(txn.0);
-        self.committed.fetch_add(1, Ordering::Relaxed);
+        count(|c| c.txn.committed += 1);
         Ok(())
     }
 
@@ -342,13 +340,8 @@ impl TxnManager {
     pub fn finish_abort(&self, txn: TxnId) {
         let mut t = self.tables.lock().expect("txn tables poisoned");
         if t.active.remove(&txn.0).is_some() {
-            self.aborted.fetch_add(1, Ordering::Relaxed);
+            count(|c| c.txn.aborted += 1);
         }
-    }
-
-    /// Count a write-write conflict.
-    pub fn note_conflict(&self) {
-        self.conflicts.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Checkpoint bookkeeping: advance the watermark to the oldest
@@ -371,16 +364,6 @@ impl TxnManager {
     pub fn active_ids(&self) -> Vec<u64> {
         let t = self.tables.lock().expect("txn tables poisoned");
         t.active.keys().copied().collect()
-    }
-
-    /// Current counter values.
-    pub fn stats(&self) -> TxnStats {
-        TxnStats {
-            begun: self.begun.load(Ordering::Relaxed),
-            committed: self.committed.load(Ordering::Relaxed),
-            aborted: self.aborted.load(Ordering::Relaxed),
-            conflicts: self.conflicts.load(Ordering::Relaxed),
-        }
     }
 }
 

@@ -266,7 +266,7 @@ fn explicit_txn_is_invisible_across_connections_until_commit() {
 #[test]
 fn write_write_conflict_round_trips_with_stable_code() {
     let (db, handle) = served_db("txnconflict");
-    let conflicts_before = db.txn_stats().conflicts;
+    let conflicts_before = db.metrics_snapshot().txn.conflicts;
     let mut a = Client::connect(handle.addr()).unwrap();
     let mut b = Client::connect(handle.addr()).unwrap();
 
@@ -281,7 +281,11 @@ fn write_write_conflict_round_trips_with_stable_code() {
     let err = b.execute("DELETE FROM item WHERE id = 7").unwrap_err();
     assert!(matches!(err, DbError::TxnConflict(_)), "got {err:?}");
     assert_eq!(net::error_code(&err), 9);
-    assert_eq!(db.txn_stats().conflicts, conflicts_before + 1, "the conflict is counted");
+    assert_eq!(
+        db.metrics_snapshot().txn.conflicts,
+        conflicts_before + 1,
+        "the conflict is counted"
+    );
     // B's earlier insert died with the transaction.
     let mut c = Client::connect(handle.addr()).unwrap();
     assert!(c.query("SELECT * FROM grp WHERE gid = 99").unwrap().is_empty());
@@ -358,7 +362,7 @@ fn wire_writers_share_fsyncs_through_group_commit() {
 #[test]
 fn connection_drop_mid_txn_auto_aborts() {
     let (db, handle) = served_db("txndrop");
-    let aborted_before = db.txn_stats().aborted;
+    let aborted_before = db.metrics_snapshot().txn.aborted;
     {
         let mut doomed = Client::connect(handle.addr()).unwrap();
         doomed.execute("BEGIN").unwrap();
@@ -367,7 +371,7 @@ fn connection_drop_mid_txn_auto_aborts() {
     }
     // The connection thread runs detached; poll until it aborts.
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-    while db.txn_stats().aborted == aborted_before {
+    while db.metrics_snapshot().txn.aborted == aborted_before {
         assert!(std::time::Instant::now() < deadline, "auto-abort never happened");
         std::thread::sleep(std::time::Duration::from_millis(10));
     }
@@ -467,7 +471,7 @@ fn embedded_and_wire_sessions_behave_identically() {
 fn session_drop_mid_txn_auto_aborts() {
     let (db, handle) = served_db("sessdrop");
     handle.stop();
-    let aborted_before = db.txn_stats().aborted;
+    let aborted_before = db.metrics_snapshot().txn.aborted;
     let pinned = {
         let mut doomed = db.session();
         doomed.execute("BEGIN").unwrap();
@@ -475,7 +479,7 @@ fn session_drop_mid_txn_auto_aborts() {
         db.vacuum().unwrap().watermark
         // Dropped without ROLLBACK.
     };
-    assert_eq!(db.txn_stats().aborted, aborted_before + 1);
+    assert_eq!(db.metrics_snapshot().txn.aborted, aborted_before + 1);
     // The orphaned insert was physically undone, and it pins nothing.
     assert!(db.query("SELECT * FROM grp WHERE gid = 55").unwrap().is_empty());
     assert!(db.vacuum().unwrap().watermark > pinned, "the dropped session still pins vacuum");

@@ -612,9 +612,9 @@ fn seq_scan_costs_a_fetch_per_page_not_per_tuple() {
     for (sql, rows_out) in
         [("SELECT COUNT(*) FROM t", 1), ("SELECT a, b FROM t", SMALL as usize + 5)]
     {
-        let before = d.io_stats_total();
+        let before = d.metrics_snapshot().pool;
         assert_eq!(d.query(sql).unwrap().len(), rows_out);
-        let fetches = d.io_stats_total().since(&before).fetches();
+        let fetches = d.metrics_snapshot().pool.since(&before).fetches();
         // Every page of the file once (a data page to read it, a chain
         // page to tell it is one); per overflow tuple its two chain pages
         // and one look back at the stub.
@@ -684,12 +684,12 @@ fn explain_delete_prints_the_chosen_access_path() {
 fn delete_on_an_indexed_column_probes_instead_of_scanning() {
     let d = db("delete-probe");
     setup_churn(&d, 2_000);
-    // Pool counters are per database (the engine's probe counter is
-    // process-wide, and the suite's tests run in parallel).
+    // Pool counters are per database: only this database's calls fold
+    // into its registry, however many tests run in parallel.
     let run = |sql: &str, forcing: PlanForcing| {
-        let before = d.io_stats_total();
+        let before = d.metrics_snapshot().pool;
         let n = d.session().with_forcing(forcing).execute(sql).unwrap();
-        (n, d.io_stats_total().since(&before).fetches())
+        (n, d.metrics_snapshot().pool.since(&before).fetches())
     };
     let (n, fetches) = run("DELETE FROM churn WHERE parent = 1234", PlanForcing::default());
     assert_eq!(n, 4);
