@@ -600,3 +600,145 @@ fn commits_acknowledged_during_a_checkpoint_survive_the_crash() {
     let _ = db.close();
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// What the DDL matrix can see of a database's catalog: its tables, and
+/// each of them that an index scan reaches (every table here has at most
+/// one index, `<table>_id` on `id`).
+fn ddl_catalog(db: &Database) -> std::collections::BTreeSet<String> {
+    let forcing = PlanForcing { access: Some(ForcedAccess::IndexScan), ..Default::default() };
+    let mut names = std::collections::BTreeSet::new();
+    for table in db.table_names() {
+        let sql = format!("SELECT id FROM {table} WHERE id >= 0");
+        let plan = db.session().with_forcing(forcing).explain(&sql).expect("explain");
+        if plan.iter().any(|line| line.contains("IndexScan")) {
+            names.insert(format!("{table}_id"));
+        }
+        names.insert(table);
+    }
+    names
+}
+
+/// The DDL crash matrix: CREATE TABLE, CREATE INDEX over existing rows,
+/// DROP INDEX and DROP TABLE in turn, each run with the injector armed
+/// (drop / tear / bit-flip, scope all writes or the log only). The crash
+/// lands either in the statement's own commit (`crash_after: 0`) or, once
+/// it has returned, in the checkpoint that follows. After every reopen:
+/// the catalog is the acknowledged statements, or those plus the one in
+/// flight; every index finds exactly what its heap holds; every data file
+/// in the directory belongs to the catalog. A statement that did not land
+/// is run again unarmed, so the rounds walk through all four kinds.
+#[test]
+fn ddl_crash_matrix_recovers_the_acknowledged_catalog() {
+    const ROWS: i64 = 40;
+    let seed = env_u64("CRASH_SEED", 1);
+    let default_points = if cfg!(debug_assertions) { 8 } else { 32 };
+    let rounds = env_u64("CRASH_POINTS", default_points);
+
+    let dir = scratch_dir(&format!("ddl-matrix-{seed}"));
+    let _ = std::fs::remove_dir_all(&dir);
+    let inj = FaultInjector::new();
+    let mut db = open(&dir, &inj);
+    let mut rng = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(seed);
+    let mut acked = std::collections::BTreeSet::new();
+    let (mut crashes, mut landed_in_flight) = (0u64, 0u64);
+    for round in 0..rounds {
+        let table = format!("d{}", round / 4);
+        let index = format!("{table}_id");
+        let (sql, object) = match round % 4 {
+            0 => (format!("CREATE TABLE {table} (id INTEGER, v VARCHAR)"), &table),
+            1 => (format!("CREATE INDEX {index} ON {table} (id)"), &index),
+            2 => (format!("DROP INDEX {index}"), &index),
+            _ => (format!("DROP TABLE {table}"), &table),
+        };
+        let mut after = acked.clone();
+        if !after.remove(object) {
+            after.insert(object.clone());
+        }
+        let plan = FaultPlan {
+            crash_after: xorshift(&mut rng) % 2,
+            mode: match xorshift(&mut rng) % 3 {
+                0 => CrashMode::Drop,
+                1 => CrashMode::Tear,
+                _ => CrashMode::BitFlip,
+            },
+            scope: if (round / 4) % 2 == 0 { FaultScope::All } else { FaultScope::Wal },
+            seed: xorshift(&mut rng),
+        };
+        let ctx = format!("seed={seed} round={round} sql={sql:?} plan={plan:?}");
+        inj.arm(plan);
+        // A statement that returns is acknowledged, even if the crash
+        // came after its commit (a DROP's unlink may be what dies).
+        let in_flight = match db.execute(&sql) {
+            Ok(_) => {
+                acked = after.clone();
+                if !inj.crashed() {
+                    assert!(db.checkpoint().is_err(), "the checkpoint must crash [{ctx}]");
+                }
+                false
+            }
+            Err(e) => {
+                assert!(inj.crashed(), "the statement failed without a crash: {e} [{ctx}]");
+                true
+            }
+        };
+        if inj.crashed() {
+            crashes += 1;
+        }
+        db.abandon();
+        inj.disarm();
+
+        let dump = ordb::storage::wal::dump(&dir.join("wal.log")).unwrap_or_default();
+        db = open(&dir, &inj);
+        let found = ddl_catalog(&db);
+        if found == after && in_flight {
+            landed_in_flight += 1;
+            acked = found.clone();
+        } else if found != acked {
+            let msg = format!("catalog {found:?}, acknowledged {acked:?}, in flight {after:?}");
+            fail_with_waldump(seed, round, &ctx, &dump, msg);
+        }
+        if acked != after {
+            db.execute(&sql).unwrap_or_else(|e| panic!("rerun failed: {e} [{ctx}]"));
+            acked = after;
+        }
+        if round % 4 == 0 {
+            let rows: Vec<String> = (0..ROWS).map(|i| format!("({i}, 'row {i}')")).collect();
+            let mut s = db.session();
+            s.execute("BEGIN").expect("begin");
+            s.execute(&format!("INSERT INTO {table} VALUES {}", rows.join(", "))).expect("insert");
+            s.execute("COMMIT").expect("commit");
+        }
+
+        for name in db.table_names() {
+            let ids = |access: ForcedAccess| -> Vec<String> {
+                let forcing = PlanForcing { access: Some(access), ..Default::default() };
+                let sql = format!("SELECT id FROM {name} WHERE id >= 0");
+                let result = db.session().with_forcing(forcing).query(&sql).expect("query");
+                let mut ids: Vec<String> = result.rows.iter().map(|r| format!("{r:?}")).collect();
+                ids.sort();
+                ids
+            };
+            let seq = ids(ForcedAccess::SeqScan);
+            if seq.len() != ROWS as usize || ids(ForcedAccess::IndexScan) != seq {
+                let msg = format!("{name}: heap rows and index entries disagree");
+                fail_with_waldump(seed, round, &ctx, &dump, msg);
+            }
+        }
+        let files = std::fs::read_dir(&dir)
+            .expect("read dir")
+            .filter(|e| e.as_ref().expect("entry").file_name().to_string_lossy().ends_with(".dat"))
+            .count();
+        // The catalog's own heap, then one file per table and per index.
+        if files != 1 + acked.len() {
+            let msg = format!("{files} data files for catalog {acked:?}");
+            fail_with_waldump(seed, round, &ctx, &dump, msg);
+        }
+    }
+    println!(
+        "ddl matrix seed={seed}: crashes={crashes}/{rounds} in-flight landed={landed_in_flight}"
+    );
+    assert_eq!(crashes, rounds, "every armed round has a write to die in");
+
+    let _ = db.close();
+    let _ = std::fs::remove_dir_all(&dir);
+}

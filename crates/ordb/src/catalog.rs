@@ -1,15 +1,27 @@
-//! The catalog: table, column, and index metadata, persisted to a small
-//! text file (`catalog.txt`) in the database directory.
+//! The catalog: table, column, and index metadata.
+//!
+//! Its rows live in the heap file [`CATALOG_FILE`] (`f00000.dat`), through
+//! the same buffer pool, write-ahead log and `xmin`/`xmax` headers as user
+//! rows: each DDL statement is one transaction that inserts a row (CREATE)
+//! or claims one's `xmax` (DROP). [`Database::open`] reads the live rows
+//! back with [`Catalog::read`]; the [`Catalog`] maps are the in-memory copy.
 //!
 //! Identifiers are case-insensitive (stored as written, matched lowered),
 //! following SQL convention.
+//!
+//! [`Database::open`]: crate::db::Database::open
 
 use std::collections::HashMap;
-use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 use crate::error::{DbError, Result};
 use crate::storage::buffer::FileId;
-use crate::types::DataType;
+use crate::storage::heap::{HeapFile, PageScan, Rid};
+use crate::tuple::decode_row;
+use crate::types::{DataType, Row, Value};
+
+/// The heap file holding the catalog's own rows. User files start at 1.
+pub const CATALOG_FILE: FileId = 0;
 
 /// A column: name and declared type.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -65,13 +77,39 @@ pub struct Catalog {
     indexes: HashMap<String, IndexDef>,
     /// Indexes per table (lowered table name).
     by_table: HashMap<String, Vec<String>>,
+    /// Each live object's catalog-heap row, by the object's file.
+    rows: HashMap<FileId, Rid>,
     next_file: FileId,
 }
 
 impl Catalog {
     /// An empty catalog whose first allocated file id is 1.
     pub fn new() -> Catalog {
-        Catalog { next_file: 1, ..Default::default() }
+        Catalog { next_file: CATALOG_FILE + 1, ..Default::default() }
+    }
+
+    /// Read the catalog from its heap: the rows `live(xmin, xmax)` accepts.
+    /// File ids resume past the highest a row names — open deletes every
+    /// other data file, and replaces the log, before handing one out.
+    pub fn read(heap: Arc<HeapFile>, live: impl Fn(u64, u64) -> bool) -> Result<Catalog> {
+        let mut rows = Vec::new();
+        let mut scan = PageScan::new(heap);
+        while scan.next_page(&live, |rid, _, _, body| {
+            rows.push((rid, decode_entry(body)?));
+            Ok(())
+        })? {}
+        // An index names its table, so tables go in first.
+        rows.sort_by_key(|(_, (_, entry))| matches!(entry, Entry::Index(_)));
+        let mut cat = Catalog::new();
+        for (rid, (file, entry)) in rows {
+            match entry {
+                Entry::Table(def) => cat.add_table(def)?,
+                Entry::Index(def) => cat.add_index(def)?,
+            }
+            cat.set_row(file, rid);
+            cat.next_file = cat.next_file.max(file + 1);
+        }
+        Ok(cat)
     }
 
     /// Allocate a fresh file id.
@@ -79,6 +117,16 @@ impl Catalog {
         let id = self.next_file;
         self.next_file += 1;
         id
+    }
+
+    /// Record the catalog-heap row of the object stored in `file`.
+    pub(crate) fn set_row(&mut self, file: FileId, rid: Rid) {
+        self.rows.insert(file, rid);
+    }
+
+    /// The catalog-heap row of the live object stored in `file`.
+    pub(crate) fn row_of(&self, file: FileId) -> Option<Rid> {
+        self.rows.get(&file).copied()
     }
 
     /// Register a table.
@@ -109,6 +157,11 @@ impl Catalog {
     /// Look up a table (case-insensitive).
     pub fn table(&self, name: &str) -> Option<&TableDef> {
         self.tables.get(&name.to_ascii_lowercase())
+    }
+
+    /// Look up a table that must exist (case-insensitive).
+    pub(crate) fn existing_table(&self, name: &str) -> Result<&TableDef> {
+        self.table(name).ok_or_else(|| DbError::Catalog(format!("unknown table {name:?}")))
     }
 
     /// Look up an index by name.
@@ -149,6 +202,7 @@ impl Catalog {
         if let Some(list) = self.by_table.get_mut(&def.table.to_ascii_lowercase()) {
             list.retain(|n| n != &key);
         }
+        self.rows.remove(&def.file);
         Ok(def)
     }
 
@@ -163,135 +217,65 @@ impl Catalog {
         let mut dropped = Vec::new();
         for n in index_names {
             if let Some(ix) = self.indexes.remove(&n) {
+                self.rows.remove(&ix.file);
                 dropped.push(ix);
             }
         }
+        self.rows.remove(&def.file);
         Ok((def, dropped))
     }
-
-    // ---- persistence ---------------------------------------------------
-
-    /// Serialize to the `catalog.txt` format.
-    pub fn serialize(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!("next_file {}\n", self.next_file));
-        let mut tables: Vec<&TableDef> = self.tables.values().collect();
-        tables.sort_by(|a, b| a.name.cmp(&b.name));
-        for t in tables {
-            out.push_str(&format!("table {} {} {}\n", escape(&t.name), t.file, t.columns.len()));
-            for c in &t.columns {
-                out.push_str(&format!("  col {} {}\n", escape(&c.name), c.ty));
-            }
-        }
-        let mut indexes: Vec<&IndexDef> = self.indexes.values().collect();
-        indexes.sort_by(|a, b| a.name.cmp(&b.name));
-        for i in indexes {
-            out.push_str(&format!(
-                "index {} {} {} {}\n",
-                escape(&i.name),
-                escape(&i.table),
-                i.file,
-                i.columns.iter().map(|c| escape(c)).collect::<Vec<_>>().join(",")
-            ));
-        }
-        out
-    }
-
-    /// Parse the `catalog.txt` format.
-    pub fn deserialize(text: &str) -> Result<Catalog> {
-        let mut cat = Catalog::new();
-        let mut current_table: Option<TableDef> = None;
-        for (lineno, line) in text.lines().enumerate() {
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
-            }
-            let mut parts = line.split_whitespace();
-            let tag = parts.next().unwrap_or_default();
-            let bad = |m: &str| DbError::Catalog(format!("catalog line {}: {m}", lineno + 1));
-            match tag {
-                "next_file" => {
-                    cat.next_file = parts
-                        .next()
-                        .and_then(|s| s.parse().ok())
-                        .ok_or_else(|| bad("bad next_file"))?;
-                }
-                "table" => {
-                    if let Some(t) = current_table.take() {
-                        cat.add_table(t)?;
-                    }
-                    let name = unescape(parts.next().ok_or_else(|| bad("missing name"))?);
-                    let file =
-                        parts.next().and_then(|s| s.parse().ok()).ok_or_else(|| bad("bad file"))?;
-                    current_table = Some(TableDef { name, columns: Vec::new(), file });
-                }
-                "col" => {
-                    let t = current_table.as_mut().ok_or_else(|| bad("col outside table"))?;
-                    let name = unescape(parts.next().ok_or_else(|| bad("missing col name"))?);
-                    let ty = parts
-                        .next()
-                        .and_then(DataType::parse)
-                        .ok_or_else(|| bad("bad col type"))?;
-                    t.columns.push(ColumnDef { name, ty });
-                }
-                "index" => {
-                    if let Some(t) = current_table.take() {
-                        cat.add_table(t)?;
-                    }
-                    let name = unescape(parts.next().ok_or_else(|| bad("missing name"))?);
-                    let table = unescape(parts.next().ok_or_else(|| bad("missing table"))?);
-                    let file =
-                        parts.next().and_then(|s| s.parse().ok()).ok_or_else(|| bad("bad file"))?;
-                    let columns: Vec<String> = parts
-                        .next()
-                        .ok_or_else(|| bad("missing columns"))?
-                        .split(',')
-                        .map(unescape)
-                        .collect();
-                    cat.add_index(IndexDef { name, table, columns, file })?;
-                }
-                other => return Err(bad(&format!("unknown tag {other:?}"))),
-            }
-        }
-        if let Some(t) = current_table.take() {
-            cat.add_table(t)?;
-        }
-        Ok(cat)
-    }
-
-    /// Path of the catalog file inside a database directory.
-    pub fn file_path(dir: &Path) -> PathBuf {
-        dir.join("catalog.txt")
-    }
-
-    /// Write the catalog to its file in `dir`, atomically: a crash mid-
-    /// save leaves either the old catalog or the new one, never a torn
-    /// half-file (the rename is the commit point).
-    pub fn save(&self, dir: &Path) -> Result<()> {
-        let tmp = dir.join("catalog.txt.tmp");
-        std::fs::write(&tmp, self.serialize())?;
-        std::fs::rename(&tmp, Self::file_path(dir))?;
-        Ok(())
-    }
-
-    /// Load the catalog from `dir` (empty catalog if the file is absent).
-    pub fn load(dir: &Path) -> Result<Catalog> {
-        let path = Self::file_path(dir);
-        if !path.exists() {
-            return Ok(Catalog::new());
-        }
-        let text = std::fs::read_to_string(path)?;
-        Catalog::deserialize(&text)
-    }
 }
 
-/// Identifiers with whitespace are uncommon; escape them minimally.
-fn escape(s: &str) -> String {
-    s.replace(' ', "\\x20")
+/// One catalog row, decoded.
+enum Entry {
+    Table(TableDef),
+    Index(IndexDef),
 }
 
-fn unescape(s: &str) -> String {
-    s.replace("\\x20", " ")
+/// A table's catalog row: `[file, name, NULL, column count]`, then each
+/// column's name and type.
+pub(crate) fn table_row(def: &TableDef) -> Row {
+    let columns = def
+        .columns
+        .iter()
+        .flat_map(|c| [Value::str(c.name.as_str()), Value::str(c.ty.to_string())]);
+    head(def.file, &def.name, Value::Null, def.columns.len()).into_iter().chain(columns).collect()
+}
+
+/// An index's catalog row: `[file, name, table, column count]`, then its
+/// key column names in order.
+pub(crate) fn index_row(def: &IndexDef) -> Row {
+    let columns = def.columns.iter().map(|c| Value::str(c.as_str()));
+    let table = Value::str(def.table.as_str());
+    head(def.file, &def.name, table, def.columns.len()).into_iter().chain(columns).collect()
+}
+
+fn head(file: FileId, name: &str, table: Value, columns: usize) -> [Value; 4] {
+    [Value::Int(i64::from(file)), Value::str(name), table, Value::Int(columns as i64)]
+}
+
+/// A catalog row's object and the file it is stored in.
+fn decode_entry(body: &[u8]) -> Result<(FileId, Entry)> {
+    let bad = || DbError::Corrupt("malformed catalog row".into());
+    let text = |v: &Value| v.as_str().map(str::to_string).ok_or_else(bad);
+    let head = decode_row(body, 4)?;
+    let file = head[0].as_int().and_then(|f| FileId::try_from(f).ok()).ok_or_else(bad)?;
+    let n = head[3].as_int().and_then(|n| usize::try_from(n).ok()).ok_or_else(bad)?;
+    let name = text(&head[1])?;
+    if head[2] == Value::Null {
+        let row = decode_row(body, 4 + 2 * n)?;
+        let column = |c: &[Value]| {
+            Ok(ColumnDef {
+                name: text(&c[0])?,
+                ty: DataType::parse(&text(&c[1])?).ok_or_else(bad)?,
+            })
+        };
+        let columns = row[4..].chunks(2).map(column).collect::<Result<_>>()?;
+        Ok((file, Entry::Table(TableDef { name, columns, file })))
+    } else {
+        let columns = decode_row(body, 4 + n)?[4..].iter().map(text).collect::<Result<_>>()?;
+        Ok((file, Entry::Index(IndexDef { name, table: text(&head[2])?, columns, file })))
+    }
 }
 
 #[cfg(test)]
@@ -354,19 +338,43 @@ mod tests {
 
     #[test]
     fn serialization_round_trips() {
+        use crate::storage::buffer::BufferPool;
+        use crate::tuple::encode_row;
+        let dir = std::env::temp_dir().join(format!("ordb-catalog-rows-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let pool = Arc::new(BufferPool::new(16));
+        pool.register_file(CATALOG_FILE, dir.join("f00000.dat")).unwrap();
+        let heap = Arc::new(HeapFile::new(pool, CATALOG_FILE));
         let c = sample();
-        let text = c.serialize();
-        let back = Catalog::deserialize(&text).unwrap();
+        let mut buf = Vec::new();
+        let mut insert = |row: Row, xmax: u64| {
+            buf.clear();
+            encode_row(&row, &mut buf);
+            let rid = heap.insert(&buf, 2).unwrap();
+            if xmax != 0 {
+                heap.try_claim_xmax(rid, xmax).unwrap();
+            }
+        };
+        // The index row first: reading puts tables in before indexes.
+        insert(index_row(c.index("speech_pk").unwrap()), 0);
+        insert(table_row(c.table("speech").unwrap()), 0);
+        // A dropped table the filter below rejects.
+        let gone = TableDef { name: "gone".into(), columns: vec![], file: 7 };
+        insert(table_row(&gone), 3);
+
+        let mut back = Catalog::read(heap, |_, xmax| xmax == 0).unwrap();
         assert_eq!(back.table_count(), 1);
         let t = back.table("speech").unwrap();
-        assert_eq!(t.columns.len(), 3);
+        assert_eq!(t.columns, c.table("speech").unwrap().columns);
         assert_eq!(t.columns[1].ty, DataType::Xadt);
         let i = back.index("speech_pk").unwrap();
         assert_eq!(i.columns, vec!["speechID".to_string()]);
         assert_eq!(back.indexes_of("SPEECH").len(), 1);
-        // file counter preserved
-        let mut back = back;
+        assert!(back.row_of(t.file).is_some() && back.row_of(7).is_none());
+        // File ids resume past the highest live one.
         assert_eq!(back.allocate_file_id(), 3);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -3,6 +3,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::ops::Deref;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -10,7 +11,7 @@ use std::time::Duration;
 
 use parking_lot::RwLock;
 
-use crate::catalog::{Catalog, ColumnDef, IndexDef, TableDef};
+use crate::catalog::{index_row, table_row, Catalog, ColumnDef, IndexDef, TableDef, CATALOG_FILE};
 use crate::error::{DbError, Result};
 use crate::exec::collect;
 use crate::index::btree::BTree;
@@ -21,14 +22,14 @@ use crate::recovery::RecoveryReport;
 use crate::sql::ast::{AstExpr, Statement};
 use crate::sql::parser::parse_statement;
 use crate::stats::{StatsBuilder, TableStats};
-use crate::storage::buffer::{BufferPool, DEFAULT_POOL_FRAMES};
+use crate::storage::buffer::{BufferPool, FileId, DEFAULT_POOL_FRAMES};
 use crate::storage::fault::FaultInjector;
 use crate::storage::heap::{ClaimOutcome, HeapFile, PageScan, Rid};
 use crate::storage::spill::{SpillConfig, SpillManager};
 use crate::storage::wal::{LogScan, Wal, WalStats};
 use crate::trace::now_ns;
 use crate::tuple::{decode_cols, decode_row, encode_row};
-use crate::txn::{Snapshot, TxnId, TxnManager, UndoRecord};
+use crate::txn::{Snapshot, TxnId, TxnManager, Undo, TXID_INVALID};
 use crate::types::{DataType, Row, Value};
 
 /// Tuning knobs for [`Database::open_with`].
@@ -65,13 +66,16 @@ impl Default for DbOptions {
 
 struct DbInner {
     catalog: Catalog,
+    /// The catalog's own rows, in file [`CATALOG_FILE`].
+    catalog_heap: Arc<HeapFile>,
     heaps: HashMap<String, Arc<HeapFile>>,
     indexes: HashMap<String, Arc<BTree>>,
     stats: HashMap<String, TableStats>,
 }
 
-/// A database rooted at a directory of page files plus `catalog.txt` and
-/// the write-ahead log `wal.log`.
+/// A database rooted at a directory of page files — the catalog's rows
+/// in `f00000.dat`, each table and index in a file of its own — and the
+/// write-ahead log `wal.log`.
 pub struct Database {
     dir: PathBuf,
     pool: Arc<BufferPool>,
@@ -178,9 +182,11 @@ impl fmt::Display for QueryResult {
     }
 }
 
-/// One table's DML access set: definition, heap, and each index's
-/// key-column positions + tree (what `Database::table_access` returns).
-type TableAccess = (TableDef, Arc<HeapFile>, Vec<(Vec<usize>, Arc<BTree>)>);
+/// One table's indexes: each one's key-column positions and tree.
+type TableIndexes = Vec<(Vec<usize>, Arc<BTree>)>;
+
+/// One table's definition, heap and indexes: what DML needs.
+type TableAccess = (TableDef, Arc<HeapFile>, TableIndexes);
 
 /// What one [`Database::vacuum`] pass reclaimed.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -208,17 +214,51 @@ impl Database {
     /// When a `wal.log` exists, it is read once and the redo pass runs
     /// *first* — before any file is registered with the pool — so torn or
     /// lost data-page writes from a crash are repaired before anything
-    /// reads them. A log this version cannot classify is refused before
-    /// any data file is written.
+    /// reads them. A log this version cannot classify, or an older
+    /// version's `catalog.txt`, is refused before any data file is written.
+    /// The catalog is then read from its heap — the rows whose creating DDL
+    /// committed and whose dropping DDL did not — and every data file no
+    /// such row names, which a dropped, failed or crashed DDL left, is
+    /// deleted.
     pub fn open_with(dir: impl AsRef<Path>, opts: DbOptions) -> Result<Database> {
         let dir = dir.as_ref().to_path_buf();
         std::fs::create_dir_all(&dir)?;
+        let old_catalog = dir.join("catalog.txt");
+        if old_catalog.exists() {
+            let what = "an older version's catalog; this one keeps it in f00000.dat, no migration";
+            return Err(DbError::Corrupt(format!("{}: {what}", old_catalog.display())));
+        }
         let mut scan = LogScan::read(&dir)?;
         let recovery = scan.as_mut().map(|scan| crate::recovery::redo(&dir, scan)).transpose()?;
-        let catalog = Catalog::load(&dir)?;
-        // Undo pass: list the versions written by transactions that never
-        // logged a commit record, and the delete claims they left.
-        let heap_files: Vec<u32> = catalog.tables().map(|t| t.file).collect();
+        let decided = |t: u64| scan.as_ref().map_or(t != TXID_INVALID, |scan| scan.decided(t));
+        let pool = Arc::new(BufferPool::with_fault(opts.pool_frames, opts.fault.clone()));
+        let wal = Arc::new(Wal::open(&dir, opts.fault.clone(), scan.as_ref())?);
+        pool.set_wal(Some(wal.clone()));
+        // A log holding any page image or a torn tail means the last
+        // process died mid-flight (a clean shutdown leaves a bare
+        // checkpoint record, and every data-file write since the last
+        // checkpoint logged its image first): a WAL torn mid-vacuum can
+        // leave stubs whose chains were already reclaimed and overflow
+        // pages nothing references, and an index page can be durable
+        // while the heap page holding its target slot was lost.
+        let dirty = recovery
+            .as_ref()
+            .is_some_and(|r| r.replayed_pages > 0 || r.skipped_pages > 0 || r.torn_tail_bytes > 0);
+        pool.register_file(CATALOG_FILE, file_path(&dir, CATALOG_FILE))?;
+        let catalog_heap = Arc::new(HeapFile::new(pool.clone(), CATALOG_FILE));
+        let catalog =
+            Catalog::read(catalog_heap.clone(), |xmin, xmax| decided(xmin) && !decided(xmax))?;
+        for entry in std::fs::read_dir(&dir)? {
+            let path = entry?.path();
+            let name = path.file_name().and_then(|n| n.to_str()).unwrap_or_default();
+            let file = name.strip_prefix('f').and_then(|n| n.strip_suffix(".dat")?.parse().ok());
+            if file.is_some_and(|f| f != CATALOG_FILE && catalog.row_of(f).is_none()) {
+                std::fs::remove_file(path)?;
+            }
+        }
+        // Undo pass: list what transactions the log shows uncommitted wrote.
+        let heap_files: Vec<FileId> =
+            std::iter::once(CATALOG_FILE).chain(catalog.tables().map(|t| t.file)).collect();
         let undo = scan
             .as_ref()
             .map(|scan| crate::recovery::undo_uncommitted(&dir, &heap_files, scan))
@@ -226,9 +266,6 @@ impl Database {
             .unwrap_or_default();
         let next = (undo.max_txid + 1).max(crate::txn::TXID_FIRST);
         let txns = TxnManager::new(next);
-        let pool = Arc::new(BufferPool::with_fault(opts.pool_frames, opts.fault.clone()));
-        let wal = Arc::new(Wal::open(&dir, opts.fault.clone(), scan.as_ref())?);
-        pool.set_wal(Some(wal.clone()));
         let mut heaps = HashMap::new();
         let mut indexes = HashMap::new();
         for t in catalog.tables() {
@@ -241,47 +278,23 @@ impl Database {
             indexes
                 .insert(i.name.to_ascii_lowercase(), Arc::new(BTree::open(pool.clone(), i.file)?));
         }
-        // A log holding any page image or a torn tail means the last
-        // process died mid-flight (a clean shutdown leaves a bare
-        // checkpoint record, and every data-file write since the last
-        // checkpoint logged its image first): a WAL torn mid-vacuum can
-        // leave stubs whose chains were already reclaimed and overflow
-        // pages nothing references, and an index page can be durable
-        // while the heap page holding its target slot was lost.
-        let dirty = recovery
-            .as_ref()
-            .is_some_and(|r| r.replayed_pages > 0 || r.skipped_pages > 0 || r.torn_tail_bytes > 0);
         if dirty {
-            for heap in heaps.values() {
+            for heap in heaps.values().chain([&catalog_heap]) {
                 heap.scavenge_after_recovery()?;
             }
         }
-        // Take the undecided versions out the way vacuum does, index
-        // entries first, then clear the undecided claims.
-        for tdef in catalog.tables() {
-            let heap = &heaps[&tdef.name.to_ascii_lowercase()];
-            let idx_defs = index_defs(&catalog, &indexes, tdef);
-            let ordinals = key_ordinals(idx_defs.iter().map(|(cols, _)| cols));
-            let mut victims = Vec::new();
-            for &(_, rid) in undo.remove.iter().filter(|(file, _)| *file == tdef.file) {
-                if let Some(v) = heap.get_versioned(rid)? {
-                    victims.push((rid, decode_cols(&v.body, ordinals.iter().copied())?));
-                }
-            }
-            reclaim(heap, &idx_defs, &ordinals, victims)?;
-            for &(_, rid) in undo.clear.iter().filter(|(file, _)| *file == tdef.file) {
-                heap.clear_xmax(rid)?;
-            }
-        }
+        let inner = DbInner { catalog, catalog_heap, heaps, indexes, stats: HashMap::new() };
+        inner.undo(undo.undo)?;
         // Purge index entries whose heap slot no longer exists — the
         // stale entry would alias whatever future insert lands there.
         if dirty {
-            for idef in catalog.indexes() {
-                let Some(heap) = heaps.get(&idef.table.to_ascii_lowercase()) else { continue };
-                let tree = indexes.get(&idef.name.to_ascii_lowercase()).expect("tree");
-                for (key, rid) in tree.scan_range(None, None, true)? {
-                    if heap.get_versioned(rid)?.is_none() {
-                        tree.delete(&key, rid)?;
+            for t in inner.catalog.tables() {
+                let (heap, trees) = inner.access_of(t.file).expect("a catalogued table");
+                for (_, tree) in trees {
+                    for (key, rid) in tree.scan_range(None, None, true)? {
+                        if heap.get_versioned(rid)?.is_none() {
+                            tree.delete(&key, rid)?;
+                        }
                     }
                 }
             }
@@ -302,7 +315,7 @@ impl Database {
             dir,
             pool,
             wal,
-            inner: RwLock::new(DbInner { catalog, heaps, indexes, stats: HashMap::new() }),
+            inner: RwLock::new(inner),
             functions: crate::functions::FunctionRegistry::with_builtins(),
             recovery,
             spill,
@@ -328,34 +341,43 @@ impl Database {
         self.functions.counters(&self.registry.read().counters.udfs)
     }
 
-    /// Create a table.
+    /// Create a table: one durable transaction inserting its catalog row.
     pub fn create_table(&self, name: &str, columns: Vec<ColumnDef>) -> Result<()> {
+        let _fold = self.registry.folding();
+        let _gate = self.write_gate.read();
         let mut inner = self.inner.write();
         if inner.catalog.table(name).is_some() {
             return Err(DbError::Catalog(format!("table {name:?} already exists")));
         }
-        let file = inner.catalog.allocate_file_id();
-        self.pool.register_file(file, file_path(&self.dir, file))?;
-        inner.catalog.add_table(TableDef { name: name.to_string(), columns, file })?;
-        inner
-            .heaps
-            .insert(name.to_ascii_lowercase(), Arc::new(HeapFile::new(self.pool.clone(), file)));
-        inner.catalog.save(&self.dir)?;
-        Ok(())
+        for (i, c) in columns.iter().enumerate() {
+            if columns[..i].iter().any(|d| d.name.eq_ignore_ascii_case(&c.name)) {
+                return Err(DbError::Catalog(format!("column {:?} declared twice", c.name)));
+            }
+        }
+        let def =
+            TableDef { name: name.to_string(), columns, file: inner.catalog.allocate_file_id() };
+        let rid = self.create_in_catalog(&inner, def.file, table_row(&def), || Ok(()))?.0;
+        inner.heaps.insert(
+            name.to_ascii_lowercase(),
+            Arc::new(HeapFile::new(self.pool.clone(), def.file)),
+        );
+        inner.catalog.set_row(def.file, rid);
+        inner.catalog.add_table(def)
     }
 
-    /// Create an index and backfill it from existing rows. The backfill
-    /// collects every `(key, rid)` pair, sorts them into stored-key order
-    /// and inserts them through [`BTree::insert`]: ascending inserts take
-    /// the tree's right-edge split, so every leaf but the last is full.
+    /// Create an index and backfill it from existing rows, as one durable
+    /// transaction inserting its catalog row. The backfill collects every
+    /// `(key, rid)` pair, sorts them into stored-key order and inserts
+    /// them through [`BTree::insert`]: ascending inserts take the tree's
+    /// right-edge split, so every leaf but the last is full.
     pub fn create_index(&self, name: &str, table: &str, columns: Vec<String>) -> Result<()> {
         let _fold = self.registry.folding();
+        let _gate = self.write_gate.read();
         let mut inner = self.inner.write();
-        let tdef = inner
-            .catalog
-            .table(table)
-            .ok_or_else(|| DbError::Catalog(format!("unknown table {table:?}")))?
-            .clone();
+        if inner.catalog.index(name).is_some() {
+            return Err(DbError::Catalog(format!("index {name:?} already exists")));
+        }
+        let tdef = inner.catalog.existing_table(table)?.clone();
         let mut key_cols = Vec::with_capacity(columns.len());
         for c in &columns {
             key_cols.push(
@@ -364,52 +386,101 @@ impl Database {
             );
         }
         let file = inner.catalog.allocate_file_id();
-        self.pool.register_file(file, file_path(&self.dir, file))?;
-        let tree = Arc::new(BTree::create(self.pool.clone(), file)?);
-        inner.catalog.add_index(IndexDef {
-            name: name.to_string(),
-            table: tdef.name.clone(),
-            columns,
-            file,
+        let def = IndexDef { name: name.to_string(), table: tdef.name.clone(), columns, file };
+        let heap = inner.heaps[&tdef.name.to_ascii_lowercase()].clone();
+        let (rid, tree) = self.create_in_catalog(&inner, file, index_row(&def), || {
+            let tree = Arc::new(BTree::create(self.pool.clone(), file)?);
+            // Backfill every non-dead version — including ones with an
+            // xmax claim, since a snapshot older than the deleter must
+            // still find them through this index.
+            let ordinals = key_ordinals([&key_cols]);
+            let mut scan = PageScan::new(heap);
+            let mut keys: Vec<(Vec<u8>, Rid)> = Vec::new();
+            while scan.next_page(
+                |_, _| true,
+                |rid, _, _, body| {
+                    let row = decode_cols(body, ordinals.iter().copied())?;
+                    keys.push((encode_key(&key_of(&key_cols, &ordinals, &row)), rid));
+                    Ok(())
+                },
+            )? {}
+            // Encoded keys of one index are prefix-free and `Rid` orders
+            // as its big-endian suffix, so this is stored-key order.
+            keys.sort_unstable();
+            for (key, rid) in keys {
+                tree.insert(&key, rid)?;
+            }
+            Ok(tree)
         })?;
-        // Backfill every non-dead version — including ones with an xmax
-        // claim, since a snapshot older than the deleter must still find
-        // them through this index.
-        let heap = inner.heaps.get(&tdef.name.to_ascii_lowercase()).expect("heap").clone();
-        let ordinals = key_ordinals([&key_cols]);
-        let mut scan = PageScan::new(heap);
-        let mut keys: Vec<(Vec<u8>, Rid)> = Vec::new();
-        while scan.next_page(
-            |_, _| true,
-            |rid, _, _, body| {
-                let row = decode_cols(body, ordinals.iter().copied())?;
-                keys.push((encode_key(&key_of(&key_cols, &ordinals, &row)), rid));
-                Ok(())
-            },
-        )? {}
-        // Encoded keys of one index are prefix-free and `Rid` orders as
-        // its big-endian suffix, so this is stored-key order.
-        keys.sort_unstable();
-        for (key, rid) in keys {
-            tree.insert(&key, rid)?;
-        }
         inner.indexes.insert(name.to_ascii_lowercase(), tree);
-        inner.catalog.save(&self.dir)?;
+        inner.catalog.set_row(file, rid);
+        inner.catalog.add_index(def)
+    }
+
+    /// Register the new `file` and, in one DDL transaction, insert its
+    /// catalog `row` and `build` its contents; on failure delete it again.
+    fn create_in_catalog<T>(
+        &self,
+        inner: &DbInner,
+        file: FileId,
+        row: Row,
+        build: impl FnOnce() -> Result<T>,
+    ) -> Result<(Rid, T)> {
+        self.pool.register_file(file, file_path(&self.dir, file))?;
+        self.ddl(inner, |txn| {
+            let mut body = Vec::new();
+            encode_row(&row, &mut body);
+            let rid = inner.catalog_heap.insert(&body, txn.0)?;
+            self.txns.record_undo(txn, |u| u.remove.push((CATALOG_FILE, rid)))?;
+            Ok((rid, build()?))
+        })
+        .inspect_err(|_| self.unlink(&[file]))
+    }
+
+    /// In one DDL transaction, claim the `xmax` of `files`' catalog rows.
+    /// The caller unlinks the files only after this returns, so a crash
+    /// never leaves a live row naming a missing file.
+    fn drop_from_catalog(&self, inner: &DbInner, files: &[FileId]) -> Result<()> {
+        self.ddl(inner, |txn| {
+            for &file in files {
+                let rid = inner.catalog.row_of(file).expect("a catalogued file has a row");
+                if inner.catalog_heap.try_claim_xmax(rid, txn.0)? != ClaimOutcome::Claimed {
+                    return Err(DbError::Corrupt(format!("catalog row {rid:?} already claimed")));
+                }
+                self.txns.record_undo(txn, |u| u.clear.push((CATALOG_FILE, rid)))?;
+            }
+            Ok(())
+        })?;
+        // Vacuum reclaims the dead rows once no snapshot needs them.
+        self.reclaim_hint.fetch_add(files.len() as u64, Ordering::Relaxed);
         Ok(())
+    }
+
+    /// Run `f` as one DDL transaction (the caller holds the write gate and
+    /// `inner`), committed durably: a new file's pages reach the log before
+    /// the commit record that names them.
+    fn ddl<T>(&self, inner: &DbInner, f: impl FnOnce(TxnId) -> Result<T>) -> Result<T> {
+        let txn = self.txns.begin();
+        let done = f(txn);
+        let ended = self.end_gated(txn, done.is_ok(), true, || inner);
+        done.and_then(|v| ended.map(|()| v))
+    }
+
+    /// Forget `files` and delete them, best effort: a file left behind is
+    /// one no live catalog row names, and the next open deletes it.
+    fn unlink(&self, files: &[FileId]) {
+        for &file in files {
+            let _ = self.pool.unregister_file(file);
+            let _ = std::fs::remove_file(file_path(&self.dir, file));
+        }
     }
 
     /// One table's heap, its indexes (key-column positions + trees),
     /// and its definition — the access set every DML statement needs.
     fn table_access(&self, table: &str) -> Result<TableAccess> {
         let inner = self.inner.read();
-        let tdef = inner
-            .catalog
-            .table(table)
-            .ok_or_else(|| DbError::Catalog(format!("unknown table {table:?}")))?
-            .clone();
-        let heap = inner.heaps.get(&tdef.name.to_ascii_lowercase()).expect("heap").clone();
-        let idx_defs = index_defs(&inner.catalog, &inner.indexes, &tdef);
-        drop(inner);
+        let tdef = inner.catalog.existing_table(table)?.clone();
+        let (heap, idx_defs) = inner.access_of(tdef.file).expect("a catalogued table");
         Ok((tdef, heap, idx_defs))
     }
 
@@ -426,21 +497,15 @@ impl Database {
     /// fsync, see [`Database::commit`]) on success, rolled back on error.
     pub(crate) fn autocommit(&self, f: impl FnOnce(TxnId) -> Result<u64>) -> Result<u64> {
         let txn = self.txns.begin();
-        match f(txn) {
-            Ok(n) => {
-                self.commit_txn_inner(txn, false)?;
-                Ok(n)
-            }
-            Err(e) => {
-                let _ = self.rollback_txn(txn);
-                Err(e)
-            }
-        }
+        let done = f(txn);
+        let _gate = self.write_gate.read();
+        let ended = self.end_gated(txn, done.is_ok(), false, || self.inner.read());
+        done.and_then(|n| ended.map(|()| n))
     }
 
     /// Insert rows inside transaction `txn`: each version is stamped
-    /// with `txn`'s id as `xmin` and an undo record is kept so rollback
-    /// can remove it (and its index entries) physically.
+    /// with `txn`'s id as `xmin` and goes on `txn`'s undo list, so
+    /// rollback can remove it (and its index entries) physically.
     pub(crate) fn insert_rows_in(&self, table: &str, rows: Vec<Row>, txn: TxnId) -> Result<u64> {
         let _gate = self.write_gate.read();
         let (tdef, heap, idx_defs) = self.table_access(table)?;
@@ -460,10 +525,7 @@ impl Database {
             buf.clear();
             encode_row(&row, &mut buf);
             let rid = heap.insert(&buf, txn.0)?;
-            self.txns.record_undo(
-                txn,
-                UndoRecord::Insert { table: tdef.name.clone(), rid, row: row.clone() },
-            )?;
+            self.txns.record_undo(txn, |u| u.remove.push((tdef.file, rid)))?;
             for (cols, tree) in &idx_defs {
                 let key_vals: Vec<Value> = cols.iter().map(|&i| row[i].clone()).collect();
                 tree.insert(&encode_key(&key_vals), rid)?;
@@ -607,30 +669,41 @@ impl Database {
         }
     }
 
-    /// `DROP INDEX name`.
+    /// `DROP INDEX name`: one durable transaction.
     pub(crate) fn drop_index(&self, name: &str) -> Result<()> {
+        let _gate = self.write_gate.read();
         let mut inner = self.inner.write();
-        let def = inner.catalog.remove_index(name)?;
+        let file = inner
+            .catalog
+            .index(name)
+            .ok_or_else(|| DbError::Catalog(format!("unknown index {name:?}")))?
+            .file;
+        self.drop_from_catalog(&inner, &[file])?;
+        inner.catalog.remove_index(name)?;
         inner.indexes.remove(&name.to_ascii_lowercase());
-        self.pool.unregister_file(def.file)?;
-        let _ = std::fs::remove_file(file_path(&self.dir, def.file));
-        inner.catalog.save(&self.dir)
+        self.unlink(&[file]);
+        Ok(())
     }
 
-    /// `DROP TABLE name`, with its indexes and statistics.
+    /// `DROP TABLE name`, with its indexes and statistics: one durable
+    /// transaction.
     pub(crate) fn drop_table(&self, name: &str) -> Result<()> {
+        let _gate = self.write_gate.read();
         let mut inner = self.inner.write();
+        let tdef = inner.catalog.existing_table(name)?;
+        let files: Vec<FileId> = std::iter::once(tdef.file)
+            .chain(inner.catalog.indexes_of(name).iter().map(|i| i.file))
+            .collect();
+        self.drop_from_catalog(&inner, &files)?;
         let (tdef, indexes) = inner.catalog.remove_table(name)?;
-        inner.heaps.remove(&tdef.name.to_ascii_lowercase());
-        self.pool.unregister_file(tdef.file)?;
-        let _ = std::fs::remove_file(file_path(&self.dir, tdef.file));
+        let key = tdef.name.to_ascii_lowercase();
+        inner.heaps.remove(&key);
+        inner.stats.remove(&key);
         for ix in indexes {
             inner.indexes.remove(&ix.name.to_ascii_lowercase());
-            self.pool.unregister_file(ix.file)?;
-            let _ = std::fs::remove_file(file_path(&self.dir, ix.file));
         }
-        inner.stats.remove(&tdef.name.to_ascii_lowercase());
-        inner.catalog.save(&self.dir)
+        self.unlink(&files);
+        Ok(())
     }
 
     /// MVCC delete inside `txn`: find the versions `txn`'s snapshot sees
@@ -666,8 +739,7 @@ impl Database {
         for rid in victims {
             match plan.heap.try_claim_xmax(rid, txn.0)? {
                 ClaimOutcome::Claimed => {
-                    self.txns
-                        .record_undo(txn, UndoRecord::Delete { table: plan.table.clone(), rid })?;
+                    self.txns.record_undo(txn, |u| u.clear.push((plan.heap.file_id(), rid)))?;
                     // Feed the auto-vacuum hook: if this claim commits,
                     // the version eventually becomes reclaimable.
                     self.reclaim_hint.fetch_add(1, Ordering::Relaxed);
@@ -707,75 +779,53 @@ impl Database {
     /// so followers find their record already durable). Read-only
     /// transactions skip the log entirely.
     pub(crate) fn commit_txn(&self, txn: TxnId) -> Result<()> {
-        self.commit_txn_inner(txn, true)
-    }
-
-    /// Commit `txn`. `durable` selects the explicit-COMMIT path (page
-    /// images + commit record + group fsync); autocommit statements pass
-    /// `false` and only buffer the commit record, keeping the legacy
-    /// contract that bulk loads become durable at [`Database::commit`].
-    fn commit_txn_inner(&self, txn: TxnId, durable: bool) -> Result<()> {
-        // Through `finish_commit`: the checkpoint decides which commit
-        // records to carry over from what the manager knows as committed.
         let _gate = self.write_gate.read();
-        let wrote = self.txns.wrote(txn)?;
-        if wrote {
-            if durable {
-                self.pool.log_dirty_frames()?;
-                let lsn = self.wal.log_commit(txn.0);
-                self.wal.sync_group(lsn)?;
-            } else {
-                self.wal.log_commit(txn.0);
-            }
-        }
-        self.txns.take_undo(txn)?;
-        self.txns.finish_commit(txn)
+        self.end_gated(txn, true, true, || self.inner.read())
     }
 
-    /// Abort `txn`: apply its undo list in reverse — inserts are
-    /// removed physically (heap slot and index entries), delete claims
-    /// are cleared — then drop it from the active set.
+    /// Abort `txn`: undo its writes and drop it from the active set.
     pub(crate) fn rollback_txn(&self, txn: TxnId) -> Result<()> {
         let _gate = self.write_gate.read();
+        self.end_gated(txn, false, false, || self.inner.read())
+    }
+
+    /// End `txn` under the write gate: commit it if `commit`, else roll it
+    /// back. A commit logs its record unless the undo list is empty (it
+    /// wrote nothing): after the dirty page images and group-fsynced when
+    /// `durable`, only buffered otherwise (until [`Database::commit`]). A
+    /// rollback, or a commit whose log write fails, applies the undo list
+    /// through the catalog `inner` returns ([`DbInner::undo`]).
+    fn end_gated<G: Deref<Target = DbInner>>(
+        &self,
+        txn: TxnId,
+        commit: bool,
+        durable: bool,
+        inner: impl FnOnce() -> G,
+    ) -> Result<()> {
         let undo = self.txns.take_undo(txn)?;
-        for rec in undo.into_iter().rev() {
-            match rec {
-                UndoRecord::Insert { table, rid, row } => {
-                    // The table may have been dropped after the insert
-                    // (DDL is not transactional); nothing left to undo.
-                    let Ok((_, heap, idx_defs)) = self.table_access(&table) else { continue };
-                    // Index entries go first: `heap.delete` makes the
-                    // slot immediately reusable, and a concurrent
-                    // insert reviving it with an equal key must not
-                    // have its fresh index entry swept up by ours.
-                    for (cols, tree) in &idx_defs {
-                        let key_vals: Vec<Value> = cols.iter().map(|&i| row[i].clone()).collect();
-                        tree.delete(&encode_key(&key_vals), rid)?;
-                    }
-                    heap.delete(rid)?;
-                }
-                UndoRecord::Delete { table, rid } => {
-                    let Ok((_, heap, _)) = self.table_access(&table) else { continue };
-                    heap.clear_xmax(rid)?;
-                }
-            }
+        let logged = if !commit || undo == Undo::default() {
+            Ok(())
+        } else if durable {
+            self.pool
+                .log_dirty_frames()
+                .and_then(|_| self.wal.sync_group(self.wal.log_commit(txn.0)))
+        } else {
+            self.wal.log_commit(txn.0);
+            Ok(())
+        };
+        if commit && logged.is_ok() {
+            return self.txns.finish_commit(txn);
         }
+        inner().undo(undo)?;
         self.txns.finish_abort(txn);
-        Ok(())
+        logged
     }
 
     /// Recompute statistics for one table (the paper's `runstats`).
     pub fn runstats(&self, table: &str) -> Result<TableStats> {
         let _fold = self.registry.folding();
-        let (heap, arity, key) = {
-            let inner = self.inner.read();
-            let tdef = inner
-                .catalog
-                .table(table)
-                .ok_or_else(|| DbError::Catalog(format!("unknown table {table:?}")))?;
-            let key = tdef.name.to_ascii_lowercase();
-            (inner.heaps.get(&key).expect("heap").clone(), tdef.columns.len(), key)
-        };
+        let (tdef, heap, _) = self.table_access(table)?;
+        let (arity, key) = (tdef.columns.len(), tdef.name.to_ascii_lowercase());
         let snapshot = self.txns.read_snapshot();
         let mut builder = StatsBuilder::new(arity);
         let mut scan = PageScan::new(heap);
@@ -826,22 +876,12 @@ impl Database {
 
     /// Total bytes across table heap files.
     pub fn data_size_bytes(&self) -> Result<u64> {
-        let inner = self.inner.read();
-        let mut total = 0;
-        for t in inner.catalog.tables() {
-            total += self.pool.file_size(t.file)?;
-        }
-        Ok(total)
+        self.inner.read().catalog.tables().map(|t| self.pool.file_size(t.file)).sum()
     }
 
     /// Total bytes across index files.
     pub fn index_size_bytes(&self) -> Result<u64> {
-        let inner = self.inner.read();
-        let mut total = 0;
-        for i in inner.catalog.indexes() {
-            total += self.pool.file_size(i.file)?;
-        }
-        Ok(total)
+        self.inner.read().catalog.indexes().map(|i| self.pool.file_size(i.file)).sum()
     }
 
     /// Row count of one table: scans, counting versions visible to a
@@ -849,14 +889,7 @@ impl Database {
     /// excluded).
     pub fn row_count(&self, table: &str) -> Result<u64> {
         let _fold = self.registry.folding();
-        let heap = {
-            let inner = self.inner.read();
-            inner
-                .heaps
-                .get(&table.to_ascii_lowercase())
-                .ok_or_else(|| DbError::Catalog(format!("unknown table {table:?}")))?
-                .clone()
-        };
+        let heap = self.table_access(table)?.1;
         let snapshot = self.txns.read_snapshot();
         let mut n = 0u64;
         let mut scan = PageScan::new(heap);
@@ -919,10 +952,8 @@ impl Database {
         let watermark = self.txns.vacuum_watermark();
         let mut vacuumed = 0u64;
         let inner = self.inner.read();
-        let tables: Vec<TableDef> = inner.catalog.tables().cloned().collect();
-        for tdef in &tables {
-            let heap = inner.heaps.get(&tdef.name.to_ascii_lowercase()).expect("heap").clone();
-            let idx_defs = index_defs(&inner.catalog, &inner.indexes, tdef);
+        for file in std::iter::once(CATALOG_FILE).chain(inner.catalog.tables().map(|t| t.file)) {
+            let (heap, idx_defs) = inner.access_of(file).expect("a catalogued heap");
             // Committed-dead versions below the watermark. A nonzero
             // `xmax` below the watermark is necessarily committed: an
             // active claimant's own id bounds the watermark from above,
@@ -1086,24 +1117,47 @@ impl Drop for Database {
     }
 }
 
-/// One table's indexes: each one's key-column positions and tree.
-fn index_defs(
-    catalog: &Catalog,
-    indexes: &HashMap<String, Arc<BTree>>,
-    tdef: &TableDef,
-) -> Vec<(Vec<usize>, Arc<BTree>)> {
-    catalog
-        .indexes_of(&tdef.name)
-        .into_iter()
-        .map(|d| {
-            let cols =
-                d.columns.iter().map(|c| tdef.column_index(c).expect("index column")).collect();
-            (cols, indexes.get(&d.name.to_ascii_lowercase()).expect("tree").clone())
-        })
-        .collect()
+impl DbInner {
+    /// The heap in `file` and its indexes: the catalog's, or a table's.
+    fn access_of(&self, file: FileId) -> Option<(Arc<HeapFile>, TableIndexes)> {
+        if file == CATALOG_FILE {
+            return Some((self.catalog_heap.clone(), Vec::new()));
+        }
+        let tdef = self.catalog.tables().find(|t| t.file == file)?;
+        let indexes = self.catalog.indexes_of(&tdef.name).into_iter().map(|d| {
+            let cols = d.columns.iter().map(|c| tdef.column_index(c).expect("index column"));
+            (cols.collect(), self.indexes[&d.name.to_ascii_lowercase()].clone())
+        });
+        Some((self.heaps[&tdef.name.to_ascii_lowercase()].clone(), indexes.collect()))
+    }
+
+    /// Undo what `undo` lists: one transaction's writes on rollback, or at
+    /// open every write the log does not show committed. Claims are
+    /// cleared first — a freed slot may be reused at once — then versions
+    /// go through [`reclaim`]. Files of dropped tables are passed over.
+    fn undo(&self, mut undo: Undo) -> Result<()> {
+        for (file, rid) in undo.clear {
+            if let Some((heap, _)) = self.access_of(file) {
+                heap.clear_xmax(rid)?;
+            }
+        }
+        undo.remove.sort_unstable();
+        for versions in undo.remove.chunk_by(|a, b| a.0 == b.0) {
+            let Some((heap, idx_defs)) = self.access_of(versions[0].0) else { continue };
+            let ordinals = key_ordinals(idx_defs.iter().map(|(cols, _)| cols));
+            let mut victims = Vec::new();
+            for &(_, rid) in versions {
+                if let Some(v) = heap.get_versioned(rid)? {
+                    victims.push((rid, decode_cols(&v.body, ordinals.iter().copied())?));
+                }
+            }
+            reclaim(&heap, &idx_defs, &ordinals, victims)?;
+        }
+        Ok(())
+    }
 }
 
-/// How vacuum and open's undo take versions out of the heap: for each
+/// How vacuum and every undo take versions out of the heap: for each
 /// victim, with its key columns decoded at `ordinals`, delete its index
 /// entries first, then its slot and overflow chain — so a revived slot
 /// can never alias a stale entry. Returns the number of versions
@@ -1140,7 +1194,8 @@ fn key_of(key_cols: &[usize], ordinals: &[usize], row: &[Value]) -> Vec<Value> {
     key_cols.iter().map(|col| row[at(col)].clone()).collect()
 }
 
-fn file_path(dir: &Path, file: u32) -> PathBuf {
+/// The data file of `file` in the database directory `dir`.
+pub(crate) fn file_path(dir: &Path, file: FileId) -> PathBuf {
     dir.join(format!("f{file:05}.dat"))
 }
 
@@ -2440,5 +2495,135 @@ mod tests {
             });
             assert_eq!(reports, (solo, solo), "round {round}");
         }
+    }
+
+    /// The data files in `dir`, sorted by name.
+    fn dat_files(dir: &Path) -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .filter(|n| n.ends_with(".dat"))
+            .collect();
+        names.sort();
+        names
+    }
+
+    #[test]
+    fn ddl_is_durable_when_it_returns() {
+        // No commit, no checkpoint: the process dies right after the two
+        // statements return, and the next open must find both.
+        use crate::plan::ForcedAccess;
+        let db = db("ddl-crash-create");
+        let dir = db.dir().to_path_buf();
+        db.execute("CREATE TABLE u (id INTEGER)").unwrap();
+        db.execute("CREATE INDEX u_id ON u (id)").unwrap();
+        db.abandon();
+        let db = Database::open(&dir).unwrap();
+        assert_eq!(db.table_names(), vec!["u".to_string()]);
+        db.execute("INSERT INTO u VALUES (1), (2), (3)").unwrap();
+        let forcing = PlanForcing { access: Some(ForcedAccess::IndexScan), ..Default::default() };
+        let session = db.session().with_forcing(forcing);
+        let sql = "SELECT id FROM u WHERE id >= 2";
+        assert!(session.explain(sql).unwrap().iter().any(|l| l.contains("IndexScan")));
+        let rows = session.query(sql).unwrap().rows;
+        assert_eq!(rows, vec![vec![Value::Int(2)], vec![Value::Int(3)]]);
+        drop(session);
+        db.close().unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_dropped_table_stays_dropped_across_a_crash() {
+        let db = db("ddl-crash-drop");
+        let dir = db.dir().to_path_buf();
+        db.execute("CREATE TABLE u (id INTEGER)").unwrap();
+        db.execute("INSERT INTO u VALUES (1)").unwrap();
+        db.commit().unwrap();
+        let file = file_path(&dir, db.table_def("u").unwrap().file);
+        assert!(file.exists());
+        db.execute("DROP TABLE u").unwrap();
+        db.abandon();
+        // Redo may write the table's logged pages back; open deletes the
+        // file again, since no live catalog row names it.
+        let db = Database::open(&dir).unwrap();
+        assert!(!file.exists(), "{} survived the crashed drop", file.display());
+        assert!(db.table_names().is_empty());
+        db.close().unwrap();
+        let db = Database::open(&dir).unwrap();
+        assert!(!file.exists(), "{} came back after a clean reopen", file.display());
+        db.close().unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn failed_ddl_leaves_no_file_behind() {
+        let db = db("ddl-failed");
+        let dir = db.dir().to_path_buf();
+        db.execute("CREATE TABLE t (id INTEGER)").unwrap();
+        db.create_index("t_id", "t", vec!["id".into()]).unwrap();
+        let before = dat_files(&dir);
+        assert!(db.create_index("t_id", "t", vec!["id".into()]).is_err(), "duplicate index");
+        assert!(db.create_index("t_x", "t", vec!["nope".into()]).is_err(), "unknown column");
+        assert!(db.create_index("t_y", "nope", vec!["id".into()]).is_err(), "unknown table");
+        assert!(db.create_table("T", vec![]).is_err(), "duplicate table");
+        db.checkpoint().unwrap();
+        assert_eq!(dat_files(&dir), before);
+        let twice =
+            vec![ColumnDef::new("a", DataType::Integer), ColumnDef::new("A", DataType::Varchar)];
+        assert!(db.create_table("w", twice).is_err(), "duplicate column");
+        db.checkpoint().unwrap();
+        assert_eq!(dat_files(&dir), before);
+        db.close().unwrap();
+        let db = Database::open(&dir).unwrap();
+        assert_eq!(dat_files(&dir), before);
+        db.close().unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn open_refuses_a_directory_holding_catalog_txt() {
+        let db = db("catalog-txt");
+        let dir = db.dir().to_path_buf();
+        db.execute("CREATE TABLE t (a INTEGER)").unwrap();
+        db.execute("INSERT INTO t VALUES (1)").unwrap();
+        db.close().unwrap();
+        // The catalog as an older version kept it, beside the files.
+        std::fs::write(dir.join("catalog.txt"), "next_file 2\ntable t 1 1\n  col a INTEGER\n")
+            .unwrap();
+        let contents = || {
+            let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(&dir)
+                .unwrap()
+                .map(|e| e.unwrap().path())
+                .map(|p| (p.display().to_string(), std::fs::read(&p).unwrap()))
+                .collect();
+            files.sort();
+            files
+        };
+        let before = contents();
+        let err = Database::open(&dir).err().expect("a catalog.txt directory must be refused");
+        assert!(err.to_string().contains("catalog.txt"), "the error names the file: {err}");
+        assert_eq!(contents(), before, "refused before anything was written");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn create_drop_cycles_keep_the_catalog_heap_flat() {
+        let db = db("ddl-cycles");
+        let dir = db.dir().to_path_buf();
+        let catalog = file_path(&dir, CATALOG_FILE);
+        let mut sizes = Vec::new();
+        for i in 0..60 {
+            db.execute(&format!("CREATE TABLE t{i} (id INTEGER, v VARCHAR)")).unwrap();
+            db.execute(&format!("CREATE INDEX t{i}_id ON t{i} (id)")).unwrap();
+            db.execute(&format!("DROP TABLE t{i}")).unwrap();
+            // The drop's dead rows feed checkpoint's vacuum pass.
+            db.checkpoint().unwrap();
+            sizes.push(std::fs::metadata(&catalog).unwrap().len());
+        }
+        assert!(sizes.iter().all(|s| *s == sizes[0]), "catalog heap grew: {sizes:?}");
+        assert_eq!(db.table_count(), 0);
+        assert_eq!(db.data_size_bytes().unwrap(), 0, "the catalog heap is no table's");
+        db.close().unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

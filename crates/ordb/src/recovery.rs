@@ -12,30 +12,18 @@
 //! the next open redoes less). A torn or checksum-failed on-disk page
 //! never survives: its logged image overwrites it unconditionally.
 //!
-//! **Undo** ([`undo_uncommitted`]) runs after redo, once the catalog is
-//! loaded, and only reads: it lists the versions created by transactions
-//! that never committed and the `xmax` claims they left behind. A
-//! transaction committed if its `TXNC` record is in the log or its id is
-//! below the watermark carried by the log's checkpoint record (decided
-//! before that checkpoint); an `xmin` of zero is never decided, so a
-//! version an older build stamped dead in place is listed as well.
-//! [`Database::open`] then takes each listed version out through the
-//! reclaim that [`vacuum`] uses — index entries first, then the slot and
-//! its overflow chain — and clears each listed claim, all through the
-//! logged buffer pool. The repair is logged like any other write: a
-//! crash during it leaves either the data files as they were, and the
-//! next open lists the same versions again, or a log whose images redo
-//! replays.
-//!
-//! **Vacuum interaction.** A crash mid-[`vacuum`] needs no special
-//! handling here. Vacuum is WAL-logged like any other mutation: redo
-//! replays whatever prefix of the pass reached the log (index deletes,
-//! freed slots, pages reinitialised to the free kind, `special0 == 3`),
-//! and the undo pass skips free and overflow pages entirely — it only
-//! inspects `special0 == 1` data pages, so a half-reclaimed chain can
-//! never be misread as slot headers. Versions the crashed pass did not
-//! get to are still dead-below-the-watermark on reopen and the next
-//! pass reclaims them.
+//! **Undo** ([`undo_uncommitted`]) runs after redo and only reads: over
+//! the catalog's heap and every table heap it names, it lists the
+//! versions created by transactions the log does not show committed
+//! ([`LogScan::decided`]: a `TXNC` record, or an id below the checkpoint's
+//! watermark; `xmin == 0` never is) and the `xmax` claims they left.
+//! [`Database::open`] applies that [`Undo`] as a rollback does — claims
+//! cleared, then versions reclaimed index-first — through the logged
+//! pool, so a crash during the repair leaves either the files as they
+//! were, and the next open lists the same work, or images redo replays.
+//! A crash mid-[`vacuum`] needs nothing extra: redo replays whatever
+//! prefix of the pass reached the log, undo reads only data pages
+//! (`special0 == 1`), and the next pass reclaims the rest.
 //!
 //! Redo writes the data files with plain `std::fs` I/O rather than the
 //! pool/fault stack: recovery models the clean restart *after* the
@@ -51,11 +39,12 @@ use std::fs::{File, OpenOptions};
 use std::os::unix::fs::FileExt;
 use std::path::Path;
 
+use crate::db::file_path;
 use crate::error::Result;
 use crate::storage::heap::{rid_slot, Rid};
 use crate::storage::page::{verify_checksum, Page, PAGE_SIZE};
 use crate::storage::wal::LogScan;
-use crate::txn::TXID_INVALID;
+use crate::txn::{Undo, TXID_INVALID};
 
 /// What one recovery pass did. Returned by
 /// [`Database::recovery_report`](crate::db::Database::recovery_report)
@@ -74,12 +63,6 @@ pub struct RecoveryReport {
     pub wal_bytes: u64,
 }
 
-/// Derive the data-file path for WAL file id `file` — must match the
-/// naming used by `Database` when it registers files.
-fn data_file_path(dir: &Path, file: u32) -> std::path::PathBuf {
-    dir.join(format!("f{file:05}.dat"))
-}
-
 /// Run the redo pass: write the scan's page images (taken out of `scan`)
 /// over the data files in `dir` wherever the disk copy is not current.
 pub fn redo(dir: &Path, scan: &mut LogScan) -> Result<RecoveryReport> {
@@ -96,7 +79,7 @@ pub fn redo(dir: &Path, scan: &mut LogScan) -> Result<RecoveryReport> {
     }
     for (file_id, mut pages) in by_file {
         pages.sort_by_key(|(pid, _, _)| *pid);
-        let path = data_file_path(dir, file_id);
+        let path = file_path(dir, file_id);
         let f =
             OpenOptions::new().read(true).write(true).create(true).truncate(false).open(&path)?;
         let mut touched = false;
@@ -128,9 +111,9 @@ fn page_lsn(bytes: &[u8; PAGE_SIZE]) -> u64 {
     u64::from_le_bytes(bytes[PAGE_SIZE - 12..PAGE_SIZE - 4].try_into().unwrap())
 }
 
-/// What the undo pass found: the versions [`Database::open`] must take
-/// out of the heap, the claims it must clear, and where the transaction
-/// manager resumes its id cursor (past `max_txid`).
+/// What the undo pass found: the claims and versions [`Database::open`]
+/// must undo, and where the transaction manager resumes its id cursor
+/// (past `max_txid`).
 ///
 /// [`Database::open`]: crate::db::Database::open
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -140,13 +123,10 @@ pub struct UndoReport {
     /// Highest transaction id seen anywhere (headers, commit records,
     /// the checkpoint's id cursor).
     pub max_txid: u64,
-    /// `(heap file, rid)` of every version whose creator never
-    /// committed: open reclaims each — index entries first, then the
-    /// slot — through the logged pool, as vacuum does.
-    pub remove: Vec<(u32, Rid)>,
-    /// `(heap file, rid)` of every committed version whose `xmax` claim
-    /// was left by a transaction that never committed.
-    pub clear: Vec<(u32, Rid)>,
+    /// Every committed version's `xmax` claim left by a transaction that
+    /// never committed (`clear`), and every version whose creator never
+    /// committed (`remove`): open applies it as a rollback does.
+    pub undo: Undo,
 }
 
 /// Undo pass: read the heap files named by `heap_file_ids` and list
@@ -157,18 +137,16 @@ pub struct UndoReport {
 /// their checksum are passed over, left for the pool's corruption
 /// detection.
 pub fn undo_uncommitted(dir: &Path, heap_file_ids: &[u32], scan: &LogScan) -> Result<UndoReport> {
-    let (watermark, committed) = (scan.watermark, &scan.committed);
     let mut report = UndoReport {
-        committed_txns: committed.len() as u64,
+        committed_txns: scan.committed.len() as u64,
         max_txid: scan
             .next_txid
             .saturating_sub(1)
-            .max(committed.iter().copied().max().unwrap_or(0)),
+            .max(scan.committed.iter().copied().max().unwrap_or(0)),
         ..UndoReport::default()
     };
-    let decided = |t: u64| t != TXID_INVALID && (t < watermark || committed.contains(&t));
     for &fid in heap_file_ids {
-        let Ok(f) = File::open(data_file_path(dir, fid)) else {
+        let Ok(f) = File::open(file_path(dir, fid)) else {
             continue; // heap file never materialized
         };
         // Page ids are `u32`: pages past that no `Rid` can name.
@@ -192,10 +170,10 @@ pub fn undo_uncommitted(dir: &Path, heap_file_ids: &[u32], scan: &LogScan) -> Re
                 let xmax = u64::from_le_bytes(rec[8..16].try_into().unwrap());
                 report.max_txid = report.max_txid.max(xmin).max(xmax);
                 let rid = Rid { page: pid, slot: rid_slot(slot)? };
-                if !decided(xmin) {
-                    report.remove.push((fid, rid));
-                } else if xmax != TXID_INVALID && !decided(xmax) {
-                    report.clear.push((fid, rid));
+                if !scan.decided(xmin) {
+                    report.undo.remove.push((fid, rid));
+                } else if xmax != TXID_INVALID && !scan.decided(xmax) {
+                    report.undo.clear.push((fid, rid));
                 }
             }
         }
@@ -260,7 +238,7 @@ mod tests {
         assert_eq!(report.replayed_pages, 2);
         assert_eq!(report.skipped_pages, 0);
         assert_eq!(report.torn_tail_bytes, 0);
-        let raw = std::fs::read(data_file_path(&dir, 1)).unwrap();
+        let raw = std::fs::read(file_path(&dir, 1)).unwrap();
         assert_eq!(&raw[..PAGE_SIZE], &p0.bytes()[..]);
         assert_eq!(&raw[PAGE_SIZE..2 * PAGE_SIZE], &p1.bytes()[..]);
         // Second pass: everything current, nothing replayed.
@@ -281,7 +259,7 @@ mod tests {
         let report = recover(&dir);
         assert_eq!(report.scanned_records, 3, "checkpoint + two images");
         assert_eq!(report.replayed_pages, 1, "one page, latest image only");
-        let raw = std::fs::read(data_file_path(&dir, 1)).unwrap();
+        let raw = std::fs::read(file_path(&dir, 1)).unwrap();
         assert_eq!(&raw[..PAGE_SIZE], &newer.bytes()[..]);
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -298,10 +276,10 @@ mod tests {
         for b in torn.iter_mut().skip(PAGE_SIZE / 2) {
             *b = 0xFF;
         }
-        std::fs::write(data_file_path(&dir, 1), &torn).unwrap();
+        std::fs::write(file_path(&dir, 1), &torn).unwrap();
         let report = recover(&dir);
         assert_eq!(report.replayed_pages, 1, "torn page must not be skipped");
-        let raw = std::fs::read(data_file_path(&dir, 1)).unwrap();
+        let raw = std::fs::read(file_path(&dir, 1)).unwrap();
         assert_eq!(&raw[..PAGE_SIZE], &good.bytes()[..]);
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -319,12 +297,12 @@ mod tests {
         newer.insert(b"written later").unwrap();
         newer.set_lsn(u64::MAX);
         newer.stamp_checksum();
-        std::fs::write(data_file_path(&dir, 1), newer.bytes()).unwrap();
+        std::fs::write(file_path(&dir, 1), newer.bytes()).unwrap();
         drop(wal);
         let report = recover(&dir);
         assert_eq!(report.replayed_pages, 0);
         assert_eq!(report.skipped_pages, 1);
-        let raw = std::fs::read(data_file_path(&dir, 1)).unwrap();
+        let raw = std::fs::read(file_path(&dir, 1)).unwrap();
         assert_eq!(&raw[..PAGE_SIZE], &newer.bytes()[..]);
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -346,7 +324,7 @@ mod tests {
             p.insert(r).unwrap();
         }
         p.stamp_checksum();
-        std::fs::write(data_file_path(dir, 1), p.bytes()).unwrap();
+        std::fs::write(file_path(dir, 1), p.bytes()).unwrap();
         p.bytes().to_vec()
     }
 
@@ -377,9 +355,9 @@ mod tests {
         let report = undo_uncommitted(&dir, &[1], &scan(&dir)).unwrap();
         assert_eq!(report.committed_txns, 1);
         assert_eq!(report.max_txid, 7);
-        assert_eq!(report.remove, vec![rid(1), rid(3)]);
-        assert_eq!(report.clear, vec![rid(2)]);
-        assert_eq!(std::fs::read(data_file_path(&dir, 1)).unwrap(), before, "undo only reads");
+        assert_eq!(report.undo.remove, vec![rid(1), rid(3)]);
+        assert_eq!(report.undo.clear, vec![rid(2)]);
+        assert_eq!(std::fs::read(file_path(&dir, 1)).unwrap(), before, "undo only reads");
 
         // Reading twice finds the same work.
         assert_eq!(undo_uncommitted(&dir, &[1], &scan(&dir)).unwrap(), report);
@@ -397,10 +375,10 @@ mod tests {
         // Below the watermark: keep. Above, no commit record: remove.
         let before = write_data_page(&dir, &[rec(9, 0, b"x"), rec(11, 0, b"x")]);
         let report = undo_uncommitted(&dir, &[1], &scan(&dir)).unwrap();
-        assert_eq!(report.remove, vec![rid(1)]);
-        assert!(report.clear.is_empty());
+        assert_eq!(report.undo.remove, vec![rid(1)]);
+        assert!(report.undo.clear.is_empty());
         assert_eq!(report.max_txid, 11);
-        assert_eq!(std::fs::read(data_file_path(&dir, 1)).unwrap(), before, "undo only reads");
+        assert_eq!(std::fs::read(file_path(&dir, 1)).unwrap(), before, "undo only reads");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -420,7 +398,7 @@ mod tests {
         assert_eq!(report.scanned_records, 2, "checkpoint + the image before the tear");
         assert_eq!(report.replayed_pages, 1);
         assert_eq!(report.torn_tail_bytes, 99);
-        let raw = std::fs::read(data_file_path(&dir, 1)).unwrap();
+        let raw = std::fs::read(file_path(&dir, 1)).unwrap();
         assert_eq!(raw.len(), PAGE_SIZE, "second page never existed");
         assert_eq!(&raw[..PAGE_SIZE], &keep.bytes()[..]);
         std::fs::remove_dir_all(&dir).unwrap();

@@ -427,6 +427,12 @@ pub struct LogScan {
 }
 
 impl LogScan {
+    /// Did transaction `t` commit, as far as this log tells: its id is
+    /// below the checkpoint's watermark or has a commit record (never 0).
+    pub fn decided(&self, t: u64) -> bool {
+        t != crate::txn::TXID_INVALID && (t < self.watermark || self.committed.contains(&t))
+    }
+
     /// Read `dir/wal.log` once. `None` when there is no log or it is
     /// empty (a database that never finished its first open). A log that
     /// does not begin with a checkpoint record carrying the transaction

@@ -41,8 +41,8 @@ use std::sync::Mutex;
 
 use crate::error::{DbError, Result};
 use crate::metrics::count;
+use crate::storage::buffer::FileId;
 use crate::storage::heap::Rid;
-use crate::types::Row;
 
 /// The reserved "no transaction" id: an `xmax` of zero means "not
 /// deleted". No version is created with it as its `xmin`; no snapshot
@@ -135,33 +135,21 @@ impl Snapshot {
     }
 }
 
-/// One entry in a transaction's in-memory undo list. Applied in
-/// reverse order on rollback.
-#[derive(Debug)]
-pub enum UndoRecord {
-    /// The transaction inserted this row: rollback physically deletes
-    /// the slot and removes the index entries recomputed from `row`.
-    Insert {
-        /// Lower-cased table name.
-        table: String,
-        /// Slot the row went into.
-        rid: Rid,
-        /// The coerced row values (for recomputing index keys).
-        row: Row,
-    },
-    /// The transaction claimed this row's `xmax`: rollback clears it.
-    Delete {
-        /// Lower-cased table name.
-        table: String,
-        /// Slot of the claimed version.
-        rid: Rid,
-    },
+/// What undoing writes takes, as `(heap file, rid)` pairs: `xmax` claims
+/// to clear and versions to remove. A transaction builds one as it
+/// writes; open's recovery builds one for every transaction the log does
+/// not show committed. Rollback and open apply it the same way.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Undo {
+    /// Versions whose `xmax` claim goes.
+    pub clear: Vec<(FileId, Rid)>,
+    /// Versions that go.
+    pub remove: Vec<(FileId, Rid)>,
 }
 
 struct TxnState {
     snapshot: Snapshot,
-    undo: Vec<UndoRecord>,
-    wrote: bool,
+    undo: Undo,
 }
 
 struct Tables {
@@ -238,8 +226,7 @@ impl TxnManager {
         let txid = self.next.fetch_add(1, Ordering::SeqCst);
         let active: HashSet<u64> = t.active.keys().copied().collect();
         let snapshot = Snapshot { txid, horizon: txid + 1, active: Arc::new(active), pin: None };
-        t.active
-            .insert(txid, TxnState { snapshot: snapshot.clone(), undo: Vec::new(), wrote: false });
+        t.active.insert(txid, TxnState { snapshot: snapshot.clone(), undo: Undo::default() });
         count(|c| c.txn.begun += 1);
         TxnId(txid)
     }
@@ -281,46 +268,32 @@ impl TxnManager {
         wm
     }
 
+    /// Run `f` on `txn`'s state under the tables lock.
+    fn with_active<R>(&self, txn: TxnId, f: impl FnOnce(&mut TxnState) -> R) -> Result<R> {
+        let mut t = self.tables.lock().expect("txn tables poisoned");
+        let st = t
+            .active
+            .get_mut(&txn.0)
+            .ok_or_else(|| DbError::Exec(format!("no active transaction {}", txn.0)))?;
+        Ok(f(st))
+    }
+
     /// The snapshot captured when `txn` began.
     pub fn snapshot_of(&self, txn: TxnId) -> Result<Snapshot> {
-        let t = self.tables.lock().expect("txn tables poisoned");
-        t.active
-            .get(&txn.0)
-            .map(|s| s.snapshot.clone())
-            .ok_or_else(|| DbError::Exec(format!("no active transaction {}", txn.0)))
+        self.with_active(txn, |st| st.snapshot.clone())
     }
 
-    /// Append an undo record to `txn`'s list and mark it as a writer.
-    pub fn record_undo(&self, txn: TxnId, rec: UndoRecord) -> Result<()> {
-        let mut t = self.tables.lock().expect("txn tables poisoned");
-        let st = t
-            .active
-            .get_mut(&txn.0)
-            .ok_or_else(|| DbError::Exec(format!("no active transaction {}", txn.0)))?;
-        st.undo.push(rec);
-        st.wrote = true;
-        Ok(())
+    /// Add to `txn`'s undo list.
+    pub fn record_undo(&self, txn: TxnId, add: impl FnOnce(&mut Undo)) -> Result<()> {
+        self.with_active(txn, |st| add(&mut st.undo))
     }
 
-    /// Did `txn` write anything?
-    pub fn wrote(&self, txn: TxnId) -> Result<bool> {
-        let t = self.tables.lock().expect("txn tables poisoned");
-        t.active
-            .get(&txn.0)
-            .map(|s| s.wrote)
-            .ok_or_else(|| DbError::Exec(format!("no active transaction {}", txn.0)))
-    }
-
-    /// Take `txn`'s undo list for rollback. The transaction stays in
-    /// the active set until [`TxnManager::finish_abort`] so no
-    /// concurrent snapshot mistakes it for committed mid-undo.
-    pub fn take_undo(&self, txn: TxnId) -> Result<Vec<UndoRecord>> {
-        let mut t = self.tables.lock().expect("txn tables poisoned");
-        let st = t
-            .active
-            .get_mut(&txn.0)
-            .ok_or_else(|| DbError::Exec(format!("no active transaction {}", txn.0)))?;
-        Ok(std::mem::take(&mut st.undo))
+    /// Take `txn`'s undo list, to commit or roll back. The transaction
+    /// stays in the active set until [`TxnManager::finish_commit`] or
+    /// [`TxnManager::finish_abort`], so no concurrent snapshot mistakes
+    /// it for committed mid-undo.
+    pub fn take_undo(&self, txn: TxnId) -> Result<Undo> {
+        self.with_active(txn, |st| std::mem::take(&mut st.undo))
     }
 
     /// Mark `txn` committed: remove it from the active set and remember

@@ -178,6 +178,8 @@ fn ambiguous_and_unknown_columns_error() {
     assert!(d.query("SELECT x FROM nope").is_err(), "unknown table");
     assert!(d.query("SELECT x FROM a, a").is_err(), "duplicate alias");
     assert!(d.query("SELECT unknown_fn(x) FROM a").is_err(), "unknown function");
+    assert!(d.execute("CREATE TABLE w (a INTEGER, A VARCHAR)").is_err(), "duplicate column");
+    assert!(d.query("SELECT a FROM w").is_err(), "the rejected table was not created");
 }
 
 #[test]
