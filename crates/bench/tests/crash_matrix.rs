@@ -3,8 +3,8 @@
 //!
 //! Protocol per round:
 //!
-//! 1. Insert one deterministic batch into both databases and `commit()`
-//!    the crash database (the WAL now holds every batch page).
+//! 1. Insert one deterministic batch into both databases; the insert is
+//!    durable when it returns (the WAL now holds every batch page).
 //! 2. Arm the fault injector with a randomized plan (crash point, tear /
 //!    bit-flip / drop, data-only or all writes) and run `checkpoint()`,
 //!    which must fail mid-way — the simulated process death.
@@ -119,7 +119,6 @@ fn crash_matrix_recovers_to_twin_equivalence() {
         let rows = batch_rows(round);
         twin.insert_rows("crashlog", rows.clone()).expect("twin insert");
         db.insert_rows("crashlog", rows).expect("crash-db insert");
-        db.commit().expect("commit before the crash window");
 
         // Randomize the crash: mode, scope, and how many in-scope writes
         // the checkpoint gets to finish first. A batch dirties at least a
@@ -185,7 +184,6 @@ fn torn_final_page_is_detected_and_repaired() {
     db.insert_rows("crashlog", batch_rows(0)).expect("insert");
     let file_id = db.table_def("crashlog").expect("table exists").file;
     let want = canon(&db, "SELECT COUNT(*), MIN(id), MAX(id) FROM crashlog");
-    db.commit().expect("commit");
     db.flush().expect("flush");
     db.abandon(); // keep the WAL: no Drop-time checkpoint replaces it
 

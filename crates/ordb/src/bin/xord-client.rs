@@ -7,7 +7,7 @@
 //!
 //! * `SELECT …` / `EXPLAIN …` — run remotely, print rows (tab-separated)
 //! * anything else — `Execute`, print the affected-row count
-//! * `\ping`, `\commit`, `\set KEY VALUE`, `\q` — protocol commands
+//! * `\ping`, `\set KEY VALUE`, `\q` — protocol commands
 
 use std::io::{BufRead, Write};
 
@@ -89,10 +89,6 @@ fn run_line(client: &mut Client, line: &str) -> Result<()> {
                 client.ping()?;
                 println!("pong");
             }
-            Some("commit") => {
-                let pages = client.commit()?;
-                println!("committed ({pages} pages logged)");
-            }
             Some("set") => {
                 let (Some(key), Some(value)) = (parts.next(), parts.next()) else {
                     return Err(DbError::Exec("usage: \\set KEY VALUE".into()));
@@ -102,7 +98,7 @@ fn run_line(client: &mut Client, line: &str) -> Result<()> {
             }
             other => {
                 return Err(DbError::Exec(format!(
-                    "unknown command \\{} (try \\ping, \\commit, \\set, \\q)",
+                    "unknown command \\{} (try \\ping, \\set, \\q)",
                     other.unwrap_or_default()
                 )))
             }

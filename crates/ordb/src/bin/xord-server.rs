@@ -4,10 +4,9 @@
 //! Prints `listening on HOST:PORT` once the listener is bound (with the
 //! resolved port when `--addr` asked for port 0), so scripts can scrape
 //! the ephemeral address — the CI `server-smoke` job does exactly that.
-//! Serves until killed; data is committed only when a client sends
-//! `Commit`, plus a final checkpoint attempt on clean shutdown signals
-//! is out of scope (kill -9 semantics match `Database::abandon`, and the
-//! WAL replays on next open).
+//! Serves until killed. Every statement it acknowledges is durable, so
+//! a `kill -9` loses nothing acknowledged: it matches `Database::abandon`,
+//! and the WAL replays on the next open.
 
 use std::sync::Arc;
 

@@ -330,11 +330,6 @@ impl Database {
         Ok(db)
     }
 
-    /// The function registry (to register custom functions).
-    pub fn functions_mut(&mut self) -> &mut crate::functions::FunctionRegistry {
-        &mut self.functions
-    }
-
     /// Call and marshalling counters for every registered function,
     /// sorted by name: everything this database's calls folded in.
     pub fn udf_counters(&self) -> Vec<crate::metrics::UdfCounters> {
@@ -462,7 +457,7 @@ impl Database {
     fn ddl<T>(&self, inner: &DbInner, f: impl FnOnce(TxnId) -> Result<T>) -> Result<T> {
         let txn = self.txns.begin();
         let done = f(txn);
-        let ended = self.end_gated(txn, done.is_ok(), true, || inner);
+        let ended = self.end_gated(txn, done.is_ok(), || inner);
         done.and_then(|v| ended.map(|()| v))
     }
 
@@ -493,13 +488,14 @@ impl Database {
         self.autocommit(|t| self.insert_rows_in(table, rows, t))
     }
 
-    /// Run `f` as one autocommit transaction: committed (without an
-    /// fsync, see [`Database::commit`]) on success, rolled back on error.
+    /// Run `f` as one autocommit transaction: committed durably on
+    /// success, as [`Database::commit_txn`] commits, so an acknowledged
+    /// statement survives a crash; rolled back on error.
     pub(crate) fn autocommit(&self, f: impl FnOnce(TxnId) -> Result<u64>) -> Result<u64> {
         let txn = self.txns.begin();
         let done = f(txn);
         let _gate = self.write_gate.read();
-        let ended = self.end_gated(txn, done.is_ok(), false, || self.inner.read());
+        let ended = self.end_gated(txn, done.is_ok(), || self.inner.read());
         done.and_then(|n| ended.map(|()| n))
     }
 
@@ -780,38 +776,34 @@ impl Database {
     /// transactions skip the log entirely.
     pub(crate) fn commit_txn(&self, txn: TxnId) -> Result<()> {
         let _gate = self.write_gate.read();
-        self.end_gated(txn, true, true, || self.inner.read())
+        self.end_gated(txn, true, || self.inner.read())
     }
 
     /// Abort `txn`: undo its writes and drop it from the active set.
     pub(crate) fn rollback_txn(&self, txn: TxnId) -> Result<()> {
         let _gate = self.write_gate.read();
-        self.end_gated(txn, false, false, || self.inner.read())
+        self.end_gated(txn, false, || self.inner.read())
     }
 
     /// End `txn` under the write gate: commit it if `commit`, else roll it
-    /// back. A commit logs its record unless the undo list is empty (it
-    /// wrote nothing): after the dirty page images and group-fsynced when
-    /// `durable`, only buffered otherwise (until [`Database::commit`]). A
-    /// rollback, or a commit whose log write fails, applies the undo list
-    /// through the catalog `inner` returns ([`DbInner::undo`]).
+    /// back. A commit that wrote (its undo list is non-empty) logs the
+    /// dirty page images, then its commit record, and group-fsyncs: it is
+    /// durable when this returns. A rollback, or a commit whose log write
+    /// fails, applies the undo list through the catalog `inner` returns
+    /// ([`DbInner::undo`]).
     fn end_gated<G: Deref<Target = DbInner>>(
         &self,
         txn: TxnId,
         commit: bool,
-        durable: bool,
         inner: impl FnOnce() -> G,
     ) -> Result<()> {
         let undo = self.txns.take_undo(txn)?;
         let logged = if !commit || undo == Undo::default() {
             Ok(())
-        } else if durable {
+        } else {
             self.pool
                 .log_dirty_frames()
                 .and_then(|_| self.wal.sync_group(self.wal.log_commit(txn.0)))
-        } else {
-            self.wal.log_commit(txn.0);
-            Ok(())
         };
         if commit && logged.is_ok() {
             return self.txns.finish_commit(txn);
@@ -909,23 +901,11 @@ impl Database {
         self.pool.flush_all()
     }
 
-    /// Make all work so far durable: log every dirty page's image to the
-    /// WAL and fsync it — **one** fsync, zero data-page writes, so this
-    /// is the cheap durability point for bulk loads. Returns the number
-    /// of page images logged.
-    ///
-    /// After `commit` returns, a crash at *any* point loses nothing: the
-    /// redo pass on the next open rebuilds every page from the log.
-    pub fn commit(&self) -> Result<u64> {
-        let _gate = self.write_gate.read();
-        self.log_and_sync()
-    }
-
-    /// [`Database::commit`] for a caller that already holds the write gate.
-    fn log_and_sync(&self) -> Result<u64> {
-        let logged = self.pool.log_dirty_frames()?;
-        self.wal.sync()?;
-        Ok(logged)
+    /// Log every dirty page's image to the WAL and fsync it (the caller
+    /// holds the write gate): after this, redo rebuilds every page.
+    fn log_and_sync(&self) -> Result<()> {
+        self.pool.log_dirty_frames()?;
+        self.wal.sync()
     }
 
     /// Physically reclaim every dead version no current or future
@@ -939,8 +919,8 @@ impl Database {
     ///
     /// Runs under the catalog read lock (concurrent queries and DML
     /// proceed; DDL waits) and a pass-serialization mutex. Finishes
-    /// by logging and fsyncing, as [`Database::commit`] does, so the
-    /// reclamation is durable.
+    /// by logging and fsyncing, as a commit does, so the reclamation is
+    /// durable when it returns.
     pub fn vacuum(&self) -> Result<VacuumReport> {
         let _fold = self.registry.folding();
         let _serial = self.vacuum_serial.lock();
@@ -1072,11 +1052,6 @@ impl Database {
         Some(self.wal.stats())
     }
 
-    /// Current WAL size in bytes.
-    pub fn wal_bytes(&self) -> u64 {
-        self.wal.len_bytes()
-    }
-
     /// Spill temp files currently on disk. Zero between queries: spill
     /// data is owned by operators and deleted when the query's plan is
     /// dropped, on success and on error alike.
@@ -1097,11 +1072,6 @@ impl Database {
     /// `pool` charges the query only its own I/O.
     pub fn drop_cache(&self) -> Result<()> {
         self.pool.drop_cache()
-    }
-
-    /// The database directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
     }
 }
 
@@ -1759,22 +1729,25 @@ mod tests {
 
     #[test]
     fn commit_then_crash_recovers_everything() {
-        // Load + commit, then "crash" (abandon the handle so nothing
-        // flushes): the data files never saw the committed pages. Reopen
-        // must replay them all from the WAL.
+        // A load is durable when `insert_rows` returns; then "crash"
+        // (abandon the handle so nothing flushes): the data files never
+        // saw the committed pages. Reopen must replay them all from the
+        // WAL.
         let dir = std::env::temp_dir().join(format!("ordb-db-crashrec-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         {
             let db = Database::open(&dir).unwrap();
             db.execute("CREATE TABLE t (a INTEGER, b VARCHAR)").unwrap();
             db.execute("CREATE INDEX t_a ON t (a)").unwrap();
+            let before = db.wal.stats();
             db.insert_rows(
                 "t",
                 (0..500).map(|i| vec![Value::Int(i), Value::str(format!("row {i}"))]).collect(),
             )
             .unwrap();
-            let logged = db.commit().unwrap();
-            assert!(logged > 0, "dirty pages must be logged at commit");
+            let logged = db.wal.stats().since(&before);
+            assert!(logged.appends > 0, "dirty pages must be logged at commit: {logged:?}");
+            assert_eq!((logged.commit_records, logged.fsyncs), (1, 1), "one durable commit");
             db.abandon();
         }
         {
@@ -1807,7 +1780,7 @@ mod tests {
             db.execute("CREATE TABLE t (a INTEGER)").unwrap();
             db.insert_rows("t", (0..300).map(|i| vec![Value::Int(i)]).collect()).unwrap();
             file_id = db.table_def("t").unwrap().file;
-            db.commit().unwrap(); // WAL holds every page image
+            // The insert's commit left every page image in the WAL.
             db.flush().unwrap(); // data file holds them too
             db.abandon(); // no checkpoint: the WAL survives
         }
@@ -1930,7 +1903,6 @@ mod tests {
             committed.execute("INSERT INTO t VALUES (3)").unwrap();
             committed.execute("COMMIT").unwrap();
             drop(committed);
-            db.commit().unwrap();
             inj.arm(FaultPlan { crash_after: 0, mode, scope: FaultScope::Wal, seed: 7 + i as u64 });
             assert!(db.checkpoint().is_err(), "{mode:?}: the log rewrite crashed");
             // The process dies with A open: nothing rolls it back.
@@ -2048,7 +2020,6 @@ mod tests {
     fn explain_analyze_reports_wal_delta_zero_for_reads() {
         let db = db("walmetrics");
         setup_speech(&db);
-        db.commit().unwrap();
         let report = db.explain_analyze("SELECT COUNT(*) FROM speech").unwrap();
         assert_eq!(report.metrics.wal.appends, 0, "read-only query logs nothing");
         let j = report.metrics.to_json();
@@ -2514,7 +2485,7 @@ mod tests {
         // statements return, and the next open must find both.
         use crate::plan::ForcedAccess;
         let db = db("ddl-crash-create");
-        let dir = db.dir().to_path_buf();
+        let dir = db.dir.clone();
         db.execute("CREATE TABLE u (id INTEGER)").unwrap();
         db.execute("CREATE INDEX u_id ON u (id)").unwrap();
         db.abandon();
@@ -2535,10 +2506,9 @@ mod tests {
     #[test]
     fn a_dropped_table_stays_dropped_across_a_crash() {
         let db = db("ddl-crash-drop");
-        let dir = db.dir().to_path_buf();
+        let dir = db.dir.clone();
         db.execute("CREATE TABLE u (id INTEGER)").unwrap();
         db.execute("INSERT INTO u VALUES (1)").unwrap();
-        db.commit().unwrap();
         let file = file_path(&dir, db.table_def("u").unwrap().file);
         assert!(file.exists());
         db.execute("DROP TABLE u").unwrap();
@@ -2558,7 +2528,7 @@ mod tests {
     #[test]
     fn failed_ddl_leaves_no_file_behind() {
         let db = db("ddl-failed");
-        let dir = db.dir().to_path_buf();
+        let dir = db.dir.clone();
         db.execute("CREATE TABLE t (id INTEGER)").unwrap();
         db.create_index("t_id", "t", vec!["id".into()]).unwrap();
         let before = dat_files(&dir);
@@ -2583,7 +2553,7 @@ mod tests {
     #[test]
     fn open_refuses_a_directory_holding_catalog_txt() {
         let db = db("catalog-txt");
-        let dir = db.dir().to_path_buf();
+        let dir = db.dir.clone();
         db.execute("CREATE TABLE t (a INTEGER)").unwrap();
         db.execute("INSERT INTO t VALUES (1)").unwrap();
         db.close().unwrap();
@@ -2609,7 +2579,7 @@ mod tests {
     #[test]
     fn create_drop_cycles_keep_the_catalog_heap_flat() {
         let db = db("ddl-cycles");
-        let dir = db.dir().to_path_buf();
+        let dir = db.dir.clone();
         let catalog = file_path(&dir, CATALOG_FILE);
         let mut sizes = Vec::new();
         for i in 0..60 {

@@ -85,14 +85,6 @@ impl Client {
         }
     }
 
-    /// Remote durable commit; returns pages logged.
-    pub fn commit(&mut self) -> Result<u64> {
-        match self.roundtrip(&Request::Commit)? {
-            Response::Affected(n) => Ok(n),
-            other => Err(Self::unexpected(other)),
-        }
-    }
-
     /// Set a session option (see
     /// [`Session::set`](crate::session::Session::set)).
     pub fn set(&mut self, key: &str, value: &str) -> Result<()> {

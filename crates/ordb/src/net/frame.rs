@@ -15,8 +15,9 @@ use crate::error::{DbError, Result};
 /// and echoed by the server.
 pub const MAGIC: [u8; 4] = *b"XORD";
 
-/// Protocol version byte following the magic.
-pub const VERSION: u8 = 1;
+/// Protocol version byte following the magic. Version 2 dropped version
+/// 1's commit request (tag `0x05`): an acknowledged statement is durable.
+pub const VERSION: u8 = 2;
 
 /// Largest accepted frame body. Generous for row batches (the engine's
 /// whole Shakespeare corpus is ~8 MiB) while keeping a malicious or

@@ -46,7 +46,6 @@ const REQ_PING: u8 = 0x01;
 const REQ_QUERY: u8 = 0x02;
 const REQ_EXPLAIN: u8 = 0x03;
 const REQ_EXECUTE: u8 = 0x04;
-const REQ_COMMIT: u8 = 0x05;
 const REQ_SET: u8 = 0x06;
 const REQ_CLOSE: u8 = 0x07;
 
@@ -69,8 +68,6 @@ pub enum Request {
     Explain(String),
     /// Run DDL/DML; answered with [`Response::Affected`].
     Execute(String),
-    /// Durably commit; answered with [`Response::Affected`] (pages logged).
-    Commit,
     /// Set a session option (see
     /// [`Session::set`](crate::session::Session::set)); answered with
     /// [`Response::Ok`].
@@ -103,7 +100,6 @@ impl Request {
                 out.push(REQ_EXECUTE);
                 put_str(&mut out, sql);
             }
-            Request::Commit => out.push(REQ_COMMIT),
             Request::Set { key, value } => {
                 out.push(REQ_SET);
                 put_str(&mut out, key);
@@ -123,7 +119,6 @@ impl Request {
             REQ_QUERY => Request::Query(r.str("query sql")?),
             REQ_EXPLAIN => Request::Explain(r.str("explain sql")?),
             REQ_EXECUTE => Request::Execute(r.str("execute sql")?),
-            REQ_COMMIT => Request::Commit,
             REQ_SET => Request::Set { key: r.str("set key")?, value: r.str("set value")? },
             REQ_CLOSE => Request::Close,
             other => return Err(DbError::Protocol(format!("unknown request tag {other:#04x}"))),
@@ -142,7 +137,7 @@ pub enum Response {
     Rows(QueryResult),
     /// EXPLAIN output lines.
     Plan(Vec<String>),
-    /// Affected-row count (DML) or pages logged (commit).
+    /// Affected-row count of a DDL/DML statement.
     Affected(u64),
     /// Acknowledges a [`Request::Set`].
     Ok,
@@ -303,7 +298,6 @@ mod tests {
             Request::Query("SELECT 1".into()),
             Request::Explain("SELECT * FROM t".into()),
             Request::Execute("INSERT INTO t VALUES (1)".into()),
-            Request::Commit,
             Request::Set { key: "force_join".into(), value: "hash".into() },
             Request::Close,
         ];

@@ -157,7 +157,7 @@ fn statement_loop(
             }
         };
         let closing = matches!(req, Request::Close);
-        let resp = handle(db, session, req);
+        let resp = handle(session, req);
         send(stream, db, &resp)?;
         if closing {
             return Ok(());
@@ -165,13 +165,12 @@ fn statement_loop(
     }
 }
 
-fn handle(db: &Database, session: &mut Session, req: Request) -> Response {
+fn handle(session: &mut Session, req: Request) -> Response {
     let result: Result<Response> = match req {
         Request::Ping => Ok(Response::Pong),
         Request::Query(sql) => session.query(&sql).map(Response::Rows),
         Request::Explain(sql) => session.explain(&sql).map(Response::Plan),
         Request::Execute(sql) => session.execute(&sql).map(Response::Affected),
-        Request::Commit => db.commit().map(Response::Affected),
         Request::Set { key, value } => session.set(&key, &value).map(|()| Response::Ok),
         Request::Close => Ok(Response::Bye),
     };

@@ -29,8 +29,9 @@
 //! ## Protocol
 //!
 //! * [`Wal::log_page`] assigns the next LSN, stamps it and a fresh
-//!   checksum into the page trailer, and buffers the record. Nothing is
-//!   durable yet.
+//!   checksum into the page trailer, and buffers the record; once
+//!   256 KiB are buffered it writes them to the file, without an fsync.
+//!   Nothing is durable yet.
 //! * [`Wal::sync`] writes the buffer and fsyncs — the commit point.
 //! * [`Wal::ensure_durable`] is the WAL-before-data gate: the buffer
 //!   pool calls it with a page's LSN before writing that page to a data
@@ -53,7 +54,7 @@
 //! index leaves losing entries, data pages losing slots, overflow pages
 //! reinitialised to the free kind — is logged as an ordinary page
 //! image when the pass closes with `log_dirty_frames` + [`Wal::sync`],
-//! as [`Database::commit`] does. A crash before that sync replays
+//! as a commit does. A crash before that sync replays
 //! none-to-some prefix of the pass (whatever `ensure_durable` already
 //! forced out); because vacuum deletes index entries *before* freeing
 //! the heap slot they point at, any replayed prefix is consistent: a
@@ -64,7 +65,6 @@
 //! has let go of it — the earlier image is appended at once with
 //! [`BufferPool::log_frame`] (see `index::btree`).
 //!
-//! [`Database::commit`]: crate::db::Database::commit
 //! [`BufferPool::log_frame`]: crate::storage::buffer::BufferPool::log_frame
 
 use std::collections::{HashMap, HashSet};
@@ -99,6 +99,10 @@ pub const CHECKPOINT_PAYLOAD: usize = 16;
 pub const REC_HEADER: usize = 28;
 /// File name of the log inside a database directory.
 pub const WAL_FILE: &str = "wal.log";
+/// Buffered bytes at which [`Wal::log_page`] writes the buffer to the
+/// file (without an fsync), so committing a large batch streams its
+/// images out instead of growing the buffer to the batch's size.
+const BUF_LIMIT: usize = 256 * 1024;
 
 /// Monotonic WAL counters, surfaced in `EXPLAIN ANALYZE` and
 /// `metrics.json`. All counts are totals since open; use
@@ -141,8 +145,6 @@ struct WalInner {
     file: File,
     /// Buffered records not yet written to the file.
     buf: Vec<u8>,
-    /// Byte length of the durable (written + fsync'd) prefix.
-    durable_len: u64,
     /// Byte length including buffered-but-unwritten records.
     len: u64,
 }
@@ -215,12 +217,7 @@ impl Wal {
         let (next_lsn, valid_len) = scan.map_or((1, 0), |s| (s.next_lsn, s.valid_len));
         Ok(Wal {
             path,
-            inner: Mutex::new(WalInner {
-                file,
-                buf: Vec::new(),
-                durable_len: valid_len,
-                len: valid_len,
-            }),
+            inner: Mutex::new(WalInner { file, buf: Vec::new(), len: valid_len }),
             next_lsn: AtomicU64::new(next_lsn),
             durable_lsn: AtomicU64::new(next_lsn.saturating_sub(1)),
             fault,
@@ -241,11 +238,6 @@ impl Wal {
         &self.path
     }
 
-    /// Current byte length of the log, including buffered records.
-    pub fn len_bytes(&self) -> u64 {
-        self.inner.lock().len
-    }
-
     /// Counter snapshot.
     pub fn stats(&self) -> WalStats {
         WalStats {
@@ -261,9 +253,10 @@ impl Wal {
 
     /// Log a full image of `page` (about to be identified as `file_id`
     /// page `pid`). Assigns the record's LSN, stamps it and a fresh
-    /// checksum into the page trailer, and buffers the record. Returns
-    /// the LSN. Call [`Wal::sync`] or rely on
-    /// [`Wal::ensure_durable`] to make it durable.
+    /// checksum into the page trailer, and buffers the record, writing
+    /// the buffer out once it holds `BUF_LIMIT` bytes. Returns the LSN.
+    /// Call [`Wal::sync`] or rely on [`Wal::ensure_durable`] to make it
+    /// durable.
     pub fn log_page(&self, file_id: u32, pid: u32, page: &mut Page) -> u64 {
         let mut inner = self.inner.lock();
         let lsn = self.next_lsn.fetch_add(1, Ordering::SeqCst);
@@ -273,13 +266,17 @@ impl Wal {
         inner.len += record_size(PAGE_SIZE) as u64;
         self.appends.fetch_add(1, Ordering::Relaxed);
         self.bytes.fetch_add(record_size(PAGE_SIZE) as u64, Ordering::Relaxed);
+        if inner.buf.len() >= BUF_LIMIT {
+            // A failed write leaves the records buffered: the next flush
+            // retries it and fails the commit that needs them.
+            let _ = self.write_locked(&mut inner);
+        }
         lsn
     }
 
     /// Append a commit record for transaction `txid` and return its
-    /// LSN. Buffered only — pair with [`Wal::sync_group`] (durable
-    /// commit) or leave it to ride along with the next flush (lazy
-    /// autocommit, durable at the next `Database::commit`).
+    /// LSN. Buffered only: the commit is durable once
+    /// [`Wal::sync_group`] returns for that LSN.
     pub fn log_commit(&self, txid: u64) -> u64 {
         let mut inner = self.inner.lock();
         let lsn = self.next_lsn.fetch_add(1, Ordering::SeqCst);
@@ -328,16 +325,21 @@ impl Wal {
         }
     }
 
-    fn flush_locked(&self, inner: &mut WalInner) -> Result<()> {
+    /// Write the buffered records to the file, without an fsync.
+    fn write_locked(&self, inner: &mut WalInner) -> Result<()> {
         if !inner.buf.is_empty() {
             let off = inner.len - inner.buf.len() as u64;
             faulted_write_at(&inner.file, self.fault.as_deref(), IoKind::Wal, &inner.buf, off)
                 .map_err(DbError::from)?;
             inner.buf.clear();
         }
+        Ok(())
+    }
+
+    fn flush_locked(&self, inner: &mut WalInner) -> Result<()> {
+        self.write_locked(inner)?;
         faulted_sync(&inner.file, self.fault.as_deref()).map_err(DbError::from)?;
         self.fsyncs.fetch_add(1, Ordering::Relaxed);
-        inner.durable_len = inner.len;
         self.durable_lsn.store(self.next_lsn.load(Ordering::SeqCst) - 1, Ordering::SeqCst);
         Ok(())
     }
@@ -394,7 +396,6 @@ impl Wal {
         // the directory fsync below reports.
         inner.file = file;
         inner.len = log.len() as u64;
-        inner.durable_len = inner.len;
         self.fsyncs.fetch_add(1, Ordering::Relaxed);
         self.checkpoints.fetch_add(1, Ordering::Relaxed);
         self.durable_lsn.store(self.next_lsn.load(Ordering::SeqCst) - 1, Ordering::SeqCst);
@@ -753,9 +754,9 @@ mod tests {
             wal.log_page(1, i, &mut p);
         }
         wal.sync().unwrap();
-        assert!(wal.len_bytes() > 10 * PAGE_SIZE as u64);
+        assert!(wal.inner.lock().len > 10 * PAGE_SIZE as u64);
         wal.checkpoint(7, 9, &[]).unwrap();
-        assert_eq!(wal.len_bytes(), record_size(CHECKPOINT_PAYLOAD) as u64);
+        assert_eq!(wal.inner.lock().len, record_size(CHECKPOINT_PAYLOAD) as u64);
         let scan = LogScan::read(&dir).unwrap().unwrap();
         assert_eq!((scan.records, scan.watermark, scan.next_txid), (1, 7, 9));
         assert!(scan.images.is_empty());
@@ -787,7 +788,7 @@ mod tests {
         assert_eq!(scan.committed, HashSet::from([42, 43]));
         // An empty re-log list leaves exactly one record.
         wal.checkpoint(44, 44, &[]).unwrap();
-        assert_eq!(wal.len_bytes(), record_size(CHECKPOINT_PAYLOAD) as u64);
+        assert_eq!(wal.inner.lock().len, record_size(CHECKPOINT_PAYLOAD) as u64);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -832,18 +833,59 @@ mod tests {
 
     #[test]
     fn crashed_injector_fails_wal_sync() {
-        let dir = tmp_dir("crash");
-        let inj = FaultInjector::new();
-        let wal = Wal::open(&dir, Some(inj.clone()), None).unwrap();
+        // One image waits in the buffer for the sync to write it. Enough
+        // images to reach the bound are written early, and that write's
+        // crash must surface at the sync too, its records kept buffered.
+        for images in [1, BUF_LIMIT / record_size(PAGE_SIZE) + 1] {
+            let dir = tmp_dir(&format!("crash{images}"));
+            let inj = FaultInjector::new();
+            let wal = Wal::open(&dir, Some(inj.clone()), None).unwrap();
+            inj.arm(FaultPlan {
+                crash_after: 0,
+                mode: CrashMode::Drop,
+                scope: FaultScope::Wal,
+                seed: 5,
+            });
+            let mut p = Page::new();
+            for pid in 0..images as u32 {
+                wal.log_page(1, pid, &mut p);
+            }
+            assert_eq!(inj.crashed(), images > 1, "{images} images: the early write ran");
+            assert_eq!(wal.inner.lock().buf.len(), images * record_size(PAGE_SIZE));
+            assert!(wal.sync().is_err(), "{images} images: crashing WAL write must surface");
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
+    }
+
+    #[test]
+    fn log_buffer_is_bounded_and_only_sync_makes_it_durable() {
+        let dir = tmp_dir("bound");
+        let wal = fresh(&dir, None);
+        let (durable, fsyncs) = (wal.durable_lsn.load(Ordering::SeqCst), wal.stats().fsyncs);
         let mut p = Page::new();
-        wal.log_page(1, 1, &mut p);
-        inj.arm(FaultPlan {
-            crash_after: 0,
-            mode: CrashMode::Drop,
-            scope: FaultScope::Wal,
-            seed: 5,
-        });
-        assert!(wal.sync().is_err(), "crashing WAL write must surface");
+        let images = 2 * BUF_LIMIT / record_size(PAGE_SIZE) + 1;
+        let mut last = 0;
+        for pid in 0..images as u32 {
+            last = wal.log_page(1, pid, &mut p);
+        }
+        let on_disk = std::fs::metadata(wal.path()).unwrap().len();
+        {
+            let inner = wal.inner.lock();
+            assert!(inner.buf.len() < BUF_LIMIT, "the buffer grew past its bound");
+            assert_eq!(on_disk + inner.buf.len() as u64, inner.len, "the file holds the rest");
+        }
+        let mut reader = WalReader::open(wal.path()).unwrap();
+        let mut written = 0;
+        while reader.next_record().is_some() {
+            written += 1;
+        }
+        assert_eq!(reader.remaining(), 0);
+        assert!(written > BUF_LIMIT / record_size(PAGE_SIZE), "{written} records written");
+        assert_eq!(wal.durable_lsn.load(Ordering::SeqCst), durable, "written is not durable");
+        assert_eq!(wal.stats().fsyncs, fsyncs);
+        wal.sync().unwrap();
+        assert_eq!(wal.durable_lsn.load(Ordering::SeqCst), last);
+        assert_eq!(LogScan::read(&dir).unwrap().unwrap().records, images as u64 + 1);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

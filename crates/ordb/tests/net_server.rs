@@ -99,7 +99,6 @@ fn ddl_dml_commit_and_ping_over_the_wire() {
     client.ping().unwrap();
     assert_eq!(client.execute("CREATE TABLE wire_t (a INTEGER, b VARCHAR)").unwrap(), 0);
     assert_eq!(client.execute("INSERT INTO wire_t VALUES (1, 'x'), (2, 'y')").unwrap(), 2);
-    client.commit().unwrap();
     let r = client.query("SELECT a, b FROM wire_t WHERE a = 2").unwrap();
     assert_eq!(r.rows, vec![vec![Value::Int(2), Value::Str("y".into())]]);
     // The embedded handle sees the same table (same database object).
@@ -194,14 +193,15 @@ fn malformed_frames_never_kill_the_server() {
         assert!(buf.len() > 4, "expected an error frame, got {buf:02x?}");
     }
 
-    // 3. Garbage request tag inside a well-formed frame: error frame,
-    //    connection stays serviceable.
-    {
+    // 3. Garbage request tag inside a well-formed frame, and tag 0x05,
+    //    protocol version 1's commit request: error frame, connection
+    //    stays serviceable.
+    for request in [&[0xEE, 1, 2, 3][..], &[0x05]] {
         let mut s = TcpStream::connect(addr).unwrap();
         s.write_all(&hello).unwrap();
         let mut echo = [0u8; 5];
         s.read_exact(&mut echo).unwrap();
-        net::write_frame(&mut s, &[0xEE, 1, 2, 3]).unwrap();
+        net::write_frame(&mut s, request).unwrap();
         let body = net::read_frame(&mut s).unwrap().expect("an error response");
         match net::Response::decode(&body).unwrap() {
             net::Response::Error { code, .. } => assert_eq!(code, 8, "protocol error code"),
@@ -213,7 +213,17 @@ fn malformed_frames_never_kill_the_server() {
         assert_eq!(net::Response::decode(&body).unwrap(), net::Response::Pong);
     }
 
-    // 4. Disconnect mid-frame: claim 100 bytes, send 3, hang up.
+    // 4. A version 1 client is refused at the handshake: no echo.
+    {
+        let mut s = TcpStream::connect(addr).unwrap();
+        s.write_all(&net::MAGIC).unwrap();
+        s.write_all(&[1]).unwrap();
+        let mut buf = Vec::new();
+        let _ = s.read_to_end(&mut buf);
+        assert!(buf.is_empty(), "a v1 hello was answered: {buf:02x?}");
+    }
+
+    // 5. Disconnect mid-frame: claim 100 bytes, send 3, hang up.
     {
         let mut s = TcpStream::connect(addr).unwrap();
         s.write_all(&hello).unwrap();
@@ -229,7 +239,7 @@ fn malformed_frames_never_kill_the_server() {
     assert_eq!(client.query("SELECT COUNT(*) FROM item").unwrap().scalar(), Some(&Value::Int(50)));
     client.close().unwrap();
     let snap = db.metrics_snapshot();
-    assert!(snap.net.protocol_errors >= 3, "{:?}", snap.net);
+    assert!(snap.net.protocol_errors >= 5, "{:?}", snap.net);
     handle.stop();
 }
 
@@ -303,18 +313,18 @@ fn write_write_conflict_round_trips_with_stable_code() {
     drop(db);
 }
 
-/// Group commit under wire writers: four clients loop BEGIN / INSERT /
-/// COMMIT, and every COMMIT asks for a durable fsync. Committers that
-/// arrive while a leader is flushing must ride its fsync, so the run ends
-/// with fewer fsyncs than commit records. The database lives under the
-/// target directory, not the system temp directory, which may be a tmpfs
-/// where an fsync costs nothing and no committer ever waits behind one.
-#[test]
-fn wire_writers_share_fsyncs_through_group_commit() {
+/// Group commit under wire writers: four clients each commit 50 times,
+/// every commit the statements `commit` gives for a fresh key, and every
+/// commit asks for a durable fsync. Committers that arrive while a leader
+/// is flushing must ride its fsync, so the run ends with fewer fsyncs than
+/// commit records. The database lives under the target directory, not the
+/// system temp directory, which may be a tmpfs where an fsync costs nothing
+/// and no committer ever waits behind one.
+fn wire_writers_share_fsyncs(tag: &str, commit: fn(u64, u64) -> Vec<String>) {
     const WRITERS: u64 = 4;
     const COMMITS_EACH: u64 = 50;
     let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"))
-        .join(format!("ordb-net-group-{}", std::process::id()));
+        .join(format!("ordb-net-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let db = Arc::new(Database::open(&dir).unwrap());
     db.execute("CREATE TABLE ledger (k INTEGER, v VARCHAR)").unwrap();
@@ -328,10 +338,9 @@ fn wire_writers_share_fsyncs_through_group_commit() {
             s.spawn(move || {
                 let mut c = Client::connect(addr).unwrap();
                 for i in 0..COMMITS_EACH {
-                    let k = (w + 1) * 1_000_000 + i;
-                    c.execute("BEGIN").unwrap();
-                    c.execute(&format!("INSERT INTO ledger VALUES ({k}, 'w{w}')")).unwrap();
-                    c.execute("COMMIT").unwrap();
+                    for sql in commit((w + 1) * 1_000_000 + i, w) {
+                        c.execute(&sql).unwrap();
+                    }
                 }
                 c.close().unwrap();
             });
@@ -339,13 +348,13 @@ fn wire_writers_share_fsyncs_through_group_commit() {
     });
     let d = db.metrics_snapshot().since(&before);
     let commits = WRITERS * COMMITS_EACH;
-    assert_eq!(d.txn.committed, commits, "every wire COMMIT lands in the counter");
+    assert_eq!(d.txn.committed, commits, "every wire commit lands in the counter");
     let visible = db.query("SELECT COUNT(*) FROM ledger").unwrap();
     assert_eq!(visible.scalar(), Some(&Value::Int(commits as i64 + 1)), "committed rows visible");
     assert_eq!(
         d.wal.group_commits + d.wal.fsyncs_saved,
         commits,
-        "each durable COMMIT either leads a flush or rides one: {:?}",
+        "each durable commit either leads a flush or rides one: {:?}",
         d.wal
     );
     assert!(
@@ -357,6 +366,22 @@ fn wire_writers_share_fsyncs_through_group_commit() {
     handle.stop();
     drop(db);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn wire_writers_share_fsyncs_through_group_commit() {
+    wire_writers_share_fsyncs("group", |k, w| {
+        vec!["BEGIN".into(), format!("INSERT INTO ledger VALUES ({k}, 'w{w}')"), "COMMIT".into()]
+    });
+}
+
+/// The same with bare autocommit INSERTs: an acknowledged statement is
+/// committed durably, through the same group commit as `COMMIT`.
+#[test]
+fn wire_autocommit_writers_share_fsyncs_through_group_commit() {
+    wire_writers_share_fsyncs("autogroup", |k, w| {
+        vec![format!("INSERT INTO ledger VALUES ({k}, 'w{w}')")]
+    });
 }
 
 #[test]
