@@ -13,21 +13,19 @@
 //! .load shakespeare N       generate + load N plays (XORator mapping)
 //! .load sigmod N            generate + load N proceedings docs
 //! .xpath /PLAY/ACT/...      compile an XPath and run it
-//! .explain SELECT ...       show the planner's decisions
-//! .set KEY VALUE            session plan forcing (force_join/access/order)
-//! .analyze SELECT ...       EXPLAIN ANALYZE: run + per-operator rows/time
 //! .metrics                  session buffer-pool / engine / UDF counters
-//! .spans [chrome|folded F]  last SELECT's span tree (or export a trace)
+//! .spans [chrome|folded F]  last plain SELECT's span tree (or export it)
 //! .hist                     session query-latency histogram
 //! .stats                    run runstats on every table
 //! .quit
 //! ```
 //!
-//! Meta commands also accept a backslash prefix (`\analyze`, `\metrics`).
-//! SQL runs through one session, so `BEGIN`/`COMMIT`/`ROLLBACK` work as
-//! they do over the wire; quitting rolls back an open transaction. Every
-//! SELECT runs profiled (`Session::analyze`), and the shell keeps the last
-//! one's report for `.spans`.
+//! Meta commands also accept a backslash prefix (`\spans`, `\metrics`).
+//! SQL runs through one session, so `BEGIN`/`COMMIT`/`ROLLBACK` and
+//! `SET force_*` hold across lines as they do over the wire, and
+//! `EXPLAIN [ANALYZE]` plans under them; quitting rolls back an open
+//! transaction. Every SELECT runs profiled (`Session::analyze`), and the
+//! shell keeps the last one's report for `.spans`.
 
 use std::io::{BufRead, Write};
 
@@ -100,8 +98,8 @@ fn main() {
 
 impl Shell<'_> {
     fn dispatch(&mut self, input: &str) -> Result<(), Box<dyn std::error::Error>> {
-        // Meta commands take either prefix: `.analyze` and `\analyze` are
-        // the same command.
+        // Meta commands take either prefix: `.spans` and `\spans` are the
+        // same command.
         if let Some(rest) = input.strip_prefix('.').or_else(|| input.strip_prefix('\\')) {
             let mut parts = rest.split_whitespace();
             match parts.next().unwrap_or_default() {
@@ -139,26 +137,6 @@ impl Shell<'_> {
                     let compiled = compile_xpath(mapping, path)?;
                     println!("-- {}", compiled.sql);
                     print!("{}", self.analyze(&compiled.sql)?.result);
-                }
-                "explain" => {
-                    let sql = rest.trim_start_matches("explain").trim();
-                    print!("{}", self.session.query(&format!("EXPLAIN {sql}"))?);
-                }
-                "set" => {
-                    let (Some(key), Some(value)) = (parts.next(), parts.next()) else {
-                        return Err("usage: .set KEY VALUE".into());
-                    };
-                    self.session.set(key, value)?;
-                    println!("set {key} = {value}");
-                }
-                "analyze" => {
-                    let sql = rest.trim_start_matches("analyze").trim();
-                    if sql.is_empty() {
-                        return Err("usage: \\analyze SELECT ...".into());
-                    }
-                    let report = self.analyze(sql)?;
-                    print!("{report}");
-                    println!("({} rows)", report.result.len());
                 }
                 "spans" => {
                     let Some(last) = &self.last else {
@@ -291,19 +269,20 @@ const HELP: &str = "\
 .load shakespeare N       generate + load N plays (XORator mapping)
 .load sigmod N            generate + load N proceedings docs
 .xpath /PLAY/ACT/...      compile an XPath and run it
-.explain SELECT ...       show the planner's decisions
-.set KEY VALUE            plan forcing for this session: force_join
-                          nested|hash|merge|cost, force_access seq|index|cost,
-                          force_order declared|cost
-.analyze SELECT ...       EXPLAIN ANALYZE: run + per-operator rows/time
 .metrics                  session buffer-pool / engine / UDF counters
-.spans                    last SELECT's span tree (self/total times)
-.spans chrome FILE        export last SELECT as Chrome trace_event JSON
-.spans folded FILE        export last SELECT as folded flamegraph stacks
+.spans                    last plain SELECT's span tree (self/total times)
+.spans chrome FILE        export it as Chrome trace_event JSON
+.spans folded FILE        export it as folded flamegraph stacks
 .hist                     session query-latency histogram (p50..p999)
 .stats                    run runstats on every table
 .quit                     exit (rolls back an open transaction)
-meta commands also accept a backslash prefix (\\analyze, \\metrics, ...)
-anything else is SQL (SELECT / CREATE / INSERT / DELETE / DROP / VACUUM,
-BEGIN / COMMIT / ROLLBACK)
+meta commands also accept a backslash prefix (\\spans, \\metrics, ...)
+anything else is SQL, run in this shell's one session:
+  SELECT / CREATE / INSERT / DELETE / DROP / VACUUM
+  BEGIN / COMMIT / ROLLBACK
+  EXPLAIN SELECT|DELETE ...  the planner's decisions
+  EXPLAIN ANALYZE SELECT ... run it: per-operator rows/time, counters
+  SET force_join nested|hash|cost     plan forcing for this session
+  SET force_access seq|index|cost     (also SET key = value)
+  SET force_order declared|cost
 ";

@@ -617,8 +617,8 @@ fn ddl_catalog(db: &Database) -> std::collections::BTreeSet<String> {
     let mut names = std::collections::BTreeSet::new();
     for table in db.table_names() {
         let sql = format!("SELECT id FROM {table} WHERE id >= 0");
-        let plan = db.session().with_forcing(forcing).explain(&sql).expect("explain");
-        if plan.iter().any(|line| line.contains("IndexScan")) {
+        let plan = db.session().with_forcing(forcing).query(&format!("EXPLAIN {sql}"));
+        if plan.expect("explain").to_string().contains("IndexScan") {
             names.insert(format!("{table}_id"));
         }
         names.insert(table);

@@ -1,7 +1,7 @@
 //! End-to-end smoke test of the `xorshell` binary: drives a scripted
-//! session over stdin (DDL, DML, a rolled-back transaction, plan forcing,
-//! query, corpus load, EXPLAIN ANALYZE, span exports) and asserts on the
-//! captured stdout and the exported files.
+//! session over stdin (DDL, DML, a rolled-back transaction, plan forcing
+//! through `SET`, EXPLAIN, corpus load, EXPLAIN ANALYZE, span exports) and
+//! asserts on the captured stdout and the exported files.
 
 use std::io::Write;
 use std::process::{Command, Stdio};
@@ -22,14 +22,14 @@ SELECT k, v FROM kv
 BEGIN
 INSERT INTO kv VALUES (3, 'three')
 SELECT COUNT(*) AS inside FROM kv
-\\analyze SELECT k FROM kv
+EXPLAIN ANALYZE SELECT k FROM kv
 ROLLBACK
 SELECT COUNT(*) AS after FROM kv
-.set force_access seq
-.explain SELECT v FROM kv WHERE k = 1
+SET force_access = seq
+EXPLAIN SELECT v FROM kv WHERE k = 1
 .load shakespeare 1
 .tables
-\\analyze SELECT COUNT(*) FROM speech
+EXPLAIN ANALYZE SELECT COUNT(*) FROM speech;
 .metrics
 \\spans
 \\spans chrome {}
@@ -67,11 +67,12 @@ SELECT COUNT(*) AS after FROM kv
     // The shell's session holds the transaction open across lines: the
     // insert is visible inside it and gone after ROLLBACK.
     assert!(stdout.contains("inside\n3\n"), "transaction misses its insert:\n{stdout}");
-    // `\analyze` runs in that transaction too.
-    assert!(stdout.contains("(3 rows)"), "\\analyze misses the open insert:\n{stdout}");
+    // `EXPLAIN ANALYZE` runs in that transaction too.
+    assert!(stdout.contains("[rows=3 "), "EXPLAIN ANALYZE misses the open insert:\n{stdout}");
     assert!(stdout.contains("after\n2\n"), "ROLLBACK kept the insert:\n{stdout}");
-    // `.set` forces the session's plans, and `.explain` shows it.
-    assert!(stdout.contains("set force_access = seq"), ".set ack missing:\n{stdout}");
+    // `SET` is acknowledged like CREATE, BEGIN and ROLLBACK, forces the
+    // session's plans, and `EXPLAIN` shows it.
+    assert_eq!(stdout.matches("ok (0 rows affected)").count(), 4, "SET ack missing:\n{stdout}");
     assert!(
         stdout.contains("forcing: join=cost order=greedy access=seq"),
         "forced plan missing:\n{stdout}"
@@ -79,12 +80,12 @@ SELECT COUNT(*) AS after FROM kv
     // After .load, the XORator Shakespeare tables exist with rows.
     assert!(stdout.contains("speech ("), ".tables must list speech:\n{stdout}");
     assert!(stdout.contains("play ("), ".tables must list play:\n{stdout}");
-    // EXPLAIN ANALYZE prints an operator tree and the result cardinality.
-    assert!(stdout.contains("(1 rows)"), "COUNT(*) returns one row:\n{stdout}");
+    // EXPLAIN ANALYZE prints an operator tree with each one's rows.
+    assert!(stdout.contains("[rows=1 "), "COUNT(*) returns one row:\n{stdout}");
     // .metrics reports buffer-pool counters.
     assert!(stdout.contains("buffer pool:"), "metrics output missing:\n{stdout}");
-    // \spans shows the last query's phase tree (with an operator under
-    // exec — the COUNT aggregate) and per-span total/self times.
+    // \spans shows the last plain SELECT's phase tree (with an operator
+    // under exec — the COUNT aggregate) and per-span total/self times.
     assert!(stdout.contains("query"), "span tree missing query phase:\n{stdout}");
     for phase in ["parse", "plan", "exec"] {
         assert!(stdout.contains(phase), "span tree missing {phase} phase:\n{stdout}");

@@ -5,9 +5,11 @@
 //! any failed) — the scripted mode the CI `server-smoke` job uses.
 //! Without `-c`, reads statements from stdin, one per line:
 //!
-//! * `SELECT …` / `EXPLAIN …` — run remotely, print rows (tab-separated)
-//! * anything else — `Execute`, print the affected-row count
-//! * `\ping`, `\set KEY VALUE`, `\q` — protocol commands
+//! * `SELECT …` / `EXPLAIN [ANALYZE] …` — run remotely, print rows
+//!   (tab-separated)
+//! * anything else (DDL, DML, `BEGIN`, `SET key value`, …) — `Execute`,
+//!   print the affected-row count
+//! * `\ping`, `\q` — protocol commands
 
 use std::io::{BufRead, Write};
 
@@ -83,26 +85,11 @@ fn main() {
 
 fn run_line(client: &mut Client, line: &str) -> Result<()> {
     if let Some(rest) = line.strip_prefix('\\') {
-        let mut parts = rest.split_whitespace();
-        match parts.next() {
-            Some("ping") => {
-                client.ping()?;
-                println!("pong");
-            }
-            Some("set") => {
-                let (Some(key), Some(value)) = (parts.next(), parts.next()) else {
-                    return Err(DbError::Exec("usage: \\set KEY VALUE".into()));
-                };
-                client.set(key, value)?;
-                println!("set {key} = {value}");
-            }
-            other => {
-                return Err(DbError::Exec(format!(
-                    "unknown command \\{} (try \\ping, \\set, \\q)",
-                    other.unwrap_or_default()
-                )))
-            }
+        if rest.trim() != "ping" {
+            return Err(DbError::Exec(format!("unknown command \\{rest} (try \\ping, \\q)")));
         }
+        client.ping()?;
+        println!("pong");
         return Ok(());
     }
     let first = line.split_whitespace().next().unwrap_or_default().to_ascii_uppercase();

@@ -551,8 +551,9 @@ impl Database {
         }
     }
 
-    /// Run a SELECT, or EXPLAIN a SELECT or a DELETE, over everything
-    /// committed so far, through a fresh [`Session`](crate::session::Session).
+    /// Run a SELECT, EXPLAIN a SELECT or a DELETE, or `EXPLAIN ANALYZE` a
+    /// SELECT, over everything committed so far, through a fresh
+    /// [`Session`](crate::session::Session).
     pub fn query(&self, sql: &str) -> Result<QueryResult> {
         self.session().query(sql)
     }
@@ -569,7 +570,9 @@ impl Database {
     /// `analyze` the statement must be a SELECT, every operator is
     /// profiled, and execution is bracketed with the thread's counters
     /// and the WAL's, returned as [`QueryMetrics`]. Without it, an EXPLAIN
-    /// returns its plan lines as rows, and no operator is wrapped.
+    /// returns its plan lines as rows, and no operator is wrapped; an
+    /// `EXPLAIN ANALYZE` runs its SELECT the profiled way and returns
+    /// [`QueryMetrics::render`]'s lines as rows in the same shape.
     pub(crate) fn run_query(
         &self,
         sql: &str,
@@ -583,23 +586,28 @@ impl Database {
         let start_ns = now_ns();
         let stmt = parse_statement(sql)?;
         let parsed_ns = now_ns();
-        let q = match stmt {
-            Statement::Select(q) => q,
-            Statement::Explain(inner) if !analyze => {
-                let lines = self.explain_stmt(*inner, forcing, snapshot)?;
-                let rows = lines.into_iter().map(|l| vec![Value::Str(l)]).collect();
-                return Ok((QueryResult { columns: vec!["plan".to_string()], rows }, None));
-            }
+        // `rendered`: an `EXPLAIN ANALYZE`, answered with its render.
+        let (q, profiled, rendered) = match stmt {
+            Statement::Select(q) => (q, analyze, false),
             _ if analyze => return Err(DbError::Plan("explain_analyze() expects SELECT".into())),
+            Statement::Explain { analyze: false, stmt } => {
+                return Ok((plan_rows(self.explain_stmt(*stmt, forcing, snapshot)?), None));
+            }
+            Statement::Explain { analyze: true, stmt } => {
+                let Statement::Select(q) = *stmt else {
+                    return Err(DbError::Plan("EXPLAIN ANALYZE expects SELECT".into()));
+                };
+                (q, true, true)
+            }
             other => return Err(DbError::Plan(format!("query() expects SELECT, got {other:?}"))),
         };
         let inner = self.inner.read();
         let ctx = self.plan_ctx(&inner, forcing, snapshot);
-        let mut prof = if analyze { Profiler::enabled() } else { Profiler::disabled() };
+        let mut prof = if profiled { Profiler::enabled() } else { Profiler::disabled() };
         let plan = plan_select_profiled(&ctx, &q, &mut prof)?;
         let planned_ns = now_ns();
 
-        let before = analyze.then(|| (thread_counters(), self.wal.stats()));
+        let before = profiled.then(|| (thread_counters(), self.wal.stats()));
         let exec_ns = now_ns();
         let rows = collect(plan.root)?;
         let end_ns = now_ns();
@@ -622,13 +630,16 @@ impl Database {
             }
         });
         self.registry.record_query(wall);
-        Ok((QueryResult { columns: plan.columns, rows }, metrics))
+        match metrics {
+            Some(m) if rendered => Ok((plan_rows(m.render().lines().map(String::from)), None)),
+            metrics => Ok((QueryResult { columns: plan.columns, rows }, metrics)),
+        }
     }
 
-    /// Planner decisions for a SELECT or a DELETE, without executing it,
-    /// through a fresh [`Session`](crate::session::Session).
+    /// Planner decisions for a SELECT or a DELETE over everything
+    /// committed so far, without executing it.
     pub fn explain(&self, sql: &str) -> Result<Vec<String>> {
-        self.session().explain(sql)
+        self.explain_stmt(parse_statement(sql)?, None, self.snapshot_of(None)?)
     }
 
     pub(crate) fn explain_stmt(
@@ -651,16 +662,18 @@ impl Database {
     /// Execute DDL / DML with autocommit through a fresh
     /// [`Session`](crate::session::Session); returns affected-row count.
     ///
-    /// `BEGIN`/`COMMIT`/`ROLLBACK` are rejected here: an explicit
-    /// transaction lives in the session that opened it, so it runs
-    /// through one from [`Database::session`].
+    /// `BEGIN`/`COMMIT`/`ROLLBACK` and `SET` are rejected here: an
+    /// explicit transaction and a session option live in the session that
+    /// ran them, so they run through one from [`Database::session`].
     pub fn execute(&self, sql: &str) -> Result<u64> {
         match parse_statement(sql)? {
-            Statement::Begin | Statement::Commit | Statement::Rollback => Err(DbError::Exec(
-                "transaction control needs a session to hold the transaction; \
-                 use Database::session()"
-                    .into(),
-            )),
+            Statement::Begin | Statement::Commit | Statement::Rollback | Statement::Set { .. } => {
+                Err(DbError::Exec(
+                    "transaction control and SET need a session to hold their state; \
+                     use Database::session()"
+                        .into(),
+                ))
+            }
             stmt => self.session().execute_stmt(stmt),
         }
     }
@@ -1125,6 +1138,12 @@ impl DbInner {
         }
         Ok(())
     }
+}
+
+/// What both EXPLAIN forms return: one `plan` column, one line per row.
+fn plan_rows(lines: impl IntoIterator<Item = String>) -> QueryResult {
+    let rows = lines.into_iter().map(|l| vec![Value::Str(l)]).collect();
+    QueryResult { columns: vec!["plan".to_string()], rows }
 }
 
 /// How vacuum and every undo take versions out of the heap: for each
@@ -2495,7 +2514,8 @@ mod tests {
         let forcing = PlanForcing { access: Some(ForcedAccess::IndexScan), ..Default::default() };
         let session = db.session().with_forcing(forcing);
         let sql = "SELECT id FROM u WHERE id >= 2";
-        assert!(session.explain(sql).unwrap().iter().any(|l| l.contains("IndexScan")));
+        let plan = session.query(&format!("EXPLAIN {sql}")).unwrap().to_string();
+        assert!(plan.contains("IndexScan"), "{plan}");
         let rows = session.query(sql).unwrap().rows;
         assert_eq!(rows, vec![vec![Value::Int(2)], vec![Value::Int(3)]]);
         drop(session);

@@ -24,7 +24,9 @@
 //!   control for experiments;
 //! * one way to run a statement ([`session`]): a [`Session`] holds a
 //!   caller's plan forcing and open transaction, and every caller — the
-//!   wire server, `xorshell`, the test harnesses — runs SQL through one;
+//!   wire server, `xorshell`, the test harnesses — runs SQL through one.
+//!   Everything a caller asks is a statement, `SET` and
+//!   `EXPLAIN ANALYZE` included;
 //! * a TCP serving layer ([`net`]): a hand-rolled length-prefixed wire
 //!   protocol, a thread-per-connection [`Server`], and a blocking
 //!   [`Client`] — the `xord-server` / `xord-client` binaries;

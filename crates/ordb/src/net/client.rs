@@ -60,8 +60,9 @@ impl Client {
         }
     }
 
-    /// Run a SELECT remotely; returns the same [`QueryResult`] the
-    /// embedded [`Database::query`](crate::db::Database::query) would.
+    /// Run a SELECT or an `EXPLAIN [ANALYZE]` remotely; returns the same
+    /// [`QueryResult`] the embedded
+    /// [`Database::query`](crate::db::Database::query) would.
     pub fn query(&mut self, sql: &str) -> Result<QueryResult> {
         match self.roundtrip(&Request::Query(sql.to_string()))? {
             Response::Rows(r) => Ok(r),
@@ -69,27 +70,11 @@ impl Client {
         }
     }
 
-    /// Remote EXPLAIN: planner decision lines.
-    pub fn explain(&mut self, sql: &str) -> Result<Vec<String>> {
-        match self.roundtrip(&Request::Explain(sql.to_string()))? {
-            Response::Plan(lines) => Ok(lines),
-            other => Err(Self::unexpected(other)),
-        }
-    }
-
-    /// Remote DDL/DML; returns the affected-row count.
+    /// Remote DDL/DML, transaction control or `SET`; returns the
+    /// affected-row count.
     pub fn execute(&mut self, sql: &str) -> Result<u64> {
         match self.roundtrip(&Request::Execute(sql.to_string()))? {
             Response::Affected(n) => Ok(n),
-            other => Err(Self::unexpected(other)),
-        }
-    }
-
-    /// Set a session option (see
-    /// [`Session::set`](crate::session::Session::set)).
-    pub fn set(&mut self, key: &str, value: &str) -> Result<()> {
-        match self.roundtrip(&Request::Set { key: key.to_string(), value: value.to_string() })? {
-            Response::Ok => Ok(()),
             other => Err(Self::unexpected(other)),
         }
     }

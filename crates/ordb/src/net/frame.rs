@@ -17,7 +17,9 @@ pub const MAGIC: [u8; 4] = *b"XORD";
 
 /// Protocol version byte following the magic. Version 2 dropped version
 /// 1's commit request (tag `0x05`): an acknowledged statement is durable.
-pub const VERSION: u8 = 2;
+/// Version 3 dropped the explain and set messages: `EXPLAIN [ANALYZE]`
+/// is a `Query` and `SET` an `Execute`, like every other statement.
+pub const VERSION: u8 = 3;
 
 /// Largest accepted frame body. Generous for row batches (the engine's
 /// whole Shakespeare corpus is ~8 MiB) while keeping a malicious or

@@ -14,9 +14,11 @@
 //!   length-prefixed frames, and a bounds-checked payload [`Reader`]
 //!   that turns every malformed byte sequence into
 //!   [`DbError::Protocol`] instead of a panic or hang;
-//! * [`Request`] / [`Response`] — the tagged message bodies. Row batches
-//!   reuse the storage layer's [`encode_row`] framing, so a value
-//!   round-trips the wire in exactly its heap-file representation;
+//! * [`Request`] / [`Response`] — the tagged message bodies: a statement
+//!   goes as a `Query` (it returns rows: SELECT, `EXPLAIN [ANALYZE]`) or
+//!   an `Execute` (anything else, `SET` included). Row batches reuse the
+//!   storage layer's [`encode_row`] framing, so a value round-trips the
+//!   wire in exactly its heap-file representation;
 //! * [`Server`] / [`ServerHandle`] — accept loop plus
 //!   thread-per-connection serving, each connection running its
 //!   statements through its own [`Session`](crate::session::Session),
@@ -42,18 +44,16 @@ use crate::tuple::{decode_row, encode_row};
 
 // ---- request / response tags --------------------------------------------
 
+// Retired tags, never to be reused: requests 0x03, 0x05, 0x06 and
+// responses 0x83, 0x85 (DESIGN.md §13).
 const REQ_PING: u8 = 0x01;
 const REQ_QUERY: u8 = 0x02;
-const REQ_EXPLAIN: u8 = 0x03;
 const REQ_EXECUTE: u8 = 0x04;
-const REQ_SET: u8 = 0x06;
 const REQ_CLOSE: u8 = 0x07;
 
 const RESP_PONG: u8 = 0x81;
 const RESP_ROWS: u8 = 0x82;
-const RESP_PLAN: u8 = 0x83;
 const RESP_AFFECTED: u8 = 0x84;
-const RESP_OK: u8 = 0x85;
 const RESP_ERROR: u8 = 0x86;
 const RESP_BYE: u8 = 0x87;
 
@@ -62,21 +62,12 @@ const RESP_BYE: u8 = 0x87;
 pub enum Request {
     /// Liveness check; answered with [`Response::Pong`].
     Ping,
-    /// Run a SELECT; answered with [`Response::Rows`].
+    /// Run a SELECT or an `EXPLAIN [ANALYZE]`; answered with
+    /// [`Response::Rows`].
     Query(String),
-    /// Plan a SELECT without executing; answered with [`Response::Plan`].
-    Explain(String),
-    /// Run DDL/DML; answered with [`Response::Affected`].
+    /// Run DDL/DML, transaction control or `SET`; answered with
+    /// [`Response::Affected`].
     Execute(String),
-    /// Set a session option (see
-    /// [`Session::set`](crate::session::Session::set)); answered with
-    /// [`Response::Ok`].
-    Set {
-        /// Option name, e.g. `force_join`.
-        key: String,
-        /// Option value, e.g. `hash`.
-        value: String,
-    },
     /// Orderly goodbye; answered with [`Response::Bye`], then both ends
     /// close.
     Close,
@@ -92,18 +83,9 @@ impl Request {
                 out.push(REQ_QUERY);
                 put_str(&mut out, sql);
             }
-            Request::Explain(sql) => {
-                out.push(REQ_EXPLAIN);
-                put_str(&mut out, sql);
-            }
             Request::Execute(sql) => {
                 out.push(REQ_EXECUTE);
                 put_str(&mut out, sql);
-            }
-            Request::Set { key, value } => {
-                out.push(REQ_SET);
-                put_str(&mut out, key);
-                put_str(&mut out, value);
             }
             Request::Close => out.push(REQ_CLOSE),
         }
@@ -117,9 +99,7 @@ impl Request {
         let req = match tag {
             REQ_PING => Request::Ping,
             REQ_QUERY => Request::Query(r.str("query sql")?),
-            REQ_EXPLAIN => Request::Explain(r.str("explain sql")?),
             REQ_EXECUTE => Request::Execute(r.str("execute sql")?),
-            REQ_SET => Request::Set { key: r.str("set key")?, value: r.str("set value")? },
             REQ_CLOSE => Request::Close,
             other => return Err(DbError::Protocol(format!("unknown request tag {other:#04x}"))),
         };
@@ -133,14 +113,10 @@ impl Request {
 pub enum Response {
     /// Answer to [`Request::Ping`].
     Pong,
-    /// A SELECT's column names and row batch.
+    /// A SELECT's or an EXPLAIN's column names and row batch.
     Rows(QueryResult),
-    /// EXPLAIN output lines.
-    Plan(Vec<String>),
-    /// Affected-row count of a DDL/DML statement.
+    /// Affected-row count of any other statement.
     Affected(u64),
-    /// Acknowledges a [`Request::Set`].
-    Ok,
     /// The statement failed; `code` maps back onto a [`DbError`] variant
     /// (see [`error_code`] / [`decode_error`]).
     Error {
@@ -177,18 +153,10 @@ impl Response {
                     out.extend_from_slice(&buf);
                 }
             }
-            Response::Plan(lines) => {
-                out.push(RESP_PLAN);
-                out.extend_from_slice(&(lines.len() as u32).to_le_bytes());
-                for l in lines {
-                    put_str(&mut out, l);
-                }
-            }
             Response::Affected(n) => {
                 out.push(RESP_AFFECTED);
                 out.extend_from_slice(&n.to_le_bytes());
             }
-            Response::Ok => out.push(RESP_OK),
             Response::Error { code, message } => {
                 out.push(RESP_ERROR);
                 out.push(*code);
@@ -222,16 +190,7 @@ impl Response {
                 }
                 Response::Rows(QueryResult { columns, rows })
             }
-            RESP_PLAN => {
-                let n = r.u32("plan line count")? as usize;
-                let mut lines = Vec::with_capacity(n);
-                for _ in 0..n {
-                    lines.push(r.str("plan line")?);
-                }
-                Response::Plan(lines)
-            }
             RESP_AFFECTED => Response::Affected(r.u64("affected count")?),
-            RESP_OK => Response::Ok,
             RESP_ERROR => {
                 let code = r.u8("error code")?;
                 Response::Error { code, message: r.str("error message")? }
@@ -296,9 +255,7 @@ mod tests {
         let reqs = [
             Request::Ping,
             Request::Query("SELECT 1".into()),
-            Request::Explain("SELECT * FROM t".into()),
             Request::Execute("INSERT INTO t VALUES (1)".into()),
-            Request::Set { key: "force_join".into(), value: "hash".into() },
             Request::Close,
         ];
         for req in &reqs {
@@ -330,9 +287,7 @@ mod tests {
             Response::Pong,
             Response::Rows(rows),
             Response::Rows(QueryResult { columns: vec![], rows: vec![] }),
-            Response::Plan(vec!["SeqScan t".into(), "  Filter a = 1".into()]),
             Response::Affected(u64::MAX),
-            Response::Ok,
             Response::Error { code: 2, message: "parse error: nope".into() },
             Response::Bye,
         ];

@@ -169,9 +169,7 @@ fn handle(session: &mut Session, req: Request) -> Response {
     let result: Result<Response> = match req {
         Request::Ping => Ok(Response::Pong),
         Request::Query(sql) => session.query(&sql).map(Response::Rows),
-        Request::Explain(sql) => session.explain(&sql).map(Response::Plan),
         Request::Execute(sql) => session.execute(&sql).map(Response::Affected),
-        Request::Set { key, value } => session.set(&key, &value).map(|()| Response::Ok),
         Request::Close => Ok(Response::Bye),
     };
     result.unwrap_or_else(|e| Response::from_error(&e))

@@ -5,9 +5,11 @@
 //! open explicit transaction, if a `BEGIN` ran. Every caller runs SQL the
 //! same way through one: the wire server keeps one per connection,
 //! `xorshell` one per process, and the differential harnesses one per
-//! logical writer. [`Database::query`], [`Database::explain`],
-//! [`Database::explain_analyze`] and [`Database::execute`] are
-//! autocommit wrappers over a fresh session.
+//! logical writer. Everything a caller asks is a statement: `SET` and
+//! `BEGIN` go through [`Session::execute`], `EXPLAIN [ANALYZE]` through
+//! [`Session::query`], which returns the plan as rows.
+//! [`Database::query`], [`Database::explain_analyze`] and
+//! [`Database::execute`] are autocommit wrappers over a fresh session.
 //!
 //! Dropping a session rolls back its open transaction, so a caller that
 //! goes away mid-transaction (a dropped connection, a panicking harness)
@@ -64,8 +66,9 @@ impl<'db> Session<'db> {
         self.db.snapshot_of(self.txn)
     }
 
-    /// Run a SELECT, or EXPLAIN a SELECT or a DELETE, through this
-    /// session's snapshot and forcing.
+    /// Run a SELECT, EXPLAIN a SELECT or a DELETE, or `EXPLAIN ANALYZE`
+    /// a SELECT, through this session's snapshot and forcing. Both
+    /// EXPLAIN forms return one `plan` column, one line per row.
     pub fn query(&self, sql: &str) -> Result<QueryResult> {
         Ok(self.db.run_query(sql, self.forcing, self.snapshot()?, false)?.0)
     }
@@ -83,13 +86,10 @@ impl<'db> Session<'db> {
         Ok(AnalyzeReport { result, metrics })
     }
 
-    /// Planner decisions for a SELECT or a DELETE, without executing it.
-    pub fn explain(&self, sql: &str) -> Result<Vec<String>> {
-        self.db.explain_stmt(parse_statement(sql)?, self.forcing, self.snapshot()?)
-    }
-
     /// Run one statement; returns the affected-row count. `BEGIN` opens
-    /// the session's transaction and `COMMIT`/`ROLLBACK` close it. DML
+    /// the session's transaction and `COMMIT`/`ROLLBACK` close it; `SET`
+    /// changes the session's forcing (`force_join` nested|hash|cost,
+    /// `force_access` seq|index|cost, `force_order` declared|cost). DML
     /// joins the open transaction, or autocommits when none is open;
     /// a failed DML statement inside a transaction aborts the whole
     /// transaction (first-updater-wins conflicts never leave a
@@ -140,9 +140,9 @@ impl<'db> Session<'db> {
             Statement::Drop { index: true, name } => db.drop_index(&name).map(|()| 0),
             Statement::Drop { index: false, name } => db.drop_table(&name).map(|()| 0),
             Statement::Vacuum => Ok(db.vacuum()?.vacuumed_versions),
-            Statement::Explain(_) => Err(DbError::Plan("EXPLAIN returns rows; use query()".into())),
-            Statement::Select(_) => {
-                Err(DbError::Plan("execute() expects DDL/DML; use query()".into()))
+            Statement::Set { key, value } => self.set(&key, &value).map(|()| 0),
+            Statement::Select(_) | Statement::Explain { .. } => {
+                Err(DbError::Plan("SELECT and EXPLAIN return rows; use query()".into()))
             }
         }
     }
@@ -160,7 +160,7 @@ impl<'db> Session<'db> {
         })
     }
 
-    /// Apply one `SET key value`. Supported keys:
+    /// Apply one `SET key [=] value`. Supported keys:
     ///
     /// * `force_join` — `nested` | `hash` | `cost`
     /// * `force_access` — `seq` | `index` | `cost`
@@ -169,7 +169,7 @@ impl<'db> Session<'db> {
     /// `cost` restores the cost-based default for that knob. Unknown
     /// keys or values fail with [`DbError::Exec`] and leave the session
     /// unchanged.
-    pub fn set(&mut self, key: &str, value: &str) -> Result<()> {
+    fn set(&mut self, key: &str, value: &str) -> Result<()> {
         let mut forcing = self.forcing.unwrap_or_default();
         let val_lc = value.to_ascii_lowercase();
         match key.to_ascii_lowercase().as_str() {
@@ -285,6 +285,11 @@ mod tests {
         assert!(err.to_string().contains("unknown session option"), "{err}");
         assert!(s.set("fsync", "off").is_err());
         assert_eq!(s.forcing(), before);
+        // The statement form runs the same code, with or without `=`.
+        assert_eq!(s.execute("SET force_access = index").unwrap(), 0);
+        assert_eq!(s.forcing().unwrap().access, Some(ForcedAccess::IndexScan));
+        assert!(s.execute("SET force_access quantum").is_err());
+        assert_eq!(s.forcing().unwrap().access, Some(ForcedAccess::IndexScan));
     }
 
     #[test]
@@ -328,17 +333,43 @@ mod tests {
             db.session().with_forcing(PlanForcing { access: Some(forced), ..Default::default() });
         assert!(leaf(&seq).starts_with("SeqScan"), "forcing reaches the profiled plan");
 
+        // The SQL forms take the same path: `SET` forces, `EXPLAIN
+        // ANALYZE` answers with the profiled plan as rows.
+        let explain_analyze = |s: &Session<'_>| {
+            let r = s.query(&format!("EXPLAIN ANALYZE {sql}")).unwrap();
+            assert_eq!(r.columns, ["plan"]);
+            r.rows.iter().map(|row| row[0].to_string() + "\n").collect::<String>()
+        };
         let mut s = db.session();
+        assert!(explain_analyze(&s).contains("IndexScan"), "{}", explain_analyze(&s));
+        s.execute("SET force_access seq").unwrap();
+        let rendered = explain_analyze(&s);
+        assert!(rendered.contains("SeqScan") && rendered.contains("phases:"), "{rendered}");
+
         s.execute("BEGIN").unwrap();
         s.execute("INSERT INTO t VALUES (7)").unwrap();
         assert_eq!(s.analyze(sql).unwrap().metrics.rows, 2, "sees its own insert");
+        assert!(explain_analyze(&s).contains("[rows=2 "), "{}", explain_analyze(&s));
         assert_eq!(db.explain_analyze(sql).unwrap().metrics.rows, 1, "others do not");
+        assert!(explain_analyze(&db.session()).contains("[rows=1 "));
+    }
+
+    #[test]
+    fn refuses_explain_analyze_of_anything_but_a_select_before_running_it() {
+        let db = db("analyzedml");
+        db.execute("CREATE TABLE t (a INTEGER)").unwrap();
+        db.execute("INSERT INTO t VALUES (1), (2)").unwrap();
+        for sql in ["EXPLAIN ANALYZE DELETE FROM t WHERE a = 1", "EXPLAIN ANALYZE VACUUM"] {
+            assert!(matches!(db.query(sql), Err(DbError::Plan(_))), "{sql}");
+            assert!(db.execute(sql).is_err(), "{sql}");
+        }
+        assert_eq!(db.row_count("t").unwrap(), 2, "the DELETE never ran");
     }
 
     #[test]
     fn execute_refuses_transaction_control_outside_a_session() {
         let db = db("txncontrol");
-        for sql in ["BEGIN", "COMMIT", "ROLLBACK"] {
+        for sql in ["BEGIN", "COMMIT", "ROLLBACK", "SET force_join hash"] {
             let err = db.execute(sql).unwrap_err();
             assert!(err.to_string().contains("Database::session"), "{sql}: {err}");
         }

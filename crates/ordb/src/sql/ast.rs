@@ -44,8 +44,22 @@ pub enum Statement {
         /// Object name.
         name: String,
     },
-    /// `EXPLAIN <select>` — returns the planner's decision log.
-    Explain(Box<Statement>),
+    /// `EXPLAIN [ANALYZE] <statement>` — returns the planner's decision
+    /// log, or with `ANALYZE` runs the SELECT profiled and returns its
+    /// annotated plan.
+    Explain {
+        /// True for `EXPLAIN ANALYZE`.
+        analyze: bool,
+        /// The explained statement.
+        stmt: Box<Statement>,
+    },
+    /// `SET key [=] value` — change a session option.
+    Set {
+        /// Option name, e.g. `force_join`.
+        key: String,
+        /// Option value, e.g. `hash`.
+        value: String,
+    },
     /// `BEGIN [TRANSACTION | WORK]` — open an explicit transaction.
     Begin,
     /// `COMMIT [TRANSACTION | WORK]` — commit the open transaction.

@@ -3,8 +3,9 @@
 //! GROUP BY, ORDER BY, LIMIT), `CREATE TABLE`, `CREATE INDEX`,
 //! `INSERT … VALUES`, `DELETE`, `DROP`, and the transaction-control
 //! statements `BEGIN` / `COMMIT` / `ROLLBACK` (optionally followed by
-//! the `TRANSACTION` / `WORK` noise word), plus `VACUUM` to reclaim
-//! dead row versions.
+//! the `TRANSACTION` / `WORK` noise word), `VACUUM` to reclaim dead row
+//! versions, `EXPLAIN [ANALYZE]`, and `SET key [=] value` for session
+//! options.
 
 use crate::error::{DbError, Result};
 use crate::expr::CmpOp;
@@ -12,10 +13,16 @@ use crate::sql::ast::{AstExpr, FromItem, Select, SelectItem, Statement};
 use crate::sql::lexer::{lex, Sym, Token};
 use crate::types::DataType;
 
+/// Most terms (operands, parenthesised groups, calls and `NOT`s) one
+/// expression may hold. The parser, and every stage after it down to
+/// dropping the tree, walks an expression recursively, so this bound is
+/// what keeps one hostile statement from overflowing a thread's stack.
+const MAX_TERMS: usize = 256;
+
 /// Parse one statement.
 pub fn parse_statement(sql: &str) -> Result<Statement> {
     let tokens = lex(sql)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser { tokens, pos: 0, terms: 0 };
     let stmt = p.statement()?;
     p.eat_sym(Sym::Semicolon);
     if !p.at_end() {
@@ -35,6 +42,8 @@ pub fn parse_select(sql: &str) -> Result<Select> {
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Terms of the current top-level expression, against [`MAX_TERMS`].
+    terms: usize,
 }
 
 impl Parser {
@@ -135,8 +144,16 @@ impl Parser {
             return Ok(Statement::Drop { index, name });
         }
         if self.eat_kw("explain") {
-            let inner = self.statement()?;
-            return Ok(Statement::Explain(Box::new(inner)));
+            let analyze = self.eat_kw("analyze");
+            if self.peek().is_some_and(|t| t.is_kw("explain")) {
+                return Err(self.err("cannot EXPLAIN an EXPLAIN"));
+            }
+            return Ok(Statement::Explain { analyze, stmt: Box::new(self.statement()?) });
+        }
+        if self.eat_kw("set") {
+            let key = self.ident()?;
+            self.eat_sym(Sym::Eq);
+            return Ok(Statement::Set { key, value: self.ident()? });
         }
         if self.eat_kw("begin") {
             self.eat_txn_noise();
@@ -154,8 +171,8 @@ impl Parser {
             return Ok(Statement::Vacuum);
         }
         Err(self.err(
-            "expected SELECT, CREATE, INSERT, DELETE, DROP, EXPLAIN, BEGIN, COMMIT, ROLLBACK, or \
-             VACUUM",
+            "expected SELECT, CREATE, INSERT, DELETE, DROP, EXPLAIN, SET, BEGIN, COMMIT, ROLLBACK, \
+             or VACUUM",
         ))
     }
 
@@ -335,8 +352,23 @@ impl Parser {
         }
     }
 
-    // Expression grammar: or_expr > and_expr > not_expr > predicate > primary
+    /// One top-level expression, with a fresh [`MAX_TERMS`] budget.
     fn expr(&mut self) -> Result<AstExpr> {
+        self.terms = 0;
+        self.or_expr()
+    }
+
+    /// Count one term against [`MAX_TERMS`].
+    fn term(&mut self) -> Result<()> {
+        self.terms += 1;
+        if self.terms > MAX_TERMS {
+            return Err(self.err(&format!("expression has more than {MAX_TERMS} terms")));
+        }
+        Ok(())
+    }
+
+    // Expression grammar: or_expr > and_expr > not_expr > predicate > primary
+    fn or_expr(&mut self) -> Result<AstExpr> {
         let mut lhs = self.and_expr()?;
         while self.eat_kw("or") {
             let rhs = self.and_expr()?;
@@ -355,6 +387,7 @@ impl Parser {
     }
 
     fn not_expr(&mut self) -> Result<AstExpr> {
+        self.term()?;
         if self.eat_kw("not") {
             let e = self.not_expr()?;
             return Ok(AstExpr::Not(Box::new(e)));
@@ -513,6 +546,7 @@ impl Parser {
     }
 
     fn primary(&mut self) -> Result<AstExpr> {
+        self.term()?;
         match self.peek().cloned() {
             Some(Token::Num(n)) => {
                 self.pos += 1;
@@ -532,7 +566,7 @@ impl Parser {
             }
             Some(Token::Sym(Sym::LParen)) => {
                 self.pos += 1;
-                let e = self.expr()?;
+                let e = self.or_expr()?;
                 self.expect_sym(Sym::RParen)?;
                 Ok(e)
             }
@@ -567,15 +601,15 @@ impl Parser {
                 return Ok(AstExpr::Agg { func: lname, arg: None, distinct: false });
             }
             let distinct = self.eat_kw("distinct");
-            let arg = self.expr()?;
+            let arg = self.or_expr()?;
             self.expect_sym(Sym::RParen)?;
             return Ok(AstExpr::Agg { func: lname, arg: Some(Box::new(arg)), distinct });
         }
         let mut args = Vec::new();
         if !self.eat_sym(Sym::RParen) {
-            args.push(self.expr()?);
+            args.push(self.or_expr()?);
             while self.eat_sym(Sym::Comma) {
-                args.push(self.expr()?);
+                args.push(self.or_expr()?);
             }
             self.expect_sym(Sym::RParen)?;
         }
@@ -629,6 +663,58 @@ mod tests {
         assert_eq!(parse_statement("VACUUM").unwrap(), Statement::Vacuum);
         assert_eq!(parse_statement("vacuum").unwrap(), Statement::Vacuum);
         assert!(parse_statement("VACUUM t").is_err());
+    }
+
+    #[test]
+    fn parses_set_with_and_without_equals() {
+        let want = Statement::Set { key: "force_join".into(), value: "hash".into() };
+        assert_eq!(parse_statement("SET force_join hash").unwrap(), want);
+        assert_eq!(parse_statement("set force_join = hash;").unwrap(), want);
+        // A key with no value, or a stray token after it, is a parse error.
+        assert!(matches!(parse_statement("SET force_join"), Err(DbError::Parse(_))));
+        assert!(matches!(parse_statement("SET force_join ="), Err(DbError::Parse(_))));
+        assert!(parse_statement("SET force_join hash seq").is_err());
+    }
+
+    #[test]
+    fn parses_explain_and_explain_analyze() {
+        match parse_statement("EXPLAIN ANALYZE SELECT a FROM t").unwrap() {
+            Statement::Explain { analyze: true, stmt } => {
+                assert!(matches!(*stmt, Statement::Select(_)))
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+        match parse_statement("explain DELETE FROM t WHERE a = 1").unwrap() {
+            Statement::Explain { analyze: false, stmt } => {
+                assert!(matches!(*stmt, Statement::Delete { .. }))
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+        assert!(parse_statement("EXPLAIN ANALYZE").is_err());
+    }
+
+    #[test]
+    fn deep_nesting_is_a_parse_error_not_a_stack_overflow() {
+        let n = 100_000;
+        let hostile = [
+            format!("SELECT a FROM t WHERE {}a = 1{}", "(".repeat(n), ")".repeat(n)),
+            format!("SELECT a FROM t WHERE {}a = 1", "NOT ".repeat(n)),
+            format!("SELECT a FROM t WHERE a = 1{}", " + 1".repeat(n)),
+            format!("SELECT a FROM t WHERE a IN (1{})", ", 1".repeat(n)),
+            format!("SELECT {}a{} FROM t", "lower(".repeat(n), ")".repeat(n)),
+            format!("{}SELECT a FROM t", "EXPLAIN ".repeat(n)),
+        ];
+        for sql in &hostile {
+            let err = parse_statement(sql).unwrap_err();
+            assert!(matches!(err, DbError::Parse(_)), "{err}");
+        }
+        // The budget is per expression: wide statements of small ones pass.
+        let rows = vec!["(1, 'x')"; 5_000].join(", ");
+        assert!(parse_statement(&format!("INSERT INTO t VALUES {rows}")).is_ok());
+        let items = vec!["a + 1"; 500].join(", ");
+        assert!(parse_statement(&format!("SELECT {items} FROM t")).is_ok());
+        let ids = (0..250).map(|i| i.to_string()).collect::<Vec<_>>().join(", ");
+        assert!(parse_statement(&format!("SELECT a FROM t WHERE a IN ({ids})")).is_ok());
     }
 
     #[test]

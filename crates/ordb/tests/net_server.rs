@@ -130,14 +130,39 @@ fn statement_errors_keep_the_connection_alive() {
 }
 
 #[test]
+fn a_deeply_nested_statement_is_refused_and_the_server_lives() {
+    let (_db, handle) = served_db("deep");
+    let mut client = Client::connect(handle.addr()).unwrap();
+    // Nesting near the parser's term budget still runs end to end on a
+    // connection thread's stack…
+    let (open, close) = ("(".repeat(120), ")".repeat(120));
+    let near = [
+        format!("SELECT name FROM item WHERE {open}id = 7{close}"),
+        format!("SELECT name FROM item WHERE id = 7{}", " + 0".repeat(250)),
+    ];
+    for sql in &near {
+        assert_eq!(client.query(sql).unwrap().rows, vec![vec![Value::Str("name-7".into())]]);
+    }
+    // …and one past it is a parse error, not a thread overflowing its
+    // stack and aborting the server.
+    let (open, close) = ("(".repeat(100_000), ")".repeat(100_000));
+    let hostile = format!("SELECT name FROM item WHERE {open}id = 7{close}");
+    assert!(matches!(client.query(&hostile), Err(DbError::Parse(_))));
+    client.ping().unwrap();
+    client.close().unwrap();
+    handle.stop();
+}
+
+#[test]
 fn session_set_changes_explain_per_connection() {
     let (db, handle) = served_db("sess");
     let join_sql = "SELECT i.name, g.title FROM item i, grp g WHERE i.id = g.gid";
     let mut forced = Client::connect(handle.addr()).unwrap();
     let mut plain = Client::connect(handle.addr()).unwrap();
-    forced.set("force_join", "nested").unwrap();
-    let forced_plan = forced.explain(join_sql).unwrap().join("\n");
-    let plain_plan = plain.explain(join_sql).unwrap().join("\n");
+    assert_eq!(forced.execute("SET force_join nested").unwrap(), 0);
+    let explain = |c: &mut Client| plan_text(&c.query(&format!("EXPLAIN {join_sql}")).unwrap());
+    let forced_plan = explain(&mut forced);
+    let plain_plan = explain(&mut plain);
     assert!(forced_plan.contains("forced"), "{forced_plan}");
     assert_ne!(forced_plan, plain_plan, "session forcing must not leak across connections");
     // The unforced session matches the embedded default plan.
@@ -149,7 +174,8 @@ fn session_set_changes_explain_per_connection() {
     b.sort();
     assert_eq!(a, b);
     // Bad option values error but keep the session.
-    assert!(forced.set("force_join", "quantum").is_err());
+    assert!(forced.execute("SET force_join quantum").is_err());
+    assert!(forced.execute("SET force_join").is_err(), "a SET with no value");
     forced.ping().unwrap();
     forced.close().unwrap();
     plain.close().unwrap();
@@ -193,10 +219,16 @@ fn malformed_frames_never_kill_the_server() {
         assert!(buf.len() > 4, "expected an error frame, got {buf:02x?}");
     }
 
-    // 3. Garbage request tag inside a well-formed frame, and tag 0x05,
-    //    protocol version 1's commit request: error frame, connection
+    // 3. Garbage request tag inside a well-formed frame, tag 0x05
+    //    (protocol version 1's commit request), and whole version 2
+    //    explain (0x03) and set (0x06) requests: error frame, connection
     //    stays serviceable.
-    for request in [&[0xEE, 1, 2, 3][..], &[0x05]] {
+    let mut explain_v2 = vec![0x03];
+    net::put_str(&mut explain_v2, "SELECT id FROM item");
+    let mut set_v2 = vec![0x06];
+    net::put_str(&mut set_v2, "force_join");
+    net::put_str(&mut set_v2, "hash");
+    for request in [&[0xEE, 1, 2, 3][..], &[0x05], &explain_v2, &set_v2] {
         let mut s = TcpStream::connect(addr).unwrap();
         s.write_all(&hello).unwrap();
         let mut echo = [0u8; 5];
@@ -213,14 +245,15 @@ fn malformed_frames_never_kill_the_server() {
         assert_eq!(net::Response::decode(&body).unwrap(), net::Response::Pong);
     }
 
-    // 4. A version 1 client is refused at the handshake: no echo.
-    {
+    // 4. Version 1 and version 2 clients are refused at the handshake:
+    //    no echo.
+    for version in [1, 2] {
         let mut s = TcpStream::connect(addr).unwrap();
         s.write_all(&net::MAGIC).unwrap();
-        s.write_all(&[1]).unwrap();
+        s.write_all(&[version]).unwrap();
         let mut buf = Vec::new();
         let _ = s.read_to_end(&mut buf);
-        assert!(buf.is_empty(), "a v1 hello was answered: {buf:02x?}");
+        assert!(buf.is_empty(), "a v{version} hello was answered: {buf:02x?}");
     }
 
     // 5. Disconnect mid-frame: claim 100 bytes, send 3, hang up.
@@ -239,7 +272,7 @@ fn malformed_frames_never_kill_the_server() {
     assert_eq!(client.query("SELECT COUNT(*) FROM item").unwrap().scalar(), Some(&Value::Int(50)));
     client.close().unwrap();
     let snap = db.metrics_snapshot();
-    assert!(snap.net.protocol_errors >= 5, "{:?}", snap.net);
+    assert!(snap.net.protocol_errors >= 8, "{:?}", snap.net);
     handle.stop();
 }
 
@@ -407,21 +440,13 @@ fn connection_drop_mid_txn_auto_aborts() {
 
 /// What a script step can do, embedded or over the wire.
 trait Conn {
-    fn set(&mut self, key: &str, value: &str) -> Result<()>;
     fn query(&mut self, sql: &str) -> Result<QueryResult>;
-    fn explain(&mut self, sql: &str) -> Result<Vec<String>>;
     fn execute(&mut self, sql: &str) -> Result<u64>;
 }
 
 impl Conn for Session<'_> {
-    fn set(&mut self, key: &str, value: &str) -> Result<()> {
-        Session::set(self, key, value)
-    }
     fn query(&mut self, sql: &str) -> Result<QueryResult> {
         Session::query(self, sql)
-    }
-    fn explain(&mut self, sql: &str) -> Result<Vec<String>> {
-        Session::explain(self, sql)
     }
     fn execute(&mut self, sql: &str) -> Result<u64> {
         Session::execute(self, sql)
@@ -429,14 +454,8 @@ impl Conn for Session<'_> {
 }
 
 impl Conn for Client {
-    fn set(&mut self, key: &str, value: &str) -> Result<()> {
-        Client::set(self, key, value)
-    }
     fn query(&mut self, sql: &str) -> Result<QueryResult> {
         Client::query(self, sql)
-    }
-    fn explain(&mut self, sql: &str) -> Result<Vec<String>> {
-        Client::explain(self, sql)
     }
     fn execute(&mut self, sql: &str) -> Result<u64> {
         Client::execute(self, sql)
@@ -451,16 +470,32 @@ fn outcome<T: std::fmt::Debug>(r: Result<T>) -> String {
     }
 }
 
+/// An EXPLAIN's `plan` rows as text, one line each.
+fn plan_text(r: &QueryResult) -> String {
+    r.rows.iter().map(|row| row[0].to_string()).collect::<Vec<_>>().join("\n")
+}
+
+/// An `EXPLAIN ANALYZE` step's outcome without what differs run to run:
+/// each operator's `time=` and the `phases:` line.
+fn analyzed(r: Result<QueryResult>) -> String {
+    outcome(r.map(|res| {
+        let text = plan_text(&res);
+        let lines = text.lines().filter(|l| !l.starts_with("phases:"));
+        lines.map(|l| l.split(" time=").next().unwrap_or(l).to_string()).collect::<Vec<_>>()
+    }))
+}
+
 /// A forced, transactional script on `a`, with `b` as the conflicting
 /// second session. Every statement it runs is rolled back by its end.
 fn session_script(a: &mut dyn Conn, b: &mut dyn Conn) -> Vec<String> {
     vec![
-        outcome(a.set("force_access", "seq")),
+        outcome(a.execute("SET force_access seq")),
         outcome(a.execute("BEGIN")),
         outcome(a.execute("INSERT INTO grp VALUES (42, 'own')")),
         outcome(a.query("SELECT gid, title FROM grp WHERE gid = 42")),
-        outcome(a.explain("SELECT name FROM item WHERE id = 7")),
+        outcome(a.query("EXPLAIN SELECT name FROM item WHERE id = 7")),
         outcome(a.execute("DELETE FROM item WHERE id = 7")),
+        analyzed(a.query("EXPLAIN ANALYZE SELECT COUNT(*) FROM item WHERE id < 10")),
         outcome(b.execute("BEGIN")),
         outcome(b.execute("DELETE FROM item WHERE id = 7")),
         // The conflict aborted b's transaction: nothing left to roll back.
@@ -480,13 +515,18 @@ fn embedded_and_wire_sessions_behave_identically() {
     let wire = session_script(&mut a, &mut b);
     assert_eq!(embedded, wire);
     // And the script did what it says.
+    assert_eq!(embedded[0], "ok 0", "SET is a statement");
     assert!(embedded[3].contains("own"), "the transaction reads its own insert: {}", embedded[3]);
-    assert!(embedded[4].contains("forcing: "), "EXPLAIN shows the forcing: {}", embedded[4]);
+    assert!(embedded[4].contains("access=seq"), "EXPLAIN shows the forcing: {}", embedded[4]);
     assert_eq!(embedded[5], "ok 1");
-    assert_eq!(embedded[7], "error 9", "first-updater-wins conflict");
-    assert_eq!(embedded[8], "error 4", "the conflict cleared b's slot");
-    assert!(!embedded[10].contains("own"), "ROLLBACK undid the insert: {}", embedded[10]);
-    assert!(embedded[11].contains("Int(1)"), "ROLLBACK released the claim: {}", embedded[11]);
+    // EXPLAIN ANALYZE runs under the forcing and inside the transaction:
+    // a forced sequential scan that no longer sees the deleted id 7.
+    assert!(embedded[6].contains("SeqScan"), "{}", embedded[6]);
+    assert!(embedded[6].contains("[rows=9 "), "{}", embedded[6]);
+    assert_eq!(embedded[8], "error 9", "first-updater-wins conflict");
+    assert_eq!(embedded[9], "error 4", "the conflict cleared b's slot");
+    assert!(!embedded[11].contains("own"), "ROLLBACK undid the insert: {}", embedded[11]);
+    assert!(embedded[12].contains("Int(1)"), "ROLLBACK released the claim: {}", embedded[12]);
     a.close().unwrap();
     b.close().unwrap();
     handle.stop();

@@ -827,7 +827,9 @@ fn index_driven_delete_keeps_mvcc_semantics_across_wire_sessions() {
     let mut a = Client::connect(handle.addr()).unwrap();
     let mut b = Client::connect(handle.addr()).unwrap();
     let mut reader = Client::connect(handle.addr()).unwrap();
-    assert!(a.explain("DELETE FROM churn WHERE parent = 99").unwrap().join("\n").contains("Index"));
+    let explain =
+        |c: &mut Client, sql: &str| c.query(&format!("EXPLAIN {sql}")).unwrap().to_string();
+    assert!(explain(&mut a, "DELETE FROM churn WHERE parent = 99").contains("Index"));
 
     a.execute("BEGIN").unwrap();
     a.execute("INSERT INTO churn VALUES (396, 99, 'a1'), (397, 99, 'a2')").unwrap();
@@ -848,15 +850,15 @@ fn index_driven_delete_keeps_mvcc_semantics_across_wire_sessions() {
     assert_eq!(a.query("SELECT k FROM churn WHERE parent = 99").unwrap().len(), 1);
     // The same statement under a forced sequential scan agrees: the
     // session's SET reaches DML.
-    a.set("force_access", "seq").unwrap();
-    assert!(a.explain("DELETE FROM churn WHERE parent = 99").unwrap().join("\n").contains("Seq"));
+    a.execute("SET force_access seq").unwrap();
+    assert!(explain(&mut a, "DELETE FROM churn WHERE parent = 99").contains("Seq"));
     assert_eq!(a.execute("DELETE FROM churn WHERE parent = 99").unwrap(), 1);
     assert_eq!(a.execute("DELETE FROM churn WHERE parent = 99").unwrap(), 0);
 
     // ROLLBACK restores all of them, on both access paths.
     a.execute("ROLLBACK").unwrap();
     for access in ["index", "seq"] {
-        reader.set("force_access", access).unwrap();
+        reader.execute(&format!("SET force_access {access}")).unwrap();
         let count = |c: &mut Client, predicate: &str| {
             c.query(&format!("SELECT COUNT(*) FROM churn WHERE {predicate}"))
                 .unwrap()
