@@ -2,11 +2,14 @@
 //!
 //! One [`Client`] wraps one TCP connection (and thus one server-side
 //! [`Session`](crate::session::Session)). Calls are strictly request/response:
-//! each method writes one frame and reads one frame. Server-side
+//! each method writes one frame, in one `write` from a buffer the
+//! connection reuses, and reads one frame through the connection's read
+//! buffer, so a small answer costs one `read`. Server-side
 //! statement failures come back as the original [`DbError`] variant
 //! (reconstructed via [`decode_error`](super::decode_error)), so remote
 //! and embedded call sites handle errors identically.
 
+use std::io::BufReader;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
@@ -18,28 +21,33 @@ use super::{decode_error, Request, Response};
 
 /// A connected wire-protocol client.
 pub struct Client {
-    stream: TcpStream,
+    /// The socket behind its read buffer; frames are written to the
+    /// socket itself.
+    conn: BufReader<TcpStream>,
+    /// Reused write buffer: each request is encoded straight into it.
+    out: Vec<u8>,
 }
 
 impl Client {
     /// Connect and perform the protocol handshake.
     pub fn connect(addr: impl ToSocketAddrs) -> Result<Client> {
-        let mut stream = TcpStream::connect(addr)?;
+        let stream = TcpStream::connect(addr)?;
         let _ = stream.set_nodelay(true);
-        client_handshake(&mut stream)?;
-        Ok(Client { stream })
+        let mut conn = BufReader::new(stream);
+        client_handshake(&mut conn)?;
+        Ok(Client { conn, out: Vec::new() })
     }
 
     /// Set a read timeout so a stalled server cannot hang the client
     /// forever (`None` blocks indefinitely, the default).
     pub fn set_read_timeout(&mut self, timeout: Option<Duration>) -> Result<()> {
-        self.stream.set_read_timeout(timeout)?;
+        self.conn.get_ref().set_read_timeout(timeout)?;
         Ok(())
     }
 
     fn roundtrip(&mut self, req: &Request) -> Result<Response> {
-        write_frame(&mut self.stream, &req.encode())?;
-        let body = read_frame(&mut self.stream)?.ok_or_else(|| {
+        write_frame(self.conn.get_mut(), &mut self.out, |b| req.encode_into(b))?;
+        let body = read_frame(&mut self.conn)?.ok_or_else(|| {
             DbError::Protocol("server closed the connection before responding".into())
         })?;
         match Response::decode(&body)? {

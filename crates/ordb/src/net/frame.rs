@@ -4,10 +4,21 @@
 //! a `u32` little-endian body length followed by that many body bytes.
 //! The body's first byte is a request/response tag (see
 //! [`super::Request`] / [`super::Response`]); the rest is tag-specific.
-//! Lengths above [`MAX_FRAME`] are rejected before any allocation, so a
-//! garbage length prefix cannot make either end try to buffer gigabytes.
+//!
+//! Each frame costs one system call each way. [`write_frame`] encodes the
+//! body into a reusable per-connection buffer behind 4 reserved bytes,
+//! patches the length in and hands the whole frame to one `write_all`,
+//! so the peer never wakes for a bare length prefix. [`read_frame`] reads
+//! through the connection's [`BufRead`] buffer, where one `read` brings
+//! in a small frame whole and pipelined frames share reads; the
+//! handshake reads through the same buffer, so bytes a client sends
+//! right behind its hello wait there for the first frame read. Lengths
+//! above [`MAX_FRAME`] are rejected before any allocation, and a body's
+//! buffer grows with the bytes that arrive, not with the length the
+//! prefix claims, so a garbage prefix cannot make either end buffer
+//! gigabytes.
 
-use std::io::{ErrorKind, Read, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 
 use crate::error::{DbError, Result};
 
@@ -26,24 +37,43 @@ pub const VERSION: u8 = 3;
 /// corrupt length prefix from driving a giant allocation.
 pub const MAX_FRAME: usize = 64 << 20;
 
-/// Write one frame: `u32`-LE body length, then the body.
-pub fn write_frame(w: &mut impl Write, body: &[u8]) -> Result<()> {
-    if body.len() > MAX_FRAME {
-        return Err(DbError::Protocol(format!(
-            "frame body {} B exceeds MAX_FRAME {MAX_FRAME} B",
-            body.len()
-        )));
+/// Capacity a connection's write buffer keeps between frames, so one large
+/// result does not pin its size for the rest of the connection; also what
+/// a body read reserves before its bytes arrive.
+const RETAINED_CAPACITY: usize = 64 << 10;
+
+/// Write one frame in a single `write_all`: `encode` appends the body to
+/// `buf`, the connection's reusable write buffer, behind 4 bytes reserved
+/// for the `u32`-LE length, which is patched in once the body is known.
+/// Returns the body length. A body above [`MAX_FRAME`] is refused before
+/// anything reaches `w`.
+pub fn write_frame(
+    w: &mut impl Write,
+    buf: &mut Vec<u8>,
+    encode: impl FnOnce(&mut Vec<u8>),
+) -> Result<usize> {
+    buf.clear();
+    buf.extend_from_slice(&[0; 4]);
+    encode(buf);
+    let len = buf.len() - 4;
+    let sent = if len > MAX_FRAME {
+        Err(DbError::Protocol(format!("frame body {len} B exceeds MAX_FRAME {MAX_FRAME} B")))
+    } else {
+        buf[..4].copy_from_slice(&(len as u32).to_le_bytes());
+        w.write_all(buf).and_then(|()| w.flush()).map(|()| len).map_err(DbError::Io)
+    };
+    if buf.capacity() > RETAINED_CAPACITY {
+        buf.clear();
+        buf.shrink_to(RETAINED_CAPACITY);
     }
-    w.write_all(&(body.len() as u32).to_le_bytes())?;
-    w.write_all(body)?;
-    w.flush()?;
-    Ok(())
+    sent
 }
 
-/// Read one frame body. `Ok(None)` on clean EOF *between* frames (the
-/// peer closed the connection); `Err` on a truncated length prefix or
-/// body, or on a length above [`MAX_FRAME`].
-pub fn read_frame(r: &mut impl Read) -> Result<Option<Vec<u8>>> {
+/// Read one frame body through the connection's read buffer. `Ok(None)`
+/// on clean EOF *between* frames (the peer closed the connection); `Err`
+/// on a truncated length prefix or body, or on a length above
+/// [`MAX_FRAME`].
+pub fn read_frame(r: &mut impl BufRead) -> Result<Option<Vec<u8>>> {
     let mut len_buf = [0u8; 4];
     // Distinguish "no more frames" (EOF before any length byte) from a
     // mid-prefix truncation.
@@ -67,27 +97,30 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<Vec<u8>>> {
             "frame length {len} B exceeds MAX_FRAME {MAX_FRAME} B"
         )));
     }
-    let mut body = vec![0u8; len];
-    r.read_exact(&mut body).map_err(|e| {
-        if e.kind() == ErrorKind::UnexpectedEof {
-            DbError::Protocol(format!("connection closed inside a {len} B frame body"))
-        } else {
-            DbError::Io(e)
-        }
-    })?;
+    // A small frame's worth up front; past that the body grows only as
+    // its bytes arrive.
+    let mut body = Vec::with_capacity(len.min(RETAINED_CAPACITY));
+    r.by_ref().take(len as u64).read_to_end(&mut body)?;
+    if body.len() < len {
+        return Err(DbError::Protocol(format!(
+            "connection closed inside a {len} B frame body ({} B arrived)",
+            body.len()
+        )));
+    }
     Ok(Some(body))
 }
 
 /// Client side of the connection handshake: send `MAGIC` + [`VERSION`],
-/// then require the server to echo them back.
-pub fn client_handshake(stream: &mut (impl Read + Write)) -> Result<()> {
+/// then require the server to echo them back. `conn` is the connection's
+/// read buffer; writes go to the stream under it.
+pub fn client_handshake<S: Read + Write>(conn: &mut BufReader<S>) -> Result<()> {
     let mut hello = [0u8; 5];
     hello[..4].copy_from_slice(&MAGIC);
     hello[4] = VERSION;
-    stream.write_all(&hello)?;
-    stream.flush()?;
+    conn.get_mut().write_all(&hello)?;
+    conn.get_mut().flush()?;
     let mut echo = [0u8; 5];
-    stream.read_exact(&mut echo).map_err(|e| {
+    conn.read_exact(&mut echo).map_err(|e| {
         if e.kind() == ErrorKind::UnexpectedEof {
             DbError::Protocol("server closed the connection during the handshake".into())
         } else {
@@ -104,9 +137,11 @@ pub fn client_handshake(stream: &mut (impl Read + Write)) -> Result<()> {
 /// first 5 bytes, then echo them. A wrong magic or version is a
 /// [`DbError::Protocol`]; an EOF before 5 bytes (port scanners, health
 /// probes) is reported the same way but is harmless to the server loop.
-pub fn server_handshake(stream: &mut (impl Read + Write)) -> Result<()> {
+/// The hello is read through `conn`, the connection's read buffer, so
+/// frames sent in the same segment stay buffered for [`read_frame`].
+pub fn server_handshake<S: Read + Write>(conn: &mut BufReader<S>) -> Result<()> {
     let mut hello = [0u8; 5];
-    stream.read_exact(&mut hello).map_err(|e| {
+    conn.read_exact(&mut hello).map_err(|e| {
         if e.kind() == ErrorKind::UnexpectedEof {
             DbError::Protocol("client closed the connection during the handshake".into())
         } else {
@@ -122,8 +157,8 @@ pub fn server_handshake(stream: &mut (impl Read + Write)) -> Result<()> {
             hello[4]
         )));
     }
-    stream.write_all(&hello)?;
-    stream.flush()?;
+    conn.get_mut().write_all(&hello)?;
+    conn.get_mut().flush()?;
     Ok(())
 }
 
@@ -215,7 +250,8 @@ mod tests {
 
     fn framed(body: &[u8]) -> Vec<u8> {
         let mut out = Vec::new();
-        write_frame(&mut out, body).unwrap();
+        let len = write_frame(&mut out, &mut Vec::new(), |b| b.extend_from_slice(body)).unwrap();
+        assert_eq!(len, body.len());
         out
     }
 
@@ -255,10 +291,97 @@ mod tests {
         wire.extend_from_slice(b"whatever");
         let err = read_frame(&mut Cursor::new(&wire)).unwrap_err();
         assert!(matches!(err, DbError::Protocol(ref m) if m.contains("MAX_FRAME")), "{err}");
-        // And the writer refuses to produce one.
-        let mut sink = Vec::new();
-        assert!(write_frame(&mut sink, &vec![0u8; MAX_FRAME + 1]).is_err());
+        // And the writer refuses to produce one, then lets go of the
+        // oversized buffer.
+        let (mut sink, mut buf) = (Vec::new(), Vec::new());
+        assert!(write_frame(&mut sink, &mut buf, |b| b.resize(MAX_FRAME + 5, 0)).is_err());
         assert!(sink.is_empty(), "nothing hit the wire");
+        assert!(buf.capacity() <= RETAINED_CAPACITY, "{}", buf.capacity());
+    }
+
+    /// Counts the calls a frame costs on either side of the socket.
+    struct Counting<T> {
+        inner: T,
+        calls: usize,
+    }
+
+    impl<T: Read> Read for Counting<T> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.calls += 1;
+            self.inner.read(buf)
+        }
+    }
+
+    impl Write for Counting<Vec<u8>> {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.calls += 1;
+            self.inner.write(buf)
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_frame_is_one_write() {
+        let mut w = Counting { inner: Vec::new(), calls: 0 };
+        let mut buf = Vec::new();
+        for (i, body) in [&b""[..], b"ping", &vec![0xAB; 100_000][..]].iter().enumerate() {
+            write_frame(&mut w, &mut buf, |b| b.extend_from_slice(body)).unwrap();
+            assert_eq!(w.calls, i + 1, "{} B body", body.len());
+        }
+        let wire = w.inner;
+        assert_eq!(wire.len(), 3 * 4 + 4 + 100_000);
+        let mut r = Cursor::new(&wire);
+        for body in [&b""[..], b"ping", &vec![0xAB; 100_000][..]] {
+            assert_eq!(read_frame(&mut r).unwrap().unwrap(), body);
+        }
+    }
+
+    #[test]
+    fn pipelined_frames_share_reads() {
+        const N: usize = 50;
+        let wire: Vec<u8> = (0..N).flat_map(|i| framed(format!("frame {i}").as_bytes())).collect();
+        // One small frame alone: one read.
+        let mut r = BufReader::new(Counting { inner: Cursor::new(framed(b"x")), calls: 0 });
+        assert_eq!(read_frame(&mut r).unwrap().unwrap(), b"x");
+        assert_eq!(r.get_ref().calls, 1);
+        // N pipelined frames, then EOF: at most N reads in all.
+        let mut r = BufReader::new(Counting { inner: Cursor::new(wire), calls: 0 });
+        for i in 0..N {
+            assert_eq!(read_frame(&mut r).unwrap().unwrap(), format!("frame {i}").as_bytes());
+        }
+        assert!(read_frame(&mut r).unwrap().is_none());
+        assert!(r.get_ref().calls <= N, "{} reads for {N} frames", r.get_ref().calls);
+    }
+
+    /// Hands out 1, 2, …, 7, 1, 2, … bytes per call.
+    struct ShortReads {
+        data: Cursor<Vec<u8>>,
+        next: usize,
+    }
+
+    impl Read for ShortReads {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.next = self.next % 7 + 1;
+            let n = self.next.min(buf.len());
+            self.data.read(&mut buf[..n])
+        }
+    }
+
+    #[test]
+    fn short_reads_still_decode_every_frame() {
+        let bodies = [b"".to_vec(), b"one".to_vec(), vec![7; 100_000], b"last".to_vec()];
+        let wire: Vec<u8> = bodies.iter().flat_map(|b| framed(b)).collect();
+        // A buffer smaller than a frame, and the default one.
+        for capacity in [16, 8 << 10] {
+            let short = ShortReads { data: Cursor::new(wire.clone()), next: 0 };
+            let mut r = BufReader::with_capacity(capacity, short);
+            for body in &bodies {
+                assert_eq!(&read_frame(&mut r).unwrap().unwrap(), body);
+            }
+            assert!(read_frame(&mut r).unwrap().is_none(), "clean EOF after the last frame");
+        }
     }
 
     #[test]
@@ -271,25 +394,29 @@ mod tests {
             hello[4] = VERSION;
             client_out.extend_from_slice(&hello);
         }
-        // Server sees a good hello.
-        let mut duplex = DuplexBuf::new(&client_out);
-        server_handshake(&mut duplex).unwrap();
-        assert_eq!(duplex.written, client_out, "server echoes the hello");
+        // Server sees a good hello, and the frame sent right behind it
+        // stays buffered for the first frame read.
+        let mut input = client_out.clone();
+        input.extend_from_slice(&framed(b"first"));
+        let mut conn = BufReader::new(DuplexBuf::new(&input));
+        server_handshake(&mut conn).unwrap();
+        assert_eq!(conn.get_ref().written, client_out, "server echoes the hello");
+        assert_eq!(read_frame(&mut conn).unwrap().unwrap(), b"first");
 
         // Bad magic.
-        let mut duplex = DuplexBuf::new(b"HTTP/");
+        let mut duplex = BufReader::new(DuplexBuf::new(b"HTTP/"));
         let err = server_handshake(&mut duplex).unwrap_err();
         assert!(matches!(err, DbError::Protocol(ref m) if m.contains("magic")), "{err}");
 
         // Wrong version.
         let mut bad = MAGIC.to_vec();
         bad.push(99);
-        let mut duplex = DuplexBuf::new(&bad);
+        let mut duplex = BufReader::new(DuplexBuf::new(&bad));
         let err = server_handshake(&mut duplex).unwrap_err();
         assert!(matches!(err, DbError::Protocol(ref m) if m.contains("version")), "{err}");
 
         // Client rejects a garbled echo.
-        let mut duplex = DuplexBuf::new(b"NOPE!");
+        let mut duplex = BufReader::new(DuplexBuf::new(b"NOPE!"));
         let err = client_handshake(&mut duplex).unwrap_err();
         assert!(matches!(err, DbError::Protocol(_)), "{err}");
     }
@@ -306,13 +433,13 @@ mod tests {
         }
     }
 
-    impl std::io::Read for DuplexBuf {
+    impl Read for DuplexBuf {
         fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
             self.input.read(buf)
         }
     }
 
-    impl std::io::Write for DuplexBuf {
+    impl Write for DuplexBuf {
         fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
             self.written.extend_from_slice(buf);
             Ok(buf.len())

@@ -13,12 +13,19 @@
 //! * `frame` — the 5-byte `XORD` + version handshake, `u32`-LE
 //!   length-prefixed frames, and a bounds-checked payload [`Reader`]
 //!   that turns every malformed byte sequence into
-//!   [`DbError::Protocol`] instead of a panic or hang;
+//!   [`DbError::Protocol`] instead of a panic or hang. A frame costs one
+//!   system call each way: [`write_frame`] sends prefix and body in one
+//!   `write_all` from a reused per-connection buffer, and [`read_frame`]
+//!   reads through the connection's read buffer, which the handshake
+//!   shares;
 //! * [`Request`] / [`Response`] — the tagged message bodies: a statement
 //!   goes as a `Query` (it returns rows: SELECT, `EXPLAIN [ANALYZE]`) or
-//!   an `Execute` (anything else, `SET` included). Row batches reuse the
-//!   storage layer's [`encode_row`] framing, so a value round-trips the
-//!   wire in exactly its heap-file representation;
+//!   an `Execute` (anything else, `SET` included). `encode_into` appends
+//!   a body straight into a connection's write buffer. Row batches reuse
+//!   the storage layer's [`encode_row`] framing, so a value round-trips
+//!   the wire in exactly its heap-file representation. An `Error` carries
+//!   the variant's bare message, so a remote error prints exactly as the
+//!   embedded one;
 //! * [`Server`] / [`ServerHandle`] — accept loop plus
 //!   thread-per-connection serving, each connection running its
 //!   statements through its own [`Session`](crate::session::Session),
@@ -77,19 +84,24 @@ impl Request {
     /// Serialize into a frame body.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Append the frame body to `out`, e.g. a connection's write buffer.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
         match self {
             Request::Ping => out.push(REQ_PING),
             Request::Query(sql) => {
                 out.push(REQ_QUERY);
-                put_str(&mut out, sql);
+                put_str(out, sql);
             }
             Request::Execute(sql) => {
                 out.push(REQ_EXECUTE);
-                put_str(&mut out, sql);
+                put_str(out, sql);
             }
             Request::Close => out.push(REQ_CLOSE),
         }
-        out
     }
 
     /// Parse a frame body. Any malformation is a [`DbError::Protocol`].
@@ -122,7 +134,7 @@ pub enum Response {
     Error {
         /// Variant discriminant, see [`error_code`].
         code: u8,
-        /// The error's display string.
+        /// The variant's bare message (no `"parse error: "` prefix).
         message: String,
     },
     /// Answer to [`Request::Close`].
@@ -130,27 +142,34 @@ pub enum Response {
 }
 
 impl Response {
-    /// Serialize into a frame body. Rows use the storage engine's
-    /// [`encode_row`] framing: `u16` column count, the column names,
-    /// `u32` row count, then each row as a length-prefixed
-    /// `encode_row` record of exactly `ncols` fields.
+    /// Serialize into a frame body.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Append the frame body to `out`, e.g. a connection's write buffer.
+    /// Rows use the storage engine's [`encode_row`] framing: `u16` column
+    /// count, the column names, `u32` row count, then each row as a
+    /// length-prefixed `encode_row` record of exactly `ncols` fields,
+    /// encoded in place and its length patched in after.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
         match self {
             Response::Pong => out.push(RESP_PONG),
             Response::Rows(res) => {
                 out.push(RESP_ROWS);
                 out.extend_from_slice(&(res.columns.len() as u16).to_le_bytes());
                 for c in &res.columns {
-                    put_str(&mut out, c);
+                    put_str(out, c);
                 }
                 out.extend_from_slice(&(res.rows.len() as u32).to_le_bytes());
-                let mut buf = Vec::new();
                 for row in &res.rows {
-                    buf.clear();
-                    encode_row(row, &mut buf);
-                    out.extend_from_slice(&(buf.len() as u32).to_le_bytes());
-                    out.extend_from_slice(&buf);
+                    let at = out.len();
+                    out.extend_from_slice(&[0; 4]);
+                    encode_row(row, out);
+                    let len = (out.len() - at - 4) as u32;
+                    out[at..at + 4].copy_from_slice(&len.to_le_bytes());
                 }
             }
             Response::Affected(n) => {
@@ -160,11 +179,10 @@ impl Response {
             Response::Error { code, message } => {
                 out.push(RESP_ERROR);
                 out.push(*code);
-                put_str(&mut out, message);
+                put_str(out, message);
             }
             Response::Bye => out.push(RESP_BYE),
         }
-        out
     }
 
     /// Parse a frame body. Any malformation is a [`DbError::Protocol`].
@@ -202,9 +220,23 @@ impl Response {
         Ok(resp)
     }
 
-    /// Build the error response for a failed statement.
+    /// Build the error response for a failed statement. The message is
+    /// the variant's own text, without the `"parse error: "`-style prefix
+    /// its `Display` adds: [`decode_error`] rebuilds the variant, and the
+    /// variant adds the prefix back.
     pub fn from_error(e: &DbError) -> Response {
-        Response::Error { code: error_code(e), message: e.to_string() }
+        let message = match e {
+            DbError::Io(e) => e.to_string(),
+            DbError::Fragment(e) => e.to_string(),
+            DbError::Parse(m)
+            | DbError::Plan(m)
+            | DbError::Exec(m)
+            | DbError::Catalog(m)
+            | DbError::Corrupt(m)
+            | DbError::Protocol(m)
+            | DbError::TxnConflict(m) => m.clone(),
+        };
+        Response::Error { code: error_code(e), message }
     }
 }
 
@@ -288,7 +320,7 @@ mod tests {
             Response::Rows(rows),
             Response::Rows(QueryResult { columns: vec![], rows: vec![] }),
             Response::Affected(u64::MAX),
-            Response::Error { code: 2, message: "parse error: nope".into() },
+            Response::Error { code: 2, message: "nope".into() },
             Response::Bye,
         ];
         for resp in &resps {
@@ -342,17 +374,23 @@ mod tests {
             DbError::Catalog("c".into()),
             DbError::Corrupt("co".into()),
             DbError::Protocol("pr".into()),
+            DbError::TxnConflict("t".into()),
         ];
         for e in &errs {
             let resp = Response::from_error(e);
             let Response::Error { code, message } = &resp else { panic!() };
             let back = decode_error(*code, message);
             assert_eq!(error_code(&back), *code, "{e} -> {back}");
-            assert!(back.to_string().contains(message.as_str().split(": ").last().unwrap()));
+            // The remote error reads exactly like the local one: one prefix.
+            assert_eq!(back.to_string(), e.to_string());
         }
-        // Fragment degrades to Exec but keeps its message.
-        let back = decode_error(7, "bad fragment");
-        assert!(matches!(back, DbError::Exec(ref m) if m.contains("bad fragment")));
+        // Fragment degrades to its documented Exec stand-in but keeps its
+        // message.
+        let frag = DbError::Fragment(xadt::FragmentError("bad fragment".into()));
+        let Response::Error { code, message } = Response::from_error(&frag) else { panic!() };
+        assert_eq!((code, message.as_str()), (7, frag.to_string().as_str()));
+        let back = decode_error(code, &message);
+        assert!(matches!(back, DbError::Exec(ref m) if m.contains(&frag.to_string())), "{back}");
         // Unknown codes never panic.
         assert!(matches!(decode_error(42, "?"), DbError::Protocol(_)));
     }

@@ -12,6 +12,7 @@
 //!   drops that one connection. Other connections and the accept loop
 //!   are never affected.
 
+use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -19,6 +20,7 @@ use std::thread::JoinHandle;
 
 use crate::db::Database;
 use crate::error::Result;
+use crate::metrics::NetCounters;
 use crate::session::Session;
 
 use super::frame::{read_frame, server_handshake, write_frame};
@@ -108,11 +110,14 @@ impl Drop for ServerHandle {
 }
 
 /// One connection's lifetime: handshake, then a statement loop until the
-/// client closes (or the stream breaks).
-fn serve_connection(db: &Database, mut stream: TcpStream) -> Result<()> {
+/// client closes (or the stream breaks). Requests are read through one
+/// buffer for the whole connection, the handshake included, so whatever
+/// a client pipelines behind its hello is answered in order.
+fn serve_connection(db: &Database, stream: TcpStream) -> Result<()> {
     let _ = stream.set_nodelay(true);
     let net = db.metrics().net();
-    if let Err(e) = server_handshake(&mut stream) {
+    let mut conn = BufReader::new(stream);
+    if let Err(e) = server_handshake(&mut conn) {
         // Port probes and version mismatches land here; the hello bytes
         // never arrived or were wrong, so there is no frame to answer.
         net.protocol_errors.fetch_add(1, Ordering::Relaxed);
@@ -121,17 +126,18 @@ fn serve_connection(db: &Database, mut stream: TcpStream) -> Result<()> {
     // Whatever ends the connection — clean Close, client vanishing
     // mid-transaction, or a broken frame layer — dropping the session
     // aborts its open transaction.
-    statement_loop(db, &mut stream, &mut db.session(), net)
+    statement_loop(&mut conn, &mut db.session(), net)
 }
 
 fn statement_loop(
-    db: &Database,
-    stream: &mut TcpStream,
+    conn: &mut BufReader<TcpStream>,
     session: &mut Session,
-    net: &crate::metrics::NetCounters,
+    net: &NetCounters,
 ) -> Result<()> {
+    // Reused write buffer: each response is encoded straight into it.
+    let mut out = Vec::new();
     loop {
-        let body = match read_frame(stream) {
+        let body = match read_frame(conn) {
             Ok(Some(b)) => b,
             // Clean EOF between frames: the client just went away.
             Ok(None) => return Ok(()),
@@ -140,7 +146,7 @@ fn statement_loop(
                 // answer best-effort, then drop the connection — the
                 // stream position is no longer trustworthy.
                 net.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                let _ = send(stream, db, &Response::from_error(&e));
+                let _ = send(conn.get_mut(), &mut out, net, &Response::from_error(&e));
                 return Err(e);
             }
         };
@@ -152,13 +158,13 @@ fn statement_loop(
                 // The frame boundary held, only the body was garbage:
                 // report and keep serving.
                 net.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                send(stream, db, &Response::from_error(&e))?;
+                send(conn.get_mut(), &mut out, net, &Response::from_error(&e))?;
                 continue;
             }
         };
         let closing = matches!(req, Request::Close);
         let resp = handle(session, req);
-        send(stream, db, &resp)?;
+        send(conn.get_mut(), &mut out, net, &resp)?;
         if closing {
             return Ok(());
         }
@@ -175,11 +181,14 @@ fn handle(session: &mut Session, req: Request) -> Response {
     result.unwrap_or_else(|e| Response::from_error(&e))
 }
 
-fn send(stream: &mut TcpStream, db: &Database, resp: &Response) -> Result<()> {
-    let body = resp.encode();
-    write_frame(stream, &body)?;
-    let net = db.metrics().net();
+fn send(
+    stream: &mut TcpStream,
+    out: &mut Vec<u8>,
+    net: &NetCounters,
+    resp: &Response,
+) -> Result<()> {
+    let len = write_frame(stream, out, |b| resp.encode_into(b))?;
     net.frames_out.fetch_add(1, Ordering::Relaxed);
-    net.bytes_out.fetch_add(body.len() as u64, Ordering::Relaxed);
+    net.bytes_out.fetch_add(len as u64, Ordering::Relaxed);
     Ok(())
 }

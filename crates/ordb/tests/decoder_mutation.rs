@@ -1,12 +1,16 @@
 //! Seeded byte-mutation tests at the untrusted-input boundaries this
-//! crate decodes: the wire's request and response bodies, and the SQL text
-//! the parser reads. Each valid input is mutated by a few byte flips,
-//! inserts, deletes and truncations, with a fixed seed so a failure
-//! replays. Every decode must return `Ok` or `Err`, never panic.
+//! crate decodes: the wire's frame stream, its request and response
+//! bodies, and the SQL text the parser reads. Each valid input is mutated
+//! by a few byte flips, inserts, deletes and truncations, with a fixed
+//! seed so a failure replays. Every decode must return `Ok` or `Err`,
+//! never panic.
 
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::{Cell, RefCell};
+use std::io::{BufReader, Read};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use ordb::net::{Request, Response};
+use ordb::net::{read_frame, write_frame, Request, Response, MAX_FRAME};
 use ordb::sql::parse_statement;
 use ordb::{QueryResult, Value};
 use rand::rngs::SmallRng;
@@ -58,6 +62,56 @@ fn mutate_through<T>(seed: u64, corpus: &[Vec<u8>], decode: impl Fn(&[u8]) -> T)
     }
 }
 
+/// The system allocator, noting the largest single request each thread
+/// makes, so a test can bound what decoding a hostile stream allocates.
+struct PeakAlloc;
+
+thread_local! {
+    static PEAK: Cell<usize> = const { Cell::new(0) };
+}
+
+fn note(size: usize) {
+    let _ = PEAK.try_with(|p| p.set(p.get().max(size)));
+}
+
+// SAFETY: every call is forwarded unchanged to `System`.
+unsafe impl GlobalAlloc for PeakAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        System.alloc(layout)
+    }
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        System.alloc_zeroed(layout)
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note(new_size);
+        System.realloc(ptr, layout, new_size)
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static ALLOC: PeakAlloc = PeakAlloc;
+
+/// A socket that hands out 1 to 7 bytes per read, as the seeded `rng`
+/// chooses.
+struct ShortReads<'a> {
+    data: &'a [u8],
+    rng: &'a RefCell<SmallRng>,
+}
+
+impl Read for ShortReads<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let n = self.rng.borrow_mut().gen_range(1..=7).min(buf.len()).min(self.data.len());
+        buf[..n].copy_from_slice(&self.data[..n]);
+        self.data = &self.data[n..];
+        Ok(n)
+    }
+}
+
 #[test]
 fn mutated_requests_decode_or_error() {
     let corpus: Vec<Vec<u8>> = [
@@ -75,6 +129,64 @@ fn mutated_requests_decode_or_error() {
         assert!(Request::decode(body).is_ok(), "{body:02x?}");
     }
     mutate_through(0x5EED_0001, &corpus, Request::decode);
+}
+
+/// Streams of one to four valid request frames, mutated, read back
+/// through the buffered frame reader over a socket that returns short
+/// reads. A stream yields some frames and then a clean EOF or an error,
+/// exactly as a reference walk of its length prefixes predicts; a length
+/// above `MAX_FRAME` is an error, and no read allocates more than a small
+/// frame's worth, whatever length the prefix claims.
+#[test]
+fn mutated_frame_streams_read_or_error() {
+    let requests = [
+        Request::Ping,
+        Request::Query("SELECT a, b FROM t WHERE a = 1".into()),
+        Request::Execute("INSERT INTO t VALUES (1, 'x')".into()),
+        Request::Query("EXPLAIN ANALYZE SELECT COUNT(*) FROM t".into()),
+        Request::Close,
+    ];
+    let mut buf = Vec::new();
+    let corpus: Vec<Vec<u8>> = (0..requests.len())
+        .flat_map(|first| (1..=4).map(move |n| (first, n)))
+        .map(|(first, n)| {
+            let mut stream = Vec::new();
+            for req in requests.iter().cycle().skip(first).take(n) {
+                write_frame(&mut stream, &mut buf, |b| req.encode_into(b)).unwrap();
+            }
+            stream
+        })
+        .collect();
+    let rng = RefCell::new(SmallRng::seed_from_u64(0x5EED_0004));
+    mutate_through(0x5EED_0005, &corpus, |stream| {
+        let mut r = BufReader::new(ShortReads { data: stream, rng: &rng });
+        let mut rest = stream;
+        loop {
+            PEAK.with(|p| p.set(0));
+            let got = read_frame(&mut r);
+            assert!(
+                PEAK.with(Cell::get) <= 64 << 10,
+                "a read allocated {} B",
+                PEAK.with(Cell::get)
+            );
+            // What the stream's next length prefix says should happen.
+            let len = rest.get(..4).map(|p| u32::from_le_bytes(p.try_into().unwrap()) as usize);
+            match (got, len) {
+                (Ok(None), None) if rest.is_empty() => return,
+                (Err(e), Some(len)) if len > MAX_FRAME => {
+                    assert!(e.to_string().contains("MAX_FRAME"), "{len} B prefix: {e}");
+                    return;
+                }
+                (Ok(Some(body)), Some(len)) if rest.len() >= 4 + len => {
+                    assert_eq!(body, rest[4..4 + len]);
+                    rest = &rest[4 + len..];
+                }
+                (Err(_), Some(len)) if rest.len() < 4 + len => return,
+                (Err(_), None) if !rest.is_empty() => return,
+                (got, len) => panic!("read {got:?} where the prefix is {len:?}, {rest:02x?} left"),
+            }
+        }
+    });
 }
 
 #[test]

@@ -8,9 +8,10 @@
 //! robustness: malformed frames and rude disconnects must never take
 //! the server down.
 
-use std::io::{Read, Write};
-use std::net::TcpStream;
+use std::io::{BufReader, Read, Write};
+use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use ordb::net::{self, Client, Server};
 use ordb::tuple::encode_row;
@@ -113,13 +114,14 @@ fn ddl_dml_commit_and_ping_over_the_wire() {
 
 #[test]
 fn statement_errors_keep_the_connection_alive() {
-    let (_db, handle) = served_db("errs");
+    let (db, handle) = served_db("errs");
     let mut client = Client::connect(handle.addr()).unwrap();
-    // Parse error comes back as Parse, not a dead socket.
-    match client.query("SELEKT 1") {
-        Err(DbError::Parse(_)) | Err(DbError::Plan(_)) => {}
-        other => panic!("{other:?}"),
-    }
+    // Parse error comes back as Parse, not a dead socket, and reads
+    // exactly like the embedded one: one "parse error: " prefix.
+    let remote = client.query("SELEKT 1").unwrap_err();
+    assert!(matches!(remote, DbError::Parse(_)), "{remote:?}");
+    assert_eq!(remote.to_string(), db.query("SELEKT 1").unwrap_err().to_string());
+    assert_eq!(remote.to_string().matches("parse error").count(), 1, "{remote}");
     // Unknown table -> Plan/Catalog error.
     assert!(client.query("SELECT x FROM no_such_table").is_err());
     // The same connection still works afterwards.
@@ -229,18 +231,19 @@ fn malformed_frames_never_kill_the_server() {
     net::put_str(&mut set_v2, "force_join");
     net::put_str(&mut set_v2, "hash");
     for request in [&[0xEE, 1, 2, 3][..], &[0x05], &explain_v2, &set_v2] {
-        let mut s = TcpStream::connect(addr).unwrap();
-        s.write_all(&hello).unwrap();
+        let mut s = BufReader::new(TcpStream::connect(addr).unwrap());
+        s.get_mut().write_all(&hello).unwrap();
         let mut echo = [0u8; 5];
         s.read_exact(&mut echo).unwrap();
-        net::write_frame(&mut s, request).unwrap();
+        let mut out = Vec::new();
+        net::write_frame(s.get_mut(), &mut out, |b| b.extend_from_slice(request)).unwrap();
         let body = net::read_frame(&mut s).unwrap().expect("an error response");
         match net::Response::decode(&body).unwrap() {
             net::Response::Error { code, .. } => assert_eq!(code, 8, "protocol error code"),
             other => panic!("{other:?}"),
         }
         // Same socket still answers a valid request.
-        net::write_frame(&mut s, &net::Request::Ping.encode()).unwrap();
+        net::write_frame(s.get_mut(), &mut out, |b| net::Request::Ping.encode_into(b)).unwrap();
         let body = net::read_frame(&mut s).unwrap().unwrap();
         assert_eq!(net::Response::decode(&body).unwrap(), net::Response::Pong);
     }
@@ -274,6 +277,63 @@ fn malformed_frames_never_kill_the_server() {
     let snap = db.metrics_snapshot();
     assert!(snap.net.protocol_errors >= 8, "{:?}", snap.net);
     handle.stop();
+}
+
+/// A client may send its hello and its first requests in one segment:
+/// the server reads the handshake through the connection's read buffer,
+/// so nothing behind the hello is stranded, and the answers come back in
+/// order.
+#[test]
+fn requests_pipelined_behind_the_hello_are_all_answered() {
+    let (_db, handle) = served_db("pipelined");
+    let mut wire = net::MAGIC.to_vec();
+    wire.push(net::VERSION);
+    let mut out = Vec::new();
+    for req in
+        [net::Request::Ping, net::Request::Query("SELECT name FROM item WHERE id = 3".into())]
+    {
+        net::write_frame(&mut wire, &mut out, |b| req.encode_into(b)).unwrap();
+    }
+    let mut s = BufReader::new(TcpStream::connect(handle.addr()).unwrap());
+    // A stranded request would leave both ends waiting: fail instead.
+    s.get_ref().set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    s.get_mut().write_all(&wire).unwrap();
+    let mut echo = [0u8; 5];
+    s.read_exact(&mut echo).unwrap();
+    assert_eq!(echo[..], wire[..5], "the hello is echoed");
+    let mut next = || net::Response::decode(&net::read_frame(&mut s).unwrap().unwrap()).unwrap();
+    assert_eq!(next(), net::Response::Pong);
+    match next() {
+        net::Response::Rows(r) => assert_eq!(r.rows, vec![vec![Value::Str("name-3".into())]]),
+        other => panic!("{other:?}"),
+    }
+    handle.stop();
+}
+
+/// A server that completes the handshake and then never answers: a
+/// client with a read timeout gets an error back instead of hanging.
+#[test]
+fn a_read_timeout_turns_a_silent_server_into_an_error() {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let silent = std::thread::spawn(move || {
+        let (mut s, _) = listener.accept().unwrap();
+        let mut hello = [0u8; 5];
+        s.read_exact(&mut hello).unwrap();
+        s.write_all(&hello).unwrap();
+        // Hold the connection open, unanswered, until the client leaves
+        // (or, should its timeout not fire, for 10 s).
+        s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        let _ = s.read_to_end(&mut Vec::new());
+    });
+    let mut client = Client::connect(addr).unwrap();
+    client.set_read_timeout(Some(Duration::from_millis(200))).unwrap();
+    let t = Instant::now();
+    let err = client.ping().unwrap_err();
+    assert!(matches!(err, DbError::Io(_)), "{err:?}");
+    assert!(t.elapsed() < Duration::from_secs(5), "the timeout fired: {:?}", t.elapsed());
+    drop(client);
+    silent.join().unwrap();
 }
 
 #[test]
@@ -428,10 +488,10 @@ fn connection_drop_mid_txn_auto_aborts() {
         // Dropped without Close: the server sees EOF mid-transaction.
     }
     // The connection thread runs detached; poll until it aborts.
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    let deadline = Instant::now() + Duration::from_secs(10);
     while db.metrics_snapshot().txn.aborted == aborted_before {
-        assert!(std::time::Instant::now() < deadline, "auto-abort never happened");
-        std::thread::sleep(std::time::Duration::from_millis(10));
+        assert!(Instant::now() < deadline, "auto-abort never happened");
+        std::thread::sleep(Duration::from_millis(10));
     }
     // The orphaned insert was physically undone.
     assert!(db.query("SELECT * FROM grp WHERE gid = 55").unwrap().is_empty());
